@@ -11,8 +11,6 @@
 //!   interval-length sensitivity, reconstruction heuristics, and the
 //!   sampling-overhead model.
 //! * `benches/figures.rs` — reduced-scale end-to-end figure pipelines.
-//! * `benches/parallel_sim.rs` — sequential reference vs population-sharded
-//!   lockstep fleets across worker counts.
 //!
 //! This crate exposes shared helpers for the bench targets.
 

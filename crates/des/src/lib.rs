@@ -33,15 +33,12 @@
 //! ```
 
 pub mod hash;
-pub mod parallel;
 pub mod ps;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod sync;
 pub mod time;
 
-pub use parallel::{run_lockstep, Envelope, LockstepConfig, LockstepReport, NoMsg, ShardActor};
 pub use ps::{JobId, PsIntegrator};
 pub use queue::EventQueue;
 pub use rng::Dice;

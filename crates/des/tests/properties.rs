@@ -1,54 +1,8 @@
 //! Property-based tests for the DES kernel invariants.
 
 use fgbd_des::queue::reference::HeapQueue;
-use fgbd_des::{
-    run_lockstep, Actor, Dice, Envelope, EventQueue, JobId, LockstepConfig, PsIntegrator,
-    Scheduler, ShardActor, SimDuration, SimTime, Simulation,
-};
+use fgbd_des::{Dice, EventQueue, JobId, PsIntegrator, SimDuration, SimTime};
 use proptest::prelude::*;
-
-/// One stop on a token ring spread across shards: node `i` forwards the
-/// token to node `(i + 1) % k` after a deterministic per-node delay plus
-/// the cross-shard link latency (the model's lookahead). Each `handle`
-/// call burns a few injected `yield_now` calls so worker threads get
-/// shaken into different OS schedules — the trajectory must not care.
-struct RingNode {
-    id: usize,
-    k: usize,
-    delay: SimDuration,
-    latency: SimDuration,
-    yields: u32,
-    seen: Vec<(SimTime, u32)>,
-    out: Vec<Envelope<u32>>,
-}
-
-impl Actor for RingNode {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, hops_left: u32, _sched: &mut Scheduler<u32>) {
-        for _ in 0..self.yields {
-            std::thread::yield_now();
-        }
-        self.seen.push((now, hops_left));
-        if hops_left > 0 {
-            self.out.push(Envelope {
-                dest: (self.id + 1) % self.k,
-                due: now + self.delay + self.latency,
-                msg: hops_left - 1,
-            });
-        }
-    }
-}
-
-impl ShardActor for RingNode {
-    type Msg = u32;
-    fn drain_outbox(&mut self, out: &mut Vec<Envelope<u32>>) {
-        out.append(&mut self.out);
-    }
-    fn accept(&mut self, from: usize, msg: u32) -> u32 {
-        assert_eq!((from + 1) % self.k, self.id, "token skipped a ring stop");
-        msg
-    }
-}
 
 /// Decodes one raw op for the wheel-vs-heap equivalence driver: a schedule
 /// time drawn from regimes that stress every queue path (same-instant ties,
@@ -260,111 +214,6 @@ proptest! {
             let i = d.weighted(&weights);
             prop_assert!(pattern[i]);
         }
-    }
-
-    /// RNG streams split from one root never overlap: the 64-draw
-    /// prefixes of any two distinct streams are pairwise distinct, and
-    /// none replays the unsplit root sequence.
-    #[test]
-    fn rng_streams_never_overlap(root in 0u64..(1u64 << 62), k in 2usize..9) {
-        let mut prefixes: Vec<Vec<u64>> = (0..k as u64)
-            .map(|s| {
-                let mut d = Dice::stream(root, s);
-                (0..64).map(|_| d.uniform().to_bits()).collect()
-            })
-            .collect();
-        let mut base = Dice::seed(root);
-        prefixes.push((0..64).map(|_| base.uniform().to_bits()).collect());
-        for i in 0..prefixes.len() {
-            for j in (i + 1)..prefixes.len() {
-                prop_assert_ne!(&prefixes[i], &prefixes[j],
-                    "streams {} and {} collide under root {}", i, j, root);
-            }
-        }
-    }
-
-    /// A stream's seed is a pure function of `(root, index)`: splitting
-    /// off more streams, or splitting in any order, never perturbs an
-    /// existing stream. This is what lets a sharded simulation keep pod
-    /// 0's trajectory fixed while the shard count varies.
-    #[test]
-    fn rng_stream_split_is_pure(root in 0u64..(1u64 << 62), s in 0u64..64) {
-        prop_assert_eq!(Dice::stream_seed(root, s), Dice::stream_seed(root, s));
-        let direct: Vec<u64> = {
-            let mut d = Dice::stream(root, s);
-            (0..32).map(|_| d.uniform().to_bits()).collect()
-        };
-        // Split off every lower-indexed stream first; stream `s` must not
-        // notice.
-        for other in 0..s {
-            let _ = Dice::stream(root, other);
-        }
-        let mut again = Dice::stream(root, s);
-        let replay: Vec<u64> = (0..32).map(|_| again.uniform().to_bits()).collect();
-        prop_assert_eq!(direct, replay);
-    }
-
-    /// Lockstep execution of a cross-shard token ring matches the
-    /// analytic sequential reference exactly — same arrival times, same
-    /// token values at every stop — for any shard count, any window
-    /// strictly below the lookahead, and any worker count, with injected
-    /// yields shaking the worker schedules.
-    #[test]
-    fn lockstep_matches_sequential_reference(
-        k in 2usize..5,
-        hops in 1u32..40,
-        latency_ms in 2u64..30,
-        window_frac in 1u64..100,
-        workers in 1usize..5,
-        delays_ms in prop::collection::vec(0u64..25, 4..5),
-        yields in 0u32..4,
-    ) {
-        let latency = SimDuration::from_millis(latency_ms);
-        // Any window in (0, latency) satisfies the strict lookahead bound.
-        let window_us = 1 + (latency_ms * 1_000 - 2) * window_frac / 100;
-        let mut shards: Vec<Simulation<RingNode>> = (0..k)
-            .map(|id| {
-                Simulation::new(RingNode {
-                    id,
-                    k,
-                    delay: SimDuration::from_millis(delays_ms[id]),
-                    latency,
-                    yields,
-                    seen: Vec::new(),
-                    out: Vec::new(),
-                })
-            })
-            .collect();
-        shards[0].prime(SimTime::from_millis(1), hops);
-        let report = run_lockstep(
-            &mut shards,
-            SimTime::from_secs(3_600),
-            &LockstepConfig {
-                window: SimDuration::from_micros(window_us),
-                workers,
-            },
-        );
-
-        // Sequential reference: the ring is a chain recurrence.
-        let mut expected: Vec<Vec<(SimTime, u32)>> = vec![Vec::new(); k];
-        let mut t = SimTime::from_millis(1);
-        let mut node = 0usize;
-        let mut v = hops;
-        loop {
-            expected[node].push((t, v));
-            if v == 0 {
-                break;
-            }
-            t = t + SimDuration::from_millis(delays_ms[node]) + latency;
-            node = (node + 1) % k;
-            v -= 1;
-        }
-
-        for (id, shard) in shards.iter().enumerate() {
-            prop_assert_eq!(&shard.actor().seen, &expected[id],
-                "node {} diverged from the reference", id);
-        }
-        prop_assert_eq!(report.messages, u64::from(hops));
     }
 
     /// Exponential and bounded-Pareto samples respect their supports.

@@ -46,7 +46,6 @@ pub mod config;
 pub mod dvfs;
 pub mod gc;
 pub mod result;
-pub mod shard;
 pub mod system;
 pub mod users;
 
@@ -55,6 +54,5 @@ pub use config::{BurstConfig, Jdk, MsgSizes, ServerSpec, SystemConfig, BASE_MHZ}
 pub use dvfs::{DvfsConfig, DvfsState, PState, PStateSample, XEON_PSTATES};
 pub use gc::{Collector, GcConfig, GcEvent};
 pub use result::{CpuSample, RunResult, ServerInfo, TxnSample};
-pub use shard::{run_sharded, ShardPlan};
 pub use system::{node_metas, Ev, NTierSystem, Parent};
 pub use users::UserTable;

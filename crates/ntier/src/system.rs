@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use fgbd_des::{Actor, Dice, JobId, PsIntegrator, Scheduler, SimDuration, SimTime, Simulation};
 use fgbd_trace::{
-    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, StreamSink, TraceLog, TxnId,
+    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
 
 use crate::arena::Slab;
@@ -342,13 +342,11 @@ pub struct NTierSystem {
     burst_factor: f64,
     next_txn: u64,
     log: TraceLog,
-    /// When set, capture records stream through this sink instead of
-    /// accumulating in `log` (see [`NTierSystem::run_with_tap`]); the
-    /// returned [`RunResult::log`] then stays empty.
-    tap: Option<StreamSink>,
-    /// Like `tap`, but an arbitrary callback (see
-    /// [`NTierSystem::run_with_record_tap`]) — the hook the chunked capture
-    /// writer uses to spill records to disk without materializing a log.
+    /// When set, capture records go to this callback instead of
+    /// accumulating in `log` (see [`NTierSystem::run_with_record_tap`]) —
+    /// the hook the chunked capture writer uses to spill records to disk
+    /// without materializing a log; the returned [`RunResult::log`] then
+    /// stays empty.
     record_tap: Option<Box<dyn FnMut(MsgRecord) + Send>>,
     txns: Vec<TxnSample>,
     gc_events: Vec<GcEvent>,
@@ -484,7 +482,6 @@ impl NTierSystem {
             burst_factor: 1.0,
             next_txn: 0,
             log: TraceLog::new(nodes),
-            tap: None,
             record_tap: None,
             txns: Vec::new(),
             gc_events: Vec::new(),
@@ -508,28 +505,11 @@ impl NTierSystem {
         sim.into_actor().into_result(horizon)
     }
 
-    /// Like [`NTierSystem::run`], but capture records are streamed through
-    /// `sink` as they happen instead of being materialized in
-    /// [`RunResult::log`] (which comes back empty). The sink is dropped —
-    /// ending the stream — before this returns, so the caller can join
-    /// the consuming `fgbd_trace::SpanStream` immediately afterwards.
-    pub fn run_with_tap(cfg: SystemConfig, sink: StreamSink) -> RunResult {
-        let horizon = SimTime::ZERO + cfg.warmup + cfg.duration;
-        let mut system = NTierSystem::new(cfg);
-        system.tap = Some(sink);
-        let mut sim = Simulation::new(system);
-        sim.prime(SimTime::ZERO, Ev::Boot);
-        sim.run_until(horizon);
-        sim.into_actor().into_result(horizon)
-    }
-
     /// Like [`NTierSystem::run`], but every capture record is handed to
     /// `tap` instead of being materialized in [`RunResult::log`] (which
-    /// comes back empty). Unlike [`NTierSystem::run_with_tap`] the callback
-    /// runs inline on the simulation thread — it is the hook for writers
-    /// that must observe records in strict capture order with no channel in
-    /// between, e.g. the chunked capture writer spilling a million-user run
-    /// to disk in flat memory.
+    /// comes back empty). The callback runs inline on the simulation
+    /// thread, in strict capture order — the hook for e.g. the chunked
+    /// capture writer spilling a million-user run to disk in flat memory.
     pub fn run_with_record_tap(
         cfg: SystemConfig,
         tap: impl FnMut(MsgRecord) + Send + 'static,
@@ -544,11 +524,7 @@ impl NTierSystem {
     }
 
     /// Finalizes the run outputs.
-    pub fn into_result(mut self, horizon: SimTime) -> RunResult {
-        // End the record stream first: the tap's drop flushes its last
-        // partial chunk and closes the channel.
-        self.tap = None;
-        self.record_tap = None;
+    pub fn into_result(self, horizon: SimTime) -> RunResult {
         // Completion-token accounting, accumulated in plain per-server
         // fields (the event loop is too hot for per-op atomics) and flushed
         // here. Retained: zero avoided churn would itself be a finding.
@@ -737,10 +713,9 @@ impl NTierSystem {
                 bytes,
                 truth: Some(TxnId(txn)),
             };
-            match (&mut self.tap, &mut self.record_tap) {
-                (Some(tap), _) => tap.push(rec),
-                (None, Some(f)) => f(rec),
-                (None, None) => self.log.push(rec),
+            match &mut self.record_tap {
+                Some(tap) => tap(rec),
+                None => self.log.push(rec),
             }
         }
     }
@@ -1205,10 +1180,6 @@ impl Actor for NTierSystem {
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::GovTick(server) => {
-                // Fixed-cost ledger: governor ticks fire per pod whether or
-                // not any request is in flight (control-loop physics — they
-                // cannot be strided without changing the DVFS model).
-                fgbd_obsv::counter!("shard.fixed_cost_events", 1);
                 let busy = self.servers[server].busy_core_seconds(now);
                 let cores = self.servers[server].cores;
                 let Some(dvfs) = &mut self.servers[server].dvfs else {
@@ -1231,10 +1202,6 @@ impl Actor for NTierSystem {
                 }
             }
             Ev::CpuSample => {
-                // Fixed-cost ledger: sampler walks fire regardless of load.
-                // Sharded runs stride this schedule (see `crate::shard`) so
-                // the fleet-wide count stays flat in the pod count.
-                fgbd_obsv::counter!("shard.fixed_cost_events", 1);
                 for s in 0..self.servers.len() {
                     let busy = self.servers[s].busy_core_seconds(now);
                     self.cpu_busy[s].push(CpuSample {
@@ -1245,9 +1212,6 @@ impl Actor for NTierSystem {
                 sched.after(self.cfg.cpu_sample_period, Ev::CpuSample);
             }
             Ev::BurstToggle => {
-                // Fixed-cost ledger: the burst modulator is workload
-                // physics and flips per pod, like GovTick.
-                fgbd_obsv::counter!("shard.fixed_cost_events", 1);
                 if self.burst_factor == 1.0 {
                     self.burst_factor = self.burst_dice.bounded_pareto(
                         self.cfg.burst.factor_alpha,

@@ -9,7 +9,8 @@
 //! The counting allocator is `fgbd_obsv::alloc::AllocGauge` — the same
 //! opt-in gauge the observability crate offers every binary. This test
 //! lives in its own integration-test binary because a `#[global_allocator]`
-//! counts for the whole process.
+//! counts for the whole process; each test reads its own thread's event
+//! count (`thread_allocs`), since the harness runs the others beside it.
 //!
 //! Telemetry stays at its default (enabled) here, so the bound also proves
 //! the instrumented event loop stays allocation-free at steady state: the
@@ -42,13 +43,13 @@ fn warmed_event_queue_holds_without_allocating() {
         now = t;
         q.schedule(now + step(i.wrapping_mul(31) + e), e);
     }
-    let allocs_before = GLOBAL.allocs();
+    let allocs_before = GLOBAL.thread_allocs();
     for i in 0..100_000u64 {
         let (t, e) = q.pop().unwrap();
         now = t;
         q.schedule(now + step(i.wrapping_mul(17) + e), e);
     }
-    let allocs = GLOBAL.allocs() - allocs_before;
+    let allocs = GLOBAL.thread_allocs() - allocs_before;
     assert!(
         allocs < 100,
         "steady-state queue hold allocated {allocs} times over 100k ops"
@@ -73,13 +74,13 @@ fn warmed_visit_slab_reuses_slots_without_allocating() {
         slab.remove(victim).unwrap();
         live.push(slab.insert([i; 6]));
     }
-    let allocs_before = GLOBAL.allocs();
+    let allocs_before = GLOBAL.thread_allocs();
     for i in 0..100_000u64 {
         let victim = live.swap_remove((i.wrapping_mul(2_654_435_761) as usize) % live.len());
         slab.remove(victim).unwrap();
         live.push(slab.insert([i; 6]));
     }
-    let allocs = GLOBAL.allocs() - allocs_before;
+    let allocs = GLOBAL.thread_allocs() - allocs_before;
     assert_eq!(
         allocs, 0,
         "steady-state slab churn allocated {allocs} times over 100k remove+insert pairs"
@@ -114,9 +115,9 @@ fn warmed_ps_lanes_hold_without_allocating() {
         }
     };
     hold(&mut ps, &mut now, &mut done, 10_000);
-    let allocs_before = GLOBAL.allocs();
+    let allocs_before = GLOBAL.thread_allocs();
     hold(&mut ps, &mut now, &mut done, 100_000);
-    let allocs = GLOBAL.allocs() - allocs_before;
+    let allocs = GLOBAL.thread_allocs() - allocs_before;
     assert!(
         allocs < 100,
         "steady-state PS hold allocated {allocs} times over 100k jobs"
@@ -138,10 +139,10 @@ fn steady_state_event_loop_is_allocation_free() {
     sim.run_until(SimTime::from_secs(20));
 
     let events_before = sim.events_processed();
-    let allocs_before = GLOBAL.allocs();
+    let allocs_before = GLOBAL.thread_allocs();
     sim.run_until(SimTime::from_secs(60));
     let events = sim.events_processed() - events_before;
-    let allocs = GLOBAL.allocs() - allocs_before;
+    let allocs = GLOBAL.thread_allocs() - allocs_before;
 
     assert!(
         events > 20_000,
@@ -168,10 +169,10 @@ fn steady_state_loop_stays_allocation_free_under_dvfs_and_gc_churn() {
     sim.run_until(SimTime::from_secs(20));
 
     let events_before = sim.events_processed();
-    let allocs_before = GLOBAL.allocs();
+    let allocs_before = GLOBAL.thread_allocs();
     sim.run_until(SimTime::from_secs(60));
     let events = sim.events_processed() - events_before;
-    let allocs = GLOBAL.allocs() - allocs_before;
+    let allocs = GLOBAL.thread_allocs() - allocs_before;
 
     assert!(
         events > 20_000,

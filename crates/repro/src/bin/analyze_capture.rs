@@ -54,8 +54,8 @@ use fgbd_trace::capture2::threads_from_env;
 use fgbd_trace::mmapio::mmap_from_env;
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::{
-    read_capture_file, read_capture_tapped, wait_for_file, CaptureChunks, NodeId, NodeKind,
-    SpanSet, SpanStream, StreamConfig, TailConfig, TailReader, TraceLog,
+    read_capture_file, wait_for_file, CaptureChunks, NodeId, NodeKind, SpanSet, TailConfig,
+    TailReader, TraceLog,
 };
 
 /// One rendered table row plus the series the verdict stream needs —
@@ -131,28 +131,8 @@ fn main() {
     } else if mmap_from_env() && is_capture2(Path::new(path)) {
         analyze_zero_copy(Path::new(path), interval)
     } else {
-        // Streaming front-end: overlap file decode with online span
-        // extraction. The batch fallback (FGBD_STREAM=0) decodes first —
-        // fanning chunked captures across FGBD_CAPTURE_THREADS workers —
-        // and extracts afterwards. Bit-identical spans either way.
-        match StreamConfig::from_env() {
-            Some(stream_cfg) => {
-                let file = File::open(path).expect("open capture file");
-                let (stream, mut sink) = SpanStream::start(&stream_cfg);
-                let log = read_capture_tapped(BufReader::new(file), |rec| sink.push(rec))
-                    .expect("parse capture");
-                drop(sink);
-                let spans = {
-                    fgbd_obsv::span!("stream_extract");
-                    stream.finish()
-                };
-                analyze_batch_with_spans(log, spans, interval)
-            }
-            None => {
-                let log = read_capture_file(Path::new(path)).expect("parse capture");
-                analyze_batch(log, interval)
-            }
-        }
+        let log = read_capture_file(Path::new(path)).expect("parse capture");
+        analyze_batch(log, interval)
     };
 
     fgbd_obsv::log!(
@@ -183,20 +163,11 @@ fn main() {
     scope.finish();
 }
 
-/// Batch engine: extract spans, then analyze.
+/// Batch engine: extract spans, calibrate service times over the bounded
+/// record prefix (the same prefix the zero-copy engine uses, so the two
+/// agree), then one batch detector per server, fanned across cores.
 fn analyze_batch(log: TraceLog, interval: SimDuration) -> AnalysisOutput {
     let spans = SpanSet::extract(&log);
-    analyze_batch_with_spans(log, spans, interval)
-}
-
-/// Batch engine body — service-time calibration over the bounded record
-/// prefix (the same prefix the zero-copy engine uses, so the two agree),
-/// then one batch detector per server, fanned across cores.
-fn analyze_batch_with_spans(
-    log: TraceLog,
-    spans: SpanSet,
-    interval: SimDuration,
-) -> AnalysisOutput {
     let records = log.records.len() as u64;
     let Some(end) = log.records.last().map(|r| r.at) else {
         return AnalysisOutput {
@@ -401,7 +372,7 @@ fn tail_capture(path: &Path, interval_ms: u64) -> Option<TraceLog> {
         );
         std::process::exit(1);
     }
-    let mut mcfg = MonitorConfig::from_env().unwrap_or_default();
+    let mut mcfg = MonitorConfig::from_env();
     mcfg.interval = SimDuration::from_millis(interval_ms.max(1));
     // No calibration yet: empty service table, default work unit.
     let cal = Calibration {

@@ -9,9 +9,10 @@
 //!
 //! Repeatable `--require-counter NAME` flags additionally assert that the
 //! manifest's counter snapshot contains `NAME` — CI uses this to pin the
-//! streaming pipeline's observability contract (`trace.stream_chunks`
-//! must be present, and `trace.stream_stalls` must be *reported* even
-//! when zero, which is what the retained-counter mechanism guarantees).
+//! simulator's completion-token accounting (`des.cpu_done_stale` and
+//! `des.cpu_done_reuse` must be *reported* even when zero, which is what
+//! the retained-counter mechanism guarantees) and the monitor's
+//! `monitor.verdicts` / `monitor.heartbeats`.
 //!
 //! Exits 0 and prints a one-line summary when the manifest is valid;
 //! exits non-zero with the violation otherwise. This is the one

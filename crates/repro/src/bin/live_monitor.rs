@@ -67,7 +67,7 @@ fn main() {
     cfg.warmup = SimDuration::from_secs(5);
     cfg.duration = SimDuration::from_secs(seconds);
     let nodes = fgbd_ntier::system::node_metas(&cfg);
-    let mcfg = MonitorConfig::from_env().unwrap_or_default();
+    let mcfg = MonitorConfig::from_env();
     let start = SimTime::ZERO + cfg.warmup;
     let runtime = MonitorRuntime::new("live_monitor", &mcfg, start, &cal, &nodes)
         .expect("create monitor outputs under out/monitor/");

@@ -20,6 +20,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use fgbd_des::SimDuration;
+use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_repro::report::out_dir;
 use fgbd_repro::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
@@ -73,9 +74,7 @@ fn main() {
         fgbd_obsv::span!("record_capture");
         let mut cfg = scenario.config(users);
         cfg.duration = SimDuration::from_secs(secs);
-        // Honors FGBD_SIM_SHARDS/FGBD_SIM_WORKERS like every experiment:
-        // CI byte-compares captures across worker counts through here.
-        let run = fgbd_repro::simulate(cfg);
+        let run = NTierSystem::run(cfg);
         let file = File::create(&path).expect("create capture file");
         let w = BufWriter::new(file);
         if format == 2 {

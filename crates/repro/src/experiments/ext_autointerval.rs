@@ -13,11 +13,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs the Fig 8 workload and lets the selector pick the interval.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    // Streamed: spans are extracted online while the DES runs, so the
-    // extract stage overlaps the simulate stage (batch fallback with
-    // FGBD_STREAM=0 is bit-identical).
-    let (run, spans) = SPEEDSTEP_ON.run_streamed(14_000);
-    let analysis = Analysis::with_spans(run, spans, cal);
+    let analysis = Analysis::new(SPEEDSTEP_ON.run(14_000), cal);
     let node = analysis.node("mysql-1");
     let selection = auto_interval(
         analysis.spans.server(node),

@@ -49,7 +49,7 @@ pub mod zerocopy;
 
 pub use pipeline::{Analysis, Calibration};
 pub use report::ExperimentSummary;
-pub use scenario::{simulate, Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
+pub use scenario::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
 
 /// Serializes unit tests that touch process-global state (environment
 /// variables, the telemetry quiet switch) — the test harness runs tests

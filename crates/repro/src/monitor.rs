@@ -20,8 +20,8 @@
 //! (one per [`MonitorConfig::heartbeat`] of stream time), so their count is
 //! deterministic for a given capture.
 //!
-//! Enable in the standard binaries with `FGBD_MONITOR=1`; see
-//! [`MonitorConfig::from_env`] for the companion knobs.
+//! `live_monitor` and `analyze_capture --follow` run it; see
+//! [`MonitorConfig::from_env`] for the knobs.
 
 use std::collections::HashMap;
 use std::io;
@@ -69,18 +69,11 @@ impl Default for MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// `Some` when `FGBD_MONITOR` is `1`/`true`/`on`, with the defaults
-    /// overridden by `FGBD_MONITOR_INTERVAL` (ms), `FGBD_MONITOR_WINDOW`
-    /// (samples), `FGBD_MONITOR_HEARTBEAT` (ms), `FGBD_MONITOR_HYSTERESIS`
-    /// and `FGBD_MONITOR_RETAIN` (`0`/`false`/`off` to disable).
-    pub fn from_env() -> Option<MonitorConfig> {
-        let on = matches!(
-            std::env::var("FGBD_MONITOR").ok().as_deref(),
-            Some("1") | Some("true") | Some("on")
-        );
-        if !on {
-            return None;
-        }
+    /// The defaults overridden by `FGBD_MONITOR_INTERVAL` (ms),
+    /// `FGBD_MONITOR_WINDOW` (samples), `FGBD_MONITOR_HEARTBEAT` (ms),
+    /// `FGBD_MONITOR_HYSTERESIS` and `FGBD_MONITOR_RETAIN`
+    /// (`0`/`false`/`off` to disable).
+    pub fn from_env() -> MonitorConfig {
         let mut cfg = MonitorConfig::default();
         if let Some(ms) = env_u64("FGBD_MONITOR_INTERVAL") {
             if ms > 0 {
@@ -105,7 +98,7 @@ impl MonitorConfig {
         if let Ok(v) = std::env::var("FGBD_MONITOR_RETAIN") {
             cfg.retain = !matches!(v.as_str(), "0" | "false" | "off");
         }
-        Some(cfg)
+        cfg
     }
 }
 
@@ -481,19 +474,16 @@ mod tests {
     }
 
     #[test]
-    fn monitor_config_env_gate() {
+    fn monitor_config_env_overrides() {
         // Env var set/unset dance: serialize against other env-touching
         // tests.
         let _g = crate::test_sync::hold();
-        std::env::remove_var("FGBD_MONITOR");
-        assert!(MonitorConfig::from_env().is_none());
-        std::env::set_var("FGBD_MONITOR", "1");
         std::env::set_var("FGBD_MONITOR_INTERVAL", "25");
         std::env::set_var("FGBD_MONITOR_RETAIN", "off");
-        let cfg = MonitorConfig::from_env().expect("gated on");
+        let cfg = MonitorConfig::from_env();
         assert_eq!(cfg.interval, SimDuration::from_millis(25));
         assert!(!cfg.retain);
-        std::env::remove_var("FGBD_MONITOR");
+        assert_eq!(cfg.live_window, MonitorConfig::default().live_window);
         std::env::remove_var("FGBD_MONITOR_INTERVAL");
         std::env::remove_var("FGBD_MONITOR_RETAIN");
     }

@@ -64,8 +64,7 @@ impl Calibration {
     }
 
     /// Like [`Calibration::from_run`] but with spans the caller already
-    /// extracted (e.g. by the streaming front-end while the capture was
-    /// being decoded), so they are not extracted a second time.
+    /// extracted, so they are not extracted a second time.
     pub fn from_run_with_spans(run: &RunResult, spans: &SpanSet) -> Calibration {
         fgbd_obsv::span!("calibrate");
         Calibration::build(run, spans)
@@ -181,11 +180,8 @@ impl Analysis {
         Analysis { run, spans, cal }
     }
 
-    /// Wraps a run whose spans were already extracted online by the
-    /// streaming front-end ([`Scenario::run_streamed`]), so the run's log
-    /// may legitimately be empty.
-    ///
-    /// [`Scenario::run_streamed`]: crate::scenario::Scenario::run_streamed
+    /// Wraps a run whose spans the caller already extracted, so the run's
+    /// log may legitimately be empty.
     pub fn with_spans(run: RunResult, spans: SpanSet, cal: Calibration) -> Analysis {
         Analysis { run, spans, cal }
     }

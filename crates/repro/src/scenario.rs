@@ -1,33 +1,12 @@
 //! Named experimental scenarios matching the paper's two case studies.
 
-use std::sync::{Arc, Mutex};
-
-use fgbd_des::{SimDuration, SimTime};
+use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::result::RunResult;
-use fgbd_ntier::shard::{run_sharded, ShardPlan};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::{SpanSet, SpanStream, StreamConfig};
-
-use crate::monitor::{MonitorConfig, MonitorRuntime};
 
 /// The master seed shared by all experiments (figures are deterministic).
 pub const MASTER_SEED: u64 = 20130708;
-
-/// Runs `cfg` on the simulator selected by the environment: the
-/// sequential reference by default (`FGBD_SIM_SHARDS` unset, `0` or `1` —
-/// the exact unsharded code path), or the population-sharded parallel
-/// simulator when `FGBD_SIM_SHARDS ≥ 2` (see [`fgbd_ntier::shard`] for
-/// the fleet semantics and the determinism contract; `FGBD_SIM_WORKERS`
-/// tunes threads without affecting output). Every experiment binary
-/// funnels its simulations through here, so the env knobs apply
-/// uniformly.
-pub fn simulate(cfg: SystemConfig) -> RunResult {
-    match ShardPlan::from_env() {
-        Some(plan) => run_sharded(cfg, &plan),
-        None => NTierSystem::run(cfg),
-    }
-}
 
 /// A named scenario: the 1L/2S/1L/2S topology with the case-study knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,138 +60,7 @@ impl Scenario {
     pub fn run(&self, users: u32) -> RunResult {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);
-        simulate(self.config(users))
-    }
-
-    /// Runs the scenario with the capture streamed straight into the
-    /// online span extractor (`fgbd_trace::stream`): the DES publishes
-    /// record chunks through a bounded channel while consumer threads
-    /// pair spans concurrently, so span extraction overlaps the
-    /// simulation instead of running after it. The residual merge wait is
-    /// visible as the `stream_extract` manifest stage.
-    ///
-    /// Falls back to the batch path — materialize the log, then
-    /// [`SpanSet::extract`] — when streaming is switched off
-    /// (`FGBD_STREAM=0` or `FGBD_STREAM_SHARDS=0`), or when it isn't
-    /// explicitly configured and the default shard count would be below
-    /// two: at one or two extraction shards the hand-off overhead loses
-    /// to the batch extractor, so [`StreamConfig::from_env_auto`] only
-    /// opts in when streaming can actually win. The spans are
-    /// bit-identical either way; in streamed mode the returned run's
-    /// `log` comes back empty (the records were consumed online).
-    ///
-    /// A sharded simulation (`FGBD_SIM_SHARDS ≥ 2`) takes precedence
-    /// over the streaming tap: the pods materialize per-pod logs that
-    /// are merged (the `sim_merge` stage), and spans come from the batch
-    /// extractor over the merged capture.
-    /// With `FGBD_MONITOR=1` a live monitor rides along on every branch:
-    /// in streamed mode the record tap tees each record into the monitor
-    /// *and* the span-extraction sink as it happens; in the batch and
-    /// sharded fallbacks the materialized log is replayed through the
-    /// monitor after the run (same verdicts, no detection-latency win).
-    /// See [`crate::monitor`] for the telemetry surface and the
-    /// `FGBD_MONITOR_*` knobs.
-    pub fn run_streamed(&self, users: u32) -> (RunResult, SpanSet) {
-        if ShardPlan::from_env().is_some() {
-            let run = self.run(users);
-            let spans = SpanSet::extract(&run.log);
-            self.monitor_replay(users, &run);
-            return (run, spans);
-        }
-        match StreamConfig::from_env_auto() {
-            Some(cfg) => {
-                let (stream, mut sink) = SpanStream::start(&cfg);
-                let monitor = self.live_monitor(users).map(Mutex::new).map(Arc::new);
-                let run = {
-                    fgbd_obsv::span!("simulate");
-                    fgbd_obsv::counter!("scenario.runs", self.name, 1);
-                    match monitor.as_ref().map(Arc::clone) {
-                        // The monitor tee must use the inline record tap:
-                        // a `StreamSink` tap takes dispatch precedence, so
-                        // one closure feeds both. The DES delivers records
-                        // single-threaded — the mutex is uncontended.
-                        Some(tap) => {
-                            NTierSystem::run_with_record_tap(self.config(users), move |rec| {
-                                let _ = tap.lock().unwrap().push(&rec);
-                                sink.push(rec);
-                            })
-                        }
-                        None => NTierSystem::run_with_tap(self.config(users), sink),
-                    }
-                };
-                let spans = {
-                    fgbd_obsv::span!("stream_extract");
-                    stream.finish()
-                };
-                if let Some(mon) = monitor {
-                    let mon = Arc::try_unwrap(mon)
-                        .expect("record tap released")
-                        .into_inner()
-                        .unwrap();
-                    Self::monitor_finish(mon, &run);
-                }
-                (run, spans)
-            }
-            None => {
-                let run = self.run(users);
-                let spans = SpanSet::extract(&run.log);
-                self.monitor_replay(users, &run);
-                (run, spans)
-            }
-        }
-    }
-
-    /// Builds the opt-in live monitor for a run of this scenario
-    /// (`None` unless `FGBD_MONITOR=1`). Calibrates from the scenario's
-    /// low-load run so the streaming detector normalizes throughput
-    /// exactly like the batch pipeline.
-    fn live_monitor(&self, users: u32) -> Option<MonitorRuntime> {
-        let mcfg = MonitorConfig::from_env()?;
-        let cal = crate::pipeline::Calibration::for_scenario(self);
-        let cfg = self.config(users);
-        let nodes = fgbd_ntier::system::node_metas(&cfg);
-        let name = format!("{}_live", self.name);
-        match MonitorRuntime::new(&name, &mcfg, SimTime::ZERO + cfg.warmup, &cal, &nodes) {
-            Ok(mon) => Some(mon),
-            Err(e) => {
-                fgbd_obsv::log!("monitor", "WARN cannot create monitor outputs: {e}");
-                None
-            }
-        }
-    }
-
-    /// Batch/sharded fallback: replays the materialized capture through
-    /// the monitor after the run.
-    fn monitor_replay(&self, users: u32, run: &RunResult) {
-        if run.log.records.is_empty() {
-            return;
-        }
-        let Some(mut mon) = self.live_monitor(users) else {
-            return;
-        };
-        for rec in &run.log.records {
-            if mon.push(rec).is_err() {
-                break;
-            }
-        }
-        Self::monitor_finish(mon, run);
-    }
-
-    fn monitor_finish(mon: MonitorRuntime, run: &RunResult) {
-        if run.horizon <= run.warmup_end {
-            return;
-        }
-        let verdicts = mon.verdicts();
-        match mon.finish(run.horizon) {
-            Ok(reports) => {
-                fgbd_obsv::log!(
-                    "monitor",
-                    "live monitor: {} servers, {verdicts} verdicts — see out/monitor/",
-                    reports.len()
-                );
-            }
-            Err(e) => fgbd_obsv::log!("monitor", "WARN monitor finish failed: {e}"),
-        }
+        NTierSystem::run(self.config(users))
     }
 
     /// Runs without message capture — cheaper, for experiments that only
@@ -222,7 +70,7 @@ impl Scenario {
         fgbd_obsv::counter!("scenario.runs", self.name, 1);
         let mut cfg = self.config(users);
         cfg.capture = false;
-        simulate(cfg)
+        NTierSystem::run(cfg)
     }
 
     /// A short low-workload calibration run used for service-time
@@ -234,7 +82,7 @@ impl Scenario {
         let mut cfg = self.config(400);
         cfg.warmup = SimDuration::from_secs(5);
         cfg.duration = SimDuration::from_secs(40);
-        simulate(cfg)
+        NTierSystem::run(cfg)
     }
 }
 

@@ -73,7 +73,9 @@ fn par_map_adopts_multi_level_span_paths() {
 proptest! {
     /// Counter and histogram totals are exact under arbitrary
     /// interleavings: however the increments are split across threads,
-    /// the snapshot delta equals the arithmetic truth.
+    /// the snapshot delta equals the arithmetic truth. The two metric
+    /// names belong to this property alone: the registry is process-wide,
+    /// so a second writer would show up in the delta.
     #[test]
     fn counter_totals_are_exact_under_interleavings(
         increments in prop::collection::vec(0u64..1_000, 1..96),
@@ -90,20 +92,51 @@ proptest! {
                     .collect();
                 s.spawn(move || {
                     for v in chunk {
-                        fgbd_obsv::counter!("t_int_prop_total", v);
-                        fgbd_obsv::histogram!("t_int_prop_hist", v);
+                        fgbd_obsv::counter!("t_int_interleavings_total", v);
+                        fgbd_obsv::histogram!("t_int_interleavings_hist", v);
                     }
                 });
             }
         });
         let d = fgbd_obsv::metrics::snapshot().delta(&before);
         let expected: u64 = increments.iter().sum();
-        let got = d.counters.get("t_int_prop_total").copied().unwrap_or(0);
+        let got = d.counters.get("t_int_interleavings_total").copied().unwrap_or(0);
         prop_assert_eq!(got, expected, "counter total must equal the sum of increments");
-        let hist = d.histograms.get("t_int_prop_hist").cloned().unwrap_or_default();
+        let hist = d.histograms.get("t_int_interleavings_hist").cloned().unwrap_or_default();
         prop_assert_eq!(hist.count, increments.len() as u64);
         prop_assert_eq!(hist.sum, expected);
         let bucketed: u64 = hist.buckets.iter().map(|&(_, n)| n).sum();
         prop_assert_eq!(bucketed, increments.len() as u64, "every sample lands in exactly one bucket");
     }
+}
+
+/// The harness registers every test of this binary — the property above
+/// included — exactly once. (The `proptest!` shim once re-emitted
+/// `#[test]`, which ran each property twice, in parallel, against the
+/// shared metrics registry.)
+#[test]
+fn harness_lists_each_test_once() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .arg("--list")
+        .output()
+        .expect("run --list");
+    assert!(out.status.success());
+    let listing = String::from_utf8(out.stdout).expect("utf-8 listing");
+    let mut names: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.strip_suffix(": test"))
+        .collect();
+    assert!(
+        names.contains(&"counter_totals_are_exact_under_interleavings"),
+        "property missing from {names:?}"
+    );
+    let listed = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(
+        names.len(),
+        listed,
+        "a test is registered twice:\n{listing}"
+    );
 }

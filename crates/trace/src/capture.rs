@@ -22,7 +22,7 @@
 //!
 //! A second, chunked columnar format (`FGBDCAP2`, see [`crate::capture2`])
 //! shares the node-table encoding and the reader entry points below:
-//! [`read_capture`] / [`read_capture_tapped`] sniff the magic and decode
+//! [`read_capture`] / [`read_capture_file`] sniff the magic and decode
 //! either format, so every consumer of `.fgbdcap` files accepts both.
 
 use std::fmt;
@@ -183,8 +183,27 @@ pub(crate) fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<NodeMeta>, Captu
 /// Returns [`CaptureError::BadMagic`] for foreign inputs and
 /// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for truncated or
 /// invalid ones.
-pub fn read_capture<R: Read>(r: R) -> Result<TraceLog, CaptureError> {
-    read_capture_tapped(r, |_| {})
+pub fn read_capture<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic == crate::capture2::MAGIC2 {
+        return crate::capture2::read_capture2_after_magic(r);
+    }
+    if &magic != MAGIC {
+        return Err(CaptureError::BadMagic(magic));
+    }
+    let nodes = read_node_table(&mut r)?;
+    let n_records = read_u64(&mut r)?;
+    let mut log = TraceLog::new(nodes);
+    log.records
+        .reserve(usize::try_from(n_records).unwrap_or(0).min(1 << 28));
+    let mut prev = SimTime::ZERO;
+    for _ in 0..n_records {
+        let rec = read_record_v1(&mut r, prev)?;
+        prev = rec.at;
+        log.records.push(rec);
+    }
+    Ok(log)
 }
 
 /// Reads a capture file, using the parallel chunk decoder for `FGBDCAP2`
@@ -211,49 +230,8 @@ pub fn read_capture_file(path: &Path) -> Result<TraceLog, CaptureError> {
     }
 }
 
-/// Reads a capture stream while forwarding every decoded record to `tap`,
-/// in order, as soon as it is decoded — the hook the streaming front-end
-/// (`crate::stream`) uses to overlap file decode with span extraction.
-/// The fully materialized [`TraceLog`] is still returned for the
-/// downstream consumers that need random access (reconstruction,
-/// slicing).
-///
-/// On error the tap has already seen a prefix of the records; callers
-/// abandon the stream (dropping the sink) and propagate the error.
-///
-/// # Errors
-///
-/// Returns [`CaptureError::BadMagic`] for foreign inputs and
-/// [`CaptureError::Malformed`] for truncated or invalid ones.
-pub fn read_capture_tapped<R: Read>(
-    mut r: R,
-    mut tap: impl FnMut(MsgRecord),
-) -> Result<TraceLog, CaptureError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic == crate::capture2::MAGIC2 {
-        return crate::capture2::read_capture2_tapped_after_magic(r, tap);
-    }
-    if &magic != MAGIC {
-        return Err(CaptureError::BadMagic(magic));
-    }
-    let nodes = read_node_table(&mut r)?;
-    let n_records = read_u64(&mut r)?;
-    let mut log = TraceLog::new(nodes);
-    log.records
-        .reserve(usize::try_from(n_records).unwrap_or(0).min(1 << 28));
-    let mut prev = SimTime::ZERO;
-    for _ in 0..n_records {
-        let rec = read_record_v1(&mut r, prev)?;
-        prev = rec.at;
-        tap(rec);
-        log.records.push(rec);
-    }
-    Ok(log)
-}
-
 /// Decodes one flat-format record, enforcing time order against `prev` —
-/// shared by [`read_capture_tapped`] and the dual-format chunk iterator in
+/// shared by [`read_capture`] and the dual-format chunk iterator in
 /// [`crate::capture2`].
 pub(crate) fn read_record_v1<R: Read>(r: &mut R, prev: SimTime) -> Result<MsgRecord, CaptureError> {
     let at = SimTime::from_micros(read_u64(r)?);
@@ -421,17 +399,6 @@ mod tests {
         let back = read_capture(buf.as_slice()).expect("read");
         assert_eq!(back.nodes, log.nodes);
         assert_eq!(back.records, log.records);
-    }
-
-    #[test]
-    fn tapped_reader_forwards_every_record_in_order() {
-        let log = demo_log();
-        let mut buf = Vec::new();
-        write_capture(&mut buf, &log).expect("write");
-        let mut seen = Vec::new();
-        let back = read_capture_tapped(buf.as_slice(), |r| seen.push(r)).expect("read");
-        assert_eq!(seen, back.records);
-        assert_eq!(seen, log.records);
     }
 
     #[test]

@@ -883,36 +883,25 @@ fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), Captur
     Ok(())
 }
 
-/// Sequential `FGBDCAP2` reader for streams: decodes chunk by chunk,
-/// forwarding every record to `tap` in capture order. Called by
-/// [`crate::capture::read_capture_tapped`] once it has sniffed [`MAGIC2`]
-/// (so `r` is positioned just past the magic).
+/// Sequential `FGBDCAP2` reader for streams: decodes chunk by chunk in
+/// capture order. Called by [`crate::capture::read_capture`] once it has
+/// sniffed [`MAGIC2`] (so `r` is positioned just past the magic).
 ///
 /// # Errors
 ///
 /// Returns [`CaptureError::Chunk`] naming the failing chunk for per-chunk
 /// damage and [`CaptureError::Malformed`] for structural damage (missing
 /// footer, truncation between chunks).
-pub fn read_capture2_tapped_after_magic<R: Read>(
-    mut r: R,
-    mut tap: impl FnMut(MsgRecord),
-) -> Result<TraceLog, CaptureError> {
+pub(crate) fn read_capture2_after_magic<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
     let nodes = read_node_table(&mut r)?;
     let mut log = TraceLog::new(nodes);
     let mut chunk = 0u32;
     let mut prev_max = 0u64;
-    loop {
-        let start = log.records.len();
-        if read_stream_chunk(&mut r, chunk, &mut prev_max, &mut log.records)? {
-            for &rec in &log.records[start..] {
-                tap(rec);
-            }
-            chunk += 1;
-        } else {
-            read_stream_footer(&mut r, chunk)?;
-            return Ok(log);
-        }
+    while read_stream_chunk(&mut r, chunk, &mut prev_max, &mut log.records)? {
+        chunk += 1;
     }
+    read_stream_footer(&mut r, chunk)?;
+    Ok(log)
 }
 
 // --- random-access readers (slice-based: fs::read or mmap both fit) ----------

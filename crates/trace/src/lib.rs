@@ -24,10 +24,6 @@
 //! * [`mmapio`] — zero-copy capture input: a dependency-free `mmap` wrapper
 //!   (heap fallback elsewhere) whose `&[u8]` feeds the slice readers and the
 //!   lazy [`capture2::ChunkCursor`] without materializing the file.
-//! * [`stream`] — the streaming front-end: bounded SPSC record channels
-//!   feeding sharded online span extraction that overlaps with the
-//!   producer (simulator or capture decoder), bit-identical to the batch
-//!   extractor.
 //!
 //! # Examples
 //!
@@ -54,27 +50,21 @@
 
 pub mod capture;
 pub mod capture2;
-pub mod merge;
 pub mod mmapio;
 pub mod reconstruct;
 pub mod record;
 pub mod servicetime;
 pub mod span;
-pub mod stream;
 pub mod tail;
 
-pub use capture::{
-    read_capture, read_capture_file, read_capture_tapped, write_capture, CaptureError,
-};
+pub use capture::{read_capture, read_capture_file, write_capture, CaptureError};
 pub use capture2::{
     read_capture2_parallel, read_capture2_range, write_capture2, CaptureChunks, ChunkCursor,
     ChunkedWriter, Projection,
 };
-pub use merge::merge_shard_logs;
 pub use mmapio::{mmap_from_env, Mapping};
 pub use record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
 pub use span::{Span, SpanSet};
-pub use stream::{SpanStream, StreamConfig, StreamSink};
 pub use tail::{wait_for_file, TailConfig, TailReader};

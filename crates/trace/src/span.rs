@@ -168,19 +168,6 @@ impl SpanSet {
         set
     }
 
-    /// Assembles a `SpanSet` from already-extracted parts — the merge step
-    /// of the streaming extractor (`crate::stream`) lands here after
-    /// restoring the canonical per-server `(arrival, departure)` order.
-    pub(crate) fn from_parts(
-        by_server: HashMap<NodeId, Vec<Span>>,
-        unmatched: HashMap<NodeId, usize>,
-    ) -> SpanSet {
-        SpanSet {
-            by_server,
-            unmatched,
-        }
-    }
-
     /// Spans observed at `server`, sorted by arrival.
     pub fn server(&self, server: NodeId) -> &[Span] {
         self.by_server.get(&server).map_or(&[], Vec::as_slice)

@@ -8,9 +8,9 @@
 //!
 //! This is what lets the streaming decoders tail a growing capture: wrap
 //! the file in a `TailReader` and hand it to
-//! [`crate::capture::read_capture_tapped`] — each FGBDCAP2 chunk (or
-//! FGBDCAP1 record) is decoded and tapped as soon as its bytes land, and
-//! the decode loop terminates normally when the writer's footer appears.
+//! [`crate::CaptureChunks::open`] — each FGBDCAP2 chunk (or batch of
+//! FGBDCAP1 records) is decoded and yielded as soon as its bytes land, and
+//! the iterator ends normally when the writer's footer appears.
 //! For a FIFO or socket the kernel already blocks reads until data
 //! arrives, so the poll path simply never triggers; the wrapper stays
 //! correct either way.

@@ -7,11 +7,9 @@ use fgbd_trace::capture2::{
 };
 use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
-use fgbd_trace::stream::extract_streamed;
 use fgbd_trace::Projection;
 use fgbd_trace::{
-    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet, StreamConfig,
-    TraceLog, TxnId,
+    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet, TraceLog, TxnId,
 };
 use proptest::prelude::*;
 
@@ -356,51 +354,6 @@ proptest! {
         }
         prop_assert_eq!(&fast.unmatched, &spec.unmatched);
         prop_assert_eq!(fast.len(), spec.len());
-    }
-
-    /// The sharded streaming extractor agrees with the `HashMap`-keyed
-    /// reference on adversarial record soup for *every* pipeline shape:
-    /// arbitrary chunk boundaries (chunks of 1 put every record on its own
-    /// channel trip), shard counts 1–8, and channel capacities down to a
-    /// single in-flight chunk. This is the determinism contract of
-    /// `crates/trace/src/stream.rs` — the merge key `(arrival, departure,
-    /// seq)` must reproduce the batch order no matter how records were
-    /// scattered.
-    #[test]
-    fn streamed_matches_reference_for_any_pipeline_shape(
-        soup in prop::collection::vec(
-            (0u64..6, 0u16..36, prop::bool::ANY, 0u32..6, 0u16..3),
-            1..100,
-        ),
-        chunk in 1usize..64,
-        shards in 1usize..9,
-        capacity in 1usize..5,
-    ) {
-        let mut log = TraceLog::new(nodes());
-        let mut t = 0u64;
-        for &(dt, srcdst, is_resp, conn, class) in &soup {
-            t += dt;
-            log.push(MsgRecord {
-                at: SimTime::from_micros(t),
-                src: NodeId(srcdst % 6),
-                dst: NodeId(srcdst / 6),
-                kind: if is_resp { MsgKind::Response } else { MsgKind::Request },
-                conn: ConnId(conn),
-                class: ClassId(class),
-                bytes: 10,
-                truth: if is_resp { None } else { Some(TxnId(t)) },
-            });
-        }
-        let cfg = StreamConfig::from_values(shards, chunk, capacity)
-            .expect("shards > 0");
-        let streamed = extract_streamed(&log, &cfg);
-        let spec = fgbd_trace::span::reference::extract(&log);
-        prop_assert_eq!(streamed.servers(), spec.servers());
-        for s in streamed.servers() {
-            prop_assert_eq!(streamed.server(s), spec.server(s));
-        }
-        prop_assert_eq!(&streamed.unmatched, &spec.unmatched);
-        prop_assert_eq!(streamed.len(), spec.len());
     }
 
     /// The chunked columnar format (`FGBDCAP2`) is bit-identical to the

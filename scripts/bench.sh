@@ -5,11 +5,9 @@
 # and `extract_spans` (dense fast paths vs references) and `pipeline`
 # (end-to-end simulate → reconstruct → calibrate → detect) groups, plus
 # the `event_queue` hold-model bench (timing wheel vs reference heap), the
-# `streaming_pipeline` bench (batch vs sharded online extraction), the
-# `parallel_sim` bench (sequential reference vs population-sharded lockstep
-# fleets across worker counts), the `capture_format/chunked_*` benches
-# (FGBDCAP2 columnar write + 1/4-thread parallel read vs the flat FGBDCAP1
-# baseline on the 200k-record fixture), and the `online_detect` bench
+# `capture_format/chunked_*` benches (FGBDCAP2 columnar write + 1/4-thread
+# parallel read vs the flat FGBDCAP1 baseline on the 200k-record
+# fixture), and the `online_detect` bench
 # (streaming per-record push at several live-window widths vs the batch
 # detector over the same materialized capture), the `ps_integrator` bench
 # (lane/cached-tournament PS hold + probe vs the heap reference, with a
@@ -21,8 +19,9 @@
 #
 # If any run manifests exist under out/manifests/ (written by the
 # fgbd-repro binaries, see crates/obsv), the newest one's per-stage wall
-# times are folded in as "manifest:<run>/<span path>": total_ns keys, so
-# one file tracks both microbenchmark medians and real-run stage costs.
+# times are folded in as "manifest:<run>/<span path>": total_ns keys
+# (replacing that run's previous keys, leaving other runs' alone), so one
+# file tracks both microbenchmark medians and real-run stage costs.
 #
 #   scripts/bench.sh            # bench + summarize
 #   scripts/bench.sh --no-run   # summarize an existing target/criterion
@@ -32,8 +31,6 @@ cd "$(dirname "$0")/.."
 if [ "$1" != "--no-run" ]; then
     cargo bench -p fgbd-bench --bench analysis
     cargo bench -p fgbd-bench --bench event_queue
-    cargo bench -p fgbd-bench --bench streaming
-    cargo bench -p fgbd-bench --bench parallel_sim
     cargo bench -p fgbd-bench --bench online_detect
     cargo bench -p fgbd-bench --bench ps_integrator
     cargo bench -p fgbd-bench --bench simulate_hot_loop
@@ -69,10 +66,10 @@ for root in roots:
 
 # Fold in the newest run manifest's per-stage wall times, if any exist.
 # Stages come from the span tree (crates/obsv), so the keys mirror the
-# collapsed-stack paths: "manifest:fig06/pipeline;detect". Every
-# "manifest:" key from previous summaries is dropped first: those values
-# are machine-local single-run timings, so carrying stale ones forward
-# would mix runs and accumulate keys for renamed/removed stages.
+# collapsed-stack paths: "manifest:fig06/pipeline;detect". The keys this
+# run left in previous summaries are dropped first (a renamed or removed
+# stage must not linger); other runs' keys stay, since
+# scripts/check_stage_regression reads the baseline of *its* run from here.
 manifest_dir = "out/manifests"
 if os.path.isdir(manifest_dir):
     manifests = [os.path.join(manifest_dir, n)
@@ -81,15 +78,15 @@ if os.path.isdir(manifest_dir):
         newest = max(manifests, key=os.path.getmtime)
         with open(newest) as f:
             doc = json.load(f)
-        out = {k: v for k, v in out.items() if not k.startswith("manifest:")}
+        prefix = f"manifest:{doc.get('name', '?')}/"
+        out = {k: v for k, v in out.items() if not k.startswith(prefix)}
         for stage in doc.get("stages", []):
-            key = f"manifest:{doc.get('name', '?')}/{stage['path']}"
-            out[key] = stage["total_ns"]
+            out[prefix + stage["path"]] = stage["total_ns"]
         # Peak RSS rides along with the stage times (crates/repro/harness
         # stamps vm_hwm_kib into every manifest on Linux) so memory
         # regressions in the zero-copy path show up next to time ones.
         if "vm_hwm_kib" in doc:
-            out[f"manifest:{doc.get('name', '?')}/vm_hwm_kib"] = doc["vm_hwm_kib"]
+            out[prefix + "vm_hwm_kib"] = doc["vm_hwm_kib"]
         print(f"folded {len(doc.get('stages', []))} stages from {newest}")
 
 with open("BENCH_analysis.json", "w") as f:
