@@ -2,8 +2,8 @@
 //! cursor against the batch `FGBDCAP2` reader on the same 200k-record
 //! fixture, isolating the two pushdown wins — column projection (skip
 //! the `bytes` and ground-truth columns detection never reads) and
-//! time-range chunk pruning — plus the full mmap-backed pass the
-//! `FGBD_CAPTURE_MMAP=1` pipeline runs.
+//! time-range chunk pruning — plus the full mmap-backed pass
+//! `analyze_capture` runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -14,7 +14,7 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_repro::Calibration;
-use fgbd_trace::{read_capture, write_capture, NodeKind, SpanSet};
+use fgbd_trace::{read_capture, write_capture2, NodeKind, SpanSet};
 
 fn main() {
     // 1. Record: a GC-afflicted run, captured to an in-memory "file" (use a
@@ -24,7 +24,7 @@ fn main() {
     cfg.duration = SimDuration::from_secs(30);
     let run = NTierSystem::run(cfg);
     let mut file = Vec::new();
-    write_capture(&mut file, &run.log).expect("serialize capture");
+    write_capture2(&mut file, &run.log).expect("serialize capture");
     println!(
         "recorded {} messages into {} bytes ({}B/record)",
         run.log.records.len(),

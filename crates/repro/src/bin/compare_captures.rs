@@ -41,39 +41,15 @@ fn reports(log: TraceLog) -> BTreeMap<String, ServerReport> {
     if end <= start + SimDuration::from_millis(50) {
         return BTreeMap::new(); // capture too short for even one interval
     }
-    // Extract spans before the log moves into the run view, then calibrate
-    // from the capture itself. Taking the log by value keeps exactly one
-    // copy of the records resident.
+    // Calibrate from the capture itself.
     let spans = SpanSet::extract(&log);
-    let run_like = fgbd_ntier::result::RunResult {
-        servers: log
-            .nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Server)
-            .map(|n| fgbd_ntier::result::ServerInfo {
-                name: n.name.clone(),
-                tier: usize::from(n.tier.unwrap_or(0)),
-                node: n.id,
-                cores: 1,
-                max_threads: 0,
-            })
-            .collect(),
-        log,
-        txns: Vec::new(),
-        gc_events: Vec::new(),
-        pstate_log: Vec::new(),
-        cpu_busy: Vec::new(),
-        net_bytes: Vec::new(),
-        completed_visits: Vec::new(),
-        retransmissions: 0,
-        warmup_end: start,
-        horizon: end,
+    let cal = {
+        fgbd_obsv::span!("calibrate");
+        Calibration::from_log(&log, &spans)
     };
-    let cal = Calibration::from_run_with_spans(&run_like, &spans);
     let window = Window::new(start, end, SimDuration::from_millis(50));
     // Per-server analyses are independent — fan them out across cores.
-    let servers: Vec<_> = run_like
-        .log
+    let servers: Vec<_> = log
         .nodes
         .iter()
         .filter(|n| n.kind == NodeKind::Server && !spans.server(n.id).is_empty())

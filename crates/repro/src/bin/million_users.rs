@@ -1,6 +1,6 @@
 //! Million-user smoke run: simulates a `users: 10^6` closed-loop
 //! population, spills its capture straight to a chunked `FGBDCAP2` file,
-//! and then **analyzes that capture through the zero-copy path** — proving
+//! and then **analyzes that capture through the capture route** — proving
 //! the three memory claims of the scale work at once: the SoA user table
 //! costs a flat 20 bytes per user, the record tap plus chunked writer keep
 //! the capture out of memory while writing (at most one encode buffer of
@@ -119,8 +119,8 @@ fn main() {
         scope.field("vm_hwm_sim_kib", Json::Num(kib as f64));
     }
 
-    // Read the capture back through the zero-copy pipeline: mmap, lazy
-    // projected chunk decode, online detection. VmHWM is a process-lifetime
+    // Read the capture back through the capture route: mmap, lazy chunk
+    // decode, prefix calibration, online detection. VmHWM is a process-lifetime
     // high-water mark, so a flat reading here proves the analyze stage
     // never exceeded what the simulation already used — the real claim.
     let wall = Instant::now();
@@ -147,6 +147,7 @@ fn main() {
     );
     scope.field("analyze_secs", Json::Num(wall.as_secs_f64()));
     scope.field("analyze_servers", Json::Num(za.reports.len() as f64));
+    za.stamp_route(&mut scope);
     if let Some(kib) = vm_hwm_kib() {
         fgbd_obsv::log!(
             "million_users",

@@ -11,10 +11,10 @@
 //! `target/experiments/capture.fgbdcap`. A run manifest is written to
 //! `out/manifests/record_capture.*`.
 //!
-//! `FGBD_CAPTURE_FORMAT=2` writes the chunked columnar `FGBDCAP2` format
-//! (parallel-readable, time-range-pruneable, smaller on disk); the default
-//! is the flat `FGBDCAP1` reference format. Every reader sniffs the magic,
-//! so downstream tools accept either.
+//! The file is written in the chunked columnar `FGBDCAP2` format
+//! (parallel-readable, time-range-pruneable, ~0.2x the flat size). Every
+//! reader still sniffs the magic, so flat `FGBDCAP1` captures recorded by
+//! older builds keep loading.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -24,7 +24,7 @@ use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_repro::report::out_dir;
 use fgbd_repro::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
-use fgbd_trace::{write_capture, write_capture2};
+use fgbd_trace::write_capture2;
 
 fn scenario_by_name(name: &str) -> Option<Scenario> {
     match name {
@@ -58,13 +58,11 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| out_dir().join("capture.fgbdcap").display().to_string());
 
-    let format = fgbd_trace::capture2::format_from_env();
-
     let mut scope = fgbd_repro::harness::begin("record_capture");
     scope.field("scenario", Json::Str(scenario_name.to_string()));
     scope.field("users", Json::Num(f64::from(users)));
     scope.field("seconds", Json::Num(secs as f64));
-    scope.field("format", Json::Num(f64::from(format)));
+    scope.field("format", Json::Num(2.0));
 
     fgbd_obsv::log!(
         "record_capture",
@@ -76,17 +74,12 @@ fn main() {
         cfg.duration = SimDuration::from_secs(secs);
         let run = NTierSystem::run(cfg);
         let file = File::create(&path).expect("create capture file");
-        let w = BufWriter::new(file);
-        if format == 2 {
-            write_capture2(w, &run.log).expect("write capture");
-        } else {
-            write_capture(w, &run.log).expect("write capture");
-        }
+        write_capture2(BufWriter::new(file), &run.log).expect("write capture");
         run
     };
     fgbd_obsv::log!(
         "record_capture",
-        "  {} messages captured (FGBDCAP{format}), throughput {:.0} tx/s",
+        "  {} messages captured (FGBDCAP2), throughput {:.0} tx/s",
         run.log.records.len(),
         run.throughput()
     );

@@ -20,9 +20,9 @@
 //!   run writes a `fgbd.run-manifest/v1` document under `out/manifests/`.
 //! * [`plot`] / [`report`] — terminal rendering and CSV/summary output under
 //!   `target/experiments/`.
-//! * [`zerocopy`] — the mmap-backed capture analysis path
-//!   (`FGBD_CAPTURE_MMAP=1`): lazy projected chunk decode streamed straight
-//!   into the online detector, peak memory independent of capture size.
+//! * [`zerocopy`] — the capture route: one forward pass from a mapped or
+//!   tailed capture through prefix calibration into the online detector,
+//!   peak memory independent of capture size.
 //!
 //! Run a single figure:
 //!

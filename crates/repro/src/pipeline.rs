@@ -31,9 +31,7 @@ pub const DEFAULT_CALIB_RECORDS: usize = 1 << 20;
 /// which is at odds with analyzing arbitrarily large captures in flat
 /// memory — so calibration reads a bounded *prefix* and every capture
 /// smaller than the budget (all the CI fixtures) calibrates over its whole
-/// self, exactly as before the cap existed. Both the batch and the
-/// zero-copy analysis paths apply the same cap, which is one of the
-/// ingredients of their byte-identical output.
+/// self, exactly as before the cap existed.
 pub fn calib_records_from_env() -> usize {
     std::env::var("FGBD_CALIB_RECORDS")
         .ok()
@@ -42,8 +40,10 @@ pub fn calib_records_from_env() -> usize {
         .unwrap_or(DEFAULT_CALIB_RECORDS)
 }
 
-/// Service-time calibration derived from a dedicated low-load run.
-#[derive(Debug, Clone)]
+/// Service-time calibration derived from a dedicated low-load run. The
+/// default is *uncalibrated*: no service times, every server on the default
+/// work unit — what a live monitor runs on before a capture has a prefix.
+#[derive(Debug, Clone, Default)]
 pub struct Calibration {
     /// Per-`(server, class)` service times.
     pub services: ServiceTimeTable,
@@ -59,28 +59,32 @@ impl Calibration {
     /// [`Scenario::calibration_run`]).
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
-        let spans = SpanSet::extract(&run.log);
-        Calibration::build(run, &spans)
+        Calibration::from_log(&run.log, &SpanSet::extract(&run.log))
     }
 
-    /// Like [`Calibration::from_run`] but with spans the caller already
+    /// Calibrates on a whole captured log whose spans the caller already
     /// extracted, so they are not extracted a second time.
-    pub fn from_run_with_spans(run: &RunResult, spans: &SpanSet) -> Calibration {
-        fgbd_obsv::span!("calibrate");
-        Calibration::build(run, spans)
+    pub fn from_log(log: &TraceLog, spans: &SpanSet) -> Calibration {
+        Calibration::tables(Calibration::services(log), spans, &log.nodes)
     }
 
-    fn build(run: &RunResult, spans: &SpanSet) -> Calibration {
-        let rec = Reconstruction::run(&run.log, Heuristic::ProfileGuided);
-        let services = ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE);
+    /// Reconstruction + low-quantile service times over `log`; the
+    /// reconstruction is dropped before the caller builds anything else.
+    fn services(log: &TraceLog) -> ServiceTimeTable {
+        let rec = Reconstruction::run(log, Heuristic::ProfileGuided);
+        ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE)
+    }
+
+    /// The shared tail of every constructor: a work unit and a
+    /// class-frequency-weighted mean service time for each server of `nodes`.
+    fn tables(services: ServiceTimeTable, spans: &SpanSet, nodes: &[NodeMeta]) -> Calibration {
         let mut work_units = HashMap::new();
         let mut mean_service = HashMap::new();
-        for info in &run.servers {
-            let node = info.node;
+        for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
+            let node = meta.id;
             if let Some(wu) = services.work_unit(node, WORK_UNIT_RESOLUTION) {
                 work_units.insert(node, wu);
             }
-            // Class-frequency-weighted mean service time.
             let mut total = 0.0f64;
             let mut n = 0u64;
             for s in spans.server(node) {
@@ -108,40 +112,17 @@ impl Calibration {
     /// Self-calibration from a capture prefix: reconstruction + low-quantile
     /// service-time approximation over `records` (the caller truncates to
     /// [`calib_records_from_env`]), with work units and mean service times
-    /// for every server node of `nodes`. This is what `analyze_capture`
-    /// uses on both its batch and zero-copy paths — same records in, same
-    /// tables out, regardless of how the rest of the capture is decoded.
+    /// for every server node of `nodes`. This is what the capture analyzer
+    /// ([`crate::zerocopy`]) calibrates on — same records in, same tables
+    /// out, however the capture reached it.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let mut log = TraceLog::new(nodes.to_vec());
         log.records = records.to_vec();
-        let rec = Reconstruction::run(&log, Heuristic::ProfileGuided);
-        let services = ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE);
-        let spans = SpanSet::extract(&log);
-        let mut work_units = HashMap::new();
-        let mut mean_service = HashMap::new();
-        for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
-            let node = meta.id;
-            if let Some(wu) = services.work_unit(node, WORK_UNIT_RESOLUTION) {
-                work_units.insert(node, wu);
-            }
-            let mut total = 0.0f64;
-            let mut n = 0u64;
-            for s in spans.server(node) {
-                if let Some(svc) = services.get_secs(node, s.class) {
-                    total += svc;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                mean_service.insert(node, SimDuration::from_secs_f64(total / n as f64));
-            }
-        }
-        Calibration {
-            services,
-            work_units,
-            mean_service,
-        }
+        // Service times first: the reconstruction is gone before the spans
+        // exist, which keeps the analyzer's peak memory down.
+        let services = Calibration::services(&log);
+        Calibration::tables(services, &SpanSet::extract(&log), nodes)
     }
 
     /// Work unit for `node`, defaulting to the resolution when the node was

@@ -1,98 +1,212 @@
-//! Zero-copy capture analysis: the `FGBDCAP2` → verdict pipeline with peak
+//! The capture route: capture → verdicts in one forward pass, with peak
 //! memory independent of capture size.
 //!
-//! The batch path of `analyze_capture` materializes the whole capture as a
-//! `TraceLog`, extracts every span, and runs the batch detector — simple,
-//! but memory grows with the capture. This module is the same analysis
-//! restructured over the PR 7/PR 8 streaming machinery:
+//! ```text
+//! source ──chunks──▶ prefix buffer ──▶ calibrate ──▶ online detector ──▶ reports
+//! (mmap cursor,      (first FGBD_CALIB_RECORDS      (buffer replayed, then every
+//!  FGBDCAP1 import,   records, or the whole          later chunk straight through)
+//!  --follow tail)     capture if it is shorter)
+//! ```
 //!
-//! 1. the capture file is memory-mapped ([`fgbd_trace::mmapio`]) — no heap
-//!    copy of the bytes, and consumed pages are released as the scan
-//!    advances ([`Mapping::release_until`]) so `VmHWM` stays flat;
-//! 2. a lazy [`ChunkCursor`] decodes one chunk at a time, skipping the
-//!    columns detection never reads (`bytes`, ground truth — see
-//!    [`Projection::DETECT`]);
-//! 3. each chunk feeds the [`OnlineDetector`] directly — no intermediate
-//!    `TraceLog`, no materialized `SpanSet`; the PR 8 equivalence guarantee
-//!    makes the final reports bit-identical to the batch
-//!    `analyze_server` output.
+//! [`CaptureAnalyzer`] is that pass. Service-time self-calibration needs
+//! random access over the records it reads, so the analyzer buffers chunks
+//! until [`calib_records_from_env`] records (default 1 Mi) or the end of
+//! input have arrived, calibrates on exactly that prefix
+//! ([`Calibration::from_capture_prefix`]), builds the [`OnlineDetector`],
+//! replays the buffered chunks into it and drops them; every later chunk
+//! goes straight to the detector. Nothing is decoded twice and no
+//! `TraceLog` or `SpanSet` of the capture ever exists — calibration is the
+//! one stage whose memory is bounded by the budget rather than by a chunk.
+//! The reports are bit-identical to batch `analyze_server` over the
+//! materialized capture (`tests/capture_formats.rs` holds the CLI to that).
 //!
-//! Service-time self-calibration still needs random access over records,
-//! so it runs over a bounded prefix
-//! ([`crate::pipeline::calib_records_from_env`], default 1 Mi records) that
-//! the batch path applies identically — calibration is the one stage whose
-//! memory is bounded by the budget rather than by a single chunk.
-//!
-//! Gated by `FGBD_CAPTURE_MMAP=1` in `analyze_capture`; `FGBD_CAPTURE_PROJECT=0`
-//! forces full-column decode on this path (for A/B timing and CI
-//! equivalence checks).
+//! Every capture consumer drives this one body:
+//! [`analyze_capture2_zero_copy`] for a file (`analyze_capture`,
+//! `million_users`) and `analyze_capture --follow` for a growing file or a
+//! FIFO, which tees each tailed chunk into the live monitor as well.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use fgbd_core::online::{OnlineConfig, OnlineDetector, OnlineReport};
 use fgbd_des::{SimDuration, SimTime};
+use fgbd_obsv::json::Json;
 use fgbd_trace::capture2::ChunkCursor;
 use fgbd_trace::mmapio::Mapping;
-use fgbd_trace::{CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
+use fgbd_trace::{CaptureChunks, CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
 
+use crate::harness::RunScope;
 use crate::pipeline::{calib_records_from_env, Calibration, WORK_UNIT_RESOLUTION};
 
-/// Column projection for the detection pass: [`Projection::DETECT`] unless
-/// `FGBD_CAPTURE_PROJECT` is `0`/`false`/`off`, which forces the full
-/// decode (identical analysis output, more decode work — the reference
-/// the projection win is measured against).
-pub fn projection_from_env() -> Projection {
-    match std::env::var("FGBD_CAPTURE_PROJECT").ok().as_deref() {
-        Some("0") | Some("false") | Some("off") => Projection::ALL,
-        _ => Projection::DETECT,
-    }
-}
-
-/// Does `path` start with the `FGBDCAP2` magic? The chunk cursor only
-/// reads the chunked format; flat `FGBDCAP1` captures keep the batch
-/// reader even under `FGBD_CAPTURE_MMAP=1`.
-pub fn is_capture2(path: &Path) -> bool {
-    use std::io::Read;
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map(|()| &magic == fgbd_trace::capture2::MAGIC2)
-        .unwrap_or(false)
-}
-
-/// Everything the zero-copy pass produces — enough to render the exact
+/// Everything the analysis produces — enough to render the exact
 /// `analyze_capture` report without ever holding the capture in memory.
 #[derive(Debug)]
 pub struct ZeroCopyAnalysis {
     /// The capture's node table.
     pub nodes: Vec<NodeMeta>,
-    /// Total records in the capture (from the footer index).
+    /// Total records in the capture.
     pub records: u64,
     /// First record timestamp (grid start). Zero for an empty capture.
     pub start: SimTime,
     /// Last record timestamp (grid end). Zero for an empty capture.
     pub end: SimTime,
     /// `(name, report)` per server, in node-table order, servers with at
-    /// least one matched span only — the batch path's report set. The
-    /// reports' loads/rates/states/N\* are bit-identical to
-    /// `analyze_server` on the materialized capture.
+    /// least one matched span only. The reports' loads/rates/states/N\* are
+    /// bit-identical to `analyze_server` on the materialized capture.
     pub reports: Vec<(String, OnlineReport)>,
+    /// Capture format read: `1` (flat `FGBDCAP1`) or `2` (chunked `FGBDCAP2`).
+    pub capture_format: u8,
+    /// How the records arrived: `"mmap"`, `"heap"` (the automatic fallback
+    /// of [`Mapping::open`]) or `"stream"` (`--follow`).
+    pub source: &'static str,
+    /// Records service times were calibrated on (the buffered prefix).
+    pub calib_prefix_records: usize,
+    /// Decode width actually used (after clamping), not the one requested.
+    pub decode_threads: usize,
 }
 
-/// Runs the full zero-copy analysis over an `FGBDCAP2` capture file:
-/// mmap, bounded-prefix calibration, then a projected chunk-cursor pass
-/// through the online detector. `interval` is the analysis granularity,
-/// `threads` the decode-ahead width (clamped on <2-core hosts).
-///
-/// An empty capture returns with `records == 0` and no reports.
+impl ZeroCopyAnalysis {
+    /// Stamps the route that ran into a run manifest — so a silent fallback
+    /// (mmap → heap, clamped decode threads) is visible.
+    pub fn stamp_route(&self, scope: &mut RunScope) {
+        let num = |v: usize| Json::Num(v as f64);
+        scope.field("capture_format", num(self.capture_format.into()));
+        scope.field("source", Json::Str(self.source.into()));
+        scope.field("calib_prefix_records", num(self.calib_prefix_records));
+        scope.field("decode_threads", num(self.decode_threads));
+    }
+}
+
+/// The forward-only analyzer (see the module docs): push chunks in capture
+/// order, then [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct CaptureAnalyzer {
+    nodes: Vec<NodeMeta>,
+    interval: SimDuration,
+    calib_cap: usize,
+    /// Chunks held back for calibration; empty once the detector exists.
+    prefix: Vec<MsgRecord>,
+    detector: Option<OnlineDetector>,
+    records: u64,
+    /// First and last record timestamps seen so far.
+    bounds: Option<(SimTime, SimTime)>,
+}
+
+impl CaptureAnalyzer {
+    /// An analyzer for a capture with node table `nodes`, detecting at
+    /// `interval` granularity.
+    pub fn new(nodes: Vec<NodeMeta>, interval: SimDuration) -> CaptureAnalyzer {
+        CaptureAnalyzer {
+            nodes,
+            interval,
+            calib_cap: calib_records_from_env(),
+            prefix: Vec::new(),
+            detector: None,
+            records: 0,
+            bounds: None,
+        }
+    }
+
+    /// `true` once the prefix has been calibrated on — later chunks only
+    /// need the columns detection reads ([`Projection::DETECT`]).
+    pub fn calibrated(&self) -> bool {
+        self.detector.is_some()
+    }
+
+    /// Consumes the next chunk of the capture (full columns until
+    /// [`calibrated`](Self::calibrated)).
+    pub fn push_chunk(&mut self, chunk: &[MsgRecord]) {
+        let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
+            return;
+        };
+        let start = self.bounds.map_or(first.at, |(start, _)| start);
+        self.bounds = Some((start, last.at));
+        self.records += chunk.len() as u64;
+        match &mut self.detector {
+            Some(det) => det.push_chunk(chunk),
+            None => {
+                self.prefix.extend_from_slice(chunk);
+                if self.prefix.len() >= self.calib_cap {
+                    self.calibrate(start);
+                }
+            }
+        }
+    }
+
+    /// Calibrates on the buffered prefix, builds the detector on the grid
+    /// starting at `start`, and replays the buffer into it.
+    fn calibrate(&mut self, start: SimTime) {
+        let buffered = std::mem::take(&mut self.prefix);
+        let prefix = &buffered[..buffered.len().min(self.calib_cap)];
+        let cal = Calibration::from_capture_prefix(&self.nodes, prefix);
+        let ocfg = OnlineConfig::new(start, self.interval, WORK_UNIT_RESOLUTION);
+        let mut det = OnlineDetector::new(ocfg, cal.services);
+        for (&node, &wu) in &cal.work_units {
+            det.set_work_unit(node, wu);
+        }
+        det.push_chunk(&buffered);
+        self.detector = Some(det);
+    }
+
+    /// Ends the capture: calibrates now if it was shorter than the budget,
+    /// closes the grid at the last record, and returns the reports in
+    /// node-table order, stamped with the route the caller fed it by. An
+    /// empty capture yields `records == 0` and no reports.
+    pub fn finish(
+        mut self,
+        capture_format: u8,
+        source: &'static str,
+        decode_threads: usize,
+    ) -> ZeroCopyAnalysis {
+        let (start, end) = self.bounds.unwrap_or((SimTime::ZERO, SimTime::ZERO));
+        if self.detector.is_none() && self.records > 0 {
+            self.calibrate(start);
+        }
+        // Node-table order, servers only, at least one matched span — the
+        // batch filter (`matched > 0` ⇔ the batch span set is non-empty).
+        let mut found = self
+            .detector
+            .map_or(Vec::new(), |det| det.finish(end).reports);
+        let reports = self
+            .nodes
+            .iter()
+            .filter(|n| n.kind == NodeKind::Server)
+            .filter_map(|n| {
+                let i = found
+                    .iter()
+                    .position(|r| r.server == n.id && r.matched > 0)?;
+                Some((n.name.clone(), found.swap_remove(i)))
+            })
+            .collect();
+        ZeroCopyAnalysis {
+            nodes: self.nodes,
+            records: self.records,
+            start,
+            end,
+            reports,
+            capture_format,
+            source,
+            // The first `calib_cap` records, or all of a shorter capture.
+            calib_prefix_records: self.calib_cap.min(self.records as usize),
+            decode_threads,
+        }
+    }
+}
+
+/// Analyzes a capture file: the file is mapped ([`Mapping::open`], heap
+/// fallback automatic) and scanned once, front to back, through a
+/// [`CaptureAnalyzer`]. An `FGBDCAP2` capture is walked by the lazy
+/// [`ChunkCursor`] — all columns, one chunk at a time, while the
+/// calibration prefix is buffering; only the detector's columns, `threads`
+/// chunks decoded ahead (clamped on <2-core hosts), afterwards — with
+/// consumed pages released behind the scan. A flat `FGBDCAP1` capture (the
+/// cursor's `BadMagic`) is imported through [`CaptureChunks`] over the same
+/// mapping. `interval` is the analysis granularity.
 ///
 /// # Errors
 ///
 /// [`CaptureError::Io`] for filesystem failures, [`CaptureError::BadMagic`]
-/// for non-`FGBDCAP2` inputs (check [`is_capture2`] first), and
-/// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for damaged
-/// captures, attributed per chunk exactly as the batch readers do.
+/// for a file of neither format, and [`CaptureError::Malformed`] /
+/// [`CaptureError::Chunk`] for damaged captures, attributed per chunk.
 pub fn analyze_capture2_zero_copy(
     path: &Path,
     interval: SimDuration,
@@ -101,74 +215,31 @@ pub fn analyze_capture2_zero_copy(
     fgbd_obsv::span!("zero_copy_analyze");
     let map = Mapping::open(path)?;
     map.advise_sequential();
+    let source = if map.is_mapped() { "mmap" } else { "heap" };
 
-    let cursor = ChunkCursor::new(&map)?;
-    let nodes: Vec<NodeMeta> = cursor.nodes().to_vec();
-    let records = cursor.total_records();
-    let Some((start_us, end_us)) = cursor.time_bounds() else {
-        return Ok(ZeroCopyAnalysis {
-            nodes,
-            records: 0,
-            start: SimTime::ZERO,
-            end: SimTime::ZERO,
-            reports: Vec::new(),
-        });
-    };
-    let start = SimTime::from_micros(start_us);
-    let end = SimTime::from_micros(end_us);
-
-    // Pass 1 — calibration over the bounded prefix, full columns (the
-    // service-time quantiles read everything the reconstruction reads).
-    // Memory: at most the calibration budget, not the capture.
-    let cal = {
-        let cap = calib_records_from_env();
-        let mut cursor = cursor;
-        let mut prefix: Vec<MsgRecord> = Vec::new();
-        let mut buf = Vec::new();
-        while prefix.len() < cap && cursor.next_chunk(&mut buf)? {
-            prefix.extend_from_slice(&buf);
-        }
-        prefix.truncate(cap);
-        Calibration::from_capture_prefix(&nodes, &prefix)
-    };
-
-    // Pass 2 — detection: projected columns, decode-ahead, one chunk
-    // resident at a time, consumed mapping pages released behind the scan.
-    let ocfg = OnlineConfig::new(start, interval, WORK_UNIT_RESOLUTION);
-    let mut det = OnlineDetector::new(ocfg, cal.services.clone());
-    for (&node, &wu) in &cal.work_units {
-        det.set_work_unit(node, wu);
-    }
-    let mut cursor = ChunkCursor::new(&map)?
-        .with_projection(projection_from_env())
-        .with_threads(threads);
-    {
-        fgbd_obsv::span!("zero_copy_detect");
-        let mut buf = Vec::new();
-        while cursor.next_chunk(&mut buf)? {
-            det.push_chunk(&buf);
-            map.release_until(cursor.consumed_bytes());
-        }
-    }
-    let fin = det.finish(end);
-
-    // Node-table order, servers only, at least one matched span — the
-    // batch filter (`matched > 0` ⇔ the batch span set is non-empty).
-    let mut by_id: HashMap<u16, OnlineReport> =
-        fin.reports.into_iter().map(|r| (r.server.0, r)).collect();
-    let mut reports = Vec::new();
-    for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
-        if let Some(rep) = by_id.remove(&meta.id.0) {
-            if rep.matched > 0 {
-                reports.push((meta.name.clone(), rep));
+    let mut cursor = match ChunkCursor::new(&map) {
+        Ok(cursor) => cursor,
+        Err(CaptureError::BadMagic(_)) => {
+            let mut chunks = CaptureChunks::open(&map[..])?;
+            let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
+            for chunk in &mut chunks {
+                analyzer.push_chunk(&chunk?);
             }
+            return Ok(analyzer.finish(chunks.format(), source, 1));
         }
+        Err(e) => return Err(e),
+    };
+    let mut analyzer = CaptureAnalyzer::new(cursor.nodes().to_vec(), interval);
+    let mut buf = Vec::new();
+    while cursor.next_chunk(&mut buf)? {
+        let buffering = !analyzer.calibrated();
+        analyzer.push_chunk(&buf);
+        if buffering && analyzer.calibrated() {
+            cursor = cursor
+                .with_projection(Projection::DETECT)
+                .with_threads(threads);
+        }
+        map.release_until(cursor.consumed_bytes());
     }
-    Ok(ZeroCopyAnalysis {
-        nodes,
-        records,
-        start,
-        end,
-        reports,
-    })
+    Ok(analyzer.finish(2, source, cursor.threads()))
 }

@@ -6,20 +6,29 @@
 //! in-memory log on the tapped side (nothing was double-buffered).
 //!
 //! The second case drives the shipped `analyze_capture` binary over both
-//! formats of one run, batch and `--follow`, and compares the verdict
-//! files byte for byte.
+//! formats of one run, from a file, `--follow` and through a FIFO, and
+//! holds every verdict file to bytes computed here by the batch detector —
+//! an independent implementation of the same analysis. The third feeds it
+//! damaged captures: an error message and exit status 1, never a panic.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::{Arc, Mutex};
 
+use fgbd_core::detect::{analyze_server, DetectorConfig};
+use fgbd_core::series::Window;
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
+use fgbd_obsv::json::Json;
+use fgbd_repro::monitor::verdict_lines;
+use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS};
 use fgbd_repro::scenario::GC_JDK15;
-use fgbd_trace::{read_capture_file, write_capture, write_capture2, ChunkedWriter};
+use fgbd_trace::{
+    read_capture_file, write_capture, write_capture2, ChunkedWriter, NodeKind, SpanSet, TraceLog,
+};
 
 fn smoke_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_1l2s1l2s(60, Jdk::Jdk16, false, seed);
@@ -81,28 +90,117 @@ fn tapped_chunked_capture_equals_batch_log() {
     assert_eq!(batch.log.records, reread.records);
 }
 
+/// `log` as `FGBDCAP2` bytes cut into `chunk`-record chunks.
+fn chunked_bytes(log: &TraceLog, chunk: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut w = ChunkedWriter::with_chunk_records(&mut out, &log.nodes, chunk).expect("header");
+    for &rec in &log.records {
+        w.push(rec).expect("push record");
+    }
+    w.finish().expect("seal capture");
+    out
+}
+
 /// Runs the `analyze_capture` binary on `capture` from inside `dir` (the
-/// run manifest and monitor files land under its `out/`) and returns the
-/// bytes of the `--verdicts` file.
-fn cli_verdicts(dir: &Path, capture: &str, follow: bool) -> Vec<u8> {
-    let verdicts = format!(
+/// run manifest and monitor files land under its `out/`) with `env` set on
+/// the child only; returns its output and the path of the `--verdicts`
+/// file it was asked to write.
+fn run_cli(dir: &Path, capture: &str, follow: bool, env: &[(&str, String)]) -> (Output, PathBuf) {
+    let verdicts = dir.join(format!(
         "{capture}.{}.jsonl",
-        if follow { "follow" } else { "batch" }
-    );
+        if follow { "follow" } else { "plain" }
+    ));
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_analyze_capture"));
     cmd.current_dir(dir).args([capture, "50", "--quiet"]);
     if follow {
         cmd.arg("--follow");
     }
-    let status = cmd
-        .args(["--verdicts", &verdicts])
-        .status()
-        .expect("spawn analyze_capture");
+    cmd.arg("--verdicts").arg(&verdicts);
+    cmd.envs(env.iter().map(|(k, v)| (k, v)));
+    (cmd.output().expect("spawn analyze_capture"), verdicts)
+}
+
+/// The verdict bytes of a successful run, after checking that its manifest
+/// names the route that ran: `format`, `source` and the `calib` records
+/// service times were calibrated on.
+fn cli_verdicts(
+    dir: &Path,
+    capture: &str,
+    follow: bool,
+    env: &[(&str, String)],
+    (format, source, calib): (u8, &str, usize),
+) -> Vec<u8> {
+    let (out, verdicts) = run_cli(dir, capture, follow, env);
     assert!(
-        status.success(),
-        "analyze_capture {capture} follow={follow}: {status}"
+        out.status.success(),
+        "analyze_capture {capture} follow={follow}: {}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::read(dir.join(&verdicts)).expect("read verdicts file")
+    let manifest = std::fs::read_to_string(dir.join("out/manifests/analyze_capture.json"))
+        .expect("read run manifest");
+    let doc = Json::parse(&manifest).expect("manifest is JSON");
+    let field = |key: &str| {
+        doc.get(key)
+            .unwrap_or_else(|| panic!("manifest lacks {key}"))
+    };
+    let what = format!("{capture} follow={follow}");
+    assert_eq!(
+        field("capture_format").as_f64(),
+        Some(f64::from(format)),
+        "{what}"
+    );
+    assert_eq!(field("source").as_str(), Some(source), "{what}");
+    assert_eq!(
+        field("calib_prefix_records").as_f64(),
+        Some(calib as f64),
+        "{what}"
+    );
+    // Only the mapped FGBDCAP2 cursor decodes ahead; its width is the
+    // host's business, but it is never reported as less than one.
+    let threads = field("decode_threads").as_f64().expect("a number");
+    assert!(
+        threads == 1.0 || (threads > 1.0 && format == 2 && !follow),
+        "{what}: decode_threads {threads}"
+    );
+    std::fs::read(verdicts).expect("read verdicts file")
+}
+
+/// What `analyze_capture --verdicts` must write for `log` when service
+/// times are calibrated on its first `calib` records — from the batch side:
+/// every span extracted, then `analyze_server` per server.
+fn batch_verdicts(log: &TraceLog, calib: usize) -> Vec<u8> {
+    let spans = SpanSet::extract(log);
+    let cal = Calibration::from_capture_prefix(&log.nodes, &log.records[..calib]);
+    let (first, last) = (log.records[0].at, log.records[log.records.len() - 1].at);
+    let window = Window::new(first, last, SimDuration::from_millis(50));
+    let cfg = DetectorConfig::default();
+    let mut out = Vec::new();
+    for meta in log.nodes.iter().filter(|n| n.kind == NodeKind::Server) {
+        if spans.server(meta.id).is_empty() {
+            continue;
+        }
+        let report = analyze_server(
+            spans.server(meta.id),
+            meta.id,
+            window,
+            &cal.services,
+            cal.work_unit(meta.id),
+            &cfg,
+        );
+        for line in verdict_lines(
+            &meta.name,
+            window,
+            report.load.values(),
+            &report.tput.unit_rates(),
+            &report.states,
+            report.nstar.as_ref(),
+        ) {
+            out.extend_from_slice(line.render().as_bytes());
+            out.push(b'\n');
+        }
+    }
+    out
 }
 
 #[test]
@@ -112,24 +210,129 @@ fn analyze_capture_cli_agrees_across_formats_and_follow() {
     let mut cfg = GC_JDK15.config(3_000);
     cfg.warmup = SimDuration::from_secs(3);
     cfg.duration = SimDuration::from_secs(12);
-    let run = NTierSystem::run(cfg);
+    let log = NTierSystem::run(cfg).log;
+    let n = log.records.len();
+    assert!(
+        n < DEFAULT_CALIB_RECORDS,
+        "the default prefix is the whole run"
+    );
 
     let dir = std::env::temp_dir().join(format!("fgbd_cli_formats_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let mut flat = Vec::new();
-    write_capture(&mut flat, &run.log).expect("encode FGBDCAP1");
-    std::fs::write(dir.join("run.cap1"), flat).expect("write FGBDCAP1 file");
+    write_capture(&mut flat, &log).expect("encode FGBDCAP1");
     let mut chunked = Vec::new();
-    write_capture2(&mut chunked, &run.log).expect("encode FGBDCAP2");
-    std::fs::write(dir.join("run.cap2"), chunked).expect("write FGBDCAP2 file");
+    write_capture2(&mut chunked, &log).expect("encode FGBDCAP2");
+    // The compression target: the chunked file stays <= 0.7x the flat size.
+    assert!(
+        chunked.len() * 10 <= flat.len() * 7,
+        "flat {} B, chunked {} B",
+        flat.len(),
+        chunked.len()
+    );
+    std::fs::write(dir.join("run.cap1"), flat).expect("write FGBDCAP1 file");
+    std::fs::write(dir.join("run.cap2"), &chunked).expect("write FGBDCAP2 file");
+    // Small chunks for the short-prefix input: the prefix ends mid-chunk and
+    // most chunks reach the analyzer after calibration.
+    std::fs::write(dir.join("fine.cap2"), chunked_bytes(&log, 4096)).expect("write file");
 
-    let reference = cli_verdicts(&dir, "run.cap1", false);
-    assert!(!reference.is_empty(), "the run must produce verdict lines");
-    for (capture, follow) in [("run.cap1", true), ("run.cap2", false), ("run.cap2", true)] {
-        assert!(
-            cli_verdicts(&dir, capture, follow) == reference,
-            "{capture} follow={follow} verdicts differ from the FGBDCAP1 batch run"
-        );
+    let mapped = if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+        "mmap"
+    } else {
+        "heap"
+    };
+    let third = n / 3;
+    assert!(
+        !third.is_multiple_of(4096),
+        "the short prefix must end inside a chunk"
+    );
+    let short = [("FGBD_CALIB_RECORDS", third.to_string())];
+    for (calib, env, cap2) in [(n, &[][..], "run.cap2"), (third, &short[..], "fine.cap2")] {
+        let reference = batch_verdicts(&log, calib);
+        assert!(!reference.is_empty(), "the run must produce verdict lines");
+        for (capture, follow, format, source) in [
+            ("run.cap1", false, 1, mapped),
+            ("run.cap1", true, 1, "stream"),
+            (cap2, false, 2, mapped),
+            (cap2, true, 2, "stream"),
+        ] {
+            assert!(
+                cli_verdicts(&dir, capture, follow, env, (format, source, calib)) == reference,
+                "{capture} follow={follow} calib={calib}: verdicts differ from the batch detector's"
+            );
+        }
+    }
+
+    // `--follow` on a FIFO: the path is opened once and never probed, so a
+    // stream that cannot be re-read or sized still analyzes to the same
+    // bytes as the file.
+    #[cfg(unix)]
+    {
+        let made = Command::new("mkfifo")
+            .arg(dir.join("run.fifo"))
+            .status()
+            .expect("spawn mkfifo");
+        assert!(made.success(), "mkfifo: {made}");
+        let fifo = dir.join("run.fifo");
+        let writer = std::thread::spawn(move || {
+            let mut w = File::create(fifo).expect("open fifo for writing");
+            for slice in chunked.chunks(chunked.len() / 5 + 1) {
+                w.write_all(slice).expect("feed fifo");
+                w.flush().expect("flush fifo");
+            }
+        });
+        let tailed = cli_verdicts(&dir, "run.fifo", true, &[], (2, "stream", n));
+        writer.join().expect("fifo writer");
+        let plain = std::fs::read(dir.join("run.cap2.plain.jsonl")).expect("plain run's verdicts");
+        assert!(tailed == plain, "FIFO verdicts differ from the plain run's");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
+    let log = NTierSystem::run(smoke_cfg(20130708)).log;
+    let good = chunked_bytes(&log, 512);
+    // Flip one payload byte of chunk 1, found through the footer index:
+    // trailer -> index offset -> entry 1 -> chunk offset; the payload
+    // starts after the 33-byte chunk header.
+    let trailer = good.len() - 16;
+    let index = u64::from_le_bytes(good[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let entry = index + 5 + 28;
+    let chunk1 = u64::from_le_bytes(good[entry..entry + 8].try_into().unwrap()) as usize;
+    let mut flipped = good.clone();
+    flipped[chunk1 + 33 + 7] ^= 0x5A;
+
+    let dir = std::env::temp_dir().join(format!("fgbd_cli_damaged_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("foreign.cap"), b"PCAPNG\0\0 not an fgbd capture").expect("write");
+    std::fs::write(dir.join("truncated.cap"), &good[..chunk1 + 100]).expect("write");
+    std::fs::write(dir.join("flipped.cap"), flipped).expect("write");
+
+    // A truncated file looks like a writer that went quiet: keep the
+    // follow legs' idle budget short.
+    let env = [
+        ("FGBD_FOLLOW_IDLE_MS", "100".to_string()),
+        ("FGBD_FOLLOW_POLL_MS", "5".to_string()),
+    ];
+    for (capture, needle) in [
+        ("foreign.cap", "not a capture file"),
+        ("truncated.cap", "malformed capture"),
+        ("flipped.cap", "malformed capture chunk 1:"),
+        ("missing.cap", "missing.cap"),
+    ] {
+        for follow in [false, true] {
+            let (out, _) = run_cli(&dir, capture, follow, &env);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{capture} follow={follow}: {}\n{stderr}", out.status);
+            assert_eq!(out.status.code(), Some(1), "{what}");
+            assert!(
+                stderr.starts_with(&format!("analyze_capture: {capture}: ")),
+                "{what}"
+            );
+            assert!(stderr.contains(needle), "{what}");
+            assert!(!stderr.contains("panicked at"), "{what}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -208,8 +208,8 @@ pub fn read_capture<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
 
 /// Reads a capture file, using the parallel chunk decoder for `FGBDCAP2`
 /// inputs when `FGBD_CAPTURE_THREADS` (or the host parallelism) allows —
-/// the fastest way to materialize a whole capture. Under
-/// `FGBD_CAPTURE_MMAP=1` the file is memory-mapped instead of heap-read
+/// the fastest way to materialize a whole capture. The file is
+/// memory-mapped where the platform allows and heap-read otherwise
 /// (`crate::mmapio`); the decoded log is identical to [`read_capture`]'s,
 /// byte for byte, at every thread count either way.
 ///
@@ -218,11 +218,7 @@ pub fn read_capture<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
 /// Propagates [`CaptureError::Io`] for filesystem failures plus everything
 /// [`read_capture`] can return.
 pub fn read_capture_file(path: &Path) -> Result<TraceLog, CaptureError> {
-    let bytes = if crate::mmapio::mmap_from_env() {
-        crate::mmapio::Mapping::open(path)?
-    } else {
-        crate::mmapio::Mapping::heap(std::fs::read(path)?)
-    };
+    let bytes = crate::mmapio::Mapping::open(path)?;
     if bytes.len() >= 8 && &bytes[..8] == crate::capture2::MAGIC2 {
         crate::capture2::read_capture2_parallel(&bytes, crate::capture2::threads_from_env())
     } else {

@@ -81,16 +81,6 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 64 * 1024;
 
 // --- env-driven knobs -----------------------------------------------------
 
-/// Capture format selected by `FGBD_CAPTURE_FORMAT` (`1` = flat `FGBDCAP1`,
-/// `2` = chunked `FGBDCAP2`). Defaults to 1: the flat format stays the
-/// reference encoding and the round-trip oracle.
-pub fn format_from_env() -> u32 {
-    match std::env::var("FGBD_CAPTURE_FORMAT").ok().as_deref() {
-        Some("2") => 2,
-        _ => 1,
-    }
-}
-
 /// Decode threads selected by `FGBD_CAPTURE_THREADS`, defaulting to
 /// `min(4, available_parallelism)`. The decoded log is identical at every
 /// value; this only trades wall-clock for cores.
@@ -807,7 +797,8 @@ pub fn write_capture2<W: Write>(w: W, log: &TraceLog) -> Result<(), CaptureError
     for &rec in &log.records {
         cw.push(rec)?;
     }
-    cw.finish()?;
+    // `w` may be a `BufWriter`, whose drop would swallow a failed flush.
+    cw.finish()?.flush()?;
     Ok(())
 }
 
@@ -1269,6 +1260,12 @@ impl<'a> ChunkCursor<'a> {
         &self.nodes
     }
 
+    /// The decode width in effect — what [`with_threads`](Self::with_threads)
+    /// clamped its request to, for manifests that report the route taken.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Total records across the *selected* chunks (after pushdown), from
     /// the footer index alone.
     pub fn total_records(&self) -> u64 {
@@ -1437,6 +1434,7 @@ fn probe_dict_column(r: &mut PayloadReader<'_>, n: usize, value: u64) -> Option<
 pub struct CaptureChunks<R: Read> {
     r: R,
     nodes: Vec<NodeMeta>,
+    format: u8,
     state: ChunksState,
 }
 
@@ -1459,30 +1457,42 @@ impl<R: Read> CaptureChunks<R> {
     pub fn open(mut r: R) -> Result<Self, CaptureError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        let state = if &magic == MAGIC2 {
-            ChunksState::Chunked {
-                next: 0,
-                prev_max: 0,
-            }
+        let format = if &magic == MAGIC2 {
+            2
         } else if &magic == MAGIC {
-            ChunksState::Flat {
-                remaining: 0, // patched below, after the node table
-                prev: SimTime::ZERO,
-            }
+            1
         } else {
             return Err(CaptureError::BadMagic(magic));
         };
         let nodes = read_node_table(&mut r)?;
-        let mut me = CaptureChunks { r, nodes, state };
-        if let ChunksState::Flat { remaining, .. } = &mut me.state {
-            *remaining = read_u64(&mut me.r)?;
-        }
-        Ok(me)
+        let state = if format == 2 {
+            ChunksState::Chunked {
+                next: 0,
+                prev_max: 0,
+            }
+        } else {
+            ChunksState::Flat {
+                remaining: read_u64(&mut r)?,
+                prev: SimTime::ZERO,
+            }
+        };
+        Ok(CaptureChunks {
+            r,
+            nodes,
+            format,
+            state,
+        })
     }
 
     /// The capture's node table (decoded eagerly by [`open`](Self::open)).
     pub fn nodes(&self) -> &[NodeMeta] {
         &self.nodes
+    }
+
+    /// The format [`open`](Self::open) sniffed: `1` for flat `FGBDCAP1`,
+    /// `2` for chunked `FGBDCAP2`.
+    pub fn format(&self) -> u8 {
+        self.format
     }
 
     fn next_flat(

@@ -62,7 +62,7 @@ pub use capture2::{
     read_capture2_parallel, read_capture2_range, write_capture2, CaptureChunks, ChunkCursor,
     ChunkedWriter, Projection,
 };
-pub use mmapio::{mmap_from_env, Mapping};
+pub use mmapio::Mapping;
 pub use record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };

@@ -36,16 +36,6 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// `true` when `FGBD_CAPTURE_MMAP` is `1`/`true`/`on` — the opt-in gate
-/// for the zero-copy analysis path (the heap-read batch path stays the
-/// default and the byte-identity reference).
-pub fn mmap_from_env() -> bool {
-    matches!(
-        std::env::var("FGBD_CAPTURE_MMAP").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
-
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod sys {
     use std::os::raw::{c_int, c_void};
@@ -312,21 +302,5 @@ mod tests {
         map.advise_sequential();
         map.release_until(2);
         assert_eq!(&*map, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn env_gate_parses_the_usual_spellings() {
-        // Env set/unset dance: serialize against any future env-touching
-        // test in this crate.
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (v, want) in [("1", true), ("on", true), ("true", true), ("0", false)] {
-            std::env::set_var("FGBD_CAPTURE_MMAP", v);
-            assert_eq!(mmap_from_env(), want, "value {v}");
-        }
-        std::env::remove_var("FGBD_CAPTURE_MMAP");
-        assert!(!mmap_from_env());
     }
 }

@@ -552,8 +552,7 @@ proptest! {
                 as usize;
         buf[chunk_off + 33 + pick.1 % byte_len] ^= 0x5A;
 
-        // Through a real file and a real mapping, like `analyze_capture`
-        // under FGBD_CAPTURE_MMAP=1.
+        // Through a real file and a real mapping, like `analyze_capture`.
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "fgbd_prop_cursor_{}_{}.fgbdcap",
