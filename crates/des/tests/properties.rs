@@ -7,7 +7,8 @@ use proptest::prelude::*;
 /// Decodes one raw op for the wheel-vs-heap equivalence driver: a schedule
 /// time drawn from regimes that stress every queue path (same-instant ties,
 /// wheel level boundaries, the overflow range, and times below the wheel's
-/// clock), or a pop/peek probe.
+/// clock), or `None` for the probes and compound shapes the driver handles
+/// (pop, restamp, peek, boot, burst).
 fn decode_op(kind: u64, raw: u64) -> Option<u64> {
     const BOUNDARIES: [u64; 12] = [
         0,
@@ -36,71 +37,142 @@ fn decode_op(kind: u64, raw: u64) -> Option<u64> {
     }
 }
 
+/// The wheel and the reference heap driven in lockstep: every operation is
+/// applied to both and must be observably identical.
+#[derive(Default)]
+struct QueuePair {
+    wheel: EventQueue<usize>,
+    heap: HeapQueue<usize>,
+    /// Every ticket ever issued, live or not: a restamp op may target a
+    /// popped entry, which both queues must report as gone.
+    tickets: Vec<(SimTime, u64)>,
+}
+
+impl QueuePair {
+    fn schedule(&mut self, t: u64) -> Result<(), String> {
+        let t = SimTime::from_micros(t);
+        let payload = self.tickets.len();
+        let sw = self.wheel.schedule(t, payload);
+        let sh = self.heap.schedule(t, payload);
+        prop_assert_eq!(sw, sh);
+        self.tickets.push((t, sw));
+        Ok(())
+    }
+
+    /// Restamps ticket number `k` (in issue order), wherever it is now.
+    fn restamp(&mut self, k: usize) -> Result<(), String> {
+        let (t, seq) = self.tickets[k];
+        let rw = self.wheel.restamp(t, seq);
+        let rh = self.heap.restamp(t, seq);
+        prop_assert_eq!(rw, rh, "restamp diverged for ({:?}, {})", t, seq);
+        if let Some(fresh) = rw {
+            self.tickets[k].1 = fresh;
+        }
+        Ok(())
+    }
+
+    /// Pops both; `Ok(false)` once they are (both) empty.
+    fn pop(&mut self) -> Result<bool, String> {
+        prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
+        let (w, h) = (self.wheel.pop(), self.heap.pop());
+        prop_assert_eq!(w, h);
+        Ok(w.is_some())
+    }
+
+    /// The shape every n-tier run boots with: pop to empty, schedule one
+    /// far event (the idle wheel re-anchors *there*), then many nearer ones
+    /// in random order, each new minimum landing below the wheel's clock.
+    fn boot(&mut self, raw: u64) -> Result<(), String> {
+        while self.pop()? {}
+        let mut dice = Dice::seed(raw);
+        let now = raw % 50_000_000;
+        // Spans from one level-1 slot to past the wheel's range.
+        let span = 1u64 << [8, 20, 33, 43][(raw >> 8) as usize % 4];
+        let far = now + 1 + (raw >> 1) % span;
+        self.schedule(far)?;
+        for _ in 0..8 + raw % 56 {
+            let t = now + dice.index((far - now) as usize + 1) as u64;
+            self.schedule(t)?;
+        }
+        Ok(())
+    }
+
+    /// A deep same-instant bucket with restamps landing in its middle (the
+    /// `CpuDone` completion-token shape), then a few pops off its front.
+    fn burst(&mut self, raw: u64) -> Result<(), String> {
+        let t = raw % 300_000;
+        let first = self.tickets.len();
+        let depth = 8 + (raw >> 20) as usize % 56;
+        for _ in 0..depth {
+            self.schedule(t)?;
+        }
+        let mut dice = Dice::seed(raw);
+        for _ in 0..depth / 3 {
+            self.restamp(first + 1 + dice.index(depth - 2))?;
+        }
+        for _ in 0..dice.index(depth / 2) {
+            self.pop()?;
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     /// The timing wheel and the reference heap queue deliver bit-identical
     /// `(time, payload)` sequences — same pops, same peeks, same lengths —
     /// under arbitrary schedule/pop/peek/restamp interleavings, including
     /// same-instant ties, schedules below an advanced clock (the `run_until`
     /// horizon-crossing shape: peek far ahead, decline, schedule earlier),
-    /// and overflow promotions.
+    /// overflow promotions, the boot shape (a drained queue refilled from
+    /// one far event downwards) and deep same-instant buckets restamped in
+    /// the middle.
     #[test]
     fn wheel_matches_reference_heap(
-        ops in prop::collection::vec((0u64..8, 0u64..(1u64 << 44)), 2..400),
+        ops in prop::collection::vec((0u64..10, 0u64..(1u64 << 44)), 2..400),
     ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        // Every ticket ever issued, live or not: a restamp op may target a
-        // popped entry, which both queues must report as gone.
-        let mut tickets: Vec<(SimTime, u64)> = Vec::new();
-        for (i, &(kind, raw)) in ops.iter().enumerate() {
+        let mut q = QueuePair::default();
+        for &(kind, raw) in &ops {
             match decode_op(kind, raw) {
-                Some(t) => {
-                    let t = SimTime::from_micros(t);
-                    let sw = wheel.schedule(t, i);
-                    let sh = heap.schedule(t, i);
-                    prop_assert_eq!(sw, sh);
-                    tickets.push((t, sw));
-                }
+                Some(t) => q.schedule(t)?,
+                None if kind == 9 => q.burst(raw)?,
+                None if kind == 8 => q.boot(raw)?,
                 None if kind == 7 => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    prop_assert_eq!(q.wheel.peek_time(), q.heap.peek_time());
                 }
-                None if kind == 6 && !tickets.is_empty() => {
-                    let k = (raw as usize) % tickets.len();
-                    let (t, seq) = tickets[k];
-                    let rw = wheel.restamp(t, seq);
-                    let rh = heap.restamp(t, seq);
-                    prop_assert_eq!(rw, rh, "restamp diverged for ({:?}, {})", t, seq);
-                    if let Some(fresh) = rw {
-                        tickets[k].1 = fresh;
-                    }
+                None if kind == 6 && !q.tickets.is_empty() => {
+                    q.restamp((raw as usize) % q.tickets.len())?;
                 }
                 None => {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    q.pop()?;
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+            prop_assert_eq!(q.wheel.len(), q.heap.len());
+            prop_assert_eq!(q.wheel.is_empty(), q.heap.is_empty());
         }
         // Drain: every remaining event must come out identically.
-        loop {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
+        while q.pop()? {}
     }
 
-    /// Events always pop in non-decreasing time order, FIFO within a tick.
+    /// Events always pop in non-decreasing time order, FIFO within a tick —
+    /// whether scheduled in drawn order or latest-first (every new minimum
+    /// below the wheel's clock).
     #[test]
-    fn queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
+    fn queue_pops_sorted(
+        times in prop::collection::vec(0u64..1_000_000, 1..200),
+        descending in prop::bool::ANY,
+    ) {
+        let mut times = times;
+        if descending {
+            times.sort_unstable_by(|a, b| b.cmp(a));
+        }
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_micros(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
+        let mut popped = 0;
         while let Some((t, i)) = q.pop() {
+            prop_assert_eq!(t, SimTime::from_micros(times[i]));
             if let Some((lt, li)) = last {
                 prop_assert!(t >= lt);
                 if t == lt {
@@ -108,7 +180,9 @@ proptest! {
                 }
             }
             last = Some((t, i));
+            popped += 1;
         }
+        prop_assert_eq!(popped, times.len());
     }
 
     /// The PS integrator conserves work: every admitted job completes after

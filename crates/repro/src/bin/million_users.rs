@@ -77,8 +77,14 @@ fn main() {
         "million_users",
         "simulating {users} users for {secs}s, streaming capture to {path} ..."
     );
+    // The simulate stage carries the name `Scenario::run` gives it, so both
+    // simulator-bound CLIs attribute it under one stage, and its rate
+    // (`des.events` delta over the stage's wall time) rides in the manifest.
+    let des_events = fgbd_obsv::metrics::counter("des.events");
+    let events_before = des_events.get();
+    let sim_wall = Instant::now();
     let run = {
-        fgbd_obsv::span!("million_users");
+        fgbd_obsv::span!("simulate");
         let sink = Arc::clone(&writer);
         let count = Arc::clone(&records);
         NTierSystem::run_with_record_tap(cfg, move |rec| {
@@ -91,6 +97,8 @@ fn main() {
                 .expect("write capture record");
         })
     };
+    let sim_secs = sim_wall.elapsed().as_secs_f64();
+    let sim_events = des_events.get() - events_before;
     let writer = writer
         .lock()
         .expect("capture writer lock")
@@ -110,6 +118,13 @@ fn main() {
     );
     scope.field("records", Json::Num(records as f64));
     scope.field("throughput", Json::Num(run.throughput()));
+    // Absent with telemetry off (`FGBD_OBSV=0` freezes the counter).
+    if sim_events > 0 {
+        scope.field(
+            "sim_events_per_s",
+            Json::Num((sim_events as f64 / sim_secs).round()),
+        );
+    }
     if let Some(kib) = vm_hwm_kib() {
         fgbd_obsv::log!(
             "million_users",

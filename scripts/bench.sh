@@ -4,7 +4,9 @@
 # Covers every group in benches/analysis.rs, including the `reconstruction`
 # and `extract_spans` (dense fast paths vs references) and `pipeline`
 # (end-to-end simulate → reconstruct → calibrate → detect) groups, plus
-# the `event_queue` hold-model bench (timing wheel vs reference heap), the
+# the `event_queue` bench (timing wheel vs reference heap: the steady-state
+# hold model, and the boot shape — drain, schedule 10,000 first thinks from
+# one `now`, drain), the
 # `capture_format/chunked_*` benches (FGBDCAP2 columnar write + 1/4-thread
 # parallel read vs the flat FGBDCAP1 baseline on the 200k-record
 # fixture), and the `online_detect` bench
@@ -20,8 +22,10 @@
 # If any run manifests exist under out/manifests/ (written by the
 # fgbd-repro binaries, see crates/obsv), the newest one's per-stage wall
 # times are folded in as "manifest:<run>/<span path>": total_ns keys
-# (replacing that run's previous keys, leaving other runs' alone), so one
-# file tracks both microbenchmark medians and real-run stage costs.
+# (replacing that run's previous keys, leaving other runs' alone), along
+# with its peak RSS and, where the run stamps one, its simulate rate
+# (`sim_events_per_s`), so one file tracks both microbenchmark medians and
+# real-run stage costs.
 #
 #   scripts/bench.sh            # bench + summarize
 #   scripts/bench.sh --no-run   # summarize an existing target/criterion
@@ -85,8 +89,11 @@ if os.path.isdir(manifest_dir):
         # Peak RSS rides along with the stage times (crates/repro/harness
         # stamps vm_hwm_kib into every manifest on Linux) so memory
         # regressions in the zero-copy path show up next to time ones.
-        if "vm_hwm_kib" in doc:
-            out[prefix + "vm_hwm_kib"] = doc["vm_hwm_kib"]
+        # ... and so does the simulate stage's rate, where the run stamps
+        # one (million_users: des.events delta / simulate seconds).
+        for field in ("vm_hwm_kib", "sim_events_per_s"):
+            if field in doc:
+                out[prefix + field] = doc[field]
         print(f"folded {len(doc.get('stages', []))} stages from {newest}")
 
 with open("BENCH_analysis.json", "w") as f:
