@@ -1,9 +1,8 @@
 //! Criterion benchmarks of the zero-copy capture path: the lazy chunk
 //! cursor against the batch `FGBDCAP2` reader on the same 200k-record
-//! fixture, isolating the two pushdown wins — column projection (skip
-//! the `bytes` and ground-truth columns detection never reads) and
-//! time-range chunk pruning — plus the full mmap-backed pass
-//! `analyze_capture` runs.
+//! fixture, isolating column projection (skip the `bytes` and
+//! ground-truth columns detection never reads), plus the full mmap-backed
+//! pass `analyze_capture` runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -89,23 +88,6 @@ fn bench_cursor(c: &mut Criterion) {
                 ChunkCursor::new(black_box(chunked.as_slice()))
                     .expect("open")
                     .with_projection(Projection::DETECT),
-            )
-        });
-    });
-    // Time-range pushdown: decode only the middle tenth of the capture —
-    // whole-chunk pruning via the footer index, no column touched in
-    // pruned chunks.
-    let (lo, hi) = (
-        SimTime::from_micros(200_000 * 3 * 45 / 100),
-        SimTime::from_micros(200_000 * 3 * 55 / 100),
-    );
-    group.bench_function("cursor_projected_middle_tenth", |b| {
-        b.iter(|| {
-            drain(
-                ChunkCursor::new(black_box(chunked.as_slice()))
-                    .expect("open")
-                    .with_projection(Projection::DETECT)
-                    .with_time_range(lo, hi),
             )
         });
     });

@@ -94,35 +94,40 @@ pub struct ServerReport {
     pub states: Vec<IntervalState>,
 }
 
+/// `(congested, frozen, active)` interval counts of `states`: congested
+/// includes frozen, active is everything that is not idle.
+pub(crate) fn tally(states: &[IntervalState]) -> (usize, usize, usize) {
+    states.iter().fold((0, 0, 0), |(c, f, a), s| match s {
+        IntervalState::Idle => (c, f, a),
+        IntervalState::Normal => (c, f, a + 1),
+        IntervalState::Congested => (c + 1, f, a + 1),
+        IntervalState::Frozen => (c + 1, f + 1, a + 1),
+    })
+}
+
+/// Fraction of the non-idle intervals in `states` that are congested.
+pub(crate) fn congestion_ratio(states: &[IntervalState]) -> f64 {
+    match tally(states) {
+        (_, _, 0) => 0.0,
+        (congested, _, active) => congested as f64 / active as f64,
+    }
+}
+
 impl ServerReport {
     /// Number of congested intervals (including frozen ones).
     pub fn congested_intervals(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, IntervalState::Congested | IntervalState::Frozen))
-            .count()
+        tally(&self.states).0
     }
 
     /// Number of frozen (POI) intervals.
     pub fn frozen_intervals(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, IntervalState::Frozen))
-            .count()
+        tally(&self.states).1
     }
 
     /// Fraction of non-idle intervals that are congested — the "how often
     /// is this server a transient bottleneck" score used for ranking.
     pub fn congestion_ratio(&self) -> f64 {
-        let active = self
-            .states
-            .iter()
-            .filter(|s| !matches!(s, IntervalState::Idle))
-            .count();
-        if active == 0 {
-            return 0.0;
-        }
-        self.congested_intervals() as f64 / active as f64
+        congestion_ratio(&self.states)
     }
 
     /// Maximal runs of consecutive congested/frozen intervals.
@@ -202,9 +207,7 @@ pub fn analyze_server(
     // One fused pass over the spans builds both series (see `SeriesSet`).
     let set = SeriesSet::from_spans(spans, window, services, work_unit);
     let (load, tput) = (set.load(), set.tput());
-    let rates = tput.unit_rates();
-    let nstar = fit_mainseq(load.values(), &rates, cfg);
-    let states = classify(&load, &rates, nstar.as_ref(), cfg);
+    let (nstar, states) = fit_and_classify(load.values(), &tput.unit_rates(), cfg);
     ServerReport {
         server,
         window,
@@ -215,13 +218,24 @@ pub fn analyze_server(
     }
 }
 
+/// The full-run tail [`analyze_server`] and
+/// [`crate::online::OnlineDetector::finish`] both end in: fit N\* over every
+/// interval's `(load, rate)` sample, then classify each against it.
+pub(crate) fn fit_and_classify(
+    loads: &[f64],
+    rates: &[f64],
+    cfg: &DetectorConfig,
+) -> (Option<NStar>, Vec<IntervalState>) {
+    let nstar = fit_mainseq(loads, rates, cfg);
+    let states = classify_values(loads, rates, nstar.as_ref(), cfg);
+    (nstar, states)
+}
+
 /// Fits the main sequence curve (§III-B) over raw per-interval samples and
-/// returns the estimated congestion point, if observable.
-///
-/// This is the exact fitting step of [`analyze_server`], factored out so
-/// the online detector ([`crate::online`]) reuses it bit-for-bit: drop
-/// freeze outliers (near-zero output at non-idle load) relative to the
-/// 95th-percentile throughput, then run intervention analysis.
+/// returns the estimated congestion point, if observable: drop freeze
+/// outliers (near-zero output at non-idle load) relative to the
+/// 95th-percentile throughput, then run intervention analysis. The online
+/// detector also runs it on its sliding window for the live N\*.
 pub fn fit_mainseq(loads: &[f64], rates: &[f64], cfg: &DetectorConfig) -> Option<NStar> {
     let p95 = crate::stats::percentile(rates, 0.95).unwrap_or(0.0);
     let floor = cfg.mainseq_filter_frac * p95;
@@ -236,8 +250,8 @@ pub fn fit_mainseq(loads: &[f64], rates: &[f64], cfg: &DetectorConfig) -> Option
 
 /// Classifies one interval's `(load, normalized throughput rate)` sample
 /// given the estimated congestion point. The single source of truth for
-/// the §III state machine — both the batch [`classify`] and the online
-/// detector call it.
+/// the §III state machine — [`classify_values`] and the online detector's
+/// live verdicts call it.
 #[inline]
 pub fn classify_one(
     ld: f64,
@@ -273,16 +287,6 @@ pub fn classify_values(
         .zip(rates)
         .map(|(&ld, &tp)| classify_one(ld, tp, nstar, cfg))
         .collect()
-}
-
-/// Classifies each interval given the estimated congestion point.
-pub fn classify(
-    load: &LoadSeries,
-    tput_rates: &[f64],
-    nstar: Option<&NStar>,
-    cfg: &DetectorConfig,
-) -> Vec<IntervalState> {
-    classify_values(load.values(), tput_rates, nstar, cfg)
 }
 
 /// Attributes freeze (POI) intervals to their originating tier.

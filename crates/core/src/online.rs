@@ -9,9 +9,9 @@
 //!
 //! 1. pairs requests with responses FIFO per `(server, connection)` —
 //!    byte-for-byte the batch `SpanSet::extract` rule;
-//! 2. folds each matched span into per-interval integer accumulators kept
-//!    in a ring over the *unfinalized* suffix of the grid (the sweep-line
-//!    difference-array trick of [`crate::series`], carried across chunks);
+//! 2. folds each matched span into the one interval engine,
+//!    `series::IntervalRing`, kept over the *unfinalized* suffix of the
+//!    grid;
 //! 3. **finalizes** an interval once the per-server watermark passes its
 //!    end — the watermark is `min(earliest open request arrival, stream
 //!    time)`, so a finalized interval provably can never be touched by a
@@ -22,17 +22,17 @@
 //!
 //! # Equivalence to the batch detector
 //!
-//! All accumulation uses the exact integer-microsecond arithmetic of
-//! [`crate::series`]; the one deviation is that a span's departure cannot
-//! be clamped to a grid end that is not yet known, so spans accumulate
-//! *unclamped* and intervals at or past the final grid length are dropped
-//! at [`OnlineDetector::finish`]. For every kept interval the clamped and
-//! unclamped constructions distribute identical integer totals (the
-//! boundary interval receives its full coverage through the difference
-//! array instead of a direct add), so with `retain` on, the final report's
-//! loads, rates, N\* and states are **bit-for-bit** what `analyze_server`
-//! computes from the materialized capture — property-tested in
-//! `tests/online.rs` and CI-gated at seed 20130708.
+//! Batch and online share the ring and its one integer-to-`f64` step; the
+//! only difference is that the batch ring knows the grid end and clamps to
+//! it, while this one does not and drops intervals at or past the final
+//! grid length at [`OnlineDetector::finish`] (see `IntervalRing` for why
+//! the kept intervals hold identical integers). What is left to argue is
+//! pairing and finalization: pairing is the `SpanSet::extract` rule, and an
+//! interval is popped only once no open or future request can reach it. So
+//! with `retain` on, the final report's loads, rates, N\* and states are
+//! **bit-for-bit** what `analyze_server` computes from the materialized
+//! capture — property-tested in `tests/online.rs`, and on a real run in
+//! `fgbd-repro`'s `tests/live_monitor.rs` and `tests/capture_formats.rs`.
 //!
 //! Live verdicts are intentionally *provisional*: they use the
 //! sliding-window N\* available at finalization time, trading the batch
@@ -47,9 +47,9 @@ use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::{ClassId, MsgKind, MsgRecord, NodeId};
 
-use crate::detect::{classify_one, classify_values, fit_mainseq, DetectorConfig, IntervalState};
+use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalState};
 use crate::nstar::NStar;
-use crate::series::Window;
+use crate::series::{materialize, service_us, IntervalRing, Window};
 
 /// Parameters of the online detector.
 #[derive(Debug, Clone, Copy)]
@@ -202,37 +202,20 @@ pub struct OnlineReport {
 }
 
 impl OnlineReport {
-    /// Number of congested intervals (including frozen ones) in the
-    /// batch-exact final states — the [`crate::detect::ServerReport`]
-    /// formula, so zero-copy consumers can render the batch table without
-    /// a `ServerReport`. Zero when `retain` was off (`states` is empty).
+    /// Number of congested intervals (including frozen ones) in the final
+    /// states. Zero when `retain` was off (`states` is empty).
     pub fn congested_intervals(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, IntervalState::Congested | IntervalState::Frozen))
-            .count()
+        detect::tally(&self.states).0
     }
 
     /// Number of frozen (POI) intervals in the final states.
     pub fn frozen_intervals(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, IntervalState::Frozen))
-            .count()
+        detect::tally(&self.states).1
     }
 
-    /// Fraction of non-idle intervals that are congested — identical to
-    /// `ServerReport::congestion_ratio` on the same states.
+    /// Fraction of non-idle intervals that are congested.
     pub fn congestion_ratio(&self) -> f64 {
-        let active = self
-            .states
-            .iter()
-            .filter(|s| !matches!(s, IntervalState::Idle))
-            .count();
-        if active == 0 {
-            return 0.0;
-        }
-        self.congested_intervals() as f64 / active as f64
+        detect::congestion_ratio(&self.states)
     }
 }
 
@@ -245,16 +228,6 @@ pub struct OnlineFinish {
     pub reports: Vec<OnlineReport>,
     /// Verdicts not yet drained, including tail-finalization ones.
     pub events: Vec<MonitorEvent>,
-}
-
-/// Integer accumulators of one not-yet-finalized interval (the ring
-/// element). Mirrors one cell of the batch `LoadAcc`/`TputAcc`.
-#[derive(Debug, Clone, Copy, Default)]
-struct IntervalAcc {
-    overlap_us: u64,
-    full_diff: i64,
-    count: u32,
-    service_us: u64,
 }
 
 /// One open request awaiting its response.
@@ -276,12 +249,9 @@ struct ServerState {
     /// Min-heap over FIFO *fronts*: `(arrival_us, ticket, conn)`. Lazy
     /// deletion — an entry is alive iff it still is its FIFO's front.
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Accumulators for intervals `finalized ..`, front first.
-    ring: VecDeque<IntervalAcc>,
-    finalized: usize,
-    /// Running prefix sum of consumed `full_diff`s (spans fully covering
-    /// the current front interval).
-    covering: i64,
+    /// Accumulators of the not-yet-finalized intervals; `ring.base()` is
+    /// the number finalized.
+    ring: IntervalRing,
     /// Sliding window of finalized `(load, rate)` samples the live N\* is
     /// fit on.
     samples: VecDeque<(f64, f64)>,
@@ -303,7 +273,7 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn new(server: NodeId, wu_us: u64) -> ServerState {
+    fn new(server: NodeId, wu_us: u64, cfg: &OnlineConfig) -> ServerState {
         ServerState {
             server,
             wu_us,
@@ -311,9 +281,7 @@ impl ServerState {
             open: 0,
             next_ticket: 0,
             heap: BinaryHeap::new(),
-            ring: VecDeque::new(),
-            finalized: 0,
-            covering: 0,
+            ring: IntervalRing::open_ended(cfg.start, cfg.interval),
             samples: VecDeque::new(),
             live_nstar: None,
             since_refit: 0,
@@ -364,7 +332,7 @@ impl ServerState {
 
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.ring.len() * size_of::<IntervalAcc>()
+        self.ring.state_bytes()
             + self.heap.len() * size_of::<Reverse<(u64, u64, u32)>>()
             + self
                 .fifos
@@ -382,13 +350,8 @@ impl ServerState {
 pub struct OnlineDetector {
     cfg: OnlineConfig,
     services: ServiceTimeTable,
-    start_us: u64,
-    ilen_us: u64,
     wu_default_us: u64,
     wu_overrides: FxHashMap<u16, u64>,
-    /// `interval.as_secs_f64()`, precomputed once — the exact divisor the
-    /// batch `unit_rate` uses.
-    interval_secs: f64,
     servers: FxHashMap<u16, ServerState>,
     cur_us: u64,
     records: u64,
@@ -409,11 +372,8 @@ impl OnlineDetector {
         assert!(cfg.hysteresis > 0, "hysteresis must be positive");
         assert!(cfg.refit_every > 0, "refit period must be positive");
         OnlineDetector {
-            start_us: cfg.start.as_micros(),
-            ilen_us: cfg.interval.as_micros(),
             wu_default_us: cfg.work_unit.as_micros(),
             wu_overrides: FxHashMap::default(),
-            interval_secs: cfg.interval.as_secs_f64(),
             cfg,
             services,
             servers: FxHashMap::default(),
@@ -439,19 +399,9 @@ impl OnlineDetector {
         }
     }
 
-    /// The configuration this detector runs with.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.cfg
-    }
-
     /// Stream time of the last consumed record.
     pub fn now(&self) -> SimTime {
         SimTime::from_micros(self.cur_us)
-    }
-
-    /// Records consumed so far.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Consumes one record. Records must arrive in non-decreasing time
@@ -472,7 +422,7 @@ impl OnlineDetector {
         let state = self
             .servers
             .entry(server.0)
-            .or_insert_with(|| ServerState::new(server, wu_us));
+            .or_insert_with(|| ServerState::new(server, wu_us, &self.cfg));
         match rec.kind {
             MsgKind::Request => {
                 let ticket = state.next_ticket;
@@ -508,15 +458,10 @@ impl OnlineDetector {
                                 .push(Reverse((front.at_us, front.ticket, rec.conn.0)));
                         }
                         state.maybe_compact();
-                        Self::add_span(
-                            state,
-                            &self.services,
-                            self.start_us,
-                            self.ilen_us,
-                            req.at_us,
-                            rec.at.as_micros(),
-                            req.class,
-                        );
+                        let (at_us, wu_us) = (rec.at.as_micros(), state.wu_us);
+                        state.ring.add(req.at_us, at_us, || {
+                            service_us(&self.services, server, req.class, at_us - req.at_us, wu_us)
+                        });
                     }
                 }
             }
@@ -524,24 +469,10 @@ impl OnlineDetector {
         // Add-then-finalize: the watermark only advances once the record's
         // own effect is in the ring.
         let cur_us = self.cur_us;
-        let (start_us, ilen_us, interval_secs) = (self.start_us, self.ilen_us, self.interval_secs);
         let state = self.servers.get_mut(&server.0).expect("just inserted");
         let wm = state.open_min().map_or(cur_us, |a| a.min(cur_us));
-        let target = if wm <= start_us {
-            0
-        } else {
-            ((wm - start_us) / ilen_us) as usize
-        };
-        Self::finalize_to(
-            state,
-            target,
-            cur_us,
-            start_us,
-            ilen_us,
-            interval_secs,
-            &self.cfg,
-            &mut self.events,
-        );
+        let target = state.ring.index_of(wm);
+        Self::finalize_to(state, target, cur_us, &self.cfg, &mut self.events);
     }
 
     /// Consumes a chunk of records.
@@ -551,91 +482,21 @@ impl OnlineDetector {
         }
     }
 
-    /// Folds one matched span into the unfinalized ring — the exact
-    /// integer arithmetic of the batch `LoadAcc::add`/`TputAcc::add`,
-    /// minus the grid-end clamp (out-of-grid intervals are dropped at
-    /// [`OnlineDetector::finish`] instead).
-    #[allow(clippy::too_many_arguments)]
-    fn add_span(
-        state: &mut ServerState,
-        services: &ServiceTimeTable,
-        start_us: u64,
-        ilen_us: u64,
-        arrival_us: u64,
-        departure_us: u64,
-        class: ClassId,
-    ) {
-        let base = state.finalized;
-        let at = |ring: &mut VecDeque<IntervalAcc>, index: usize| -> usize {
-            debug_assert!(index >= base, "span touches a finalized interval");
-            let slot = index - base;
-            if slot >= ring.len() {
-                ring.resize(slot + 1, IntervalAcc::default());
-            }
-            slot
-        };
-        // Load: boundary intervals directly, interior via the difference
-        // array.
-        let a = arrival_us.max(start_us);
-        let d = departure_us;
-        if d > a {
-            let rel_a = a - start_us;
-            let rel_d = d - start_us;
-            let first = (rel_a / ilen_us) as usize;
-            let last = ((rel_d - 1) / ilen_us) as usize;
-            if first == last {
-                let s = at(&mut state.ring, first);
-                state.ring[s].overlap_us += rel_d - rel_a;
-            } else {
-                let s = at(&mut state.ring, first);
-                state.ring[s].overlap_us += (first as u64 + 1) * ilen_us - rel_a;
-                let s = at(&mut state.ring, last);
-                state.ring[s].overlap_us += rel_d - last as u64 * ilen_us;
-                let s = at(&mut state.ring, first + 1);
-                state.ring[s].full_diff += 1;
-                let s = at(&mut state.ring, last);
-                state.ring[s].full_diff -= 1;
-            }
-        }
-        // Throughput: indexed by departure interval.
-        if departure_us >= start_us {
-            let i = ((departure_us - start_us) / ilen_us) as usize;
-            let s = at(&mut state.ring, i);
-            state.ring[s].count += 1;
-            let service_us = services
-                .get(state.server, class)
-                .map(|d| d.as_micros())
-                .unwrap_or_else(|| (departure_us - arrival_us).min(state.wu_us));
-            state.ring[s].service_us += service_us;
-        }
-    }
-
-    /// Finalizes intervals `state.finalized .. target`: materializes each
-    /// sample with the batch division order, feeds the sliding-window
-    /// fit and the hysteresis state machine, emits verdicts.
-    #[allow(clippy::too_many_arguments)]
+    /// Finalizes intervals `state.ring.base() .. target`: materializes
+    /// each sample, feeds the sliding-window fit and the hysteresis state
+    /// machine, emits verdicts.
     fn finalize_to(
         state: &mut ServerState,
         target: usize,
         cur_us: u64,
-        start_us: u64,
-        ilen_us: u64,
-        interval_secs: f64,
         cfg: &OnlineConfig,
         events: &mut Vec<MonitorEvent>,
     ) {
-        while state.finalized < target {
-            let acc = state.ring.pop_front().unwrap_or_default();
-            state.covering += acc.full_diff;
-            debug_assert!(state.covering >= 0, "negative covering prefix");
-            let overlap_us = acc.overlap_us + state.covering as u64 * ilen_us;
-            // The only f64 productions — bit-identical to the batch
-            // `load_values` / `unit_values` / `unit_rate`.
-            let load = overlap_us as f64 / ilen_us as f64;
-            let units = acc.service_us as f64 / state.wu_us as f64;
-            let rate = units / interval_secs;
-            let index = state.finalized;
-            state.finalized += 1;
+        while state.ring.base() < target {
+            let index = state.ring.base();
+            let (overlap_us, _count, service_us) = state.ring.pop();
+            let (load, _units, rate) =
+                materialize(overlap_us, service_us, cfg.interval, state.wu_us);
             state.last_load = load;
             state.last_rate = rate;
             if cfg.retain {
@@ -666,16 +527,7 @@ impl OnlineDetector {
                 state.clear_streak = 0;
                 if !state.congested_now && state.streak >= cfg.hysteresis {
                     state.congested_now = true;
-                    events.push(Self::event(
-                        state,
-                        VerdictKind::Onset,
-                        state.streak_start,
-                        cur_us,
-                        start_us,
-                        ilen_us,
-                        load,
-                        rate,
-                    ));
+                    events.push(Self::event(state, VerdictKind::Onset, cur_us, load, rate));
                 }
             } else {
                 if state.clear_streak == 0 {
@@ -685,33 +537,26 @@ impl OnlineDetector {
                 state.streak = 0;
                 if state.congested_now && state.clear_streak >= cfg.hysteresis {
                     state.congested_now = false;
-                    events.push(Self::event(
-                        state,
-                        VerdictKind::Clear,
-                        state.clear_start,
-                        cur_us,
-                        start_us,
-                        ilen_us,
-                        load,
-                        rate,
-                    ));
+                    events.push(Self::event(state, VerdictKind::Clear, cur_us, load, rate));
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The verdict for the flip `kind`, dated at the first interval of the
+    /// streak that caused it.
     fn event(
         state: &ServerState,
         kind: VerdictKind,
-        interval: usize,
         cur_us: u64,
-        start_us: u64,
-        ilen_us: u64,
         load: f64,
         rate: f64,
     ) -> MonitorEvent {
-        let end_us = start_us + (interval as u64 + 1) * ilen_us;
+        let interval = match kind {
+            VerdictKind::Onset => state.streak_start,
+            VerdictKind::Clear => state.clear_start,
+        };
+        let end_us = state.ring.end_of(interval);
         MonitorEvent {
             server: state.server,
             kind,
@@ -749,7 +594,7 @@ impl OnlineDetector {
             state_bytes += s.state_bytes();
             servers.push(ServerSnapshot {
                 server: s.server,
-                finalized: s.finalized,
+                finalized: s.ring.base(),
                 congested_now: s.congested_now,
                 live_nstar: s.live_nstar.as_ref().map(|e| e.nstar),
                 open_requests: s.open,
@@ -797,30 +642,13 @@ impl OnlineDetector {
             // Requests still open at stream end never become spans; the
             // batch extractor counts them unmatched.
             state.unmatched += state.open;
-            Self::finalize_to(
-                &mut state,
-                len,
-                self.cur_us,
-                self.start_us,
-                self.ilen_us,
-                self.interval_secs,
-                &self.cfg,
-                &mut self.events,
-            );
-            state.ring.clear();
-            if self.cfg.retain {
+            Self::finalize_to(&mut state, len, self.cur_us, &self.cfg, &mut self.events);
+            let (nstar, states) = if self.cfg.retain {
+                // Intervals finalized past the grid end (the stream ran
+                // beyond `end`) are not part of the grid.
                 state.loads.truncate(len);
                 state.rates.truncate(len);
-            }
-            let (nstar, states) = if self.cfg.retain {
-                let nstar = fit_mainseq(&state.loads, &state.rates, &self.cfg.detector);
-                let states = classify_values(
-                    &state.loads,
-                    &state.rates,
-                    nstar.as_ref(),
-                    &self.cfg.detector,
-                );
-                (nstar, states)
+                detect::fit_and_classify(&state.loads, &state.rates, &self.cfg.detector)
             } else {
                 (None, Vec::new())
             };
@@ -1114,7 +942,7 @@ mod tests {
         // drains.
         online.push(&rec(2_000_000, 1, 0, MsgKind::Response, 999, 0));
         let state = online.servers.get(&1).unwrap();
-        assert!(state.finalized > 0, "watermark released finalization");
+        assert!(state.ring.base() > 0, "watermark released finalization");
         assert!(
             state.ring.len() <= 2,
             "ring drained after release: {}",

@@ -10,13 +10,15 @@
 //!
 //! # Sweep-line construction
 //!
-//! Series are built in `O(S + I)` for `S` spans over `I` intervals. Each
-//! span touches only its first and last overlapped interval directly; the
-//! interior intervals it fully covers are recorded as a `+1/-1` pair in a
-//! difference array and resolved by one prefix-sum pass at the end. The
-//! naive per-span interval walk is `O(S × I)` in the worst case — a single
-//! 3-second GC freeze holds hundreds of 10 ms intervals open, and every
-//! blocked span pays for all of them.
+//! Series are built in `O(S + I)` for `S` spans over `I` intervals by the
+//! one interval engine, `IntervalRing`: each span touches only its first
+//! and last overlapped interval directly; the interior intervals it fully
+//! covers are recorded as a `+1/-1` pair in a difference array and resolved
+//! by a running prefix sum as intervals are popped. The naive per-span
+//! interval walk is `O(S × I)` in the worst case — a single 3-second GC
+//! freeze holds hundreds of 10 ms intervals open, and every blocked span
+//! pays for all of them. The batch constructors here pop the whole grid at
+//! once; [`crate::online`] pops each interval as its watermark passes.
 //!
 //! All accumulation is in integer microseconds; a value only becomes `f64`
 //! through one final division per interval. That makes results independent
@@ -26,11 +28,11 @@
 //! are kept in [`reference`] as the executable specification; property
 //! tests assert bit-for-bit agreement.
 
+use std::collections::VecDeque;
+
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
-#[cfg(test)]
-use fgbd_trace::NodeId;
-use fgbd_trace::Span;
+use fgbd_trace::{ClassId, NodeId, Span};
 
 /// A uniform grid of analysis intervals `[start + i·len, start + (i+1)·len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,119 +97,199 @@ impl Window {
     }
 }
 
-/// Sweep-line accumulator for per-interval overlap microseconds (the load
-/// numerator): direct adds at a span's boundary intervals, a difference
-/// array for the fully covered interior.
-struct LoadAcc {
-    start_us: u64,
-    grid_end_us: u64,
-    ilen_us: u64,
-    overlap_us: Vec<u64>,
-    /// `full_diff[i] - full_diff[i-1]` spans fully covering interval `i`;
-    /// one extra slot so `last` can be decremented unconditionally.
-    full_diff: Vec<i64>,
+/// Integer accumulators of one interval.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// Overlap microseconds added directly (a span's first and last
+    /// interval).
+    overlap_us: u64,
+    /// Difference array for the fully covered interior: the prefix sum of
+    /// `full_diff` up to and including interval `i` is the number of spans
+    /// covering all of interval `i`.
+    full_diff: i64,
+    /// Completions (spans departing in this interval).
+    count: u32,
+    /// Service microseconds of those completions.
+    service_us: u64,
 }
 
-impl LoadAcc {
-    fn new(window: Window) -> LoadAcc {
-        let n = window.len();
-        LoadAcc {
-            start_us: window.start.as_micros(),
-            grid_end_us: window.grid_end().as_micros(),
-            ilen_us: window.interval.as_micros(),
-            overlap_us: vec![0u64; n],
-            full_diff: vec![0i64; n + 1],
+/// The one interval engine: per-interval overlap, completion count and
+/// service microseconds over the not-yet-popped suffix of a grid.
+///
+/// A span touches its first and last overlapped interval directly and
+/// records the interior it fully covers as a `+1/-1` pair in the
+/// difference array; [`IntervalRing::pop`] resolves the front interval by
+/// carrying the running prefix sum (`covering`). The batch constructors
+/// add every span and then pop the whole grid; the online detector pops
+/// each interval as its watermark passes and keeps only the in-flight
+/// horizon.
+///
+/// `end_us` is the grid end when it is known — spans are clamped to it and
+/// every cell is allocated up front — and `u64::MAX` while it is not: then
+/// nothing is clamped, cells appear on demand, and the caller stops
+/// popping at the grid length once the end is known. For every interval
+/// inside the grid both give the same integers (the boundary interval of a
+/// span leaving the grid gets its full coverage through the difference
+/// array instead of a direct add).
+#[derive(Debug)]
+pub(crate) struct IntervalRing {
+    start_us: u64,
+    ilen_us: u64,
+    end_us: u64,
+    /// Grid index of `cells[0]`: the number of intervals popped so far.
+    base: usize,
+    cells: VecDeque<Cell>,
+    /// Spans fully covering interval `base - 1` (prefix sum of the popped
+    /// `full_diff`s).
+    covering: i64,
+}
+
+impl IntervalRing {
+    /// A ring over all of `window`: the grid end is known.
+    fn bounded(window: Window) -> IntervalRing {
+        IntervalRing {
+            end_us: window.grid_end().as_micros(),
+            cells: vec![Cell::default(); window.len()].into(),
+            ..IntervalRing::open_ended(window.start, window.interval)
         }
+    }
+
+    /// A ring over a grid starting at `start` whose end is not known yet.
+    pub(crate) fn open_ended(start: SimTime, interval: SimDuration) -> IntervalRing {
+        assert!(!interval.is_zero(), "interval must be positive");
+        IntervalRing {
+            start_us: start.as_micros(),
+            ilen_us: interval.as_micros(),
+            end_us: u64::MAX,
+            base: 0,
+            cells: VecDeque::new(),
+            covering: 0,
+        }
+    }
+
+    /// Intervals popped so far (the grid index of the front cell).
+    pub(crate) fn base(&self) -> usize {
+        self.base
+    }
+
+    /// The interval containing `t_us` (0 for anything before the grid).
+    pub(crate) fn index_of(&self, t_us: u64) -> usize {
+        (t_us.saturating_sub(self.start_us) / self.ilen_us) as usize
+    }
+
+    /// End timestamp of interval `index`, in microseconds.
+    pub(crate) fn end_of(&self, index: usize) -> u64 {
+        self.start_us + (index as u64 + 1) * self.ilen_us
+    }
+
+    /// Cells currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Bytes of cell storage currently held.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<Cell>()
     }
 
     #[inline]
-    fn add(&mut self, span: &Span) {
-        let a = span.arrival.as_micros().max(self.start_us);
-        let d = span.departure.as_micros().min(self.grid_end_us);
-        if d <= a {
-            return;
+    fn cell(&mut self, index: usize) -> &mut Cell {
+        debug_assert!(index >= self.base, "span touches a popped interval");
+        let slot = index - self.base;
+        if slot >= self.cells.len() {
+            self.cells.resize(slot + 1, Cell::default());
         }
-        let rel_a = a - self.start_us;
-        let rel_d = d - self.start_us;
-        let first = (rel_a / self.ilen_us) as usize;
-        let last = ((rel_d - 1) / self.ilen_us) as usize;
-        if first == last {
-            self.overlap_us[first] += rel_d - rel_a;
-        } else {
-            self.overlap_us[first] += (first as u64 + 1) * self.ilen_us - rel_a;
-            self.overlap_us[last] += rel_d - last as u64 * self.ilen_us;
-            self.full_diff[first + 1] += 1;
-            self.full_diff[last] -= 1;
+        &mut self.cells[slot]
+    }
+
+    /// Folds in one span resident over `[arrival_us, departure_us)`: its
+    /// overlap with every interval it touches (the load numerator), and —
+    /// if it departs inside the grid — one completion carrying
+    /// `service_us()` in its departure interval (the normalized-throughput
+    /// numerator). This is the one place a span becomes integer
+    /// microseconds.
+    #[inline]
+    pub(crate) fn add(
+        &mut self,
+        arrival_us: u64,
+        departure_us: u64,
+        service_us: impl FnOnce() -> u64,
+    ) {
+        let (start_us, ilen_us) = (self.start_us, self.ilen_us);
+        let a = arrival_us.max(start_us);
+        let d = departure_us.min(self.end_us);
+        if d > a {
+            let rel_a = a - start_us;
+            let rel_d = d - start_us;
+            let first = (rel_a / ilen_us) as usize;
+            let last = ((rel_d - 1) / ilen_us) as usize;
+            if first == last {
+                self.cell(first).overlap_us += rel_d - rel_a;
+            } else {
+                // `last` first, so the ring grows at most once per span.
+                let tail = self.cell(last);
+                tail.overlap_us += rel_d - last as u64 * ilen_us;
+                tail.full_diff -= 1;
+                self.cell(first).overlap_us += (first as u64 + 1) * ilen_us - rel_a;
+                self.cell(first + 1).full_diff += 1;
+            }
+        }
+        if departure_us >= start_us && departure_us < self.end_us {
+            let cell = self.cell(((departure_us - start_us) / ilen_us) as usize);
+            cell.count += 1;
+            cell.service_us += service_us();
         }
     }
 
-    fn finish(mut self) -> Vec<u64> {
-        let mut covering = 0i64;
-        for (i, v) in self.overlap_us.iter_mut().enumerate() {
-            covering += self.full_diff[i];
-            *v += covering as u64 * self.ilen_us;
-        }
-        self.overlap_us
+    /// Resolves and removes the front interval:
+    /// `(overlap_us, count, service_us)`. Popping past the last touched
+    /// cell yields what the spans still covering that interval contribute.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> (u64, u32, u64) {
+        let cell = self.cells.pop_front().unwrap_or_default();
+        self.base += 1;
+        self.covering += cell.full_diff;
+        debug_assert!(self.covering >= 0, "negative covering prefix");
+        (
+            cell.overlap_us + self.covering as u64 * self.ilen_us,
+            cell.count,
+            cell.service_us,
+        )
     }
 }
 
-/// Accumulator for per-interval completion counts and service microseconds
-/// (the normalized-throughput numerator), indexed by departure interval.
-struct TputAcc {
-    start_us: u64,
-    grid_end_us: u64,
-    ilen_us: u64,
+/// What a completed request adds to its departure interval: its class's
+/// calibrated service time, or — for a class calibration never saw — its
+/// own residence capped at one work unit (see
+/// [`ThroughputSeries::from_spans`]).
+#[inline]
+pub(crate) fn service_us(
+    services: &ServiceTimeTable,
+    server: NodeId,
+    class: ClassId,
+    residence_us: u64,
     wu_us: u64,
-    counts: Vec<u32>,
-    service_us: Vec<u64>,
+) -> u64 {
+    services
+        .get(server, class)
+        .map_or_else(|| residence_us.min(wu_us), |s| s.as_micros())
 }
 
-impl TputAcc {
-    fn new(window: Window, work_unit: SimDuration) -> TputAcc {
-        assert!(!work_unit.is_zero(), "work unit must be positive");
-        let n = window.len();
-        TputAcc {
-            start_us: window.start.as_micros(),
-            grid_end_us: window.grid_end().as_micros(),
-            ilen_us: window.interval.as_micros(),
-            wu_us: work_unit.as_micros(),
-            counts: vec![0u32; n],
-            service_us: vec![0u64; n],
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, span: &Span, services: &ServiceTimeTable) {
-        let dep = span.departure.as_micros();
-        if dep < self.start_us || dep >= self.grid_end_us {
-            return;
-        }
-        let i = ((dep - self.start_us) / self.ilen_us) as usize;
-        self.counts[i] += 1;
-        let service_us = services
-            .get(span.server, span.class)
-            .map(|s| s.as_micros())
-            .unwrap_or_else(|| span.residence().as_micros().min(self.wu_us));
-        self.service_us[i] += service_us;
-    }
-}
-
-/// Materializes integer overlap sums into per-interval loads with one
-/// division each — the only place an `f64` is produced.
-fn load_values(overlap_us: &[u64], ilen_us: u64) -> Vec<f64> {
-    overlap_us
-        .iter()
-        .map(|&us| us as f64 / ilen_us as f64)
-        .collect()
-}
-
-/// Materializes integer service-time sums into work units, one division per
-/// interval.
-fn unit_values(service_us: &[u64], wu_us: u64) -> Vec<f64> {
-    service_us
-        .iter()
-        .map(|&us| us as f64 / wu_us as f64)
-        .collect()
+/// One interval's integer sums as the paper's quantities
+/// `(load, units, rate)`: time-weighted concurrency (§III-A), work units
+/// completed, and work units per second (§III-B). The only place an
+/// integer becomes an `f64`, with one division each — so batch and online
+/// results agree bit for bit.
+#[inline]
+pub(crate) fn materialize(
+    overlap_us: u64,
+    service_us: u64,
+    interval: SimDuration,
+    wu_us: u64,
+) -> (f64, f64, f64) {
+    let load = overlap_us as f64 / interval.as_micros() as f64;
+    let units = service_us as f64 / wu_us as f64;
+    (load, units, units / interval.as_secs_f64())
 }
 
 /// Time-weighted concurrent-request counts per interval.
@@ -222,15 +304,9 @@ impl LoadSeries {
     /// (paper Fig 6: the average of the concurrency step function over each
     /// interval) in `O(spans + intervals)`.
     pub fn from_spans(spans: &[Span], window: Window) -> LoadSeries {
-        let mut acc = LoadAcc::new(window);
-        for s in spans {
-            acc.add(s);
-        }
-        let ilen_us = window.interval.as_micros();
-        LoadSeries {
-            window,
-            values: load_values(&acc.finish(), ilen_us),
-        }
+        // The load needs no service times; the work unit is a placeholder
+        // that `load()` never reads.
+        SeriesSet::sweep(spans, window, None, SimDuration::from_micros(1)).load()
     }
 
     /// The grid this series lives on.
@@ -292,16 +368,7 @@ impl ThroughputSeries {
         services: &ServiceTimeTable,
         work_unit: SimDuration,
     ) -> ThroughputSeries {
-        let mut acc = TputAcc::new(window, work_unit);
-        for s in spans {
-            acc.add(s, services);
-        }
-        ThroughputSeries {
-            window,
-            units: unit_values(&acc.service_us, acc.wu_us),
-            counts: acc.counts,
-            work_unit_s: work_unit.as_secs_f64(),
-        }
+        SeriesSet::sweep(spans, window, Some(services), work_unit).tput()
     }
 
     /// The grid this series lives on.
@@ -348,16 +415,6 @@ impl ThroughputSeries {
         (0..self.units.len()).map(|i| self.unit_rate(i)).collect()
     }
 
-    /// All straightforward per-second rates.
-    pub fn count_rates(&self) -> Vec<f64> {
-        (0..self.counts.len()).map(|i| self.count_rate(i)).collect()
-    }
-
-    /// The work unit used, in seconds.
-    pub fn work_unit_s(&self) -> f64 {
-        self.work_unit_s
-    }
-
     /// Number of intervals.
     pub fn len(&self) -> usize {
         self.counts.len()
@@ -402,21 +459,45 @@ impl SeriesSet {
         work_unit: SimDuration,
     ) -> SeriesSet {
         fgbd_obsv::span!("series");
-        let mut load = LoadAcc::new(window);
-        let mut tput = TputAcc::new(window, work_unit);
-        for s in spans {
-            load.add(s);
-            tput.add(s, services);
-        }
         fgbd_obsv::counter!("series.spans", spans.len() as u64);
         fgbd_obsv::counter!("series.intervals", window.len() as u64);
-        SeriesSet {
-            window,
-            overlap_us: load.finish(),
-            counts: tput.counts,
-            service_us: tput.service_us,
-            work_unit,
+        SeriesSet::sweep(spans, window, Some(services), work_unit)
+    }
+
+    /// Adds every span to a ring over all of `window`, then pops the whole
+    /// grid. Without `services` (load only) completions carry no service
+    /// time.
+    fn sweep(
+        spans: &[Span],
+        window: Window,
+        services: Option<&ServiceTimeTable>,
+        work_unit: SimDuration,
+    ) -> SeriesSet {
+        assert!(!work_unit.is_zero(), "work unit must be positive");
+        let wu_us = work_unit.as_micros();
+        let mut ring = IntervalRing::bounded(window);
+        for s in spans {
+            ring.add(s.arrival.as_micros(), s.departure.as_micros(), || {
+                services.map_or(0, |t| {
+                    service_us(t, s.server, s.class, s.residence().as_micros(), wu_us)
+                })
+            });
         }
+        let n = window.len();
+        let mut set = SeriesSet {
+            window,
+            overlap_us: Vec::with_capacity(n),
+            counts: Vec::with_capacity(n),
+            service_us: Vec::with_capacity(n),
+            work_unit,
+        };
+        for _ in 0..n {
+            let (overlap_us, count, service_us) = ring.pop();
+            set.overlap_us.push(overlap_us);
+            set.counts.push(count);
+            set.service_us.push(service_us);
+        }
+        set
     }
 
     /// The grid this set lives on.
@@ -424,11 +505,20 @@ impl SeriesSet {
         self.window
     }
 
+    /// `(load, units, rate)` of every interval.
+    fn samples(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
+        let (interval, wu_us) = (self.window.interval, self.work_unit.as_micros());
+        self.overlap_us
+            .iter()
+            .zip(&self.service_us)
+            .map(move |(&o, &s)| materialize(o, s, interval, wu_us))
+    }
+
     /// Materializes the load series.
     pub fn load(&self) -> LoadSeries {
         LoadSeries {
             window: self.window,
-            values: load_values(&self.overlap_us, self.window.interval.as_micros()),
+            values: self.samples().map(|(load, _, _)| load).collect(),
         }
     }
 
@@ -437,7 +527,7 @@ impl SeriesSet {
         ThroughputSeries {
             window: self.window,
             counts: self.counts.clone(),
-            units: unit_values(&self.service_us, self.work_unit.as_micros()),
+            units: self.samples().map(|(_, units, _)| units).collect(),
             work_unit_s: self.work_unit.as_secs_f64(),
         }
     }
@@ -515,10 +605,14 @@ pub mod reference {
                 }
             }
         }
-        LoadSeries {
+        SeriesSet {
             window,
-            values: load_values(&overlap_us, ilen_us),
+            overlap_us,
+            counts: vec![0; n],
+            service_us: vec![0; n],
+            work_unit: SimDuration::from_micros(1),
         }
+        .load()
     }
 
     /// Naive per-span construction of [`ThroughputSeries`].
@@ -548,12 +642,14 @@ pub mod reference {
                 .map(|d| d.as_micros())
                 .unwrap_or_else(|| s.residence().as_micros().min(wu_us));
         }
-        ThroughputSeries {
+        SeriesSet {
             window,
+            overlap_us: vec![0; n],
             counts,
-            units: unit_values(&service_us, wu_us),
-            work_unit_s: work_unit.as_secs_f64(),
+            service_us,
+            work_unit,
         }
+        .tput()
     }
 }
 
@@ -679,6 +775,79 @@ mod tests {
         for i in 0..fast.len() {
             assert_eq!(fast.get(i).to_bits(), slow.get(i).to_bits(), "interval {i}");
         }
+    }
+
+    /// Pops `n` intervals.
+    fn pop_n(ring: &mut IntervalRing, n: usize) -> Vec<(u64, u32, u64)> {
+        (0..n).map(|_| ring.pop()).collect()
+    }
+
+    #[test]
+    fn ring_clamp_at_a_known_end_matches_the_reference_and_the_open_ended_prefix() {
+        // 230 ms window, 50 ms cells: grid end at 200 ms. Spans leaving the
+        // grid, one ending exactly on it, one entirely past it.
+        let w = win(230, 50);
+        let spans = vec![
+            span(120_000, 420_000, 0),
+            span(30_000, 200_000, 0),
+            span(10_000, 199_999, 0),
+            span(199_999, 200_001, 0),
+            span(205_000, 900_000, 0),
+        ];
+        let mut bounded = IntervalRing::bounded(w);
+        let mut open = IntervalRing::open_ended(w.start, w.interval);
+        for s in &spans {
+            bounded.add(s.arrival.as_micros(), s.departure.as_micros(), || 7);
+            open.add(s.arrival.as_micros(), s.departure.as_micros(), || 7);
+        }
+        assert_eq!(bounded.len(), w.len(), "a bounded ring never grows");
+        let cells = pop_n(&mut bounded, w.len());
+        assert_eq!(cells, pop_n(&mut open, w.len()));
+        let slow = reference::load_series(&spans, w);
+        for (i, &(overlap_us, _, _)) in cells.iter().enumerate() {
+            let (load, _, _) = materialize(overlap_us, 0, w.interval, 1);
+            assert_eq!(load.to_bits(), slow.get(i).to_bits(), "interval {i}");
+        }
+        // Only the span departing before the grid end completes in it.
+        assert_eq!(cells.iter().map(|c| c.1).sum::<u32>(), 1);
+        assert_eq!(cells[3], (50_000 + 50_000 + 49_999 + 1, 1, 7));
+    }
+
+    #[test]
+    fn ring_pops_past_its_cells_and_adds_relative_to_the_new_base() {
+        let mut ring = IntervalRing::open_ended(SimTime::ZERO, SimDuration::from_millis(50));
+        // Nothing added yet: an empty interval, and the grid still advances.
+        assert_eq!(ring.pop(), (0, 0, 0));
+        assert_eq!((ring.base(), ring.len()), (1, 0));
+        // Covers all of intervals 2 and 3 through the difference array.
+        ring.add(60_000, 210_000, || 9);
+        assert_eq!(ring.len(), 4, "cells for intervals 1..=4");
+        assert_eq!(
+            pop_n(&mut ring, 4),
+            [
+                (40_000, 0, 0),
+                (50_000, 0, 0),
+                (50_000, 0, 0),
+                (10_000, 1, 9)
+            ]
+        );
+        // The covering prefix is back to zero once the span's last cell is
+        // popped, so popping the now-empty ring yields an empty interval.
+        assert_eq!(ring.pop(), (0, 0, 0));
+        assert_eq!((ring.base(), ring.len()), (6, 0));
+        ring.add(300_000, 310_000, || 3);
+        assert_eq!(ring.pop(), (10_000, 1, 3));
+    }
+
+    #[test]
+    fn ring_clamps_an_arrival_before_the_grid_start() {
+        let start = SimTime::from_millis(100);
+        let mut ring = IntervalRing::open_ended(start, SimDuration::from_millis(50));
+        ring.add(0, 130_000, || 5); // resident 30 ms inside the grid
+        ring.add(0, 99_999, || 5); // gone before the grid starts
+        ring.add(40_000, 100_000, || 5); // departs on the start: completes in cell 0
+        assert_eq!(ring.pop(), (30_000, 2, 10));
+        assert_eq!(ring.len(), 0);
     }
 
     /// The paper's Fig 7 example: Req1 (30 ms service) = 3 work units,

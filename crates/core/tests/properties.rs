@@ -1,6 +1,6 @@
 //! Property-based tests of the analysis invariants.
 
-use fgbd_core::detect::{classify, DetectorConfig};
+use fgbd_core::detect::{classify_values, DetectorConfig};
 use fgbd_core::nstar::{self, NStarConfig};
 use fgbd_core::plateau::{find_plateaus, PlateauConfig};
 use fgbd_core::series::{reference, LoadSeries, SeriesSet, ThroughputSeries, Window};
@@ -163,7 +163,7 @@ proptest! {
             &spans, w, &services(), SimDuration::from_millis(10));
         let rates = tput.unit_rates();
         let est = nstar::estimate(load.values(), &rates, &cfg.nstar);
-        let states = classify(&load, &rates, est.as_ref(), &cfg);
+        let states = classify_values(load.values(), &rates, est.as_ref(), &cfg);
         prop_assert_eq!(states.len(), load.len());
         if let Some(est) = est {
             for (i, s) in states.iter().enumerate() {

@@ -13,9 +13,6 @@
 //!   baseline view.
 //! * [`histogram`] — bucketed histograms (linear, logarithmic, and the
 //!   paper's Fig 2(c) edges) for long-tail response-time distributions.
-//! * [`sla`] — bounded-response-time SLA accounting and the paper's cited
-//!   "100 ms costs 1% of sales" revenue heuristic (§II-B).
-//! * [`timeseries`] — smoothing / downsampling / rate-derivation helpers.
 //!
 //! # Examples
 //!
@@ -34,9 +31,6 @@
 
 pub mod histogram;
 pub mod sampler;
-pub mod sla;
-pub mod timeseries;
 
 pub use histogram::Histogram;
 pub use sampler::{sampling_overhead_frac, UtilSample, UtilizationSeries};
-pub use sla::{revenue_loss_fraction, SlaOutcome, SlaPolicy};

@@ -1,7 +1,7 @@
 //! Property-based tests for the monitoring baseline.
 
 use fgbd_des::{SimDuration, SimTime};
-use fgbd_metrics::{sampling_overhead_frac, Histogram, SlaPolicy, UtilizationSeries};
+use fgbd_metrics::{sampling_overhead_frac, Histogram, UtilizationSeries};
 use proptest::prelude::*;
 
 proptest! {
@@ -66,24 +66,5 @@ proptest! {
         let os = sampling_overhead_frac(SimDuration::from_millis(slow));
         prop_assert!(of >= os - 1e-12);
         prop_assert!((0.0..=1.0).contains(&of));
-    }
-
-    /// SLA evaluation: violations + within == total, and the outcome flag
-    /// agrees with the achieved fraction.
-    #[test]
-    fn sla_accounting_is_consistent(
-        rts in prop::collection::vec(0.0f64..10.0, 0..200),
-        threshold in 0.1f64..5.0,
-        target in 0.01f64..1.0,
-    ) {
-        let policy = SlaPolicy { threshold_s: threshold, target_fraction: target };
-        let out = policy.evaluate(&rts);
-        prop_assert_eq!(out.total, rts.len());
-        prop_assert!(out.violations <= out.total);
-        let within = out.total - out.violations;
-        if out.total > 0 {
-            prop_assert!((out.achieved_fraction - within as f64 / out.total as f64).abs() < 1e-12);
-        }
-        prop_assert_eq!(out.violated, out.achieved_fraction < target);
     }
 }

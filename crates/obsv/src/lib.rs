@@ -89,18 +89,12 @@ pub fn set_quiet(on: bool) {
     QUIET.store(on, Ordering::Relaxed);
 }
 
-/// Applies the `FGBD_OBSV` (`0`/`false`/`off` → [`set_enabled`]`(false)`)
-/// and `FGBD_QUIET` (`1`/`true`/`on` → [`set_quiet`]`(true)`) environment
-/// variables. Call once at process start.
+/// Applies the `FGBD_OBSV` environment variable (`0`/`false`/`off` →
+/// [`set_enabled`]`(false)`). Call once at process start.
 pub fn init_from_env() {
     if let Ok(v) = std::env::var("FGBD_OBSV") {
         if matches!(v.as_str(), "0" | "false" | "off") {
             set_enabled(false);
-        }
-    }
-    if let Ok(v) = std::env::var("FGBD_QUIET") {
-        if matches!(v.as_str(), "1" | "true" | "on") {
-            set_quiet(true);
         }
     }
 }

@@ -226,7 +226,7 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
 
     let mcfg = MonitorConfig {
         interval,
-        ..MonitorConfig::from_env()
+        ..MonitorConfig::default()
     };
     let uncalibrated = Calibration::default();
     let mut mon = MonitorRuntime::new(

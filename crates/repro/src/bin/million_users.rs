@@ -4,7 +4,7 @@
 //! the three memory claims of the scale work at once: the SoA user table
 //! costs a flat 20 bytes per user, the record tap plus chunked writer keep
 //! the capture out of memory while writing (at most one encode buffer of
-//! `FGBD_CAPTURE_CHUNK` records is ever resident), and the mmap-backed
+//! `DEFAULT_CHUNK_RECORDS` records is ever resident), and the mmap-backed
 //! chunk cursor keeps it out of memory while *reading* (one decoded chunk
 //! resident, consumed pages released behind the scan).
 //!

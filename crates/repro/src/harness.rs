@@ -10,9 +10,8 @@
 //! [`crate::report`] while the scope was open are listed in the manifest.
 //!
 //! Standard flags every wrapped binary understands (see
-//! [`parse_std_flags`]): `--quiet` mutes the `[fgbd:…]` log sink, and the
-//! `FGBD_QUIET` / `FGBD_OBSV` environment variables do the same without
-//! touching argv.
+//! [`parse_std_flags`]): `--quiet` mutes the `[fgbd:…]` log sink, and
+//! `FGBD_OBSV=0` turns telemetry collection off.
 
 use std::path::PathBuf;
 

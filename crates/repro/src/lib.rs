@@ -16,7 +16,7 @@
 //! * [`experiments`] — one module per paper artifact; `experiments::run_all`
 //!   regenerates everything.
 //! * [`harness`] — run-manifest scopes and the standard telemetry flags
-//!   (`--quiet`, `FGBD_OBSV`, `FGBD_QUIET`) shared by every binary; each
+//!   (`--quiet`, `FGBD_OBSV`) shared by every binary; each
 //!   run writes a `fgbd.run-manifest/v1` document under `out/manifests/`.
 //! * [`plot`] / [`report`] — terminal rendering and CSV/summary output under
 //!   `target/experiments/`.
@@ -50,18 +50,3 @@ pub mod zerocopy;
 pub use pipeline::{Analysis, Calibration};
 pub use report::ExperimentSummary;
 pub use scenario::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
-
-/// Serializes unit tests that touch process-global state (environment
-/// variables, the telemetry quiet switch) — the test harness runs tests
-/// concurrently.
-#[cfg(test)]
-pub(crate) mod test_sync {
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub(crate) fn hold() -> MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}

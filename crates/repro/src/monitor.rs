@@ -15,13 +15,13 @@
 //!   histogram.
 //!
 //! The JSONL/`.prom` files are the monitor's *data product* and are written
-//! regardless of `--quiet` / `FGBD_QUIET` (quiet mutes console chatter,
-//! never telemetry artifacts). Heartbeats are paced by **simulated** time
+//! regardless of `--quiet` (quiet mutes console chatter, never telemetry
+//! artifacts). Heartbeats are paced by **simulated** time
 //! (one per [`MonitorConfig::heartbeat`] of stream time), so their count is
 //! deterministic for a given capture.
 //!
-//! `live_monitor` and `analyze_capture --follow` run it; see
-//! [`MonitorConfig::from_env`] for the knobs.
+//! `live_monitor` and `analyze_capture --follow` run it on
+//! [`MonitorConfig::default`] (`--follow` with the CLI's interval).
 
 use std::collections::HashMap;
 use std::io;
@@ -40,7 +40,7 @@ use fgbd_trace::{MsgRecord, NodeId, NodeMeta};
 
 use crate::pipeline::{Calibration, WORK_UNIT_RESOLUTION};
 
-/// Monitor knobs, normally read from the environment.
+/// Monitor parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// Analysis interval (the paper's fine granularity).
@@ -66,44 +66,6 @@ impl Default for MonitorConfig {
             retain: true,
         }
     }
-}
-
-impl MonitorConfig {
-    /// The defaults overridden by `FGBD_MONITOR_INTERVAL` (ms),
-    /// `FGBD_MONITOR_WINDOW` (samples), `FGBD_MONITOR_HEARTBEAT` (ms),
-    /// `FGBD_MONITOR_HYSTERESIS` and `FGBD_MONITOR_RETAIN`
-    /// (`0`/`false`/`off` to disable).
-    pub fn from_env() -> MonitorConfig {
-        let mut cfg = MonitorConfig::default();
-        if let Some(ms) = env_u64("FGBD_MONITOR_INTERVAL") {
-            if ms > 0 {
-                cfg.interval = SimDuration::from_millis(ms);
-            }
-        }
-        if let Some(n) = env_u64("FGBD_MONITOR_WINDOW") {
-            if n > 0 {
-                cfg.live_window = n as usize;
-            }
-        }
-        if let Some(ms) = env_u64("FGBD_MONITOR_HEARTBEAT") {
-            if ms > 0 {
-                cfg.heartbeat = SimDuration::from_millis(ms);
-            }
-        }
-        if let Some(n) = env_u64("FGBD_MONITOR_HYSTERESIS") {
-            if n > 0 {
-                cfg.hysteresis = n as usize;
-            }
-        }
-        if let Ok(v) = std::env::var("FGBD_MONITOR_RETAIN") {
-            cfg.retain = !matches!(v.as_str(), "0" | "false" | "off");
-        }
-        cfg
-    }
-}
-
-fn env_u64(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.parse().ok()
 }
 
 /// The streaming monitor: an [`OnlineDetector`] plus its telemetry sinks.
@@ -397,10 +359,10 @@ fn heartbeat_json(snap: &MonitorSnapshot, name_of: impl Fn(NodeId) -> String) ->
 }
 
 /// Renders the congested/frozen intervals of one analyzed series as JSON
-/// verdict lines — **the shared renderer** behind the CI byte-comparison:
-/// the online path calls it on an [`OnlineReport`], the batch path on a
-/// `ServerReport`, and since both carry bit-identical `f64`s the rendered
-/// lines are byte-identical ([`Json`] numbers print shortest-roundtrip).
+/// verdict lines. Every verdict file goes through it, whether the series
+/// came from an [`OnlineReport`] or a batch `ServerReport`: bit-identical
+/// `f64`s render byte-identically ([`Json`] numbers print
+/// shortest-roundtrip), which is what the identity tests compare.
 pub fn verdict_lines(
     server: &str,
     window: Window,
@@ -471,20 +433,5 @@ mod tests {
         assert!(line.contains("\"interval\":2"), "{line}");
         assert!(line.contains("\"state\":\"frozen\""), "{line}");
         assert!(line.contains("\"start_us\":100000"), "{line}");
-    }
-
-    #[test]
-    fn monitor_config_env_overrides() {
-        // Env var set/unset dance: serialize against other env-touching
-        // tests.
-        let _g = crate::test_sync::hold();
-        std::env::set_var("FGBD_MONITOR_INTERVAL", "25");
-        std::env::set_var("FGBD_MONITOR_RETAIN", "off");
-        let cfg = MonitorConfig::from_env();
-        assert_eq!(cfg.interval, SimDuration::from_millis(25));
-        assert!(!cfg.retain);
-        assert_eq!(cfg.live_window, MonitorConfig::default().live_window);
-        std::env::remove_var("FGBD_MONITOR_INTERVAL");
-        std::env::remove_var("FGBD_MONITOR_RETAIN");
     }
 }

@@ -65,7 +65,23 @@ impl Calibration {
     /// Calibrates on a whole captured log whose spans the caller already
     /// extracted, so they are not extracted a second time.
     pub fn from_log(log: &TraceLog, spans: &SpanSet) -> Calibration {
-        Calibration::tables(Calibration::services(log), spans, &log.nodes)
+        let mut cal = Calibration::with_work_units(Calibration::services(log), &log.nodes);
+        for meta in log.nodes.iter().filter(|n| n.kind == NodeKind::Server) {
+            let node = meta.id;
+            let mut total = 0.0f64;
+            let mut n = 0u64;
+            for s in spans.server(node) {
+                if let Some(svc) = cal.services.get_secs(node, s.class) {
+                    total += svc;
+                    n += 1;
+                }
+            }
+            if n > 0 {
+                cal.mean_service
+                    .insert(node, SimDuration::from_secs_f64(total / n as f64));
+            }
+        }
+        cal
     }
 
     /// Reconstruction + low-quantile service times over `log`; the
@@ -75,32 +91,18 @@ impl Calibration {
         ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE)
     }
 
-    /// The shared tail of every constructor: a work unit and a
-    /// class-frequency-weighted mean service time for each server of `nodes`.
-    fn tables(services: ServiceTimeTable, spans: &SpanSet, nodes: &[NodeMeta]) -> Calibration {
-        let mut work_units = HashMap::new();
-        let mut mean_service = HashMap::new();
-        for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
-            let node = meta.id;
-            if let Some(wu) = services.work_unit(node, WORK_UNIT_RESOLUTION) {
-                work_units.insert(node, wu);
-            }
-            let mut total = 0.0f64;
-            let mut n = 0u64;
-            for s in spans.server(node) {
-                if let Some(svc) = services.get_secs(node, s.class) {
-                    total += svc;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                mean_service.insert(node, SimDuration::from_secs_f64(total / n as f64));
-            }
-        }
+    /// The shared tail of every constructor: a work unit for each server of
+    /// `nodes`, no mean service times.
+    fn with_work_units(services: ServiceTimeTable, nodes: &[NodeMeta]) -> Calibration {
+        let work_units = nodes
+            .iter()
+            .filter(|n| n.kind == NodeKind::Server)
+            .filter_map(|n| Some((n.id, services.work_unit(n.id, WORK_UNIT_RESOLUTION)?)))
+            .collect();
         Calibration {
             services,
             work_units,
-            mean_service,
+            mean_service: HashMap::new(),
         }
     }
 
@@ -111,18 +113,18 @@ impl Calibration {
 
     /// Self-calibration from a capture prefix: reconstruction + low-quantile
     /// service-time approximation over `records` (the caller truncates to
-    /// [`calib_records_from_env`]), with work units and mean service times
-    /// for every server node of `nodes`. This is what the capture analyzer
-    /// ([`crate::zerocopy`]) calibrates on — same records in, same tables
-    /// out, however the capture reached it.
+    /// [`calib_records_from_env`]), with a work unit for every server node
+    /// of `nodes`. This is what the capture analyzer ([`crate::zerocopy`])
+    /// calibrates on — same records in, same tables out, however the
+    /// capture reached it. `mean_service` stays empty: it only scales the
+    /// figures' "equivalent requests per second" axis, the figures calibrate
+    /// through [`Calibration::from_run`], and filling it would cost a span
+    /// extraction over the prefix that no capture consumer reads.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let mut log = TraceLog::new(nodes.to_vec());
         log.records = records.to_vec();
-        // Service times first: the reconstruction is gone before the spans
-        // exist, which keeps the analyzer's peak memory down.
-        let services = Calibration::services(&log);
-        Calibration::tables(services, &SpanSet::extract(&log), nodes)
+        Calibration::with_work_units(Calibration::services(&log), nodes)
     }
 
     /// Work unit for `node`, defaulting to the resolution when the node was

@@ -38,9 +38,9 @@
 //!
 //! The footer index is what buys random access: a reader maps (or reads)
 //! the file, jumps to the last 16 bytes, finds the index, and can then
-//! decode any subset of chunks — all of them fan-out across threads
-//! ([`read_capture2_parallel`]), or only those overlapping a time window
-//! ([`read_capture2_range`]). Chunks validate independently (checksum +
+//! decode the chunks in any order — fanned out across threads
+//! ([`read_capture2_parallel`]) or lazily, one at a time
+//! ([`ChunkCursor`]). Chunks validate independently (checksum +
 //! internal ordering), so corruption is reported per chunk
 //! ([`CaptureError::Chunk`]) instead of as a file-sized shrug.
 //!
@@ -95,17 +95,6 @@ pub fn threads_from_env() -> usize {
                 .unwrap_or(1)
                 .min(4)
         })
-}
-
-/// Records per chunk selected by `FGBD_CAPTURE_CHUNK` (writer-side only;
-/// readers take whatever the file says). Defaults to
-/// [`DEFAULT_CHUNK_RECORDS`].
-pub fn chunk_from_env() -> usize {
-    std::env::var("FGBD_CAPTURE_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_CHUNK_RECORDS)
 }
 
 // --- primitive encodings ---------------------------------------------------
@@ -681,13 +670,13 @@ pub struct ChunkedWriter<W: Write> {
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Starts a capture with the default chunk size (or `FGBD_CAPTURE_CHUNK`).
+    /// Starts a capture with [`DEFAULT_CHUNK_RECORDS`] records per chunk.
     ///
     /// # Errors
     ///
     /// Returns [`CaptureError::Io`] on underlying write failures.
     pub fn new(w: W, nodes: &[NodeMeta]) -> Result<Self, CaptureError> {
-        Self::with_chunk_records(w, nodes, chunk_from_env())
+        Self::with_chunk_records(w, nodes, DEFAULT_CHUNK_RECORDS)
     }
 
     /// Starts a capture with an explicit records-per-chunk bound.
@@ -1109,39 +1098,6 @@ pub fn read_capture2_parallel(bytes: &[u8], threads: usize) -> Result<TraceLog, 
     Ok(log)
 }
 
-/// Reads only the records with `from <= at <= to` (inclusive bounds, in
-/// microsecond capture time) from an in-memory `FGBDCAP2` capture. Chunks
-/// wholly outside the window are never touched — the point of the per-chunk
-/// `[min_at, max_at]` index — and surviving chunks decode across `threads`.
-///
-/// # Errors
-///
-/// Same as [`read_capture2_parallel`]; damage confined to pruned chunks is
-/// *not* reported, by design.
-pub fn read_capture2_range(
-    bytes: &[u8],
-    threads: usize,
-    from: SimTime,
-    to: SimTime,
-) -> Result<TraceLog, CaptureError> {
-    let idx = parse_index(bytes)?;
-    let (lo, hi) = (from.as_micros(), to.as_micros());
-    let selected: Vec<(u32, ChunkInfo)> = idx
-        .chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.max_at >= lo && c.min_at <= hi)
-        .map(|(i, &c)| (i as u32, c))
-        .collect();
-    let mut log = TraceLog::new(idx.nodes);
-    decode_chunks_parallel(bytes, &selected, threads, &mut log.records)?;
-    log.records.retain(|r| {
-        let at = r.at.as_micros();
-        at >= lo && at <= hi
-    });
-    Ok(log)
-}
-
 // --- lazy chunk cursor -------------------------------------------------------
 
 /// Lazy, zero-copy cursor over an in-memory `FGBDCAP2` capture.
@@ -1152,21 +1108,9 @@ pub fn read_capture2_range(
 /// peak memory is one chunk (times the decode-ahead depth under
 /// [`with_threads`](Self::with_threads)) regardless of capture size.
 ///
-/// Three forms of work avoidance compose:
-///
-/// - **Column projection** ([`with_projection`](Self::with_projection)):
-///   skipped columns are walked but never materialized; the per-chunk
-///   checksum still covers them, so corruption attribution is unaffected.
-/// - **Time-range pushdown** ([`with_time_range`](Self::with_time_range)):
-///   chunks wholly outside the window are pruned from the footer index
-///   `{min_at, max_at}` entries before any payload byte is touched.
-///   Pruning is chunk-granular: surviving chunks may carry records
-///   outside the window — filter per record if exact bounds matter.
-/// - **Server pushdown** ([`with_server`](Self::with_server)): chunks
-///   whose `src` *and* `dst` dictionaries provably exclude a node are
-///   skipped after a header-only probe (timestamp walk + dictionary
-///   scan, no column materialization). The probe is conservative: plain
-///   encodings, damaged chunks, and dictionary hits all keep the chunk.
+/// Under a column projection ([`with_projection`](Self::with_projection))
+/// skipped columns are walked but never materialized; the per-chunk
+/// checksum still covers them, so corruption attribution is unaffected.
 ///
 /// Decode order is always chunk order — with `threads > 1` a work-stealing
 /// batch decodes ahead and results are re-queued by slot, so output is
@@ -1186,9 +1130,9 @@ pub struct ChunkCursor<'a> {
 
 impl<'a> ChunkCursor<'a> {
     /// Opens a cursor over `bytes`, parsing the node table and footer
-    /// index (the only eager work). All chunks are selected, the
-    /// projection is [`Projection::ALL`], and decode is sequential until
-    /// the builders say otherwise.
+    /// index (the only eager work). The projection is
+    /// [`Projection::ALL`] and decode is sequential until the builders say
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -1222,27 +1166,6 @@ impl<'a> ChunkCursor<'a> {
         self
     }
 
-    /// Prunes chunks with no overlap with `from..=to` (inclusive bounds in
-    /// microsecond capture time) from the walk, using only the footer
-    /// index. Surviving chunks decode whole — records are *not* filtered.
-    pub fn with_time_range(mut self, from: SimTime, to: SimTime) -> Self {
-        let (lo, hi) = (from.as_micros(), to.as_micros());
-        self.selected
-            .retain(|(_, c)| c.max_at >= lo && c.min_at <= hi);
-        self
-    }
-
-    /// Prunes chunks that provably never mention `node` as source or
-    /// destination, by probing the `src`/`dst` dictionary headers.
-    /// Conservative: a chunk only drops when both columns are
-    /// dictionary-encoded, intact, and exclude the node.
-    pub fn with_server(mut self, node: NodeId) -> Self {
-        let bytes = self.bytes;
-        self.selected
-            .retain(|&(_, c)| chunk_may_touch(bytes, c, node.0));
-        self
-    }
-
     /// Decodes up to `threads` chunks ahead with the work-stealing
     /// fan-out; results are still yielded in chunk order. Values below 2
     /// (and any value on a <2-core host — see [`effective_decode_threads`])
@@ -1266,8 +1189,7 @@ impl<'a> ChunkCursor<'a> {
         self.threads
     }
 
-    /// Total records across the *selected* chunks (after pushdown), from
-    /// the footer index alone.
+    /// Total records in the capture, from the footer index alone.
     pub fn total_records(&self) -> u64 {
         self.selected
             .iter()
@@ -1275,13 +1197,13 @@ impl<'a> ChunkCursor<'a> {
             .sum()
     }
 
-    /// Number of chunks the walk will visit (after pushdown).
+    /// Number of chunks in the capture.
     pub fn chunk_count(&self) -> usize {
         self.selected.len()
     }
 
-    /// `(first, last)` record timestamps across the selected chunks, in
-    /// microsecond capture time; `None` when nothing survived selection.
+    /// `(first, last)` record timestamps of the capture, in microsecond
+    /// capture time; `None` for an empty capture.
     pub fn time_bounds(&self) -> Option<(u64, u64)> {
         let first = self.selected.first()?.1.min_at;
         let last = self.selected.last()?.1.max_at;
@@ -1299,7 +1221,7 @@ impl<'a> ChunkCursor<'a> {
         }
     }
 
-    /// Decodes the next selected chunk into `out` (clearing it first).
+    /// Decodes the next chunk into `out` (clearing it first).
     /// Returns `Ok(false)` when the walk is complete.
     ///
     /// # Errors
@@ -1354,75 +1276,6 @@ impl std::fmt::Debug for ChunkCursor<'_> {
             .field("threads", &self.threads)
             .finish()
     }
-}
-
-/// Best-effort probe: can chunk `info` mention `node` as src or dst?
-/// `true` means "maybe" — only a chunk whose src *and* dst columns are
-/// intact dictionaries excluding `node` answers `false`. Damage is left
-/// for the real decode to attribute.
-fn chunk_may_touch(bytes: &[u8], info: ChunkInfo, node: u16) -> bool {
-    let start = info.offset as usize;
-    let Some(header) = bytes.get(start..start + CHUNK_HEADER_LEN) else {
-        return true;
-    };
-    if header[0] != TAG_CHUNK {
-        return true;
-    }
-    let record_count = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-    let byte_len = u32::from_le_bytes(header[21..25].try_into().unwrap()) as usize;
-    let Some(payload) = bytes.get(start + CHUNK_HEADER_LEN..start + CHUNK_HEADER_LEN + byte_len)
-    else {
-        return true;
-    };
-    let mut r = PayloadReader {
-        buf: payload,
-        pos: 0,
-        chunk: 0,
-    };
-    // Walk the timestamp column to reach the src column.
-    for _ in 0..record_count {
-        if r.varint().is_err() {
-            return true;
-        }
-    }
-    for _ in 0..2 {
-        match probe_dict_column(&mut r, record_count, u64::from(node)) {
-            Some(true) => return true, // dictionary mentions the node
-            Some(false) => {}          // provably absent; check next column
-            None => return true,       // unprobeable (plain/damaged)
-        }
-    }
-    false
-}
-
-/// Probes one column header: `Some(true)` when its dictionary contains
-/// `value`, `Some(false)` when it provably does not (cursor advanced past
-/// the column), `None` when the column cannot be probed.
-fn probe_dict_column(r: &mut PayloadReader<'_>, n: usize, value: u64) -> Option<bool> {
-    if r.bytes(1).ok()?[0] != COL_DICT {
-        return None;
-    }
-    let dict_len = r.varint().ok()? as usize;
-    if dict_len > DICT_MAX_ENTRIES || (dict_len == 0 && n > 0) {
-        return None;
-    }
-    let mut found = false;
-    for _ in 0..dict_len {
-        if r.varint().ok()? == value {
-            found = true;
-        }
-    }
-    if found {
-        return Some(true);
-    }
-    if n > 0 && dict_len > 0 {
-        let width = dict_width(dict_len);
-        if width > 0 {
-            r.bytes((n as u64 * u64::from(width)).div_ceil(8) as usize)
-                .ok()?;
-        }
-    }
-    Some(false)
 }
 
 // --- dual-format chunk iterator ----------------------------------------------
@@ -1741,75 +1594,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_time_range_pushdown_prunes_whole_chunks() {
-        let log = sample_log(1000); // at = 100 + i*7, chunks of 100 records
-        let bytes = encode(&log, 100);
-        let full = ChunkCursor::new(&bytes).unwrap();
-        assert_eq!(full.chunk_count(), 10);
-        let (from, to) = (
-            SimTime::from_micros(100 + 250 * 7),
-            SimTime::from_micros(100 + 450 * 7),
-        );
-        let cur = ChunkCursor::new(&bytes).unwrap().with_time_range(from, to);
-        // Records 250..=450 live in chunks 2, 3, 4.
-        assert_eq!(cur.chunk_count(), 3);
-        let recs = drain_cursor(cur);
-        assert_eq!(recs, log.records[200..500]);
-        // Chunk-granular: the survivors decode whole, superset of the window.
-        assert!(recs.first().unwrap().at < from && recs.last().unwrap().at > to);
-    }
-
-    #[test]
-    fn cursor_server_pushdown_drops_only_provably_absent_chunks() {
-        let mut all = nodes();
-        all.push(NodeMeta {
-            id: NodeId(2),
-            name: "app-1".into(),
-            kind: NodeKind::Server,
-            tier: Some(1),
-        });
-        let mut log = TraceLog::new(all);
-        for i in 0..400u64 {
-            let far = if i < 200 { NodeId(1) } else { NodeId(2) };
-            log.push(MsgRecord {
-                at: SimTime::from_micros(100 + i * 7),
-                src: if i % 2 == 0 { NodeId(0) } else { far },
-                dst: if i % 2 == 0 { far } else { NodeId(0) },
-                kind: if i % 2 == 0 {
-                    MsgKind::Request
-                } else {
-                    MsgKind::Response
-                },
-                conn: ConnId((i % 5) as u32),
-                class: ClassId((i % 3) as u16),
-                bytes: 256,
-                truth: None,
-            });
-        }
-        let bytes = encode(&log, 100);
-        // Node 2 appears only in the last two of four chunks.
-        let cur = ChunkCursor::new(&bytes).unwrap().with_server(NodeId(2));
-        assert_eq!(cur.chunk_count(), 2);
-        let recs = drain_cursor(cur);
-        assert_eq!(recs, log.records[200..]);
-        // A node in every chunk prunes nothing; an unknown node prunes all.
-        assert_eq!(
-            ChunkCursor::new(&bytes)
-                .unwrap()
-                .with_server(NodeId(0))
-                .chunk_count(),
-            4
-        );
-        assert_eq!(
-            ChunkCursor::new(&bytes)
-                .unwrap()
-                .with_server(NodeId(9))
-                .chunk_count(),
-            0
-        );
-    }
-
-    #[test]
     fn cursor_attributes_corruption_and_resumes() {
         let log = sample_log(300);
         let mut bytes = encode(&log, 100);
@@ -1879,22 +1663,6 @@ mod tests {
             }
             other => panic!("expected chunk-2 truncation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn range_read_matches_full_read_filter() {
-        let log = sample_log(500);
-        let bytes = encode(&log, 64);
-        let (from, to) = (SimTime::from_micros(800), SimTime::from_micros(2500));
-        let pruned = read_capture2_range(&bytes, 3, from, to).unwrap();
-        let oracle: Vec<MsgRecord> = log
-            .records
-            .iter()
-            .copied()
-            .filter(|r| r.at >= from && r.at <= to)
-            .collect();
-        assert!(!oracle.is_empty());
-        assert_eq!(pruned.records, oracle);
     }
 
     #[test]

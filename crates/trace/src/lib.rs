@@ -59,8 +59,7 @@ pub mod tail;
 
 pub use capture::{read_capture, read_capture_file, write_capture, CaptureError};
 pub use capture2::{
-    read_capture2_parallel, read_capture2_range, write_capture2, CaptureChunks, ChunkCursor,
-    ChunkedWriter, Projection,
+    read_capture2_parallel, write_capture2, CaptureChunks, ChunkCursor, ChunkedWriter, Projection,
 };
 pub use mmapio::Mapping;
 pub use record::{

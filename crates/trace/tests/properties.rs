@@ -2,9 +2,7 @@
 
 use fgbd_des::SimTime;
 use fgbd_trace::capture::{read_capture, write_capture, CaptureError};
-use fgbd_trace::capture2::{
-    read_capture2_parallel, read_capture2_range, ChunkCursor, ChunkedWriter,
-};
+use fgbd_trace::capture2::{read_capture2_parallel, ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
 use fgbd_trace::Projection;
@@ -440,56 +438,26 @@ proptest! {
         prop_assert!(read_capture(buf.as_slice()).is_err());
     }
 
-    /// Time-range-pruned reads equal a full read plus filter — pruning by
-    /// the chunk index never adds or drops a record at the boundaries.
-    #[test]
-    fn chunked_range_read_matches_filtered_full_read(
-        shapes in prop::collection::vec((0u8..5, 0u16..4, 0u64..400, 2u64..10), 1..15),
-        chunk in 1usize..32,
-        bounds in (0u64..3_000, 0u64..3_000),
-    ) {
-        let log = interleaved_log(&shapes, 0, 0);
-        let buf = chunked_bytes(&log, chunk);
-        let (from, to) = (
-            SimTime::from_micros(bounds.0.min(bounds.1)),
-            SimTime::from_micros(bounds.0.max(bounds.1)),
-        );
-        let pruned = read_capture2_range(&buf, 2, from, to).expect("range read");
-        let oracle: Vec<MsgRecord> = log
-            .records
-            .iter()
-            .copied()
-            .filter(|r| r.at >= from && r.at <= to)
-            .collect();
-        prop_assert_eq!(pruned.records, oracle);
-    }
-
     /// The lazy chunk cursor is a pure restriction of the full decode:
     /// under any projection, any chunk size (empty captures, single-chunk
-    /// captures, and trailing partial chunks included), and any time
-    /// range, the records it yields are a contiguous run of the fully
-    /// decoded records (with unprojected columns zeroed) that covers
-    /// every record inside the range — chunk-granular pushdown may only
-    /// widen, never narrow or reorder.
+    /// captures, and trailing partial chunks included) and any decode
+    /// width, the records it yields are the fully decoded records with
+    /// the unprojected columns zeroed.
     #[test]
     fn cursor_projected_range_decode_is_a_restriction_of_the_full_decode(
         shapes in prop::collection::vec((0u8..5, 0u16..4, 0u64..400, 2u64..10), 0..15),
         chunk in 1usize..48,
         threads in 1usize..4,
         project in prop::bool::ANY,
-        bounds in (0u64..3_000, 0u64..3_000),
     ) {
         let log = interleaved_log(&shapes, 0, 0);
         let buf = chunked_bytes(&log, chunk);
         let proj = if project { Projection::DETECT } else { Projection::ALL };
-        let (lo, hi) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
-        let (from, to) = (SimTime::from_micros(lo), SimTime::from_micros(hi));
 
         let mut cursor = ChunkCursor::new(&buf)
             .expect("open cursor")
             .with_projection(proj)
-            .with_threads(threads)
-            .with_time_range(from, to);
+            .with_threads(threads);
         let mut drained = Vec::new();
         let mut buf_chunk = Vec::new();
         while cursor.next_chunk(&mut buf_chunk).expect("decode chunk") {
@@ -505,20 +473,7 @@ proptest! {
                 ..*r
             })
             .collect();
-        // Contiguous run of the full projected decode…
-        prop_assert!(
-            drained.is_empty()
-                || projected
-                    .windows(drained.len())
-                    .any(|w| w == drained.as_slice()),
-            "cursor output is not a contiguous run of the full decode"
-        );
-        // …that misses nothing inside the requested range.
-        let inside = |r: &MsgRecord| r.at >= from && r.at <= to;
-        prop_assert_eq!(
-            drained.iter().filter(|r| inside(r)).count(),
-            projected.iter().filter(|r| inside(r)).count()
-        );
+        prop_assert_eq!(drained, projected);
     }
 
     /// Single-byte chunk-payload corruption survives the mmap path: a
