@@ -180,17 +180,6 @@ impl ServerReport {
             ),
         }
     }
-
-    /// `(load, normalized throughput rate)` samples of congested intervals —
-    /// the inputs to plateau analysis (Fig 12).
-    pub fn congested_samples(&self) -> Vec<(f64, f64)> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, IntervalState::Congested | IntervalState::Frozen))
-            .map(|(i, _)| (self.load.get(i), self.tput.unit_rate(i)))
-            .collect()
-    }
 }
 
 /// Runs the full §III pipeline for one server: load + normalized throughput
@@ -579,21 +568,5 @@ mod tests {
             &DetectorConfig::default(),
         );
         freeze_origins(&[vec![&report], vec![&other]]);
-    }
-
-    #[test]
-    fn congested_samples_expose_plateau_inputs() {
-        let report = analyze_server(
-            &workload_with_congestion(),
-            NodeId(1),
-            window(),
-            &services(),
-            SimDuration::from_millis(10),
-            &DetectorConfig::default(),
-        );
-        let samples = report.congested_samples();
-        assert_eq!(samples.len(), report.congested_intervals());
-        let est = report.nstar.as_ref().unwrap();
-        assert!(samples.iter().all(|&(ld, _)| ld > est.nstar));
     }
 }

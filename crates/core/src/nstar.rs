@@ -147,144 +147,6 @@ pub fn estimate(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Option<NStar
     None
 }
 
-/// Alternative estimator: least-squares **two-segment fit**. Fits
-/// `tp = TP_max · min(load / N*, 1)` to the binned curve by grid search
-/// over the knee position, minimizing squared error. More robust than the
-/// intervention test on smoothly concave curves, at the cost of assuming
-/// the two-segment shape; used as a cross-check and in the ablation bench.
-///
-/// Returns `None` under the same degeneracies as [`estimate`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`estimate`].
-pub fn estimate_two_segment(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Option<NStar> {
-    assert!(cfg.bins >= 2, "need at least two bins");
-    assert_eq!(loads.len(), tputs.len(), "series length mismatch");
-    let mut curve = curve_bins(loads, tputs, cfg);
-    curve.retain(|&(ld, _)| ld > 0.0);
-    if curve.len() < 3 {
-        return None;
-    }
-    let mut best: Option<(f64, usize, f64, f64)> = None; // (sse, knee, nstar, tpmax)
-                                                         // Candidate knees at each interior curve point.
-    for k in 1..curve.len() - 1 {
-        let nstar = curve[k].0;
-        // TP_max = mean of the plateau segment.
-        let plateau: Vec<f64> = curve[k..].iter().map(|&(_, tp)| tp).collect();
-        let tp_max = mean(&plateau);
-        if tp_max <= 0.0 {
-            continue;
-        }
-        let sse: f64 = curve
-            .iter()
-            .map(|&(ld, tp)| {
-                let fit = tp_max * (ld / nstar).min(1.0);
-                (tp - fit).powi(2)
-            })
-            .sum();
-        if best.is_none_or(|(b, _, _, _)| sse < b) {
-            best = Some((sse, k, nstar, tp_max));
-        }
-    }
-    let (_, knee, nstar, tp_max) = best?;
-    // Degenerate "knee at the very end" means the curve never flattened.
-    if knee + 1 >= curve.len() {
-        return None;
-    }
-    // Reject fits where the rising segment explains nothing (flat data) or
-    // the plateau is still rising strongly (never saturated).
-    let rise_slope = tp_max / nstar;
-    let tail_slope = {
-        let (l0, t0) = curve[knee];
-        let (l1, t1) = *curve.last().expect("non-empty");
-        if l1 > l0 {
-            (t1 - t0) / (l1 - l0)
-        } else {
-            0.0
-        }
-    };
-    if rise_slope <= 0.0 || tail_slope > cfg.tol_frac * rise_slope {
-        return None;
-    }
-    let slopes = slope_sequence(&curve)?;
-    Some(NStar {
-        nstar,
-        tp_max,
-        curve,
-        slopes,
-        knee_index: knee,
-    })
-}
-
-/// Alternative estimator: the paper's intervention analysis run over
-/// per-bin **median** throughput instead of means — robust to freeze
-/// outliers without pre-filtering.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`estimate`].
-pub fn estimate_median(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Option<NStar> {
-    assert!(cfg.bins >= 2, "need at least two bins");
-    assert_eq!(loads.len(), tputs.len(), "series length mismatch");
-    let mut curve = median_curve_bins(loads, tputs, cfg);
-    curve.retain(|&(ld, _)| ld > 0.0);
-    estimate_on_curve(curve, cfg)
-}
-
-/// Runs the Equation 1/2 machinery on a pre-binned curve.
-fn estimate_on_curve(curve: Vec<(f64, f64)>, cfg: &NStarConfig) -> Option<NStar> {
-    if curve.len() < 3 {
-        return None;
-    }
-    let slopes = slope_sequence(&curve)?;
-    let delta0 = slopes[0];
-    if delta0 <= 0.0 {
-        return None;
-    }
-    let tol = cfg.tol_frac * delta0;
-    let tp_bins: Vec<f64> = curve.iter().map(|&(_, tp)| tp).collect();
-    let max_tp = percentile(&tp_bins, 0.75).unwrap_or(0.0);
-    for n0 in 2..=slopes.len() {
-        let prefix = &slopes[..n0];
-        let lower = mean(prefix) - t_095((n0 - 1) as u32) * std_dev(prefix);
-        let local_flat = slopes[n0 - 1] < tol;
-        let stays_flat = mean(&slopes[n0 - 1..]) < tol;
-        if lower < tol && local_flat && stays_flat && curve[n0 - 1].1 >= 0.8 * max_tp {
-            let knee = n0 - 1;
-            let nstar = curve[knee].0;
-            let sat: Vec<f64> = curve[knee..].iter().map(|&(_, tp)| tp).collect();
-            return Some(NStar {
-                nstar,
-                tp_max: mean(&sat),
-                curve,
-                slopes,
-                knee_index: knee,
-            });
-        }
-    }
-    None
-}
-
-fn slope_sequence(curve: &[(f64, f64)]) -> Option<Vec<f64>> {
-    let mut slopes = Vec::with_capacity(curve.len());
-    for (i, &(ld, tp)) in curve.iter().enumerate() {
-        if i == 0 {
-            if ld <= 0.0 {
-                return None;
-            }
-            slopes.push(tp / ld);
-        } else {
-            let (pld, ptp) = curve[i - 1];
-            if ld <= pld {
-                return None;
-            }
-            slopes.push((tp - ptp) / (ld - pld));
-        }
-    }
-    Some(slopes)
-}
-
 /// Bootstrap uncertainty quantification for the congestion point: how much
 /// does N\* move under resampling of the interval population?
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -349,43 +211,6 @@ pub fn estimate_bootstrap(
         hi95: q(0.975),
         success_rate,
     })
-}
-
-/// Like [`curve_bins`] but with per-bin median throughput.
-pub fn median_curve_bins(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Vec<(f64, f64)> {
-    assert_eq!(loads.len(), tputs.len(), "series length mismatch");
-    let finite: Vec<usize> = (0..loads.len())
-        .filter(|&i| loads[i].is_finite() && tputs[i].is_finite())
-        .collect();
-    if finite.is_empty() {
-        return Vec::new();
-    }
-    let lmin = finite
-        .iter()
-        .map(|&i| loads[i])
-        .fold(f64::INFINITY, f64::min);
-    let lmax = finite
-        .iter()
-        .map(|&i| loads[i])
-        .fold(f64::NEG_INFINITY, f64::max);
-    if lmax <= lmin {
-        return Vec::new();
-    }
-    let width = (lmax - lmin) / cfg.bins as f64;
-    let mut bins: Vec<(f64, Vec<f64>)> = vec![(0.0, Vec::new()); cfg.bins];
-    for &i in &finite {
-        let b = (((loads[i] - lmin) / width) as usize).min(cfg.bins - 1);
-        bins[b].0 += loads[i];
-        bins[b].1.push(tputs[i]);
-    }
-    bins.into_iter()
-        .filter(|(_, tps)| tps.len() >= cfg.min_bin_samples.max(1))
-        .map(|(lsum, mut tps)| {
-            let n = tps.len();
-            tps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (lsum / n as f64, tps[n / 2])
-        })
-        .collect()
 }
 
 /// Bins `(load, throughput)` samples into `cfg.bins` even load intervals
@@ -561,59 +386,5 @@ mod tests {
         let loads: Vec<f64> = (0..500).map(|i| i as f64 / 50.0 + 0.1).collect();
         let tputs: Vec<f64> = loads.iter().map(|l| 100.0 * l).collect();
         assert!(estimate_bootstrap(&loads, &tputs, &NStarConfig::default(), 20, 7).is_none());
-    }
-
-    #[test]
-    fn two_segment_fit_agrees_on_clean_knee() {
-        let (loads, tputs) = synthetic_samples(10.0, 4_000.0, 50.0, 5_000);
-        let a = estimate(&loads, &tputs, &NStarConfig::default()).expect("paper estimator");
-        let b = estimate_two_segment(&loads, &tputs, &NStarConfig::default())
-            .expect("two-segment estimator");
-        assert!(
-            (a.nstar - b.nstar).abs() < 3.0,
-            "{} vs {}",
-            a.nstar,
-            b.nstar
-        );
-        assert!((a.tp_max - b.tp_max).abs() < 200.0);
-        // The LSQ knee is at worst one curve point off the true knee.
-        assert!(b.nstar > 8.0 && b.nstar < 13.0, "lsq nstar {}", b.nstar);
-    }
-
-    #[test]
-    fn two_segment_rejects_unsaturated_data() {
-        let loads: Vec<f64> = (0..1_000).map(|i| i as f64 / 100.0 + 0.1).collect();
-        let tputs: Vec<f64> = loads.iter().map(|l| 100.0 * l).collect();
-        assert!(estimate_two_segment(&loads, &tputs, &NStarConfig::default()).is_none());
-    }
-
-    #[test]
-    fn median_estimator_shrugs_off_freeze_outliers() {
-        let (mut loads, mut tputs) = synthetic_samples(10.0, 4_000.0, 50.0, 5_000);
-        // Inject freeze outliers: 5% of samples at high load with ~zero tput.
-        for i in 0..250 {
-            loads.push(30.0 + (i % 20) as f64);
-            tputs.push(1.0);
-        }
-        let med =
-            estimate_median(&loads, &tputs, &NStarConfig::default()).expect("median estimator");
-        assert!(
-            med.nstar > 8.0 && med.nstar < 15.0,
-            "median nstar {} dragged by outliers",
-            med.nstar
-        );
-        // The mean-based paper estimator (without the detector's outlier
-        // pre-filter) is more disturbed or fails entirely.
-        if let Some(raw) = estimate(&loads, &tputs, &NStarConfig::default()) {
-            assert!(raw.nstar >= med.nstar - 2.0);
-        }
-    }
-
-    #[test]
-    fn median_curve_is_monotone_in_load() {
-        let (loads, tputs) = synthetic_samples(12.0, 2_000.0, 40.0, 3_000);
-        let curve = median_curve_bins(&loads, &tputs, &NStarConfig::default());
-        assert!(curve.len() > 10);
-        assert!(curve.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -329,7 +329,7 @@ pub enum Ev {
 }
 
 /// The complete simulated system.
-pub struct NTierSystem {
+pub struct NTierSystem<'t> {
     cfg: SystemConfig,
     servers: Vec<Server>,
     tiers: Vec<Vec<usize>>,
@@ -347,7 +347,7 @@ pub struct NTierSystem {
     /// the hook the chunked capture writer uses to spill records to disk
     /// without materializing a log; the returned [`RunResult::log`] then
     /// stays empty.
-    record_tap: Option<Box<dyn FnMut(MsgRecord) + Send>>,
+    record_tap: Option<Box<dyn FnMut(MsgRecord) + 't>>,
     txns: Vec<TxnSample>,
     gc_events: Vec<GcEvent>,
     pstate_log: Vec<PStateSample>,
@@ -388,9 +388,9 @@ pub fn node_metas(cfg: &SystemConfig) -> Vec<NodeMeta> {
     nodes
 }
 
-impl NTierSystem {
+impl<'t> NTierSystem<'t> {
     /// Builds the system from a validated configuration.
-    pub fn new(cfg: SystemConfig) -> NTierSystem {
+    pub fn new(cfg: SystemConfig) -> NTierSystem<'t> {
         cfg.validate();
         let mut root = Dice::seed(cfg.seed);
         let workload_dice = root.fork(1);
@@ -510,10 +510,7 @@ impl NTierSystem {
     /// comes back empty). The callback runs inline on the simulation
     /// thread, in strict capture order — the hook for e.g. the chunked
     /// capture writer spilling a million-user run to disk in flat memory.
-    pub fn run_with_record_tap(
-        cfg: SystemConfig,
-        tap: impl FnMut(MsgRecord) + Send + 'static,
-    ) -> RunResult {
+    pub fn run_with_record_tap(cfg: SystemConfig, tap: impl FnMut(MsgRecord) + 't) -> RunResult {
         let horizon = SimTime::ZERO + cfg.warmup + cfg.duration;
         let mut system = NTierSystem::new(cfg);
         system.record_tap = Some(Box::new(tap));
@@ -1026,7 +1023,7 @@ impl NTierSystem {
     }
 }
 
-impl Actor for NTierSystem {
+impl Actor for NTierSystem<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {

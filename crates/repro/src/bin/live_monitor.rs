@@ -18,8 +18,6 @@
 //!   detector's over the same records; `tests/live_monitor.rs` holds that
 //!   on a real run.
 
-use std::sync::{Arc, Mutex};
-
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_obsv::json::Json;
 use fgbd_obsv::jsonl::JsonlWriter;
@@ -64,7 +62,7 @@ fn main() {
     cfg.duration = SimDuration::from_secs(seconds);
     let nodes = fgbd_ntier::system::node_metas(&cfg);
     let start = SimTime::ZERO + cfg.warmup;
-    let runtime = MonitorRuntime::new(
+    let mut runtime = MonitorRuntime::new(
         "live_monitor",
         &MonitorConfig::default(),
         start,
@@ -73,23 +71,12 @@ fn main() {
     )
     .expect("create monitor outputs under out/monitor/");
 
-    // The DES delivers records inline on the simulation thread, so the
-    // mutex is uncontended.
-    let monitor = Arc::new(Mutex::new(runtime));
-    let tap = Arc::clone(&monitor);
     let run = {
         fgbd_obsv::span!("simulate");
-        fgbd_ntier::system::NTierSystem::run_with_record_tap(cfg, move |rec| {
-            tap.lock()
-                .expect("monitor lock")
-                .push(&rec)
-                .expect("monitor telemetry write");
+        fgbd_ntier::system::NTierSystem::run_with_record_tap(cfg, |rec| {
+            runtime.push(&rec).expect("monitor telemetry write");
         })
     };
-    let runtime = Arc::try_unwrap(monitor)
-        .expect("record tap released")
-        .into_inner()
-        .expect("monitor lock");
     let reports = {
         fgbd_obsv::span!("monitor_finish");
         runtime.finish(run.horizon).expect("finish monitor")

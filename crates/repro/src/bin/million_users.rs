@@ -22,8 +22,6 @@
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fgbd_des::SimDuration;
@@ -64,14 +62,12 @@ fn main() {
     // enough to get every user scheduled and the tap warm.
     cfg.warmup = SimDuration::from_secs(1);
 
-    // The chunked format needs the node table before the first record, and
-    // the writer must outlive the tap closure so the footer can be sealed
-    // after the run — hence the shared slot the closure pushes through.
+    // The chunked format needs the node table before the first record; the
+    // tap borrows the writer, which seals the footer after the run.
     let nodes = fgbd_ntier::node_metas(&cfg);
     let file = File::create(&path).expect("create capture file");
-    let writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
-    let writer = Arc::new(Mutex::new(Some(writer)));
-    let records = Arc::new(AtomicU64::new(0));
+    let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
+    let mut records = 0u64;
 
     fgbd_obsv::log!(
         "million_users",
@@ -85,28 +81,15 @@ fn main() {
     let sim_wall = Instant::now();
     let run = {
         fgbd_obsv::span!("simulate");
-        let sink = Arc::clone(&writer);
-        let count = Arc::clone(&records);
-        NTierSystem::run_with_record_tap(cfg, move |rec| {
-            count.fetch_add(1, Ordering::Relaxed);
-            sink.lock()
-                .expect("capture writer lock")
-                .as_mut()
-                .expect("capture writer live during the run")
-                .push(rec)
-                .expect("write capture record");
+        NTierSystem::run_with_record_tap(cfg, |rec| {
+            records += 1;
+            writer.push(rec).expect("write capture record");
         })
     };
     let sim_secs = sim_wall.elapsed().as_secs_f64();
     let sim_events = des_events.get() - events_before;
-    let writer = writer
-        .lock()
-        .expect("capture writer lock")
-        .take()
-        .expect("capture writer still present");
     writer.finish().expect("finish capture");
 
-    let records = records.load(Ordering::Relaxed);
     fgbd_obsv::log!(
         "million_users",
         "  {records} records streamed, throughput {:.0} tx/s",

@@ -12,9 +12,8 @@
 //! `out/manifests/record_capture.*`.
 //!
 //! The file is written in the chunked columnar `FGBDCAP2` format
-//! (parallel-readable, time-range-pruneable, ~0.2x the flat size). Every
-//! reader still sniffs the magic, so flat `FGBDCAP1` captures recorded by
-//! older builds keep loading.
+//! (parallel-readable, ~0.2x the flat size). Every reader still sniffs the
+//! magic, so flat `FGBDCAP1` captures recorded by older builds keep loading.
 
 use std::fs::File;
 use std::io::BufWriter;

@@ -86,9 +86,9 @@ impl RunScope {
     /// failed (the run's real outputs matter more than its telemetry, so
     /// I/O problems are logged and swallowed).
     pub fn finish(mut self) -> Option<PathBuf> {
-        // Peak RSS rides along in every manifest (Linux only), so memory
-        // regressions are tracked like stage-time regressions — bench.sh
-        // folds it into BENCH_analysis.json next to the stage totals.
+        // Peak RSS rides along in every manifest (Linux only). It is the
+        // program's own reading; the benchmark of record (`benchmark/run.sh`)
+        // takes `peak_rss_mib` from the child's `ru_maxrss` instead.
         if let Some(kib) = fgbd_obsv::metrics::vm_hwm_kib() {
             self.manifest.field("vm_hwm_kib", Json::Num(kib as f64));
         }

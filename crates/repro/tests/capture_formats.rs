@@ -15,7 +15,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use std::sync::{Arc, Mutex};
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
 use fgbd_core::series::Window;
@@ -56,25 +55,12 @@ fn tapped_chunked_capture_equals_batch_log() {
     // flush path all get exercised), not just one big one.
     let nodes = fgbd_ntier::node_metas(&smoke_cfg(seed));
     let file = File::create(&path).expect("create capture file");
-    let writer = ChunkedWriter::with_chunk_records(BufWriter::new(file), &nodes, 512)
+    let mut writer = ChunkedWriter::with_chunk_records(BufWriter::new(file), &nodes, 512)
         .expect("start capture");
-    let writer = Arc::new(Mutex::new(Some(writer)));
-    let sink = Arc::clone(&writer);
-    let tapped = NTierSystem::run_with_record_tap(smoke_cfg(seed), move |rec| {
-        sink.lock()
-            .expect("writer lock")
-            .as_mut()
-            .expect("writer live during the run")
-            .push(rec)
-            .expect("write record");
+    let tapped = NTierSystem::run_with_record_tap(smoke_cfg(seed), |rec| {
+        writer.push(rec).expect("write record");
     });
-    writer
-        .lock()
-        .expect("writer lock")
-        .take()
-        .expect("writer still present")
-        .finish()
-        .expect("seal capture");
+    writer.finish().expect("seal capture");
 
     assert!(
         tapped.log.records.is_empty(),

@@ -8,7 +8,7 @@
 //! bit for bit.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
 use fgbd_core::series::Window;
@@ -121,7 +121,7 @@ fn tap_fed_monitor_final_verdicts_equal_batch() {
     let cal = Calibration::for_scenario(&GC_JDK15);
     let nodes = node_metas(&cfg);
     let mcfg = MonitorConfig::default();
-    let monitor = MonitorRuntime::new(
+    let mut monitor = MonitorRuntime::new(
         "test_tap_fed_monitor",
         &mcfg,
         SimTime::ZERO + cfg.warmup,
@@ -130,17 +130,11 @@ fn tap_fed_monitor_final_verdicts_equal_batch() {
     )
     .expect("create monitor outputs");
 
-    let tee = Arc::new(Mutex::new((monitor, TraceLog::new(nodes.clone()))));
-    let tap = Arc::clone(&tee);
-    let run = NTierSystem::run_with_record_tap(cfg, move |rec| {
-        let mut tee = tap.lock().expect("tee lock");
-        tee.0.push(&rec).expect("monitor telemetry write");
-        tee.1.push(rec);
+    let mut log = TraceLog::new(nodes.clone());
+    let run = NTierSystem::run_with_record_tap(cfg, |rec| {
+        monitor.push(&rec).expect("monitor telemetry write");
+        log.push(rec);
     });
-    let (monitor, log) = Arc::try_unwrap(tee)
-        .expect("record tap released")
-        .into_inner()
-        .expect("tee lock");
     let reports = monitor.finish(run.horizon).expect("finish monitor");
     fgbd_obsv::set_quiet(false);
 

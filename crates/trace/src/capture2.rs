@@ -643,8 +643,7 @@ fn decode_chunk_projected(
 
 // --- writer -----------------------------------------------------------------
 
-/// One footer-index entry; also the unit the range/parallel readers prune
-/// and fan out over.
+/// One footer-index entry; also the unit the parallel readers fan out over.
 #[derive(Debug, Clone, Copy)]
 struct ChunkInfo {
     offset: u64,
@@ -714,8 +713,8 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Returns [`CaptureError::Io`] on write failures and
     /// [`CaptureError::Malformed`] if `rec` precedes the previous record —
-    /// chunk pruning relies on the per-chunk `[min_at, max_at]` headers
-    /// actually bounding their records.
+    /// readers reject a chunk whose `[min_at, max_at]` header does not bound
+    /// its records or overlaps the chunk before it.
     pub fn push(&mut self, rec: MsgRecord) -> Result<(), CaptureError> {
         if rec.at < self.last_at {
             return Err(CaptureError::Malformed("records out of order"));

@@ -72,7 +72,7 @@ pub enum Heuristic {
     /// the next call. The default, and empirically the most accurate.
     LongestQuiescent,
     /// Attribute to the candidate whose last observed event is most recent.
-    /// A baseline for the ablation benchmarks.
+    /// A baseline `ntier/tests/reconstruction_quality.rs` scores against.
     MostRecent,
     /// Attribute to the oldest active request (FIFO by arrival). A naive
     /// baseline.
