@@ -36,7 +36,6 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::Path;
 
-use fgbd_core::series::Window;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_obsv::json::Json;
 use fgbd_obsv::jsonl::JsonlWriter;
@@ -174,12 +173,11 @@ fn render_report(
     );
 
     if let Some(vpath) = verdicts_path {
-        let window = Window::new(za.start, za.end, interval);
         let mut w = JsonlWriter::create(&vpath).expect("create verdicts file");
         for (name, rep) in &za.reports {
             for line in verdict_lines(
                 name,
-                window,
+                rep.window,
                 &rep.loads,
                 &rep.rates,
                 &rep.states,

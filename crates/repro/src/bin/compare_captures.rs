@@ -8,68 +8,49 @@
 //!     before.fgbdcap after.fgbdcap [--raw] [--quiet]
 //! ```
 //!
-//! Memory: the analysis path holds ONE capture's records resident at a
-//! time (reconstruction needs random access over the whole log), never
-//! both. `--raw` skips analysis entirely and streams both captures
-//! chunk-at-a-time — flat memory regardless of capture size — reporting
-//! record totals and the first diverging record, which is the cheap way to
-//! check whether two recordings are byte-equivalent re-encodings.
+//! Each capture takes the one capture route ([`fgbd_repro::zerocopy`], the
+//! engine behind `analyze_capture`): scanned once front to back, service
+//! times calibrated on its first `FGBD_CALIB_RECORDS` records, verdicts from
+//! the online detector — flat memory, one capture at a time. For a capture
+//! no longer than that prefix the table is what whole-capture calibration
+//! gives; for a longer one it agrees with `analyze_capture` on the same
+//! file. `--raw` skips analysis entirely and streams both captures
+//! chunk-at-a-time, reporting record totals and the first diverging record,
+//! which is the cheap way to check whether two recordings are
+//! byte-equivalent re-encodings.
 //!
-//! A run manifest is written to `out/manifests/compare_captures.*`.
+//! An unreadable or damaged capture is reported on stderr as
+//! `compare_captures: <path>: <error>` with exit status 1 (usage errors
+//! exit 2). A run manifest is written to `out/manifests/compare_captures.*`.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 
-use fgbd_core::detect::{analyze_server, DetectorConfig, ServerReport};
-use fgbd_core::series::Window;
+use fgbd_core::online::OnlineReport;
 use fgbd_des::SimDuration;
 use fgbd_obsv::json::Json;
-use fgbd_repro::pipeline::{Calibration, WORK_UNIT_RESOLUTION};
-use fgbd_trace::{read_capture_file, CaptureChunks, MsgRecord, NodeKind, SpanSet, TraceLog};
+use fgbd_repro::zerocopy::analyze_capture2_zero_copy;
+use fgbd_trace::capture2::threads_from_env;
+use fgbd_trace::{CaptureChunks, MsgRecord};
 
-fn load(path: &str) -> TraceLog {
-    read_capture_file(Path::new(path)).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+const INTERVAL: SimDuration = SimDuration::from_millis(50);
+
+/// Reports a capture that cannot be read and exits with status 1.
+fn fail(path: &str, err: impl Display) -> ! {
+    eprintln!("compare_captures: {path}: {err}");
+    std::process::exit(1);
 }
 
-fn reports(log: TraceLog) -> BTreeMap<String, ServerReport> {
-    let (Some(first), Some(last)) = (log.records.first(), log.records.last()) else {
-        return BTreeMap::new();
-    };
-    let (start, end) = (first.at, last.at);
-    if end <= start + SimDuration::from_millis(50) {
-        return BTreeMap::new(); // capture too short for even one interval
+fn reports(path: &str) -> BTreeMap<String, OnlineReport> {
+    let za = analyze_capture2_zero_copy(Path::new(path), INTERVAL, threads_from_env())
+        .unwrap_or_else(|e| fail(path, e));
+    if za.end <= za.start + INTERVAL {
+        return BTreeMap::new(); // empty, or too short for even one interval
     }
-    // Calibrate from the capture itself.
-    let spans = SpanSet::extract(&log);
-    let cal = {
-        fgbd_obsv::span!("calibrate");
-        Calibration::from_log(&log, &spans)
-    };
-    let window = Window::new(start, end, SimDuration::from_millis(50));
-    // Per-server analyses are independent — fan them out across cores.
-    let servers: Vec<_> = log
-        .nodes
-        .iter()
-        .filter(|n| n.kind == NodeKind::Server && !spans.server(n.id).is_empty())
-        .collect();
-    fgbd_repro::par::par_map(&servers, |n| {
-        let report = analyze_server(
-            spans.server(n.id),
-            n.id,
-            window,
-            &cal.services,
-            cal.work_units
-                .get(&n.id)
-                .copied()
-                .unwrap_or(WORK_UNIT_RESOLUTION),
-            &DetectorConfig::default(),
-        );
-        (n.name.clone(), report)
-    })
-    .into_iter()
-    .collect()
+    za.reports.into_iter().collect()
 }
 
 /// Flattens a [`CaptureChunks`] iterator into single records, holding at
@@ -82,7 +63,7 @@ struct RecordCursor<R: Read> {
 
 impl<R: Read> RecordCursor<R> {
     fn open(r: R, path: &str) -> Self {
-        let chunks = CaptureChunks::open(r).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+        let chunks = CaptureChunks::open(r).unwrap_or_else(|e| fail(path, e));
         RecordCursor {
             chunks,
             buf: Vec::new(),
@@ -96,10 +77,7 @@ impl<R: Read> RecordCursor<R> {
                 self.pos += 1;
                 return Some(rec);
             }
-            self.buf = self
-                .chunks
-                .next()?
-                .unwrap_or_else(|e| panic!("parse {path}: {e}"));
+            self.buf = self.chunks.next()?.unwrap_or_else(|e| fail(path, e));
             self.pos = 0;
         }
     }
@@ -110,16 +88,9 @@ impl<R: Read> RecordCursor<R> {
 /// formats — a flat `FGBDCAP1` file diffs cleanly against its chunked
 /// `FGBDCAP2` re-encoding.
 fn raw_diff(before_path: &str, after_path: &str) -> (u64, u64, Option<u64>) {
-    let mut before = RecordCursor::open(
-        BufReader::new(
-            File::open(before_path).unwrap_or_else(|e| panic!("open {before_path}: {e}")),
-        ),
-        before_path,
-    );
-    let mut after = RecordCursor::open(
-        BufReader::new(File::open(after_path).unwrap_or_else(|e| panic!("open {after_path}: {e}"))),
-        after_path,
-    );
+    let open = |path| BufReader::new(File::open(path).unwrap_or_else(|e| fail(path, e)));
+    let mut before = RecordCursor::open(open(before_path), before_path);
+    let mut after = RecordCursor::open(open(after_path), after_path);
     if before.chunks.nodes() != after.chunks.nodes() {
         fgbd_obsv::log!("compare_captures", "node tables differ");
     }
@@ -188,9 +159,8 @@ fn main() {
         return;
     }
 
-    // One capture is fully analyzed (and dropped) before the other loads.
-    let before = reports(load(before_path));
-    let after = reports(load(after_path));
+    let before = reports(before_path);
+    let after = reports(after_path);
 
     fgbd_obsv::log!(
         "compare_captures",

@@ -14,16 +14,20 @@
 //! The file is written in the chunked columnar `FGBDCAP2` format
 //! (parallel-readable, ~0.2x the flat size). Every reader still sniffs the
 //! magic, so flat `FGBDCAP1` captures recorded by older builds keep loading.
+//!
+//! Records stream from the simulator's tap straight into the chunked
+//! writer, as in `million_users`: at most one encode buffer of records is
+//! resident, never the run's log.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_repro::report::out_dir;
 use fgbd_repro::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
-use fgbd_trace::write_capture2;
+use fgbd_trace::ChunkedWriter;
 
 fn scenario_by_name(name: &str) -> Option<Scenario> {
     match name {
@@ -67,23 +71,35 @@ fn main() {
         "record_capture",
         "simulating {scenario_name} at WL {users} for {secs}s ..."
     );
+    let mut messages = 0u64;
     let run = {
         fgbd_obsv::span!("record_capture");
         let mut cfg = scenario.config(users);
         cfg.duration = SimDuration::from_secs(secs);
-        let run = NTierSystem::run(cfg);
+        // The chunked format needs the node table before the first record.
+        let nodes = fgbd_ntier::node_metas(&cfg);
         let file = File::create(&path).expect("create capture file");
-        write_capture2(BufWriter::new(file), &run.log).expect("write capture");
+        let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
+        let run = NTierSystem::run_with_record_tap(cfg, |rec| {
+            messages += 1;
+            writer.push(rec).expect("write capture record");
+        });
+        // A dropped `BufWriter` would swallow a failed flush.
+        let mut file = writer.finish().expect("finish capture");
+        file.flush().expect("flush capture");
         run
     };
+    assert!(
+        run.log.records.is_empty(),
+        "tapped run must not materialize a log"
+    );
     fgbd_obsv::log!(
         "record_capture",
-        "  {} messages captured (FGBDCAP2), throughput {:.0} tx/s",
-        run.log.records.len(),
+        "  {messages} messages captured (FGBDCAP2), throughput {:.0} tx/s",
         run.throughput()
     );
 
-    scope.field("messages", Json::Num(run.log.records.len() as f64));
+    scope.field("messages", Json::Num(messages as f64));
     scope.artifact(&path);
     scope.finish();
     fgbd_obsv::log!("record_capture", "wrote {path}");

@@ -6,14 +6,14 @@
 
 use fgbd_core::interval::{auto_interval, IntervalSelectConfig};
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::SPEEDSTEP_ON;
 
 /// Runs the Fig 8 workload and lets the selector pick the interval.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = Analysis::new(SPEEDSTEP_ON.run(14_000), cal);
+    let analysis = SPEEDSTEP_ON.analyze(14_000, cal);
     let node = analysis.node("mysql-1");
     let selection = auto_interval(
         analysis.spans.server(node),

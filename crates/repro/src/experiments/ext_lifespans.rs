@@ -9,13 +9,13 @@ use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_metrics::Histogram;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::{Scenario, GC_JDK15, SPEEDSTEP_ON};
 
 fn episode_durations(scenario: &Scenario, users: u32, server: &str) -> Vec<f64> {
     let cal = Calibration::for_scenario(scenario);
-    let analysis = Analysis::new(scenario.run(users), cal);
+    let analysis = scenario.analyze(users, cal);
     let window = analysis.window(SimDuration::from_millis(50));
     let report = analysis.report(server, window, &DetectorConfig::default());
     report

@@ -15,18 +15,17 @@ use crate::scenario::MASTER_SEED;
 
 fn measure(tomcats: usize) -> (f64, f64, usize, usize, f64) {
     let cfg = SystemConfig::paper_scaled_tomcats(8_000, Jdk::Jdk15, false, MASTER_SEED, tomcats);
-    let run = NTierSystem::run(cfg);
-
     let mut cal_cfg =
         SystemConfig::paper_scaled_tomcats(400, Jdk::Jdk15, false, MASTER_SEED, tomcats);
     cal_cfg.warmup = SimDuration::from_secs(5);
     cal_cfg.duration = SimDuration::from_secs(40);
     let cal = Calibration::from_run(&NTierSystem::run(cal_cfg));
 
+    let analysis = Analysis::simulate(cfg, cal);
+    let run = &analysis.run;
     let tput = run.throughput();
     let rt = run.mean_response_time();
     let util = run.mean_cpu_util(run.server_index("tomcat-1").expect("tomcat"));
-    let analysis = Analysis::new(run, cal);
     let report = analysis.report(
         "tomcat-1",
         analysis.window(SimDuration::from_millis(50)),

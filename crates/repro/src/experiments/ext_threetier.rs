@@ -15,13 +15,12 @@ use crate::scenario::MASTER_SEED;
 
 fn analyze(jdk: Jdk) -> (usize, usize, f64) {
     let cfg = SystemConfig::paper_3tier(8_000, jdk, false, MASTER_SEED);
-    let run = NTierSystem::run(cfg);
     let mut cal_cfg = SystemConfig::paper_3tier(400, jdk, false, MASTER_SEED);
     cal_cfg.warmup = SimDuration::from_secs(5);
     cal_cfg.duration = SimDuration::from_secs(40);
     let cal = Calibration::from_run(&NTierSystem::run(cal_cfg));
-    let rt = run.mean_response_time();
-    let analysis = Analysis::new(run, cal);
+    let analysis = Analysis::simulate(cfg, cal);
+    let rt = analysis.run.mean_response_time();
     let report = analysis.report(
         "tomcat-1",
         analysis.window(SimDuration::from_millis(50)),

@@ -7,7 +7,7 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::SPEEDSTEP_ON;
@@ -15,7 +15,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs WL 7,000 and performs the fine-grained MySQL analysis.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = Analysis::new(SPEEDSTEP_ON.run(7_000), cal);
+    let analysis = SPEEDSTEP_ON.analyze(7_000, cal);
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 

@@ -8,7 +8,7 @@ use fgbd_core::detect::DetectorConfig;
 use fgbd_core::stats;
 use fgbd_des::SimDuration;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::SPEEDSTEP_ON;
@@ -16,7 +16,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs WL 14,000 with SpeedStep enabled and compares three granularities.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = Analysis::new(SPEEDSTEP_ON.run(14_000), cal);
+    let analysis = SPEEDSTEP_ON.analyze(14_000, cal);
     let cfg = DetectorConfig::default();
 
     let mut s = ExperimentSummary::new("fig08");

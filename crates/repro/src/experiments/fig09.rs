@@ -8,7 +8,7 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::GC_JDK15;
@@ -24,7 +24,7 @@ pub fn run() -> ExperimentSummary {
     // rendered afterwards in input order so the output stays deterministic.
     let cases = [(7_000u32, "9(a)"), (14_000, "9(b)")];
     let computed = crate::par::par_map(&cases, |&(wl, _)| {
-        let analysis = Analysis::new(GC_JDK15.run(wl), Calibration::clone(&cal));
+        let analysis = GC_JDK15.analyze(wl, Calibration::clone(&cal));
         let report = analysis.report("tomcat-1", analysis.window(interval), &cfg);
         (analysis, report)
     });

@@ -9,7 +9,7 @@ use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_ntier::gc::gc_running_ratio;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::GC_JDK15;
@@ -18,7 +18,7 @@ use crate::scenario::GC_JDK15;
 /// response time on the 50 ms grid.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&GC_JDK15);
-    let analysis = Analysis::new(GC_JDK15.run(14_000), cal);
+    let analysis = GC_JDK15.analyze(14_000, cal);
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 

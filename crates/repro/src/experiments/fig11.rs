@@ -8,7 +8,7 @@ use fgbd_core::detect::DetectorConfig;
 use fgbd_core::stats;
 use fgbd_des::SimDuration;
 
-use crate::pipeline::{Analysis, Calibration};
+use crate::pipeline::Calibration;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::{GC_JDK15, GC_JDK16};
@@ -24,7 +24,7 @@ pub fn run() -> ExperimentSummary {
     let cases = [(GC_JDK16, "jdk16"), (GC_JDK15, "jdk15")];
     let computed = crate::par::par_map(&cases, |(scenario, _)| {
         let cal = Calibration::for_scenario(scenario);
-        let analysis = Analysis::new(scenario.run(14_000), cal);
+        let analysis = scenario.analyze(14_000, cal);
         let report = analysis.report("tomcat-1", analysis.window(interval), &cfg);
         (analysis, report)
     });

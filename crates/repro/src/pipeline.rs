@@ -1,14 +1,22 @@
 //! The end-to-end analysis pipeline: capture → spans → service-time
 //! calibration → per-server fine-grained reports.
+//!
+//! The figures pair on the tap ([`Analysis::simulate`]): each record goes
+//! from the simulator straight into the [`SpanPairer`] and no log of the
+//! loaded run ever exists. Only calibration runs keep their log —
+//! reconstruction needs random access over it.
 
 use std::collections::HashMap;
 
 use fgbd_core::detect::{analyze_server, DetectorConfig, ServerReport};
 use fgbd_core::series::Window;
 use fgbd_des::{SimDuration, SimTime};
+use fgbd_ntier::config::SystemConfig;
 use fgbd_ntier::result::RunResult;
+use fgbd_ntier::system::NTierSystem;
 use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::ServiceTimeTable;
+use fgbd_trace::span::SpanPairer;
 use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet, TraceLog};
 
 use crate::scenario::Scenario;
@@ -56,15 +64,12 @@ pub struct Calibration {
 
 impl Calibration {
     /// Builds the calibration from any captured run (normally
-    /// [`Scenario::calibration_run`]).
+    /// [`Scenario::calibration_run`]). The run keeps its whole log:
+    /// reconstruction needs random access over the records it calibrates on.
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
-        Calibration::from_log(&run.log, &SpanSet::extract(&run.log))
-    }
-
-    /// Calibrates on a whole captured log whose spans the caller already
-    /// extracted, so they are not extracted a second time.
-    pub fn from_log(log: &TraceLog, spans: &SpanSet) -> Calibration {
+        let log = &run.log;
+        let spans = SpanSet::extract(log);
         let mut cal = Calibration::with_work_units(Calibration::services(log), &log.nodes);
         for meta in log.nodes.iter().filter(|n| n.kind == NodeKind::Server) {
             let node = meta.id;
@@ -157,10 +162,19 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Wraps a captured run with a calibration.
+    /// Simulates `cfg` and pairs its capture records into spans as the tap
+    /// delivers them, so `run.log.records` is empty by construction: the
+    /// loaded run's log is never materialized.
+    pub fn simulate(cfg: SystemConfig, cal: Calibration) -> Analysis {
+        let mut pairer = SpanPairer::default();
+        let run = NTierSystem::run_with_record_tap(cfg, |rec| pairer.push(&rec));
+        Analysis::with_spans(run, pairer.finish(), cal)
+    }
+
+    /// Wraps a run that kept its log (tests, examples), pairing the log.
     pub fn new(run: RunResult, cal: Calibration) -> Analysis {
         let spans = SpanSet::extract(&run.log);
-        Analysis { run, spans, cal }
+        Analysis::with_spans(run, spans, cal)
     }
 
     /// Wraps a run whose spans the caller already extracted, so the run's

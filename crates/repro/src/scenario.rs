@@ -1,9 +1,17 @@
 //! Named experimental scenarios matching the paper's two case studies.
+//!
+//! A scenario is run three ways, by what the caller needs of the capture:
+//! [`Scenario::analyze`] pairs spans on the record tap and keeps no log
+//! (the figures), [`Scenario::calibration_run`] keeps the log of a short
+//! low-load run (reconstruction needs random access over it), and
+//! [`Scenario::run_uncaptured`] records nothing.
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::result::RunResult;
 use fgbd_ntier::system::NTierSystem;
+
+use crate::pipeline::{Analysis, Calibration};
 
 /// The master seed shared by all experiments (figures are deterministic).
 pub const MASTER_SEED: u64 = 20130708;
@@ -56,7 +64,15 @@ impl Scenario {
         SystemConfig::paper_1l2s1l2s(users, self.jdk, self.speedstep, MASTER_SEED)
     }
 
-    /// Runs the scenario at workload `users` with the capture enabled.
+    /// Runs the scenario at workload `users` and pairs its capture on the
+    /// tap ([`Analysis::simulate`]) — what the figures call; no log is kept.
+    pub fn analyze(&self, users: u32, cal: Calibration) -> Analysis {
+        fgbd_obsv::span!("simulate");
+        fgbd_obsv::counter!("scenario.runs", self.name, 1);
+        Analysis::simulate(self.config(users), cal)
+    }
+
+    /// Runs the scenario at workload `users` keeping the whole capture log.
     pub fn run(&self, users: u32) -> RunResult {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);

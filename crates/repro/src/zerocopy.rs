@@ -163,8 +163,10 @@ impl CaptureAnalyzer {
         }
         // Node-table order, servers only, at least one matched span — the
         // batch filter (`matched > 0` ⇔ the batch span set is non-empty).
+        // A capture whose records share one timestamp has no grid at all.
         let mut found = self
             .detector
+            .filter(|_| end > start)
             .map_or(Vec::new(), |det| det.finish(end).reports);
         let reports = self
             .nodes

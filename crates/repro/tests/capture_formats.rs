@@ -9,7 +9,8 @@
 //! formats of one run, from a file, `--follow` and through a FIFO, and
 //! holds every verdict file to bytes computed here by the batch detector —
 //! an independent implementation of the same analysis. The third feeds it
-//! damaged captures: an error message and exit status 1, never a panic.
+//! damaged captures: an error message and exit status 1, never a panic. The
+//! fourth holds `compare_captures` — the same route, two files — to both.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -319,6 +320,60 @@ fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
             assert!(stderr.contains(needle), "{what}");
             assert!(!stderr.contains("panicked at"), "{what}");
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn compare_captures_cli_takes_the_capture_route_and_reports_bad_files() {
+    let mut log = NTierSystem::run(smoke_cfg(20130708)).log;
+    let servers = SpanSet::extract(&log).servers().len();
+    assert!(servers > 0, "the run must pair spans");
+    let good = chunked_bytes(&log, 512);
+    let dir = std::env::temp_dir().join(format!("fgbd_cli_compare_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("good.cap"), &good).expect("write");
+    std::fs::write(dir.join("truncated.cap"), &good[..good.len() / 2]).expect("write");
+    // One record: a capture with no interval grid at all.
+    log.records.truncate(1);
+    std::fs::write(dir.join("instant.cap"), chunked_bytes(&log, 512)).expect("write");
+
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_compare_captures"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("spawn compare_captures");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+    let rows = |stdout: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.ends_with("| unchanged"))
+            .count()
+    };
+
+    let (code, stdout, stderr) = run(&["good.cap", "good.cap"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(rows(&stdout), servers, "{stdout}");
+    let (code, stdout, stderr) = run(&["instant.cap", "instant.cap"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(rows(&stdout), 0, "{stdout}");
+
+    for args in [
+        &["truncated.cap", "good.cap"][..],
+        &["good.cap", "truncated.cap", "--raw"][..],
+        &["good.cap", "missing.cap"][..],
+    ] {
+        let (code, _, stderr) = run(args);
+        let bad = args.iter().find(|a| **a != "good.cap").expect("a bad file");
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("compare_captures: {bad}: ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

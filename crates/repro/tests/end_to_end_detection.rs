@@ -6,6 +6,7 @@ use fgbd_core::detect::{rank_bottlenecks, DetectorConfig};
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
+use fgbd_repro::scenario::GC_JDK15;
 use fgbd_repro::{Analysis, Calibration};
 
 const SERVERS: [&str; 6] = [
@@ -278,4 +279,48 @@ fn operational_laws_hold_on_simulated_captures() {
         "utilization-law ceiling {tp_max:.0} q/s (demand {:.2} ms) off the calibrated ~7,100",
         demand * 1e3
     );
+}
+
+/// The figures pair spans on the simulator's record tap and never hold a
+/// log; that must be the same analysis as pairing the whole log afterwards,
+/// and the tap must not perturb the run.
+#[test]
+fn tap_paired_analysis_equals_log_paired() {
+    let mut cfg = GC_JDK15.config(3_000);
+    cfg.warmup = SimDuration::from_secs(3);
+    cfg.duration = SimDuration::from_secs(12);
+    let cal = calibration(Jdk::Jdk15, false);
+    let tapped = Analysis::simulate(cfg.clone(), Calibration::clone(&cal));
+    let logged = Analysis::new(NTierSystem::run(cfg), cal);
+
+    assert!(tapped.run.log.records.is_empty(), "no log on the tap route");
+    assert!(!logged.run.log.records.is_empty());
+    assert_eq!(tapped.run.txns, logged.run.txns);
+    assert_eq!(tapped.run.gc_events, logged.run.gc_events);
+    assert_eq!(tapped.run.pstate_log, logged.run.pstate_log);
+    assert_eq!(tapped.spans.unmatched, logged.spans.unmatched);
+    assert!(
+        !logged.spans.unmatched.is_empty(),
+        "requests are in flight at the horizon"
+    );
+
+    let window = logged.window(SimDuration::from_millis(50));
+    let dcfg = DetectorConfig::default();
+    for name in SERVERS {
+        let node = logged.node(name);
+        assert!(!logged.spans.server(node).is_empty(), "{name}");
+        assert_eq!(
+            tapped.spans.server(node),
+            logged.spans.server(node),
+            "{name}"
+        );
+        let (t, l) = (
+            tapped.report(name, window, &dcfg),
+            logged.report(name, window, &dcfg),
+        );
+        assert_eq!(t.load.values(), l.load.values(), "{name}");
+        assert_eq!(t.tput.unit_rates(), l.tput.unit_rates(), "{name}");
+        assert_eq!(t.states, l.states, "{name}");
+        assert_eq!(t.nstar, l.nstar, "{name}");
+    }
 }

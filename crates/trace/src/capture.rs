@@ -284,75 +284,6 @@ pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64, CaptureError> {
     Ok(u64::from_le_bytes(b))
 }
 
-impl TraceLog {
-    /// A copy of this log with `records` substituted — the shared tail of
-    /// every slicing operation.
-    fn with_records(&self, records: Vec<MsgRecord>) -> TraceLog {
-        TraceLog {
-            nodes: self.nodes.clone(),
-            records,
-        }
-    }
-
-    /// A copy restricted to records in `[from, to)` — for zooming into an
-    /// episode before analysis.
-    ///
-    /// Relies on the time-ordered append invariant of [`TraceLog::push`]
-    /// (also enforced by [`read_capture`]): the window is located by binary
-    /// search and copied as one contiguous range instead of scanning every
-    /// record.
-    ///
-    /// Debug builds assert the invariant over the whole log. Release builds
-    /// with telemetry enabled (see [`fgbd_obsv::enabled`]) run a cheap
-    /// O(window) heuristic over the *copied* slice instead: if
-    /// the extracted window is itself unsorted, or contains records outside
-    /// `[from, to)`, the log violated the invariant and the binary search
-    /// partitioned on garbage. That is reported as a **soft failure** — the
-    /// `capture.unsorted_log` counter increments and a warning is logged,
-    /// but the (best-effort) slice is still returned, so a single corrupt
-    /// capture downgrades one analysis window rather than aborting a long
-    /// experiment run. The heuristic cannot catch every unsorted input (a
-    /// disordered region wholly outside the window is invisible), which is
-    /// why debug builds keep the full assertion.
-    pub fn slice_time(&self, from: SimTime, to: SimTime) -> TraceLog {
-        debug_assert!(
-            self.records.windows(2).all(|w| w[0].at <= w[1].at),
-            "slice_time requires time-ordered records"
-        );
-        let lo = self.records.partition_point(|r| r.at < from);
-        let hi = lo + self.records[lo..].partition_point(|r| r.at < to);
-        let window = &self.records[lo..hi];
-        // The O(window) heuristic rides on telemetry: with FGBD_OBSV=0 (or
-        // the obsv `disabled` feature) the slicing fast path keeps its
-        // single-copy cost and only debug builds check the invariant.
-        let suspect = fgbd_obsv::enabled()
-            && (window.windows(2).any(|w| w[0].at > w[1].at)
-                || window.iter().any(|r| r.at < from || r.at >= to));
-        if suspect {
-            fgbd_obsv::counter!("capture.unsorted_log", 1);
-            fgbd_obsv::log!(
-                "trace",
-                "WARN slice_time: log violates the time-ordered invariant; \
-                 window [{from:?}, {to:?}) is best-effort"
-            );
-        }
-        self.with_records(window.to_vec())
-    }
-
-    /// A copy keeping only messages that touch `node` (as sender or
-    /// receiver) — the per-server view a tap on that server's switch port
-    /// would capture.
-    pub fn slice_node(&self, node: NodeId) -> TraceLog {
-        self.with_records(
-            self.records
-                .iter()
-                .filter(|r| r.src == node || r.dst == node)
-                .copied()
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,97 +364,6 @@ mod tests {
             err,
             CaptureError::Malformed("unknown message kind")
         ));
-    }
-
-    #[test]
-    fn slice_time_is_half_open() {
-        let log = demo_log();
-        let sliced = log.slice_time(SimTime::from_micros(100), SimTime::from_micros(200));
-        assert_eq!(sliced.records.len(), 10);
-        assert!(sliced
-            .records
-            .iter()
-            .all(|r| r.at >= SimTime::from_micros(100) && r.at < SimTime::from_micros(200)));
-    }
-
-    #[test]
-    fn slice_time_handles_empty_and_boundary_windows() {
-        let log = demo_log();
-        assert!(log
-            .slice_time(SimTime::from_micros(5000), SimTime::from_micros(6000))
-            .records
-            .is_empty());
-        assert!(log
-            .slice_time(SimTime::from_micros(200), SimTime::from_micros(200))
-            .records
-            .is_empty());
-        // Full-range slice copies everything.
-        assert_eq!(
-            log.slice_time(SimTime::ZERO, SimTime::from_micros(u64::MAX))
-                .records
-                .len(),
-            100
-        );
-        // Duplicate timestamps all land on the same side of the cut.
-        let mut dup = demo_log();
-        let last = *dup.records.last().unwrap();
-        for _ in 0..3 {
-            dup.push(MsgRecord {
-                at: SimTime::from_micros(990),
-                ..last
-            });
-        }
-        let sliced = dup.slice_time(SimTime::from_micros(990), SimTime::from_micros(991));
-        assert_eq!(sliced.records.len(), 4);
-    }
-
-    /// `slice_time` documents the time-ordered invariant and debug-asserts
-    /// it: a hand-assembled unsorted log must panic rather than silently
-    /// return a wrong window. (`TraceLog::push` and `read_capture` both
-    /// refuse to produce unsorted logs, so only manual construction can
-    /// violate this.)
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "time-ordered")]
-    fn slice_time_panics_on_unsorted_log_in_debug() {
-        let mut log = demo_log();
-        log.records.swap(10, 50);
-        let _ = log.slice_time(SimTime::from_micros(100), SimTime::from_micros(200));
-    }
-
-    /// Release counterpart of the debug assertion: an unsorted log inside
-    /// the requested window is detected, counted as a soft failure on
-    /// `capture.unsorted_log`, and the best-effort slice is still returned.
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn slice_time_counts_unsorted_log_as_soft_failure_in_release() {
-        let mut log = demo_log();
-        log.records.swap(10, 50);
-        // A window covering the whole log definitely contains the swapped
-        // pair (binary search bounds on unsorted data are arbitrary for
-        // narrower windows).
-        let before = fgbd_obsv::metrics::counter("capture.unsorted_log").get();
-        let sliced = log.slice_time(SimTime::ZERO, SimTime::from_micros(1_000));
-        let after = fgbd_obsv::metrics::counter("capture.unsorted_log").get();
-        assert_eq!(after, before + 1, "soft failure must be counted");
-        assert!(
-            !sliced.records.is_empty(),
-            "best-effort slice still returned"
-        );
-        // A clean log must not trip the heuristic.
-        let clean = demo_log();
-        let _ = clean.slice_time(SimTime::ZERO, SimTime::from_micros(1_000));
-        assert_eq!(
-            fgbd_obsv::metrics::counter("capture.unsorted_log").get(),
-            after
-        );
-    }
-
-    #[test]
-    fn slice_node_keeps_touching_records() {
-        let log = demo_log();
-        assert_eq!(log.slice_node(NodeId(1)).records.len(), 100);
-        assert_eq!(log.slice_node(NodeId(9)).records.len(), 0);
     }
 
     #[test]

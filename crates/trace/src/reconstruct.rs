@@ -130,36 +130,35 @@ pub struct Reconstruction {
 }
 
 /// Linked-list / slot sentinel for the dense tables.
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// Dense per-capture tables built in one pass before reconstruction: node,
 /// class, and `(span server, connection)` identifiers are interned into
 /// contiguous `0..n` slots so the record loop indexes flat arrays instead of
 /// hashing. Node ids that appear in records but not in `log.nodes` (foreign
 /// taps, corrupt captures) are interned as servers — exactly how the
-/// reference treats them. Shared with `span::SpanSet::extract`, whose
-/// request/response pairing runs on the same `(server, connection)` slots.
-pub(crate) struct LogIndex {
+/// reference treats them.
+struct LogIndex {
     /// `NodeId.0 → dense node slot` (`NONE` = id never seen).
     node_slot: Vec<u32>,
     /// Per node slot: is this node a client generator? Replaces the old
     /// linear `Vec::contains` client test with one indexed load.
     client: Vec<bool>,
     /// Number of interned nodes.
-    pub(crate) n_nodes: usize,
+    n_nodes: usize,
     /// `ClassId.0 → dense class slot`.
     class_slot: Vec<u32>,
     /// Number of interned classes.
     n_classes: usize,
     /// Per record: dense slot of its `(span server, connection)` pair — the
     /// key request/response matching runs on.
-    pub(crate) rec_conn: Vec<u32>,
+    rec_conn: Vec<u32>,
     /// Number of interned `(span server, connection)` pairs.
-    pub(crate) n_conns: usize,
+    n_conns: usize,
 }
 
 impl LogIndex {
-    pub(crate) fn build(log: &TraceLog) -> LogIndex {
+    fn build(log: &TraceLog) -> LogIndex {
         let mut max_node = 0usize;
         let mut max_class = 0usize;
         for n in &log.nodes {
@@ -212,7 +211,7 @@ impl LogIndex {
     }
 
     #[inline]
-    pub(crate) fn node(&self, id: NodeId) -> usize {
+    fn node(&self, id: NodeId) -> usize {
         self.node_slot[usize::from(id.0)] as usize
     }
 }

@@ -7,13 +7,13 @@
 //! with responses on the same TCP connection — requests on one connection are
 //! serviced serially, so pairing is FIFO per `(server, conn)`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
+use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::reconstruct::{LogIndex, NONE};
-use crate::record::{ClassId, ConnId, MsgKind, NodeId, TraceLog, TxnId};
+use crate::record::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, TraceLog, TxnId};
 
 /// One request's residence interval at one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,108 +62,15 @@ impl SpanSet {
     /// in [`SpanSet::unmatched`] for the *server* side (they indicate capture
     /// truncation at the front), as are requests left unanswered at the end.
     ///
-    /// This is the dense fast path: one [`LogIndex`] interning pass maps
-    /// every record to its `(server, connection)` slot, so the pairing loop
-    /// runs on flat arrays (per-slot FIFO of open request indices threaded
-    /// through one `next` table) instead of re-hashing `(NodeId, ConnId)`
-    /// keys per record, and per-server output is preallocated from a
-    /// response-count pre-pass. Property-tested bit-identical to
-    /// [`reference::extract`], the original `HashMap`-keyed implementation.
+    /// This is [`SpanPairer`] fed the whole log: push every record, finish.
     pub fn extract(log: &TraceLog) -> SpanSet {
         fgbd_obsv::span!("extract_spans");
-        assert!(
-            log.records.len() < NONE as usize,
-            "capture too large for u32 record indices"
-        );
-        let ix = LogIndex::build(log);
-        // Pre-pass: responses per server = matched spans + front-truncated
-        // responses — an exact preallocation bound for each output bucket.
-        let mut resp_count = vec![0u32; ix.n_nodes];
+        let mut pairer = SpanPairer::default();
         for rec in &log.records {
-            if rec.kind == MsgKind::Response {
-                resp_count[ix.node(rec.span_node())] += 1;
-            }
+            pairer.push(rec);
         }
-        let mut by_slot: Vec<Vec<Span>> = resp_count
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        let mut slot_node = vec![NodeId(u16::MAX); ix.n_nodes];
-        let mut unmatched_slot = vec![0usize; ix.n_nodes];
-        // Per-(server, conn)-slot FIFO of open request record indices,
-        // singly linked through `next`.
-        let mut head = vec![NONE; ix.n_conns];
-        let mut tail = vec![NONE; ix.n_conns];
-        let mut next = vec![NONE; log.records.len()];
-        let mut matched = 0u64;
-        for (i, rec) in log.records.iter().enumerate() {
-            let conn = ix.rec_conn[i] as usize;
-            match rec.kind {
-                MsgKind::Request => {
-                    let t = tail[conn];
-                    if t == NONE {
-                        head[conn] = i as u32;
-                    } else {
-                        next[t as usize] = i as u32;
-                    }
-                    tail[conn] = i as u32;
-                }
-                MsgKind::Response => {
-                    let server = rec.span_node();
-                    let slot = ix.node(server);
-                    slot_node[slot] = server;
-                    let h = head[conn];
-                    if h == NONE {
-                        unmatched_slot[slot] += 1;
-                    } else {
-                        let req = &log.records[h as usize];
-                        head[conn] = next[h as usize];
-                        if head[conn] == NONE {
-                            tail[conn] = NONE;
-                        }
-                        matched += 1;
-                        by_slot[slot].push(Span {
-                            server,
-                            class: req.class,
-                            arrival: req.at,
-                            departure: rec.at,
-                            conn: rec.conn,
-                            truth: req.truth,
-                        });
-                    }
-                }
-            }
-        }
-        // Requests still open at capture end.
-        for &first in head.iter().take(ix.n_conns) {
-            let mut cur = first;
-            while cur != NONE {
-                let rec = &log.records[cur as usize];
-                let server = rec.span_node();
-                let slot = ix.node(server);
-                slot_node[slot] = server;
-                unmatched_slot[slot] += 1;
-                cur = next[cur as usize];
-            }
-        }
-        let mut by_server: HashMap<NodeId, Vec<Span>> = HashMap::with_capacity(ix.n_nodes);
-        for mut bucket in by_slot {
-            if !bucket.is_empty() {
-                bucket.sort_by_key(|s| (s.arrival, s.departure));
-                by_server.insert(bucket[0].server, bucket);
-            }
-        }
-        let mut unmatched: HashMap<NodeId, usize> = HashMap::new();
-        for (slot, &n) in unmatched_slot.iter().enumerate() {
-            if n > 0 {
-                unmatched.insert(slot_node[slot], n);
-            }
-        }
-        let set = SpanSet {
-            by_server,
-            unmatched,
-        };
-        fgbd_obsv::counter!("trace.extract_reuse_hits", matched);
+        let set = pairer.finish();
+        fgbd_obsv::counter!("trace.extract_reuse_hits", set.len() as u64);
         fgbd_obsv::counter!("extract.spans", set.len() as u64);
         set
     }
@@ -204,11 +111,85 @@ impl SpanSet {
     }
 }
 
+/// What a span keeps of its request record while the response is awaited.
+#[derive(Debug)]
+struct OpenRequest {
+    at: SimTime,
+    class: ClassId,
+    truth: Option<TxnId>,
+}
+
+/// The span-pairing engine in its streaming form: records go in one at a
+/// time, in capture order, from wherever they are born — a [`TraceLog`]
+/// ([`SpanSet::extract`]) or the simulator's record tap, which never holds
+/// a log — and [`finish`](Self::finish) hands back the [`SpanSet`].
+///
+/// Requests on one connection are serviced serially, so each
+/// `(server, connection)` keeps a FIFO of open requests; a response closes
+/// the oldest one into a span, appended to its server's list (departure
+/// order).
+#[derive(Debug, Default)]
+pub struct SpanPairer {
+    open: FxHashMap<(NodeId, ConnId), VecDeque<OpenRequest>>,
+    set: SpanSet,
+}
+
+impl SpanPairer {
+    /// Consumes the next record of the capture.
+    pub fn push(&mut self, rec: &MsgRecord) {
+        let server = rec.span_node();
+        match rec.kind {
+            MsgKind::Request => {
+                self.open
+                    .entry((server, rec.conn))
+                    .or_default()
+                    .push_back(OpenRequest {
+                        at: rec.at,
+                        class: rec.class,
+                        truth: rec.truth,
+                    });
+            }
+            MsgKind::Response => {
+                let req = self
+                    .open
+                    .get_mut(&(server, rec.conn))
+                    .and_then(VecDeque::pop_front);
+                match req {
+                    Some(req) => self.set.by_server.entry(server).or_default().push(Span {
+                        server,
+                        class: req.class,
+                        arrival: req.at,
+                        departure: rec.at,
+                        conn: rec.conn,
+                        truth: req.truth,
+                    }),
+                    None => *self.set.unmatched.entry(server).or_default() += 1,
+                }
+            }
+        }
+    }
+
+    /// Ends the capture: requests still open are counted unmatched at their
+    /// server, and each server's spans are stable-sorted by
+    /// `(arrival, departure)`.
+    pub fn finish(mut self) -> SpanSet {
+        for ((server, _), q) in self.open {
+            if !q.is_empty() {
+                *self.set.unmatched.entry(server).or_default() += q.len();
+            }
+        }
+        for spans in self.set.by_server.values_mut() {
+            spans.sort_by_key(|s| (s.arrival, s.departure));
+        }
+        self.set
+    }
+}
+
 pub mod reference {
-    //! The original `HashMap`-keyed span extractor, kept verbatim as the
-    //! executable specification the dense fast path is property-tested
-    //! bit-identical to (the same role `reconstruct::reference` plays for
-    //! reconstruction), and as the baseline of the `extract_spans` bench.
+    //! The original whole-log span extractor, kept verbatim as the
+    //! executable specification [`SpanPairer`](super::SpanPairer) is
+    //! property-tested bit-identical to (the same role
+    //! `reconstruct::reference` plays for reconstruction).
 
     use std::collections::{HashMap, VecDeque};
 
@@ -348,6 +329,23 @@ mod tests {
         let set2 = SpanSet::extract(&log2);
         assert_eq!(set2.unmatched.get(&NodeId(1)), Some(&1));
         assert!(set2.is_empty());
+    }
+
+    #[test]
+    fn pairer_counts_both_unmatched_rules_record_by_record() {
+        let mut pairer = SpanPairer::default();
+        // A response with no open request on its connection.
+        pairer.push(&rec(5, 1, 0, MsgKind::Response, 9, 4));
+        // A matched pair, then a request that is never answered; the late
+        // response on another connection does not close it.
+        pairer.push(&rec(10, 0, 1, MsgKind::Request, 5, 1));
+        pairer.push(&rec(20, 1, 0, MsgKind::Response, 5, 1));
+        pairer.push(&rec(30, 0, 1, MsgKind::Request, 5, 2));
+        pairer.push(&rec(40, 1, 0, MsgKind::Response, 6, 3));
+        let set = pairer.finish();
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.server(NodeId(1))[0].truth, Some(TxnId(1)));
+        assert_eq!(set.unmatched.get(&NodeId(1)), Some(&3));
     }
 
     #[test]

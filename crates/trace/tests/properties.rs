@@ -543,22 +543,4 @@ proptest! {
         prop_assert_eq!(bad, vec![victim]);
         prop_assert!(good > 0 || n_chunks == 1);
     }
-
-    /// Slicing by time then extracting spans equals extracting then
-    /// filtering by span arrival (for spans fully inside the slice).
-    #[test]
-    fn time_slice_consistency(shapes in prop::collection::vec((0u8..4, 0u16..3), 1..15)) {
-        let log = serial_log(&shapes);
-        let Some(last) = log.records.last().map(|r| r.at) else {
-            return Ok(());
-        };
-        let mid = SimTime::from_micros(last.as_micros() / 2);
-        let sliced = log.slice_time(SimTime::ZERO, mid);
-        prop_assert!(sliced.records.iter().all(|r| r.at < mid));
-        prop_assert!(sliced.records.len() <= log.records.len());
-        // Node slicing partitions sanely: web-touching + app-only covers all.
-        let web = log.slice_node(WEB);
-        let all_touch_web = web.records.iter().all(|r| r.src == WEB || r.dst == WEB);
-        prop_assert!(all_touch_web);
-    }
 }
