@@ -8,7 +8,7 @@
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
+use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
 
 #[test]
 fn heuristic_accuracy_ranking_matches_design() {
@@ -73,5 +73,27 @@ fn accuracy_degrades_gracefully_with_concurrency() {
             acc.edge_accuracy
         );
         previous = acc.edge_accuracy;
+    }
+}
+
+/// The fast path equals the `HashMap`-keyed reference span for span and txn
+/// for txn on a real congested run (small enough for the reference, which
+/// is quadratic in the queue length), under every heuristic.
+#[test]
+fn fast_path_matches_reference_on_a_congested_run() {
+    let mut cfg = SystemConfig::paper_1l2s1l2s(12_000, Jdk::Jdk15, false, 20130708);
+    cfg.warmup = SimDuration::from_secs(2);
+    cfg.duration = SimDuration::from_secs(4);
+    let res = NTierSystem::run(cfg);
+    for h in [
+        Heuristic::LongestQuiescent,
+        Heuristic::MostRecent,
+        Heuristic::Fifo,
+        Heuristic::ProfileGuided,
+    ] {
+        let fast = Reconstruction::run(&res.log, h);
+        let spec = reference::run(&res.log, h);
+        assert!(fast.spans == spec.spans, "{h:?}: spans differ");
+        assert!(fast.txns == spec.txns, "{h:?}: txns differ");
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The figures pair on the tap ([`Analysis::simulate`]): each record goes
 //! from the simulator straight into the [`SpanPairer`] and no log of the
-//! loaded run ever exists. Only calibration runs keep their log —
-//! reconstruction needs random access over it.
+//! loaded run ever exists. Only calibration runs keep their log: it is read
+//! twice, once for reconstruction and once for the mean-service pairing.
 
 use std::collections::HashMap;
 
@@ -17,7 +17,7 @@ use fgbd_ntier::system::NTierSystem;
 use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::span::SpanPairer;
-use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet, TraceLog};
+use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet};
 
 use crate::scenario::Scenario;
 
@@ -35,9 +35,10 @@ pub const DEFAULT_CALIB_RECORDS: usize = 1 << 20;
 /// Records of a capture used for service-time self-calibration
 /// (`FGBD_CALIB_RECORDS`, default [`DEFAULT_CALIB_RECORDS`] = 1 Mi).
 ///
-/// Reconstruction needs random access over the records it calibrates on,
-/// which is at odds with analyzing arbitrarily large captures in flat
-/// memory — so calibration reads a bounded *prefix* and every capture
+/// The detector cannot start until calibration has the service times, so
+/// the analyzer buffers the records calibration reads and then replays them
+/// through the detector — at odds with analyzing arbitrarily large captures
+/// in flat memory. So calibration reads a bounded *prefix* and every capture
 /// smaller than the budget (all the CI fixtures) calibrates over its whole
 /// self, exactly as before the cap existed.
 pub fn calib_records_from_env() -> usize {
@@ -64,13 +65,14 @@ pub struct Calibration {
 
 impl Calibration {
     /// Builds the calibration from any captured run (normally
-    /// [`Scenario::calibration_run`]). The run keeps its whole log:
-    /// reconstruction needs random access over the records it calibrates on.
+    /// [`Scenario::calibration_run`]). The run keeps its whole log, read
+    /// once to pair spans and once to reconstruct.
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let log = &run.log;
         let spans = SpanSet::extract(log);
-        let mut cal = Calibration::with_work_units(Calibration::services(log), &log.nodes);
+        let services = Calibration::services(&log.nodes, &log.records);
+        let mut cal = Calibration::with_work_units(services, &log.nodes);
         for meta in log.nodes.iter().filter(|n| n.kind == NodeKind::Server) {
             let node = meta.id;
             let mut total = 0.0f64;
@@ -89,10 +91,10 @@ impl Calibration {
         cal
     }
 
-    /// Reconstruction + low-quantile service times over `log`; the
+    /// Reconstruction + low-quantile service times over `records`; the
     /// reconstruction is dropped before the caller builds anything else.
-    fn services(log: &TraceLog) -> ServiceTimeTable {
-        let rec = Reconstruction::run(log, Heuristic::ProfileGuided);
+    fn services(nodes: &[NodeMeta], records: &[MsgRecord]) -> ServiceTimeTable {
+        let rec = Reconstruction::run_records(nodes, records, Heuristic::ProfileGuided);
         ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE)
     }
 
@@ -127,9 +129,7 @@ impl Calibration {
     /// extraction over the prefix that no capture consumer reads.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
-        let mut log = TraceLog::new(nodes.to_vec());
-        log.records = records.to_vec();
-        Calibration::with_work_units(Calibration::services(&log), nodes)
+        Calibration::with_work_units(Calibration::services(nodes, records), nodes)
     }
 
     /// Work unit for `node`, defaulting to the resolution when the node was

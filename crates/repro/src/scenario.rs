@@ -3,7 +3,7 @@
 //! A scenario is run three ways, by what the caller needs of the capture:
 //! [`Scenario::analyze`] pairs spans on the record tap and keeps no log
 //! (the figures), [`Scenario::calibration_run`] keeps the log of a short
-//! low-load run (reconstruction needs random access over it), and
+//! low-load run (calibration reads it twice: spans, then reconstruction), and
 //! [`Scenario::run_uncaptured`] records nothing.
 
 use fgbd_des::SimDuration;

@@ -8,10 +8,10 @@
 //!  --follow tail)     capture if it is shorter)
 //! ```
 //!
-//! [`CaptureAnalyzer`] is that pass. Service-time self-calibration needs
-//! random access over the records it reads, so the analyzer buffers chunks
-//! until [`calib_records_from_env`] records (default 1 Mi) or the end of
-//! input have arrived, calibrates on exactly that prefix
+//! [`CaptureAnalyzer`] is that pass. The detector normalizes by calibrated
+//! service times, so it cannot start before calibration ends: the analyzer
+//! buffers chunks until [`calib_records_from_env`] records (default 1 Mi) or
+//! the end of input have arrived, calibrates on exactly that prefix
 //! ([`Calibration::from_capture_prefix`]), builds the [`OnlineDetector`],
 //! replays the buffered chunks into it and drops them; every later chunk
 //! goes straight to the detector. Nothing is decoded twice and no

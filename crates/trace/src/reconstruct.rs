@@ -34,33 +34,45 @@
 //!
 //! # The ingestion fast path
 //!
-//! Reconstruction is re-run on every capture a sweep or figure driver
-//! produces, so [`Reconstruction::run`] is built to be allocation-free and
-//! cache-friendly per record: a one-time [`LogIndex`] pass interns nodes,
-//! classes, and `(server, connection)` pairs into dense `usize` slots, the
-//! per-server candidate sets and per-connection FIFO queues live in
-//! intrusive linked lists threaded through flat arrays, and parent selection
-//! is a single pass that evaluates the hard (blocked) and soft (class)
-//! constraints with running winners instead of materializing candidate
-//! vectors. The walk exploits the paper's own observation that the blocked
-//! constraint prunes most candidates: each server keeps a second intrusive
-//! list holding only its *unblocked* active spans (every hot per-span field
-//! packed into one cache line, [`HotSpan`]), so the common case scans just
-//! the spans that can actually issue a call and the full active list is
-//! touched only in the everyone-blocked fallback. The original
-//! `HashMap`-keyed implementation is kept verbatim as [`reference`] — the
-//! executable specification that the property tests
-//! (`reconstruct_fast_matches_reference`) and the Criterion benches hold the
-//! fast path bit-identical to. (Winner selection keys embed the span index,
-//! so they are total and the walk order of either list cannot change the
-//! result.)
+//! Reconstruction runs on every calibration prefix, so
+//! [`Reconstruction::run`] is built to be allocation-free and cache-friendly
+//! per record: a one-time [`LogIndex`] pass interns nodes, classes, and
+//! `(server, connection)` pairs into dense `usize` slots, then a single
+//! forward loop over the records keeps the candidate sets and
+//! per-connection FIFO queues as intrusive linked lists threaded through
+//! flat arrays, and parent selection folds candidates into a running winner
+//! ([`TierBest`]) instead of materializing candidate vectors.
+//!
+//! The walk does not scan a server's queue. Unblocked active spans live in
+//! one list per `(server, class)` that carries its length, and a span is
+//! linked only at its arrival or at a child's response — both stamp
+//! `last_event` with the current record's time (a child response reaching a
+//! parent that is already linked moves it to the tail) — so every list is
+//! sorted by `last_event`. The class tier's candidate count is the list's
+//! length, the [`Heuristic::LongestQuiescent`] winner is at the head, and
+//! the walk stops at the first candidate strictly later than the winner
+//! (for [`Heuristic::ProfileGuided`], than the first fan-out-eligible one);
+//! equal timestamps are walked through because keys tie-break on the span
+//! index. `MostRecent` and `Fifo` walk the class list in full, and so does
+//! everyone from the first record whose timestamp goes backwards: that
+//! latches the early exit off, and a full walk is exact whatever the order
+//! because keys are total. The rare fallbacks walk all of the server's lists
+//! (class relaxed), then its active list (everyone blocked). The work is
+//! counted: `reconstruct.candidates`.
+//!
+//! The original `HashMap`-keyed implementation is kept verbatim as
+//! [`reference`] — the executable specification that the property tests
+//! (`reconstruct_fast_matches_reference*`) hold the fast path bit-identical
+//! to.
 
 use std::collections::HashMap;
 
 use fgbd_des::hash::FxBuildHasher;
 use fgbd_des::SimTime;
 
-use crate::record::{ClassId, ConnId, MsgKind, NodeId, NodeKind, TraceLog, TxnId};
+use crate::record::{
+    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
+};
 
 /// Parent-attribution strategy for downstream calls (applied after the hard
 /// blocked/class pruning).
@@ -135,7 +147,7 @@ const NONE: u32 = u32::MAX;
 /// Dense per-capture tables built in one pass before reconstruction: node,
 /// class, and `(span server, connection)` identifiers are interned into
 /// contiguous `0..n` slots so the record loop indexes flat arrays instead of
-/// hashing. Node ids that appear in records but not in `log.nodes` (foreign
+/// hashing. Node ids that appear in records but not in `nodes` (foreign
 /// taps, corrupt captures) are interned as servers — exactly how the
 /// reference treats them.
 struct LogIndex {
@@ -158,19 +170,19 @@ struct LogIndex {
 }
 
 impl LogIndex {
-    fn build(log: &TraceLog) -> LogIndex {
+    fn build(nodes: &[NodeMeta], records: &[MsgRecord]) -> LogIndex {
         let mut max_node = 0usize;
         let mut max_class = 0usize;
-        for n in &log.nodes {
+        for n in nodes {
             max_node = max_node.max(usize::from(n.id.0));
         }
-        for r in &log.records {
+        for r in records {
             max_node = max_node.max(usize::from(r.src.0)).max(usize::from(r.dst.0));
             max_class = max_class.max(usize::from(r.class.0));
         }
         let mut node_slot = vec![NONE; max_node + 1];
-        let mut client = Vec::with_capacity(log.nodes.len());
-        for n in &log.nodes {
+        let mut client = Vec::with_capacity(nodes.len());
+        for n in nodes {
             let e = &mut node_slot[usize::from(n.id.0)];
             if *e == NONE {
                 *e = client.len() as u32;
@@ -180,9 +192,9 @@ impl LogIndex {
         let mut class_slot = vec![NONE; max_class + 1];
         let mut n_classes = 0u32;
         let mut conn_slots: HashMap<(u32, ConnId), u32, FxBuildHasher> =
-            HashMap::with_capacity_and_hasher(log.records.len() / 2 + 1, FxBuildHasher);
-        let mut rec_conn = Vec::with_capacity(log.records.len());
-        for r in &log.records {
+            HashMap::with_capacity_and_hasher(records.len() / 2 + 1, FxBuildHasher);
+        let mut rec_conn = Vec::with_capacity(records.len());
+        for r in records {
             for id in [r.src, r.dst] {
                 let e = &mut node_slot[usize::from(id.0)];
                 if *e == NONE {
@@ -216,10 +228,11 @@ impl LogIndex {
     }
 }
 
-/// Running winner over one candidate tier (all active / unblocked /
-/// class-matched) of the single-pass parent scan. Tracks the heuristic's
-/// best candidate plus, for [`Heuristic::ProfileGuided`], the best among
-/// fan-out-eligible candidates — so no candidate set is ever materialized.
+/// Running winner over one candidate tier (class-matched, or the
+/// class-relaxed / everyone-blocked fallback) of the parent scan. Tracks the
+/// heuristic's best candidate plus, for [`Heuristic::ProfileGuided`], the
+/// best among fan-out-eligible candidates — so no candidate set is ever
+/// materialized.
 #[derive(Clone, Copy)]
 struct TierBest {
     count: u32,
@@ -240,17 +253,26 @@ impl TierBest {
         pg_key: (SimTime::ZERO, 0),
     };
 
-    /// Folds candidate `i` (with its heuristic sort key) into the running
-    /// winners. `take_max` selects max-key (MostRecent) over min-key
-    /// ordering; `eligible` feeds the profile-guided winner.
+    /// Folds candidate `i` into the running winners under `heuristic`'s sort
+    /// key (max-key for MostRecent, min-key otherwise); the profile-guided
+    /// winner takes only candidates under their learned fan-out cap.
     #[inline]
-    fn add(&mut self, i: u32, key: (SimTime, u32), take_max: bool, eligible: bool) {
+    fn add(&mut self, i: u32, h: &HotSpan, heuristic: Heuristic, profile: &[(u32, u64)]) {
+        let key = match heuristic {
+            Heuristic::Fifo => (h.arrival, i),
+            _ => (h.last_event, i),
+        };
+        let take_max = heuristic == Heuristic::MostRecent;
         self.count += 1;
         let better = self.count == 1 || ((key > self.best_key) == take_max && key != self.best_key);
         if better {
             self.best = i;
             self.best_key = key;
         }
+        let eligible = heuristic == Heuristic::ProfileGuided && {
+            let (max, n) = profile[h.cell as usize];
+            n < 8 || h.calls_issued < max
+        };
         if eligible {
             self.pg_count += 1;
             if self.pg_count == 1 || key < self.pg_key {
@@ -258,6 +280,17 @@ impl TierBest {
                 self.pg_key = key;
             }
         }
+    }
+
+    /// Walking a list sorted by `last_event`: is the min-key winner already
+    /// in hand at a candidate stamped `t`, strictly later than it?
+    #[inline]
+    fn settled_at(&self, t: SimTime, heuristic: Heuristic) -> bool {
+        let (seen, key) = match heuristic {
+            Heuristic::ProfileGuided => (self.pg_count, self.pg_key),
+            _ => (self.count, self.best_key),
+        };
+        seen > 0 && t > key.0
     }
 
     /// The tier's chosen parent — for ProfileGuided the best eligible
@@ -280,52 +313,66 @@ impl TierBest {
 /// `act_next` pointers through random heap order, so one load per candidate
 /// instead of one per parallel array is the difference between a
 /// memory-bound and a compute-bound scan. `unb_prev`/`unb_next` thread the
-/// per-server *unblocked* list through this same struct.
+/// span's *unblocked* list ([`UnbLists`]) through this same struct.
 #[derive(Clone, Copy)]
 struct HotSpan {
     /// Last observed event (arrival, issued call, received child response).
     last_event: SimTime,
     /// Request-message capture time (the FIFO heuristic's sort key).
     arrival: SimTime,
-    /// Dense class slot.
-    class: u32,
+    /// Dense `(server slot, class slot)` cell: `server * n_classes + class`
+    /// — the span's unblocked list and its fan-out profile entry.
+    cell: u32,
     /// Downstream calls attributed so far (the profile-guided cap test).
     calls_issued: u32,
-    /// Intrusive per-server unblocked-list links.
+    /// Intrusive unblocked-list links.
     unb_prev: u32,
     unb_next: u32,
 }
 
-/// Unlinks span `i` from server `slot`'s unblocked list.
-#[inline]
-fn unlink_unb(hot: &mut [HotSpan], head: &mut [u32], tail: &mut [u32], slot: usize, i: usize) {
-    let (p, n) = (hot[i].unb_prev, hot[i].unb_next);
-    if p == NONE {
-        head[slot] = n;
-    } else {
-        hot[p as usize].unb_next = n;
-    }
-    if n == NONE {
-        tail[slot] = p;
-    } else {
-        hot[n as usize].unb_prev = p;
-    }
-    hot[i].unb_prev = NONE;
-    hot[i].unb_next = NONE;
+/// One intrusive list of *unblocked* active spans per `(server, class)`
+/// cell, each carrying its length. Spans enter at the tail, stamped with the
+/// current record's time, so while record times never go backwards every
+/// list is sorted by `last_event`.
+struct UnbLists {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    len: Vec<u32>,
 }
 
-/// Appends span `i` to the tail of server `slot`'s unblocked list.
-#[inline]
-fn link_unb(hot: &mut [HotSpan], head: &mut [u32], tail: &mut [u32], slot: usize, i: usize) {
-    let t = tail[slot];
-    if t == NONE {
-        head[slot] = i as u32;
-    } else {
-        hot[t as usize].unb_next = i as u32;
+impl UnbLists {
+    /// Unlinks span `i` from its cell's list.
+    #[inline]
+    fn unlink(&mut self, hot: &mut [HotSpan], i: usize) {
+        let (cell, p, n) = (hot[i].cell as usize, hot[i].unb_prev, hot[i].unb_next);
+        if p == NONE {
+            self.head[cell] = n;
+        } else {
+            hot[p as usize].unb_next = n;
+        }
+        if n == NONE {
+            self.tail[cell] = p;
+        } else {
+            hot[n as usize].unb_prev = p;
+        }
+        self.len[cell] -= 1;
     }
-    hot[i].unb_prev = t;
-    hot[i].unb_next = NONE;
-    tail[slot] = i as u32;
+
+    /// Appends span `i` to the tail of its cell's list.
+    #[inline]
+    fn push_back(&mut self, hot: &mut [HotSpan], i: usize) {
+        let cell = hot[i].cell as usize;
+        let t = self.tail[cell];
+        if t == NONE {
+            self.head[cell] = i as u32;
+        } else {
+            hot[t as usize].unb_next = i as u32;
+        }
+        hot[i].unb_prev = t;
+        hot[i].unb_next = NONE;
+        self.tail[cell] = i as u32;
+        self.len[cell] += 1;
+    }
 }
 
 impl Reconstruction {
@@ -334,21 +381,31 @@ impl Reconstruction {
     /// Only observable fields are consulted; ground truth is copied through
     /// for later validation but never influences attribution (verified by
     /// the `blinded_log_gives_identical_edges` test).
+    pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
+        Reconstruction::run_records(&log.nodes, &log.records, heuristic)
+    }
+
+    /// [`Reconstruction::run`] over borrowed records — what a capture
+    /// prefix calibrates through without building a [`TraceLog`].
     ///
     /// This is the dense-index fast path: after the one-time [`LogIndex`]
-    /// interning pass, the per-record loop performs no heap allocation
+    /// interning pass, one forward loop that performs no heap allocation
     /// beyond growing the output span table — property-tested bit-identical
     /// to [`reference::run`] across all four heuristics.
-    pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
+    pub fn run_records(
+        nodes: &[NodeMeta],
+        records: &[MsgRecord],
+        heuristic: Heuristic,
+    ) -> Reconstruction {
         fgbd_obsv::span!("reconstruct");
         assert!(
-            log.records.len() < NONE as usize,
+            records.len() < NONE as usize,
             "capture too large for u32 span indices"
         );
-        let ix = LogIndex::build(log);
-        let take_max = heuristic == Heuristic::MostRecent;
+        let ix = LogIndex::build(nodes, records);
+        let n_cells = ix.n_nodes * ix.n_classes;
 
-        let cap = log.records.len() / 2 + 1;
+        let cap = records.len() / 2 + 1;
         let mut spans: Vec<RecSpan> = Vec::with_capacity(cap);
         // Per-span dense state, parallel to `spans`. The candidate walk
         // touches only `hot`; the flags and the active/FIFO links are read
@@ -364,88 +421,82 @@ impl Reconstruction {
         let mut open_next: Vec<u32> = Vec::with_capacity(cap);
         let mut active_head = vec![NONE; ix.n_nodes];
         let mut active_tail = vec![NONE; ix.n_nodes];
-        // Per-server list of *unblocked* active spans — the hard constraint
-        // prunes blocked spans from every tier except the everyone-blocked
-        // fallback, so the common-case walk only visits these.
-        let mut unb_head = vec![NONE; ix.n_nodes];
-        let mut unb_tail = vec![NONE; ix.n_nodes];
+        // Blocked spans cannot call (the hard constraint): candidates come
+        // from these lists, except in the everyone-blocked fallback.
+        let mut unb = UnbLists {
+            head: vec![NONE; n_cells],
+            tail: vec![NONE; n_cells],
+            len: vec![0; n_cells],
+        };
         let mut open_head = vec![NONE; ix.n_conns];
         let mut open_tail = vec![NONE; ix.n_conns];
-        // Learned fan-out profile, dense over (node slot, class slot):
-        // (max calls, samples) from unambiguous parents.
-        let mut profile = vec![(0u32, 0u64); ix.n_nodes * ix.n_classes];
+        // Fan-out profile per cell: (max calls, samples), unambiguous parents.
+        let mut profile = vec![(0u32, 0u64); n_cells];
+        // The early exit needs the winner at the head of a sorted list: the
+        // min-`last_event` heuristics, until a record time goes backwards.
+        let mut sorted = !matches!(heuristic, Heuristic::MostRecent | Heuristic::Fifo);
+        let mut prev_at = SimTime::ZERO;
+        let mut visited = 0u64;
 
-        for (ri, rec) in log.records.iter().enumerate() {
+        for (ri, rec) in records.iter().enumerate() {
+            sorted &= rec.at >= prev_at;
+            prev_at = rec.at;
             match rec.kind {
                 MsgKind::Request => {
                     let server = rec.dst;
                     let idx = spans.len();
                     let src = ix.node(rec.src);
-                    let rec_class = ix.class_slot[usize::from(rec.class.0)];
+                    let rec_class = ix.class_slot[usize::from(rec.class.0)] as usize;
                     let (parent, root) = if ix.client[src] {
                         (None, idx)
                     } else {
-                        // Single pass over the source server's unblocked
-                        // list, folding each candidate into the two
-                        // constraint tiers it can win (hard constraint:
-                        // blocked spans cannot call; soft constraint: class
-                        // signatures are consistent along a transaction).
-                        // The full active list is scanned only when every
-                        // active span is blocked and both tiers are empty.
-                        let mut all = TierBest::EMPTY;
-                        let mut unb = TierBest::EMPTY;
-                        let mut cls = TierBest::EMPTY;
-                        let profile_row = src * ix.n_classes;
-                        let mut cur = unb_head[src];
+                        // Soft constraint (a transaction keeps its class):
+                        // the source's unblocked spans of the call's class,
+                        // head first, up to the winner when sorted.
+                        let cells = src * ix.n_classes..(src + 1) * ix.n_classes;
+                        let cell = cells.start + rec_class;
+                        let mut tier = TierBest::EMPTY;
+                        let mut cur = unb.head[cell];
                         while cur != NONE {
                             let h = &hot[cur as usize];
-                            let key = match heuristic {
-                                Heuristic::Fifo => (h.arrival, cur),
-                                _ => (h.last_event, cur),
-                            };
-                            let eligible = heuristic == Heuristic::ProfileGuided && {
-                                let (max, n) = profile[profile_row + h.class as usize];
-                                n < 8 || h.calls_issued < max
-                            };
-                            unb.add(cur, key, take_max, eligible);
-                            if h.class == rec_class {
-                                cls.add(cur, key, take_max, eligible);
+                            if sorted && tier.settled_at(h.last_event, heuristic) {
+                                break;
                             }
+                            tier.add(cur, h, heuristic, &profile);
                             cur = h.unb_next;
                         }
-                        let tier = if cls.count > 0 {
-                            &cls
-                        } else if unb.count > 0 {
-                            &unb
-                        } else {
+                        if tier.count == 0 {
+                            // Relaxed: every unblocked span on the server.
+                            for c in cells {
+                                let mut cur = unb.head[c];
+                                while cur != NONE {
+                                    let h = &hot[cur as usize];
+                                    tier.add(cur, h, heuristic, &profile);
+                                    cur = h.unb_next;
+                                }
+                            }
+                        }
+                        if tier.count == 0 {
+                            // Everyone is blocked: the full active list.
                             let mut cur = active_head[src];
                             while cur != NONE {
-                                let h = &hot[cur as usize];
-                                let key = match heuristic {
-                                    Heuristic::Fifo => (h.arrival, cur),
-                                    _ => (h.last_event, cur),
-                                };
-                                let eligible = heuristic == Heuristic::ProfileGuided && {
-                                    let (max, n) = profile[profile_row + h.class as usize];
-                                    n < 8 || h.calls_issued < max
-                                };
-                                all.add(cur, key, take_max, eligible);
+                                tier.add(cur, &hot[cur as usize], heuristic, &profile);
                                 cur = act_next[cur as usize];
                             }
-                            &all
-                        };
+                        }
+                        visited += u64::from(tier.count);
+                        // A class list's members are candidates walked or not.
+                        let candidates = tier.count.max(unb.len[cell]);
                         match tier.pick(heuristic) {
                             Some(p) => {
-                                if tier.count > 1 {
+                                if candidates > 1 {
                                     // This parent's call count is now
                                     // heuristic-dependent; don't learn from it.
                                     unambiguous[p] = false;
                                 }
                                 blocked[p] = true;
                                 if in_unb[p] {
-                                    // Candidates are active on `rec.src`, so
-                                    // the parent's server slot is `src`.
-                                    unlink_unb(&mut hot, &mut unb_head, &mut unb_tail, src, p);
+                                    unb.unlink(&mut hot, p);
                                     in_unb[p] = false;
                                 }
                                 (Some(p), spans[p].root)
@@ -466,10 +517,11 @@ impl Reconstruction {
                         calls_issued: 0,
                         truth: rec.truth,
                     });
+                    let d = ix.node(server);
                     hot.push(HotSpan {
                         last_event: rec.at,
                         arrival: rec.at,
-                        class: rec_class,
+                        cell: (d * ix.n_classes + rec_class) as u32,
                         calls_issued: 0,
                         unb_prev: NONE,
                         unb_next: NONE,
@@ -495,7 +547,6 @@ impl Reconstruction {
                     }
                     open_tail[c] = idx32;
                     // Append to the server's active and unblocked lists.
-                    let d = ix.node(server);
                     let tail = active_tail[d];
                     if tail == NONE {
                         active_head[d] = idx32;
@@ -504,7 +555,7 @@ impl Reconstruction {
                     }
                     act_prev[idx] = tail;
                     active_tail[d] = idx32;
-                    link_unb(&mut hot, &mut unb_head, &mut unb_tail, d, idx);
+                    unb.push_back(&mut hot, idx);
                 }
                 MsgKind::Response => {
                     // Pop the (server, conn) FIFO head; a response with no
@@ -534,7 +585,7 @@ impl Reconstruction {
                         act_prev[n as usize] = p;
                     }
                     if in_unb[idx] {
-                        unlink_unb(&mut hot, &mut unb_head, &mut unb_tail, sslot, idx);
+                        unb.unlink(&mut hot, idx);
                         in_unb[idx] = false;
                     }
                     if let Some(par) = spans[idx].parent {
@@ -542,16 +593,21 @@ impl Reconstruction {
                         blocked[par] = false;
                         // The parent is a candidate again — unless it already
                         // departed (out-of-order pairing in a truncated
-                        // capture), in which case it left the active set.
-                        if !in_unb[par] && spans[par].departure.is_none() {
-                            let pslot = ix.node(spans[par].server);
-                            link_unb(&mut hot, &mut unb_head, &mut unb_tail, pslot, par);
+                        // capture), in which case it left the active set. One
+                        // that is already linked (it held two outstanding
+                        // calls, the second taken in the everyone-blocked
+                        // fallback) moves to the tail: its list stays sorted.
+                        if spans[par].departure.is_none() {
+                            if in_unb[par] {
+                                unb.unlink(&mut hot, par);
+                            }
+                            unb.push_back(&mut hot, par);
                             in_unb[par] = true;
                         }
                     }
                     // Feed the fan-out profile from unambiguous spans.
                     if unambiguous[idx] && spans[idx].calls_issued > 0 {
-                        let e = &mut profile[sslot * ix.n_classes + hot[idx].class as usize];
+                        let e = &mut profile[hot[idx].cell as usize];
                         e.0 = e.0.max(spans[idx].calls_issued);
                         e.1 += 1;
                     }
@@ -588,9 +644,10 @@ impl Reconstruction {
             txn.complete = txn.spans.iter().all(|&i| spans[i].departure.is_some());
         }
 
-        fgbd_obsv::counter!("reconstruct.records", log.records.len() as u64);
+        fgbd_obsv::counter!("reconstruct.records", records.len() as u64);
         fgbd_obsv::counter!("reconstruct.spans", spans.len() as u64);
         fgbd_obsv::counter!("reconstruct.txns", txns.len() as u64);
+        fgbd_obsv::counter!("reconstruct.candidates", visited);
         Reconstruction { spans, txns }
     }
 
@@ -612,8 +669,8 @@ impl Reconstruction {
 
 /// The original `HashMap`-keyed reconstruction, kept verbatim as the
 /// executable specification of [`Reconstruction::run`]: the proptest oracle
-/// (`reconstruct_fast_matches_reference`) and the Criterion benches compare
-/// the dense fast path against this span-for-span.
+/// (`reconstruct_fast_matches_reference*`) compares the dense fast path
+/// against this span-for-span.
 pub mod reference {
     use super::*;
 

@@ -238,6 +238,8 @@ fn interleaved_log(shapes: &[(u8, u16, u64, u64)], drop_head: usize, drop_tail: 
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     /// The oracle for the dense-index fast path: on randomized interleaved
     /// multi-tier logs — varying concurrency, shared connections, truncated
     /// captures with orphan calls and orphan responses —
@@ -261,19 +263,37 @@ proptest! {
     /// (including node ids absent from the node table), arbitrary
     /// request/response interleavings, and colliding connection ids. The
     /// fast path must agree with the reference even on captures with no
-    /// transactional structure at all.
+    /// transactional structure at all. Time steps are mostly zero or small
+    /// (runs of equal timestamps across re-links: the early exit must walk
+    /// ties through) and, in `backwards` soups, sometimes negative (the
+    /// sortedness latch); node 0 is a server in `no_client` soups, so every
+    /// server is a call source, the everyone-blocked fallback is reachable
+    /// from all of them and parents hold several outstanding calls (a
+    /// response then finds its parent already linked).
     #[test]
     fn reconstruct_fast_matches_reference_on_record_soup(
         soup in prop::collection::vec(
             (0u64..6, 0u16..36, prop::bool::ANY, 0u32..6, 0u16..3),
-            1..80,
+            1..120,
         ),
+        backwards in prop::bool::ANY,
+        no_client in prop::bool::ANY,
     ) {
-        let mut log = TraceLog::new(nodes());
-        let mut t = 0u64;
+        let mut all = nodes();
+        if no_client {
+            all[0].kind = NodeKind::Server;
+        }
+        let mut log = TraceLog::new(all);
+        let mut t = 100u64;
         for &(dt, srcdst, is_resp, conn, class) in &soup {
-            t += dt;
-            log.push(MsgRecord {
+            // dt 0..3 repeats the instant, 3 steps back (when allowed).
+            t = match dt {
+                0..=2 => t,
+                3 if backwards => t.saturating_sub(1),
+                _ => t + dt - 3,
+            };
+            // Straight into `records`: `push` debug-asserts time order.
+            log.records.push(MsgRecord {
                 at: SimTime::from_micros(t),
                 src: NodeId(srcdst % 6),
                 dst: NodeId(srcdst / 6),
