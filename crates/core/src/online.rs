@@ -7,15 +7,17 @@
 //! feed it time-ordered [`MsgRecord`]s (from the live DES tap or a tailed
 //! capture file) and it
 //!
-//! 1. pairs requests with responses FIFO per `(server, connection)` —
-//!    byte-for-byte the batch `SpanSet::extract` rule;
+//! 1. pairs requests with responses on the one pairing engine,
+//!    `fgbd_trace::span::OpenTable` — the table `SpanSet::extract` pairs
+//!    on, so the rule is shared, not restated;
 //! 2. folds each matched span into the one interval engine,
 //!    `series::IntervalRing`, kept over the *unfinalized* suffix of the
 //!    grid;
 //! 3. **finalizes** an interval once the per-server watermark passes its
 //!    end — the watermark is `min(earliest open request arrival, stream
-//!    time)`, so a finalized interval provably can never be touched by a
-//!    future record;
+//!    time)`, the first a read of the table's arrival-ordered open list,
+//!    so a finalized interval provably can never be touched by a future
+//!    record;
 //! 4. re-estimates N\* on a sliding window of finalized samples and runs
 //!    the interval state machine with hysteresis, emitting
 //!    [`MonitorEvent`] onset/clear verdicts online.
@@ -27,8 +29,8 @@
 //! it, while this one does not and drops intervals at or past the final
 //! grid length at [`OnlineDetector::finish`] (see `IntervalRing` for why
 //! the kept intervals hold identical integers). What is left to argue is
-//! pairing and finalization: pairing is the `SpanSet::extract` rule, and an
-//! interval is popped only once no open or future request can reach it. So
+//! pairing and finalization: pairing is `SpanSet::extract`'s own table, and
+//! an interval is popped only once no open or future request can reach it. So
 //! with `retain` on, the final report's loads, rates, N\* and states are
 //! **bit-for-bit** what `analyze_server` computes from the materialized
 //! capture — property-tested in `tests/online.rs`, and on a real run in
@@ -38,18 +40,27 @@
 //! sliding-window N\* available at finalization time, trading the batch
 //! detector's full-run fit for bounded memory and bounded detection
 //! latency. The final report re-classifies with the full-run fit.
+//!
+//! # Disorder
+//!
+//! The contract is a time-ordered stream. A record stamped before stream
+//! time is taken as it comes and counted ([`OnlineDetector::finish`] flushes
+//! `trace.reordered`), not repaired. The open list stays sorted (a late
+//! stamp walks back to its place), so the watermark's first term is the
+//! minimum over *all* open requests, where a heap of per-connection FIFO
+//! fronts missed one queued behind a later-stamped request.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
-use fgbd_trace::{ClassId, MsgKind, MsgRecord, NodeId};
+use fgbd_trace::span::{server_slot, OpenTable};
+use fgbd_trace::{MsgKind, MsgRecord, NodeId};
 
 use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalState};
 use crate::nstar::NStar;
-use crate::series::{materialize, service_us, IntervalRing, Window};
+use crate::series::{materialize, IntervalRing, ServiceCache, Window};
 
 /// Parameters of the online detector.
 #[derive(Debug, Clone, Copy)]
@@ -168,8 +179,8 @@ pub struct MonitorSnapshot {
     /// Stream time minus the slowest server watermark: how far verdicts
     /// trail the stream.
     pub lag: SimDuration,
-    /// Estimated bytes of detector state (rings, FIFOs, windows, retained
-    /// samples).
+    /// Bytes of detector state (rings, open-request tables, windows,
+    /// retained samples).
     pub state_bytes: usize,
     /// Per-server live state, ordered by server id.
     pub servers: Vec<ServerSnapshot>,
@@ -230,25 +241,13 @@ pub struct OnlineFinish {
     pub events: Vec<MonitorEvent>,
 }
 
-/// One open request awaiting its response.
-#[derive(Debug, Clone, Copy)]
-struct OpenReq {
-    at_us: u64,
-    class: ClassId,
-    ticket: u64,
-}
-
 #[derive(Debug)]
 struct ServerState {
     server: NodeId,
     wu_us: u64,
-    /// FIFO of open requests per connection — the batch pairing rule.
-    fifos: FxHashMap<u32, VecDeque<OpenReq>>,
-    open: usize,
-    next_ticket: u64,
-    /// Min-heap over FIFO *fronts*: `(arrival_us, ticket, conn)`. Lazy
-    /// deletion — an entry is alive iff it still is its FIFO's front.
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Open requests: the pairing rule, and — as the head of its
+    /// arrival-ordered list — the watermark's earliest open arrival.
+    open: OpenTable<()>,
     /// Accumulators of the not-yet-finalized intervals; `ring.base()` is
     /// the number finalized.
     ring: IntervalRing,
@@ -277,10 +276,7 @@ impl ServerState {
         ServerState {
             server,
             wu_us,
-            fifos: FxHashMap::default(),
-            open: 0,
-            next_ticket: 0,
-            heap: BinaryHeap::new(),
+            open: OpenTable::default(),
             ring: IntervalRing::open_ended(cfg.start, cfg.interval),
             samples: VecDeque::new(),
             live_nstar: None,
@@ -301,44 +297,10 @@ impl ServerState {
         }
     }
 
-    /// Earliest open request arrival, cleaning stale heap tops.
-    fn open_min(&mut self) -> Option<u64> {
-        while let Some(&Reverse((at, ticket, conn))) = self.heap.peek() {
-            let alive = self
-                .fifos
-                .get(&conn)
-                .and_then(VecDeque::front)
-                .is_some_and(|r| r.ticket == ticket);
-            if alive {
-                return Some(at);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Rebuilds the heap from live FIFO fronts when lazy deletion has let
-    /// it outgrow the open set — one pinned old request must not make the
-    /// heap grow with churn.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() > 2 * self.open + 16 {
-            self.heap = self
-                .fifos
-                .iter()
-                .filter_map(|(&conn, q)| q.front().map(|r| Reverse((r.at_us, r.ticket, conn))))
-                .collect();
-        }
-    }
-
     fn state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ring.state_bytes()
-            + self.heap.len() * size_of::<Reverse<(u64, u64, u32)>>()
-            + self
-                .fifos
-                .values()
-                .map(|q| q.len() * size_of::<OpenReq>() + size_of::<u32>())
-                .sum::<usize>()
+            + self.open.state_bytes()
             + self.samples.len() * size_of::<(f64, f64)>()
             + (self.loads.len() + self.rates.len()) * size_of::<f64>()
     }
@@ -350,11 +312,16 @@ impl ServerState {
 pub struct OnlineDetector {
     cfg: OnlineConfig,
     services: ServiceTimeTable,
+    service_cache: ServiceCache,
     wu_default_us: u64,
+    /// Work units set before their server's first record.
     wu_overrides: FxHashMap<u16, u64>,
-    servers: FxHashMap<u16, ServerState>,
+    /// Per-server state, indexed by `NodeId.0`.
+    servers: Vec<Option<Box<ServerState>>>,
     cur_us: u64,
     records: u64,
+    /// Records stamped before stream time (see the module docs).
+    reordered: u64,
     events: Vec<MonitorEvent>,
 }
 
@@ -376,9 +343,11 @@ impl OnlineDetector {
             wu_overrides: FxHashMap::default(),
             cfg,
             services,
-            servers: FxHashMap::default(),
+            service_cache: ServiceCache::default(),
+            servers: Vec::new(),
             cur_us: 0,
             records: 0,
+            reordered: 0,
             events: Vec::new(),
         }
     }
@@ -394,7 +363,7 @@ impl OnlineDetector {
         assert!(!work_unit.is_zero(), "work unit must be positive");
         let wu = work_unit.as_micros();
         self.wu_overrides.insert(server.0, wu);
-        if let Some(state) = self.servers.get_mut(&server.0) {
+        if let Some(Some(state)) = self.servers.get_mut(server.0 as usize) {
             state.wu_us = wu;
         }
     }
@@ -405,72 +374,43 @@ impl OnlineDetector {
     }
 
     /// Consumes one record. Records must arrive in non-decreasing time
-    /// order (the capture contract).
+    /// order (the capture contract); one that does not is counted, not
+    /// repaired.
     pub fn push(&mut self, rec: &MsgRecord) {
-        debug_assert!(
-            rec.at.as_micros() >= self.cur_us,
-            "record stream must be time-ordered"
-        );
-        self.cur_us = self.cur_us.max(rec.at.as_micros());
+        let at_us = rec.at.as_micros();
+        if at_us < self.cur_us {
+            self.reordered += 1;
+        } else {
+            self.cur_us = at_us;
+        }
         self.records += 1;
         let server = rec.span_node();
-        let wu_us = self
-            .wu_overrides
-            .get(&server.0)
-            .copied()
-            .unwrap_or(self.wu_default_us);
-        let state = self
-            .servers
-            .entry(server.0)
-            .or_insert_with(|| ServerState::new(server, wu_us, &self.cfg));
+        let state = server_slot(&mut self.servers, server, || {
+            let wu_us = self.wu_overrides.get(&server.0).copied();
+            ServerState::new(server, wu_us.unwrap_or(self.wu_default_us), &self.cfg)
+        });
         match rec.kind {
-            MsgKind::Request => {
-                let ticket = state.next_ticket;
-                state.next_ticket += 1;
-                let q = state.fifos.entry(rec.conn.0).or_default();
-                let was_empty = q.is_empty();
-                q.push_back(OpenReq {
-                    at_us: rec.at.as_micros(),
-                    class: rec.class,
-                    ticket,
-                });
-                state.open += 1;
-                if was_empty {
-                    state
-                        .heap
-                        .push(Reverse((rec.at.as_micros(), ticket, rec.conn.0)));
+            MsgKind::Request => state.open.open(rec.conn, rec.at, rec.class, ()),
+            MsgKind::Response => match state.open.close(rec.conn) {
+                None => state.unmatched += 1,
+                Some((arrival, class, ())) => {
+                    state.matched += 1;
+                    let (arrival_us, wu_us) = (arrival.as_micros(), state.wu_us);
+                    state.ring.add(arrival_us, at_us, || {
+                        let residence_us = at_us.saturating_sub(arrival_us);
+                        let cache = &mut self.service_cache;
+                        cache.service_us(&self.services, server, class, residence_us, wu_us)
+                    });
                 }
-            }
-            MsgKind::Response => {
-                let popped = state
-                    .fifos
-                    .get_mut(&rec.conn.0)
-                    .and_then(VecDeque::pop_front);
-                match popped {
-                    None => state.unmatched += 1,
-                    Some(req) => {
-                        state.open -= 1;
-                        state.matched += 1;
-                        if let Some(front) = state.fifos.get(&rec.conn.0).and_then(VecDeque::front)
-                        {
-                            state
-                                .heap
-                                .push(Reverse((front.at_us, front.ticket, rec.conn.0)));
-                        }
-                        state.maybe_compact();
-                        let (at_us, wu_us) = (rec.at.as_micros(), state.wu_us);
-                        state.ring.add(req.at_us, at_us, || {
-                            service_us(&self.services, server, req.class, at_us - req.at_us, wu_us)
-                        });
-                    }
-                }
-            }
+            },
         }
         // Add-then-finalize: the watermark only advances once the record's
         // own effect is in the ring.
         let cur_us = self.cur_us;
-        let state = self.servers.get_mut(&server.0).expect("just inserted");
-        let wm = state.open_min().map_or(cur_us, |a| a.min(cur_us));
+        let wm = state
+            .open
+            .min_open()
+            .map_or(cur_us, |a| a.as_micros().min(cur_us));
         let target = state.ring.index_of(wm);
         Self::finalize_to(state, target, cur_us, &self.cfg, &mut self.events);
     }
@@ -566,7 +506,7 @@ impl OnlineDetector {
             tp_max: state.live_nstar.as_ref().map_or(0.0, |e| e.tp_max),
             load,
             rate,
-            queue_depth: state.open,
+            queue_depth: state.open.len(),
             detect_latency: SimTime::from_micros(cur_us.max(end_us)) - SimTime::from_micros(end_us),
         }
     }
@@ -577,27 +517,22 @@ impl OnlineDetector {
     }
 
     /// A point-in-time view for heartbeat emission.
-    pub fn snapshot(&mut self) -> MonitorSnapshot {
+    pub fn snapshot(&self) -> MonitorSnapshot {
         let cur_us = self.cur_us;
-        let mut ids: Vec<u16> = self.servers.keys().copied().collect();
-        ids.sort_unstable();
         let mut spans_in_flight = 0;
         let mut min_wm = cur_us;
-        let mut state_bytes = 0;
-        let mut servers = Vec::with_capacity(ids.len());
-        for id in ids {
-            let s = self.servers.get_mut(&id).expect("listed");
-            spans_in_flight += s.open;
-            if let Some(a) = s.open_min() {
-                min_wm = min_wm.min(a);
+        let mut servers = Vec::new();
+        for s in self.servers.iter().flatten() {
+            spans_in_flight += s.open.len();
+            if let Some(a) = s.open.min_open() {
+                min_wm = min_wm.min(a.as_micros());
             }
-            state_bytes += s.state_bytes();
             servers.push(ServerSnapshot {
                 server: s.server,
                 finalized: s.ring.base(),
                 congested_now: s.congested_now,
                 live_nstar: s.live_nstar.as_ref().map(|e| e.nstar),
-                open_requests: s.open,
+                open_requests: s.open.len(),
                 last_load: s.last_load,
                 last_rate: s.last_rate,
                 congested_intervals: s.live_congested,
@@ -609,14 +544,15 @@ impl OnlineDetector {
             records: self.records,
             spans_in_flight,
             lag: SimTime::from_micros(cur_us) - SimTime::from_micros(min_wm),
-            state_bytes,
+            state_bytes: self.state_bytes(),
             servers,
         }
     }
 
-    /// Estimated bytes of detector state.
+    /// Bytes of detector state.
     pub fn state_bytes(&self) -> usize {
-        self.servers.values().map(ServerState::state_bytes).sum()
+        let servers = self.servers.iter().flatten();
+        servers.map(|s| s.state_bytes()).sum()
     }
 
     /// Ends the stream at `end`, resolving the grid to
@@ -632,16 +568,17 @@ impl OnlineDetector {
     ///
     /// Panics if `end <= start` (the `Window::new` contract).
     pub fn finish(mut self, end: SimTime) -> OnlineFinish {
+        if fgbd_obsv::enabled() {
+            // Retained: 0 on a time-ordered stream is the finding.
+            fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
+        }
         let window = Window::new(self.cfg.start, end, self.cfg.interval);
         let len = window.len();
-        let mut ids: Vec<u16> = self.servers.keys().copied().collect();
-        ids.sort_unstable();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let mut state = self.servers.remove(&id).expect("listed");
+        let mut out = Vec::new();
+        for mut state in std::mem::take(&mut self.servers).into_iter().flatten() {
             // Requests still open at stream end never become spans; the
             // batch extractor counts them unmatched.
-            state.unmatched += state.open;
+            state.unmatched += state.open.len();
             Self::finalize_to(&mut state, len, self.cur_us, &self.cfg, &mut self.events);
             let (nstar, states) = if self.cfg.retain {
                 // Intervals finalized past the grid end (the stream ran
@@ -667,7 +604,7 @@ impl OnlineDetector {
         }
         OnlineFinish {
             reports: out,
-            events: std::mem::take(&mut self.events),
+            events: self.events,
         }
     }
 }
@@ -676,7 +613,7 @@ impl OnlineDetector {
 mod tests {
     use super::*;
     use crate::detect::analyze_server;
-    use fgbd_trace::{ConnId, NodeKind, NodeMeta, SpanSet, TraceLog};
+    use fgbd_trace::{ClassId, ConnId, NodeKind, NodeMeta, SpanSet, TraceLog};
 
     fn rec(at_us: u64, src: u16, dst: u16, kind: MsgKind, conn: u32, class: u16) -> MsgRecord {
         MsgRecord {
@@ -920,34 +857,70 @@ mod tests {
     }
 
     #[test]
-    fn heap_compaction_bounds_state_under_pinned_watermark() {
+    fn open_state_tracks_open_requests_under_pinned_watermark() {
         // One ancient open request pins the watermark while other
-        // connections churn; the heap must not grow with the churn.
+        // connections churn: pairing state is sized by the requests open at
+        // once (here at most two), not by how many have come and gone.
         let mut online = OnlineDetector::new(online_cfg(), services());
         online.push(&rec(0, 0, 1, MsgKind::Request, 999, 0));
+        let mut after_first_rounds = 0;
         for i in 0..10_000u64 {
             let t = 1_000 + i * 100;
             online.push(&rec(t, 0, 1, MsgKind::Request, 1 + (i % 8) as u32, 0));
             online.push(&rec(t + 50, 1, 0, MsgKind::Response, 1 + (i % 8) as u32, 0));
+            if i == 15 {
+                after_first_rounds = online.servers[1].as_ref().unwrap().open.state_bytes();
+            }
         }
-        let state = online.servers.get(&1).unwrap();
+        let state = online.servers[1].as_ref().unwrap();
+        assert_eq!(state.open.len(), 1);
+        assert_eq!(
+            state.open.state_bytes(),
+            after_first_rounds,
+            "open-request state grew with churn"
+        );
         assert!(
-            state.heap.len() <= 2 * state.open + 16,
-            "heap grew to {} with {} open",
-            state.heap.len(),
-            state.open
+            after_first_rounds < 1024,
+            "{after_first_rounds} B for 2 open"
         );
         // The ring grows while the watermark is pinned (correctness over
         // memory until the request resolves) — resolve it and the ring
         // drains.
+        assert_eq!(state.ring.base(), 0, "watermark pinned at the open request");
         online.push(&rec(2_000_000, 1, 0, MsgKind::Response, 999, 0));
-        let state = online.servers.get(&1).unwrap();
+        let state = online.servers[1].as_ref().unwrap();
         assert!(state.ring.base() > 0, "watermark released finalization");
         assert!(
             state.ring.len() <= 2,
             "ring drained after release: {}",
             state.ring.len()
         );
+    }
+
+    #[test]
+    fn disorder_is_counted_and_the_watermark_is_the_true_open_minimum() {
+        let mut online = OnlineDetector::new(online_cfg(), services());
+        online.push(&rec(10_000, 0, 1, MsgKind::Request, 1, 0));
+        // Stamped before stream time, and queued on its connection *behind*
+        // the later-stamped request: a minimum over FIFO fronts misses it.
+        online.push(&rec(9_000, 0, 1, MsgKind::Request, 1, 0));
+        online.push(&rec(9_500, 0, 1, MsgKind::Request, 2, 0));
+        online.push(&rec(12_000, 0, 1, MsgKind::Request, 3, 0));
+        assert_eq!(online.reordered, 2);
+        assert_eq!(
+            online.now(),
+            SimTime::from_micros(12_000),
+            "time never moves back"
+        );
+        let snap = online.snapshot();
+        assert_eq!(snap.lag, SimDuration::from_micros(3_000));
+        // Pairing is still oldest-on-the-connection, in stream order.
+        online.push(&rec(12_500, 1, 0, MsgKind::Response, 1, 0));
+        assert_eq!(online.snapshot().lag, SimDuration::from_micros(3_500));
+        online.push(&rec(13_000, 1, 0, MsgKind::Response, 1, 0));
+        assert_eq!(online.snapshot().lag, SimDuration::from_micros(3_500));
+        let fin = online.finish(SimTime::from_millis(50));
+        assert_eq!((fin.reports[0].matched, fin.reports[0].unmatched), (2, 2));
     }
 
     #[test]

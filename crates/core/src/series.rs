@@ -258,21 +258,55 @@ impl IntervalRing {
     }
 }
 
-/// What a completed request adds to its departure interval: its class's
-/// calibrated service time, or — for a class calibration never saw — its
-/// own residence capped at one work unit (see
-/// [`ThroughputSeries::from_spans`]).
-#[inline]
-pub(crate) fn service_us(
-    services: &ServiceTimeTable,
-    server: NodeId,
-    class: ClassId,
-    residence_us: u64,
-    wu_us: u64,
-) -> u64 {
-    services
-        .get(server, class)
-        .map_or_else(|| residence_us.min(wu_us), |s| s.as_micros())
+/// What a completed request adds to its departure interval — its class's
+/// calibrated service time, or, for a class calibration never saw, its own
+/// residence capped at one work unit (see
+/// [`ThroughputSeries::from_spans`]) — with the [`ServiceTimeTable`] probed
+/// once per `(server, class)`, not once per span: `[NodeId.0][ClassId.0]`.
+#[derive(Debug, Default)]
+pub(crate) struct ServiceCache(Vec<Vec<u64>>);
+
+/// A [`ServiceCache`] cell not looked up yet.
+const UNSEEN: u64 = u64::MAX;
+/// A [`ServiceCache`] cell whose class the table does not hold.
+const UNCALIBRATED: u64 = u64::MAX - 1;
+
+impl ServiceCache {
+    #[inline]
+    pub(crate) fn service_us(
+        &mut self,
+        services: &ServiceTimeTable,
+        server: NodeId,
+        class: ClassId,
+        residence_us: u64,
+        wu_us: u64,
+    ) -> u64 {
+        let row = self.0.get(server.0 as usize);
+        let us = match row.and_then(|r| r.get(class.0 as usize)) {
+            Some(&us) if us != UNSEEN => us,
+            _ => self.resolve(services, server, class),
+        };
+        if us == UNCALIBRATED {
+            residence_us.min(wu_us)
+        } else {
+            us
+        }
+    }
+
+    #[cold]
+    fn resolve(&mut self, services: &ServiceTimeTable, server: NodeId, class: ClassId) -> u64 {
+        let (s, c) = (server.0 as usize, class.0 as usize);
+        if s >= self.0.len() {
+            self.0.resize_with(s + 1, Vec::new);
+        }
+        if c >= self.0[s].len() {
+            self.0[s].resize(c + 1, UNSEEN);
+        }
+        let us = services.get(server, class);
+        let us = us.map_or(UNCALIBRATED, |d| d.as_micros());
+        self.0[s][c] = us;
+        us
+    }
 }
 
 /// One interval's integer sums as the paper's quantities
@@ -476,10 +510,11 @@ impl SeriesSet {
         assert!(!work_unit.is_zero(), "work unit must be positive");
         let wu_us = work_unit.as_micros();
         let mut ring = IntervalRing::bounded(window);
+        let mut cache = ServiceCache::default();
         for s in spans {
             ring.add(s.arrival.as_micros(), s.departure.as_micros(), || {
                 services.map_or(0, |t| {
-                    service_us(t, s.server, s.class, s.residence().as_micros(), wu_us)
+                    cache.service_us(t, s.server, s.class, s.residence().as_micros(), wu_us)
                 })
             });
         }

@@ -3,11 +3,18 @@
 //!
 //! A *span* is one request's residence at one server: from the instant its
 //! request message reaches the server to the instant its response message
-//! leaves. Spans are extracted from the raw message log by pairing requests
-//! with responses on the same TCP connection — requests on one connection are
-//! serviced serially, so pairing is FIFO per `(server, conn)`.
+//! leaves. Spans come from pairing requests with responses on the same TCP
+//! connection — requests on one connection are serviced serially, so a
+//! response closes the *oldest* open request on its `(server, conn)`.
+//!
+//! That rule lives in one place, [`OpenTable`], and both pairers sit on
+//! it: [`SpanPairer`] here, which keeps each matched pair as a [`Span`],
+//! and `fgbd-core`'s online detector, which folds the pair into its
+//! interval ring and reads the table's earliest open arrival as its
+//! watermark.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::mem::size_of;
 
 use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
@@ -111,12 +118,189 @@ impl SpanSet {
     }
 }
 
-/// What a span keeps of its request record while the response is awaited.
-#[derive(Debug)]
-struct OpenRequest {
+/// "No entry" in [`OpenTable`]'s intrusive links.
+const NIL: u32 = u32::MAX;
+
+/// One open request in the slab, on two lists at once.
+#[derive(Debug, Clone, Copy)]
+struct Entry<P> {
     at: SimTime,
     class: ClassId,
-    truth: Option<TxnId>,
+    payload: P,
+    /// The next (younger) request on the same connection.
+    conn_next: u32,
+    /// Neighbours in the arrival-ordered open list; on a freed entry `next`
+    /// links the free list.
+    prev: u32,
+    next: u32,
+}
+
+/// One server's open requests — the pairing engine under [`SpanPairer`] and
+/// the online detector.
+///
+/// A slab with a free list, threaded by two intrusive lists: the
+/// per-connection FIFO (a response closes the oldest request on its
+/// connection — the pairing rule) and the server-wide open list in arrival
+/// order. A time-ordered tap delivers requests in arrival order, so
+/// [`open`](Self::open) appends at the tail; a request stamped earlier
+/// walks back to its sorted place, so the head is the minimum over *all*
+/// open requests on any input. On a time-ordered stream every operation is
+/// `O(1)` with one hash probe (the connection).
+#[derive(Debug)]
+pub struct OpenTable<P> {
+    slab: Vec<Entry<P>>,
+    free: u32,
+    /// `(oldest, youngest)` open request per connection; the FIFO is empty
+    /// when `oldest` is [`NIL`] (`youngest` is then stale).
+    conns: FxHashMap<u32, (u32, u32)>,
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl<P> Default for OpenTable<P> {
+    fn default() -> Self {
+        OpenTable {
+            slab: Vec::new(),
+            free: NIL,
+            conns: FxHashMap::default(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+}
+
+impl<P: Copy> OpenTable<P> {
+    /// Records a request that reached the server at `at` on `conn`.
+    #[inline]
+    pub fn open(&mut self, conn: ConnId, at: SimTime, class: ClassId, payload: P) {
+        // Behind the youngest request not stamped later: the tail, unless
+        // the stream ran backwards.
+        let mut prev = self.tail;
+        while prev != NIL && self.slab[prev as usize].at > at {
+            prev = self.slab[prev as usize].prev;
+        }
+        let next = match prev {
+            NIL => self.head,
+            p => self.slab[p as usize].next,
+        };
+        let entry = Entry {
+            at,
+            class,
+            payload,
+            conn_next: NIL,
+            prev,
+            next,
+        };
+        let idx = self.free;
+        let idx = if idx == NIL {
+            assert!(self.slab.len() < NIL as usize, "open-request slab is full");
+            self.slab.push(entry);
+            (self.slab.len() - 1) as u32
+        } else {
+            self.free = std::mem::replace(&mut self.slab[idx as usize], entry).next;
+            idx
+        };
+        match prev {
+            NIL => self.head = idx,
+            p => self.slab[p as usize].next = idx,
+        }
+        match next {
+            NIL => self.tail = idx,
+            n => self.slab[n as usize].prev = idx,
+        }
+        let fifo = self.conns.entry(conn.0).or_insert((NIL, NIL));
+        match fifo.0 {
+            NIL => fifo.0 = idx,
+            _ => self.slab[fifo.1 as usize].conn_next = idx,
+        }
+        fifo.1 = idx;
+        self.len += 1;
+    }
+
+    /// Closes the oldest open request on `conn` — the one a response on
+    /// that connection answers — and returns its `(arrival, class,
+    /// payload)`, or `None` if the connection has none.
+    #[inline]
+    pub fn close(&mut self, conn: ConnId) -> Option<(SimTime, ClassId, P)> {
+        let fifo = self.conns.get_mut(&conn.0)?;
+        let idx = fifo.0;
+        let entry = *self.slab.get(idx as usize)?;
+        fifo.0 = entry.conn_next;
+        match entry.prev {
+            NIL => self.head = entry.next,
+            p => self.slab[p as usize].next = entry.next,
+        }
+        match entry.next {
+            NIL => self.tail = entry.prev,
+            n => self.slab[n as usize].prev = entry.prev,
+        }
+        self.slab[idx as usize].next = std::mem::replace(&mut self.free, idx);
+        self.len -= 1;
+        Some((entry.at, entry.class, entry.payload))
+    }
+
+    /// Arrival of the earliest open request: the open list's head ([`NIL`]
+    /// indexes past any slab, so an empty list reads as `None`).
+    #[inline]
+    pub fn min_open(&self) -> Option<SimTime> {
+        self.slab.get(self.head as usize).map(|e| e.at)
+    }
+
+    /// Requests currently open.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no request is open.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes held: the slab (its capacity is the open high-water mark) and
+    /// the connection map at its 7/8 load factor, one control byte a bucket.
+    pub fn state_bytes(&self) -> usize {
+        self.slab.capacity() * size_of::<Entry<P>>()
+            + self.conns.capacity() * 8 / 7 * (size_of::<(u32, (u32, u32))>() + 1)
+    }
+}
+
+/// The slot for `server` in a dense per-server table indexed by `NodeId.0`,
+/// created on first use (boxed, so a stray large id costs a pointer per
+/// skipped slot).
+#[inline]
+pub fn server_slot<T>(
+    slots: &mut Vec<Option<Box<T>>>,
+    server: NodeId,
+    new: impl FnOnce() -> T,
+) -> &mut T {
+    let i = server.0 as usize;
+    if i >= slots.len() {
+        slots.resize_with(i + 1, || None);
+    }
+    slots[i].get_or_insert_with(|| Box::new(new()))
+}
+
+/// Departure of a span whose response has not arrived yet.
+const PENDING: SimTime = SimTime::MAX;
+
+/// One server's half of [`SpanPairer`].
+#[derive(Debug, Default)]
+struct ServerSpans {
+    /// Open requests; the payload is the request's slot in `spans`.
+    open: OpenTable<u32>,
+    /// The server's final span list, in request order: a request reserves
+    /// its slot with a [`PENDING`] departure, its response fills it in.
+    spans: Vec<Span>,
+    /// Responses that found no open request on their connection.
+    orphans: usize,
+    /// A request arrived stamped before its predecessor: `spans` is not in
+    /// arrival order, so every later close is sequenced and `finish` sorts.
+    disordered: bool,
+    /// `(slot, close sequence ≥ 1)` of every close whose place among
+    /// equal-arrival spans request order does not settle.
+    sequenced: Vec<(u32, u32)>,
 }
 
 /// The span-pairing engine in its streaming form: records go in one at a
@@ -124,64 +308,114 @@ struct OpenRequest {
 /// ([`SpanSet::extract`]) or the simulator's record tap, which never holds
 /// a log — and [`finish`](Self::finish) hands back the [`SpanSet`].
 ///
-/// Requests on one connection are serviced serially, so each
-/// `(server, connection)` keeps a FIFO of open requests; a response closes
-/// the oldest one into a span, appended to its server's list (departure
-/// order).
+/// Spans are *born sorted*: requests reach a server in arrival order, so
+/// the slot a request reserves in its server's list is its final place and
+/// the response only fills in the departure. The specification
+/// ([`reference::extract`]) orders equal arrivals by `(departure, response
+/// order)`, which request order does not give, so a close with an
+/// equal-arrival neighbour is sequenced and `finish` re-orders just those
+/// runs; a server whose requests ever run backwards in time sorts its list.
 #[derive(Debug, Default)]
 pub struct SpanPairer {
-    open: FxHashMap<(NodeId, ConnId), VecDeque<OpenRequest>>,
-    set: SpanSet,
+    servers: Vec<Option<Box<ServerSpans>>>,
 }
 
 impl SpanPairer {
     /// Consumes the next record of the capture.
     pub fn push(&mut self, rec: &MsgRecord) {
         let server = rec.span_node();
+        let s = server_slot(&mut self.servers, server, ServerSpans::default);
         match rec.kind {
             MsgKind::Request => {
-                self.open
-                    .entry((server, rec.conn))
-                    .or_default()
-                    .push_back(OpenRequest {
-                        at: rec.at,
-                        class: rec.class,
-                        truth: rec.truth,
-                    });
+                let slot = u32::try_from(s.spans.len()).expect("under 2^32 spans per server");
+                s.disordered |= s.spans.last().is_some_and(|p| rec.at < p.arrival);
+                s.open.open(rec.conn, rec.at, rec.class, slot);
+                s.spans.push(Span {
+                    server,
+                    class: rec.class,
+                    arrival: rec.at,
+                    departure: PENDING,
+                    conn: rec.conn,
+                    truth: rec.truth,
+                });
             }
-            MsgKind::Response => {
-                let req = self
-                    .open
-                    .get_mut(&(server, rec.conn))
-                    .and_then(VecDeque::pop_front);
-                match req {
-                    Some(req) => self.set.by_server.entry(server).or_default().push(Span {
-                        server,
-                        class: req.class,
-                        arrival: req.at,
-                        departure: rec.at,
-                        conn: rec.conn,
-                        truth: req.truth,
-                    }),
-                    None => *self.set.unmatched.entry(server).or_default() += 1,
+            MsgKind::Response => match s.open.close(rec.conn) {
+                Some((arrival, _, slot)) => {
+                    let i = slot as usize;
+                    s.spans[i].departure = rec.at;
+                    let tied = |i: usize| s.spans.get(i).is_some_and(|n| n.arrival == arrival);
+                    if s.disordered || tied(i.wrapping_sub(1)) || tied(i + 1) {
+                        s.sequenced.push((slot, s.sequenced.len() as u32 + 1));
+                    }
                 }
-            }
+                None => s.orphans += 1,
+            },
         }
     }
 
     /// Ends the capture: requests still open are counted unmatched at their
-    /// server, and each server's spans are stable-sorted by
-    /// `(arrival, departure)`.
-    pub fn finish(mut self) -> SpanSet {
-        for ((server, _), q) in self.open {
-            if !q.is_empty() {
-                *self.set.unmatched.entry(server).or_default() += q.len();
+    /// server and their slots dropped, and equal arrivals are put in the
+    /// specification's `(departure, response order)`.
+    pub fn finish(self) -> SpanSet {
+        let mut set = SpanSet::default();
+        let mut resorted = 0;
+        for (id, s) in self.servers.into_iter().enumerate() {
+            let Some(mut s) = s else { continue };
+            let server = NodeId(id as u16);
+            let unmatched = s.orphans + s.open.len();
+            if unmatched > 0 {
+                set.unmatched.insert(server, unmatched);
+            }
+            s.sequenced.sort_unstable();
+            if s.disordered {
+                resorted += s.spans.len() - s.open.len();
+                restore_order(&mut s.spans, 0, &s.sequenced);
+            } else {
+                // Arrival order holds: only a run of equal arrivals with a
+                // sequenced close can be out of place.
+                let mut rest = s.sequenced.as_slice();
+                while let Some(&(first, _)) = rest.first() {
+                    let first = first as usize;
+                    let tied = |p: &&Span| p.arrival == s.spans[first].arrival;
+                    let lo = first - s.spans[..first].iter().rev().take_while(tied).count();
+                    let hi = first + s.spans[first..].iter().take_while(tied).count();
+                    let (run, later) = rest.split_at(rest.partition_point(|r| (r.0 as usize) < hi));
+                    restore_order(&mut s.spans[lo..hi], lo, run);
+                    rest = later;
+                }
+            }
+            if !s.open.is_empty() {
+                s.spans.retain(|span| span.departure != PENDING);
+            }
+            if !s.spans.is_empty() {
+                set.by_server.insert(server, s.spans);
             }
         }
-        for spans in self.set.by_server.values_mut() {
-            spans.sort_by_key(|s| (s.arrival, s.departure));
+        if fgbd_obsv::enabled() {
+            // Retained: 0 on every time-ordered capture is the finding.
+            fgbd_obsv::metrics::counter_retained("extract.resorted").add(resorted as u64);
         }
-        self.set
+        set
+    }
+}
+
+/// Sorts `run` — the spans in slots `first_slot..` — by `(arrival,
+/// departure, close sequence)`; `sequenced` holds the run's `(slot,
+/// sequence)` pairs in slot order. A close that was not sequenced sorts
+/// first among equals (sequence 0): it had no equal-arrival neighbour when
+/// it closed, so it closed before any other span of its arrival opened.
+/// [`PENDING`] slots sort last in their arrival; the caller drops them.
+fn restore_order(run: &mut [Span], first_slot: usize, sequenced: &[(u32, u32)]) {
+    let mut sequenced = sequenced.iter().peekable();
+    let keyed = (first_slot..).zip(run.iter()).map(|(slot, &span)| {
+        let seq = sequenced.next_if(|s| s.0 as usize == slot);
+        (span, seq.map_or(0, |s| s.1))
+    });
+    let mut keyed: Vec<(Span, u32)> = keyed.collect();
+    // Keys are unique among answered spans, so an unstable sort is exact.
+    keyed.sort_unstable_by_key(|&(s, seq)| (s.arrival, s.departure, seq));
+    for (dst, (span, _)) in run.iter_mut().zip(keyed) {
+        *dst = span;
     }
 }
 

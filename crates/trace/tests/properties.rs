@@ -5,6 +5,7 @@ use fgbd_trace::capture::{read_capture, write_capture, CaptureError};
 use fgbd_trace::capture2::{read_capture2_parallel, ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
+use fgbd_trace::span::OpenTable;
 use fgbd_trace::Projection;
 use fgbd_trace::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet, TraceLog, TxnId,
@@ -338,30 +339,33 @@ proptest! {
         prop_assert!(read_capture(&buf[..cut]).is_err());
     }
 
-    /// The dense span extractor ([`SpanSet::extract`]) produces output
+    /// The streaming pairer ([`SpanSet::extract`]) produces output
     /// identical to the `HashMap`-keyed reference on adversarial record
     /// soup: arbitrary interleavings, unknown node ids, colliding
-    /// connections, and truncation at both ends.
+    /// connections, truncation at both ends, same-microsecond arrivals
+    /// (`dt == 0`: the sequenced equal-arrival runs) and, one step in
+    /// eight, time running backwards (the per-server disorder fallback).
     #[test]
     fn extract_fast_matches_reference(
         soup in prop::collection::vec(
-            (0u64..6, 0u16..36, prop::bool::ANY, 0u32..6, 0u16..3),
-            1..120,
+            (0u64..3, 0u8..8, 0u16..16, prop::bool::ANY, 0u32..3, 0u16..3),
+            1..160,
         ),
     ) {
         let mut log = TraceLog::new(nodes());
-        let mut t = 0u64;
-        for &(dt, srcdst, is_resp, conn, class) in &soup {
-            t += dt;
-            log.push(MsgRecord {
+        let mut t = 10u64;
+        for (i, &(dt, back, srcdst, is_resp, conn, class)) in soup.iter().enumerate() {
+            t = if back == 0 { t.saturating_sub(dt) } else { t + dt };
+            // Not `TraceLog::push`: it asserts the order this soup breaks.
+            log.records.push(MsgRecord {
                 at: SimTime::from_micros(t),
-                src: NodeId(srcdst % 6),
-                dst: NodeId(srcdst / 6),
+                src: NodeId(srcdst % 4),
+                dst: NodeId(srcdst / 4),
                 kind: if is_resp { MsgKind::Response } else { MsgKind::Request },
                 conn: ConnId(conn),
                 class: ClassId(class),
                 bytes: 10,
-                truth: if is_resp { None } else { Some(TxnId(t)) },
+                truth: if is_resp { None } else { Some(TxnId(i as u64)) },
             });
         }
         let fast = SpanSet::extract(&log);
@@ -372,6 +376,40 @@ proptest! {
         }
         prop_assert_eq!(&fast.unmatched, &spec.unmatched);
         prop_assert_eq!(fast.len(), spec.len());
+    }
+
+    /// [`OpenTable`] against a brute-force model — a list of open requests
+    /// in stream order — under random opens, closes and duplicate
+    /// responses over a few connections, with time going forwards and
+    /// backwards: `close` answers the oldest request on the connection,
+    /// `min_open` is the minimum over everything open, `len` counts it.
+    #[test]
+    fn open_table_matches_brute_force_model(
+        ops in prop::collection::vec((prop::bool::ANY, 0u32..4, 0u64..5, prop::bool::ANY), 1..200),
+    ) {
+        let mut table = OpenTable::default();
+        let mut model: Vec<(u32, u64, usize)> = Vec::new();
+        let mut t = 50u64;
+        for (i, &(is_open, conn, dt, back)) in ops.iter().enumerate() {
+            t = if back { t.saturating_sub(dt) } else { t + dt };
+            if is_open {
+                table.open(ConnId(conn), SimTime::from_micros(t), ClassId(conn as u16), i);
+                model.push((conn, t, i));
+            } else {
+                let expect = model
+                    .iter()
+                    .position(|&(c, _, _)| c == conn)
+                    .map(|at| model.remove(at));
+                let got = table
+                    .close(ConnId(conn))
+                    .map(|(at, class, payload)| (class.0 as u32, at.as_micros(), payload));
+                prop_assert_eq!(got, expect);
+            }
+            let min = model.iter().map(|&(_, at, _)| SimTime::from_micros(at)).min();
+            prop_assert_eq!(table.min_open(), min);
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+        }
     }
 
     /// The chunked columnar format (`FGBDCAP2`) is bit-identical to the
@@ -562,5 +600,61 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         prop_assert_eq!(bad, vec![victim]);
         prop_assert!(good > 0 || n_chunks == 1);
+    }
+}
+
+/// Same-microsecond arrivals at one server: the specification orders them
+/// by `(departure, response order)`, the pairer files them in request order
+/// and must restore it — including the close that had no equal-arrival
+/// neighbour yet (it answered before the next request came) and a run with
+/// a never-answered request in the middle.
+#[test]
+fn equal_arrivals_keep_the_reference_order() {
+    use MsgKind::{Request as Q, Response as R};
+    // (at, kind, conn); the transaction id is the record's position.
+    let cases: [&[(u64, MsgKind, u32)]; 5] = [
+        // A answered before B arrives, all in one microsecond.
+        &[(7, Q, 1), (7, R, 1), (7, Q, 2), (7, R, 2)],
+        // Answered in request order, then in reverse, at one instant.
+        &[(7, Q, 1), (7, Q, 2), (9, R, 1), (9, R, 2)],
+        &[(7, Q, 1), (7, Q, 2), (9, R, 2), (9, R, 1)],
+        // The later response carries the earlier departure stamp.
+        &[(7, Q, 1), (7, R, 1), (7, Q, 2), (6, R, 2)],
+        // B never answered; C overtakes A.
+        &[
+            (5, Q, 4),
+            (7, Q, 1),
+            (7, Q, 2),
+            (7, Q, 3),
+            (8, R, 3),
+            (9, R, 1),
+            (9, R, 4),
+        ],
+    ];
+    for case in cases {
+        let mut log = TraceLog::new(nodes());
+        for (i, &(at, kind, conn)) in case.iter().enumerate() {
+            let (src, dst) = if kind == Q {
+                (CLIENT, WEB)
+            } else {
+                (WEB, CLIENT)
+            };
+            log.records.push(MsgRecord {
+                at: SimTime::from_micros(at),
+                src,
+                dst,
+                kind,
+                conn: ConnId(conn),
+                class: ClassId(0),
+                bytes: 10,
+                truth: Some(TxnId(i as u64)),
+            });
+        }
+        let (fast, spec) = (
+            SpanSet::extract(&log),
+            fgbd_trace::span::reference::extract(&log),
+        );
+        assert_eq!(fast.server(WEB), spec.server(WEB), "{case:?}");
+        assert_eq!(fast.unmatched, spec.unmatched, "{case:?}");
     }
 }
