@@ -7,7 +7,6 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
-use fgbd_ntier::system::NTierSystem;
 
 use crate::pipeline::{Analysis, Calibration};
 use crate::report::{write_csv, ExperimentSummary};
@@ -19,7 +18,7 @@ fn measure(tomcats: usize) -> (f64, f64, usize, usize, f64) {
         SystemConfig::paper_scaled_tomcats(400, Jdk::Jdk15, false, MASTER_SEED, tomcats);
     cal_cfg.warmup = SimDuration::from_secs(5);
     cal_cfg.duration = SimDuration::from_secs(40);
-    let cal = Calibration::from_run(&NTierSystem::run(cal_cfg));
+    let cal = Calibration::simulate(cal_cfg);
 
     let analysis = Analysis::simulate(cfg, cal);
     let run = &analysis.run;

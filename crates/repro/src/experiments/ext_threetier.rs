@@ -7,7 +7,6 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
-use fgbd_ntier::system::NTierSystem;
 
 use crate::pipeline::{Analysis, Calibration};
 use crate::report::{write_csv, ExperimentSummary};
@@ -18,7 +17,7 @@ fn analyze(jdk: Jdk) -> (usize, usize, f64) {
     let mut cal_cfg = SystemConfig::paper_3tier(400, jdk, false, MASTER_SEED);
     cal_cfg.warmup = SimDuration::from_secs(5);
     cal_cfg.duration = SimDuration::from_secs(40);
-    let cal = Calibration::from_run(&NTierSystem::run(cal_cfg));
+    let cal = Calibration::simulate(cal_cfg);
     let analysis = Analysis::simulate(cfg, cal);
     let rt = analysis.run.mean_response_time();
     let report = analysis.report(

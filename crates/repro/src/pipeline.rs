@@ -1,10 +1,10 @@
 //! The end-to-end analysis pipeline: capture → spans → service-time
 //! calibration → per-server fine-grained reports.
 //!
-//! The figures pair on the tap ([`Analysis::simulate`]): each record goes
-//! from the simulator straight into the [`SpanPairer`] and no log of the
-//! loaded run ever exists. Only calibration runs keep their log: it is read
-//! twice, once for reconstruction and once for the mean-service pairing.
+//! Both kinds of run are consumed on the tap and neither holds a log: a
+//! loaded run's records go from the simulator straight into the
+//! [`SpanPairer`] ([`Analysis::simulate`]), a calibration run's into the
+//! pairer and the service-time fold ([`Calibration::simulate`]).
 
 use std::collections::HashMap;
 
@@ -14,8 +14,8 @@ use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::SystemConfig;
 use fgbd_ntier::result::RunResult;
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
-use fgbd_trace::servicetime::ServiceTimeTable;
+use fgbd_trace::reconstruct::Heuristic;
+use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::SpanPairer;
 use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet};
 
@@ -64,16 +64,57 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Builds the calibration from any captured run (normally
-    /// [`Scenario::calibration_run`]). The run keeps its whole log, read
-    /// once to pair spans and once to reconstruct.
+    /// Builds the calibration from a run that kept its log (normally
+    /// [`Scenario::calibration_run`]).
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let log = &run.log;
-        let spans = SpanSet::extract(log);
         let services = Calibration::services(&log.nodes, &log.records);
-        let mut cal = Calibration::with_work_units(services, &log.nodes);
-        for meta in log.nodes.iter().filter(|n| n.kind == NodeKind::Server) {
+        Calibration::with_mean_service(services, &SpanSet::extract(log), &log.nodes)
+    }
+
+    /// Calibrates a scenario on its low-load calibration workload.
+    pub fn for_scenario(scenario: &Scenario) -> Calibration {
+        fgbd_obsv::counter!("scenario.runs", scenario.name, 1);
+        Calibration::simulate(scenario.calibration_config())
+    }
+
+    /// Simulates the low-load run `cfg` and calibrates on its capture as the
+    /// tap delivers it, so the run's log is never held.
+    pub fn simulate(cfg: SystemConfig) -> Calibration {
+        let nodes = fgbd_ntier::system::node_metas(&cfg);
+        let mut pairer = SpanPairer::default();
+        let mut fold = ServiceFold::new(&nodes, Heuristic::ProfileGuided);
+        {
+            fgbd_obsv::span!("simulate");
+            NTierSystem::run_with_record_tap(cfg, |rec| {
+                pairer.push(&rec);
+                fold.push(&rec);
+            });
+        }
+        fgbd_obsv::span!("calibrate");
+        let services = fold.finish(SERVICE_QUANTILE);
+        Calibration::with_mean_service(services, &pairer.finish(), &nodes)
+    }
+
+    /// The service-time fold over borrowed records.
+    fn services(nodes: &[NodeMeta], records: &[MsgRecord]) -> ServiceTimeTable {
+        let mut fold = ServiceFold::new(nodes, Heuristic::ProfileGuided);
+        for rec in records {
+            fold.push(rec);
+        }
+        fold.finish(SERVICE_QUANTILE)
+    }
+
+    /// The shared tail of the run constructors: work units, and per server
+    /// the mean of its spans' class service times.
+    fn with_mean_service(
+        services: ServiceTimeTable,
+        spans: &SpanSet,
+        nodes: &[NodeMeta],
+    ) -> Calibration {
+        let mut cal = Calibration::with_work_units(services, nodes);
+        for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
             let node = meta.id;
             let mut total = 0.0f64;
             let mut n = 0u64;
@@ -91,13 +132,6 @@ impl Calibration {
         cal
     }
 
-    /// Reconstruction + low-quantile service times over `records`; the
-    /// reconstruction is dropped before the caller builds anything else.
-    fn services(nodes: &[NodeMeta], records: &[MsgRecord]) -> ServiceTimeTable {
-        let rec = Reconstruction::run_records(nodes, records, Heuristic::ProfileGuided);
-        ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE)
-    }
-
     /// The shared tail of every constructor: a work unit for each server of
     /// `nodes`, no mean service times.
     fn with_work_units(services: ServiceTimeTable, nodes: &[NodeMeta]) -> Calibration {
@@ -113,13 +147,8 @@ impl Calibration {
         }
     }
 
-    /// Calibrates a scenario by running its low-load calibration workload.
-    pub fn for_scenario(scenario: &Scenario) -> Calibration {
-        Calibration::from_run(&scenario.calibration_run())
-    }
-
-    /// Self-calibration from a capture prefix: reconstruction + low-quantile
-    /// service-time approximation over `records` (the caller truncates to
+    /// Self-calibration from a capture prefix: the service-time fold over
+    /// `records` (the caller truncates to
     /// [`calib_records_from_env`]), with a work unit for every server node
     /// of `nodes`. This is what the capture analyzer ([`crate::zerocopy`])
     /// calibrates on — same records in, same tables out, however the

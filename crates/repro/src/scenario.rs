@@ -2,8 +2,9 @@
 //!
 //! A scenario is run three ways, by what the caller needs of the capture:
 //! [`Scenario::analyze`] pairs spans on the record tap and keeps no log
-//! (the figures), [`Scenario::calibration_run`] keeps the log of a short
-//! low-load run (calibration reads it twice: spans, then reconstruction), and
+//! (the figures), and so does [`Calibration::for_scenario`] on the short
+//! low-load calibration workload; [`Scenario::calibration_run`] runs that
+//! workload keeping its log, for callers that want the capture itself, and
 //! [`Scenario::run_uncaptured`] records nothing.
 
 use fgbd_des::SimDuration;
@@ -89,16 +90,21 @@ impl Scenario {
         NTierSystem::run(cfg)
     }
 
-    /// A short low-workload calibration run used for service-time
-    /// approximation (the paper measures service times "when the production
-    /// system is under low workload").
-    pub fn calibration_run(&self) -> RunResult {
-        fgbd_obsv::span!("simulate");
-        fgbd_obsv::counter!("scenario.runs", self.name, 1);
+    /// The short run service times are approximated on (the paper measures
+    /// them "when the production system is under low workload").
+    pub(crate) fn calibration_config(&self) -> SystemConfig {
         let mut cfg = self.config(400);
         cfg.warmup = SimDuration::from_secs(5);
         cfg.duration = SimDuration::from_secs(40);
-        NTierSystem::run(cfg)
+        cfg
+    }
+
+    /// Runs the calibration workload keeping the whole capture log
+    /// ([`Calibration::from_run`] calibrates on it).
+    pub fn calibration_run(&self) -> RunResult {
+        fgbd_obsv::span!("simulate");
+        fgbd_obsv::counter!("scenario.runs", self.name, 1);
+        NTierSystem::run(self.calibration_config())
     }
 }
 

@@ -15,8 +15,9 @@
 //! ([`Calibration::from_capture_prefix`]), builds the [`OnlineDetector`],
 //! replays the buffered chunks into it and drops them; every later chunk
 //! goes straight to the detector. Nothing is decoded twice and no
-//! `TraceLog` or `SpanSet` of the capture ever exists — calibration is the
-//! one stage whose memory is bounded by the budget rather than by a chunk.
+//! `TraceLog`, `SpanSet` or reconstruction of the capture ever exists:
+//! calibration is a fold whose state is the requests open at once, so the
+//! replay buffer alone is bounded by the budget rather than by a chunk.
 //! The reports are bit-identical to batch `analyze_server` over the
 //! materialized capture (`tests/capture_formats.rs` holds the CLI to that).
 //!

@@ -32,43 +32,47 @@
 //! already issued their full complement of calls. [`Accuracy`] scores any
 //! reconstruction against simulator ground truth.
 //!
-//! # The ingestion fast path
+//! # One attribution core, two consumers
 //!
-//! Reconstruction runs on every calibration prefix, so
-//! [`Reconstruction::run`] is built to be allocation-free and cache-friendly
-//! per record: a one-time [`LogIndex`] pass interns nodes, classes, and
-//! `(server, connection)` pairs into dense `usize` slots, then a single
-//! forward loop over the records keeps the candidate sets and
-//! per-connection FIFO queues as intrusive linked lists threaded through
-//! flat arrays, and parent selection folds candidates into a running winner
-//! ([`TierBest`]) instead of materializing candidate vectors.
+//! Attribution has to remember a request only while it is *open* — until its
+//! response, and those of the calls attributed to it, have been seen. So the
+//! record loop ([`Attribution`]) keeps its spans in a slab with a free list
+//! and meets nodes, classes and connections as records arrive: its state is
+//! sized by the requests in flight (`calibrate.open_peak`), not by the
+//! capture, and a record costs one hash probe (its connection). Candidate
+//! sets and connection FIFOs are intrusive lists through the slab, parent
+//! selection folds candidates into a running winner ([`TierBest`]), and
+//! ties break on the span's global creation index, which slot reuse leaves
+//! alone. What the core learns goes to a [`Consumer`]:
+//! [`Reconstruction::run_records`] appends a [`RecSpan`] per request and
+//! lists the transactions; [`ServiceFold`](crate::servicetime::ServiceFold)
+//! — calibration — keeps one number per span, its intra-node delay, handed
+//! over when the span and the last of its children have closed.
 //!
 //! The walk does not scan a server's queue. Unblocked active spans live in
 //! one list per `(server, class)` that carries its length, and a span is
-//! linked only at its arrival or at a child's response — both stamp
-//! `last_event` with the current record's time (a child response reaching a
-//! parent that is already linked moves it to the tail) — so every list is
-//! sorted by `last_event`. The class tier's candidate count is the list's
-//! length, the [`Heuristic::LongestQuiescent`] winner is at the head, and
-//! the walk stops at the first candidate strictly later than the winner
-//! (for [`Heuristic::ProfileGuided`], than the first fan-out-eligible one);
-//! equal timestamps are walked through because keys tie-break on the span
-//! index. `MostRecent` and `Fifo` walk the class list in full, and so does
-//! everyone from the first record whose timestamp goes backwards: that
-//! latches the early exit off, and a full walk is exact whatever the order
-//! because keys are total. The rare fallbacks walk all of the server's lists
-//! (class relaxed), then its active list (everyone blocked). The work is
-//! counted: `reconstruct.candidates`.
+//! linked only at its arrival or at a child's response, both at the current
+//! record's time (an already-linked parent moves to the tail), so every
+//! list is sorted by `last_event`. The class tier's candidate count is the
+//! list's length, the [`Heuristic::LongestQuiescent`] winner is at the head,
+//! and the walk stops at the first candidate strictly later than the winner
+//! (for [`Heuristic::ProfileGuided`], than the first fan-out-eligible one),
+//! having walked its ties. `MostRecent` and `Fifo` walk the class list in
+//! full, and so does everyone from the first record whose timestamp goes
+//! backwards: that latches the early exit off, and a full walk is exact
+//! whatever the order because keys are total. The rare fallbacks walk all
+//! of the server's lists (class relaxed), then its active list (everyone
+//! blocked). The work is counted: `reconstruct.candidates`.
 //!
 //! The original `HashMap`-keyed implementation is kept verbatim as
-//! [`reference`] — the executable specification that the property tests
-//! (`reconstruct_fast_matches_reference*`) hold the fast path bit-identical
-//! to.
+//! [`reference`]: the specification the property tests hold the table
+//! consumer (`reconstruct_fast_matches_reference*`) and, through it, the
+//! fold (`service_fold_matches_approximate`) bit-identical to.
 
 use std::collections::HashMap;
 
-use fgbd_des::hash::FxBuildHasher;
-use fgbd_des::SimTime;
+use fgbd_des::hash::FxHashMap;
+use fgbd_des::{SimDuration, SimTime};
 
 use crate::record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
@@ -141,91 +145,111 @@ pub struct Reconstruction {
     pub txns: Vec<Txn>,
 }
 
-/// Linked-list / slot sentinel for the dense tables.
+/// Linked-list / slot sentinel.
 const NONE: u32 = u32::MAX;
 
-/// Dense per-capture tables built in one pass before reconstruction: node,
-/// class, and `(span server, connection)` identifiers are interned into
-/// contiguous `0..n` slots so the record loop indexes flat arrays instead of
-/// hashing. Node ids that appear in records but not in `nodes` (foreign
-/// taps, corrupt captures) are interned as servers — exactly how the
-/// reference treats them.
-struct LogIndex {
-    /// `NodeId.0 → dense node slot` (`NONE` = id never seen).
-    node_slot: Vec<u32>,
-    /// Per node slot: is this node a client generator? Replaces the old
-    /// linear `Vec::contains` client test with one indexed load.
-    client: Vec<bool>,
-    /// Number of interned nodes.
-    n_nodes: usize,
-    /// `ClassId.0 → dense class slot`.
-    class_slot: Vec<u32>,
-    /// Number of interned classes.
-    n_classes: usize,
-    /// Per record: dense slot of its `(span server, connection)` pair — the
-    /// key request/response matching runs on.
-    rec_conn: Vec<u32>,
-    /// Number of interned `(span server, connection)` pairs.
-    n_conns: usize,
+/// What [`Attribution`] tells its consumer. Spans are named by their global
+/// creation index: the capture's `n`-th request opens span `n`.
+pub(crate) trait Consumer {
+    /// Request `rec` opened the next span, a call of span `parent`.
+    fn opened(&mut self, _rec: &MsgRecord, _parent: Option<usize>) {}
+    /// The response to span `idx` was captured at `at`.
+    fn closed(&mut self, _idx: usize, _at: SimTime) {}
+    /// A span has departed and so has the last of its children, or the
+    /// capture ended: `intra` is its residence minus theirs, in seconds.
+    fn retired(&mut self, _server: NodeId, _class: ClassId, _intra: f64) {}
 }
 
-impl LogIndex {
-    fn build(nodes: &[NodeMeta], records: &[MsgRecord]) -> LogIndex {
-        let mut max_node = 0usize;
-        let mut max_class = 0usize;
-        for n in nodes {
-            max_node = max_node.max(usize::from(n.id.0));
-        }
-        for r in records {
-            max_node = max_node.max(usize::from(r.src.0)).max(usize::from(r.dst.0));
-            max_class = max_class.max(usize::from(r.class.0));
-        }
-        let mut node_slot = vec![NONE; max_node + 1];
-        let mut client = Vec::with_capacity(nodes.len());
-        for n in nodes {
-            let e = &mut node_slot[usize::from(n.id.0)];
-            if *e == NONE {
-                *e = client.len() as u32;
-                client.push(n.kind == NodeKind::Client);
-            }
-        }
-        let mut class_slot = vec![NONE; max_class + 1];
-        let mut n_classes = 0u32;
-        let mut conn_slots: HashMap<(u32, ConnId), u32, FxBuildHasher> =
-            HashMap::with_capacity_and_hasher(records.len() / 2 + 1, FxBuildHasher);
-        let mut rec_conn = Vec::with_capacity(records.len());
-        for r in records {
-            for id in [r.src, r.dst] {
-                let e = &mut node_slot[usize::from(id.0)];
-                if *e == NONE {
-                    *e = client.len() as u32;
-                    client.push(false);
-                }
-            }
-            let ce = &mut class_slot[usize::from(r.class.0)];
-            if *ce == NONE {
-                *ce = n_classes;
-                n_classes += 1;
-            }
-            let span_server = node_slot[usize::from(r.span_node().0)];
-            let next = conn_slots.len() as u32;
-            rec_conn.push(*conn_slots.entry((span_server, r.conn)).or_insert(next));
-        }
-        LogIndex {
-            n_nodes: client.len(),
-            node_slot,
-            client,
-            class_slot,
-            n_classes: n_classes as usize,
-            rec_conn,
-            n_conns: conn_slots.len(),
-        }
-    }
+/// A request's residence in seconds, as `approximate_window` computes it in
+/// a release build: a response stamped before its request (a capture whose
+/// clock ran backwards) wraps.
+fn residence(arrival: SimTime, departure: SimTime) -> f64 {
+    SimDuration::from_micros(departure.as_micros().wrapping_sub(arrival.as_micros())).as_secs_f64()
+}
 
-    #[inline]
-    fn node(&self, id: NodeId) -> usize {
-        self.node_slot[usize::from(id.0)] as usize
+/// One slab slot: a span from its request until its response and the
+/// responses of all its children have been seen.
+struct OpenSpan {
+    /// Global creation index: the span's name, and every key's tie-break.
+    idx: usize,
+    /// Last observed event (arrival, issued call, received child response).
+    last_event: SimTime,
+    /// Request-message capture time (the FIFO heuristic's sort key).
+    arrival: SimTime,
+    /// Response-message capture time. A departed span is on no list: it
+    /// stays for its open children to add their residence to.
+    departure: Option<SimTime>,
+    /// The span's [`Cell`].
+    server: NodeId,
+    class: ClassId,
+    /// Downstream calls attributed so far (the profile-guided cap test).
+    calls_issued: u32,
+    /// Links of the cell's unblocked list, while `in_unb`.
+    unb_prev: u32,
+    unb_next: u32,
+    /// Links of the server's active list, until departure.
+    act_prev: u32,
+    act_next: u32,
+    /// The next request on the same connection, or the next free slot.
+    conn_next: u32,
+    /// Slot of the attributed parent, alive until this span departs.
+    parent: u32,
+    /// Children whose response has not been seen.
+    open_children: u32,
+    /// Residence of the closed children, summed in creation order.
+    child_wait: f64,
+    /// `(idx, residence)` of children that closed while a sibling was open:
+    /// an older one may still close, so these wait to be summed in order.
+    late: Vec<(usize, f64)>,
+    in_unb: bool,
+    /// No call had a second candidate parent: the count feeds the profile.
+    unambiguous: bool,
+}
+
+impl OpenSpan {
+    /// The departed span's intra-node delay, its children's residences
+    /// added in creation order as `approximate_window` adds them: those
+    /// summed directly are older than those in `late`.
+    fn intra(&mut self, departure: SimTime) -> f64 {
+        self.late.sort_unstable_by_key(|&(idx, _)| idx);
+        for (_, wait) in self.late.drain(..) {
+            self.child_wait += wait;
+        }
+        residence(self.arrival, departure) - self.child_wait
     }
+}
+
+/// One `(server, class)` pair.
+#[derive(Clone, Copy)]
+struct Cell {
+    /// Intrusive list of the cell's *unblocked* active spans, entered at the
+    /// tail: sorted by `last_event` while record times never go backwards.
+    head: u32,
+    tail: u32,
+    len: u32,
+    /// Fan-out profile: (max calls, samples) over unambiguous parents.
+    profile: (u32, u64),
+}
+
+impl Cell {
+    const EMPTY: Cell = Cell {
+        head: NONE,
+        tail: NONE,
+        len: 0,
+        profile: (0, 0),
+    };
+}
+
+/// Per-node state, indexed by `NodeId.0` and grown on demand. Ids absent
+/// from the node table (foreign taps, corrupt captures) are servers —
+/// exactly how the reference treats them.
+struct Node {
+    client: bool,
+    /// Intrusive list of the spans active on this server.
+    active_head: u32,
+    active_tail: u32,
+    /// The server's cells, indexed by `ClassId.0`.
+    cells: Vec<Cell>,
 }
 
 /// Running winner over one candidate tier (class-matched, or the
@@ -237,10 +261,10 @@ impl LogIndex {
 struct TierBest {
     count: u32,
     best: u32,
-    best_key: (SimTime, u32),
+    best_key: (SimTime, usize),
     pg_count: u32,
     pg_best: u32,
-    pg_key: (SimTime, u32),
+    pg_key: (SimTime, usize),
 }
 
 impl TierBest {
@@ -253,14 +277,15 @@ impl TierBest {
         pg_key: (SimTime::ZERO, 0),
     };
 
-    /// Folds candidate `i` into the running winners under `heuristic`'s sort
-    /// key (max-key for MostRecent, min-key otherwise); the profile-guided
+    /// Folds the candidate in slot `i`, a span of the server whose cells
+    /// are `cells`, into the running winners under `heuristic`'s sort key
+    /// (max-key for MostRecent, min-key otherwise); the profile-guided
     /// winner takes only candidates under their learned fan-out cap.
     #[inline]
-    fn add(&mut self, i: u32, h: &HotSpan, heuristic: Heuristic, profile: &[(u32, u64)]) {
+    fn add(&mut self, i: u32, s: &OpenSpan, heuristic: Heuristic, cells: &[Cell]) {
         let key = match heuristic {
-            Heuristic::Fifo => (h.arrival, i),
-            _ => (h.last_event, i),
+            Heuristic::Fifo => (s.arrival, s.idx),
+            _ => (s.last_event, s.idx),
         };
         let take_max = heuristic == Heuristic::MostRecent;
         self.count += 1;
@@ -270,8 +295,8 @@ impl TierBest {
             self.best_key = key;
         }
         let eligible = heuristic == Heuristic::ProfileGuided && {
-            let (max, n) = profile[h.cell as usize];
-            n < 8 || h.calls_issued < max
+            let (max, n) = cells[usize::from(s.class.0)].profile;
+            n < 8 || s.calls_issued < max
         };
         if eligible {
             self.pg_count += 1;
@@ -293,85 +318,353 @@ impl TierBest {
         seen > 0 && t > key.0
     }
 
-    /// The tier's chosen parent — for ProfileGuided the best eligible
-    /// candidate, falling back to the unfiltered winner when the learned
-    /// caps rule everyone out (mirroring [`reference`]'s fallback).
+    /// The slot of the tier's chosen parent (`NONE` for an empty tier) —
+    /// for ProfileGuided the best eligible candidate, falling back to the
+    /// unfiltered winner when the learned caps rule everyone out (mirroring
+    /// [`reference`]'s fallback).
     #[inline]
-    fn pick(&self, heuristic: Heuristic) -> Option<usize> {
-        if self.count == 0 {
-            None
-        } else if heuristic == Heuristic::ProfileGuided && self.pg_count > 0 {
-            Some(self.pg_best as usize)
+    fn pick(&self, heuristic: Heuristic) -> u32 {
+        if heuristic == Heuristic::ProfileGuided && self.pg_count > 0 {
+            self.pg_best
         } else {
-            Some(self.best as usize)
+            self.best
         }
     }
 }
 
-/// Everything the candidate walk reads about a span, packed into a single
-/// cache line's worth of state (32 bytes): the walk chases `unb_next` /
-/// `act_next` pointers through random heap order, so one load per candidate
-/// instead of one per parallel array is the difference between a
-/// memory-bound and a compute-bound scan. `unb_prev`/`unb_next` thread the
-/// span's *unblocked* list ([`UnbLists`]) through this same struct.
-#[derive(Clone, Copy)]
-struct HotSpan {
-    /// Last observed event (arrival, issued call, received child response).
-    last_event: SimTime,
-    /// Request-message capture time (the FIFO heuristic's sort key).
-    arrival: SimTime,
-    /// Dense `(server slot, class slot)` cell: `server * n_classes + class`
-    /// — the span's unblocked list and its fan-out profile entry.
-    cell: u32,
-    /// Downstream calls attributed so far (the profile-guided cap test).
-    calls_issued: u32,
-    /// Intrusive unblocked-list links.
-    unb_prev: u32,
-    unb_next: u32,
+/// The black-box attribution rules as a streaming record loop: push the
+/// capture's records in order, then [`finish`](Self::finish).
+pub(crate) struct Attribution {
+    heuristic: Heuristic,
+    slab: Vec<OpenSpan>,
+    /// Head of the free-slot list (through `conn_next`).
+    free: u32,
+    nodes: Vec<Node>,
+    /// `(oldest, youngest)` open request per `(server, connection)`; the
+    /// FIFO is empty when `oldest` is `NONE` (`youngest` is then stale).
+    conns: FxHashMap<(NodeId, ConnId), (u32, u32)>,
+    /// The early exit needs the winner at the head of a sorted list: the
+    /// min-`last_event` heuristics, until a record time goes backwards.
+    sorted: bool,
+    prev_at: SimTime,
+    records: u64,
+    spans: usize,
+    roots: u64,
+    visited: u64,
 }
 
-/// One intrusive list of *unblocked* active spans per `(server, class)`
-/// cell, each carrying its length. Spans enter at the tail, stamped with the
-/// current record's time, so while record times never go backwards every
-/// list is sorted by `last_event`.
-struct UnbLists {
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    len: Vec<u32>,
-}
-
-impl UnbLists {
-    /// Unlinks span `i` from its cell's list.
-    #[inline]
-    fn unlink(&mut self, hot: &mut [HotSpan], i: usize) {
-        let (cell, p, n) = (hot[i].cell as usize, hot[i].unb_prev, hot[i].unb_next);
-        if p == NONE {
-            self.head[cell] = n;
-        } else {
-            hot[p as usize].unb_next = n;
+impl Attribution {
+    pub(crate) fn new(nodes: &[NodeMeta], heuristic: Heuristic) -> Attribution {
+        let mut core = Attribution {
+            heuristic,
+            slab: Vec::new(),
+            free: NONE,
+            nodes: Vec::new(),
+            conns: FxHashMap::default(),
+            sorted: !matches!(heuristic, Heuristic::MostRecent | Heuristic::Fifo),
+            prev_at: SimTime::ZERO,
+            records: 0,
+            spans: 0,
+            roots: 0,
+            visited: 0,
+        };
+        for n in nodes.iter().filter(|n| n.kind == NodeKind::Client) {
+            Attribution::node(&mut core.nodes, n.id).client = true;
         }
-        if n == NONE {
-            self.tail[cell] = p;
-        } else {
-            hot[n as usize].unb_prev = p;
-        }
-        self.len[cell] -= 1;
+        core
     }
 
-    /// Appends span `i` to the tail of its cell's list.
-    #[inline]
-    fn push_back(&mut self, hot: &mut [HotSpan], i: usize) {
-        let cell = hot[i].cell as usize;
-        let t = self.tail[cell];
-        if t == NONE {
-            self.head[cell] = i as u32;
-        } else {
-            hot[t as usize].unb_next = i as u32;
+    /// The state of node `id` in `nodes`, created on first sight.
+    fn node(nodes: &mut Vec<Node>, id: NodeId) -> &mut Node {
+        let i = usize::from(id.0);
+        if i >= nodes.len() {
+            nodes.resize_with(i + 1, || Node {
+                client: false,
+                active_head: NONE,
+                active_tail: NONE,
+                cells: Vec::new(),
+            });
         }
-        hot[i].unb_prev = t;
-        hot[i].unb_next = NONE;
-        self.tail[cell] = i as u32;
-        self.len[cell] += 1;
+        &mut nodes[i]
+    }
+
+    /// Consumes the next record of the capture.
+    #[inline]
+    pub(crate) fn push(&mut self, rec: &MsgRecord, out: &mut impl Consumer) {
+        self.records += 1;
+        self.sorted &= rec.at >= self.prev_at;
+        self.prev_at = rec.at;
+        match rec.kind {
+            MsgKind::Request => self.request(rec, out),
+            MsgKind::Response => self.response(rec, out),
+        }
+    }
+
+    /// Unlinks the span in `slot` from its cell's unblocked list, if on it.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let s = &mut self.slab[slot as usize];
+        if !std::mem::take(&mut s.in_unb) {
+            return;
+        }
+        let (p, n) = (s.unb_prev, s.unb_next);
+        let cell = &mut self.nodes[usize::from(s.server.0)].cells[usize::from(s.class.0)];
+        cell.len -= 1;
+        match p {
+            NONE => cell.head = n,
+            p => self.slab[p as usize].unb_next = n,
+        }
+        match n {
+            NONE => cell.tail = p,
+            n => self.slab[n as usize].unb_prev = p,
+        }
+    }
+
+    /// Appends the span in `slot` to the tail of its cell's unblocked list.
+    #[inline]
+    fn push_back(&mut self, slot: u32) {
+        let s = &self.slab[slot as usize];
+        let cell = &mut self.nodes[usize::from(s.server.0)].cells[usize::from(s.class.0)];
+        let t = std::mem::replace(&mut cell.tail, slot);
+        cell.len += 1;
+        match t {
+            NONE => cell.head = slot,
+            t => self.slab[t as usize].unb_next = slot,
+        }
+        let s = &mut self.slab[slot as usize];
+        (s.unb_prev, s.unb_next, s.in_unb) = (t, NONE, true);
+    }
+
+    /// The open span on server `src` that issued call `rec`, or `NONE`.
+    fn choose_parent(&mut self, rec: &MsgRecord) -> u32 {
+        let heuristic = self.heuristic;
+        let node = &self.nodes[usize::from(rec.src.0)];
+        let mut tier = TierBest::EMPTY;
+        // Folds the list from `cur` along `next` into `tier`; `early` stops
+        // at the first candidate the winner is settled at.
+        let walk = |tier: &mut TierBest, mut cur: u32, early, next: fn(&OpenSpan) -> u32| {
+            while let Some(s) = self.slab.get(cur as usize) {
+                if early && tier.settled_at(s.last_event, heuristic) {
+                    break;
+                }
+                tier.add(cur, s, heuristic, &node.cells);
+                cur = next(s);
+            }
+        };
+        // Soft constraint (a transaction keeps its class): the source's
+        // unblocked spans of the call's class, head first, up to the winner
+        // when sorted. Blocked spans cannot call (the hard constraint), so
+        // they are on no unblocked list.
+        let class_cell = node.cells.get(usize::from(rec.class.0));
+        if let Some(cell) = class_cell {
+            walk(&mut tier, cell.head, self.sorted, |s| s.unb_next);
+        }
+        if tier.count == 0 {
+            // Relaxed: every unblocked span on the server.
+            for cell in &node.cells {
+                walk(&mut tier, cell.head, false, |s| s.unb_next);
+            }
+        }
+        if tier.count == 0 {
+            // Everyone is blocked: the full active list.
+            walk(&mut tier, node.active_head, false, |s| s.act_next);
+        }
+        self.visited += u64::from(tier.count);
+        let parent = tier.pick(heuristic);
+        // A class list's members are candidates walked or not. With more
+        // than one, the parent's call count is heuristic-dependent.
+        if parent != NONE && tier.count.max(class_cell.map_or(0, |c| c.len)) > 1 {
+            self.slab[parent as usize].unambiguous = false;
+        }
+        parent
+    }
+
+    fn request(&mut self, rec: &MsgRecord, out: &mut impl Consumer) {
+        let idx = self.spans;
+        self.spans += 1;
+        // An orphan call (capture truncation) is its own root.
+        let parent = match Attribution::node(&mut self.nodes, rec.src).client {
+            true => NONE,
+            false => self.choose_parent(rec),
+        };
+        if parent == NONE {
+            self.roots += 1;
+            out.opened(rec, None);
+        } else {
+            self.unlink(parent);
+            let p = &mut self.slab[parent as usize];
+            p.calls_issued += 1;
+            p.open_children += 1;
+            p.last_event = rec.at;
+            out.opened(rec, Some(p.idx));
+        }
+
+        let server = Attribution::node(&mut self.nodes, rec.dst);
+        let class = usize::from(rec.class.0);
+        if class >= server.cells.len() {
+            server.cells.resize(class + 1, Cell::EMPTY);
+        }
+        let span = OpenSpan {
+            idx,
+            last_event: rec.at,
+            arrival: rec.at,
+            departure: None,
+            server: rec.dst,
+            class: rec.class,
+            calls_issued: 0,
+            unb_prev: NONE,
+            unb_next: NONE,
+            act_prev: server.active_tail,
+            act_next: NONE,
+            conn_next: NONE,
+            parent,
+            open_children: 0,
+            child_wait: 0.0,
+            late: Vec::new(),
+            in_unb: false,
+            unambiguous: true,
+        };
+        let slot = match self.free {
+            NONE => {
+                assert!(self.slab.len() < NONE as usize, "open-span slab is full");
+                self.slab.push(span);
+                (self.slab.len() - 1) as u32
+            }
+            slot => {
+                self.free = std::mem::replace(&mut self.slab[slot as usize], span).conn_next;
+                slot
+            }
+        };
+        // Append to the server's active list, the cell's unblocked list and
+        // the (server, conn) open-request FIFO.
+        match std::mem::replace(&mut server.active_tail, slot) {
+            NONE => server.active_head = slot,
+            t => self.slab[t as usize].act_next = slot,
+        }
+        self.push_back(slot);
+        let fifo = self
+            .conns
+            .entry((rec.dst, rec.conn))
+            .or_insert((NONE, NONE));
+        match fifo.0 {
+            NONE => fifo.0 = slot,
+            _ => self.slab[fifo.1 as usize].conn_next = slot,
+        }
+        fifo.1 = slot;
+    }
+
+    fn response(&mut self, rec: &MsgRecord, out: &mut impl Consumer) {
+        // Pop the (server, conn) FIFO head; a response with no open request
+        // is a front-truncated capture — skip.
+        let Some(fifo) = self.conns.get_mut(&(rec.src, rec.conn)) else {
+            return;
+        };
+        let slot = fifo.0;
+        let Some(s) = self.slab.get_mut(slot as usize) else {
+            return;
+        };
+        fifo.0 = s.conn_next;
+        s.departure = Some(rec.at);
+        out.closed(s.idx, rec.at);
+        let (idx, parent, wait) = (s.idx, s.parent, residence(s.arrival, rec.at));
+        // Unlink from the server's active and unblocked lists.
+        let (p, n) = (s.act_prev, s.act_next);
+        let server = &mut self.nodes[usize::from(s.server.0)];
+        // Feed the fan-out profile from unambiguous spans.
+        if s.unambiguous && s.calls_issued > 0 {
+            let profile = &mut server.cells[usize::from(s.class.0)].profile;
+            profile.0 = profile.0.max(s.calls_issued);
+            profile.1 += 1;
+        }
+        match p {
+            NONE => server.active_head = n,
+            p => self.slab[p as usize].act_next = n,
+        }
+        match n {
+            NONE => server.active_tail = p,
+            n => self.slab[n as usize].act_prev = p,
+        }
+        self.unlink(slot);
+        if let Some(p) = self.slab.get_mut(parent as usize) {
+            p.last_event = rec.at;
+            // An only open child with nothing waiting is younger than all
+            // those summed; any other may have an older sibling still open.
+            if p.open_children == 1 && p.late.is_empty() {
+                p.child_wait += wait;
+            } else {
+                p.late.push((idx, wait));
+            }
+            p.open_children -= 1;
+            if p.departure.is_some() {
+                // The parent's response was paired first (truncated or
+                // mis-paired capture): it leaves with its last child.
+                if p.open_children == 0 {
+                    self.retire(parent, out);
+                }
+            } else {
+                // The parent is a candidate again. One that is already
+                // linked (it held two outstanding calls, the second taken
+                // in the everyone-blocked fallback) moves to the tail: its
+                // list stays sorted.
+                self.unlink(parent);
+                self.push_back(parent);
+            }
+        }
+        if self.slab[slot as usize].open_children == 0 {
+            self.retire(slot, out);
+        }
+    }
+
+    /// Hands the departed, childless span in `slot` over and frees the slot.
+    fn retire(&mut self, slot: u32, out: &mut impl Consumer) {
+        let s = &mut self.slab[slot as usize];
+        let departure = s.departure.take().expect("only departed spans retire");
+        out.retired(s.server, s.class, s.intra(departure));
+        s.conn_next = std::mem::replace(&mut self.free, slot);
+    }
+
+    /// Ends the capture: departed spans still waiting on a child that never
+    /// closed retire with the children that did.
+    pub(crate) fn finish(mut self, out: &mut impl Consumer) {
+        for s in &mut self.slab {
+            if let Some(departure) = s.departure {
+                out.retired(s.server, s.class, s.intra(departure));
+            }
+        }
+        fgbd_obsv::counter!("reconstruct.records", self.records);
+        fgbd_obsv::counter!("reconstruct.spans", self.spans as u64);
+        fgbd_obsv::counter!("reconstruct.txns", self.roots);
+        fgbd_obsv::counter!("reconstruct.candidates", self.visited);
+        if fgbd_obsv::enabled() {
+            // Retained: the slab's high-water mark bounds the core's state.
+            fgbd_obsv::metrics::counter_retained("calibrate.open_peak").add(self.slab.len() as u64);
+        }
+    }
+}
+
+/// The table consumer: one [`RecSpan`] per request, in creation order.
+impl Consumer for Vec<RecSpan> {
+    fn opened(&mut self, rec: &MsgRecord, parent: Option<usize>) {
+        let idx = self.len();
+        let root = parent.map_or(idx, |p| {
+            self[p].calls_issued += 1;
+            self[p].root
+        });
+        self.push(RecSpan {
+            server: rec.dst,
+            class: rec.class,
+            arrival: rec.at,
+            departure: None,
+            conn: rec.conn,
+            parent,
+            root,
+            calls_issued: 0,
+            truth: rec.truth,
+        });
+    }
+
+    fn closed(&mut self, idx: usize, at: SimTime) {
+        self[idx].departure = Some(at);
     }
 }
 
@@ -385,269 +678,40 @@ impl Reconstruction {
         Reconstruction::run_records(&log.nodes, &log.records, heuristic)
     }
 
-    /// [`Reconstruction::run`] over borrowed records — what a capture
-    /// prefix calibrates through without building a [`TraceLog`].
-    ///
-    /// This is the dense-index fast path: after the one-time [`LogIndex`]
-    /// interning pass, one forward loop that performs no heap allocation
-    /// beyond growing the output span table — property-tested bit-identical
-    /// to [`reference::run`] across all four heuristics.
+    /// [`Reconstruction::run`] over borrowed records: the attribution core
+    /// with the table consumer, bit-identical to [`reference::run`].
     pub fn run_records(
         nodes: &[NodeMeta],
         records: &[MsgRecord],
         heuristic: Heuristic,
     ) -> Reconstruction {
         fgbd_obsv::span!("reconstruct");
-        assert!(
-            records.len() < NONE as usize,
-            "capture too large for u32 span indices"
-        );
-        let ix = LogIndex::build(nodes, records);
-        let n_cells = ix.n_nodes * ix.n_classes;
-
-        let cap = records.len() / 2 + 1;
-        let mut spans: Vec<RecSpan> = Vec::with_capacity(cap);
-        // Per-span dense state, parallel to `spans`. The candidate walk
-        // touches only `hot`; the flags and the active/FIFO links are read
-        // at single points per record.
-        let mut hot: Vec<HotSpan> = Vec::with_capacity(cap);
-        let mut blocked: Vec<bool> = Vec::with_capacity(cap);
-        let mut in_unb: Vec<bool> = Vec::with_capacity(cap);
-        let mut unambiguous: Vec<bool> = Vec::with_capacity(cap);
-        // Intrusive per-server active list (doubly linked: O(1) unlink on
-        // response) and per-(server, conn) open-request FIFO (singly linked).
-        let mut act_prev: Vec<u32> = Vec::with_capacity(cap);
-        let mut act_next: Vec<u32> = Vec::with_capacity(cap);
-        let mut open_next: Vec<u32> = Vec::with_capacity(cap);
-        let mut active_head = vec![NONE; ix.n_nodes];
-        let mut active_tail = vec![NONE; ix.n_nodes];
-        // Blocked spans cannot call (the hard constraint): candidates come
-        // from these lists, except in the everyone-blocked fallback.
-        let mut unb = UnbLists {
-            head: vec![NONE; n_cells],
-            tail: vec![NONE; n_cells],
-            len: vec![0; n_cells],
-        };
-        let mut open_head = vec![NONE; ix.n_conns];
-        let mut open_tail = vec![NONE; ix.n_conns];
-        // Fan-out profile per cell: (max calls, samples), unambiguous parents.
-        let mut profile = vec![(0u32, 0u64); n_cells];
-        // The early exit needs the winner at the head of a sorted list: the
-        // min-`last_event` heuristics, until a record time goes backwards.
-        let mut sorted = !matches!(heuristic, Heuristic::MostRecent | Heuristic::Fifo);
-        let mut prev_at = SimTime::ZERO;
-        let mut visited = 0u64;
-
-        for (ri, rec) in records.iter().enumerate() {
-            sorted &= rec.at >= prev_at;
-            prev_at = rec.at;
-            match rec.kind {
-                MsgKind::Request => {
-                    let server = rec.dst;
-                    let idx = spans.len();
-                    let src = ix.node(rec.src);
-                    let rec_class = ix.class_slot[usize::from(rec.class.0)] as usize;
-                    let (parent, root) = if ix.client[src] {
-                        (None, idx)
-                    } else {
-                        // Soft constraint (a transaction keeps its class):
-                        // the source's unblocked spans of the call's class,
-                        // head first, up to the winner when sorted.
-                        let cells = src * ix.n_classes..(src + 1) * ix.n_classes;
-                        let cell = cells.start + rec_class;
-                        let mut tier = TierBest::EMPTY;
-                        let mut cur = unb.head[cell];
-                        while cur != NONE {
-                            let h = &hot[cur as usize];
-                            if sorted && tier.settled_at(h.last_event, heuristic) {
-                                break;
-                            }
-                            tier.add(cur, h, heuristic, &profile);
-                            cur = h.unb_next;
-                        }
-                        if tier.count == 0 {
-                            // Relaxed: every unblocked span on the server.
-                            for c in cells {
-                                let mut cur = unb.head[c];
-                                while cur != NONE {
-                                    let h = &hot[cur as usize];
-                                    tier.add(cur, h, heuristic, &profile);
-                                    cur = h.unb_next;
-                                }
-                            }
-                        }
-                        if tier.count == 0 {
-                            // Everyone is blocked: the full active list.
-                            let mut cur = active_head[src];
-                            while cur != NONE {
-                                tier.add(cur, &hot[cur as usize], heuristic, &profile);
-                                cur = act_next[cur as usize];
-                            }
-                        }
-                        visited += u64::from(tier.count);
-                        // A class list's members are candidates walked or not.
-                        let candidates = tier.count.max(unb.len[cell]);
-                        match tier.pick(heuristic) {
-                            Some(p) => {
-                                if candidates > 1 {
-                                    // This parent's call count is now
-                                    // heuristic-dependent; don't learn from it.
-                                    unambiguous[p] = false;
-                                }
-                                blocked[p] = true;
-                                if in_unb[p] {
-                                    unb.unlink(&mut hot, p);
-                                    in_unb[p] = false;
-                                }
-                                (Some(p), spans[p].root)
-                            }
-                            // Orphan call (capture truncation): treat as its
-                            // own root so analysis can continue.
-                            None => (None, idx),
-                        }
-                    };
-                    spans.push(RecSpan {
-                        server,
-                        class: rec.class,
-                        arrival: rec.at,
-                        departure: None,
-                        conn: rec.conn,
-                        parent,
-                        root,
-                        calls_issued: 0,
-                        truth: rec.truth,
-                    });
-                    let d = ix.node(server);
-                    hot.push(HotSpan {
-                        last_event: rec.at,
-                        arrival: rec.at,
-                        cell: (d * ix.n_classes + rec_class) as u32,
-                        calls_issued: 0,
-                        unb_prev: NONE,
-                        unb_next: NONE,
-                    });
-                    blocked.push(false);
-                    in_unb.push(true);
-                    unambiguous.push(true);
-                    act_prev.push(NONE);
-                    act_next.push(NONE);
-                    open_next.push(NONE);
-                    if let Some(p) = parent {
-                        spans[p].calls_issued += 1;
-                        hot[p].calls_issued += 1;
-                        hot[p].last_event = rec.at;
-                    }
-                    let idx32 = idx as u32;
-                    // Append to the (server, conn) open-request FIFO.
-                    let c = ix.rec_conn[ri] as usize;
-                    if open_tail[c] == NONE {
-                        open_head[c] = idx32;
-                    } else {
-                        open_next[open_tail[c] as usize] = idx32;
-                    }
-                    open_tail[c] = idx32;
-                    // Append to the server's active and unblocked lists.
-                    let tail = active_tail[d];
-                    if tail == NONE {
-                        active_head[d] = idx32;
-                    } else {
-                        act_next[tail as usize] = idx32;
-                    }
-                    act_prev[idx] = tail;
-                    active_tail[d] = idx32;
-                    unb.push_back(&mut hot, idx);
-                }
-                MsgKind::Response => {
-                    // Pop the (server, conn) FIFO head; a response with no
-                    // matching request is a front-truncated capture — skip.
-                    let c = ix.rec_conn[ri] as usize;
-                    let head = open_head[c];
-                    if head == NONE {
-                        continue;
-                    }
-                    let idx = head as usize;
-                    open_head[c] = open_next[idx];
-                    if open_head[c] == NONE {
-                        open_tail[c] = NONE;
-                    }
-                    spans[idx].departure = Some(rec.at);
-                    // Unlink from the server's active and unblocked lists.
-                    let sslot = ix.node(spans[idx].server);
-                    let (p, n) = (act_prev[idx], act_next[idx]);
-                    if p == NONE {
-                        active_head[sslot] = n;
-                    } else {
-                        act_next[p as usize] = n;
-                    }
-                    if n == NONE {
-                        active_tail[sslot] = p;
-                    } else {
-                        act_prev[n as usize] = p;
-                    }
-                    if in_unb[idx] {
-                        unb.unlink(&mut hot, idx);
-                        in_unb[idx] = false;
-                    }
-                    if let Some(par) = spans[idx].parent {
-                        hot[par].last_event = rec.at;
-                        blocked[par] = false;
-                        // The parent is a candidate again — unless it already
-                        // departed (out-of-order pairing in a truncated
-                        // capture), in which case it left the active set. One
-                        // that is already linked (it held two outstanding
-                        // calls, the second taken in the everyone-blocked
-                        // fallback) moves to the tail: its list stays sorted.
-                        if spans[par].departure.is_none() {
-                            if in_unb[par] {
-                                unb.unlink(&mut hot, par);
-                            }
-                            unb.push_back(&mut hot, par);
-                            in_unb[par] = true;
-                        }
-                    }
-                    // Feed the fan-out profile from unambiguous spans.
-                    if unambiguous[idx] && spans[idx].calls_issued > 0 {
-                        let e = &mut profile[hot[idx].cell as usize];
-                        e.0 = e.0.max(spans[idx].calls_issued);
-                        e.1 += 1;
-                    }
-                }
-            }
+        let mut core = Attribution::new(nodes, heuristic);
+        let mut spans: Vec<RecSpan> = Vec::with_capacity(records.len() / 2 + 1);
+        for rec in records {
+            core.push(rec, &mut spans);
         }
+        core.finish(&mut spans);
 
-        // Materialize transactions in two exact-capacity passes: roots in
-        // creation order, then members in span (creation) order — the same
-        // ordering the incremental reference registration produces.
-        let mut txn_of_root: Vec<u32> = vec![NONE; spans.len()];
+        // A root opens a transaction and precedes its members, so one pass
+        // in creation order lists them as the reference's registration does.
+        let mut txn_of = Vec::with_capacity(spans.len());
         let mut txns: Vec<Txn> = Vec::new();
         for (i, s) in spans.iter().enumerate() {
-            if s.parent.is_none() && s.root == i {
-                txn_of_root[i] = txns.len() as u32;
+            if s.parent.is_none() {
+                txn_of.push(txns.len());
                 txns.push(Txn {
                     root: i,
                     spans: Vec::new(),
-                    complete: false,
+                    complete: true,
                 });
+            } else {
+                txn_of.push(txn_of[s.root]);
             }
+            let txn = &mut txns[txn_of[i]];
+            txn.spans.push(i);
+            txn.complete &= s.departure.is_some();
         }
-        let mut counts = vec![0usize; txns.len()];
-        for s in &spans {
-            counts[txn_of_root[s.root] as usize] += 1;
-        }
-        for (t, c) in txns.iter_mut().zip(counts) {
-            t.spans.reserve_exact(c);
-        }
-        for (i, s) in spans.iter().enumerate() {
-            txns[txn_of_root[s.root] as usize].spans.push(i);
-        }
-        for txn in &mut txns {
-            txn.complete = txn.spans.iter().all(|&i| spans[i].departure.is_some());
-        }
-
-        fgbd_obsv::counter!("reconstruct.records", records.len() as u64);
-        fgbd_obsv::counter!("reconstruct.spans", spans.len() as u64);
-        fgbd_obsv::counter!("reconstruct.txns", txns.len() as u64);
-        fgbd_obsv::counter!("reconstruct.candidates", visited);
         Reconstruction { spans, txns }
     }
 

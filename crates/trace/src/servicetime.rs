@@ -16,10 +16,11 @@
 
 use std::collections::HashMap;
 
+use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 
-use crate::reconstruct::Reconstruction;
-use crate::record::{ClassId, NodeId};
+use crate::reconstruct::{Attribution, Consumer, Heuristic, Reconstruction};
+use crate::record::{ClassId, MsgRecord, NodeId, NodeMeta};
 
 /// Per-`(server, class)` service-time estimates in seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,7 +64,6 @@ impl ServiceTimeTable {
         from: SimTime,
         to: SimTime,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&quantile), "quantile out of range");
         // Sum of child residences per parent span.
         let mut child_wait = vec![0.0f64; rec.spans.len()];
         for s in &rec.spans {
@@ -82,14 +82,22 @@ impl ServiceTimeTable {
                 samples.entry((s.server, s.class)).or_default().push(intra);
             }
         }
-        let mut map = HashMap::new();
-        for (key, mut xs) in samples {
-            // One order statistic: a selection, not a sort.
+        ServiceTimeTable::quantiles(samples, quantile)
+    }
+
+    /// The `quantile` order statistic of each key's (non-empty) delays: a
+    /// selection, not a sort.
+    fn quantiles(
+        delays: impl IntoIterator<Item = ((NodeId, ClassId), Vec<f64>)>,
+        quantile: f64,
+    ) -> Self {
+        assert!((0.0..=1.0).contains(&quantile), "quantile out of range");
+        let select = |(key, mut xs): (_, Vec<f64>)| {
             let idx = ((xs.len() - 1) as f64 * quantile).round() as usize;
-            let (_, q, _) =
-                xs.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("no NaN delays"));
-            map.insert(key, *q);
-        }
+            let by = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN delays");
+            (key, *xs.select_nth_unstable_by(idx, by).1)
+        };
+        let map = delays.into_iter().map(select).collect();
         ServiceTimeTable { map }
     }
 
@@ -164,6 +172,51 @@ impl ServiceTimeTable {
     }
 }
 
+/// The fold's consumer: positive intra-node delays per `(server, class)`.
+impl Consumer for FxHashMap<(NodeId, ClassId), Vec<f64>> {
+    fn retired(&mut self, server: NodeId, class: ClassId, intra: f64) {
+        if intra > 0.0 {
+            self.entry((server, class)).or_default().push(intra);
+        }
+    }
+}
+
+/// [`ServiceTimeTable::approximate`] as a fold over the capture: records go
+/// in one at a time, in capture order, the attribution core holds a span
+/// only while it or one of its children is open, and its intra-node delay
+/// is all that is kept. Bit-identical to `approximate` over
+/// [`Reconstruction::run`] (the `service_fold_matches_approximate` property).
+pub struct ServiceFold {
+    core: Attribution,
+    delays: FxHashMap<(NodeId, ClassId), Vec<f64>>,
+}
+
+impl ServiceFold {
+    /// A fold over a capture with node table `nodes`, attributing by `heuristic`.
+    pub fn new(nodes: &[NodeMeta], heuristic: Heuristic) -> ServiceFold {
+        ServiceFold {
+            core: Attribution::new(nodes, heuristic),
+            delays: FxHashMap::default(),
+        }
+    }
+
+    /// Consumes the next record of the capture.
+    #[inline]
+    pub fn push(&mut self, rec: &MsgRecord) {
+        self.core.push(rec, &mut self.delays);
+    }
+
+    /// Ends the capture: the `quantile` of each `(server, class)`'s delays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantile` is outside `[0, 1]`.
+    pub fn finish(mut self, quantile: f64) -> ServiceTimeTable {
+        self.core.finish(&mut self.delays);
+        ServiceTimeTable::quantiles(self.delays, quantile)
+    }
+}
+
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
@@ -174,8 +227,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reconstruct::{Heuristic, Reconstruction};
-    use crate::record::{MsgKind, MsgRecord, NodeKind, NodeMeta, TraceLog, TxnId};
+    use crate::record::{MsgKind, NodeKind, TraceLog, TxnId};
     use crate::ConnId;
 
     const CLIENT: NodeId = NodeId(0);

@@ -5,6 +5,7 @@ use fgbd_trace::capture::{read_capture, write_capture, CaptureError};
 use fgbd_trace::capture2::{read_capture2_parallel, ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
+use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::OpenTable;
 use fgbd_trace::Projection;
 use fgbd_trace::{
@@ -238,10 +239,48 @@ fn interleaved_log(shapes: &[(u8, u16, u64, u64)], drop_head: usize, drop_tail: 
     log
 }
 
+/// Adversarial "record soup" from `(dt, srcdst, is_resp, conn, class)`
+/// steps: arbitrary src/dst pairs (including node ids absent from the node
+/// table), arbitrary request/response interleavings, colliding connection
+/// ids. Time steps are mostly zero or small and, in `backwards` soups,
+/// sometimes negative; node 0 is a server in `no_client` soups.
+fn soup_log(soup: &[(u64, u16, bool, u32, u16)], backwards: bool, no_client: bool) -> TraceLog {
+    let mut all = nodes();
+    if no_client {
+        all[0].kind = NodeKind::Server;
+    }
+    let mut log = TraceLog::new(all);
+    let mut t = 100u64;
+    for &(dt, srcdst, is_resp, conn, class) in soup {
+        // dt 0..3 repeats the instant, 3 steps back (when allowed).
+        t = match dt {
+            0..=2 => t,
+            3 if backwards => t.saturating_sub(1),
+            _ => t + dt - 3,
+        };
+        // Straight into `records`: `push` debug-asserts time order.
+        log.records.push(MsgRecord {
+            at: SimTime::from_micros(t),
+            src: NodeId(srcdst % 6),
+            dst: NodeId(srcdst / 6),
+            kind: if is_resp {
+                MsgKind::Response
+            } else {
+                MsgKind::Request
+            },
+            conn: ConnId(conn),
+            class: ClassId(class),
+            bytes: 10,
+            truth: None,
+        });
+    }
+    log
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The oracle for the dense-index fast path: on randomized interleaved
+    /// The oracle for the table consumer: on randomized interleaved
     /// multi-tier logs — varying concurrency, shared connections, truncated
     /// captures with orphan calls and orphan responses —
     /// [`Reconstruction::run`] produces span-for-span, txn-for-txn identical
@@ -280,36 +319,52 @@ proptest! {
         backwards in prop::bool::ANY,
         no_client in prop::bool::ANY,
     ) {
-        let mut all = nodes();
-        if no_client {
-            all[0].kind = NodeKind::Server;
-        }
-        let mut log = TraceLog::new(all);
-        let mut t = 100u64;
-        for &(dt, srcdst, is_resp, conn, class) in &soup {
-            // dt 0..3 repeats the instant, 3 steps back (when allowed).
-            t = match dt {
-                0..=2 => t,
-                3 if backwards => t.saturating_sub(1),
-                _ => t + dt - 3,
-            };
-            // Straight into `records`: `push` debug-asserts time order.
-            log.records.push(MsgRecord {
-                at: SimTime::from_micros(t),
-                src: NodeId(srcdst % 6),
-                dst: NodeId(srcdst / 6),
-                kind: if is_resp { MsgKind::Response } else { MsgKind::Request },
-                conn: ConnId(conn),
-                class: ClassId(class),
-                bytes: 10,
-                truth: None,
-            });
-        }
+        let log = soup_log(&soup, backwards, no_client);
         for h in ALL_HEURISTICS {
             let fast = Reconstruction::run(&log, h);
             let spec = reference::run(&log, h);
             prop_assert_eq!(&fast.spans, &spec.spans);
             prop_assert_eq!(&fast.txns, &spec.txns);
+        }
+    }
+
+    /// The service-time fold against its oracle, on the same soup: the
+    /// table [`ServiceFold`] streams out equals
+    /// [`ServiceTimeTable::approximate`] over the materialized
+    /// reconstruction, key for key and bit for bit, at the minimum, the
+    /// calibration quantile, the median and the maximum. Parents here hold
+    /// several calls at once, lose their response before a child's, or
+    /// never see a child close — each a different way for a sample to be
+    /// emitted late or summed out of order. A response stamped before its
+    /// request overflows the oracle's subtraction in a debug build; those
+    /// soups are rejected.
+    #[test]
+    fn service_fold_matches_approximate(
+        soup in prop::collection::vec(
+            (0u64..6, 0u16..36, prop::bool::ANY, 0u32..6, 0u16..3),
+            1..120,
+        ),
+        backwards in prop::bool::ANY,
+        no_client in prop::bool::ANY,
+        cut in 0usize..8,
+    ) {
+        let mut log = soup_log(&soup, backwards, no_client);
+        log.records.truncate(log.records.len().saturating_sub(cut).max(1));
+        for h in ALL_HEURISTICS {
+            let rec = Reconstruction::run(&log, h);
+            prop_assume!(rec.spans.iter().all(|s| s.departure.is_none_or(|d| d >= s.arrival)));
+            for q in [0.0, 0.15, 0.5, 1.0] {
+                let mut fold = ServiceFold::new(&log.nodes, h);
+                log.records.iter().for_each(|r| fold.push(r));
+                let (fold, spec) = (fold.finish(q), ServiceTimeTable::approximate(&rec, q));
+                prop_assert_eq!(fold.len(), spec.len());
+                for s in 0..6 {
+                    for c in 0..3 {
+                        let at = |t: &ServiceTimeTable| t.get_secs(NodeId(s), ClassId(c)).map(f64::to_bits);
+                        prop_assert_eq!(at(&fold), at(&spec), "{:?} q={} ({}, {})", h, q, s, c);
+                    }
+                }
+            }
         }
     }
 }

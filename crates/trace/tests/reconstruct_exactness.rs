@@ -1,10 +1,14 @@
-//! The three cases that keep the sorted per-class candidate lists exact
-//! (see `reconstruct.rs`' module docs), each built so that dropping its
-//! handling changes the attributed parent — and held, like everything else,
-//! to [`reference::run`] under all four heuristics.
+//! The cases that keep the attribution core exact (see `reconstruct.rs`'
+//! module docs), each built so that dropping its handling changes the
+//! result: three for the sorted per-class candidate lists, where the
+//! attributed parent would move — held, like everything else, to
+//! [`reference::run`] under all four heuristics — and four for the
+//! service-time fold, where a sample would be lost, early or summed in the
+//! wrong order — held to [`ServiceTimeTable::approximate`] bit for bit.
 
 use fgbd_des::SimTime;
 use fgbd_trace::reconstruct::{reference, Heuristic, Reconstruction};
+use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog};
 
 const CLIENT: NodeId = NodeId(0);
@@ -110,4 +114,99 @@ fn most_recent_and_fifo_walk_the_whole_class_list() {
         (6, WEB, APP, Request, 101),   // span 4
     ]);
     assert_eq!(last_parents(&log), [Some(2), Some(0), Some(0), Some(2)]);
+}
+
+/// The fold's median table over `log`, `(WEB, APP)` entries in seconds,
+/// after checking it against the oracle under every heuristic.
+fn fold_medians(log: &TraceLog) -> [Option<f64>; 2] {
+    let tables = [
+        Heuristic::LongestQuiescent,
+        Heuristic::MostRecent,
+        Heuristic::Fifo,
+        Heuristic::ProfileGuided,
+    ]
+    .map(|h| {
+        let mut fold = ServiceFold::new(&log.nodes, h);
+        log.records.iter().for_each(|r| fold.push(r));
+        let fold = fold.finish(0.5);
+        let spec = ServiceTimeTable::approximate(&Reconstruction::run(log, h), 0.5);
+        assert_eq!(fold.len(), spec.len(), "{h:?}");
+        [WEB, APP].map(|n| {
+            let bits = |t: &ServiceTimeTable| t.get_secs(n, ClassId(1)).map(f64::to_bits);
+            assert_eq!(bits(&fold), bits(&spec), "{h:?} {n:?}");
+            fold.get_secs(n, ClassId(1))
+        })
+    });
+    assert!(tables.iter().all(|t| *t == tables[0]), "one parent to pick");
+    tables[0]
+}
+
+/// Child residences are summed in creation order, as the oracle sums them,
+/// whatever order the children close in: f64 addition does not associate,
+/// and here `(1 + 4) + 2` and `(1 + 2) + 4` microseconds differ in the last
+/// place. A and B are outstanding at once (B taken in the everyone-blocked
+/// fallback) and close youngest first.
+#[test]
+fn child_waits_are_summed_in_creation_order() {
+    let log = log_of(&[
+        (0, CLIENT, WEB, Request, 10),   // span 0: X
+        (1, WEB, APP, Request, 100),     // span 1: Z
+        (2, APP, WEB, Response, 100),    // Z closes: 1 us
+        (3, WEB, APP, Request, 101),     // span 2: A
+        (4, WEB, APP, Request, 102),     // span 3: B — everyone blocked, X again
+        (6, APP, WEB, Response, 102),    // B closes first: 2 us
+        (7, APP, WEB, Response, 101),    // A closes: 4 us
+        (20, WEB, CLIENT, Response, 10), // X: 20 us
+    ]);
+    let (z, a, b) = (1e-6, 4e-6, 2e-6);
+    let [web, app] = fold_medians(&log);
+    assert_eq!(web, Some(20e-6 - ((z + a) + b)));
+    assert_ne!(web, Some(20e-6 - ((z + b) + a)), "close order would show");
+    assert_eq!(app, Some(b));
+}
+
+/// A parent whose response is paired before its child's (front-truncated
+/// or mis-paired capture) still owes the child's residence: its sample
+/// waits for the child instead of leaving with the response.
+#[test]
+fn departed_parent_waits_for_its_last_child() {
+    let log = log_of(&[
+        (0, CLIENT, WEB, Request, 10),    // span 0: X
+        (90, WEB, APP, Request, 100),     // span 1: X's call
+        (100, WEB, CLIENT, Response, 10), // X departs with the call open
+        (105, APP, WEB, Response, 100),   // the call closes: 15 us
+    ]);
+    assert_eq!(fold_medians(&log), [Some(100e-6 - 15e-6), Some(15e-6)]);
+}
+
+/// A child that never closes must not hold its parent's sample back for
+/// good: at the end of the capture the departed parent leaves with the
+/// children that did close.
+#[test]
+fn never_closing_child_releases_the_parent_at_the_end() {
+    let log = log_of(&[
+        (0, CLIENT, WEB, Request, 10),   // span 0: X
+        (1, WEB, APP, Request, 100),     // span 1: closes
+        (3, APP, WEB, Response, 100),    //   2 us
+        (5, WEB, APP, Request, 101),     // span 2: never closes
+        (20, WEB, CLIENT, Response, 10), // X: 20 us
+    ]);
+    assert_eq!(fold_medians(&log), [Some(20e-6 - 2e-6), Some(2e-6)]);
+}
+
+/// A response with no open request on its connection is skipped, and a call
+/// from a server with no active span is its own root: the capture's other
+/// spans are sampled as if neither were there.
+#[test]
+fn orphan_response_is_skipped_and_orphan_call_is_a_root() {
+    let log = log_of(&[
+        (2, WEB, APP, Request, 100),  // span 0: no span active on WEB
+        (3, APP, WEB, Response, 999), // nothing ever opened on 999
+        (6, APP, WEB, Response, 100), //   4 us
+        (7, APP, WEB, Response, 100), // answered already
+    ]);
+    assert_eq!(fold_medians(&log), [None, Some(4e-6)]);
+    let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
+    assert_eq!((r.spans.len(), r.txns.len()), (1, 1));
+    assert_eq!((r.spans[0].parent, r.spans[0].root), (None, 0));
 }
