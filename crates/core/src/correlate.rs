@@ -38,24 +38,6 @@ pub fn mean_per_interval(events: &[(SimTime, f64)], window: &Window) -> Vec<f64>
         .collect()
 }
 
-/// Counts events per interval (per-second rates).
-pub fn rate_per_interval(events: &[SimTime], window: &Window) -> Vec<f64> {
-    let n = window.len();
-    let mut cnt = vec![0u32; n];
-    let ilen = window.interval.as_micros();
-    for &at in events {
-        if at < window.start || at >= window.end {
-            continue;
-        }
-        let i = ((at - window.start).as_micros() / ilen) as usize;
-        if i < n {
-            cnt[i] += 1;
-        }
-    }
-    let secs = window.interval.as_secs_f64();
-    cnt.into_iter().map(|c| f64::from(c) / secs).collect()
-}
-
 /// Pearson correlation over interval pairs where **both** series are
 /// finite — response-time series contain NaN for empty intervals, which
 /// plain [`pearson`] would poison.
@@ -97,19 +79,6 @@ mod tests {
         assert!((m[1] - 5.0).abs() < 1e-12);
         assert!(m[2].is_nan());
         assert!(m[3].is_nan());
-    }
-
-    #[test]
-    fn rate_per_interval_counts() {
-        let events = vec![
-            SimTime::from_millis(10),
-            SimTime::from_millis(20),
-            SimTime::from_millis(60),
-        ];
-        let r = rate_per_interval(&events, &window());
-        assert!((r[0] - 40.0).abs() < 1e-12); // 2 events / 0.05s
-        assert!((r[1] - 20.0).abs() < 1e-12);
-        assert_eq!(r[2], 0.0);
     }
 
     #[test]

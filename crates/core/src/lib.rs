@@ -19,11 +19,9 @@
 //! 4. explains root causes: **POI** (frozen) intervals flag stop-the-world
 //!    events like JVM GC; multiple congested-throughput **plateaus** flag
 //!    DVFS clock switching — [`plateau`]; interval-aligned correlations
-//!    ([`correlate`]) connect the dots (GC ratio ↔ load ↔ response time);
-//!    and [`oplaw`] audits captures against Little's Law / the Utilization
-//!    Law, the operational foundations the method rests on. The paper's
-//!    stated future work — automatic selection of the monitoring interval
-//!    length — is implemented in [`interval`].
+//!    ([`correlate`]) connect the dots (GC ratio ↔ load ↔ response time).
+//!    The paper's stated future work — automatic selection of the
+//!    monitoring interval length — is implemented in [`interval`].
 //!
 //! # Examples
 //!
@@ -69,7 +67,6 @@ pub mod detect;
 pub mod interval;
 pub mod nstar;
 pub mod online;
-pub mod oplaw;
 pub mod plateau;
 pub mod series;
 pub mod stats;

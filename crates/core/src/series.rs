@@ -25,8 +25,8 @@
 //! of span order, bit-for-bit reproducible, and — because integer sums are
 //! associative — lets a coarse grid be derived *exactly* from a fine one
 //! (see [`SeriesSet::coarsen`]). The straightforward `O(S × I)` versions
-//! are kept in [`reference`] as the executable specification; property
-//! tests assert bit-for-bit agreement.
+//! are the executable specification, `fgbd_oracle::series` (a dev-only
+//! crate); property tests assert bit-for-bit agreement.
 
 use std::collections::VecDeque;
 
@@ -422,11 +422,6 @@ impl ThroughputSeries {
         self.units[i]
     }
 
-    /// Straightforward throughput as requests per second.
-    pub fn count_rate(&self, i: usize) -> f64 {
-        f64::from(self.counts[i]) / self.window.interval.as_secs_f64()
-    }
-
     /// Normalized throughput as work units per second.
     pub fn unit_rate(&self, i: usize) -> f64 {
         self.units[i] / self.window.interval.as_secs_f64()
@@ -608,86 +603,6 @@ impl SeriesSet {
     }
 }
 
-/// Straightforward `O(spans × intervals)` constructions — the executable
-/// specification the sweep-line engine is tested against (and benchmarked
-/// over). Accumulation is in the same integer microseconds with the same
-/// final division, so agreement is bit-for-bit, not within-epsilon.
-pub mod reference {
-    use super::*;
-
-    /// Naive per-span interval walk for [`LoadSeries`].
-    pub fn load_series(spans: &[Span], window: Window) -> LoadSeries {
-        let n = window.len();
-        let mut overlap_us = vec![0u64; n];
-        let start_us = window.start.as_micros();
-        let grid_end_us = window.grid_end().as_micros();
-        let ilen_us = window.interval.as_micros();
-        for s in spans {
-            let a = s.arrival.as_micros().max(start_us);
-            let d = s.departure.as_micros().min(grid_end_us);
-            if d <= a {
-                continue;
-            }
-            let first = ((a - start_us) / ilen_us) as usize;
-            let last = ((d - start_us - 1) / ilen_us) as usize;
-            for (i, v) in overlap_us.iter_mut().enumerate().take(last + 1).skip(first) {
-                let from = start_us + ilen_us * i as u64;
-                let to = from + ilen_us;
-                let ov_from = a.max(from);
-                let ov_to = d.min(to);
-                if ov_to > ov_from {
-                    *v += ov_to - ov_from;
-                }
-            }
-        }
-        SeriesSet {
-            window,
-            overlap_us,
-            counts: vec![0; n],
-            service_us: vec![0; n],
-            work_unit: SimDuration::from_micros(1),
-        }
-        .load()
-    }
-
-    /// Naive per-span construction of [`ThroughputSeries`].
-    pub fn throughput_series(
-        spans: &[Span],
-        window: Window,
-        services: &ServiceTimeTable,
-        work_unit: SimDuration,
-    ) -> ThroughputSeries {
-        assert!(!work_unit.is_zero(), "work unit must be positive");
-        let n = window.len();
-        let mut counts = vec![0u32; n];
-        let mut service_us = vec![0u64; n];
-        let start_us = window.start.as_micros();
-        let grid_end_us = window.grid_end().as_micros();
-        let ilen_us = window.interval.as_micros();
-        let wu_us = work_unit.as_micros();
-        for s in spans {
-            let dep = s.departure.as_micros();
-            if dep < start_us || dep >= grid_end_us {
-                continue;
-            }
-            let i = ((dep - start_us) / ilen_us) as usize;
-            counts[i] += 1;
-            service_us[i] += services
-                .get(s.server, s.class)
-                .map(|d| d.as_micros())
-                .unwrap_or_else(|| s.residence().as_micros().min(wu_us));
-        }
-        SeriesSet {
-            window,
-            overlap_us: vec![0; n],
-            counts,
-            service_us,
-            work_unit,
-        }
-        .tput()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,30 +703,6 @@ mod tests {
         assert!(load.values().iter().all(|&v| v == 0.0));
     }
 
-    #[test]
-    fn sweep_matches_reference_on_straddlers() {
-        // Spans straddling the window start, the grid_end, whole coverage,
-        // and single-interval residents.
-        let w = Window::new(
-            SimTime::from_millis(100),
-            SimTime::from_millis(430),
-            SimDuration::from_millis(50),
-        );
-        let spans = vec![
-            span(0, 150_000, 0),       // straddles window start
-            span(390_000, 500_000, 1), // straddles grid_end (400ms) and end
-            span(0, 1_000_000, 2),     // covers everything
-            span(210_000, 215_000, 0), // inside one interval
-            span(250_000, 250_000, 1), // zero length
-            span(199_999, 200_001, 0), // 2us straddling an interval edge
-        ];
-        let fast = LoadSeries::from_spans(&spans, w);
-        let slow = reference::load_series(&spans, w);
-        for i in 0..fast.len() {
-            assert_eq!(fast.get(i).to_bits(), slow.get(i).to_bits(), "interval {i}");
-        }
-    }
-
     /// Pops `n` intervals.
     fn pop_n(ring: &mut IntervalRing, n: usize) -> Vec<(u64, u32, u64)> {
         (0..n).map(|_| ring.pop()).collect()
@@ -838,10 +729,21 @@ mod tests {
         assert_eq!(bounded.len(), w.len(), "a bounded ring never grows");
         let cells = pop_n(&mut bounded, w.len());
         assert_eq!(cells, pop_n(&mut open, w.len()));
-        let slow = reference::load_series(&spans, w);
+        // Each cell's overlap against a naive span-by-cell walk.
         for (i, &(overlap_us, _, _)) in cells.iter().enumerate() {
-            let (load, _, _) = materialize(overlap_us, 0, w.interval, 1);
-            assert_eq!(load.to_bits(), slow.get(i).to_bits(), "interval {i}");
+            let (from, to) = w.bounds(i);
+            let naive: u64 = spans
+                .iter()
+                .map(|s| {
+                    let (a, d) = (s.arrival.max(from), s.departure.min(to));
+                    if d > a {
+                        (d - a).as_micros()
+                    } else {
+                        0
+                    }
+                })
+                .sum();
+            assert_eq!(overlap_us, naive, "interval {i}");
         }
         // Only the span departing before the grid end completes in it.
         assert_eq!(cells.iter().map(|c| c.1).sum::<u32>(), 1);
@@ -917,7 +819,6 @@ mod tests {
         // The paper's point: straightforward throughput varies (4,2,4) while
         // normalized units track the actual work (6,4,4).
         assert!((tput.unit_rate(0) - 60.0).abs() < 1e-9);
-        assert!((tput.count_rate(0) - 40.0).abs() < 1e-9);
         // Equivalent-rate scaling: with mean service 20ms, 6 units/100ms ->
         // 6 * 10/20 / 0.1 = 30 eq-req/s.
         assert!((tput.equivalent_rate(0, SimDuration::from_millis(20)) - 30.0).abs() < 1e-9);

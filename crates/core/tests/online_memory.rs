@@ -2,12 +2,12 @@
 //! the allocation high-water mark of a long run must stay flat — the
 //! detector may not accumulate per-interval history proportional to run
 //! length. A counting global allocator approximates `VmHWM` portably
-//! (see [`fgbd_obsv::alloc`]); this file holds exactly one test because
+//! (see [`fgbd_oracle::alloc`]); this file holds exactly one test because
 //! the gauge counts for the whole process.
 
 use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_des::{SimDuration, SimTime};
-use fgbd_obsv::alloc::AllocGauge;
+use fgbd_oracle::alloc::AllocGauge;
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::{ClassId, ConnId, MsgKind, MsgRecord, NodeId};
 

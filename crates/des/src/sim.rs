@@ -146,7 +146,6 @@ impl<A: Actor> Simulation<A> {
         let delta = self.events_processed - before;
         if delta > 0 {
             fgbd_obsv::counter!("des.events", delta);
-            fgbd_obsv::histogram!("des.events_per_run", delta);
         }
         self.sched.now
     }
@@ -159,12 +158,6 @@ impl<A: Actor> Simulation<A> {
     /// The simulated system.
     pub fn actor(&self) -> &A {
         &self.actor
-    }
-
-    /// Mutable access to the simulated system (for instrumentation between
-    /// runs).
-    pub fn actor_mut(&mut self) -> &mut A {
-        &mut self.actor
     }
 
     /// Consumes the simulation, returning the final actor state.

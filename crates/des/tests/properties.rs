@@ -1,7 +1,7 @@
 //! Property-based tests for the DES kernel invariants.
 
-use fgbd_des::queue::reference::HeapQueue;
 use fgbd_des::{Dice, EventQueue, JobId, PsIntegrator, SimDuration, SimTime};
+use fgbd_oracle::queue::HeapQueue;
 use proptest::prelude::*;
 
 /// Decodes one raw op for the wheel-vs-heap equivalence driver: a schedule
@@ -304,7 +304,7 @@ proptest! {
     }
 }
 
-use fgbd_des::ps::reference::PsIntegrator as RefPs;
+use fgbd_oracle::ps::PsIntegrator as RefPs;
 
 /// Decodes one raw op for the PS fast-vs-reference equivalence driver.
 /// Demands span ~nine decades (1e-7 .. ~5e2 work-units) so completion
@@ -624,9 +624,10 @@ fn ps_freeze_spanning_completion_defers_it_by_the_frozen_interval() {
 }
 
 /// Zero demand is rejected by contract (see the `should_panic` tests in
-/// `ps.rs`); the nearest legal thing is a demand so small its completion
-/// interval rounds up to the 1 us event grid. Both implementations must
-/// agree on that floor and complete the job on the very next probe.
+/// `ps.rs` and in `fgbd_oracle::ps`); the nearest legal thing is a demand
+/// so small its completion interval rounds up to the 1 us event grid. Both
+/// implementations must agree on that floor and complete the job on the
+/// very next probe.
 #[test]
 fn ps_near_zero_demand_completes_on_the_next_microsecond_tick() {
     let mut fast = PsIntegrator::new(100.0, 1);

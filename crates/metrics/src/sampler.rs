@@ -92,15 +92,6 @@ impl UtilizationSeries {
         }
     }
 
-    /// The highest reading in `[from, to)`.
-    pub fn max_in(&self, from: SimTime, to: SimTime) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .map(|s| s.util)
-            .fold(0.0, f64::max)
-    }
-
     /// Number of readings.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -160,6 +151,10 @@ mod tests {
         v
     }
 
+    fn peak(s: &UtilizationSeries) -> f64 {
+        s.samples().iter().map(|r| r.util).fold(0.0, f64::max)
+    }
+
     #[test]
     fn one_second_sampling_sees_means() {
         let s = UtilizationSeries::sample(&cumulative_ramp(), 1, SimDuration::from_secs(1));
@@ -168,7 +163,7 @@ mod tests {
         assert!((s.samples()[5].util - 0.5).abs() < 1e-9);
         assert!((s.samples()[15].util - 0.0).abs() < 1e-9);
         assert!((s.mean_in(SimTime::ZERO, SimTime::from_secs(21)) - 0.25).abs() < 1e-9);
-        assert!((s.max_in(SimTime::ZERO, SimTime::from_secs(20)) - 0.5).abs() < 1e-9);
+        assert!((peak(&s) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -189,8 +184,8 @@ mod tests {
         let fine = UtilizationSeries::sample(&cum, 1, SimDuration::from_millis(50));
         let coarse = UtilizationSeries::sample(&cum, 1, SimDuration::from_secs(1));
         // Fine sampling sees the saturation; 1 s sampling reports <=10%.
-        assert!(fine.max_in(SimTime::ZERO, SimTime::from_secs(2)) > 0.99);
-        assert!(coarse.max_in(SimTime::ZERO, SimTime::from_secs(2)) < 0.11);
+        assert!(peak(&fine) > 0.99);
+        assert!(peak(&coarse) < 0.11);
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl<T> Slab<T> {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
-
-    /// Slots ever occupied — the steady-state memory high-water mark.
-    pub fn high_water(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,7 @@ mod tests {
         // LIFO: b's slot comes back first.
         let c = slab.insert(3);
         let d = slab.insert(4);
-        assert_eq!(slab.high_water(), 2, "no growth on reuse");
+        assert_eq!(slab.slots.len(), 2, "no growth on reuse");
         assert_eq!(c & 0xFFFF_FFFF, b & 0xFFFF_FFFF);
         assert_eq!(d & 0xFFFF_FFFF, a & 0xFFFF_FFFF);
         assert_ne!(c, b, "reused slot has a new generation");
@@ -223,7 +218,7 @@ mod tests {
             slab.insert(i);
         }
         assert_eq!(slab.slots.capacity(), cap);
-        assert_eq!(slab.high_water(), 8);
+        assert_eq!(slab.slots.len(), 8);
     }
 
     #[test]

@@ -176,20 +176,6 @@ impl WorkloadMix {
         }
     }
 
-    /// A mix from explicit classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty or all weights are zero.
-    pub fn from_classes(classes: Vec<RequestClass>) -> WorkloadMix {
-        assert!(!classes.is_empty(), "mix must have at least one class");
-        assert!(
-            classes.iter().any(|c| c.weight > 0.0),
-            "mix must have positive total weight"
-        );
-        WorkloadMix { classes }
-    }
-
     /// All classes (including zero-weight ones).
     pub fn classes(&self) -> &[RequestClass] {
         &self.classes
@@ -203,12 +189,6 @@ impl WorkloadMix {
     /// Mix weights, aligned with [`WorkloadMix::classes`].
     pub fn weights(&self) -> Vec<f64> {
         self.classes.iter().map(|c| c.weight).collect()
-    }
-
-    /// Weighted mean of an arbitrary per-class quantity.
-    pub fn weighted_mean(&self, f: impl Fn(&RequestClass) -> f64) -> f64 {
-        let wsum: f64 = self.classes.iter().map(|c| c.weight).sum();
-        self.classes.iter().map(|c| c.weight * f(c)).sum::<f64>() / wsum
     }
 }
 
@@ -268,10 +248,14 @@ mod tests {
         let t = MixTargets::paper_calibration();
         let mix = WorkloadMix::browse_only(t);
         assert_eq!(mix.classes().len(), 24);
-        let web = mix.weighted_mean(|c| c.web_demand_mc);
-        let app = mix.weighted_mean(|c| c.app_demand_mc);
-        let q = mix.weighted_mean(|c| f64::from(c.queries));
-        let db = mix.weighted_mean(|c| c.db_demand_mc * f64::from(c.queries)) / q;
+        let wsum: f64 = mix.weights().iter().sum();
+        let mean = |f: fn(&RequestClass) -> f64| {
+            mix.classes().iter().map(|c| c.weight * f(c)).sum::<f64>() / wsum
+        };
+        let web = mean(|c| c.web_demand_mc);
+        let app = mean(|c| c.app_demand_mc);
+        let q = mean(|c| f64::from(c.queries));
+        let db = mean(|c| c.db_demand_mc * f64::from(c.queries)) / q;
         assert!((web - t.web_mc).abs() < 1e-9, "web {web}");
         assert!((app - t.app_mc).abs() < 1e-9, "app {app}");
         // Queries round to integers; allow a small calibration error.
@@ -317,29 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_respects_weights() {
-        let mut a = RequestClass {
-            name: "a".into(),
-            weight: 3.0,
-            web_demand_mc: 1.0,
-            app_demand_mc: 10.0,
-            mw_demand_mc: 1.0,
-            db_demand_mc: 1.0,
-            queries: 1,
-            db_wait_s: 0.0,
-            demand_cv: 0.0,
-        };
-        let mut b = a.clone();
-        b.name = "b".into();
-        b.weight = 1.0;
-        b.app_demand_mc = 2.0;
-        a.weight = 3.0;
-        let mix = WorkloadMix::from_classes(vec![a, b]);
-        let m = mix.weighted_mean(|c| c.app_demand_mc);
-        assert!((m - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn single_mix_has_weight_one() {
         let c = RequestClass {
             name: "only".into(),
@@ -355,11 +316,5 @@ mod tests {
         let mix = WorkloadMix::single(c);
         assert_eq!(mix.classes().len(), 1);
         assert_eq!(mix.class(0).weight, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one class")]
-    fn empty_mix_rejected() {
-        WorkloadMix::from_classes(vec![]);
     }
 }

@@ -317,11 +317,6 @@ impl SystemConfig {
         self
     }
 
-    /// Total number of servers across tiers.
-    pub fn server_count(&self) -> usize {
-        self.topology.iter().map(Vec::len).sum()
-    }
-
     /// Checks structural invariants; called by the simulator constructor.
     ///
     /// # Panics
@@ -356,7 +351,6 @@ mod tests {
         cfg.validate();
         let sizes: Vec<usize> = cfg.topology.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![1, 2, 1, 2]);
-        assert_eq!(cfg.server_count(), 6);
         // L = 2 cores, S = 1 core.
         assert_eq!(cfg.topology[0][0].cores, 2);
         assert_eq!(cfg.topology[1][0].cores, 1);

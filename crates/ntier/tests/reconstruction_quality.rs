@@ -8,7 +8,8 @@
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
+use fgbd_oracle::reconstruct as reference;
+use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
 
 #[test]
 fn heuristic_accuracy_ranking_matches_design() {

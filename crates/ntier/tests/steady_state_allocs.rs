@@ -6,20 +6,19 @@
 //! (transaction samples, GC events, CPU samples), which is why the bound is
 //! a small fraction of the event count rather than exactly zero.
 //!
-//! The counting allocator is `fgbd_obsv::alloc::AllocGauge` — the same
-//! opt-in gauge the observability crate offers every binary. This test
+//! The counting allocator is `fgbd_oracle::alloc::AllocGauge`. This test
 //! lives in its own integration-test binary because a `#[global_allocator]`
 //! counts for the whole process; each test reads its own thread's event
 //! count (`thread_allocs`), since the harness runs the others beside it.
 //!
 //! Telemetry stays at its default (enabled) here, so the bound also proves
 //! the instrumented event loop stays allocation-free at steady state: the
-//! one-time counter/histogram registrations land in the warmup window.
+//! one-time counter registrations land in the warmup window.
 
 use fgbd_des::{EventQueue, JobId, PsIntegrator, SimDuration, SimTime, Simulation};
 use fgbd_ntier::arena::Slab;
 use fgbd_ntier::{Ev, Jdk, NTierSystem, SystemConfig};
-use fgbd_obsv::alloc::AllocGauge;
+use fgbd_oracle::alloc::AllocGauge;
 
 #[global_allocator]
 static GLOBAL: AllocGauge = AllocGauge::new();

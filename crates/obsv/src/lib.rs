@@ -11,31 +11,25 @@
 //!   collection. Spans opened on [`par_map`]-style worker threads merge
 //!   into the caller's tree via [`span::adopt_path`] /
 //!   [`span::flush_thread`].
-//! * [`counter!`] / [`histogram!`] / [`gauge!`] — monotonic counters,
-//!   fixed-bucket log2 histograms, and last-value gauges, registered
-//!   lazily and cached per call site.
+//! * [`counter!`] — monotonic counters, registered lazily and cached per
+//!   call site.
 //! * [`jsonl::JsonlWriter`] — flushed-per-line JSON event files (the
 //!   live monitor's heartbeat and verdict streams).
-//! * [`alloc::AllocGauge`] — an opt-in counting `#[global_allocator]`
-//!   wrapper (the technique from the steady-state allocation tests).
 //! * [`manifest::RunManifest`] — one structured JSON document per run
-//!   (config, per-stage wall time, counter/histogram snapshots, artifact
-//!   paths) plus a Prometheus-style text exposition and a
-//!   flamegraph-compatible collapsed-stack dump.
+//!   (config, per-stage wall time, counter deltas, artifact paths), the
+//!   file `check_manifest` and CI read.
 //! * [`log!`] — a uniformly prefixed, machine-parseable stdout sink with
 //!   a quiet mode.
 //!
 //! ## Overhead contract
 //!
 //! Every probe is guarded by [`enabled`], a single relaxed atomic load.
-//! Building with the `disabled` cargo feature turns [`enabled`] into
-//! `const false`, compiling the probes out entirely. Hot loops (the DES
-//! event loop, the PS integrator) never touch an atomic per event: they
-//! accumulate plain integers locally and flush one delta per run.
+//! Hot loops (the DES event loop, the PS integrator) never touch an atomic
+//! per event: they accumulate plain integers locally and flush one delta
+//! per run.
 //!
 //! [`par_map`]: span::adopt_path
 
-pub mod alloc;
 pub mod json;
 pub mod jsonl;
 pub mod manifest;
@@ -43,38 +37,22 @@ pub mod metrics;
 pub mod sink;
 pub mod span;
 
-#[cfg(not(feature = "disabled"))]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicBool as QuietBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(not(feature = "disabled"))]
 static ENABLED: AtomicBool = AtomicBool::new(true);
-static QUIET: QuietBool = QuietBool::new(false);
+static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// `true` while telemetry collection is on. The runtime default is *on*;
 /// flip it with [`set_enabled`] or the `FGBD_OBSV=0` environment variable
-/// (via [`init_from_env`]). With the `disabled` cargo feature this is
-/// `const false` and every probe compiles out.
-#[cfg(not(feature = "disabled"))]
+/// (via [`init_from_env`]).
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Compile-time-off variant: always `false` (`disabled` feature).
-#[cfg(feature = "disabled")]
-#[inline]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Turns telemetry collection on or off at runtime. A no-op when the
-/// crate is built with the `disabled` feature.
+/// Turns telemetry collection on or off at runtime.
 pub fn set_enabled(on: bool) {
-    #[cfg(not(feature = "disabled"))]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(feature = "disabled")]
-    let _ = on;
 }
 
 /// `true` while the [`log!`] sink is muted (`--quiet`).
@@ -142,46 +120,6 @@ macro_rules! counter {
     };
 }
 
-/// Records a value into a named fixed-bucket log2 histogram:
-/// `histogram!("des.events_per_run", delta)`. Cached per call site like
-/// [`counter!`]; a no-op when telemetry is disabled.
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            static OBSV_HISTOGRAM: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-                ::std::sync::OnceLock::new();
-            OBSV_HISTOGRAM
-                .get_or_init(|| $crate::metrics::histogram($name))
-                .record(($v) as u64);
-        }
-    };
-}
-
-/// Sets a named last-value gauge: `gauge!("monitor.lag_us", lag as f64)`,
-/// or labeled per-tier `gauge!("monitor.window_nstar", tier_name, n)`.
-/// The unlabeled form caches the registry lookup per call site in a
-/// `OnceLock`; the labeled form accepts runtime strings (server names)
-/// and pays one registry lock per call. Both are no-ops (one relaxed
-/// load) when telemetry is disabled.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            static OBSV_GAUGE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-                ::std::sync::OnceLock::new();
-            OBSV_GAUGE
-                .get_or_init(|| $crate::metrics::gauge($name))
-                .set(($v) as f64);
-        }
-    };
-    ($name:expr, $label:expr, $v:expr) => {
-        if $crate::enabled() {
-            $crate::metrics::gauge_labeled($name, $label).set(($v) as f64);
-        }
-    };
-}
-
 /// Writes a uniformly prefixed, machine-parseable line (or block — every
 /// line of a multi-line payload is prefixed) to stdout:
 ///
@@ -219,7 +157,6 @@ mod tests {
     #[test]
     fn enabled_toggles_at_runtime() {
         let _g = crate::test_sync::hold();
-        // The crate under test is built without the `disabled` feature.
         assert!(crate::enabled());
         crate::set_enabled(false);
         assert!(!crate::enabled());

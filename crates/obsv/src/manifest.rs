@@ -1,6 +1,5 @@
 //! Structured run manifests: one JSON document per pipeline/experiment
-//! run, plus a Prometheus-style text exposition and a flamegraph
-//! collapsed-stack dump, all derived from the same telemetry snapshots.
+//! run, built from the run's span and counter deltas.
 //!
 //! ## Schema (`fgbd.run-manifest/v1`)
 //!
@@ -17,11 +16,6 @@
 //!      "calls": 1, "total_ns": 5200000}
 //!   ],
 //!   "counters": {"des.events": 123},      // counter deltas for this run
-//!   "histograms": {                       // log2 histogram deltas
-//!     "des.events_per_run": {"count": 1, "sum": 123,
-//!                            "buckets": [[64, 1]]}
-//!   },
-//!   "gauges": {"monitor.lag_us": 1200.0}, // last-value gauges (optional)
 //!   "artifacts": ["target/experiments/fig06.csv"]
 //! }
 //! ```
@@ -129,62 +123,18 @@ impl RunManifest {
             ),
         ));
         members.push((
-            "histograms".to_string(),
-            Json::Obj(
-                metrics
-                    .histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::Obj(vec![
-                                ("count".to_string(), Json::Num(h.count as f64)),
-                                ("sum".to_string(), Json::Num(h.sum as f64)),
-                                (
-                                    "buckets".to_string(),
-                                    Json::Arr(
-                                        h.buckets
-                                            .iter()
-                                            .map(|&(floor, n)| {
-                                                Json::Arr(vec![
-                                                    Json::Num(floor as f64),
-                                                    Json::Num(n as f64),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-        members.push((
-            "gauges".to_string(),
-            Json::Obj(
-                metrics
-                    .gauges
-                    .iter()
-                    .map(|(k, &bits)| (k.clone(), Json::Num(f64::from_bits(bits))))
-                    .collect(),
-            ),
-        ));
-        members.push((
             "artifacts".to_string(),
             Json::Arr(self.artifacts.iter().cloned().map(Json::Str).collect()),
         ));
         Json::Obj(members)
     }
 
-    /// Writes `<dir>/<name>.json` (the manifest), `<name>.prom` (the
-    /// Prometheus text exposition), and `<name>.folded` (the collapsed
-    /// stack dump), creating `dir` as needed. Returns the JSON path.
+    /// Writes the manifest to `<dir>/<name>.json`, creating `dir` as
+    /// needed, and returns that path.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if any of the three files cannot
-    /// be written.
+    /// Returns the underlying I/O error if the file cannot be written.
     pub fn finish(
         self,
         dir: impl AsRef<Path>,
@@ -193,75 +143,10 @@ impl RunManifest {
     ) -> io::Result<PathBuf> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let doc = self.to_json(spans, metrics);
         let json_path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&json_path, doc.render_pretty())?;
-        std::fs::write(
-            dir.join(format!("{}.prom", self.name)),
-            exposition(spans, metrics),
-        )?;
-        std::fs::write(dir.join(format!("{}.folded", self.name)), spans.collapsed())?;
+        std::fs::write(&json_path, self.to_json(spans, metrics).render_pretty())?;
         Ok(json_path)
     }
-}
-
-fn prom_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders span and metrics snapshots in the Prometheus text exposition
-/// format (counters only — everything fgbd records is monotonic within
-/// a run).
-pub fn exposition(spans: &SpanSnapshot, metrics: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("# TYPE fgbd_span_ns_total counter\n");
-    for (path, stat) in &spans.spans {
-        out.push_str(&format!(
-            "fgbd_span_ns_total{{path=\"{}\"}} {}\n",
-            prom_escape(path),
-            stat.ns
-        ));
-    }
-    out.push_str("# TYPE fgbd_span_calls_total counter\n");
-    for (path, stat) in &spans.spans {
-        out.push_str(&format!(
-            "fgbd_span_calls_total{{path=\"{}\"}} {}\n",
-            prom_escape(path),
-            stat.calls
-        ));
-    }
-    out.push_str("# TYPE fgbd_counter_total counter\n");
-    for (name, v) in &metrics.counters {
-        out.push_str(&format!(
-            "fgbd_counter_total{{name=\"{}\"}} {v}\n",
-            prom_escape(name)
-        ));
-    }
-    if !metrics.gauges.is_empty() {
-        out.push_str("# TYPE fgbd_gauge gauge\n");
-        for (name, &bits) in &metrics.gauges {
-            out.push_str(&format!(
-                "fgbd_gauge{{name=\"{}\"}} {}\n",
-                prom_escape(name),
-                f64::from_bits(bits)
-            ));
-        }
-    }
-    out.push_str("# TYPE fgbd_histogram_samples_total counter\n");
-    for (name, h) in &metrics.histograms {
-        out.push_str(&format!(
-            "fgbd_histogram_samples_total{{name=\"{}\"}} {}\n",
-            prom_escape(name),
-            h.count
-        ));
-        for &(floor, n) in &h.buckets {
-            out.push_str(&format!(
-                "fgbd_histogram_bucket{{name=\"{}\",floor=\"{floor}\"}} {n}\n",
-                prom_escape(name)
-            ));
-        }
-    }
-    out
 }
 
 /// Validates a parsed manifest against the documented schema. This is
@@ -346,18 +231,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             return Err(format!("counter '{k}' is not numeric"));
         }
     }
-    // 'gauges' is optional (added after v1 manifests shipped) but must be
-    // a numeric-valued object when present.
-    if let Some(gauges) = doc.get("gauges") {
-        let obj = gauges
-            .as_obj()
-            .ok_or_else(|| "'gauges' must be an object".to_string())?;
-        for (k, v) in obj {
-            if v.as_f64().is_none() {
-                return Err(format!("gauge '{k}' is not numeric"));
-            }
-        }
-    }
     let artifacts = doc
         .get("artifacts")
         .and_then(Json::as_arr)
@@ -373,7 +246,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistSnapshot;
     use crate::span::SpanStat;
 
     fn demo_snapshots() -> (SpanSnapshot, MetricsSnapshot) {
@@ -386,14 +258,6 @@ mod tests {
             .insert("run".to_string(), SpanStat { calls: 1, ns: 9000 });
         let mut metrics = MetricsSnapshot::default();
         metrics.counters.insert("des.events".to_string(), 123);
-        metrics.histograms.insert(
-            "des.events_per_run".to_string(),
-            HistSnapshot {
-                count: 1,
-                sum: 123,
-                buckets: vec![(64, 1)],
-            },
-        );
         (spans, metrics)
     }
 
@@ -419,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_writes_json_prom_and_folded() {
+    fn finish_writes_exactly_the_manifest() {
         let (spans, metrics) = demo_snapshots();
         let dir =
             std::env::temp_dir().join(format!("fgbd_obsv_manifest_test_{}", std::process::id()));
@@ -427,11 +291,11 @@ mod tests {
         let json_path = m.finish(&dir, &spans, &metrics).expect("write");
         let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
         validate(&doc).expect("written manifest validates");
-        let prom = std::fs::read_to_string(dir.join("unit_finish.prom")).unwrap();
-        assert!(prom.contains("fgbd_span_ns_total{path=\"run;stage_a\"} 1500"));
-        assert!(prom.contains("fgbd_counter_total{name=\"des.events\"} 123"));
-        let folded = std::fs::read_to_string(dir.join("unit_finish.folded")).unwrap();
-        assert!(folded.contains("run;stage_a 1"));
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["unit_finish.json"], "one run, one file");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,15 +1,11 @@
-//! Monotonic counters, fixed-bucket log2 histograms, and last-value
-//! gauges.
+//! Monotonic counters.
 //!
-//! Instruments are registered lazily by `&'static str` name (plus an
+//! Counters are registered lazily by `&'static str` name (plus an
 //! optional `&'static str` label) and live for the process lifetime, so
 //! call sites can cache the returned reference in a `OnceLock` — the
-//! [`crate::counter!`] and [`crate::histogram!`] macros do exactly that.
-//! All updates are single relaxed atomic RMWs; totals are exact under
-//! arbitrary thread interleavings because addition commutes. Gauges are
-//! the exception to the static-label rule: the live monitor labels them
-//! with runtime server names, so their registry is keyed by owned
-//! strings and the lookup re-hashes per call.
+//! [`crate::counter!`] macro does exactly that. All updates are single
+//! relaxed atomic RMWs; totals are exact under arbitrary thread
+//! interleavings because addition commutes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,84 +37,6 @@ impl Counter {
     }
 }
 
-/// Number of histogram buckets: bucket `0` holds zeros and bucket `b`
-/// (`1..=64`) holds values in `[2^(b-1), 2^b)`.
-pub const HIST_BUCKETS: usize = 65;
-
-/// A fixed-bucket log2 histogram of `u64` samples.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let b = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (wrapping on overflow).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The smallest value a bucket index can hold (0 for bucket 0,
-    /// `2^(b-1)` otherwise).
-    pub fn bucket_floor(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            1u64 << (b - 1)
-        }
-    }
-}
-
-/// A last-value gauge: the most recent `set` wins. Values are `f64`
-/// stored as raw bits so reads and writes stay single relaxed atomics.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge (reads as `0.0`).
-    pub const fn new() -> Gauge {
-        Gauge {
-            bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Replaces the current value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 type Key = (&'static str, &'static str);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -127,11 +45,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn counters() -> &'static Mutex<BTreeMap<Key, &'static Counter>> {
     static R: OnceLock<Mutex<BTreeMap<Key, &'static Counter>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn histograms() -> &'static Mutex<BTreeMap<Key, &'static Histogram>> {
-    static R: OnceLock<Mutex<BTreeMap<Key, &'static Histogram>>> = OnceLock::new();
     R.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -155,7 +68,7 @@ fn retained() -> &'static Mutex<BTreeSet<&'static str>> {
 }
 
 /// Like [`counter`], but the counter is *retained* in snapshot deltas:
-/// [`MetricsSnapshot::delta`] normally drops untouched instruments, which
+/// [`MetricsSnapshot::delta`] normally drops untouched counters, which
 /// makes "this never happened" indistinguishable from "this was never
 /// measured". Retained counters always appear in deltas once registered,
 /// explicitly reporting zero — the right contract for health metrics like
@@ -165,54 +78,12 @@ pub fn counter_retained(name: &'static str) -> &'static Counter {
     counter(name)
 }
 
-/// The histogram named `name`, registering it on first use.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    lock(histograms())
-        .entry((name, ""))
-        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
-}
-
-fn gauges() -> &'static Mutex<BTreeMap<(&'static str, String), &'static Gauge>> {
-    static R: OnceLock<Mutex<BTreeMap<(&'static str, String), &'static Gauge>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// The gauge named `name`, registering it on first use.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    gauge_labeled(name, "")
-}
-
-/// The `(name, label)` gauge. Unlike counters the label may be a
-/// runtime string (e.g. a server name), so this looks up the registry on
-/// every call — gauges are set at heartbeat cadence, not in hot loops.
-pub fn gauge_labeled(name: &'static str, label: &str) -> &'static Gauge {
-    lock(gauges())
-        .entry((name, label.to_string()))
-        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
-}
-
-/// A histogram's contents at snapshot time.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Non-empty buckets as `(bucket floor value, sample count)`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-/// A point-in-time copy of every registered counter, histogram, and
-/// gauge, keyed by `name` or `name{label}`.
+/// A point-in-time copy of every registered counter, keyed by `name` or
+/// `name{label}`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter totals.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram contents.
-    pub histograms: BTreeMap<String, HistSnapshot>,
-    /// Gauge values as raw `f64` bits (`f64::to_bits`) — bits rather than
-    /// floats so the snapshot stays `Eq` and comparisons are exact.
-    pub gauges: BTreeMap<String, u64>,
 }
 
 fn key_string((name, label): Key) -> String {
@@ -235,52 +106,19 @@ pub fn vm_hwm_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Snapshots every registered instrument.
+/// Snapshots every registered counter.
 pub fn snapshot() -> MetricsSnapshot {
     let counters = lock(counters())
         .iter()
         .map(|(&k, c)| (key_string(k), c.get()))
         .collect();
-    let histograms = lock(histograms())
-        .iter()
-        .map(|(&k, h)| {
-            let buckets = (0..HIST_BUCKETS)
-                .filter_map(|b| {
-                    let n = h.buckets[b].load(Ordering::Relaxed);
-                    (n > 0).then(|| (Histogram::bucket_floor(b), n))
-                })
-                .collect();
-            (
-                key_string(k),
-                HistSnapshot {
-                    count: h.count(),
-                    sum: h.sum(),
-                    buckets,
-                },
-            )
-        })
-        .collect();
-    let gauges = lock(gauges())
-        .iter()
-        .map(|((name, label), g)| {
-            let key = if label.is_empty() {
-                (*name).to_string()
-            } else {
-                format!("{name}{{{label}}}")
-            };
-            (key, g.get().to_bits())
-        })
-        .collect();
-    MetricsSnapshot {
-        counters,
-        histograms,
-        gauges,
-    }
+    MetricsSnapshot { counters }
 }
 
 impl MetricsSnapshot {
     /// The activity since `earlier` — per-run views over the
-    /// process-cumulative registry. Untouched instruments are dropped.
+    /// process-cumulative registry. Untouched counters are dropped unless
+    /// [retained](counter_retained).
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let keep_zero = lock(retained());
         let counters = self
@@ -291,50 +129,7 @@ impl MetricsSnapshot {
                 (d > 0 || keep_zero.contains(k.as_str())).then(|| (k.clone(), d))
             })
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .filter_map(|(k, h)| {
-                let base = earlier.histograms.get(k);
-                let count = h.count.saturating_sub(base.map_or(0, |b| b.count));
-                if count == 0 {
-                    return None;
-                }
-                let base_buckets: BTreeMap<u64, u64> = base
-                    .map(|b| b.buckets.iter().copied().collect())
-                    .unwrap_or_default();
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .filter_map(|&(floor, n)| {
-                        let d = n.saturating_sub(base_buckets.get(&floor).copied().unwrap_or(0));
-                        (d > 0).then_some((floor, d))
-                    })
-                    .collect();
-                Some((
-                    k.clone(),
-                    HistSnapshot {
-                        count,
-                        sum: h.sum.saturating_sub(base.map_or(0, |b| b.sum)),
-                        buckets,
-                    },
-                ))
-            })
-            .collect();
-        // Gauges are instantaneous, not cumulative: the "delta" keeps the
-        // current value, but only for gauges that moved (or appeared)
-        // since `earlier` — untouched gauges belong to other runs.
-        let gauges = self
-            .gauges
-            .iter()
-            .filter(|&(k, &bits)| earlier.gauges.get(k) != Some(&bits))
-            .map(|(k, &bits)| (k.clone(), bits))
-            .collect();
-        MetricsSnapshot {
-            counters,
-            histograms,
-            gauges,
-        }
+        MetricsSnapshot { counters }
     }
 }
 
@@ -362,25 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_follow_log2() {
-        let h = histogram("t_metrics_hist");
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1 << 20] {
-            h.record(v);
-        }
-        let snap = snapshot();
-        let hs = &snap.histograms["t_metrics_hist"];
-        assert_eq!(hs.count, 8);
-        assert_eq!(hs.sum, 1 + 2 + 3 + 4 + 7 + 8 + (1 << 20));
-        let by_floor: BTreeMap<u64, u64> = hs.buckets.iter().copied().collect();
-        assert_eq!(by_floor[&0], 1); // value 0
-        assert_eq!(by_floor[&1], 1); // value 1
-        assert_eq!(by_floor[&2], 2); // values 2, 3
-        assert_eq!(by_floor[&4], 2); // values 4, 7
-        assert_eq!(by_floor[&8], 1); // value 8
-        assert_eq!(by_floor[&(1 << 20)], 1);
-    }
-
-    #[test]
     fn retained_counter_reports_zero_delta() {
         let c = counter_retained("t_metrics_retained");
         c.add(4);
@@ -394,32 +170,6 @@ mod tests {
         assert_eq!(d2.counters.get("t_metrics_retained"), Some(&2));
         // Identity with the plain registration path.
         assert!(std::ptr::eq(c, counter("t_metrics_retained")));
-    }
-
-    #[test]
-    fn gauges_hold_the_last_value_and_delta_on_change() {
-        let g = gauge_labeled("t_metrics_gauge", "mysql-1");
-        g.set(3.5);
-        g.set(7.25);
-        assert_eq!(g.get(), 7.25);
-        // Same (name, label) resolves to the same instance even though the
-        // label is a runtime string.
-        assert!(std::ptr::eq(g, gauge_labeled("t_metrics_gauge", "mysql-1")));
-        let before = snapshot();
-        assert_eq!(
-            before.gauges.get("t_metrics_gauge{mysql-1}"),
-            Some(&7.25f64.to_bits())
-        );
-        // Unchanged since `before` -> dropped from the delta; changed ->
-        // the delta carries the new value, not a difference.
-        let unchanged = snapshot().delta(&before);
-        assert!(!unchanged.gauges.contains_key("t_metrics_gauge{mysql-1}"));
-        g.set(-1.0);
-        let moved = snapshot().delta(&before);
-        assert_eq!(
-            moved.gauges.get("t_metrics_gauge{mysql-1}"),
-            Some(&(-1.0f64).to_bits())
-        );
     }
 
     #[test]

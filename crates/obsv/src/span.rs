@@ -134,7 +134,7 @@ pub fn flush_thread() {
 }
 
 /// A point-in-time copy of the process-global span aggregate, keyed by
-/// the `;`-joined span path (the flamegraph collapsed-stack convention).
+/// the `;`-joined span path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// `path → stat`, ordered by path.
@@ -177,35 +177,6 @@ impl SpanSnapshot {
             })
             .collect();
         SpanSnapshot { spans }
-    }
-
-    /// Renders the snapshot in the flamegraph *collapsed stack* format:
-    /// one `path microseconds` line per span path. The format expects
-    /// *self* (exclusive) time per stack — the renderer sums children back
-    /// into parent frame widths — so each path's value is its total minus
-    /// its direct children's totals (clamped at zero: fork/join child time
-    /// accumulated on several workers can exceed the parent's wall time).
-    /// Feed the dump to any `flamegraph.pl`-compatible tool to visualize
-    /// where a run spent its time.
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for (path, stat) in &self.spans {
-            let prefix = format!("{path};");
-            let child_ns: u64 = self
-                .spans
-                .iter()
-                .filter(|(p, _)| {
-                    p.strip_prefix(&prefix)
-                        .is_some_and(|rest| !rest.contains(';'))
-                })
-                .map(|(_, s)| s.ns)
-                .sum();
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&(stat.ns.saturating_sub(child_ns) / 1_000).to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -273,57 +244,5 @@ mod tests {
         let after = snapshot().delta(&before);
         assert_eq!(after.spans["t_fork_root;t_fork_worker"].calls, 2);
         assert!(!after.spans.contains_key("t_fork_worker"));
-    }
-
-    #[test]
-    fn collapsed_dump_lists_paths_with_microseconds() {
-        let _g = crate::test_sync::hold();
-        let before = snapshot();
-        {
-            let _a = enter("t_collapsed");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let after = snapshot().delta(&before);
-        let dump = after.collapsed();
-        let line = dump
-            .lines()
-            .find(|l| l.starts_with("t_collapsed "))
-            .expect("span line present");
-        let us: u64 = line.split(' ').nth(1).unwrap().parse().unwrap();
-        assert!(us >= 1_000, "2 ms sleep should read >= 1000 us, got {us}");
-    }
-
-    #[test]
-    fn collapsed_dump_emits_self_time_not_inclusive() {
-        let mut spans = BTreeMap::new();
-        spans.insert(
-            "root".to_string(),
-            SpanStat {
-                calls: 1,
-                ns: 10_000_000,
-            },
-        );
-        spans.insert(
-            "root;child".to_string(),
-            SpanStat {
-                calls: 2,
-                ns: 6_000_000,
-            },
-        );
-        // Fork/join: leaf time summed across workers exceeds the parent.
-        spans.insert(
-            "root;child;leaf".to_string(),
-            SpanStat {
-                calls: 4,
-                ns: 9_000_000,
-            },
-        );
-        let dump = SpanSnapshot { spans }.collapsed();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(
-            lines,
-            ["root 4000", "root;child 0", "root;child;leaf 9000"],
-            "self time = total minus direct children, clamped at zero"
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! Microbenchmarks of the future-event list: the timing-wheel
-//! [`EventQueue`] against the `BinaryHeap` [`reference::HeapQueue`] under
+//! [`EventQueue`] against the `BinaryHeap` [`HeapQueue`] under
 //! the classic *hold* model (steady state: each operation pops the earliest
 //! event and schedules a successor), at small and large pending-set sizes.
 //! The DES pops and pushes once per simulated event across millions of
@@ -19,8 +19,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fgbd_des::queue::reference::HeapQueue;
 use fgbd_des::{Dice, EventQueue, SimDuration, SimTime};
+use fgbd_oracle::queue::HeapQueue;
 
 /// Pending-set size for the large hold benches (the acceptance bar: the
 /// wheel must be ≥2× the heap here).

@@ -1,6 +1,6 @@
 //! Microbenchmarks of the PS integrator hot path: the per-class
 //! FIFO-lane/cached-tournament implementation against the heap plus
-//! lazy-deletion [`reference::PsIntegrator`], under the hold pattern the
+//! lazy-deletion [`fgbd_oracle::ps::PsIntegrator`], under the hold pattern the
 //! simulator drives — every event probes `next_completion`, completions
 //! drain through a reusable caller-owned buffer, and arrivals append with
 //! a request-class lane hint. A freeze-churn variant breaks lane
@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fgbd_des::ps::reference::PsIntegrator as RefPs;
 use fgbd_des::{Dice, JobId, PsIntegrator, SimDuration, SimTime};
+use fgbd_oracle::ps::PsIntegrator as RefPs;
 
 /// Concurrent jobs held in service — the order of magnitude a bottleneck
 /// tier sees at saturation.

@@ -5,7 +5,7 @@
 //! counts for the whole process):
 //!
 //! ```ignore
-//! use fgbd_obsv::alloc::AllocGauge;
+//! use fgbd_oracle::alloc::AllocGauge;
 //!
 //! #[global_allocator]
 //! static GLOBAL: AllocGauge = AllocGauge::new();
@@ -28,7 +28,7 @@
 //!   without reading `/proc`, and works on any platform).
 //!
 //! The gauge is always live once installed; it does not consult
-//! [`crate::enabled`] because the counting itself is the opt-in.
+//! `fgbd_obsv::enabled` because the counting itself is the opt-in.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -4,19 +4,17 @@
 //! throughput grows with load until the bottleneck resource saturates
 //! (Utilization Law), and load, throughput, and residence time are tied by
 //! Little's Law (`L = X · R`). This module checks those identities directly
-//! on measured spans, giving the analysis pipeline a built-in consistency
-//! harness: if Little's Law does not hold on a capture, the capture (or the
-//! clock that produced it) is broken, not the server.
+//! on measured spans, giving the end-to-end tests a consistency harness: if
+//! Little's Law does not hold on a capture, the capture (or the clock that
+//! produced it) is broken, not the server.
 
+use fgbd_core::series::Window;
 use fgbd_des::SimTime;
 use fgbd_trace::Span;
-use serde::{Deserialize, Serialize};
-
-use crate::series::Window;
 
 /// The three operational quantities over one measurement window, computed
 /// independently of each other from raw spans.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationalQuantities {
     /// Time-average number of requests in the server (`L`).
     pub mean_load: f64,
@@ -78,7 +76,7 @@ impl OperationalQuantities {
 ///
 /// Boundary effects make single 50 ms intervals noisy; audits are usually
 /// run at 1 s+ granularity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LittlesLawAudit {
     /// Per-interval residuals (NaN where the interval had no completions).
     pub residuals: Vec<f64>,

@@ -39,7 +39,7 @@ use std::path::Path;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_obsv::json::Json;
 use fgbd_obsv::jsonl::JsonlWriter;
-use fgbd_repro::harness::RunScope;
+use fgbd_repro::harness::{fail_path, RunScope};
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::Calibration;
 use fgbd_repro::zerocopy::{analyze_capture2_zero_copy, CaptureAnalyzer, ZeroCopyAnalysis};
@@ -86,10 +86,7 @@ fn main() {
     } else {
         analyze_capture2_zero_copy(Path::new(path), interval, threads_from_env())
     };
-    let za = analysis.unwrap_or_else(|e| {
-        eprintln!("analyze_capture: {path}: {e}");
-        std::process::exit(1);
-    });
+    let za = analysis.unwrap_or_else(|e| fail_path("analyze_capture", path, e));
     za.stamp_route(&mut scope);
 
     fgbd_obsv::log!(
@@ -173,7 +170,8 @@ fn render_report(
     );
 
     if let Some(vpath) = verdicts_path {
-        let mut w = JsonlWriter::create(&vpath).expect("create verdicts file");
+        let fail = |e: std::io::Error| -> ! { fail_path("analyze_capture", &vpath, e) };
+        let mut w = JsonlWriter::create(&vpath).unwrap_or_else(|e| fail(e));
         for (name, rep) in &za.reports {
             for line in verdict_lines(
                 name,
@@ -183,7 +181,7 @@ fn render_report(
                 &rep.states,
                 rep.nstar.as_ref(),
             ) {
-                w.write(&line).expect("write verdict line");
+                w.write(&line).unwrap_or_else(|e| fail(e));
             }
         }
         fgbd_obsv::log!(

@@ -40,8 +40,7 @@ const INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// Reports a capture that cannot be read and exits with status 1.
 fn fail(path: &str, err: impl Display) -> ! {
-    eprintln!("compare_captures: {path}: {err}");
-    std::process::exit(1);
+    fgbd_repro::harness::fail_path("compare_captures", path, err)
 }
 
 fn reports(path: &str) -> BTreeMap<String, OnlineReport> {

@@ -21,6 +21,7 @@
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_obsv::json::Json;
 use fgbd_obsv::jsonl::JsonlWriter;
+use fgbd_repro::harness::{fail_path, number_arg};
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::Calibration;
 use fgbd_repro::scenario::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
@@ -38,17 +39,15 @@ fn scenario_named(name: &str) -> &'static Scenario {
     }
 }
 
+const USAGE: &str = "live_monitor [scenario] [users] [seconds] [--quiet]";
+const FINAL: &str = "out/monitor/live_monitor.final.jsonl";
+
 fn main() {
     let args = fgbd_repro::harness::parse_std_flags();
     let scenario = args.first().map_or(&SPEEDSTEP_ON, |n| scenario_named(n));
-    let users: u32 = args
-        .get(1)
-        .map_or(Ok(600), |s| s.parse())
-        .expect("users must be a number");
-    let seconds: u64 = args
-        .get(2)
-        .map_or(Ok(20), |s| s.parse())
-        .expect("seconds must be a number");
+    let users: u32 = number_arg(&args, 1, 600, USAGE);
+    let seconds: u64 = number_arg(&args, 2, 20, USAGE);
+    let fail = |path: &str, e: std::io::Error| -> ! { fail_path("live_monitor", path, e) };
 
     let mut scope = fgbd_repro::harness::begin("live_monitor");
     scope.field("scenario", Json::Str(scenario.name.into()));
@@ -69,17 +68,21 @@ fn main() {
         &cal,
         &nodes,
     )
-    .expect("create monitor outputs under out/monitor/");
+    .unwrap_or_else(|e| fail("out/monitor", e));
 
     let run = {
         fgbd_obsv::span!("simulate");
         fgbd_ntier::system::NTierSystem::run_with_record_tap(cfg, |rec| {
-            runtime.push(&rec).expect("monitor telemetry write");
+            runtime
+                .push(&rec)
+                .unwrap_or_else(|e| fail("out/monitor", e));
         })
     };
     let reports = {
         fgbd_obsv::span!("monitor_finish");
-        runtime.finish(run.horizon).expect("finish monitor")
+        runtime
+            .finish(run.horizon)
+            .unwrap_or_else(|e| fail("out/monitor", e))
     };
 
     fgbd_obsv::log!(
@@ -91,8 +94,7 @@ fn main() {
         "frozen",
         "live_cong"
     );
-    let mut final_log =
-        JsonlWriter::create("out/monitor/live_monitor.final.jsonl").expect("create verdict file");
+    let mut final_log = JsonlWriter::create(FINAL).unwrap_or_else(|e| fail(FINAL, e));
     for rep in &reports {
         let name = nodes
             .iter()
@@ -106,7 +108,7 @@ fn main() {
             &rep.states,
             rep.nstar.as_ref(),
         ) {
-            final_log.write(&line).expect("write verdict line");
+            final_log.write(&line).unwrap_or_else(|e| fail(FINAL, e));
         }
         fgbd_obsv::log!(
             "live_monitor",
@@ -124,7 +126,7 @@ fn main() {
         "out/monitor/live_monitor.events.jsonl",
         "out/monitor/live_monitor.heartbeats.jsonl",
         "out/monitor/live_monitor.prom",
-        "out/monitor/live_monitor.final.jsonl",
+        FINAL,
     ] {
         scope.artifact(artifact);
     }

@@ -20,7 +20,7 @@
 //! `out/manifests/million_users.*`.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -29,22 +29,19 @@ use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_obsv::metrics::vm_hwm_kib;
+use fgbd_repro::harness::{fail_path, number_arg};
 use fgbd_repro::report::out_dir;
 use fgbd_repro::scenario::MASTER_SEED;
 use fgbd_repro::zerocopy::analyze_capture2_zero_copy;
 use fgbd_trace::capture2::threads_from_env;
 use fgbd_trace::ChunkedWriter;
 
+const USAGE: &str = "million_users [users] [seconds] [out.fgbdcap] [--quiet]";
+
 fn main() {
     let args = fgbd_repro::harness::parse_std_flags();
-    let users: u32 = args
-        .first()
-        .map_or(Ok(1_000_000), |s| s.parse())
-        .expect("users must be a number");
-    let secs: u64 = args
-        .get(1)
-        .map_or(Ok(10), |s| s.parse())
-        .expect("seconds must be a number");
+    let users: u32 = number_arg(&args, 0, 1_000_000, USAGE);
+    let secs: u64 = number_arg(&args, 1, 10, USAGE);
     let path = args
         .get(2)
         .cloned()
@@ -65,8 +62,9 @@ fn main() {
     // The chunked format needs the node table before the first record; the
     // tap borrows the writer, which seals the footer after the run.
     let nodes = fgbd_ntier::node_metas(&cfg);
-    let file = File::create(&path).expect("create capture file");
-    let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
+    let fail = |e: &dyn std::fmt::Display| -> ! { fail_path("million_users", &path, e) };
+    let file = File::create(&path).unwrap_or_else(|e| fail(&e));
+    let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).unwrap_or_else(|e| fail(&e));
     let mut records = 0u64;
 
     fgbd_obsv::log!(
@@ -83,12 +81,16 @@ fn main() {
         fgbd_obsv::span!("simulate");
         NTierSystem::run_with_record_tap(cfg, |rec| {
             records += 1;
-            writer.push(rec).expect("write capture record");
+            writer.push(rec).unwrap_or_else(|e| fail(&e));
         })
     };
     let sim_secs = sim_wall.elapsed().as_secs_f64();
     let sim_events = des_events.get() - events_before;
-    writer.finish().expect("finish capture");
+    // A dropped `BufWriter` would swallow a failed flush.
+    writer
+        .finish()
+        .and_then(|mut file| Ok(file.flush()?))
+        .unwrap_or_else(|e| fail(&e));
 
     fgbd_obsv::log!(
         "million_users",
@@ -129,7 +131,7 @@ fn main() {
             SimDuration::from_millis(50),
             threads_from_env(),
         )
-        .expect("analyze capture")
+        .unwrap_or_else(|e| fail(&e))
     };
     let wall = wall.elapsed();
     fgbd_obsv::log!(

@@ -25,6 +25,7 @@ use std::io::{BufWriter, Write};
 use fgbd_des::SimDuration;
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
+use fgbd_repro::harness::{fail_path, number_arg};
 use fgbd_repro::report::out_dir;
 use fgbd_repro::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
 use fgbd_trace::ChunkedWriter;
@@ -39,6 +40,8 @@ fn scenario_by_name(name: &str) -> Option<Scenario> {
     }
 }
 
+const USAGE: &str = "record_capture [scenario] [users] [seconds] [out.fgbdcap] [--quiet]";
+
 fn main() {
     let args = fgbd_repro::harness::parse_std_flags();
     let scenario_name = args.first().map_or("gc_jdk15", String::as_str);
@@ -48,14 +51,8 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let users: u32 = args
-        .get(1)
-        .map_or(Ok(6_000), |s| s.parse())
-        .expect("users must be a number");
-    let secs: u64 = args
-        .get(2)
-        .map_or(Ok(30), |s| s.parse())
-        .expect("seconds must be a number");
+    let users: u32 = number_arg(&args, 1, 6_000, USAGE);
+    let secs: u64 = number_arg(&args, 2, 30, USAGE);
     let path = args
         .get(3)
         .cloned()
@@ -78,15 +75,19 @@ fn main() {
         cfg.duration = SimDuration::from_secs(secs);
         // The chunked format needs the node table before the first record.
         let nodes = fgbd_ntier::node_metas(&cfg);
-        let file = File::create(&path).expect("create capture file");
-        let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
+        let fail = |e: &dyn std::fmt::Display| -> ! { fail_path("record_capture", &path, e) };
+        let file = File::create(&path).unwrap_or_else(|e| fail(&e));
+        let mut writer =
+            ChunkedWriter::new(BufWriter::new(file), &nodes).unwrap_or_else(|e| fail(&e));
         let run = NTierSystem::run_with_record_tap(cfg, |rec| {
             messages += 1;
-            writer.push(rec).expect("write capture record");
+            writer.push(rec).unwrap_or_else(|e| fail(&e));
         });
         // A dropped `BufWriter` would swallow a failed flush.
-        let mut file = writer.finish().expect("finish capture");
-        file.flush().expect("flush capture");
+        writer
+            .finish()
+            .and_then(|mut file| Ok(file.flush()?))
+            .unwrap_or_else(|e| fail(&e));
         run
     };
     assert!(

@@ -3,15 +3,17 @@
 //! Each binary wraps its work in a [`RunScope`] (usually via
 //! [`experiment_main`] or [`run_experiment`]): telemetry is snapshotted at
 //! scope start, the work runs under a root span named after the run, and at
-//! scope end the *deltas* — per-stage wall times, counters, histograms —
-//! are written as one `fgbd.run-manifest/v1` JSON document under
-//! [`manifest_dir`], together with a Prometheus text exposition and a
-//! flamegraph collapsed-stack dump. Artifact paths recorded through
-//! [`crate::report`] while the scope was open are listed in the manifest.
+//! scope end the *deltas* — per-stage wall times and counters — are
+//! written as one `fgbd.run-manifest/v1` JSON document under
+//! [`manifest_dir`]. Artifact paths recorded through [`crate::report`]
+//! while the scope was open are listed in the manifest.
 //!
 //! Standard flags every wrapped binary understands (see
 //! [`parse_std_flags`]): `--quiet` mutes the `[fgbd:…]` log sink, and
-//! `FGBD_OBSV=0` turns telemetry collection off.
+//! `FGBD_OBSV=0` turns telemetry collection off. The CLIs share one exit
+//! contract: a usage error (a non-numeric count included) prints usage and
+//! exits 2 ([`number_arg`]); a file that cannot be read, created or written
+//! prints `<bin>: <path>: <error>` and exits 1 ([`fail_path`]).
 
 use std::path::PathBuf;
 
@@ -42,6 +44,26 @@ pub fn parse_std_flags() -> Vec<String> {
         }
     }
     rest
+}
+
+/// Positional argument `i` as a number, `default` when absent. Anything
+/// else is a usage error: prints `usage` on stderr and exits with status 2.
+pub fn number_arg<T: std::str::FromStr>(args: &[String], i: usize, default: T, usage: &str) -> T {
+    match args.get(i).map(|s| s.parse()) {
+        None => default,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => {
+            eprintln!("usage: {usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Reports a file that cannot be read, created or written as
+/// `<bin>: <path>: <error>` on stderr and exits with status 1.
+pub fn fail_path(bin: &str, path: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {path}: {err}");
+    std::process::exit(1);
 }
 
 /// An open run-manifest scope: everything recorded between [`begin`] and
@@ -81,8 +103,8 @@ impl RunScope {
     }
 
     /// Closes the scope: collects pending artifacts, computes the telemetry
-    /// deltas, and writes `<name>.json` / `.prom` / `.folded` under
-    /// [`manifest_dir`]. Returns the manifest path, or `None` if writing
+    /// deltas, and writes `<name>.json` under [`manifest_dir`]. Returns the
+    /// manifest path, or `None` if writing
     /// failed (the run's real outputs matter more than its telemetry, so
     /// I/O problems are logged and swallowed).
     pub fn finish(mut self) -> Option<PathBuf> {

@@ -6,13 +6,11 @@
 //!
 //! * a structured **verdict log** — one JSON line per congestion
 //!   onset/clear ([`MonitorEvent`]) under `out/monitor/<name>.events.jsonl`;
-//! * periodic **heartbeat snapshots** — live gauges (`monitor.window_nstar`,
-//!   `monitor.congested_now`, `monitor.spans_in_flight`, `monitor.lag_us`,
-//!   `monitor.mem_bytes`) plus a JSONL stream under
-//!   `out/monitor/<name>.heartbeats.jsonl` and a Prometheus text file
-//!   `out/monitor/<name>.prom` overwritten on every beat;
-//! * detection-latency samples into the `monitor.detect_latency_us`
-//!   histogram.
+//! * periodic **heartbeat snapshots** — per-server live N\*, congestion
+//!   state and open requests, spans in flight, lag and state bytes — as a
+//!   JSONL stream under `out/monitor/<name>.heartbeats.jsonl` and a
+//!   Prometheus text file `out/monitor/<name>.prom` overwritten on every
+//!   beat.
 //!
 //! The JSONL/`.prom` files are the monitor's *data product* and are written
 //! regardless of `--quiet` (quiet mutes console chatter, never telemetry
@@ -168,7 +166,6 @@ impl MonitorRuntime {
         events_log.write(&event_json(server, e))?;
         *verdicts += 1;
         fgbd_obsv::counter!("monitor.verdicts", 1);
-        fgbd_obsv::histogram!("monitor.detect_latency_us", e.detect_latency.as_micros());
         let kind = match e.kind {
             VerdictKind::Onset => "ONSET",
             VerdictKind::Clear => "clear",
@@ -187,20 +184,10 @@ impl MonitorRuntime {
         Ok(())
     }
 
-    /// Emits one heartbeat: gauges, a JSONL snapshot line, and the
-    /// overwritten Prometheus text file.
+    /// Emits one heartbeat: a JSONL snapshot line and the overwritten
+    /// Prometheus text file.
     fn heartbeat(&mut self) -> io::Result<()> {
         let snap = self.detector.snapshot();
-        fgbd_obsv::gauge!("monitor.spans_in_flight", snap.spans_in_flight);
-        fgbd_obsv::gauge!("monitor.lag_us", snap.lag.as_micros());
-        fgbd_obsv::gauge!("monitor.mem_bytes", snap.state_bytes);
-        for s in &snap.servers {
-            let name = self.name_of(s.server);
-            if let Some(n) = s.live_nstar {
-                fgbd_obsv::gauge!("monitor.window_nstar", &name, n);
-            }
-            fgbd_obsv::gauge!("monitor.congested_now", &name, u8::from(s.congested_now));
-        }
         self.heartbeats_log
             .write(&heartbeat_json(&snap, |n| self.name_of(n)))?;
         std::fs::write(&self.prom_path, self.render_prom(&snap))?;

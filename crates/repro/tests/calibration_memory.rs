@@ -5,13 +5,13 @@
 //! reconstruction does. The companion of
 //! `crates/ntier/tests/reconstruction_work.rs` (same run), here because
 //! [`Calibration`] is; one test per binary on purpose — the counters and the
-//! counting allocator (see [`fgbd_obsv::alloc`]) are process-global.
+//! counting allocator (see [`fgbd_oracle::alloc`]) are process-global.
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_obsv::alloc::AllocGauge;
 use fgbd_obsv::metrics::counter;
+use fgbd_oracle::alloc::AllocGauge;
 use fgbd_repro::pipeline::{Calibration, SERVICE_QUANTILE};
 use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::ServiceTimeTable;

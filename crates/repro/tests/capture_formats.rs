@@ -10,7 +10,10 @@
 //! holds every verdict file to bytes computed here by the batch detector —
 //! an independent implementation of the same analysis. The third feeds it
 //! damaged captures: an error message and exit status 1, never a panic. The
-//! fourth holds `compare_captures` — the same route, two files — to both.
+//! fourth holds `compare_captures` — the same route, two files — to both,
+//! and the fifth holds the writers (`record_capture`, `million_users`,
+//! `live_monitor`, `analyze_capture --verdicts`) to the same contract on a
+//! bad count or an output they cannot create.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -375,5 +378,88 @@ fn compare_captures_cli_takes_the_capture_route_and_reports_bad_files() {
         );
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("fgbd_cli_writers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let log = NTierSystem::run(smoke_cfg(20130708)).log;
+    std::fs::write(dir.join("good.cap"), chunked_bytes(&log, 512)).expect("write");
+    // `out` is a file here, so nothing under `out/monitor/` can be created.
+    std::fs::write(dir.join("out"), b"in the way").expect("write");
+
+    let record = env!("CARGO_BIN_EXE_record_capture");
+    let million = env!("CARGO_BIN_EXE_million_users");
+    let monitor = env!("CARGO_BIN_EXE_live_monitor");
+    let analyze = env!("CARGO_BIN_EXE_analyze_capture");
+    let nowhere = "no_such_dir/out.file";
+    // (binary, arguments, exit status, what stderr starts with)
+    let cases: [(&str, &[&str], i32, String); 7] = [
+        (
+            record,
+            &["gc_jdk16", "lots"],
+            2,
+            "usage: record_capture".into(),
+        ),
+        (
+            record,
+            &["gc_jdk16", "50", "1s"],
+            2,
+            "usage: record_capture".into(),
+        ),
+        (million, &["many"], 2, "usage: million_users".into()),
+        (
+            monitor,
+            &["gc_jdk16", "60", "soon"],
+            2,
+            "usage: live_monitor".into(),
+        ),
+        (
+            record,
+            &["gc_jdk16", "50", "1", nowhere],
+            1,
+            format!("record_capture: {nowhere}: "),
+        ),
+        (
+            million,
+            &["50", "1", nowhere],
+            1,
+            format!("million_users: {nowhere}: "),
+        ),
+        (
+            analyze,
+            // `--verdicts` makes missing parents; a file in the way stops it.
+            &["good.cap", "--verdicts", "out/verdicts.jsonl"],
+            1,
+            "analyze_capture: out/verdicts.jsonl: ".into(),
+        ),
+    ];
+    let run = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin)
+            .current_dir(&dir)
+            .args(args)
+            .arg("--quiet")
+            .output()
+            .expect("spawn");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for (bin, args, status, prefix) in cases {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(status), "{bin} {args:?}: {stderr}");
+        assert!(stderr.starts_with(&prefix), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+    let (code, stderr) = run(monitor, &["gc_jdk16", "60", "1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("live_monitor: out/monitor: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

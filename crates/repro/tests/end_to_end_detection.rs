@@ -242,7 +242,7 @@ fn read_write_mix_works_end_to_end() {
 fn operational_laws_hold_on_simulated_captures() {
     // Little's Law audited at 1 s granularity on a real capture, and the
     // Utilization-Law ceiling cross-checked against the detector's TP_max.
-    use fgbd_core::oplaw::{utilization_law_ceiling, LittlesLawAudit};
+    use fgbd_oracle::oplaw::{utilization_law_ceiling, LittlesLawAudit};
     use fgbd_trace::SpanSet;
 
     let run = run(3_000, Jdk::Jdk16, false, 30);

@@ -71,11 +71,11 @@ fn par_map_adopts_multi_level_span_paths() {
 }
 
 proptest! {
-    /// Counter and histogram totals are exact under arbitrary
-    /// interleavings: however the increments are split across threads,
-    /// the snapshot delta equals the arithmetic truth. The two metric
-    /// names belong to this property alone: the registry is process-wide,
-    /// so a second writer would show up in the delta.
+    /// Counter totals are exact under arbitrary interleavings: however
+    /// the increments are split across threads, the snapshot delta equals
+    /// the arithmetic truth. The counter's name belongs to this property
+    /// alone: the registry is process-wide, so a second writer would show
+    /// up in the delta.
     #[test]
     fn counter_totals_are_exact_under_interleavings(
         increments in prop::collection::vec(0u64..1_000, 1..96),
@@ -93,7 +93,6 @@ proptest! {
                 s.spawn(move || {
                     for v in chunk {
                         fgbd_obsv::counter!("t_int_interleavings_total", v);
-                        fgbd_obsv::histogram!("t_int_interleavings_hist", v);
                     }
                 });
             }
@@ -102,11 +101,6 @@ proptest! {
         let expected: u64 = increments.iter().sum();
         let got = d.counters.get("t_int_interleavings_total").copied().unwrap_or(0);
         prop_assert_eq!(got, expected, "counter total must equal the sum of increments");
-        let hist = d.histograms.get("t_int_interleavings_hist").cloned().unwrap_or_default();
-        prop_assert_eq!(hist.count, increments.len() as u64);
-        prop_assert_eq!(hist.sum, expected);
-        let bucketed: u64 = hist.buckets.iter().map(|&(_, n)| n).sum();
-        prop_assert_eq!(bucketed, increments.len() as u64, "every sample lands in exactly one bucket");
     }
 }
 

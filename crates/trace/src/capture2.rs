@@ -1196,11 +1196,6 @@ impl<'a> ChunkCursor<'a> {
             .sum()
     }
 
-    /// Number of chunks in the capture.
-    pub fn chunk_count(&self) -> usize {
-        self.selected.len()
-    }
-
     /// `(first, last)` record timestamps of the capture, in microsecond
     /// capture time; `None` for an empty capture.
     pub fn time_bounds(&self) -> Option<(u64, u64)> {
@@ -1636,7 +1631,6 @@ mod tests {
         let bytes = encode(&log, 8);
         let mut cur = ChunkCursor::new(&bytes).unwrap();
         assert_eq!(cur.total_records(), 0);
-        assert_eq!(cur.chunk_count(), 0);
         assert_eq!(cur.time_bounds(), None);
         assert_eq!(cur.consumed_bytes(), bytes.len());
         let mut buf = Vec::new();

@@ -64,10 +64,11 @@
 //! of the server's lists (class relaxed), then its active list (everyone
 //! blocked). The work is counted: `reconstruct.candidates`.
 //!
-//! The original `HashMap`-keyed implementation is kept verbatim as
-//! [`reference`]: the specification the property tests hold the table
-//! consumer (`reconstruct_fast_matches_reference*`) and, through it, the
-//! fold (`service_fold_matches_approximate`) bit-identical to.
+//! The original `HashMap`-keyed implementation is the specification,
+//! `fgbd_oracle::reconstruct::run` (a dev-only crate): the property tests
+//! hold the table consumer (`reconstruct_fast_matches_reference*`) and,
+//! through it, the fold (`service_fold_matches_approximate`) bit-identical
+//! to it.
 
 use std::collections::HashMap;
 
@@ -321,7 +322,7 @@ impl TierBest {
     /// The slot of the tier's chosen parent (`NONE` for an empty tier) —
     /// for ProfileGuided the best eligible candidate, falling back to the
     /// unfiltered winner when the learned caps rule everyone out (mirroring
-    /// [`reference`]'s fallback).
+    /// the specification's fallback).
     #[inline]
     fn pick(&self, heuristic: Heuristic) -> u32 {
         if heuristic == Heuristic::ProfileGuided && self.pg_count > 0 {
@@ -679,7 +680,7 @@ impl Reconstruction {
     }
 
     /// [`Reconstruction::run`] over borrowed records: the attribution core
-    /// with the table consumer, bit-identical to [`reference::run`].
+    /// with the table consumer, bit-identical to the specification.
     pub fn run_records(
         nodes: &[NodeMeta],
         records: &[MsgRecord],
@@ -718,210 +719,6 @@ impl Reconstruction {
     /// Number of complete transactions.
     pub fn complete_txns(&self) -> usize {
         self.txns.iter().filter(|t| t.complete).count()
-    }
-
-    /// Indices of the direct children of span `i`.
-    pub fn children(&self, i: usize) -> Vec<usize> {
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent == Some(i))
-            .map(|(j, _)| j)
-            .collect()
-    }
-}
-
-/// The original `HashMap`-keyed reconstruction, kept verbatim as the
-/// executable specification of [`Reconstruction::run`]: the proptest oracle
-/// (`reconstruct_fast_matches_reference*`) compares the dense fast path
-/// against this span-for-span.
-pub mod reference {
-    use super::*;
-
-    /// Reconstructs transactions from a capture using `heuristic` — the
-    /// specification implementation the fast path is held bit-identical to.
-    pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
-        let client: Vec<NodeId> = log
-            .nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Client)
-            .map(|n| n.id)
-            .collect();
-        let is_client = |id: NodeId| client.contains(&id);
-
-        let mut spans: Vec<RecSpan> = Vec::new();
-        let mut last_event: Vec<SimTime> = Vec::new();
-        // Spans blocked on an outstanding downstream call (synchronous
-        // middleware: such spans cannot issue another call).
-        let mut blocked: Vec<bool> = Vec::new();
-        // Open requests per (server, conn), FIFO.
-        let mut open: HashMap<(NodeId, ConnId), Vec<usize>> = HashMap::new();
-        // Active span indices per server.
-        let mut active: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        // Learned fan-out profile: (server, class) -> (max calls, samples)
-        // from unambiguous parents.
-        let mut profile: HashMap<(NodeId, ClassId), (u32, u64)> = HashMap::new();
-        // Marks spans whose entire life had exactly one candidate ambiguity
-        // (so their call count is trustworthy for the profile).
-        let mut unambiguous: Vec<bool> = Vec::new();
-        let mut txn_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut txns: Vec<Txn> = Vec::new();
-
-        for rec in &log.records {
-            match rec.kind {
-                MsgKind::Request => {
-                    let server = rec.dst;
-                    let idx = spans.len();
-                    let (parent, root) = if is_client(rec.src) {
-                        (None, idx)
-                    } else {
-                        let all = active.get(&rec.src).map_or(&[][..], Vec::as_slice);
-                        // Hard constraint: blocked spans cannot call.
-                        let unblocked: Vec<usize> =
-                            all.iter().copied().filter(|&i| !blocked[i]).collect();
-                        // Soft constraint: class signatures are consistent
-                        // along a transaction; relax if it empties the set.
-                        let class_match: Vec<usize> = unblocked
-                            .iter()
-                            .copied()
-                            .filter(|&i| spans[i].class == rec.class)
-                            .collect();
-                        let cands: &[usize] = if !class_match.is_empty() {
-                            &class_match
-                        } else if !unblocked.is_empty() {
-                            &unblocked
-                        } else {
-                            all
-                        };
-                        let chosen = choose_parent(cands, &spans, &last_event, &profile, heuristic);
-                        match chosen {
-                            Some(p) => {
-                                if cands.len() > 1 {
-                                    // This parent's call count is now
-                                    // heuristic-dependent; don't learn from it.
-                                    unambiguous[p] = false;
-                                }
-                                blocked[p] = true;
-                                (Some(p), spans[p].root)
-                            }
-                            // Orphan call (capture truncation): treat as its
-                            // own root so analysis can continue.
-                            None => (None, idx),
-                        }
-                    };
-                    spans.push(RecSpan {
-                        server,
-                        class: rec.class,
-                        arrival: rec.at,
-                        departure: None,
-                        conn: rec.conn,
-                        parent,
-                        root,
-                        calls_issued: 0,
-                        truth: rec.truth,
-                    });
-                    last_event.push(rec.at);
-                    blocked.push(false);
-                    unambiguous.push(true);
-                    if let Some(p) = parent {
-                        spans[p].calls_issued += 1;
-                        last_event[p] = rec.at;
-                    }
-                    open.entry((server, rec.conn)).or_default().push(idx);
-                    active.entry(server).or_default().push(idx);
-                    // Register the transaction when a root appears.
-                    if parent.is_none() && root == idx {
-                        let t = txns.len();
-                        txns.push(Txn {
-                            root: idx,
-                            spans: vec![idx],
-                            complete: false,
-                        });
-                        txn_of_root.insert(idx, t);
-                    } else {
-                        let t = txn_of_root[&root];
-                        txns[t].spans.push(idx);
-                    }
-                }
-                MsgKind::Response => {
-                    let server = rec.src;
-                    let Some(idx) = open
-                        .get_mut(&(server, rec.conn))
-                        .filter(|v| !v.is_empty())
-                        .map(|v| v.remove(0))
-                    else {
-                        // Response with no matching request: front-truncated
-                        // capture; skip.
-                        continue;
-                    };
-                    spans[idx].departure = Some(rec.at);
-                    if let Some(v) = active.get_mut(&server) {
-                        v.retain(|&i| i != idx);
-                    }
-                    if let Some(p) = spans[idx].parent {
-                        last_event[p] = rec.at;
-                        blocked[p] = false;
-                    }
-                    // Feed the fan-out profile from unambiguous spans.
-                    if unambiguous[idx] && spans[idx].calls_issued > 0 {
-                        let e = profile.entry((server, spans[idx].class)).or_insert((0, 0));
-                        e.0 = e.0.max(spans[idx].calls_issued);
-                        e.1 += 1;
-                    }
-                }
-            }
-        }
-
-        for txn in &mut txns {
-            txn.complete = txn.spans.iter().all(|&i| spans[i].departure.is_some());
-        }
-
-        Reconstruction { spans, txns }
-    }
-
-    fn choose_parent(
-        cands: &[usize],
-        spans: &[RecSpan],
-        last_event: &[SimTime],
-        profile: &HashMap<(NodeId, ClassId), (u32, u64)>,
-        heuristic: Heuristic,
-    ) -> Option<usize> {
-        if cands.is_empty() {
-            return None;
-        }
-        if cands.len() == 1 {
-            return Some(cands[0]);
-        }
-        match heuristic {
-            Heuristic::LongestQuiescent => longest_quiescent(cands, last_event),
-            Heuristic::MostRecent => cands.iter().copied().max_by_key(|&i| (last_event[i], i)),
-            Heuristic::Fifo => cands.iter().copied().min_by_key(|&i| (spans[i].arrival, i)),
-            Heuristic::ProfileGuided => {
-                // Keep candidates that have not yet exhausted their learned
-                // fan-out cap; fall back to all candidates if none qualify.
-                let cap = |i: usize| -> Option<u32> {
-                    let (max, n) = profile.get(&(spans[i].server, spans[i].class))?;
-                    if *n < 8 {
-                        return None; // too few samples to trust
-                    }
-                    Some(*max)
-                };
-                let eligible: Vec<usize> = cands
-                    .iter()
-                    .copied()
-                    .filter(|&i| cap(i).is_none_or(|b| spans[i].calls_issued < b))
-                    .collect();
-                if eligible.is_empty() {
-                    longest_quiescent(cands, last_event)
-                } else {
-                    longest_quiescent(&eligible, last_event)
-                }
-            }
-        }
-    }
-
-    fn longest_quiescent(cands: &[usize], last_event: &[SimTime]) -> Option<usize> {
-        cands.iter().copied().min_by_key(|&i| (last_event[i], i))
     }
 }
 
@@ -1176,62 +973,5 @@ mod tests {
         let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
         assert_eq!(r.txns.len(), 1);
         assert!(r.spans[0].parent.is_none());
-    }
-
-    #[test]
-    fn children_lists_direct_descendants() {
-        let r = Reconstruction::run(&serial_log(), Heuristic::LongestQuiescent);
-        assert_eq!(r.children(0), vec![1]);
-        assert!(r.children(1).is_empty());
-    }
-
-    /// Spot-check of the proptest oracle: fast path and reference agree
-    /// span-for-span on an ambiguous interleaved log, for every heuristic.
-    #[test]
-    fn fast_path_matches_reference_on_interleaved_log() {
-        let mut log = TraceLog::new(nodes());
-        // Three concurrent same-class web spans with overlapping app calls:
-        // attribution is genuinely heuristic-dependent.
-        log.push(rec(0, CLIENT, WEB, MsgKind::Request, 10, 1));
-        log.push(rec(5, CLIENT, WEB, MsgKind::Request, 11, 2));
-        log.push(rec(8, CLIENT, WEB, MsgKind::Request, 12, 3));
-        log.push(rec(12, WEB, APP, MsgKind::Request, 110, 1));
-        log.push(rec(14, WEB, APP, MsgKind::Request, 111, 2));
-        log.push(rec(20, APP, WEB, MsgKind::Response, 110, 1));
-        log.push(rec(22, WEB, APP, MsgKind::Request, 112, 3));
-        log.push(rec(25, APP, WEB, MsgKind::Response, 111, 2));
-        log.push(rec(28, APP, WEB, MsgKind::Response, 112, 3));
-        log.push(rec(30, WEB, CLIENT, MsgKind::Response, 10, 1));
-        log.push(rec(32, WEB, CLIENT, MsgKind::Response, 11, 2));
-        log.push(rec(34, WEB, CLIENT, MsgKind::Response, 12, 3));
-        // Plus an orphan response (front truncation) and an orphan call.
-        log.push(rec(40, APP, WEB, MsgKind::Response, 999, 9));
-        log.push(rec(45, WEB, APP, MsgKind::Request, 998, 9));
-        for h in ALL_HEURISTICS {
-            let fast = Reconstruction::run(&log, h);
-            let spec = reference::run(&log, h);
-            assert_eq!(fast.spans, spec.spans, "{h:?}");
-            assert_eq!(fast.txns, spec.txns, "{h:?}");
-        }
-    }
-
-    /// Records naming nodes absent from the node table (foreign taps) are
-    /// treated as server traffic by both implementations.
-    #[test]
-    fn unknown_nodes_match_reference() {
-        let mut log = TraceLog::new(nodes());
-        let ghost = NodeId(7);
-        log.push(rec(10, CLIENT, WEB, MsgKind::Request, 10, 1));
-        log.push(rec(12, ghost, APP, MsgKind::Request, 200, 5));
-        log.push(rec(15, WEB, ghost, MsgKind::Request, 201, 1));
-        log.push(rec(20, APP, ghost, MsgKind::Response, 200, 5));
-        log.push(rec(25, ghost, WEB, MsgKind::Response, 201, 1));
-        log.push(rec(30, WEB, CLIENT, MsgKind::Response, 10, 1));
-        for h in ALL_HEURISTICS {
-            let fast = Reconstruction::run(&log, h);
-            let spec = reference::run(&log, h);
-            assert_eq!(fast.spans, spec.spans, "{h:?}");
-            assert_eq!(fast.txns, spec.txns, "{h:?}");
-        }
     }
 }

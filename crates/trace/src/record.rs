@@ -147,15 +147,6 @@ impl TraceLog {
         self.nodes.iter().find(|n| n.id == id)
     }
 
-    /// Ids of all server nodes, in table order.
-    pub fn server_ids(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Server)
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// A copy with all ground-truth annotations stripped — what a real
     /// capture file would contain.
     pub fn blinded(&self) -> TraceLog {
@@ -218,7 +209,6 @@ mod tests {
         let b = log.blinded();
         assert!(b.records.iter().all(|r| r.truth.is_none()));
         assert_eq!(b.records.len(), 2);
-        assert_eq!(log.server_ids(), vec![NodeId(1)]);
         assert_eq!(log.node(NodeId(1)).unwrap().name, "web");
     }
 

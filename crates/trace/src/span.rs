@@ -311,10 +311,11 @@ struct ServerSpans {
 /// Spans are *born sorted*: requests reach a server in arrival order, so
 /// the slot a request reserves in its server's list is its final place and
 /// the response only fills in the departure. The specification
-/// ([`reference::extract`]) orders equal arrivals by `(departure, response
-/// order)`, which request order does not give, so a close with an
-/// equal-arrival neighbour is sequenced and `finish` re-orders just those
-/// runs; a server whose requests ever run backwards in time sorts its list.
+/// (`fgbd_oracle::span::extract`, a dev-only crate) orders equal arrivals
+/// by `(departure, response order)`, which request order does not give, so
+/// a close with an equal-arrival neighbour is sequenced and `finish`
+/// re-orders just those runs; a server whose requests ever run backwards in
+/// time sorts its list.
 #[derive(Debug, Default)]
 pub struct SpanPairer {
     servers: Vec<Option<Box<ServerSpans>>>,
@@ -416,65 +417,6 @@ fn restore_order(run: &mut [Span], first_slot: usize, sequenced: &[(u32, u32)]) 
     keyed.sort_unstable_by_key(|&(s, seq)| (s.arrival, s.departure, seq));
     for (dst, (span, _)) in run.iter_mut().zip(keyed) {
         *dst = span;
-    }
-}
-
-pub mod reference {
-    //! The original whole-log span extractor, kept verbatim as the
-    //! executable specification [`SpanPairer`](super::SpanPairer) is
-    //! property-tested bit-identical to (the same role
-    //! `reconstruct::reference` plays for reconstruction).
-
-    use std::collections::{HashMap, VecDeque};
-
-    use super::{Span, SpanSet};
-    use crate::record::{ConnId, MsgKind, MsgRecord, NodeId, TraceLog};
-
-    /// Extracts spans by FIFO request/response pairing per
-    /// `(server, connection)`; see [`SpanSet::extract`].
-    pub fn extract(log: &TraceLog) -> SpanSet {
-        let mut open: HashMap<(NodeId, ConnId), VecDeque<MsgRecord>> = HashMap::new();
-        let mut by_server: HashMap<NodeId, Vec<Span>> = HashMap::new();
-        let mut unmatched: HashMap<NodeId, usize> = HashMap::new();
-        for rec in &log.records {
-            let server = rec.span_node();
-            match rec.kind {
-                MsgKind::Request => {
-                    open.entry((server, rec.conn)).or_default().push_back(*rec);
-                }
-                MsgKind::Response => {
-                    match open
-                        .get_mut(&(server, rec.conn))
-                        .and_then(VecDeque::pop_front)
-                    {
-                        Some(req) => {
-                            by_server.entry(server).or_default().push(Span {
-                                server,
-                                class: req.class,
-                                arrival: req.at,
-                                departure: rec.at,
-                                conn: rec.conn,
-                                truth: req.truth,
-                            });
-                        }
-                        None => *unmatched.entry(server).or_default() += 1,
-                    }
-                }
-            }
-        }
-        for ((server, _), q) in open {
-            if !q.is_empty() {
-                *unmatched.entry(server).or_default() += q.len();
-            }
-        }
-        let mut set = SpanSet {
-            by_server,
-            unmatched,
-        };
-        for spans in set.by_server.values_mut() {
-            spans.sort_by_key(|s| (s.arrival, s.departure));
-        }
-        set
     }
 }
 

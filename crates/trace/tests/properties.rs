@@ -1,10 +1,11 @@
 //! Property-based tests for span extraction and black-box reconstruction.
 
 use fgbd_des::SimTime;
+use fgbd_oracle::reconstruct as reference;
 use fgbd_trace::capture::{read_capture, write_capture, CaptureError};
 use fgbd_trace::capture2::{read_capture2_parallel, ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
-use fgbd_trace::reconstruct::{reference, Accuracy, Heuristic, Reconstruction};
+use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::OpenTable;
 use fgbd_trace::Projection;
@@ -284,7 +285,7 @@ proptest! {
     /// multi-tier logs — varying concurrency, shared connections, truncated
     /// captures with orphan calls and orphan responses —
     /// [`Reconstruction::run`] produces span-for-span, txn-for-txn identical
-    /// output to [`reference::run`] under all four heuristics.
+    /// output to [`fgbd_oracle::reconstruct::run`] under all four heuristics.
     #[test]
     fn reconstruct_fast_matches_reference(
         shapes in prop::collection::vec((0u8..5, 0u16..4, 0u64..400, 2u64..10), 1..25),
@@ -424,13 +425,13 @@ proptest! {
             });
         }
         let fast = SpanSet::extract(&log);
-        let spec = fgbd_trace::span::reference::extract(&log);
-        prop_assert_eq!(fast.servers(), spec.servers());
+        let (spec, spec_unmatched) = fgbd_oracle::span::extract(&log);
+        prop_assert_eq!(fast.servers(), spec.keys().copied().collect::<Vec<_>>());
         for s in fast.servers() {
-            prop_assert_eq!(fast.server(s), spec.server(s));
+            prop_assert_eq!(fast.server(s), &spec[&s][..]);
         }
-        prop_assert_eq!(&fast.unmatched, &spec.unmatched);
-        prop_assert_eq!(fast.len(), spec.len());
+        prop_assert_eq!(&fast.unmatched, &spec_unmatched);
+        prop_assert_eq!(fast.len(), spec.values().map(Vec::len).sum::<usize>());
     }
 
     /// [`OpenTable`] against a brute-force model — a list of open requests
@@ -705,11 +706,10 @@ fn equal_arrivals_keep_the_reference_order() {
                 truth: Some(TxnId(i as u64)),
             });
         }
-        let (fast, spec) = (
-            SpanSet::extract(&log),
-            fgbd_trace::span::reference::extract(&log),
-        );
-        assert_eq!(fast.server(WEB), spec.server(WEB), "{case:?}");
-        assert_eq!(fast.unmatched, spec.unmatched, "{case:?}");
+        let fast = SpanSet::extract(&log);
+        let (spec, spec_unmatched) = fgbd_oracle::span::extract(&log);
+        let spec_web = spec.get(&WEB).map_or(&[][..], Vec::as_slice);
+        assert_eq!(fast.server(WEB), spec_web, "{case:?}");
+        assert_eq!(fast.unmatched, spec_unmatched, "{case:?}");
     }
 }

@@ -2,12 +2,14 @@
 //! module docs), each built so that dropping its handling changes the
 //! result: three for the sorted per-class candidate lists, where the
 //! attributed parent would move — held, like everything else, to
-//! [`reference::run`] under all four heuristics — and four for the
-//! service-time fold, where a sample would be lost, early or summed in the
-//! wrong order — held to [`ServiceTimeTable::approximate`] bit for bit.
+//! [`fgbd_oracle::reconstruct::run`] under all four heuristics — and four
+//! for the service-time fold, where a sample would be lost, early or summed
+//! in the wrong order — held to [`ServiceTimeTable::approximate`] bit for
+//! bit.
 
 use fgbd_des::SimTime;
-use fgbd_trace::reconstruct::{reference, Heuristic, Reconstruction};
+use fgbd_oracle::reconstruct as reference;
+use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog};
 
