@@ -22,6 +22,21 @@
 //!    the interval state machine with hysteresis, emitting
 //!    [`MonitorEvent`] onset/clear verdicts online.
 //!
+//! # Deferred calibration
+//!
+//! Step 2 needs service times; pairing does not. A detector built
+//! [`OnlineDetector::uncalibrated`] pairs from the first record and holds
+//! each closed span as a compact `(server, arrival, departure, class)`
+//! entry with finalization deferred; [`OnlineDetector::calibrate`] then
+//! weighs the held spans into the rings and finalizes every server up to
+//! its watermark. Ring sums are integers, so weighing later gives the same
+//! cells, and intervals still pop in index order, so the live refit
+//! sequence — and with it `live_congested` / `live_frozen` and the verdicts'
+//! kind, interval, load and rate — is what a detector calibrated at
+//! construction produces ([`OnlineDetector::new`] is exactly that: calibrated
+//! at zero records). Only a verdict's emission-time fields (detection
+//! latency, queue depth) move, to the stream time of the calibration.
+//!
 //! # Equivalence to the batch detector
 //!
 //! Batch and online share the ring and its one integer-to-`f64` step; the
@@ -56,7 +71,7 @@ use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::span::{server_slot, OpenTable};
-use fgbd_trace::{MsgKind, MsgRecord, NodeId};
+use fgbd_trace::{ClassId, MsgKind, MsgRecord, NodeId};
 
 use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalState};
 use crate::nstar::NStar;
@@ -306,6 +321,16 @@ impl ServerState {
     }
 }
 
+/// A matched span held until calibration: what weighing it into its
+/// server's ring needs, and nothing else.
+#[derive(Debug, Clone, Copy)]
+struct HeldSpan {
+    arrival_us: u64,
+    departure_us: u64,
+    server: NodeId,
+    class: ClassId,
+}
+
 /// The streaming detector: one instance consumes one time-ordered record
 /// stream and serves all servers appearing in it.
 #[derive(Debug)]
@@ -318,6 +343,9 @@ pub struct OnlineDetector {
     wu_overrides: FxHashMap<u16, u64>,
     /// Per-server state, indexed by `NodeId.0`.
     servers: Vec<Option<Box<ServerState>>>,
+    /// Spans closed before [`calibrate`](Self::calibrate), in close order;
+    /// `None` once calibrated.
+    held: Option<Vec<HeldSpan>>,
     cur_us: u64,
     records: u64,
     /// Records stamped before stream time (see the module docs).
@@ -326,13 +354,26 @@ pub struct OnlineDetector {
 }
 
 impl OnlineDetector {
-    /// Creates a detector over the given grid and calibration.
+    /// Creates a detector over the given grid and calibration: an
+    /// [`uncalibrated`](Self::uncalibrated) one calibrated at zero records.
     ///
     /// # Panics
     ///
     /// Panics if `interval` or `work_unit` is zero, or any of
     /// `live_window`, `hysteresis`, `refit_every` is zero.
     pub fn new(cfg: OnlineConfig, services: ServiceTimeTable) -> OnlineDetector {
+        let mut det = OnlineDetector::uncalibrated(cfg);
+        det.calibrate(services, []);
+        det
+    }
+
+    /// Creates a detector that pairs records but holds the spans they close
+    /// until [`calibrate`](Self::calibrate) (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn uncalibrated(cfg: OnlineConfig) -> OnlineDetector {
         assert!(!cfg.interval.is_zero(), "interval must be positive");
         assert!(!cfg.work_unit.is_zero(), "work unit must be positive");
         assert!(cfg.live_window > 0, "live window must be positive");
@@ -342,9 +383,10 @@ impl OnlineDetector {
             wu_default_us: cfg.work_unit.as_micros(),
             wu_overrides: FxHashMap::default(),
             cfg,
-            services,
+            services: ServiceTimeTable::new(),
             service_cache: ServiceCache::default(),
             servers: Vec::new(),
+            held: Some(Vec::new()),
             cur_us: 0,
             records: 0,
             reordered: 0,
@@ -352,9 +394,45 @@ impl OnlineDetector {
         }
     }
 
+    /// Supplies the service times and per-server work units, weighs every
+    /// held span into its server's ring and finalizes each server up to its
+    /// watermark; from here on spans are weighed as they close.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the detector is already calibrated or a work unit is zero.
+    pub fn calibrate(
+        &mut self,
+        services: ServiceTimeTable,
+        work_units: impl IntoIterator<Item = (NodeId, SimDuration)>,
+    ) {
+        let held = self.held.take().expect("detector calibrated twice");
+        self.services = services;
+        for (server, work_unit) in work_units {
+            self.set_work_unit(server, work_unit);
+        }
+        for span in held {
+            let state = self.servers[span.server.0 as usize]
+                .as_deref_mut()
+                .expect("a held span's server has state");
+            Self::weigh(state, &self.services, &mut self.service_cache, span);
+        }
+        let cur_us = self.cur_us;
+        for state in self.servers.iter_mut().flatten() {
+            let target = Self::watermark_index(state, cur_us);
+            Self::finalize_to(state, target, cur_us, &self.cfg, &mut self.events);
+        }
+    }
+
+    /// Spans held for weighing at calibration (0 once calibrated).
+    pub fn held_spans(&self) -> usize {
+        self.held.as_ref().map_or(0, Vec::len)
+    }
+
     /// Overrides the work unit for one server (the batch pipeline
-    /// calibrates one per server). Applies to spans accumulated after the
-    /// call — set before streaming for batch equivalence.
+    /// calibrates one per server). Applies to spans weighed after the call
+    /// — while uncalibrated, every span — so set it before streaming or
+    /// through [`calibrate`](Self::calibrate) for batch equivalence.
     ///
     /// # Panics
     ///
@@ -395,24 +473,57 @@ impl OnlineDetector {
                 None => state.unmatched += 1,
                 Some((arrival, class, ())) => {
                     state.matched += 1;
-                    let (arrival_us, wu_us) = (arrival.as_micros(), state.wu_us);
-                    state.ring.add(arrival_us, at_us, || {
-                        let residence_us = at_us.saturating_sub(arrival_us);
-                        let cache = &mut self.service_cache;
-                        cache.service_us(&self.services, server, class, residence_us, wu_us)
-                    });
+                    let span = HeldSpan {
+                        arrival_us: arrival.as_micros(),
+                        departure_us: at_us,
+                        server,
+                        class,
+                    };
+                    match &mut self.held {
+                        Some(held) => held.push(span),
+                        None => Self::weigh(state, &self.services, &mut self.service_cache, span),
+                    }
                 }
             },
         }
         // Add-then-finalize: the watermark only advances once the record's
         // own effect is in the ring.
-        let cur_us = self.cur_us;
+        if self.held.is_none() {
+            let target = Self::watermark_index(state, self.cur_us);
+            Self::finalize_to(state, target, self.cur_us, &self.cfg, &mut self.events);
+        }
+    }
+
+    /// Folds one matched span into its server's ring, its completion
+    /// weighed by the calibrated service time.
+    #[inline]
+    fn weigh(
+        state: &mut ServerState,
+        services: &ServiceTimeTable,
+        cache: &mut ServiceCache,
+        span: HeldSpan,
+    ) {
+        let HeldSpan {
+            arrival_us,
+            departure_us,
+            server,
+            class,
+        } = span;
+        let wu_us = state.wu_us;
+        state.ring.add(arrival_us, departure_us, || {
+            let residence_us = departure_us.saturating_sub(arrival_us);
+            cache.service_us(services, server, class, residence_us, wu_us)
+        });
+    }
+
+    /// The interval holding the server's watermark, `min(earliest open
+    /// arrival, stream time)`: every interval before it is final.
+    fn watermark_index(state: &ServerState, cur_us: u64) -> usize {
         let wm = state
             .open
             .min_open()
             .map_or(cur_us, |a| a.as_micros().min(cur_us));
-        let target = state.ring.index_of(wm);
-        Self::finalize_to(state, target, cur_us, &self.cfg, &mut self.events);
+        state.ring.index_of(wm)
     }
 
     /// Consumes a chunk of records.
@@ -551,8 +662,9 @@ impl OnlineDetector {
 
     /// Bytes of detector state.
     pub fn state_bytes(&self) -> usize {
+        let held = self.held.as_ref().map_or(0, Vec::capacity);
         let servers = self.servers.iter().flatten();
-        servers.map(|s| s.state_bytes()).sum()
+        held * std::mem::size_of::<HeldSpan>() + servers.map(|s| s.state_bytes()).sum::<usize>()
     }
 
     /// Ends the stream at `end`, resolving the grid to
@@ -566,8 +678,10 @@ impl OnlineDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `end <= start` (the `Window::new` contract).
+    /// Panics if `end <= start` (the `Window::new` contract) or the detector
+    /// was never calibrated.
     pub fn finish(mut self, end: SimTime) -> OnlineFinish {
+        assert!(self.held.is_none(), "finish before calibrate");
         if fgbd_obsv::enabled() {
             // Retained: 0 on a time-ordered stream is the finding.
             fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
@@ -921,6 +1035,24 @@ mod tests {
         assert_eq!(online.snapshot().lag, SimDuration::from_micros(3_500));
         let fin = online.finish(SimTime::from_millis(50));
         assert_eq!((fin.reports[0].matched, fin.reports[0].unmatched), (2, 2));
+    }
+
+    #[test]
+    fn uncalibrated_detector_holds_spans_until_calibrated() {
+        let recs = demo_records();
+        let mut online = OnlineDetector::uncalibrated(online_cfg());
+        online.push_chunk(&recs);
+        assert_eq!(online.held_spans(), recs.len() / 2);
+        let snap = online.snapshot();
+        assert_eq!(
+            snap.servers[0].finalized, 0,
+            "nothing final before calibration"
+        );
+        online.calibrate(services(), []);
+        assert_eq!(online.held_spans(), 0);
+        let last_us = recs.last().unwrap().at.as_micros();
+        let finalized = online.snapshot().servers[0].finalized;
+        assert_eq!(finalized as u64, last_us / 50_000, "all before stream time");
     }
 
     #[test]

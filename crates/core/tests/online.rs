@@ -2,11 +2,12 @@
 //! (`fgbd_core::online` module docs): for any time-ordered record stream,
 //! any chunking, any interval length and any live-window width, the
 //! retained final report is **bit-for-bit** what `analyze_server` computes
-//! from the materialized capture, and the live verdict stream does not
-//! depend on how the stream was chunked.
+//! from the materialized capture, the live verdict stream does not depend
+//! on how the stream was chunked, and a detector calibrated after any
+//! number of records reports what one calibrated at construction does.
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
-use fgbd_core::online::{OnlineConfig, OnlineDetector};
+use fgbd_core::online::{OnlineConfig, OnlineDetector, OnlineFinish};
 use fgbd_core::series::Window;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
@@ -132,10 +133,34 @@ fn run_online(
     interval_us: u64,
     live_window: usize,
     chunk: usize,
-) -> fgbd_core::online::OnlineFinish {
+) -> OnlineFinish {
     let mut online = OnlineDetector::new(online_config(interval_us, live_window), services());
     online.set_work_unit(DB, SimDuration::from_micros(WU_DB_US));
     for c in recs.chunks(chunk.max(1)) {
+        online.push_chunk(c);
+    }
+    online.finish(end)
+}
+
+/// [`run_online`] on a detector built uncalibrated and calibrated right
+/// after record `k`, inside whichever chunk holds it.
+fn run_deferred(
+    recs: &[MsgRecord],
+    end: SimTime,
+    interval_us: u64,
+    chunk: usize,
+    k: usize,
+) -> OnlineFinish {
+    let mut online = OnlineDetector::uncalibrated(online_config(interval_us, 8));
+    let (before, after) = recs.split_at(k);
+    for c in before.chunks(chunk) {
+        online.push_chunk(c);
+    }
+    online.calibrate(services(), [(DB, SimDuration::from_micros(WU_DB_US))]);
+    // The chunk holding record `k` resumes where it was cut.
+    let cut = chunk - k % chunk;
+    online.push_chunk(&after[..cut.min(after.len())]);
+    for c in after.get(cut..).unwrap_or_default().chunks(chunk) {
         online.push_chunk(c);
     }
     online.finish(end)
@@ -235,6 +260,61 @@ proptest! {
             prop_assert_eq!(a.interval, b.interval);
             prop_assert_eq!(a.load.to_bits(), b.load.to_bits());
             prop_assert_eq!(a.rate.to_bits(), b.rate.to_bits());
+        }
+    }
+
+    /// Deferred calibration: a detector that pairs uncalibrated and is
+    /// calibrated after `k` records — none, a `k` that ends mid-chunk, or
+    /// the whole stream — reports bit-for-bit what one calibrated at
+    /// construction does: loads, rates, states, N\*, matched/unmatched and
+    /// the live counts, and per server the same verdict sequence.
+    #[test]
+    fn deferred_calibration_is_bitwise_eager(
+        recs in record_stream(),
+        iv_pick in 0usize..3,
+        k_pick in 0usize..3,
+        k_at in 0usize..1 << 20,
+        chunk in 2usize..40,
+    ) {
+        let interval_us = [10_000u64, 50_000, 130_000][iv_pick];
+        let n = recs.len();
+        let k = match k_pick {
+            0 => 0,
+            1 => match k_at % n {
+                k if k % chunk == 0 => k + 1,
+                k => k,
+            },
+            _ => n,
+        };
+        let end = SimTime::from_micros(
+            recs.last().map_or(0, |r| r.at.as_micros()) + interval_us,
+        );
+        let eager = run_online(&recs, end, interval_us, 8, chunk);
+        let late = run_deferred(&recs, end, interval_us, chunk, k);
+        prop_assert_eq!(eager.reports.len(), late.reports.len());
+        for (a, b) in eager.reports.iter().zip(&late.reports) {
+            prop_assert_eq!(a.server, b.server);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a.loads), bits(&b.loads), "loads, k = {}", k);
+            prop_assert_eq!(bits(&a.rates), bits(&b.rates), "rates, k = {}", k);
+            prop_assert_eq!(&a.states, &b.states);
+            let nstar = |r: &fgbd_core::online::OnlineReport| {
+                r.nstar.as_ref().map(|e| (e.nstar.to_bits(), e.tp_max.to_bits()))
+            };
+            prop_assert_eq!(nstar(a), nstar(b));
+            prop_assert_eq!((a.matched, a.unmatched), (b.matched, b.unmatched));
+            prop_assert_eq!(
+                (a.live_congested, a.live_frozen),
+                (b.live_congested, b.live_frozen)
+            );
+            let verdicts = |fin: &OnlineFinish| {
+                fin.events
+                    .iter()
+                    .filter(|e| e.server == a.server)
+                    .map(|e| (e.kind, e.interval, e.load.to_bits(), e.rate.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(verdicts(&eager), verdicts(&late));
         }
     }
 }

@@ -9,12 +9,14 @@
 //! ```
 //!
 //! There is one engine ([`fgbd_repro::zerocopy`]): the capture is scanned
-//! once, front to back; the first `FGBD_CALIB_RECORDS` records (default
-//! 1 Mi) are buffered for service-time calibration, then replayed — and
-//! every later chunk streamed — into the online detector, so peak memory
-//! stays flat no matter how large the capture is. A file is memory-mapped
-//! (either format is accepted: chunked `FGBDCAP2`, or flat `FGBDCAP1` as an
-//! import).
+//! once, front to back, and every chunk goes straight to the online
+//! detector, which pairs it at once and holds the spans it closes; a worker
+//! thread meanwhile folds the first `FGBD_CALIB_RECORDS` records (default
+//! 1 Mi) into the service-time calibration, and the held spans are weighed
+//! when it lands. The detector holds at most as many spans as that budget
+//! has records, so peak memory stays flat no matter how large the capture
+//! is. A file is memory-mapped (either format is accepted: chunked
+//! `FGBDCAP2`, or flat `FGBDCAP1` as an import).
 //!
 //! `--follow` tails a capture that is **still being written** (a growing
 //! file, or a FIFO fed by a live writer — the path is opened once and never
@@ -30,7 +32,8 @@
 //! `analyze_capture: <path>: <error>` with exit status 1 (usage errors
 //! exit 2). A run manifest is written to `out/manifests/analyze_capture.*`,
 //! including which route ran (`capture_format`, `source`,
-//! `calib_prefix_records`, `decode_threads`).
+//! `calib_prefix_records`, `decode_threads`) and how calibration overlapped
+//! it (`calib_wait_ms`, `calib_held_spans`).
 
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -236,7 +239,7 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
     for chunk in &mut chunks {
         let chunk = chunk?;
         mon.push_chunk(&chunk)?;
-        analyzer.push_chunk(&chunk);
+        analyzer.push_chunk(chunk);
     }
     let za = analyzer.finish(chunks.format(), "stream", 1);
     if za.records > 0 {

@@ -120,7 +120,8 @@ fn main() {
     }
 
     // Read the capture back through the capture route: mmap, lazy chunk
-    // decode, prefix calibration, online detection. VmHWM is a process-lifetime
+    // decode, online detection with prefix calibration on a worker thread
+    // beside it. VmHWM is a process-lifetime
     // high-water mark, so a flat reading here proves the analyze stage
     // never exceeded what the simulation already used — the real claim.
     let wall = Instant::now();

@@ -35,12 +35,12 @@ pub const DEFAULT_CALIB_RECORDS: usize = 1 << 20;
 /// Records of a capture used for service-time self-calibration
 /// (`FGBD_CALIB_RECORDS`, default [`DEFAULT_CALIB_RECORDS`] = 1 Mi).
 ///
-/// The detector cannot start until calibration has the service times, so
-/// the analyzer buffers the records calibration reads and then replays them
-/// through the detector — at odds with analyzing arbitrarily large captures
-/// in flat memory. So calibration reads a bounded *prefix* and every capture
-/// smaller than the budget (all the CI fixtures) calibrates over its whole
-/// self, exactly as before the cap existed.
+/// The capture analyzer folds this *prefix* on a worker thread while its
+/// detector pairs the same records and holds the spans they close until
+/// the service times arrive, and it holds at most as many spans as the
+/// budget has records — so the budget bounds the analyzer's memory, not
+/// the capture. Every capture smaller than the budget (all the CI
+/// fixtures) calibrates over its whole self.
 pub fn calib_records_from_env() -> usize {
     std::env::var("FGBD_CALIB_RECORDS")
         .ok()
@@ -69,8 +69,9 @@ impl Calibration {
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let log = &run.log;
-        let services = Calibration::services(&log.nodes, &log.records);
-        Calibration::with_mean_service(services, &SpanSet::extract(log), &log.nodes)
+        let mut fold = CalibrationFold::new(&log.nodes);
+        fold.push_chunk(&log.records);
+        Calibration::with_mean_service(fold.finish(), &SpanSet::extract(log), &log.nodes)
     }
 
     /// Calibrates a scenario on its low-load calibration workload.
@@ -84,36 +85,21 @@ impl Calibration {
     pub fn simulate(cfg: SystemConfig) -> Calibration {
         let nodes = fgbd_ntier::system::node_metas(&cfg);
         let mut pairer = SpanPairer::default();
-        let mut fold = ServiceFold::new(&nodes, Heuristic::ProfileGuided);
+        let mut fold = CalibrationFold::new(&nodes);
         {
             fgbd_obsv::span!("simulate");
             NTierSystem::run_with_record_tap(cfg, |rec| {
                 pairer.push(&rec);
-                fold.push(&rec);
+                fold.push_chunk(std::slice::from_ref(&rec));
             });
         }
         fgbd_obsv::span!("calibrate");
-        let services = fold.finish(SERVICE_QUANTILE);
-        Calibration::with_mean_service(services, &pairer.finish(), &nodes)
+        Calibration::with_mean_service(fold.finish(), &pairer.finish(), &nodes)
     }
 
-    /// The service-time fold over borrowed records.
-    fn services(nodes: &[NodeMeta], records: &[MsgRecord]) -> ServiceTimeTable {
-        let mut fold = ServiceFold::new(nodes, Heuristic::ProfileGuided);
-        for rec in records {
-            fold.push(rec);
-        }
-        fold.finish(SERVICE_QUANTILE)
-    }
-
-    /// The shared tail of the run constructors: work units, and per server
-    /// the mean of its spans' class service times.
-    fn with_mean_service(
-        services: ServiceTimeTable,
-        spans: &SpanSet,
-        nodes: &[NodeMeta],
-    ) -> Calibration {
-        let mut cal = Calibration::with_work_units(services, nodes);
+    /// The shared tail of the run constructors: per server, the mean of its
+    /// spans' class service times.
+    fn with_mean_service(mut cal: Calibration, spans: &SpanSet, nodes: &[NodeMeta]) -> Calibration {
         for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
             let node = meta.id;
             let mut total = 0.0f64;
@@ -132,33 +118,21 @@ impl Calibration {
         cal
     }
 
-    /// The shared tail of every constructor: a work unit for each server of
-    /// `nodes`, no mean service times.
-    fn with_work_units(services: ServiceTimeTable, nodes: &[NodeMeta]) -> Calibration {
-        let work_units = nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Server)
-            .filter_map(|n| Some((n.id, services.work_unit(n.id, WORK_UNIT_RESOLUTION)?)))
-            .collect();
-        Calibration {
-            services,
-            work_units,
-            mean_service: HashMap::new(),
-        }
-    }
-
     /// Self-calibration from a capture prefix: the service-time fold over
     /// `records` (the caller truncates to
     /// [`calib_records_from_env`]), with a work unit for every server node
     /// of `nodes`. This is what the capture analyzer ([`crate::zerocopy`])
-    /// calibrates on — same records in, same tables out, however the
-    /// capture reached it. `mean_service` stays empty: it only scales the
-    /// figures' "equivalent requests per second" axis, the figures calibrate
-    /// through [`Calibration::from_run`], and filling it would cost a span
-    /// extraction over the prefix that no capture consumer reads.
+    /// calibrates on, a chunk at a time on its worker thread — same records
+    /// in, same tables out, however the capture reached it. `mean_service`
+    /// stays empty: it only scales the figures' "equivalent requests per
+    /// second" axis, the figures calibrate through [`Calibration::from_run`],
+    /// and filling it would cost a span extraction over the prefix that no
+    /// capture consumer reads.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
-        Calibration::with_work_units(Calibration::services(nodes, records), nodes)
+        let mut fold = CalibrationFold::new(nodes);
+        fold.push_chunk(records);
+        fold.finish()
     }
 
     /// Work unit for `node`, defaulting to the resolution when the node was
@@ -176,6 +150,46 @@ impl Calibration {
             .get(&node)
             .copied()
             .unwrap_or(SimDuration::ZERO)
+    }
+}
+
+/// Every calibration as a fold: records go in a chunk at a time, in capture
+/// order, and [`finish`](Self::finish) yields the service times (the
+/// [`SERVICE_QUANTILE`] of each `(server, class)`'s intra-node delays) with
+/// a work unit for each server of the node table — no mean service times.
+pub(crate) struct CalibrationFold {
+    nodes: Vec<NodeMeta>,
+    fold: ServiceFold,
+}
+
+impl CalibrationFold {
+    pub(crate) fn new(nodes: &[NodeMeta]) -> CalibrationFold {
+        CalibrationFold {
+            nodes: nodes.to_vec(),
+            fold: ServiceFold::new(nodes, Heuristic::ProfileGuided),
+        }
+    }
+
+    /// Consumes the next records of the capture.
+    pub(crate) fn push_chunk(&mut self, records: &[MsgRecord]) {
+        for rec in records {
+            self.fold.push(rec);
+        }
+    }
+
+    pub(crate) fn finish(self) -> Calibration {
+        let services = self.fold.finish(SERVICE_QUANTILE);
+        let work_units = self
+            .nodes
+            .iter()
+            .filter(|n| n.kind == NodeKind::Server)
+            .filter_map(|n| Some((n.id, services.work_unit(n.id, WORK_UNIT_RESOLUTION)?)))
+            .collect();
+        Calibration {
+            services,
+            work_units,
+            mean_service: HashMap::new(),
+        }
     }
 }
 

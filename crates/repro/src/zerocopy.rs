@@ -2,24 +2,32 @@
 //! memory independent of capture size.
 //!
 //! ```text
-//! source ──chunks──▶ prefix buffer ──▶ calibrate ──▶ online detector ──▶ reports
-//! (mmap cursor,      (first FGBD_CALIB_RECORDS      (buffer replayed, then every
-//!  FGBDCAP1 import,   records, or the whole          later chunk straight through)
-//!  --follow tail)     capture if it is shorter)
+//!                                 ┌─▶ online detector ──────────────────▶ reports
+//! source ──chunk──▶ decode ──────┤   (pairs from the first chunk; holds    ▲
+//! (mmap cursor,                   │    spans until the service times land) │
+//!  FGBDCAP1 import,               └─▶ calibration worker ──service times───┘
+//!  --follow tail)                     (first FGBD_CALIB_RECORDS records;
+//!                                      the buffer comes back for reuse)
 //! ```
 //!
 //! [`CaptureAnalyzer`] is that pass. The detector normalizes by calibrated
-//! service times, so it cannot start before calibration ends: the analyzer
-//! buffers chunks until [`calib_records_from_env`] records (default 1 Mi) or
-//! the end of input have arrived, calibrates on exactly that prefix
-//! ([`Calibration::from_capture_prefix`]), builds the [`OnlineDetector`],
-//! replays the buffered chunks into it and drops them; every later chunk
-//! goes straight to the detector. Nothing is decoded twice and no
-//! `TraceLog`, `SpanSet` or reconstruction of the capture ever exists:
-//! calibration is a fold whose state is the requests open at once, so the
-//! replay buffer alone is bounded by the budget rather than by a chunk.
-//! The reports are bit-identical to batch `analyze_server` over the
-//! materialized capture (`tests/capture_formats.rs` holds the CLI to that).
+//! service times, but pairing does not need them: every chunk goes to an
+//! [`OnlineDetector::uncalibrated`] detector first, which pairs it and holds
+//! the spans it closes, and then — the same buffer, moved over a bounded
+//! channel — to a worker thread that folds exactly the first
+//! [`calib_records_from_env`] records (default 1 Mi) into the calibration
+//! ([`Calibration::from_capture_prefix`]'s fold). When the worker is done
+//! the detector is [calibrated](OnlineDetector::calibrate): the held spans
+//! are weighed and finalized, and from then on spans are weighed as they
+//! close. So calibration overlaps decode and pairing instead of preceding
+//! them, nothing is decoded twice, no record is copied, and no `TraceLog`,
+//! `SpanSet` or reconstruction of the capture ever exists. The main thread
+//! waits for the worker only at end of input, or before it would hold
+//! more spans than the budget has records — so memory is bounded by the
+//! budget, not by the capture. The reports are bit-identical to batch
+//! `analyze_server` over the materialized capture (`tests/capture_formats.rs`
+//! holds the CLI to that; CI byte-compares a run pinned to one core with
+//! one on two).
 //!
 //! Every capture consumer drives this one body:
 //! [`analyze_capture2_zero_copy`] for a file (`analyze_capture`,
@@ -27,6 +35,9 @@
 //! FIFO, which tees each tailed chunk into the live monitor as well.
 
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use fgbd_core::online::{OnlineConfig, OnlineDetector, OnlineReport};
 use fgbd_des::{SimDuration, SimTime};
@@ -36,7 +47,7 @@ use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::{CaptureChunks, CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
 
 use crate::harness::RunScope;
-use crate::pipeline::{calib_records_from_env, Calibration, WORK_UNIT_RESOLUTION};
+use crate::pipeline::{calib_records_from_env, Calibration, CalibrationFold, WORK_UNIT_RESOLUTION};
 
 /// Everything the analysis produces — enough to render the exact
 /// `analyze_capture` report without ever holding the capture in memory.
@@ -59,21 +70,101 @@ pub struct ZeroCopyAnalysis {
     /// How the records arrived: `"mmap"`, `"heap"` (the automatic fallback
     /// of [`Mapping::open`]) or `"stream"` (`--follow`).
     pub source: &'static str,
-    /// Records service times were calibrated on (the buffered prefix).
+    /// Records service times were calibrated on (the prefix).
     pub calib_prefix_records: usize,
     /// Decode width actually used (after clamping), not the one requested.
     pub decode_threads: usize,
+    /// Time the main thread spent blocked on the calibration worker — near
+    /// zero when calibration overlapped decode and pairing.
+    pub calib_wait: Duration,
+    /// Spans the detector held until it was calibrated (its peak).
+    pub calib_held_spans: usize,
 }
 
 impl ZeroCopyAnalysis {
     /// Stamps the route that ran into a run manifest — so a silent fallback
-    /// (mmap → heap, clamped decode threads) is visible.
+    /// (mmap → heap, clamped decode threads, a worker that did not overlap)
+    /// is visible.
     pub fn stamp_route(&self, scope: &mut RunScope) {
         let num = |v: usize| Json::Num(v as f64);
         scope.field("capture_format", num(self.capture_format.into()));
         scope.field("source", Json::Str(self.source.into()));
         scope.field("calib_prefix_records", num(self.calib_prefix_records));
         scope.field("decode_threads", num(self.decode_threads));
+        let wait_ms = self.calib_wait.as_secs_f64() * 1e3;
+        scope.field("calib_wait_ms", Json::Num(wait_ms));
+        scope.field("calib_held_spans", num(self.calib_held_spans));
+    }
+}
+
+/// Chunks folded ahead of the detector before the main thread waits.
+const CALIB_IN_FLIGHT: usize = 2;
+
+/// The calibration worker: folds the prefix it is sent, hands each buffer
+/// back, and returns the calibration when its channel closes.
+#[derive(Debug)]
+struct CalibWorker {
+    /// Chunks and how many of their records are prefix; `None` once the
+    /// prefix is complete (closing the channel ends the fold).
+    chunks: Option<SyncSender<(Vec<MsgRecord>, usize)>>,
+    /// Folded buffers, back for reuse.
+    spent: Receiver<Vec<MsgRecord>>,
+    handle: Option<JoinHandle<Calibration>>,
+    /// Prefix records sent so far.
+    fed: usize,
+}
+
+impl CalibWorker {
+    fn spawn(nodes: &[NodeMeta]) -> CalibWorker {
+        let (chunks, todo) = mpsc::sync_channel::<(Vec<MsgRecord>, usize)>(CALIB_IN_FLIGHT);
+        let (done, spent) = mpsc::channel();
+        let mut fold = CalibrationFold::new(nodes);
+        // The worker's `calibrate` spans root where the analyzer runs.
+        let base = fgbd_obsv::span::current_path();
+        let handle = std::thread::Builder::new()
+            .name("fgbd-calibrate".into())
+            .spawn(move || {
+                fgbd_obsv::span::adopt_path(&base);
+                for (chunk, take) in todo {
+                    let _span = fgbd_obsv::span::enter("calibrate");
+                    fold.push_chunk(&chunk[..take]);
+                    // The analyzer may already be past wanting spares.
+                    let _ = done.send(chunk);
+                }
+                let cal = {
+                    fgbd_obsv::span!("calibrate");
+                    fold.finish()
+                };
+                fgbd_obsv::span::flush_thread();
+                cal
+            })
+            .expect("spawn the calibration worker");
+        CalibWorker {
+            chunks: Some(chunks),
+            spent,
+            handle: Some(handle),
+            fed: 0,
+        }
+    }
+
+    /// Waits for the calibration, re-raising a panic of the worker's.
+    fn join(mut self) -> Calibration {
+        self.chunks = None;
+        let handle = self.handle.take().expect("the worker is joined once");
+        handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+impl Drop for CalibWorker {
+    /// An analyzer dropped mid-capture (a damaged chunk) still joins: the
+    /// closed channel ends the fold of what was sent.
+    fn drop(&mut self) {
+        self.chunks = None;
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -84,12 +175,16 @@ pub struct CaptureAnalyzer {
     nodes: Vec<NodeMeta>,
     interval: SimDuration,
     calib_cap: usize,
-    /// Chunks held back for calibration; empty once the detector exists.
-    prefix: Vec<MsgRecord>,
+    /// Built on the first record, whose timestamp starts the grid.
     detector: Option<OnlineDetector>,
+    /// Folding the prefix; `None` before the first record and once the
+    /// detector is calibrated.
+    worker: Option<CalibWorker>,
     records: u64,
     /// First and last record timestamps seen so far.
     bounds: Option<(SimTime, SimTime)>,
+    calib_wait: Duration,
+    calib_held_spans: usize,
 }
 
 impl CaptureAnalyzer {
@@ -100,58 +195,90 @@ impl CaptureAnalyzer {
             nodes,
             interval,
             calib_cap: calib_records_from_env(),
-            prefix: Vec::new(),
             detector: None,
+            worker: None,
             records: 0,
             bounds: None,
+            calib_wait: Duration::ZERO,
+            calib_held_spans: 0,
         }
     }
 
-    /// `true` once the prefix has been calibrated on — later chunks only
-    /// need the columns detection reads ([`Projection::DETECT`]).
-    pub fn calibrated(&self) -> bool {
-        self.detector.is_some()
+    /// `true` while calibration still wants records — until then chunks
+    /// need all their columns; afterwards only the ones detection reads
+    /// ([`Projection::DETECT`]).
+    fn wants_full_columns(&self) -> bool {
+        match &self.worker {
+            Some(worker) => worker.chunks.is_some(),
+            None => self.detector.is_none(),
+        }
     }
 
-    /// Consumes the next chunk of the capture (full columns until
-    /// [`calibrated`](Self::calibrated)).
-    pub fn push_chunk(&mut self, chunk: &[MsgRecord]) {
+    /// Consumes the next chunk of the capture (full columns until the
+    /// calibration prefix is complete) and returns a buffer to decode the
+    /// one after into: a spent one back from the worker, or `chunk` itself.
+    pub fn push_chunk(&mut self, chunk: Vec<MsgRecord>) -> Vec<MsgRecord> {
         let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
-            return;
+            return chunk;
         };
         let start = self.bounds.map_or(first.at, |(start, _)| start);
         self.bounds = Some((start, last.at));
         self.records += chunk.len() as u64;
-        match &mut self.detector {
-            Some(det) => det.push_chunk(chunk),
-            None => {
-                self.prefix.extend_from_slice(chunk);
-                if self.prefix.len() >= self.calib_cap {
-                    self.calibrate(start);
-                }
+        if self.detector.is_none() {
+            let ocfg = OnlineConfig::new(start, self.interval, WORK_UNIT_RESOLUTION);
+            self.detector = Some(OnlineDetector::uncalibrated(ocfg));
+            self.worker = Some(CalibWorker::spawn(&self.nodes));
+        }
+        // Once the prefix is out, hold no more spans than the budget has
+        // records: a chunk closes at most one span per record, so wait for
+        // the worker first if this one could cross the line.
+        let prefix_sent = self.worker.as_ref().is_some_and(|w| w.chunks.is_none());
+        let held = self.detector.as_ref().map_or(0, OnlineDetector::held_spans);
+        if prefix_sent && held + chunk.len() > self.calib_cap {
+            self.calibrate();
+        }
+        self.detector
+            .as_mut()
+            .expect("built on the first record")
+            .push_chunk(&chunk);
+        let Some(worker) = &mut self.worker else {
+            return chunk;
+        };
+        let Some(chunks) = &worker.chunks else {
+            if worker.handle.as_ref().is_some_and(JoinHandle::is_finished) {
+                self.calibrate();
             }
+            return chunk;
+        };
+        let take = chunk.len().min(self.calib_cap - worker.fed);
+        worker.fed += take;
+        let t = Instant::now();
+        // A worker that died drops its receiver; `join` re-raises why.
+        let _ = chunks.send((chunk, take));
+        self.calib_wait += t.elapsed();
+        if worker.fed == self.calib_cap {
+            worker.chunks = None;
         }
+        worker.spent.try_recv().unwrap_or_default()
     }
 
-    /// Calibrates on the buffered prefix, builds the detector on the grid
-    /// starting at `start`, and replays the buffer into it.
-    fn calibrate(&mut self, start: SimTime) {
-        let buffered = std::mem::take(&mut self.prefix);
-        let prefix = &buffered[..buffered.len().min(self.calib_cap)];
-        let cal = Calibration::from_capture_prefix(&self.nodes, prefix);
-        let ocfg = OnlineConfig::new(start, self.interval, WORK_UNIT_RESOLUTION);
-        let mut det = OnlineDetector::new(ocfg, cal.services);
-        for (&node, &wu) in &cal.work_units {
-            det.set_work_unit(node, wu);
-        }
-        det.push_chunk(&buffered);
-        self.detector = Some(det);
+    /// Waits for the worker's calibration and calibrates the detector with
+    /// it; a no-op once calibrated or before the first record.
+    fn calibrate(&mut self) {
+        let (Some(det), Some(worker)) = (&mut self.detector, self.worker.take()) else {
+            return;
+        };
+        let t = Instant::now();
+        let cal = worker.join();
+        self.calib_wait += t.elapsed();
+        self.calib_held_spans = det.held_spans();
+        det.calibrate(cal.services, cal.work_units);
     }
 
-    /// Ends the capture: calibrates now if it was shorter than the budget,
-    /// closes the grid at the last record, and returns the reports in
-    /// node-table order, stamped with the route the caller fed it by. An
-    /// empty capture yields `records == 0` and no reports.
+    /// Ends the capture: calibrates now if the worker has not yet
+    /// delivered, closes the grid at the last record, and returns the
+    /// reports in node-table order, stamped with the route the caller fed
+    /// it by. An empty capture yields `records == 0` and no reports.
     pub fn finish(
         mut self,
         capture_format: u8,
@@ -159,9 +286,7 @@ impl CaptureAnalyzer {
         decode_threads: usize,
     ) -> ZeroCopyAnalysis {
         let (start, end) = self.bounds.unwrap_or((SimTime::ZERO, SimTime::ZERO));
-        if self.detector.is_none() && self.records > 0 {
-            self.calibrate(start);
-        }
+        self.calibrate();
         // Node-table order, servers only, at least one matched span — the
         // batch filter (`matched > 0` ⇔ the batch span set is non-empty).
         // A capture whose records share one timestamp has no grid at all.
@@ -191,6 +316,8 @@ impl CaptureAnalyzer {
             // The first `calib_cap` records, or all of a shorter capture.
             calib_prefix_records: self.calib_cap.min(self.records as usize),
             decode_threads,
+            calib_wait: self.calib_wait,
+            calib_held_spans: self.calib_held_spans,
         }
     }
 }
@@ -199,8 +326,8 @@ impl CaptureAnalyzer {
 /// fallback automatic) and scanned once, front to back, through a
 /// [`CaptureAnalyzer`]. An `FGBDCAP2` capture is walked by the lazy
 /// [`ChunkCursor`] — all columns, one chunk at a time, while the
-/// calibration prefix is buffering; only the detector's columns, `threads`
-/// chunks decoded ahead (clamped on <2-core hosts), afterwards — with
+/// calibration worker still wants records; only the detector's columns,
+/// `threads` chunks decoded ahead (clamped on <2-core hosts), afterwards — with
 /// consumed pages released behind the scan. A flat `FGBDCAP1` capture (the
 /// cursor's `BadMagic`) is imported through [`CaptureChunks`] over the same
 /// mapping. `interval` is the analysis granularity.
@@ -226,7 +353,7 @@ pub fn analyze_capture2_zero_copy(
             let mut chunks = CaptureChunks::open(&map[..])?;
             let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
             for chunk in &mut chunks {
-                analyzer.push_chunk(&chunk?);
+                analyzer.push_chunk(chunk?);
             }
             return Ok(analyzer.finish(chunks.format(), source, 1));
         }
@@ -235,9 +362,9 @@ pub fn analyze_capture2_zero_copy(
     let mut analyzer = CaptureAnalyzer::new(cursor.nodes().to_vec(), interval);
     let mut buf = Vec::new();
     while cursor.next_chunk(&mut buf)? {
-        let buffering = !analyzer.calibrated();
-        analyzer.push_chunk(&buf);
-        if buffering && analyzer.calibrated() {
+        let full = analyzer.wants_full_columns();
+        buf = analyzer.push_chunk(std::mem::take(&mut buf));
+        if full && !analyzer.wants_full_columns() {
             cursor = cursor
                 .with_projection(Projection::DETECT)
                 .with_threads(threads);
