@@ -191,8 +191,9 @@ pub struct MonitorSnapshot {
     pub records: u64,
     /// Open requests across all servers.
     pub spans_in_flight: usize,
-    /// Stream time minus the slowest server watermark: how far verdicts
-    /// trail the stream.
+    /// Stream time minus the slowest server watermark — or, while spans
+    /// are held uncalibrated, minus the grid start: how far verdicts trail
+    /// the stream.
     pub lag: SimDuration,
     /// Bytes of detector state (rings, open-request tables, windows,
     /// retained samples).
@@ -650,6 +651,10 @@ impl OnlineDetector {
                 frozen_intervals: s.live_frozen,
             });
         }
+        if self.held.is_some() {
+            // Nothing is final before calibration: verdicts trail the grid.
+            min_wm = self.cfg.start.as_micros().min(cur_us);
+        }
         MonitorSnapshot {
             at: SimTime::from_micros(cur_us),
             records: self.records,
@@ -1048,10 +1053,14 @@ mod tests {
             snap.servers[0].finalized, 0,
             "nothing final before calibration"
         );
+        let last_us = recs.last().unwrap().at.as_micros();
+        // Nothing is open, but nothing is final: lag runs from the grid start.
+        assert_eq!(snap.lag, SimDuration::from_micros(last_us));
         online.calibrate(services(), []);
         assert_eq!(online.held_spans(), 0);
-        let last_us = recs.last().unwrap().at.as_micros();
-        let finalized = online.snapshot().servers[0].finalized;
+        let snap = online.snapshot();
+        assert_eq!(snap.lag, SimDuration::ZERO);
+        let finalized = snap.servers[0].finalized;
         assert_eq!(finalized as u64, last_us / 50_000, "all before stream time");
     }
 

@@ -20,17 +20,20 @@
 //!
 //! `--follow` tails a capture that is **still being written** (a growing
 //! file, or a FIFO fed by a live writer — the path is opened once and never
-//! probed): whole chunks are decoded as their bytes land and handed both to
-//! the streaming monitor pipeline ([`fgbd_repro::monitor`]), which prints
-//! provisional onset/clear verdicts incrementally, and to the same
-//! analyzer, so when the writer's footer appears the calibrated report is
-//! ready without re-reading anything. `--verdicts PATH` additionally writes
-//! the final congested-interval verdicts as JSON lines — byte-identical
-//! whether the capture was read from a file or tailed.
+//! probed): whole chunks are decoded as their bytes land and handed to the
+//! same analyzer, so when the writer's footer appears the calibrated report
+//! is ready without re-reading anything. Its one detector also drives the
+//! live monitor's telemetry ([`fgbd_repro::monitor`]) under
+//! `out/monitor/analyze_capture_follow.*`: heartbeats from the first record,
+//! and provisional onset/clear verdicts — calibrated, named, on the final
+//! grid — once the calibration prefix has streamed. `--verdicts PATH`
+//! additionally writes the final congested-interval verdicts as JSON lines —
+//! byte-identical whether the capture was read from a file or tailed.
 //!
 //! An unreadable or damaged capture is reported on stderr as
 //! `analyze_capture: <path>: <error>` with exit status 1 (usage errors
-//! exit 2). A run manifest is written to `out/manifests/analyze_capture.*`,
+//! exit 2), an unwritable monitor output as `analyze_capture: out/monitor:
+//! <error>`. A run manifest is written to `out/manifests/analyze_capture.*`,
 //! including which route ran (`capture_format`, `source`,
 //! `calib_prefix_records`, `decode_threads`) and how calibration overlapped
 //! it (`calib_wait_ms`, `calib_held_spans`).
@@ -39,12 +42,11 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::Path;
 
-use fgbd_des::{SimDuration, SimTime};
+use fgbd_des::SimDuration;
 use fgbd_obsv::json::Json;
 use fgbd_obsv::jsonl::JsonlWriter;
 use fgbd_repro::harness::{fail_path, RunScope};
-use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
-use fgbd_repro::pipeline::Calibration;
+use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorTelemetry};
 use fgbd_repro::zerocopy::{analyze_capture2_zero_copy, CaptureAnalyzer, ZeroCopyAnalysis};
 use fgbd_trace::capture2::threads_from_env;
 use fgbd_trace::{wait_for_file, CaptureChunks, CaptureError, TailConfig, TailReader};
@@ -197,13 +199,11 @@ fn render_report(
 }
 
 /// Tails a capture that may still be growing: whole chunks are decoded as
-/// their bytes land (see [`TailReader`] and [`CaptureChunks`]) and each is
-/// handed to the live monitor, for provisional incremental verdicts, and
-/// to the analyzer, for the calibrated report. Service times are unknown
-/// until the calibration prefix has arrived, so the live pass runs
-/// uncalibrated — each span contributes its own residence time (capped at
-/// one work unit) and servers are labeled `server-<id>`; the analyzer's
-/// report is the authoritative one.
+/// their bytes land (see [`TailReader`] and [`CaptureChunks`]) and handed
+/// to the analyzer, whose one detector also drives the live monitor's
+/// telemetry. Live verdicts start once the calibration prefix has streamed
+/// (heartbeats before that); the final report is the authoritative one. A
+/// monitor output that cannot be written is reported as `out/monitor`.
 fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis, CaptureError> {
     let tcfg = TailConfig::from_env();
     if !wait_for_file(path, tcfg) {
@@ -223,27 +223,19 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
     let reader = BufReader::new(TailReader::new(File::open(path)?, tcfg));
     let mut chunks = CaptureChunks::open(reader)?;
 
-    let mcfg = MonitorConfig {
-        interval,
-        ..MonitorConfig::default()
-    };
-    let uncalibrated = Calibration::default();
-    let mut mon = MonitorRuntime::new(
-        "analyze_capture_follow",
-        &mcfg,
-        SimTime::ZERO,
-        &uncalibrated,
-        &[],
-    )?;
+    let fail = |e: io::Error| -> ! { fail_path("analyze_capture", "out/monitor", e) };
+    let heartbeat = MonitorConfig::default().heartbeat;
+    let mut telemetry =
+        MonitorTelemetry::create("analyze_capture_follow", heartbeat, chunks.nodes())
+            .unwrap_or_else(|e| fail(e));
     let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
     for chunk in &mut chunks {
-        let chunk = chunk?;
-        mon.push_chunk(&chunk)?;
-        analyzer.push_chunk(chunk);
+        analyzer.push_observed(chunk?, |det| {
+            telemetry.observe(det).unwrap_or_else(|e| fail(e));
+        });
     }
-    let za = analyzer.finish(chunks.format(), "stream", 1);
-    if za.records > 0 {
-        mon.finish(za.end)?;
-    }
+    let za = analyzer.finish_observed(chunks.format(), "stream", 1, |det, end| {
+        telemetry.finish(det, end).unwrap_or_else(|e| fail(e))
+    });
     Ok(za)
 }

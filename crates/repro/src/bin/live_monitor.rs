@@ -96,12 +96,10 @@ fn main() {
     );
     let mut final_log = JsonlWriter::create(FINAL).unwrap_or_else(|e| fail(FINAL, e));
     for rep in &reports {
-        let name = nodes
-            .iter()
-            .find(|m| m.id == rep.server)
-            .map_or_else(|| format!("server-{}", rep.server.0), |m| m.name.clone());
+        // `node_metas` names every node, its id the table index.
+        let name = &nodes[usize::from(rep.server.0)].name;
         for line in verdict_lines(
-            &name,
+            name,
             rep.window,
             &rep.loads,
             &rep.rates,

@@ -1,8 +1,8 @@
-//! The live bottleneck monitor runtime: [`fgbd_core::online`] wired to the
+//! The live bottleneck monitor: [`fgbd_core::online`] wired to the
 //! observability surface.
 //!
-//! [`MonitorRuntime`] wraps an [`OnlineDetector`] and, as records stream
-//! through it, writes
+//! [`MonitorTelemetry`] observes an [`OnlineDetector`] it is handed after
+//! each record and writes
 //!
 //! * a structured **verdict log** — one JSON line per congestion
 //!   onset/clear ([`MonitorEvent`]) under `out/monitor/<name>.events.jsonl`;
@@ -18,8 +18,10 @@
 //! (one per [`MonitorConfig::heartbeat`] of stream time), so their count is
 //! deterministic for a given capture.
 //!
-//! `live_monitor` and `analyze_capture --follow` run it on
-//! [`MonitorConfig::default`] (`--follow` with the CLI's interval).
+//! [`MonitorRuntime`] is a calibrated detector of its own plus that
+//! telemetry — what `live_monitor` runs on [`MonitorConfig::default`].
+//! `analyze_capture --follow` builds no detector here: the telemetry rides
+//! on the capture analyzer's own ([`crate::zerocopy::CaptureAnalyzer`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -66,10 +68,10 @@ impl Default for MonitorConfig {
     }
 }
 
-/// The streaming monitor: an [`OnlineDetector`] plus its telemetry sinks.
+/// The monitor's telemetry sinks, observing a detector it is handed: the
+/// verdict log, heartbeat pacing and the heartbeat outputs.
 #[derive(Debug)]
-pub struct MonitorRuntime {
-    detector: OnlineDetector,
+pub struct MonitorTelemetry {
     names: HashMap<u16, String>,
     events_log: JsonlWriter,
     heartbeats_log: JsonlWriter,
@@ -81,27 +83,11 @@ pub struct MonitorRuntime {
     heartbeats: u64,
 }
 
-impl MonitorRuntime {
-    /// Builds the monitor for one run. `name` keys the files under
-    /// `out/monitor/`; `start` is the grid origin (normally the warm-up
-    /// end); the calibration supplies service times and per-server work
-    /// units exactly as the batch pipeline would; `nodes` supplies the
-    /// server names the telemetry is labeled with.
-    pub fn new(
-        name: &str,
-        cfg: &MonitorConfig,
-        start: SimTime,
-        cal: &Calibration,
-        nodes: &[NodeMeta],
-    ) -> io::Result<MonitorRuntime> {
-        let mut ocfg = OnlineConfig::new(start, cfg.interval, WORK_UNIT_RESOLUTION);
-        ocfg.live_window = cfg.live_window;
-        ocfg.hysteresis = cfg.hysteresis;
-        ocfg.retain = cfg.retain;
-        let mut detector = OnlineDetector::new(ocfg, cal.services.clone());
-        for (&node, &wu) in &cal.work_units {
-            detector.set_work_unit(node, wu);
-        }
+impl MonitorTelemetry {
+    /// Creates the outputs of one run: `name` keys the files under
+    /// `out/monitor/`, `heartbeat` is the stream-time beat period, and
+    /// `nodes` supplies the server names the telemetry is labeled with.
+    pub fn create(name: &str, heartbeat: SimDuration, nodes: &[NodeMeta]) -> io::Result<Self> {
         let names = nodes
             .iter()
             .map(|m| (m.id.0, m.name.clone()))
@@ -111,13 +97,12 @@ impl MonitorRuntime {
         // explicit zeros when nothing fires (0 verdicts is a finding).
         fgbd_obsv::metrics::counter_retained("monitor.verdicts");
         fgbd_obsv::metrics::counter_retained("monitor.heartbeats");
-        Ok(MonitorRuntime {
-            detector,
+        Ok(MonitorTelemetry {
             names,
             events_log: JsonlWriter::create(dir.join(format!("{name}.events.jsonl")))?,
             heartbeats_log: JsonlWriter::create(dir.join(format!("{name}.heartbeats.jsonl")))?,
             prom_path: dir.join(format!("{name}.prom")),
-            hb_us: cfg.heartbeat.as_micros().max(1),
+            hb_us: heartbeat.as_micros().max(1),
             last_hb: None,
             verdicts: 0,
             heartbeats: 0,
@@ -126,45 +111,52 @@ impl MonitorRuntime {
 
     /// Server name for telemetry labels (`server-<id>` when unknown).
     fn name_of(&self, node: NodeId) -> String {
-        label(&self.names, node)
+        self.names
+            .get(&node.0)
+            .cloned()
+            .unwrap_or_else(|| format!("server-{}", node.0))
     }
 
-    /// Consumes one record: detection, verdict logging, heartbeat pacing.
-    pub fn push(&mut self, rec: &MsgRecord) -> io::Result<()> {
-        self.detector.push(rec);
-        self.drain_verdicts()?;
-        let idx = self.detector.now().as_micros() / self.hb_us;
+    /// Runs after each record `det` consumed: logs the verdicts it emitted
+    /// and beats once per heartbeat period of stream time.
+    pub fn observe(&mut self, det: &mut OnlineDetector) -> io::Result<()> {
+        for e in det.drain_events() {
+            self.emit(&e)?;
+        }
+        let idx = det.now().as_micros() / self.hb_us;
         if self.last_hb != Some(idx) {
             self.last_hb = Some(idx);
-            self.heartbeat()?;
+            self.heartbeat(&det.snapshot())?;
         }
         Ok(())
     }
 
-    /// Consumes a chunk of records.
-    pub fn push_chunk(&mut self, recs: &[MsgRecord]) -> io::Result<()> {
-        for r in recs {
-            self.push(r)?;
+    /// Ends the stream: the verdicts a late calibration released, a final
+    /// heartbeat, then `det`'s tail verdicts and its per-server reports
+    /// (batch-exact when `retain` was on) — none when `end` is `None`: the
+    /// stream spans no time, so there is no grid to close.
+    pub fn finish(
+        mut self,
+        mut det: OnlineDetector,
+        end: Option<SimTime>,
+    ) -> io::Result<Vec<OnlineReport>> {
+        // Stream time has not moved since the last record: no extra beat.
+        self.observe(&mut det)?;
+        self.heartbeat(&det.snapshot())?;
+        let Some(end) = end else {
+            return Ok(Vec::new());
+        };
+        let fin = det.finish(end);
+        for e in &fin.events {
+            self.emit(e)?;
         }
-        Ok(())
+        Ok(fin.reports)
     }
 
-    fn drain_verdicts(&mut self) -> io::Result<()> {
-        for e in self.detector.drain_events() {
-            let server = label(&self.names, e.server);
-            Self::emit_event(&mut self.events_log, &mut self.verdicts, &server, &e)?;
-        }
-        Ok(())
-    }
-
-    fn emit_event(
-        events_log: &mut JsonlWriter,
-        verdicts: &mut u64,
-        server: &str,
-        e: &MonitorEvent,
-    ) -> io::Result<()> {
-        events_log.write(&event_json(server, e))?;
-        *verdicts += 1;
+    fn emit(&mut self, e: &MonitorEvent) -> io::Result<()> {
+        let server = self.name_of(e.server);
+        self.events_log.write(&event_json(&server, e))?;
+        self.verdicts += 1;
         fgbd_obsv::counter!("monitor.verdicts", 1);
         let kind = match e.kind {
             VerdictKind::Onset => "ONSET",
@@ -186,11 +178,10 @@ impl MonitorRuntime {
 
     /// Emits one heartbeat: a JSONL snapshot line and the overwritten
     /// Prometheus text file.
-    fn heartbeat(&mut self) -> io::Result<()> {
-        let snap = self.detector.snapshot();
+    fn heartbeat(&mut self, snap: &MonitorSnapshot) -> io::Result<()> {
         self.heartbeats_log
-            .write(&heartbeat_json(&snap, |n| self.name_of(n)))?;
-        std::fs::write(&self.prom_path, self.render_prom(&snap))?;
+            .write(&heartbeat_json(snap, |n| self.name_of(n)))?;
+        std::fs::write(&self.prom_path, self.render_prom(snap))?;
         self.heartbeats += 1;
         fgbd_obsv::counter!("monitor.heartbeats", 1);
         Ok(())
@@ -229,48 +220,72 @@ impl MonitorRuntime {
         }
         out
     }
+}
 
-    /// A point-in-time view (for tests and ad-hoc inspection).
-    pub fn snapshot(&mut self) -> MonitorSnapshot {
-        self.detector.snapshot()
+/// The streaming monitor: an [`OnlineDetector`] of its own plus its
+/// [`MonitorTelemetry`].
+#[derive(Debug)]
+pub struct MonitorRuntime {
+    detector: OnlineDetector,
+    telemetry: MonitorTelemetry,
+}
+
+impl MonitorRuntime {
+    /// Builds the monitor for one run. `name` keys the files under
+    /// `out/monitor/`; `start` is the grid origin (normally the warm-up
+    /// end); the calibration supplies service times and per-server work
+    /// units exactly as the batch pipeline would; `nodes` supplies the
+    /// server names the telemetry is labeled with.
+    pub fn new(
+        name: &str,
+        cfg: &MonitorConfig,
+        start: SimTime,
+        cal: &Calibration,
+        nodes: &[NodeMeta],
+    ) -> io::Result<MonitorRuntime> {
+        let mut ocfg = OnlineConfig::new(start, cfg.interval, WORK_UNIT_RESOLUTION);
+        ocfg.live_window = cfg.live_window;
+        ocfg.hysteresis = cfg.hysteresis;
+        ocfg.retain = cfg.retain;
+        let mut detector = OnlineDetector::new(ocfg, cal.services.clone());
+        for (&node, &wu) in &cal.work_units {
+            detector.set_work_unit(node, wu);
+        }
+        let telemetry = MonitorTelemetry::create(name, cfg.heartbeat, nodes)?;
+        Ok(MonitorRuntime {
+            detector,
+            telemetry,
+        })
+    }
+
+    /// Consumes one record: detection, verdict logging, heartbeat pacing.
+    pub fn push(&mut self, rec: &MsgRecord) -> io::Result<()> {
+        self.detector.push(rec);
+        self.telemetry.observe(&mut self.detector)
+    }
+
+    /// Consumes a chunk of records.
+    pub fn push_chunk(&mut self, recs: &[MsgRecord]) -> io::Result<()> {
+        for r in recs {
+            self.push(r)?;
+        }
+        Ok(())
     }
 
     /// Verdicts emitted so far.
     pub fn verdicts(&self) -> u64 {
-        self.verdicts
+        self.telemetry.verdicts
     }
 
     /// Heartbeats emitted so far.
     pub fn heartbeats(&self) -> u64 {
-        self.heartbeats
+        self.telemetry.heartbeats
     }
 
-    /// Ends the stream: a final heartbeat, the tail verdicts, and the
-    /// per-server reports (batch-exact when `retain` was on).
-    pub fn finish(mut self, end: SimTime) -> io::Result<Vec<OnlineReport>> {
-        self.heartbeat()?;
-        let MonitorRuntime {
-            detector,
-            names,
-            mut events_log,
-            mut verdicts,
-            ..
-        } = self;
-        let fin = detector.finish(end);
-        for e in &fin.events {
-            let server = label(&names, e.server);
-            Self::emit_event(&mut events_log, &mut verdicts, &server, e)?;
-        }
-        Ok(fin.reports)
+    /// Ends the stream: see [`MonitorTelemetry::finish`].
+    pub fn finish(self, end: SimTime) -> io::Result<Vec<OnlineReport>> {
+        self.telemetry.finish(self.detector, Some(end))
     }
-}
-
-/// Server name for telemetry labels (`server-<id>` when unknown).
-fn label(names: &HashMap<u16, String>, node: NodeId) -> String {
-    names
-        .get(&node.0)
-        .cloned()
-        .unwrap_or_else(|| format!("server-{}", node.0))
 }
 
 /// JSON document for one verdict event.

@@ -49,10 +49,8 @@ pub fn calib_records_from_env() -> usize {
         .unwrap_or(DEFAULT_CALIB_RECORDS)
 }
 
-/// Service-time calibration derived from a dedicated low-load run. The
-/// default is *uncalibrated*: no service times, every server on the default
-/// work unit — what a live monitor runs on before a capture has a prefix.
-#[derive(Debug, Clone, Default)]
+/// Service-time calibration derived from a dedicated low-load run.
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// Per-`(server, class)` service times.
     pub services: ServiceTimeTable,

@@ -5,8 +5,9 @@
 //!                                 ┌─▶ online detector ──────────────────▶ reports
 //! source ──chunk──▶ decode ──────┤   (pairs from the first chunk; holds    ▲
 //! (mmap cursor,                   │    spans until the service times land) │
-//!  FGBDCAP1 import,               └─▶ calibration worker ──service times───┘
-//!  --follow tail)                     (first FGBD_CALIB_RECORDS records;
+//!  FGBDCAP1 import,               │     └─▶ (--follow) live telemetry      │
+//!  --follow tail)                 └─▶ calibration worker ──service times───┘
+//!                                     (first FGBD_CALIB_RECORDS records;
 //!                                      the buffer comes back for reuse)
 //! ```
 //!
@@ -16,23 +17,28 @@
 //! the spans it closes, and then — the same buffer, moved over a bounded
 //! channel — to a worker thread that folds exactly the first
 //! [`calib_records_from_env`] records (default 1 Mi) into the calibration
-//! ([`Calibration::from_capture_prefix`]'s fold). When the worker is done
+//! ([`Calibration::from_capture_prefix`]'s fold). At the chunk that
+//! completes the prefix (or at end of input, if it never does) the main
+//! thread joins the worker — a few chunks behind, the channel's bound — and
 //! the detector is [calibrated](OnlineDetector::calibrate): the held spans
 //! are weighed and finalized, and from then on spans are weighed as they
 //! close. So calibration overlaps decode and pairing instead of preceding
 //! them, nothing is decoded twice, no record is copied, and no `TraceLog`,
-//! `SpanSet` or reconstruction of the capture ever exists. The main thread
-//! waits for the worker only at end of input, or before it would hold
-//! more spans than the budget has records — so memory is bounded by the
-//! budget, not by the capture. The reports are bit-identical to batch
-//! `analyze_server` over the materialized capture (`tests/capture_formats.rs`
-//! holds the CLI to that; CI byte-compares a run pinned to one core with
-//! one on two).
+//! `SpanSet` or reconstruction of the capture ever exists. The detector
+//! holds only the spans the prefix's chunks closed — memory is bounded by
+//! the budget, not by the capture — and where calibration lands depends on
+//! the capture and the budget alone, never on thread timing. The reports
+//! are bit-identical to batch `analyze_server` over the materialized
+//! capture (`tests/capture_formats.rs` holds the CLI to that; CI
+//! byte-compares a run pinned to one core with one on two).
 //!
 //! Every capture consumer drives this one body:
 //! [`analyze_capture2_zero_copy`] for a file (`analyze_capture`,
 //! `million_users`) and `analyze_capture --follow` for a growing file or a
-//! FIFO, which tees each tailed chunk into the live monitor as well.
+//! FIFO, which hands this one detector to the live monitor's telemetry
+//! after every record ([`CaptureAnalyzer::push_observed`]): live verdicts
+//! are calibrated, named and on the `--verdicts` grid, with heartbeats only
+//! until the chunk that completes the prefix.
 
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -74,8 +80,8 @@ pub struct ZeroCopyAnalysis {
     pub calib_prefix_records: usize,
     /// Decode width actually used (after clamping), not the one requested.
     pub decode_threads: usize,
-    /// Time the main thread spent blocked on the calibration worker — near
-    /// zero when calibration overlapped decode and pairing.
+    /// Time the main thread spent blocked on the calibration worker: full
+    /// channel sends, and the join for its last chunks at the prefix end.
     pub calib_wait: Duration,
     /// Spans the detector held until it was calibrated (its peak).
     pub calib_held_spans: usize,
@@ -104,8 +110,8 @@ const CALIB_IN_FLIGHT: usize = 2;
 /// back, and returns the calibration when its channel closes.
 #[derive(Debug)]
 struct CalibWorker {
-    /// Chunks and how many of their records are prefix; `None` once the
-    /// prefix is complete (closing the channel ends the fold).
+    /// Chunks and how many of their records are prefix; taken to close the
+    /// channel, which ends the fold.
     chunks: Option<SyncSender<(Vec<MsgRecord>, usize)>>,
     /// Folded buffers, back for reuse.
     spent: Receiver<Vec<MsgRecord>>,
@@ -208,16 +214,23 @@ impl CaptureAnalyzer {
     /// need all their columns; afterwards only the ones detection reads
     /// ([`Projection::DETECT`]).
     fn wants_full_columns(&self) -> bool {
-        match &self.worker {
-            Some(worker) => worker.chunks.is_some(),
-            None => self.detector.is_none(),
-        }
+        self.detector.is_none() || self.worker.is_some()
     }
 
     /// Consumes the next chunk of the capture (full columns until the
     /// calibration prefix is complete) and returns a buffer to decode the
     /// one after into: a spent one back from the worker, or `chunk` itself.
     pub fn push_chunk(&mut self, chunk: Vec<MsgRecord>) -> Vec<MsgRecord> {
+        self.push_observed(chunk, |_| {})
+    }
+
+    /// [`push_chunk`](Self::push_chunk), handing the detector to `observe`
+    /// after each record (`--follow`'s live telemetry).
+    pub fn push_observed(
+        &mut self,
+        chunk: Vec<MsgRecord>,
+        mut observe: impl FnMut(&mut OnlineDetector),
+    ) -> Vec<MsgRecord> {
         let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
             return chunk;
         };
@@ -229,37 +242,26 @@ impl CaptureAnalyzer {
             self.detector = Some(OnlineDetector::uncalibrated(ocfg));
             self.worker = Some(CalibWorker::spawn(&self.nodes));
         }
-        // Once the prefix is out, hold no more spans than the budget has
-        // records: a chunk closes at most one span per record, so wait for
-        // the worker first if this one could cross the line.
-        let prefix_sent = self.worker.as_ref().is_some_and(|w| w.chunks.is_none());
-        let held = self.detector.as_ref().map_or(0, OnlineDetector::held_spans);
-        if prefix_sent && held + chunk.len() > self.calib_cap {
-            self.calibrate();
+        let det = self.detector.as_mut().expect("built on the first record");
+        for rec in &chunk {
+            det.push(rec);
+            observe(det);
         }
-        self.detector
-            .as_mut()
-            .expect("built on the first record")
-            .push_chunk(&chunk);
         let Some(worker) = &mut self.worker else {
-            return chunk;
-        };
-        let Some(chunks) = &worker.chunks else {
-            if worker.handle.as_ref().is_some_and(JoinHandle::is_finished) {
-                self.calibrate();
-            }
             return chunk;
         };
         let take = chunk.len().min(self.calib_cap - worker.fed);
         worker.fed += take;
         let t = Instant::now();
+        let chunks = worker.chunks.as_ref().expect("open until joined");
         // A worker that died drops its receiver; `join` re-raises why.
         let _ = chunks.send((chunk, take));
         self.calib_wait += t.elapsed();
+        let spare = worker.spent.try_recv().unwrap_or_default();
         if worker.fed == self.calib_cap {
-            worker.chunks = None;
+            self.calibrate();
         }
-        worker.spent.try_recv().unwrap_or_default()
+        spare
     }
 
     /// Waits for the worker's calibration and calibrates the detector with
@@ -275,25 +277,38 @@ impl CaptureAnalyzer {
         det.calibrate(cal.services, cal.work_units);
     }
 
-    /// Ends the capture: calibrates now if the worker has not yet
-    /// delivered, closes the grid at the last record, and returns the
-    /// reports in node-table order, stamped with the route the caller fed
-    /// it by. An empty capture yields `records == 0` and no reports.
+    /// Ends the capture: calibrates now if the prefix never completed,
+    /// closes the grid at the last record, and returns the reports in
+    /// node-table order, stamped with the route the caller fed it by. An
+    /// empty capture yields `records == 0` and no reports.
     pub fn finish(
-        mut self,
+        self,
         capture_format: u8,
         source: &'static str,
         decode_threads: usize,
     ) -> ZeroCopyAnalysis {
+        self.finish_observed(capture_format, source, decode_threads, |det, end| {
+            end.map_or(Vec::new(), |end| det.finish(end).reports)
+        })
+    }
+
+    /// [`finish`](Self::finish), handing the calibrated detector and the
+    /// grid end to `close` for the reports (`--follow`'s final heartbeat and
+    /// tail verdicts). The end is `None` when the records share one
+    /// timestamp: there is no grid at all.
+    pub fn finish_observed(
+        mut self,
+        capture_format: u8,
+        source: &'static str,
+        decode_threads: usize,
+        close: impl FnOnce(OnlineDetector, Option<SimTime>) -> Vec<OnlineReport>,
+    ) -> ZeroCopyAnalysis {
         let (start, end) = self.bounds.unwrap_or((SimTime::ZERO, SimTime::ZERO));
         self.calibrate();
+        let grid = (end > start).then_some(end);
+        let mut found = self.detector.take().map_or(Vec::new(), |d| close(d, grid));
         // Node-table order, servers only, at least one matched span — the
         // batch filter (`matched > 0` ⇔ the batch span set is non-empty).
-        // A capture whose records share one timestamp has no grid at all.
-        let mut found = self
-            .detector
-            .filter(|_| end > start)
-            .map_or(Vec::new(), |det| det.finish(end).reports);
         let reports = self
             .nodes
             .iter()

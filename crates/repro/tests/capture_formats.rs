@@ -8,13 +8,16 @@
 //! The second case drives the shipped `analyze_capture` binary over both
 //! formats of one run, from a file, `--follow` and through a FIFO, and
 //! holds every verdict file to bytes computed here by the batch detector —
-//! an independent implementation of the same analysis. The third feeds it
-//! damaged captures: an error message and exit status 1, never a panic. The
-//! fourth holds `compare_captures` — the same route, two files — to both,
-//! and the fifth holds the writers (`record_capture`, `million_users`,
-//! `live_monitor`, `analyze_capture --verdicts`) to the same contract on a
+//! an independent implementation of the same analysis. The third holds
+//! `--follow`'s live verdict stream to an eagerly calibrated monitor's and
+//! to itself across runs. The fourth feeds it damaged captures: an error
+//! message and exit status 1, never a panic. The fifth holds
+//! `compare_captures` — the same route, two files — to both, and the sixth
+//! holds the writers (`record_capture`, `million_users`, `live_monitor`,
+//! `analyze_capture --verdicts` and `--follow`) to the same contract on a
 //! bad count or an output they cannot create.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -26,11 +29,12 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
-use fgbd_repro::monitor::verdict_lines;
+use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS};
 use fgbd_repro::scenario::GC_JDK15;
 use fgbd_trace::{
-    read_capture_file, write_capture, write_capture2, ChunkedWriter, NodeKind, SpanSet, TraceLog,
+    read_capture_file, write_capture, write_capture2, ChunkedWriter, NodeKind, NodeMeta, SpanSet,
+    TraceLog,
 };
 
 fn smoke_cfg(seed: u64) -> SystemConfig {
@@ -279,6 +283,110 @@ fn analyze_capture_cli_agrees_across_formats_and_follow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Per server, in order, the fields of each live verdict line that do not
+/// depend on when calibration landed (detection latency and queue depth
+/// do); fails on a server outside `nodes`.
+fn live_verdicts(events: &[u8], nodes: &[NodeMeta]) -> BTreeMap<String, Vec<Vec<String>>> {
+    const KEYS: [&str; 8] = [
+        "kind",
+        "server",
+        "interval",
+        "interval_end_us",
+        "nstar",
+        "tp_max",
+        "load",
+        "rate",
+    ];
+    let mut out = BTreeMap::<String, Vec<Vec<String>>>::new();
+    for line in std::str::from_utf8(events).expect("UTF-8").lines() {
+        let doc = Json::parse(line).expect("an events line is JSON");
+        let server = doc.get("server").and_then(Json::as_str).expect("a server");
+        assert!(
+            nodes.iter().any(|m| m.name == server),
+            "{server} is not a node-table name"
+        );
+        let fields = KEYS.iter().map(|k| doc.get(k).expect(k).render()).collect();
+        out.entry(server.to_string()).or_default().push(fields);
+    }
+    out
+}
+
+/// `analyze_capture --follow` runs one detector: its live verdicts are
+/// calibrated on the prefix, named from the node table and on the
+/// `--verdicts` grid — per server, what a monitor calibrated on that prefix
+/// before the first record emits, up to when each verdict was emitted —
+/// and the live stream is a function of the capture and the prefix budget,
+/// byte for byte.
+#[test]
+fn follow_live_verdicts_are_the_calibrated_detectors() {
+    let mut cfg = GC_JDK15.config(3_000);
+    cfg.warmup = SimDuration::from_secs(3);
+    cfg.duration = SimDuration::from_secs(12);
+    let log = NTierSystem::run(cfg).log;
+    let third = log.records.len() / 3;
+    let dir = std::env::temp_dir().join(format!("fgbd_cli_live_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("fine.cap2"), chunked_bytes(&log, 4096)).expect("write file");
+
+    let short = [("FGBD_CALIB_RECORDS", third.to_string())];
+    // (events, heartbeats) of one `--follow` run.
+    let live = || {
+        let (out, _) = run_cli(&dir, "fine.cap2", true, &short);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let read = |ext: &str| {
+            let path = dir.join(format!("out/monitor/analyze_capture_follow.{ext}.jsonl"));
+            std::fs::read(path).expect("read live monitor output")
+        };
+        (read("events"), read("heartbeats"))
+    };
+    let (events, heartbeats) = live();
+    assert!(!events.is_empty(), "the live stream must carry verdicts");
+    assert!(
+        !heartbeats.is_empty(),
+        "the live stream must carry heartbeats"
+    );
+    assert!(
+        live() == (events.clone(), heartbeats),
+        "the live stream differs between two runs"
+    );
+
+    // The CLI's monitor: 50 ms intervals, grid start at the first record.
+    fgbd_obsv::set_quiet(true);
+    let mcfg = MonitorConfig::default();
+    let cal = Calibration::from_capture_prefix(&log.nodes, &log.records[..third]);
+    let (first, last) = (log.records[0].at, log.records[log.records.len() - 1].at);
+    let mut eager = MonitorRuntime::new("test_follow_eager", &mcfg, first, &cal, &log.nodes)
+        .expect("create monitor outputs");
+    eager.push_chunk(&log.records).expect("monitor write");
+    eager.finish(last).expect("finish monitor");
+    fgbd_obsv::set_quiet(false);
+    let expected = std::fs::read("out/monitor/test_follow_eager.events.jsonl").expect("read");
+    assert_eq!(
+        live_verdicts(&events, &log.nodes),
+        live_verdicts(&expected, &log.nodes),
+        "live verdicts differ from an eagerly calibrated monitor's"
+    );
+
+    // Records that share one timestamp span no grid, but the live stream
+    // still ends on its final heartbeat: the first record's beat, then it.
+    let mut flat = TraceLog {
+        nodes: log.nodes.clone(),
+        records: log.records[..64].to_vec(),
+    };
+    flat.records.iter_mut().for_each(|r| r.at = first);
+    std::fs::write(dir.join("flat.cap2"), chunked_bytes(&flat, 4096)).expect("write file");
+    let (out, _) = run_cli(&dir, "flat.cap2", true, &short);
+    assert!(out.status.success(), "{:?}", out);
+    let path = dir.join("out/monitor/analyze_capture_follow.heartbeats.jsonl");
+    let beats = std::fs::read_to_string(path).expect("read live monitor output");
+    assert_eq!(beats.lines().count(), 2, "{beats}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
     let log = NTierSystem::run(smoke_cfg(20130708)).log;
@@ -396,7 +504,7 @@ fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
     let analyze = env!("CARGO_BIN_EXE_analyze_capture");
     let nowhere = "no_such_dir/out.file";
     // (binary, arguments, exit status, what stderr starts with)
-    let cases: [(&str, &[&str], i32, String); 7] = [
+    let cases: [(&str, &[&str], i32, String); 8] = [
         (
             record,
             &["gc_jdk16", "lots"],
@@ -434,6 +542,13 @@ fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
             &["good.cap", "--verdicts", "out/verdicts.jsonl"],
             1,
             "analyze_capture: out/verdicts.jsonl: ".into(),
+        ),
+        (
+            analyze,
+            // The live monitor's outputs, not the capture, are at fault.
+            &["good.cap", "--follow"],
+            1,
+            "analyze_capture: out/monitor: ".into(),
         ),
     ];
     let run = |bin: &str, args: &[&str]| {
