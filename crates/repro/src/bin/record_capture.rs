@@ -12,8 +12,8 @@
 //! `out/manifests/record_capture.*`.
 //!
 //! The file is written in the chunked columnar `FGBDCAP2` format
-//! (parallel-readable, ~0.2x the flat size). Every reader still sniffs the
-//! magic, so flat `FGBDCAP1` captures recorded by older builds keep loading.
+//! (~0.2x the flat size). Readers still accept flat `FGBDCAP1` captures
+//! recorded by older builds.
 //!
 //! Records stream from the simulator's tap straight into the chunked
 //! writer, as in `million_users`: at most one encode buffer of records is

@@ -29,12 +29,12 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
+use fgbd_oracle::capture::write_capture;
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS};
 use fgbd_repro::scenario::GC_JDK15;
 use fgbd_trace::{
-    read_capture_file, write_capture, write_capture2, ChunkedWriter, NodeKind, NodeMeta, SpanSet,
-    TraceLog,
+    read_capture_file, write_capture2, ChunkedWriter, NodeKind, NodeMeta, SpanSet, TraceLog,
 };
 
 fn smoke_cfg(seed: u64) -> SystemConfig {

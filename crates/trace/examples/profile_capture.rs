@@ -1,5 +1,8 @@
-//! Quick wall-clock comparison of the two capture decoders on the bench
-//! fixture — handy when tuning `capture2` without a full Criterion run:
+//! Quick wall-clock comparison of the two chunk walkers on a 200k-record
+//! fixture — the in-memory `ChunkCursor` at one thread and at
+//! `FGBD_CAPTURE_THREADS`, the stream walker `CaptureChunks` over the flat
+//! and the chunked bytes — plus the chunked encode; handy when tuning
+//! `capture2` without a full benchmark run:
 //!
 //! ```bash
 //! cargo run -p fgbd-trace --release --example profile_capture
@@ -8,8 +11,10 @@
 use std::time::Instant;
 
 use fgbd_des::SimTime;
+use fgbd_trace::capture2::threads_from_env;
 use fgbd_trace::{
-    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
+    CaptureChunks, ChunkCursor, ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta,
+    TraceLog, TxnId,
 };
 
 fn fixture() -> TraceLog {
@@ -57,10 +62,26 @@ fn time(label: &str, iters: u32, mut f: impl FnMut()) {
     );
 }
 
+/// Records yielded by the in-memory walker at `threads` decode width.
+fn drain_cursor(bytes: &[u8], threads: usize) -> usize {
+    let mut cursor = ChunkCursor::new(bytes).unwrap().with_threads(threads);
+    let (mut n, mut chunk) = (0, Vec::new());
+    while cursor.next_chunk(&mut chunk).unwrap() {
+        n += std::hint::black_box(&chunk).len();
+    }
+    n
+}
+
+/// Records yielded by the stream walker.
+fn drain_stream(bytes: &[u8]) -> usize {
+    let chunks = CaptureChunks::open(bytes).unwrap();
+    chunks.map(|c| std::hint::black_box(c.unwrap()).len()).sum()
+}
+
 fn main() {
     let log = fixture();
     let mut flat = Vec::new();
-    fgbd_trace::capture::write_capture(&mut flat, &log).unwrap();
+    fgbd_oracle::capture::write_capture(&mut flat, &log).unwrap();
     let mut chunked = Vec::new();
     fgbd_trace::write_capture2(&mut chunked, &log).unwrap();
     let chunk_records: usize = std::env::var("PROFILE_CHUNK")
@@ -85,17 +106,19 @@ fn main() {
         chunked.len(),
         chunked.len() as f64 / flat.len() as f64
     );
+    let threads = threads_from_env();
     for _ in 0..3 {
-        time("flat read", 20, || {
-            std::hint::black_box(fgbd_trace::capture::read_capture(flat.as_slice()).unwrap());
+        time("flat stream read", 20, || {
+            drain_stream(&flat);
         });
-        time("flat write", 20, || {
-            let mut buf = Vec::with_capacity(flat.len());
-            fgbd_trace::capture::write_capture(&mut buf, std::hint::black_box(&log)).unwrap();
-            std::hint::black_box(buf);
+        time("chunked stream read", 20, || {
+            drain_stream(&chunked);
         });
-        time("chunked read t1", 20, || {
-            std::hint::black_box(fgbd_trace::read_capture2_parallel(&chunked, 1).unwrap());
+        time("chunked cursor t1", 20, || {
+            drain_cursor(&chunked, 1);
+        });
+        time(&format!("chunked cursor t{threads}"), 20, || {
+            drain_cursor(&chunked, threads);
         });
         time("chunked write", 20, || {
             let mut buf = Vec::with_capacity(chunked.len());

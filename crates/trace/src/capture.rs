@@ -1,9 +1,16 @@
-//! Capture files: a compact, versioned binary serialization of
-//! [`TraceLog`] — the reproduction's analogue of a pcap file, so captures
+//! Capture files: the reproduction's analogue of a pcap file, so captures
 //! can be written during a run and analyzed offline (or exchanged between
 //! tools) without dragging a JSON serializer through millions of records.
 //!
-//! Format (all integers little-endian):
+//! The product writes one format, the chunked columnar `FGBDCAP2` (see
+//! [`crate::capture2`]). This module holds what both formats share — the
+//! node-table encoding and [`CaptureError`] — the flat `FGBDCAP1` record
+//! decoding that old captures still need, and the two whole-log readers:
+//! [`read_capture`] collects a stream through [`CaptureChunks`] (either
+//! format), [`read_capture_file`] collects a file through [`ChunkCursor`]
+//! (falling back to the stream walker for `FGBDCAP1`).
+//!
+//! `FGBDCAP1` layout (all integers little-endian):
 //!
 //! ```text
 //! magic   [u8;8]  = b"FGBDCAP1"
@@ -17,13 +24,7 @@
 //! ```
 //!
 //! Readers reject unknown magics and truncated inputs with
-//! [`CaptureError`]; writers stream, so memory stays flat regardless of
-//! capture size.
-//!
-//! A second, chunked columnar format (`FGBDCAP2`, see [`crate::capture2`])
-//! shares the node-table encoding and the reader entry points below:
-//! [`read_capture`] / [`read_capture_file`] sniff the magic and decode
-//! either format, so every consumer of `.fgbdcap` files accepts both.
+//! [`CaptureError`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -31,6 +32,7 @@ use std::path::Path;
 
 use fgbd_des::SimTime;
 
+use crate::capture2::{threads_from_env, CaptureChunks, ChunkCursor};
 use crate::record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
@@ -93,34 +95,6 @@ impl From<io::Error> for CaptureError {
     }
 }
 
-/// Writes `log` as a capture stream.
-///
-/// The writer can be anything implementing [`Write`]; pass `&mut file` to
-/// keep using the file afterwards.
-///
-/// # Errors
-///
-/// Returns [`CaptureError::Io`] on underlying write failures.
-pub fn write_capture<W: Write>(mut w: W, log: &TraceLog) -> Result<(), CaptureError> {
-    w.write_all(MAGIC)?;
-    write_node_table(&mut w, &log.nodes)?;
-    w.write_all(&(log.records.len() as u64).to_le_bytes())?;
-    for r in &log.records {
-        w.write_all(&r.at.as_micros().to_le_bytes())?;
-        w.write_all(&r.src.0.to_le_bytes())?;
-        w.write_all(&r.dst.0.to_le_bytes())?;
-        w.write_all(&[match r.kind {
-            MsgKind::Request => 0u8,
-            MsgKind::Response => 1u8,
-        }])?;
-        w.write_all(&r.conn.0.to_le_bytes())?;
-        w.write_all(&r.class.0.to_le_bytes())?;
-        w.write_all(&r.bytes.to_le_bytes())?;
-        w.write_all(&r.truth.map_or(NO_TRUTH, |t| t.0).to_le_bytes())?;
-    }
-    Ok(())
-}
-
 /// Writes the node table — shared verbatim by both capture formats, so a
 /// format upgrade never changes how topology metadata is encoded.
 pub(crate) fn write_node_table<W: Write>(
@@ -175,43 +149,29 @@ pub(crate) fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<NodeMeta>, Captu
     Ok(nodes)
 }
 
-/// Reads a capture stream back into a [`TraceLog`]. Accepts both formats
-/// (`FGBDCAP1` and the chunked columnar `FGBDCAP2`) by sniffing the magic.
+/// Reads a capture stream of either format into a [`TraceLog`]: one loop
+/// over the stream walker, [`CaptureChunks`].
 ///
 /// # Errors
 ///
 /// Returns [`CaptureError::BadMagic`] for foreign inputs and
 /// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for truncated or
 /// invalid ones.
-pub fn read_capture<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic == crate::capture2::MAGIC2 {
-        return crate::capture2::read_capture2_after_magic(r);
-    }
-    if &magic != MAGIC {
-        return Err(CaptureError::BadMagic(magic));
-    }
-    let nodes = read_node_table(&mut r)?;
-    let n_records = read_u64(&mut r)?;
-    let mut log = TraceLog::new(nodes);
-    log.records
-        .reserve(usize::try_from(n_records).unwrap_or(0).min(1 << 28));
-    let mut prev = SimTime::ZERO;
-    for _ in 0..n_records {
-        let rec = read_record_v1(&mut r, prev)?;
-        prev = rec.at;
-        log.records.push(rec);
+pub fn read_capture<R: Read>(r: R) -> Result<TraceLog, CaptureError> {
+    let mut chunks = CaptureChunks::open(r)?;
+    let mut log = TraceLog::new(chunks.nodes().to_vec());
+    for chunk in &mut chunks {
+        log.records.extend(chunk?);
     }
     Ok(log)
 }
 
-/// Reads a capture file, using the parallel chunk decoder for `FGBDCAP2`
-/// inputs when `FGBD_CAPTURE_THREADS` (or the host parallelism) allows —
-/// the fastest way to materialize a whole capture. The file is
-/// memory-mapped where the platform allows and heap-read otherwise
-/// (`crate::mmapio`); the decoded log is identical to [`read_capture`]'s,
-/// byte for byte, at every thread count either way.
+/// Reads a capture file into a [`TraceLog`]: one loop over the in-memory
+/// walker, [`ChunkCursor`], decoding `FGBD_CAPTURE_THREADS` chunks ahead
+/// ([`threads_from_env`]). The file is memory-mapped where the platform
+/// allows and heap-read otherwise (`crate::mmapio`); an `FGBDCAP1` file
+/// (the cursor's `BadMagic`) goes through [`read_capture`] instead. The
+/// decoded log is the same at every thread count.
 ///
 /// # Errors
 ///
@@ -219,16 +179,24 @@ pub fn read_capture<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
 /// [`read_capture`] can return.
 pub fn read_capture_file(path: &Path) -> Result<TraceLog, CaptureError> {
     let bytes = crate::mmapio::Mapping::open(path)?;
-    if bytes.len() >= 8 && &bytes[..8] == crate::capture2::MAGIC2 {
-        crate::capture2::read_capture2_parallel(&bytes, crate::capture2::threads_from_env())
-    } else {
-        read_capture(&*bytes)
+    let mut cursor = match ChunkCursor::new(&bytes) {
+        Ok(cursor) => cursor.with_threads(threads_from_env()),
+        Err(CaptureError::BadMagic(_)) => return read_capture(&*bytes),
+        Err(e) => return Err(e),
+    };
+    let mut log = TraceLog::new(cursor.nodes().to_vec());
+    // The index counts are unchecked, but no record is smaller than a byte.
+    let total = usize::try_from(cursor.total_records()).unwrap_or(usize::MAX);
+    log.records.reserve(total.min(bytes.len()));
+    let mut chunk = Vec::new();
+    while cursor.next_chunk(&mut chunk)? {
+        log.records.extend_from_slice(&chunk);
     }
+    Ok(log)
 }
 
 /// Decodes one flat-format record, enforcing time order against `prev` —
-/// shared by [`read_capture`] and the dual-format chunk iterator in
-/// [`crate::capture2`].
+/// the `FGBDCAP1` half of [`CaptureChunks`].
 pub(crate) fn read_record_v1<R: Read>(r: &mut R, prev: SimTime) -> Result<MsgRecord, CaptureError> {
     let at = SimTime::from_micros(read_u64(r)?);
     if at < prev {
@@ -288,91 +256,10 @@ pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64, CaptureError> {
 mod tests {
     use super::*;
 
-    fn demo_log() -> TraceLog {
-        let mut log = TraceLog::new(vec![
-            NodeMeta {
-                id: NodeId(0),
-                name: "clients".into(),
-                kind: NodeKind::Client,
-                tier: None,
-            },
-            NodeMeta {
-                id: NodeId(1),
-                name: "web-1".into(),
-                kind: NodeKind::Server,
-                tier: Some(0),
-            },
-        ]);
-        for i in 0..100u64 {
-            log.push(MsgRecord {
-                at: SimTime::from_micros(i * 10),
-                src: NodeId(0),
-                dst: NodeId(1),
-                kind: MsgKind::Request,
-                conn: ConnId(i as u32),
-                class: ClassId((i % 7) as u16),
-                bytes: 100 + i as u32,
-                truth: if i % 3 == 0 { Some(TxnId(i)) } else { None },
-            });
-        }
-        log
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let log = demo_log();
-        let mut buf = Vec::new();
-        write_capture(&mut buf, &log).expect("write");
-        let back = read_capture(buf.as_slice()).expect("read");
-        assert_eq!(back.nodes, log.nodes);
-        assert_eq!(back.records, log.records);
-    }
-
     #[test]
     fn foreign_input_is_rejected() {
         let err = read_capture(&b"NOTACAP0rest"[..]).unwrap_err();
         assert!(matches!(err, CaptureError::BadMagic(_)));
         assert!(err.to_string().contains("not a capture file"));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let log = demo_log();
-        let mut buf = Vec::new();
-        write_capture(&mut buf, &log).expect("write");
-        for cut in [4usize, 12, 20, buf.len() - 3] {
-            let err = read_capture(&buf[..cut]).unwrap_err();
-            assert!(
-                matches!(err, CaptureError::Malformed(_)),
-                "cut at {cut} gave {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_kind_is_detected() {
-        let log = demo_log();
-        let mut buf = Vec::new();
-        write_capture(&mut buf, &log).expect("write");
-        // Find the first record's kind byte: header is 8 magic + 4 count +
-        // 2 nodes of (2+1+1+2+name). Compute instead of hardcoding.
-        let node_bytes: usize = log.nodes.iter().map(|n| 2 + 1 + 1 + 2 + n.name.len()).sum();
-        let kind_off = 8 + 4 + node_bytes + 8 + 8 + 2 + 2;
-        buf[kind_off] = 9;
-        let err = read_capture(buf.as_slice()).unwrap_err();
-        assert!(matches!(
-            err,
-            CaptureError::Malformed("unknown message kind")
-        ));
-    }
-
-    #[test]
-    fn empty_log_roundtrips() {
-        let log = TraceLog::new(vec![]);
-        let mut buf = Vec::new();
-        write_capture(&mut buf, &log).expect("write");
-        let back = read_capture(buf.as_slice()).expect("read");
-        assert!(back.nodes.is_empty());
-        assert!(back.records.is_empty());
     }
 }

@@ -36,13 +36,15 @@
 //!                magic [u8;8] = b"FGBDIDX2"
 //! ```
 //!
-//! The footer index is what buys random access: a reader maps (or reads)
-//! the file, jumps to the last 16 bytes, finds the index, and can then
-//! decode the chunks in any order — fanned out across threads
-//! ([`read_capture2_parallel`]) or lazily, one at a time
-//! ([`ChunkCursor`]). Chunks validate independently (checksum +
-//! internal ordering), so corruption is reported per chunk
-//! ([`CaptureError::Chunk`]) instead of as a file-sized shrug.
+//! Every read takes one chunk step — parse and validate the header, verify
+//! the checksum, decode under a [`Projection`] — under one of two walkers:
+//! [`ChunkCursor`] over a capture in memory (mmap or heap), which finds the
+//! chunks through the footer index (the last 16 bytes point at it) and can
+//! decode ahead across threads, and [`CaptureChunks`] over a stream (a
+//! FIFO, a `--follow` tail, an `FGBDCAP1` import), which reads chunk after
+//! chunk and checks their order. Chunks validate independently, so
+//! corruption is reported per chunk ([`CaptureError::Chunk`]) instead of
+//! as a file-sized shrug.
 //!
 //! Writers stream through [`ChunkedWriter`]: memory is bounded by one
 //! chunk (default 64 Ki records) regardless of capture size, which is what
@@ -51,7 +53,6 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fgbd_des::SimTime;
 
@@ -72,6 +73,9 @@ const TAG_CHUNK: u8 = 0x01;
 const CHUNK_HEADER_LEN: usize = 1 + 4 + 8 + 8 + 4 + 8;
 /// index_offset + INDEX_MAGIC.
 const TRAILER_LEN: usize = 8 + 8;
+/// Most payload a stream read reserves before the bytes arrive (a default
+/// chunk's payload is ~0.8 MB); past it the buffer grows as they do.
+const PAYLOAD_RESERVE: usize = 1 << 20;
 const NO_TRUTH: u64 = u64::MAX;
 
 /// Default records per chunk (64 Ki): big enough that per-chunk headers and
@@ -464,42 +468,71 @@ fn encode_chunk_payload(records: &[MsgRecord], min_at: u64) -> Vec<u8> {
     out
 }
 
-/// Decodes one chunk payload, appending its records to `out` (so sequential
-/// readers build the final log with zero stitch copies; `out` may hold
-/// partially-decoded records after an error). `index` is only for error
-/// attribution.
-fn decode_chunk_payload(
-    payload: &[u8],
-    index: u32,
+/// The fields of a chunk header that passed [`decode_chunk`]'s checks.
+#[derive(Debug, Clone, Copy)]
+struct ChunkHeader {
     record_count: u32,
     min_at: u64,
     max_at: u64,
-    out: &mut Vec<MsgRecord>,
-) -> Result<(), CaptureError> {
-    decode_chunk_projected(
-        payload,
-        index,
-        record_count,
-        min_at,
-        max_at,
-        Projection::ALL,
-        out,
-    )
+    byte_len: usize,
 }
 
-/// [`decode_chunk_payload`] with column projection: skipped columns are
-/// walked (and still covered by the already-verified checksum) but never
-/// materialized, leaving their record fields at the defaults.
-fn decode_chunk_projected(
-    payload: &[u8],
+/// The one chunk step under both walkers. Parses and validates the 33-byte
+/// header `head` (the walker has matched its tag), hands the header to
+/// `payload` — which applies the walker's own check (chunk order on a
+/// stream, agreement with the footer index in memory) and returns at most
+/// `byte_len` payload bytes — verifies the checksum and decodes under
+/// `proj`, appending to `out` (which may hold part of the chunk after an
+/// error).
+///
+/// The header sits outside the checksum, so nothing it claims sizes an
+/// allocation: every record costs at least one timestamp byte, a header
+/// promising more records than payload bytes is rejected, and the records
+/// are reserved only once their payload is in hand.
+fn decode_chunk<'p>(
+    head: &[u8; CHUNK_HEADER_LEN],
     index: u32,
-    record_count: u32,
-    min_at: u64,
-    max_at: u64,
+    payload: impl FnOnce(&ChunkHeader) -> Result<&'p [u8], CaptureError>,
     proj: Projection,
     out: &mut Vec<MsgRecord>,
 ) -> Result<(), CaptureError> {
-    let n = record_count as usize;
+    let bad = |what: &'static str| CaptureError::Chunk { index, what };
+    let u32_at = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().unwrap());
+    let h = ChunkHeader {
+        record_count: u32_at(1),
+        min_at: u64_at(5),
+        max_at: u64_at(13),
+        byte_len: u32_at(21) as usize,
+    };
+    if h.record_count == 0 || h.min_at > h.max_at {
+        return Err(bad("bad chunk header"));
+    }
+    if h.record_count as usize > h.byte_len {
+        return Err(bad("record count exceeds payload"));
+    }
+    let bytes = payload(&h)?;
+    if bytes.len() != h.byte_len {
+        return Err(bad("truncated chunk payload"));
+    }
+    if checksum64(bytes) != u64_at(25) {
+        return Err(bad("checksum mismatch"));
+    }
+    decode_payload(bytes, index, &h, proj, out)
+}
+
+/// Decodes a checksummed chunk payload under `proj`: skipped columns are
+/// walked but never materialized, leaving their record fields at the
+/// defaults. `index` is only for error attribution.
+fn decode_payload(
+    payload: &[u8],
+    index: u32,
+    h: &ChunkHeader,
+    proj: Projection,
+    out: &mut Vec<MsgRecord>,
+) -> Result<(), CaptureError> {
+    let n = h.record_count as usize;
+    let (min_at, max_at) = (h.min_at, h.max_at);
     let mut r = PayloadReader {
         buf: payload,
         pos: 0,
@@ -643,7 +676,7 @@ fn decode_chunk_projected(
 
 // --- writer -----------------------------------------------------------------
 
-/// One footer-index entry; also the unit the parallel readers fan out over.
+/// One footer-index entry: where a chunk starts and what its header says.
 #[derive(Debug, Clone, Copy)]
 struct ChunkInfo {
     offset: u64,
@@ -774,8 +807,7 @@ impl<W: Write> ChunkedWriter<W> {
     }
 }
 
-/// Writes `log` in `FGBDCAP2` form — the chunked counterpart of
-/// [`crate::capture::write_capture`].
+/// Writes a whole `log` in `FGBDCAP2` form through a [`ChunkedWriter`].
 ///
 /// # Errors
 ///
@@ -790,108 +822,10 @@ pub fn write_capture2<W: Write>(w: W, log: &TraceLog) -> Result<(), CaptureError
     Ok(())
 }
 
-// --- sequential (streaming) reader -------------------------------------------
+// --- in-memory walker (heap buffer or mmap) ----------------------------------
 
-/// Reads one chunk header + payload from a byte stream, appending the
-/// decoded records to `out`; `false` means the footer tag was hit (its
-/// body has NOT been consumed) and nothing was appended.
-fn read_stream_chunk<R: Read>(
-    r: &mut R,
-    index: u32,
-    prev_max: &mut u64,
-    out: &mut Vec<MsgRecord>,
-) -> Result<bool, CaptureError> {
-    match read_u8(r)? {
-        TAG_INDEX => return Ok(false),
-        TAG_CHUNK => {}
-        _ => return Err(CaptureError::Malformed("unknown block tag")),
-    }
-    let record_count = read_u32(r)?;
-    let min_at = read_u64(r)?;
-    let max_at = read_u64(r)?;
-    let byte_len = read_u32(r)? as usize;
-    let checksum = read_u64(r)?;
-    if record_count == 0 || min_at > max_at {
-        return Err(CaptureError::Chunk {
-            index,
-            what: "bad chunk header",
-        });
-    }
-    if index > 0 && min_at < *prev_max {
-        return Err(CaptureError::Chunk {
-            index,
-            what: "chunk out of order",
-        });
-    }
-    *prev_max = max_at;
-    let mut payload = vec![0u8; byte_len];
-    r.read_exact(&mut payload)
-        .map_err(|_| CaptureError::Chunk {
-            index,
-            what: "truncated chunk payload",
-        })?;
-    if checksum64(&payload) != checksum {
-        return Err(CaptureError::Chunk {
-            index,
-            what: "checksum mismatch",
-        });
-    }
-    decode_chunk_payload(&payload, index, record_count, min_at, max_at, out)?;
-    Ok(true)
-}
-
-/// Consumes and validates the footer body (the tag byte has already been
-/// read) against the number of chunks actually decoded.
-fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), CaptureError> {
-    let n_chunks = read_u32(r)?;
-    if n_chunks != chunks_seen {
-        return Err(CaptureError::Malformed("chunk index count mismatch"));
-    }
-    for _ in 0..n_chunks {
-        read_u64(r)?;
-        read_u32(r)?;
-        read_u64(r)?;
-        read_u64(r)?;
-    }
-    read_u64(r)?; // index_offset — only the random-access path needs it
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != INDEX_MAGIC {
-        return Err(CaptureError::Malformed("bad index magic"));
-    }
-    Ok(())
-}
-
-/// Sequential `FGBDCAP2` reader for streams: decodes chunk by chunk in
-/// capture order. Called by [`crate::capture::read_capture`] once it has
-/// sniffed [`MAGIC2`] (so `r` is positioned just past the magic).
-///
-/// # Errors
-///
-/// Returns [`CaptureError::Chunk`] naming the failing chunk for per-chunk
-/// damage and [`CaptureError::Malformed`] for structural damage (missing
-/// footer, truncation between chunks).
-pub(crate) fn read_capture2_after_magic<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
-    let nodes = read_node_table(&mut r)?;
-    let mut log = TraceLog::new(nodes);
-    let mut chunk = 0u32;
-    let mut prev_max = 0u64;
-    while read_stream_chunk(&mut r, chunk, &mut prev_max, &mut log.records)? {
-        chunk += 1;
-    }
-    read_stream_footer(&mut r, chunk)?;
-    Ok(log)
-}
-
-// --- random-access readers (slice-based: fs::read or mmap both fit) ----------
-
-/// The parsed skeleton of an in-memory capture: node table + chunk index.
-struct CaptureIndex {
-    nodes: Vec<NodeMeta>,
-    chunks: Vec<ChunkInfo>,
-}
-
-fn parse_index(bytes: &[u8]) -> Result<CaptureIndex, CaptureError> {
+/// Parses an in-memory capture's skeleton: its node table and footer index.
+fn parse_index(bytes: &[u8]) -> Result<(Vec<NodeMeta>, Vec<ChunkInfo>), CaptureError> {
     if bytes.len() < 8 {
         return Err(CaptureError::Malformed("truncated input"));
     }
@@ -939,22 +873,13 @@ fn parse_index(bytes: &[u8]) -> Result<CaptureIndex, CaptureError> {
         prev_max = c.max_at;
         chunks.push(c);
     }
-    Ok(CaptureIndex { nodes, chunks })
+    Ok((nodes, chunks))
 }
 
-/// Decodes the chunk `info` describes directly from the capture slice into
-/// `out`, verifying its header against the index entry and its checksum.
-fn decode_indexed_chunk(
-    bytes: &[u8],
-    index: u32,
-    info: ChunkInfo,
-    out: &mut Vec<MsgRecord>,
-) -> Result<(), CaptureError> {
-    decode_indexed_chunk_projected(bytes, index, info, Projection::ALL, out)
-}
-
-/// [`decode_indexed_chunk`] with column projection.
-fn decode_indexed_chunk_projected(
+/// The in-memory walker's chunk read: a chunk must start where its index
+/// entry says and its header must agree with that entry; the rest is the
+/// shared [`decode_chunk`] step.
+fn decode_indexed(
     bytes: &[u8],
     index: u32,
     info: ChunkInfo,
@@ -962,39 +887,27 @@ fn decode_indexed_chunk_projected(
     out: &mut Vec<MsgRecord>,
 ) -> Result<(), CaptureError> {
     let bad = |what: &'static str| CaptureError::Chunk { index, what };
-    let start = info.offset as usize;
-    let header = bytes
-        .get(start..start + CHUNK_HEADER_LEN)
+    let (head, rest) = bytes
+        .get(info.offset as usize..)
+        .and_then(<[u8]>::split_first_chunk)
+        .filter(|(head, _)| head[0] == TAG_CHUNK)
         .ok_or(bad("chunk offset out of range"))?;
-    if header[0] != TAG_CHUNK {
-        return Err(bad("chunk offset out of range"));
-    }
-    let record_count = u32::from_le_bytes(header[1..5].try_into().unwrap());
-    let min_at = u64::from_le_bytes(header[5..13].try_into().unwrap());
-    let max_at = u64::from_le_bytes(header[13..21].try_into().unwrap());
-    let byte_len = u32::from_le_bytes(header[21..25].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(header[25..33].try_into().unwrap());
-    if record_count != info.record_count || min_at != info.min_at || max_at != info.max_at {
-        return Err(bad("header disagrees with index"));
-    }
-    let payload = bytes
-        .get(start + CHUNK_HEADER_LEN..start + CHUNK_HEADER_LEN + byte_len)
-        .ok_or(bad("truncated chunk payload"))?;
-    if checksum64(payload) != checksum {
-        return Err(bad("checksum mismatch"));
-    }
-    decode_chunk_projected(payload, index, record_count, min_at, max_at, proj, out)
+    let payload = |h: &ChunkHeader| {
+        if (h.record_count, h.min_at, h.max_at) != (info.record_count, info.min_at, info.max_at) {
+            return Err(bad("header disagrees with index"));
+        }
+        Ok(rest.get(..h.byte_len).unwrap_or(rest))
+    };
+    decode_chunk(head, index, payload, proj, out)
 }
 
 /// Effective decode parallelism on a host with `host_cores` usable cores.
 ///
-/// Below two cores the workers cannot overlap: the parallel path's thread
-/// spawns and per-chunk reassembly copies are pure overhead on top of a
-/// serialized decode, which showed up as `chunked_read_*_t4` benching
-/// *slower* than `_t1` on a single-core box. Fall back to the in-place
-/// sequential decode there (the same reasoning as the streaming tap's zero
-/// spin budget on single-core hosts); the decoded bytes are identical
-/// either way.
+/// Below two cores the workers cannot overlap: decode-ahead's thread
+/// spawns are pure overhead on top of a serialized decode, so a
+/// single-core host keeps the in-place sequential decode (the same
+/// reasoning as the streaming tap's zero spin budget on single-core
+/// hosts); the decoded bytes are identical either way.
 fn effective_decode_threads(requested: usize, host_cores: usize) -> usize {
     if host_cores < 2 {
         1
@@ -1003,103 +916,8 @@ fn effective_decode_threads(requested: usize, host_cores: usize) -> usize {
     }
 }
 
-/// Fans chunk decoding out over the selected chunks and appends the results
-/// to `out` in chunk order — deterministic at any thread count. The
-/// single-thread path decodes straight into `out` (no per-chunk buffers or
-/// stitch copies); the parallel path pays one copy per chunk to reassemble.
-/// Hosts with fewer than two cores always take the sequential path (see
-/// [`effective_decode_threads`]).
-fn decode_chunks_parallel(
-    bytes: &[u8],
-    selected: &[(u32, ChunkInfo)],
-    threads: usize,
-    out: &mut Vec<MsgRecord>,
-) -> Result<(), CaptureError> {
-    out.reserve(selected.iter().map(|(_, c)| c.record_count as usize).sum());
-    let host = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let threads = effective_decode_threads(threads, host).clamp(1, selected.len().max(1));
-    if threads <= 1 || selected.len() <= 1 {
-        for &(i, info) in selected {
-            decode_indexed_chunk(bytes, i, info, out)?;
-        }
-        return Ok(());
-    }
-    let mut slots = decode_slots(bytes, selected, threads, Projection::ALL);
-    for slot in slots.drain(..) {
-        out.extend(slot.expect("every chunk slot claimed")?);
-    }
-    Ok(())
-}
-
-/// Work-stealing fan-out over `selected`: each worker claims the next
-/// un-decoded chunk and records (slot, result); the returned vector is
-/// ordered by slot, so thread scheduling never reorders output. Shared by
-/// the batch reader (which flattens the slots into one record vector) and
-/// the [`ChunkCursor`] decode-ahead path (which queues them chunk-wise).
-fn decode_slots(
-    bytes: &[u8],
-    selected: &[(u32, ChunkInfo)],
-    threads: usize,
-    proj: Projection,
-) -> Vec<Option<Result<Vec<MsgRecord>, CaptureError>>> {
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<Vec<MsgRecord>, CaptureError>>> =
-        (0..selected.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, info)) = selected.get(slot) else {
-                            return mine;
-                        };
-                        let mut buf = Vec::new();
-                        let result = decode_indexed_chunk_projected(bytes, i, info, proj, &mut buf);
-                        mine.push((slot, result.map(|()| buf)));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (slot, result) in h.join().expect("chunk decode worker panicked") {
-                slots[slot] = Some(result);
-            }
-        }
-    });
-    slots
-}
-
-/// Reads an in-memory `FGBDCAP2` capture, decoding chunks across `threads`
-/// worker threads. Accepts any `&[u8]` — `fs::read` output today, a memory
-/// map when one is available — and produces a [`TraceLog`] identical to the
-/// sequential reader's at every thread count.
-///
-/// # Errors
-///
-/// Returns [`CaptureError::BadMagic`] for foreign inputs,
-/// [`CaptureError::Malformed`] for structural damage (lost footer,
-/// truncation), and [`CaptureError::Chunk`] naming the failing chunk.
-pub fn read_capture2_parallel(bytes: &[u8], threads: usize) -> Result<TraceLog, CaptureError> {
-    let idx = parse_index(bytes)?;
-    let selected: Vec<(u32, ChunkInfo)> = idx
-        .chunks
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (i as u32, c))
-        .collect();
-    let mut log = TraceLog::new(idx.nodes);
-    decode_chunks_parallel(bytes, &selected, threads, &mut log.records)?;
-    Ok(log)
-}
-
-// --- lazy chunk cursor -------------------------------------------------------
-
-/// Lazy, zero-copy cursor over an in-memory `FGBDCAP2` capture.
+/// Lazy, zero-copy cursor over an in-memory `FGBDCAP2` capture — the
+/// in-memory walker.
 ///
 /// Borrows the capture bytes (a heap buffer or an [`mmapio::Mapping`]
 /// dereference — see `crate::mmapio`), parses only the footer index up
@@ -1111,16 +929,16 @@ pub fn read_capture2_parallel(bytes: &[u8], threads: usize) -> Result<TraceLog, 
 /// skipped columns are walked but never materialized; the per-chunk
 /// checksum still covers them, so corruption attribution is unaffected.
 ///
-/// Decode order is always chunk order — with `threads > 1` a work-stealing
-/// batch decodes ahead and results are re-queued by slot, so output is
-/// deterministic at any thread count, same as [`read_capture2_parallel`].
+/// Decode order is always chunk order — with `threads > 1` a batch of
+/// chunks is decoded ahead, one thread each, and queued in chunk order, so
+/// output is deterministic at any thread count.
 pub struct ChunkCursor<'a> {
     bytes: &'a [u8],
     nodes: Vec<NodeMeta>,
-    selected: Vec<(u32, ChunkInfo)>,
-    /// Next selected chunk to *decode* (may run ahead of `yielded`).
+    chunks: Vec<ChunkInfo>,
+    /// Next chunk to *decode* (may run ahead of `yielded`).
     next: usize,
-    /// Selected chunks already handed to the caller.
+    /// Chunks already handed to the caller.
     yielded: usize,
     projection: Projection,
     threads: usize,
@@ -1136,21 +954,15 @@ impl<'a> ChunkCursor<'a> {
     /// # Errors
     ///
     /// Returns [`CaptureError::BadMagic`] for foreign inputs (including
-    /// `FGBDCAP1` — the cursor is `FGBDCAP2`-only; batch-read flat
-    /// captures instead) and [`CaptureError::Malformed`] for a damaged
-    /// header or footer.
+    /// `FGBDCAP1` — the cursor is `FGBDCAP2`-only; stream flat captures
+    /// through [`CaptureChunks`] instead) and [`CaptureError::Malformed`]
+    /// for a damaged header or footer.
     pub fn new(bytes: &'a [u8]) -> Result<Self, CaptureError> {
-        let idx = parse_index(bytes)?;
-        let selected = idx
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u32, c))
-            .collect();
+        let (nodes, chunks) = parse_index(bytes)?;
         Ok(ChunkCursor {
             bytes,
-            nodes: idx.nodes,
-            selected,
+            nodes,
+            chunks,
             next: 0,
             yielded: 0,
             projection: Projection::ALL,
@@ -1165,10 +977,10 @@ impl<'a> ChunkCursor<'a> {
         self
     }
 
-    /// Decodes up to `threads` chunks ahead with the work-stealing
-    /// fan-out; results are still yielded in chunk order. Values below 2
-    /// (and any value on a <2-core host — see [`effective_decode_threads`])
-    /// keep the sequential in-place path.
+    /// Decodes up to `threads` chunks ahead, one thread each; results are
+    /// still yielded in chunk order. Values below 2 (and any value on a
+    /// <2-core host — see [`effective_decode_threads`]) keep the sequential
+    /// in-place path.
     pub fn with_threads(mut self, threads: usize) -> Self {
         let host = std::thread::available_parallelism()
             .map(usize::from)
@@ -1190,18 +1002,13 @@ impl<'a> ChunkCursor<'a> {
 
     /// Total records in the capture, from the footer index alone.
     pub fn total_records(&self) -> u64 {
-        self.selected
-            .iter()
-            .map(|(_, c)| u64::from(c.record_count))
-            .sum()
+        self.chunks.iter().map(|c| u64::from(c.record_count)).sum()
     }
 
     /// `(first, last)` record timestamps of the capture, in microsecond
     /// capture time; `None` for an empty capture.
     pub fn time_bounds(&self) -> Option<(u64, u64)> {
-        let first = self.selected.first()?.1.min_at;
-        let last = self.selected.last()?.1.max_at;
-        Some((first, last))
+        Some((self.chunks.first()?.min_at, self.chunks.last()?.max_at))
     }
 
     /// Byte offset before which the cursor will never read again: the
@@ -1209,8 +1016,8 @@ impl<'a> ChunkCursor<'a> {
     /// walk is done. Feed this to [`mmapio::Mapping::release_until`] to
     /// keep resident memory flat while scanning a mapped capture.
     pub fn consumed_bytes(&self) -> usize {
-        match self.selected.get(self.yielded) {
-            Some(&(_, info)) => info.offset as usize,
+        match self.chunks.get(self.yielded) {
+            Some(info) => info.offset as usize,
             None => self.bytes.len(),
         }
     }
@@ -1220,17 +1027,22 @@ impl<'a> ChunkCursor<'a> {
     ///
     /// # Errors
     ///
-    /// [`CaptureError::Chunk`] naming the failing chunk, exactly as the
-    /// batch readers attribute it; the cursor then resumes with the next
-    /// chunk if polled again.
+    /// [`CaptureError::Chunk`] naming the failing chunk; the cursor then
+    /// resumes with the next chunk if polled again.
     pub fn next_chunk(&mut self, out: &mut Vec<MsgRecord>) -> Result<bool, CaptureError> {
         out.clear();
-        if self.ahead.is_empty() && self.next < self.selected.len() {
+        if self.ahead.is_empty() && self.next < self.chunks.len() {
             if self.threads <= 1 {
-                let (i, info) = self.selected[self.next];
+                let index = self.next;
                 self.next += 1;
                 self.yielded += 1;
-                decode_indexed_chunk_projected(self.bytes, i, info, self.projection, out)?;
+                decode_indexed(
+                    self.bytes,
+                    index as u32,
+                    self.chunks[index],
+                    self.projection,
+                    out,
+                )?;
                 return Ok(true);
             }
             self.decode_ahead();
@@ -1245,17 +1057,27 @@ impl<'a> ChunkCursor<'a> {
         }
     }
 
-    /// Decodes the next batch of (at most `threads`) chunks in parallel
-    /// into the `ahead` queue, preserving chunk order.
+    /// Decodes the next (at most `threads`) chunks on one scoped thread
+    /// each and queues the results in chunk order.
     fn decode_ahead(&mut self) {
-        let end = (self.next + self.threads).min(self.selected.len());
-        let batch = &self.selected[self.next..end];
-        let workers = self.threads.min(batch.len()).max(1);
-        let mut slots = decode_slots(self.bytes, batch, workers, self.projection);
-        for slot in slots.drain(..) {
-            self.ahead
-                .push_back(slot.expect("every chunk slot claimed"));
-        }
+        let end = (self.next + self.threads).min(self.chunks.len());
+        let (bytes, proj) = (self.bytes, self.projection);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (self.next..end)
+                .map(|index| {
+                    let info = self.chunks[index];
+                    s.spawn(move || {
+                        let mut records = Vec::new();
+                        decode_indexed(bytes, index as u32, info, proj, &mut records)
+                            .map(|()| records)
+                    })
+                })
+                .collect();
+            for w in workers {
+                let decoded = w.join().expect("chunk decode worker panicked");
+                self.ahead.push_back(decoded);
+            }
+        });
         self.next = end;
     }
 }
@@ -1264,7 +1086,7 @@ impl std::fmt::Debug for ChunkCursor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkCursor")
             .field("capture_bytes", &self.bytes.len())
-            .field("chunks", &self.selected.len())
+            .field("chunks", &self.chunks.len())
             .field("yielded", &self.yielded)
             .field("projection", &self.projection)
             .field("threads", &self.threads)
@@ -1272,17 +1094,43 @@ impl std::fmt::Debug for ChunkCursor<'_> {
     }
 }
 
-// --- dual-format chunk iterator ----------------------------------------------
+// --- stream walker (either format) --------------------------------------------
 
-/// Streams a capture of either format as chunks of records, so consumers
-/// (e.g. `compare_captures --raw`) can diff or scan multi-GB captures in
-/// flat memory. `FGBDCAP2` yields its native chunks; `FGBDCAP1` is re-cut
-/// into [`DEFAULT_CHUNK_RECORDS`]-sized chunks on the fly.
+/// Consumes and validates the footer body (the tag byte has already been
+/// read) against the number of chunks actually decoded.
+fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), CaptureError> {
+    let n_chunks = read_u32(r)?;
+    if n_chunks != chunks_seen {
+        return Err(CaptureError::Malformed("chunk index count mismatch"));
+    }
+    for _ in 0..n_chunks {
+        read_u64(r)?;
+        read_u32(r)?;
+        read_u64(r)?;
+        read_u64(r)?;
+    }
+    read_u64(r)?; // index_offset — only the in-memory walker needs it
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic != INDEX_MAGIC {
+        return Err(CaptureError::Malformed("bad index magic"));
+    }
+    Ok(())
+}
+
+/// Streams a capture of either format as chunks of records — the stream
+/// walker, under `read_capture`, `analyze_capture --follow` and FIFO input,
+/// `compare_captures --raw`, and every `FGBDCAP1` import — in flat memory.
+/// `FGBDCAP2` yields its native chunks, each checked to start no earlier
+/// than the one before ended; `FGBDCAP1` is re-cut into
+/// [`DEFAULT_CHUNK_RECORDS`]-sized chunks on the fly.
 pub struct CaptureChunks<R: Read> {
     r: R,
     nodes: Vec<NodeMeta>,
     format: u8,
     state: ChunksState,
+    /// `FGBDCAP2` payload buffer, reused from chunk to chunk.
+    payload: Vec<u8>,
 }
 
 enum ChunksState {
@@ -1328,6 +1176,7 @@ impl<R: Read> CaptureChunks<R> {
             nodes,
             format,
             state,
+            payload: Vec::new(),
         })
     }
 
@@ -1342,11 +1191,16 @@ impl<R: Read> CaptureChunks<R> {
         self.format
     }
 
+    /// The next `FGBDCAP1` chunk of at most [`DEFAULT_CHUNK_RECORDS`]
+    /// records; `None` once `remaining` is zero.
     fn next_flat(
         &mut self,
         remaining: u64,
         mut prev: SimTime,
-    ) -> Result<Vec<MsgRecord>, CaptureError> {
+    ) -> Result<Option<Vec<MsgRecord>>, CaptureError> {
+        if remaining == 0 {
+            return Ok(None);
+        }
         let take = remaining.min(DEFAULT_CHUNK_RECORDS as u64);
         let mut out = Vec::with_capacity(take as usize);
         for _ in 0..take {
@@ -1354,15 +1208,56 @@ impl<R: Read> CaptureChunks<R> {
             prev = rec.at;
             out.push(rec);
         }
-        self.state = if remaining == take {
-            ChunksState::Done
-        } else {
-            ChunksState::Flat {
-                remaining: remaining - take,
-                prev,
-            }
+        self.state = ChunksState::Flat {
+            remaining: remaining - take,
+            prev,
         };
-        Ok(out)
+        Ok(Some(out))
+    }
+
+    /// The next `FGBDCAP2` chunk through the shared [`decode_chunk`] step;
+    /// `None` once the footer is read and agrees with the chunks seen.
+    fn next_chunked(
+        &mut self,
+        index: u32,
+        prev_max: u64,
+    ) -> Result<Option<Vec<MsgRecord>>, CaptureError> {
+        let mut head = [0u8; CHUNK_HEADER_LEN];
+        self.r.read_exact(&mut head[..1])?;
+        match head[0] {
+            TAG_INDEX => return read_stream_footer(&mut self.r, index).map(|()| None),
+            TAG_CHUNK => self.r.read_exact(&mut head[1..])?,
+            _ => return Err(CaptureError::Malformed("unknown block tag")),
+        }
+        let (r, buf) = (&mut self.r, &mut self.payload);
+        let payload = move |h: &ChunkHeader| {
+            if index > 0 && h.min_at < prev_max {
+                return Err(CaptureError::Chunk {
+                    index,
+                    what: "chunk out of order",
+                });
+            }
+            // Moved out of the closure's state, so the slice returned
+            // below may outlive this call.
+            let buf = buf;
+            // Grown as the bytes arrive: the header is unchecked, so a
+            // claimed length reserves no more than `PAYLOAD_RESERVE`.
+            buf.clear();
+            buf.reserve(h.byte_len.min(PAYLOAD_RESERVE));
+            let read = r.take(h.byte_len as u64).read_to_end(buf);
+            read.map_err(|_| CaptureError::Chunk {
+                index,
+                what: "truncated chunk payload",
+            })?;
+            Ok(&buf[..])
+        };
+        let mut records = Vec::new();
+        decode_chunk(&head, index, payload, Projection::ALL, &mut records)?;
+        self.state = ChunksState::Chunked {
+            next: index + 1,
+            prev_max: records.last().map_or(prev_max, |r| r.at.as_micros()),
+        };
+        Ok(Some(records))
     }
 }
 
@@ -1370,46 +1265,15 @@ impl<R: Read> Iterator for CaptureChunks<R> {
     type Item = Result<Vec<MsgRecord>, CaptureError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.state {
-            ChunksState::Done => None,
-            ChunksState::Flat { remaining, prev } => {
-                if remaining == 0 {
-                    self.state = ChunksState::Done;
-                    return None;
-                }
-                Some(self.next_flat(remaining, prev).inspect_err(|_| {
-                    self.state = ChunksState::Done;
-                }))
-            }
-            ChunksState::Chunked { next, mut prev_max } => {
-                let mut records = Vec::new();
-                let step = read_stream_chunk(&mut self.r, next, &mut prev_max, &mut records)
-                    .and_then(|got_chunk| {
-                        if got_chunk {
-                            Ok(true)
-                        } else {
-                            read_stream_footer(&mut self.r, next).map(|()| false)
-                        }
-                    });
-                match step {
-                    Ok(true) => {
-                        self.state = ChunksState::Chunked {
-                            next: next + 1,
-                            prev_max,
-                        };
-                        Some(Ok(records))
-                    }
-                    Ok(false) => {
-                        self.state = ChunksState::Done;
-                        None
-                    }
-                    Err(e) => {
-                        self.state = ChunksState::Done;
-                        Some(Err(e))
-                    }
-                }
-            }
+        let step = match self.state {
+            ChunksState::Done => return None,
+            ChunksState::Flat { remaining, prev } => self.next_flat(remaining, prev),
+            ChunksState::Chunked { next, prev_max } => self.next_chunked(next, prev_max),
+        };
+        if !matches!(step, Ok(Some(_))) {
+            self.state = ChunksState::Done;
         }
+        step.transpose()
     }
 }
 
@@ -1474,9 +1338,8 @@ mod tests {
         assert_eq!(seq.nodes, log.nodes);
         assert_eq!(seq.records, log.records);
         for threads in [1, 2, 4, 7] {
-            let par = read_capture2_parallel(&bytes, threads).unwrap();
-            assert_eq!(par.nodes, log.nodes);
-            assert_eq!(par.records, log.records);
+            let cur = ChunkCursor::new(&bytes).unwrap().with_threads(threads);
+            assert_eq!(drain_cursor(cur), log.records);
         }
     }
 
@@ -1497,10 +1360,7 @@ mod tests {
     fn empty_capture_round_trips() {
         let log = TraceLog::new(nodes());
         let bytes = encode(&log, 8);
-        assert!(read_capture2_parallel(&bytes, 4)
-            .unwrap()
-            .records
-            .is_empty());
+        assert!(drain_cursor(ChunkCursor::new(&bytes).unwrap().with_threads(4)).is_empty());
         let seq = crate::capture::read_capture(bytes.as_slice()).unwrap();
         assert_eq!(seq.nodes, log.nodes);
         assert!(seq.records.is_empty());
@@ -1512,16 +1372,19 @@ mod tests {
         let mut bytes = encode(&log, 100);
         // Flip a byte inside the second chunk's payload: find it via the
         // index the reader itself uses.
-        let idx = parse_index(&bytes).unwrap();
-        let victim = idx.chunks[1].offset as usize + CHUNK_HEADER_LEN + 3;
+        let (_, chunks) = parse_index(&bytes).unwrap();
+        let victim = chunks[1].offset as usize + CHUNK_HEADER_LEN + 3;
         bytes[victim] ^= 0xFF;
-        match read_capture2_parallel(&bytes, 2) {
+        let mut cur = ChunkCursor::new(&bytes).unwrap().with_threads(2);
+        let mut buf = Vec::new();
+        assert!(cur.next_chunk(&mut buf).unwrap());
+        match cur.next_chunk(&mut buf) {
             Err(CaptureError::Chunk { index: 1, what }) => {
                 assert_eq!(what, "checksum mismatch");
             }
             other => panic!("expected chunk-1 checksum error, got {other:?}"),
         }
-        // The sequential reader attributes it identically.
+        // The stream walker attributes it identically.
         match crate::capture::read_capture(bytes.as_slice()) {
             Err(CaptureError::Chunk { index: 1, .. }) => {}
             other => panic!("expected chunk-1 error, got {other:?}"),
@@ -1591,8 +1454,8 @@ mod tests {
     fn cursor_attributes_corruption_and_resumes() {
         let log = sample_log(300);
         let mut bytes = encode(&log, 100);
-        let idx = parse_index(&bytes).unwrap();
-        let victim = idx.chunks[1].offset as usize + CHUNK_HEADER_LEN + 3;
+        let (_, chunks) = parse_index(&bytes).unwrap();
+        let victim = chunks[1].offset as usize + CHUNK_HEADER_LEN + 3;
         bytes[victim] ^= 0xFF;
         // Projection does not weaken detection: the checksum covers the
         // whole payload, skipped columns included.
@@ -1644,31 +1507,17 @@ mod tests {
         // Losing the trailer costs random access...
         let cut = &bytes[..bytes.len() - TRAILER_LEN];
         assert!(matches!(
-            read_capture2_parallel(cut, 2),
+            ChunkCursor::new(cut),
             Err(CaptureError::Malformed("missing chunk index"))
         ));
-        // ...and mid-chunk truncation is named by the sequential reader.
-        let idx = parse_index(&bytes).unwrap();
-        let mid = idx.chunks[2].offset as usize + CHUNK_HEADER_LEN + 1;
+        // ...and mid-chunk truncation is named by the stream walker.
+        let (_, chunks) = parse_index(&bytes).unwrap();
+        let mid = chunks[2].offset as usize + CHUNK_HEADER_LEN + 1;
         match crate::capture::read_capture(&bytes[..mid]) {
             Err(CaptureError::Chunk { index: 2, what }) => {
                 assert_eq!(what, "truncated chunk payload");
             }
             other => panic!("expected chunk-2 truncation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chunk_iterator_reads_both_formats() {
-        let log = sample_log(200);
-        let v2 = encode(&log, 64);
-        let mut v1 = Vec::new();
-        crate::capture::write_capture(&mut v1, &log).unwrap();
-        for bytes in [v1, v2] {
-            let it = CaptureChunks::open(bytes.as_slice()).unwrap();
-            assert_eq!(it.nodes(), log.nodes.as_slice());
-            let records: Vec<MsgRecord> = it.flat_map(|c| c.unwrap()).collect();
-            assert_eq!(records, log.records);
         }
     }
 
@@ -1682,19 +1531,5 @@ mod tests {
             w.push(rec),
             Err(CaptureError::Malformed("records out of order"))
         ));
-    }
-
-    #[test]
-    fn chunked_is_smaller_than_flat() {
-        let log = sample_log(10_000);
-        let mut v1 = Vec::new();
-        crate::capture::write_capture(&mut v1, &log).unwrap();
-        let v2 = encode(&log, DEFAULT_CHUNK_RECORDS);
-        assert!(
-            (v2.len() as f64) <= 0.7 * (v1.len() as f64),
-            "chunked {} bytes vs flat {} bytes",
-            v2.len(),
-            v1.len()
-        );
     }
 }

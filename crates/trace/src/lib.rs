@@ -19,11 +19,12 @@
 //!   measures against simulator ground truth).
 //! * [`servicetime`] — per-class service-time approximation from low-load
 //!   capture windows (paper §III-B), feeding throughput normalization.
-//! * [`capture`] — a compact binary on-disk format for captures (the
-//!   reproduction's pcap analogue), plus time/node slicing.
+//! * [`capture`] / [`capture2`] — the on-disk capture format (the
+//!   reproduction's pcap analogue): one chunked writer and two chunk
+//!   walkers, [`ChunkCursor`] in memory and [`CaptureChunks`] on a stream.
 //! * [`mmapio`] — zero-copy capture input: a dependency-free `mmap` wrapper
-//!   (heap fallback elsewhere) whose `&[u8]` feeds the slice readers and the
-//!   lazy [`capture2::ChunkCursor`] without materializing the file.
+//!   (heap fallback elsewhere) whose `&[u8]` feeds the lazy
+//!   [`capture2::ChunkCursor`] without materializing the file.
 //!
 //! # Examples
 //!
@@ -57,10 +58,8 @@ pub mod servicetime;
 pub mod span;
 pub mod tail;
 
-pub use capture::{read_capture, read_capture_file, write_capture, CaptureError};
-pub use capture2::{
-    read_capture2_parallel, write_capture2, CaptureChunks, ChunkCursor, ChunkedWriter, Projection,
-};
+pub use capture::{read_capture, read_capture_file, CaptureError};
+pub use capture2::{write_capture2, CaptureChunks, ChunkCursor, ChunkedWriter, Projection};
 pub use mmapio::Mapping;
 pub use record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,

@@ -1,9 +1,10 @@
 //! Property-based tests for span extraction and black-box reconstruction.
 
 use fgbd_des::SimTime;
+use fgbd_oracle::capture::write_capture;
 use fgbd_oracle::reconstruct as reference;
-use fgbd_trace::capture::{read_capture, write_capture, CaptureError};
-use fgbd_trace::capture2::{read_capture2_parallel, ChunkCursor, ChunkedWriter};
+use fgbd_trace::capture::{read_capture, CaptureError};
+use fgbd_trace::capture2::{ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
 use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
@@ -173,12 +174,6 @@ fn nodes4() -> Vec<NodeMeta> {
     n
 }
 
-/// Builds a log of *interleaved* multi-tier transactions from random shape
-/// parameters: per txn `(calls, class, start, spacing)`, a web span issuing
-/// `calls` app calls (odd classes also fan out app→db), all overlapping in
-/// time and sharing small connection pools, then truncated at both ends —
-/// concurrency, FIFO conn reuse, orphan calls, and orphan responses in one
-/// generator.
 /// Encodes a log in the chunked columnar format (`FGBDCAP2`) with an
 /// explicit records-per-chunk bound, returning the raw bytes.
 fn chunked_bytes(log: &TraceLog, chunk_records: usize) -> Vec<u8> {
@@ -190,6 +185,24 @@ fn chunked_bytes(log: &TraceLog, chunk_records: usize) -> Vec<u8> {
     w.finish().expect("finish chunked capture")
 }
 
+/// A capture collected through the in-memory walker at `threads` decode
+/// width; the first chunk error ends it.
+fn cursor_log(bytes: &[u8], threads: usize) -> Result<TraceLog, CaptureError> {
+    let mut cursor = ChunkCursor::new(bytes)?.with_threads(threads);
+    let mut log = TraceLog::new(cursor.nodes().to_vec());
+    let mut chunk = Vec::new();
+    while cursor.next_chunk(&mut chunk)? {
+        log.records.extend_from_slice(&chunk);
+    }
+    Ok(log)
+}
+
+/// Builds a log of *interleaved* multi-tier transactions from random shape
+/// parameters: per txn `(calls, class, start, spacing)`, a web span issuing
+/// `calls` app calls (odd classes also fan out app→db), all overlapping in
+/// time and sharing small connection pools, then truncated at both ends —
+/// concurrency, FIFO conn reuse, orphan calls, and orphan responses in one
+/// generator.
 fn interleaved_log(shapes: &[(u8, u16, u64, u64)], drop_head: usize, drop_tail: usize) -> TraceLog {
     let mk = |at: u64, src: NodeId, dst: NodeId, kind: MsgKind, conn: u32, class: u16, txn: u64| {
         MsgRecord {
@@ -469,8 +482,9 @@ proptest! {
     }
 
     /// The chunked columnar format (`FGBDCAP2`) is bit-identical to the
-    /// flat reference path: decode(chunked(log)) == decode(flat(log)) for
-    /// every chunk size and thread count, and re-encoding the chunked
+    /// flat reference path: both walkers — the in-memory cursor at 1–4
+    /// decode threads and the stream walker — decode chunked(log) to
+    /// decode(flat(log)) at every chunk size, and re-encoding the cursor's
     /// decode as `FGBDCAP1` reproduces the flat bytes exactly.
     #[test]
     fn chunked_capture_matches_flat_roundtrip(
@@ -484,9 +498,9 @@ proptest! {
         let oracle = read_capture(flat.as_slice()).expect("read flat");
 
         let chunked = chunked_bytes(&log, chunk);
-        // The shared entry point sniffs the magic and decodes either format.
+        // The stream walker sniffs the magic and decodes either format.
         let seq = read_capture(chunked.as_slice()).expect("read chunked");
-        let par = read_capture2_parallel(&chunked, threads).expect("read chunked parallel");
+        let par = cursor_log(&chunked, threads).expect("read chunked through the cursor");
         prop_assert_eq!(&seq.nodes, &oracle.nodes);
         prop_assert_eq!(&seq.records, &oracle.records);
         prop_assert_eq!(&par.nodes, &oracle.nodes);
@@ -497,7 +511,7 @@ proptest! {
         prop_assert_eq!(again, flat);
     }
 
-    /// Any truncation of a chunked capture is rejected by both readers,
+    /// Any truncation of a chunked capture is rejected by both walkers,
     /// never silently mis-decoded.
     #[test]
     fn chunked_truncation_always_detected(
@@ -509,12 +523,12 @@ proptest! {
         let buf = chunked_bytes(&log, chunk);
         let cut = ((buf.len() - 1) as f64 * frac) as usize;
         prop_assert!(read_capture(&buf[..cut]).is_err());
-        prop_assert!(read_capture2_parallel(&buf[..cut], 2).is_err());
+        prop_assert!(cursor_log(&buf[..cut], 2).is_err());
     }
 
-    /// Any single-byte corruption in the chunk region is detected, and a
-    /// flip inside a chunk *payload* is attributed to exactly that chunk
-    /// by index — the per-chunk checksum contract.
+    /// A single-byte flip inside a chunk *payload* is attributed to exactly
+    /// that chunk by index by both walkers — the per-chunk checksum
+    /// contract.
     #[test]
     fn chunked_corruption_names_the_chunk(
         shapes in prop::collection::vec((0u8..4, 0u16..3, 0u64..200, 2u64..8), 2..8),
@@ -542,14 +556,15 @@ proptest! {
                 as usize;
         let flip = chunk_off + 33 + pick.1 % byte_len;
         buf[flip] ^= 0x5A;
-        match read_capture2_parallel(&buf, 2) {
-            Err(CaptureError::Chunk { index, .. }) => {
-                prop_assert_eq!(index as usize, victim);
+        for got in [cursor_log(&buf, 2), read_capture(buf.as_slice())] {
+            match got {
+                Err(CaptureError::Chunk { index, .. }) => {
+                    prop_assert_eq!(index as usize, victim);
+                }
+                Err(other) => prop_assert!(false, "expected chunk {} error, got {}", victim, other),
+                Ok(_) => prop_assert!(false, "payload corruption went undetected"),
             }
-            Err(other) => prop_assert!(false, "expected chunk {} error, got {}", victim, other),
-            Ok(_) => prop_assert!(false, "payload corruption went undetected"),
         }
-        prop_assert!(read_capture(buf.as_slice()).is_err());
     }
 
     /// The lazy chunk cursor is a pure restriction of the full decode:
