@@ -4,7 +4,8 @@
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
+use fgbd_oracle::reconstruct::Accuracy;
+use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::{MsgKind, SpanSet};
 
 fn quick_cfg(users: u32, jdk: Jdk, speedstep: bool, seed: u64) -> SystemConfig {
@@ -153,7 +154,7 @@ fn utilization_scales_with_workload() {
 #[test]
 fn reconstruction_accuracy_is_high_on_real_traffic() {
     let res = NTierSystem::run(quick_cfg(2_000, Jdk::Jdk16, false, 51));
-    let rec = Reconstruction::run(&res.log, Heuristic::LongestQuiescent);
+    let rec = Reconstruction::run(&res.log, Heuristic::ProfileGuided);
     let acc = Accuracy::evaluate(&rec);
     assert!(acc.edges > 10_000, "too few edges scored: {}", acc.edges);
     assert!(

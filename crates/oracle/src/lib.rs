@@ -15,7 +15,10 @@
 //! * [`span::extract`] — whole-log request/response pairing, for
 //!   `fgbd_trace::SpanPairer`.
 //! * [`reconstruct::run`] — `HashMap`-keyed transaction reconstruction, for
-//!   `fgbd_trace::reconstruct`.
+//!   `fgbd_trace::reconstruct`, with the baseline tie-breaks the product's
+//!   one rule was chosen over, [`reconstruct::approximate_window`] for the
+//!   windowed service-time fold, and [`reconstruct::Accuracy`], which
+//!   scores a reconstruction against simulator ground truth.
 //! * [`oplaw`] — Little's-law and Utilization-law audits of a capture.
 //! * [`alloc::AllocGauge`] — a counting `#[global_allocator]` for the
 //!   allocation-free and bounded-memory tests.

@@ -1,16 +1,41 @@
 //! The original `HashMap`-keyed black-box reconstruction: the executable
-//! specification of `fgbd_trace::reconstruct`. The property tests compare
-//! `Reconstruction::run` against it span for span under all four
-//! heuristics, and through that table the service-time fold.
+//! specification of `fgbd_trace::reconstruct`, with the baseline
+//! tie-breaks the product's one rule was chosen over. The property tests
+//! compare `Reconstruction::run` against it span for span under
+//! [`Heuristic::ProfileGuided`], and through that table the service-time
+//! fold, whole (`ServiceTimeTable::approximate`) and windowed
+//! ([`approximate_window`]). [`Accuracy`] scores a reconstruction against
+//! simulator ground truth.
 
 use std::collections::HashMap;
 
 use fgbd_des::SimTime;
-use fgbd_trace::reconstruct::{Heuristic, RecSpan, Reconstruction, Txn};
-use fgbd_trace::{ClassId, ConnId, MsgKind, NodeId, NodeKind, TraceLog};
+use fgbd_trace::reconstruct::{RecSpan, Reconstruction, Txn};
+use fgbd_trace::{ClassId, ConnId, MsgKind, NodeId, NodeKind, TraceLog, TxnId};
 
-/// Reconstructs transactions from a capture using `heuristic` — the
-/// specification implementation the fast path is held bit-identical to.
+/// Parent-attribution tie-break among the candidates left after the hard
+/// blocked/class pruning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Heuristic {
+    /// The candidate whose last observed event (arrival, issued call, or
+    /// received child response) is **oldest**: under processor sharing it
+    /// has had the most time to finish its CPU segment and issue the next
+    /// call.
+    LongestQuiescent,
+    /// The candidate whose last observed event is most recent. A baseline.
+    MostRecent,
+    /// The oldest active request (FIFO by arrival). A naive baseline.
+    Fifo,
+    /// [`Heuristic::LongestQuiescent`], additionally filtered by learned
+    /// per-class fan-out counts: parents that already issued as many calls
+    /// as their class was ever observed to issue (in unambiguous cases) are
+    /// ruled out. The rule `fgbd_trace::reconstruct` implements.
+    ProfileGuided,
+}
+
+/// Reconstructs transactions from a capture using `heuristic` — under
+/// [`Heuristic::ProfileGuided`], the specification the fast path is held
+/// bit-identical to.
 pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
     let client: Vec<NodeId> = log
         .nodes
@@ -195,12 +220,123 @@ fn longest_quiescent(cands: &[usize], last_event: &[SimTime]) -> Option<usize> {
     cands.iter().copied().min_by_key(|&i| (last_event[i], i))
 }
 
+/// `ServiceTimeTable::approximate` restricted to the spans of `rec` arriving
+/// in `[from, to)`, as plain `(server, class) → seconds`: the specification
+/// of `ServiceFold::with_window`. A span's intra-node delay subtracts all of
+/// its children's residences, whenever they arrived.
+pub fn approximate_window(
+    rec: &Reconstruction,
+    quantile: f64,
+    from: SimTime,
+    to: SimTime,
+) -> HashMap<(NodeId, ClassId), f64> {
+    let mut child_wait = vec![0.0f64; rec.spans.len()];
+    for s in &rec.spans {
+        if let (Some(p), Some(dep)) = (s.parent, s.departure) {
+            child_wait[p] += (dep - s.arrival).as_secs_f64();
+        }
+    }
+    let mut samples: HashMap<(NodeId, ClassId), Vec<f64>> = HashMap::new();
+    for (i, s) in rec.spans.iter().enumerate() {
+        let Some(dep) = s.departure else { continue };
+        let intra = (dep - s.arrival).as_secs_f64() - child_wait[i];
+        if (from..to).contains(&s.arrival) && intra > 0.0 {
+            samples.entry((s.server, s.class)).or_default().push(intra);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|(key, mut xs)| {
+            xs.sort_by(f64::total_cmp);
+            let idx = ((xs.len() - 1) as f64 * quantile).round() as usize;
+            (key, xs[idx])
+        })
+        .collect()
+}
+
+/// Reconstruction quality relative to ground truth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Accuracy {
+    /// Fraction of non-root spans attributed to a parent of the correct
+    /// transaction.
+    pub edge_accuracy: f64,
+    /// Fraction of complete ground-truth transactions whose reconstructed
+    /// span set matches exactly.
+    pub txn_accuracy: f64,
+    /// Number of non-root spans scored.
+    pub edges: usize,
+    /// Number of ground-truth transactions scored.
+    pub txns: usize,
+}
+
+impl Accuracy {
+    /// Scores `rec` against the ground-truth annotations it carries.
+    ///
+    /// Spans without ground truth (blinded captures) are skipped; call this
+    /// on a reconstruction of the *annotated* log.
+    pub fn evaluate(rec: &Reconstruction) -> Accuracy {
+        let mut edges = 0usize;
+        let mut correct_edges = 0usize;
+        for s in &rec.spans {
+            let (Some(p), Some(truth)) = (s.parent, s.truth) else {
+                continue;
+            };
+            edges += 1;
+            if rec.spans[p].truth == Some(truth) {
+                correct_edges += 1;
+            }
+        }
+
+        // Ground-truth span multiset per txn id (only spans that closed).
+        let mut truth_count: HashMap<TxnId, usize> = HashMap::new();
+        for s in &rec.spans {
+            if let (Some(t), Some(_)) = (s.truth, s.departure) {
+                *truth_count.entry(t).or_default() += 1;
+            }
+        }
+        let mut txns = 0usize;
+        let mut correct_txns = 0usize;
+        for txn in &rec.txns {
+            if !txn.complete {
+                continue;
+            }
+            let Some(root_truth) = rec.spans[txn.root].truth else {
+                continue;
+            };
+            txns += 1;
+            let all_match = txn
+                .spans
+                .iter()
+                .all(|&i| rec.spans[i].truth == Some(root_truth));
+            if all_match && truth_count.get(&root_truth) == Some(&txn.spans.len()) {
+                correct_txns += 1;
+            }
+        }
+
+        Accuracy {
+            edge_accuracy: if edges == 0 {
+                1.0
+            } else {
+                correct_edges as f64 / edges as f64
+            },
+            txn_accuracy: if txns == 0 {
+                1.0
+            } else {
+                correct_txns as f64 / txns as f64
+            },
+            edges,
+            txns,
+        }
+    }
+}
+
 /// Spot-checks of the proptest oracle (`crates/trace/tests/properties.rs`)
 /// on hand-built logs; run from here because `fgbd-trace`'s own unit tests
 /// would see this crate's copy of its types.
 #[cfg(test)]
 mod tests {
-    use fgbd_trace::{MsgRecord, NodeMeta, TxnId};
+    use fgbd_trace::reconstruct::Heuristic as Rule;
+    use fgbd_trace::{MsgRecord, NodeMeta};
     use MsgKind::{Request, Response};
 
     use super::*;
@@ -239,26 +375,19 @@ mod tests {
     }
 
     fn assert_fast_path_matches(log: &TraceLog) {
-        for h in [
-            Heuristic::LongestQuiescent,
-            Heuristic::MostRecent,
-            Heuristic::Fifo,
-            Heuristic::ProfileGuided,
-        ] {
-            let fast = Reconstruction::run(log, h);
-            let spec = run(log, h);
-            assert_eq!(fast.spans, spec.spans, "{h:?}");
-            assert_eq!(fast.txns, spec.txns, "{h:?}");
-        }
+        let fast = Reconstruction::run(log, Rule::ProfileGuided);
+        let spec = run(log, Heuristic::ProfileGuided);
+        assert_eq!(fast.spans, spec.spans);
+        assert_eq!(fast.txns, spec.txns);
     }
 
     /// Fast path and reference agree span-for-span on an ambiguous
-    /// interleaved log, for every heuristic.
+    /// interleaved log.
     #[test]
     fn fast_path_matches_reference_on_interleaved_log() {
         assert_fast_path_matches(&log_of(&[
             // Three concurrent same-class web spans with overlapping app
-            // calls: attribution is genuinely heuristic-dependent.
+            // calls: attribution genuinely depends on the tie-break.
             (0, CLIENT, WEB, Request, 10, 1),
             (5, CLIENT, WEB, Request, 11, 2),
             (8, CLIENT, WEB, Request, 12, 3),
@@ -290,5 +419,36 @@ mod tests {
             (25, ghost, WEB, Response, 201, 1),
             (30, WEB, CLIENT, Response, 10, 1),
         ]));
+    }
+
+    /// When two unblocked same-class spans are candidates, the one whose
+    /// last event is oldest has had the time to finish its CPU segment and
+    /// issue the call — LongestQuiescent (and the product's rule) resolves
+    /// this, MostRecent does not.
+    #[test]
+    fn longest_quiescent_beats_most_recent_on_second_calls() {
+        let log = log_of(&[
+            // Txn 1 arrives, issues call 1 immediately, gets its response
+            // at 20, then computes for 20us before issuing call 2 at t=40.
+            (0, CLIENT, WEB, Request, 10, 1),
+            (2, WEB, APP, Request, 110, 1),
+            (20, APP, WEB, Response, 110, 1),
+            // Txn 2 arrives at 30 (its last event is newer than txn 1's).
+            (30, CLIENT, WEB, Request, 11, 2),
+            // Txn 1 issues its second call at t=40.
+            (40, WEB, APP, Request, 111, 1),
+            (55, APP, WEB, Response, 111, 1),
+            (60, WEB, CLIENT, Response, 10, 1),
+            // Txn 2 issues its call only after txn 1 finished.
+            (65, WEB, APP, Request, 112, 2),
+            (75, APP, WEB, Response, 112, 2),
+            (80, WEB, CLIENT, Response, 11, 2),
+        ]);
+        let good = Accuracy::evaluate(&run(&log, Heuristic::LongestQuiescent));
+        assert_eq!(good.edge_accuracy, 1.0);
+        let shipped = Accuracy::evaluate(&Reconstruction::run(&log, Rule::ProfileGuided));
+        assert_eq!(shipped.edge_accuracy, 1.0);
+        let bad = Accuracy::evaluate(&run(&log, Heuristic::MostRecent));
+        assert!(bad.edge_accuracy < 1.0);
     }
 }

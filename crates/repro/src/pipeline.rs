@@ -14,7 +14,6 @@ use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::SystemConfig;
 use fgbd_ntier::result::RunResult;
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::reconstruct::Heuristic;
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::SpanPairer;
 use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet};
@@ -164,7 +163,7 @@ impl CalibrationFold {
     pub(crate) fn new(nodes: &[NodeMeta]) -> CalibrationFold {
         CalibrationFold {
             nodes: nodes.to_vec(),
-            fold: ServiceFold::new(nodes, Heuristic::ProfileGuided),
+            fold: ServiceFold::new(nodes),
         }
     }
 

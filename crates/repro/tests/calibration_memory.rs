@@ -37,7 +37,7 @@ fn calibration_state_is_sized_by_open_requests() {
     let log = NTierSystem::run(cfg).log;
 
     let table = peak_of(|| {
-        let rec = Reconstruction::run_records(&log.nodes, &log.records, Heuristic::ProfileGuided);
+        let rec = Reconstruction::run(&log, Heuristic::ProfileGuided);
         ServiceTimeTable::approximate(&rec, SERVICE_QUANTILE);
     });
 

@@ -15,8 +15,8 @@
 //! * [`reconstruct`] — black-box transaction reconstruction: stitching
 //!   per-server spans into whole-transaction trees using only timing and
 //!   nesting constraints (SysViz is a black-box tracer; the paper reports
-//!   over 99% reconstruction accuracy, which [`reconstruct::Accuracy`]
-//!   measures against simulator ground truth).
+//!   over 99% reconstruction accuracy, which the tests measure against
+//!   simulator ground truth with `fgbd_oracle::reconstruct::Accuracy`).
 //! * [`servicetime`] — per-class service-time approximation from low-load
 //!   capture windows (paper §III-B), feeding throughput normalization.
 //! * [`capture`] / [`capture2`] — the on-disk capture format (the

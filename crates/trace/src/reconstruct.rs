@@ -24,13 +24,15 @@
 //! * Requests on one TCP connection are serial, so request/response pairing
 //!   per connection is exact.
 //!
-//! After pruning, remaining ties are broken by a [`Heuristic`]: recency (a
-//! thread that just received a response or just arrived is the most likely
-//! next caller), FIFO (oldest active request first), or a profile-guided
-//! mode that learns per-class fan-out counts from unambiguous
-//! (single-candidate) situations and uses them to rule out parents that
-//! already issued their full complement of calls. [`Accuracy`] scores any
-//! reconstruction against simulator ground truth.
+//! After pruning, the remaining tie is broken by one rule,
+//! [`Heuristic::ProfileGuided`]: the candidate whose last observed event is
+//! oldest (under processor sharing it has had the most time to finish its
+//! CPU segment and issue the next call), among those that have not yet
+//! issued as many calls as their class was seen to issue in unambiguous
+//! (single-candidate) situations. The naive baselines it was chosen over —
+//! recency, FIFO and the unfiltered oldest-last-event rule — live with the
+//! specification in `fgbd_oracle::reconstruct`, which scores all four
+//! against simulator ground truth.
 //!
 //! # One attribution core, two consumers
 //!
@@ -44,9 +46,9 @@
 //! selection folds candidates into a running winner ([`TierBest`]), and
 //! ties break on the span's global creation index, which slot reuse leaves
 //! alone. What the core learns goes to a [`Consumer`]:
-//! [`Reconstruction::run_records`] appends a [`RecSpan`] per request and
-//! lists the transactions; [`ServiceFold`](crate::servicetime::ServiceFold)
-//! — calibration — keeps one number per span, its intra-node delay, handed
+//! [`Reconstruction::run`] appends a [`RecSpan`] per request and lists the
+//! transactions; [`ServiceFold`](crate::servicetime::ServiceFold) —
+//! calibration — keeps one number per span, its intra-node delay, handed
 //! over when the span and the last of its children have closed.
 //!
 //! The walk does not scan a server's queue. Unblocked active spans live in
@@ -54,23 +56,19 @@
 //! linked only at its arrival or at a child's response, both at the current
 //! record's time (an already-linked parent moves to the tail), so every
 //! list is sorted by `last_event`. The class tier's candidate count is the
-//! list's length, the [`Heuristic::LongestQuiescent`] winner is at the head,
-//! and the walk stops at the first candidate strictly later than the winner
-//! (for [`Heuristic::ProfileGuided`], than the first fan-out-eligible one),
-//! having walked its ties. `MostRecent` and `Fifo` walk the class list in
-//! full, and so does everyone from the first record whose timestamp goes
-//! backwards: that latches the early exit off, and a full walk is exact
-//! whatever the order because keys are total. The rare fallbacks walk all
-//! of the server's lists (class relaxed), then its active list (everyone
-//! blocked). The work is counted: `reconstruct.candidates`.
+//! list's length, and the walk stops at the first candidate strictly later
+//! than the first fan-out-eligible one, having walked its ties. From the
+//! first record whose timestamp goes backwards the walk is in full: that
+//! latches the early exit off, and a full walk is exact whatever the order
+//! because keys are total. The rare fallbacks walk all of the server's
+//! lists (class relaxed), then its active list (everyone blocked). The work
+//! is counted: `reconstruct.candidates`.
 //!
 //! The original `HashMap`-keyed implementation is the specification,
 //! `fgbd_oracle::reconstruct::run` (a dev-only crate): the property tests
 //! hold the table consumer (`reconstruct_fast_matches_reference*`) and,
 //! through it, the fold (`service_fold_matches_approximate`) bit-identical
 //! to it.
-
-use std::collections::HashMap;
 
 use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
@@ -79,25 +77,16 @@ use crate::record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
 
-/// Parent-attribution strategy for downstream calls (applied after the hard
-/// blocked/class pruning).
+/// The parent-attribution rule for downstream calls, applied after the
+/// hard blocked/class pruning. There is one; the type names it at the
+/// [`Reconstruction::run`] call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Heuristic {
     /// Attribute to the candidate whose last observed event (arrival, issued
-    /// call, or received child response) is **oldest**: under processor
-    /// sharing it has had the most time to finish its CPU segment and issue
-    /// the next call. The default, and empirically the most accurate.
-    LongestQuiescent,
-    /// Attribute to the candidate whose last observed event is most recent.
-    /// A baseline `ntier/tests/reconstruction_quality.rs` scores against.
-    MostRecent,
-    /// Attribute to the oldest active request (FIFO by arrival). A naive
-    /// baseline.
-    Fifo,
-    /// [`Heuristic::LongestQuiescent`], additionally filtered by learned
-    /// per-class fan-out counts: parents that already issued as many calls
-    /// as their class was ever observed to issue (in unambiguous cases) are
-    /// ruled out.
+    /// call, or received child response) is **oldest**, among those that
+    /// have issued fewer calls than their class's learned fan-out cap (the
+    /// most calls an unambiguous parent of that class issued, once eight
+    /// were seen); when the caps rule everyone out, among all candidates.
     ProfileGuided,
 }
 
@@ -156,12 +145,13 @@ pub(crate) trait Consumer {
     fn opened(&mut self, _rec: &MsgRecord, _parent: Option<usize>) {}
     /// The response to span `idx` was captured at `at`.
     fn closed(&mut self, _idx: usize, _at: SimTime) {}
-    /// A span has departed and so has the last of its children, or the
-    /// capture ended: `intra` is its residence minus theirs, in seconds.
-    fn retired(&mut self, _server: NodeId, _class: ClassId, _intra: f64) {}
+    /// A span that arrived at `arrival` has departed and so has the last of
+    /// its children, or the capture ended: `intra` is its residence minus
+    /// theirs, in seconds.
+    fn retired(&mut self, _server: NodeId, _class: ClassId, _arrival: SimTime, _intra: f64) {}
 }
 
-/// A request's residence in seconds, as `approximate_window` computes it in
+/// A request's residence in seconds, as `approximate` computes it in
 /// a release build: a response stamped before its request (a capture whose
 /// clock ran backwards) wraps.
 fn residence(arrival: SimTime, departure: SimTime) -> f64 {
@@ -175,7 +165,7 @@ struct OpenSpan {
     idx: usize,
     /// Last observed event (arrival, issued call, received child response).
     last_event: SimTime,
-    /// Request-message capture time (the FIFO heuristic's sort key).
+    /// Request-message capture time.
     arrival: SimTime,
     /// Response-message capture time. A departed span is on no list: it
     /// stays for its open children to add their residence to.
@@ -183,7 +173,7 @@ struct OpenSpan {
     /// The span's [`Cell`].
     server: NodeId,
     class: ClassId,
-    /// Downstream calls attributed so far (the profile-guided cap test).
+    /// Downstream calls attributed so far (the fan-out cap test).
     calls_issued: u32,
     /// Links of the cell's unblocked list, while `in_unb`.
     unb_prev: u32,
@@ -209,7 +199,7 @@ struct OpenSpan {
 
 impl OpenSpan {
     /// The departed span's intra-node delay, its children's residences
-    /// added in creation order as `approximate_window` adds them: those
+    /// added in creation order as `approximate` adds them: those
     /// summed directly are older than those in `late`.
     fn intra(&mut self, departure: SimTime) -> f64 {
         self.late.sort_unstable_by_key(|&(idx, _)| idx);
@@ -254,18 +244,17 @@ struct Node {
 }
 
 /// Running winner over one candidate tier (class-matched, or the
-/// class-relaxed / everyone-blocked fallback) of the parent scan. Tracks the
-/// heuristic's best candidate plus, for [`Heuristic::ProfileGuided`], the
-/// best among fan-out-eligible candidates — so no candidate set is ever
-/// materialized.
+/// class-relaxed / everyone-blocked fallback) of the parent scan: the
+/// oldest `(last_event, idx)` of the tier and of its fan-out-eligible
+/// candidates — so no candidate set is ever materialized.
 #[derive(Clone, Copy)]
 struct TierBest {
     count: u32,
     best: u32,
     best_key: (SimTime, usize),
-    pg_count: u32,
-    pg_best: u32,
-    pg_key: (SimTime, usize),
+    eligible: u32,
+    eligible_best: u32,
+    eligible_key: (SimTime, usize),
 }
 
 impl TierBest {
@@ -273,60 +262,47 @@ impl TierBest {
         count: 0,
         best: NONE,
         best_key: (SimTime::ZERO, 0),
-        pg_count: 0,
-        pg_best: NONE,
-        pg_key: (SimTime::ZERO, 0),
+        eligible: 0,
+        eligible_best: NONE,
+        eligible_key: (SimTime::ZERO, 0),
     };
 
     /// Folds the candidate in slot `i`, a span of the server whose cells
-    /// are `cells`, into the running winners under `heuristic`'s sort key
-    /// (max-key for MostRecent, min-key otherwise); the profile-guided
-    /// winner takes only candidates under their learned fan-out cap.
+    /// are `cells`, into the running winners; the eligible winner takes
+    /// only candidates under their learned fan-out cap.
     #[inline]
-    fn add(&mut self, i: u32, s: &OpenSpan, heuristic: Heuristic, cells: &[Cell]) {
-        let key = match heuristic {
-            Heuristic::Fifo => (s.arrival, s.idx),
-            _ => (s.last_event, s.idx),
-        };
-        let take_max = heuristic == Heuristic::MostRecent;
+    fn add(&mut self, i: u32, s: &OpenSpan, cells: &[Cell]) {
+        let key = (s.last_event, s.idx);
         self.count += 1;
-        let better = self.count == 1 || ((key > self.best_key) == take_max && key != self.best_key);
-        if better {
+        if self.count == 1 || key < self.best_key {
             self.best = i;
             self.best_key = key;
         }
-        let eligible = heuristic == Heuristic::ProfileGuided && {
-            let (max, n) = cells[usize::from(s.class.0)].profile;
-            n < 8 || s.calls_issued < max
-        };
-        if eligible {
-            self.pg_count += 1;
-            if self.pg_count == 1 || key < self.pg_key {
-                self.pg_best = i;
-                self.pg_key = key;
+        let (max, n) = cells[usize::from(s.class.0)].profile;
+        if n < 8 || s.calls_issued < max {
+            self.eligible += 1;
+            if self.eligible == 1 || key < self.eligible_key {
+                self.eligible_best = i;
+                self.eligible_key = key;
             }
         }
     }
 
-    /// Walking a list sorted by `last_event`: is the min-key winner already
-    /// in hand at a candidate stamped `t`, strictly later than it?
+    /// Walking a list sorted by `last_event`: is the winner already in hand
+    /// at a candidate stamped `t`, strictly later than it?
     #[inline]
-    fn settled_at(&self, t: SimTime, heuristic: Heuristic) -> bool {
-        let (seen, key) = match heuristic {
-            Heuristic::ProfileGuided => (self.pg_count, self.pg_key),
-            _ => (self.count, self.best_key),
-        };
-        seen > 0 && t > key.0
+    fn settled_at(&self, t: SimTime) -> bool {
+        self.eligible > 0 && t > self.eligible_key.0
     }
 
-    /// The slot of the tier's chosen parent (`NONE` for an empty tier) —
-    /// for ProfileGuided the best eligible candidate, falling back to the
-    /// unfiltered winner when the learned caps rule everyone out (mirroring
-    /// the specification's fallback).
+    /// The slot of the tier's chosen parent (`NONE` for an empty tier): the
+    /// best eligible candidate, falling back to the unfiltered winner when
+    /// the learned caps rule everyone out (mirroring the specification's
+    /// fallback).
     #[inline]
-    fn pick(&self, heuristic: Heuristic) -> u32 {
-        if heuristic == Heuristic::ProfileGuided && self.pg_count > 0 {
-            self.pg_best
+    fn pick(&self) -> u32 {
+        if self.eligible > 0 {
+            self.eligible_best
         } else {
             self.best
         }
@@ -336,7 +312,6 @@ impl TierBest {
 /// The black-box attribution rules as a streaming record loop: push the
 /// capture's records in order, then [`finish`](Self::finish).
 pub(crate) struct Attribution {
-    heuristic: Heuristic,
     slab: Vec<OpenSpan>,
     /// Head of the free-slot list (through `conn_next`).
     free: u32,
@@ -344,8 +319,8 @@ pub(crate) struct Attribution {
     /// `(oldest, youngest)` open request per `(server, connection)`; the
     /// FIFO is empty when `oldest` is `NONE` (`youngest` is then stale).
     conns: FxHashMap<(NodeId, ConnId), (u32, u32)>,
-    /// The early exit needs the winner at the head of a sorted list: the
-    /// min-`last_event` heuristics, until a record time goes backwards.
+    /// The early exit needs the winner at the head of a sorted list: true
+    /// until a record time goes backwards.
     sorted: bool,
     prev_at: SimTime,
     records: u64,
@@ -355,14 +330,13 @@ pub(crate) struct Attribution {
 }
 
 impl Attribution {
-    pub(crate) fn new(nodes: &[NodeMeta], heuristic: Heuristic) -> Attribution {
+    pub(crate) fn new(nodes: &[NodeMeta]) -> Attribution {
         let mut core = Attribution {
-            heuristic,
             slab: Vec::new(),
             free: NONE,
             nodes: Vec::new(),
             conns: FxHashMap::default(),
-            sorted: !matches!(heuristic, Heuristic::MostRecent | Heuristic::Fifo),
+            sorted: true,
             prev_at: SimTime::ZERO,
             records: 0,
             spans: 0,
@@ -438,17 +412,16 @@ impl Attribution {
 
     /// The open span on server `src` that issued call `rec`, or `NONE`.
     fn choose_parent(&mut self, rec: &MsgRecord) -> u32 {
-        let heuristic = self.heuristic;
         let node = &self.nodes[usize::from(rec.src.0)];
         let mut tier = TierBest::EMPTY;
         // Folds the list from `cur` along `next` into `tier`; `early` stops
         // at the first candidate the winner is settled at.
         let walk = |tier: &mut TierBest, mut cur: u32, early, next: fn(&OpenSpan) -> u32| {
             while let Some(s) = self.slab.get(cur as usize) {
-                if early && tier.settled_at(s.last_event, heuristic) {
+                if early && tier.settled_at(s.last_event) {
                     break;
                 }
-                tier.add(cur, s, heuristic, &node.cells);
+                tier.add(cur, s, &node.cells);
                 cur = next(s);
             }
         };
@@ -471,9 +444,9 @@ impl Attribution {
             walk(&mut tier, node.active_head, false, |s| s.act_next);
         }
         self.visited += u64::from(tier.count);
-        let parent = tier.pick(heuristic);
+        let parent = tier.pick();
         // A class list's members are candidates walked or not. With more
-        // than one, the parent's call count is heuristic-dependent.
+        // than one, the parent's call count depends on the tie-break.
         if parent != NONE && tier.count.max(class_cell.map_or(0, |c| c.len)) > 1 {
             self.slab[parent as usize].unambiguous = false;
         }
@@ -620,7 +593,7 @@ impl Attribution {
     fn retire(&mut self, slot: u32, out: &mut impl Consumer) {
         let s = &mut self.slab[slot as usize];
         let departure = s.departure.take().expect("only departed spans retire");
-        out.retired(s.server, s.class, s.intra(departure));
+        out.retired(s.server, s.class, s.arrival, s.intra(departure));
         s.conn_next = std::mem::replace(&mut self.free, slot);
     }
 
@@ -629,7 +602,7 @@ impl Attribution {
     pub(crate) fn finish(mut self, out: &mut impl Consumer) {
         for s in &mut self.slab {
             if let Some(departure) = s.departure {
-                out.retired(s.server, s.class, s.intra(departure));
+                out.retired(s.server, s.class, s.arrival, s.intra(departure));
             }
         }
         fgbd_obsv::counter!("reconstruct.records", self.records);
@@ -670,26 +643,17 @@ impl Consumer for Vec<RecSpan> {
 }
 
 impl Reconstruction {
-    /// Reconstructs transactions from a capture using `heuristic`.
+    /// Reconstructs transactions from a capture: the attribution core with
+    /// the table consumer, bit-identical to the specification.
     ///
     /// Only observable fields are consulted; ground truth is copied through
     /// for later validation but never influences attribution (verified by
     /// the `blinded_log_gives_identical_edges` test).
-    pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
-        Reconstruction::run_records(&log.nodes, &log.records, heuristic)
-    }
-
-    /// [`Reconstruction::run`] over borrowed records: the attribution core
-    /// with the table consumer, bit-identical to the specification.
-    pub fn run_records(
-        nodes: &[NodeMeta],
-        records: &[MsgRecord],
-        heuristic: Heuristic,
-    ) -> Reconstruction {
+    pub fn run(log: &TraceLog, _rule: Heuristic) -> Reconstruction {
         fgbd_obsv::span!("reconstruct");
-        let mut core = Attribution::new(nodes, heuristic);
-        let mut spans: Vec<RecSpan> = Vec::with_capacity(records.len() / 2 + 1);
-        for rec in records {
+        let mut core = Attribution::new(&log.nodes);
+        let mut spans: Vec<RecSpan> = Vec::with_capacity(log.records.len() / 2 + 1);
+        for rec in &log.records {
             core.push(rec, &mut spans);
         }
         core.finish(&mut spans);
@@ -722,82 +686,6 @@ impl Reconstruction {
     }
 }
 
-/// Reconstruction quality relative to ground truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Accuracy {
-    /// Fraction of non-root spans attributed to a parent of the correct
-    /// transaction.
-    pub edge_accuracy: f64,
-    /// Fraction of complete ground-truth transactions whose reconstructed
-    /// span set matches exactly.
-    pub txn_accuracy: f64,
-    /// Number of non-root spans scored.
-    pub edges: usize,
-    /// Number of ground-truth transactions scored.
-    pub txns: usize,
-}
-
-impl Accuracy {
-    /// Scores `rec` against the ground-truth annotations it carries.
-    ///
-    /// Spans without ground truth (blinded captures) are skipped; call this
-    /// on a reconstruction of the *annotated* log.
-    pub fn evaluate(rec: &Reconstruction) -> Accuracy {
-        let mut edges = 0usize;
-        let mut correct_edges = 0usize;
-        for s in &rec.spans {
-            let (Some(p), Some(truth)) = (s.parent, s.truth) else {
-                continue;
-            };
-            edges += 1;
-            if rec.spans[p].truth == Some(truth) {
-                correct_edges += 1;
-            }
-        }
-
-        // Ground-truth span multiset per txn id (only spans that closed).
-        let mut truth_count: HashMap<TxnId, usize> = HashMap::new();
-        for s in &rec.spans {
-            if let (Some(t), Some(_)) = (s.truth, s.departure) {
-                *truth_count.entry(t).or_default() += 1;
-            }
-        }
-        let mut txns = 0usize;
-        let mut correct_txns = 0usize;
-        for txn in &rec.txns {
-            if !txn.complete {
-                continue;
-            }
-            let Some(root_truth) = rec.spans[txn.root].truth else {
-                continue;
-            };
-            txns += 1;
-            let all_match = txn
-                .spans
-                .iter()
-                .all(|&i| rec.spans[i].truth == Some(root_truth));
-            if all_match && truth_count.get(&root_truth) == Some(&txn.spans.len()) {
-                correct_txns += 1;
-            }
-        }
-
-        Accuracy {
-            edge_accuracy: if edges == 0 {
-                1.0
-            } else {
-                correct_edges as f64 / edges as f64
-            },
-            txn_accuracy: if txns == 0 {
-                1.0
-            } else {
-                correct_txns as f64 / txns as f64
-            },
-            edges,
-            txns,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,13 +694,6 @@ mod tests {
     const CLIENT: NodeId = NodeId(0);
     const WEB: NodeId = NodeId(1);
     const APP: NodeId = NodeId(2);
-
-    const ALL_HEURISTICS: [Heuristic; 4] = [
-        Heuristic::LongestQuiescent,
-        Heuristic::MostRecent,
-        Heuristic::Fifo,
-        Heuristic::ProfileGuided,
-    ];
 
     fn nodes() -> Vec<NodeMeta> {
         vec![
@@ -850,7 +731,16 @@ mod tests {
         }
     }
 
-    /// Two fully serial transactions: unambiguous regardless of heuristic.
+    fn run(log: &TraceLog) -> Reconstruction {
+        Reconstruction::run(log, Heuristic::ProfileGuided)
+    }
+
+    /// Every span's attributed parent, in creation order.
+    fn parents(r: &Reconstruction) -> Vec<Option<usize>> {
+        r.spans.iter().map(|s| s.parent).collect()
+    }
+
+    /// Two fully serial transactions: unambiguous.
     fn serial_log() -> TraceLog {
         let mut log = TraceLog::new(nodes());
         for (base, truth, conn) in [(0u64, 1u64, 10u32), (1000, 2, 11)] {
@@ -878,20 +768,15 @@ mod tests {
 
     #[test]
     fn serial_transactions_reconstruct_perfectly() {
-        for h in ALL_HEURISTICS {
-            let rec = Reconstruction::run(&serial_log(), h);
-            assert_eq!(rec.txns.len(), 2);
-            assert_eq!(rec.complete_txns(), 2);
-            let acc = Accuracy::evaluate(&rec);
-            assert_eq!(acc.edge_accuracy, 1.0, "heuristic {h:?}");
-            assert_eq!(acc.txn_accuracy, 1.0, "heuristic {h:?}");
-            assert_eq!(acc.edges, 2);
-        }
+        let r = run(&serial_log());
+        assert_eq!(r.txns.len(), 2);
+        assert_eq!(r.complete_txns(), 2);
+        assert_eq!(parents(&r), [None, Some(0), None, Some(2)]);
+        assert_eq!(r.txns[1].spans, [2, 3]);
     }
 
-    /// A blocked span cannot be attributed a second call, no matter the
-    /// heuristic: while txn 1's app call is outstanding, txn 2's call can
-    /// only belong to txn 2.
+    /// A blocked span cannot be attributed a second call: while txn 1's app
+    /// call is outstanding, txn 2's call can only belong to txn 2.
     #[test]
     fn blocked_constraint_resolves_interleaved_calls() {
         let mut log = TraceLog::new(nodes());
@@ -903,53 +788,17 @@ mod tests {
         log.push(rec(70, APP, WEB, MsgKind::Response, 111, 2));
         log.push(rec(80, WEB, CLIENT, MsgKind::Response, 10, 1));
         log.push(rec(90, WEB, CLIENT, MsgKind::Response, 11, 2));
-        for h in [
-            Heuristic::LongestQuiescent,
-            Heuristic::MostRecent,
-            Heuristic::Fifo,
-        ] {
-            let r = Reconstruction::run(&log, h);
-            let acc = Accuracy::evaluate(&r);
-            assert_eq!(acc.edge_accuracy, 1.0, "{h:?}");
-            assert_eq!(acc.txn_accuracy, 1.0, "{h:?}");
-        }
-    }
-
-    /// When two unblocked same-class spans are candidates, the one whose
-    /// last event is oldest has had the time to finish its CPU segment and
-    /// issue the call — LongestQuiescent resolves this, MostRecent does not.
-    #[test]
-    fn longest_quiescent_beats_most_recent_on_second_calls() {
-        let mut log = TraceLog::new(nodes());
-        // Txn 1 arrives, issues call 1 immediately, gets its response at 20,
-        // then computes for 20us before issuing call 2 at t=40.
-        log.push(rec(0, CLIENT, WEB, MsgKind::Request, 10, 1));
-        log.push(rec(2, WEB, APP, MsgKind::Request, 110, 1));
-        log.push(rec(20, APP, WEB, MsgKind::Response, 110, 1));
-        // Txn 2 arrives at 30 (its last event is newer than txn 1's).
-        log.push(rec(30, CLIENT, WEB, MsgKind::Request, 11, 2));
-        // Txn 1 issues its second call at t=40.
-        log.push(rec(40, WEB, APP, MsgKind::Request, 111, 1));
-        log.push(rec(55, APP, WEB, MsgKind::Response, 111, 1));
-        log.push(rec(60, WEB, CLIENT, MsgKind::Response, 10, 1));
-        // Txn 2 issues its call only after txn 1 finished.
-        log.push(rec(65, WEB, APP, MsgKind::Request, 112, 2));
-        log.push(rec(75, APP, WEB, MsgKind::Response, 112, 2));
-        log.push(rec(80, WEB, CLIENT, MsgKind::Response, 11, 2));
-        let good = Accuracy::evaluate(&Reconstruction::run(&log, Heuristic::LongestQuiescent));
-        assert_eq!(good.edge_accuracy, 1.0);
-        let bad = Accuracy::evaluate(&Reconstruction::run(&log, Heuristic::MostRecent));
-        assert!(bad.edge_accuracy < 1.0);
+        let r = run(&log);
+        assert_eq!(parents(&r), [None, Some(0), None, Some(2)]);
+        assert_eq!(r.complete_txns(), 2);
     }
 
     #[test]
     fn blinded_log_gives_identical_edges() {
         let log = serial_log();
-        let a = Reconstruction::run(&log, Heuristic::LongestQuiescent);
-        let b = Reconstruction::run(&log.blinded(), Heuristic::LongestQuiescent);
-        let edges_a: Vec<Option<usize>> = a.spans.iter().map(|s| s.parent).collect();
-        let edges_b: Vec<Option<usize>> = b.spans.iter().map(|s| s.parent).collect();
-        assert_eq!(edges_a, edges_b);
+        let a = run(&log);
+        let b = run(&log.blinded());
+        assert_eq!(parents(&a), parents(&b));
         // Blinded spans carry no truth.
         assert!(b.spans.iter().all(|s| s.truth.is_none()));
     }
@@ -959,7 +808,7 @@ mod tests {
         let mut log = serial_log();
         // A root whose response never arrives.
         log.push(rec(5000, CLIENT, WEB, MsgKind::Request, 12, 3));
-        let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+        let r = run(&log);
         assert_eq!(r.txns.len(), 3);
         assert_eq!(r.complete_txns(), 2);
     }
@@ -970,7 +819,7 @@ mod tests {
         // An app call with no active web span (front truncation).
         log.push(rec(10, WEB, APP, MsgKind::Request, 100, 9));
         log.push(rec(20, APP, WEB, MsgKind::Response, 100, 9));
-        let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+        let r = run(&log);
         assert_eq!(r.txns.len(), 1);
         assert!(r.spans[0].parent.is_none());
     }

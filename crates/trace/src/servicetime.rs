@@ -12,14 +12,16 @@
 //! minus the residence of its direct children (time the thread was blocked
 //! downstream, which includes two network hops per call — a small known bias
 //! documented on [`ServiceTimeTable::approximate`]). A low quantile over the
-//! observed delays approximates the queueing-free service time.
+//! observed delays approximates the queueing-free service time, over the
+//! whole capture or over the spans arriving in one window
+//! ([`ServiceFold::with_window`]) — the recomputation drift calls for.
 
 use std::collections::HashMap;
 
 use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 
-use crate::reconstruct::{Attribution, Consumer, Heuristic, Reconstruction};
+use crate::reconstruct::{Attribution, Consumer, Reconstruction};
 use crate::record::{ClassId, MsgRecord, NodeId, NodeMeta};
 
 /// Per-`(server, class)` service-time estimates in seconds.
@@ -48,22 +50,6 @@ impl ServiceTimeTable {
     ///
     /// Panics if `quantile` is outside `[0, 1]`.
     pub fn approximate(rec: &Reconstruction, quantile: f64) -> Self {
-        Self::approximate_window(rec, quantile, SimTime::ZERO, SimTime::MAX)
-    }
-
-    /// Like [`ServiceTimeTable::approximate`], restricted to spans arriving
-    /// in `[from, to)` — used to calibrate on a known low-load window or to
-    /// track service-time drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantile` is outside `[0, 1]`.
-    pub fn approximate_window(
-        rec: &Reconstruction,
-        quantile: f64,
-        from: SimTime,
-        to: SimTime,
-    ) -> Self {
         // Sum of child residences per parent span.
         let mut child_wait = vec![0.0f64; rec.spans.len()];
         for s in &rec.spans {
@@ -74,9 +60,6 @@ impl ServiceTimeTable {
         let mut samples: HashMap<(NodeId, ClassId), Vec<f64>> = HashMap::new();
         for (i, s) in rec.spans.iter().enumerate() {
             let Some(dep) = s.departure else { continue };
-            if s.arrival < from || s.arrival >= to {
-                continue;
-            }
             let intra = (dep - s.arrival).as_secs_f64() - child_wait[i];
             if intra > 0.0 {
                 samples.entry((s.server, s.class)).or_default().push(intra);
@@ -172,11 +155,18 @@ impl ServiceTimeTable {
     }
 }
 
-/// The fold's consumer: positive intra-node delays per `(server, class)`.
-impl Consumer for FxHashMap<(NodeId, ClassId), Vec<f64>> {
-    fn retired(&mut self, server: NodeId, class: ClassId, intra: f64) {
-        if intra > 0.0 {
-            self.entry((server, class)).or_default().push(intra);
+/// The fold's consumer: positive intra-node delays per `(server, class)` of
+/// the spans arriving in `[from, to)`.
+struct Delays {
+    from: SimTime,
+    to: SimTime,
+    by_key: FxHashMap<(NodeId, ClassId), Vec<f64>>,
+}
+
+impl Consumer for Delays {
+    fn retired(&mut self, server: NodeId, class: ClassId, arrival: SimTime, intra: f64) {
+        if intra > 0.0 && (self.from..self.to).contains(&arrival) {
+            self.by_key.entry((server, class)).or_default().push(intra);
         }
     }
 }
@@ -185,19 +175,34 @@ impl Consumer for FxHashMap<(NodeId, ClassId), Vec<f64>> {
 /// in one at a time, in capture order, the attribution core holds a span
 /// only while it or one of its children is open, and its intra-node delay
 /// is all that is kept. Bit-identical to `approximate` over
-/// [`Reconstruction::run`] (the `service_fold_matches_approximate` property).
+/// [`Reconstruction::run`] (the `service_fold_matches_approximate` property),
+/// and, [windowed](Self::with_window), to its specification restricted to
+/// the spans arriving in the window.
 pub struct ServiceFold {
     core: Attribution,
-    delays: FxHashMap<(NodeId, ClassId), Vec<f64>>,
+    delays: Delays,
 }
 
 impl ServiceFold {
-    /// A fold over a capture with node table `nodes`, attributing by `heuristic`.
-    pub fn new(nodes: &[NodeMeta], heuristic: Heuristic) -> ServiceFold {
+    /// A fold over every span of a capture with node table `nodes`.
+    pub fn new(nodes: &[NodeMeta]) -> ServiceFold {
         ServiceFold {
-            core: Attribution::new(nodes, heuristic),
-            delays: FxHashMap::default(),
+            core: Attribution::new(nodes),
+            delays: Delays {
+                from: SimTime::ZERO,
+                to: SimTime::MAX,
+                by_key: FxHashMap::default(),
+            },
         }
+    }
+
+    /// Keeps only the spans arriving in `[from, to)`: calibration on a
+    /// known low-load window, or on the most recent one as service times
+    /// drift. Every record still goes through [`push`](Self::push), since a
+    /// span's parent and children may lie outside the window.
+    pub fn with_window(mut self, from: SimTime, to: SimTime) -> ServiceFold {
+        (self.delays.from, self.delays.to) = (from, to);
+        self
     }
 
     /// Consumes the next record of the capture.
@@ -213,7 +218,7 @@ impl ServiceFold {
     /// Panics if `quantile` is outside `[0, 1]`.
     pub fn finish(mut self, quantile: f64) -> ServiceTimeTable {
         self.core.finish(&mut self.delays);
-        ServiceTimeTable::quantiles(self.delays, quantile)
+        ServiceTimeTable::quantiles(self.delays.by_key, quantile)
     }
 }
 
@@ -227,6 +232,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct::Heuristic;
     use crate::record::{MsgKind, NodeKind, TraceLog, TxnId};
     use crate::ConnId;
 
@@ -317,7 +323,7 @@ mod tests {
         for i in 0..5 {
             one_txn(&mut log, i * 1_000, 10 + i as u32, i + 1);
         }
-        let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+        let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
         let t = ServiceTimeTable::approximate(&r, 0.5);
         assert_eq!(t.get(WEB, ClassId(1)), Some(SimDuration::from_micros(60)));
         assert_eq!(t.get(APP, ClassId(1)), Some(SimDuration::from_micros(40)));
@@ -340,7 +346,7 @@ mod tests {
         for i in 8..10u64 {
             push_app(i * 1_000, 400, 200 + i as u32, i); // queued
         }
-        let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+        let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
         let t = ServiceTimeTable::approximate(&r, 0.1);
         assert_eq!(t.get(APP, ClassId(2)), Some(SimDuration::from_micros(40)));
         // The high quantile sees the inflated ones.
@@ -396,11 +402,13 @@ mod tests {
                 10 + i,
             ));
         }
-        let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
-        let early =
-            ServiceTimeTable::approximate_window(&r, 0.5, SimTime::ZERO, SimTime::from_millis(500));
-        let late =
-            ServiceTimeTable::approximate_window(&r, 0.5, SimTime::from_millis(500), SimTime::MAX);
+        let windowed = |from, to| {
+            let mut fold = ServiceFold::new(&log.nodes).with_window(from, to);
+            log.records.iter().for_each(|r| fold.push(r));
+            fold.finish(0.5)
+        };
+        let early = windowed(SimTime::ZERO, SimTime::from_millis(500));
+        let late = windowed(SimTime::from_millis(500), SimTime::MAX);
         assert_eq!(
             early.get(APP, ClassId(3)),
             Some(SimDuration::from_micros(40))

@@ -3,10 +3,11 @@
 use fgbd_des::SimTime;
 use fgbd_oracle::capture::write_capture;
 use fgbd_oracle::reconstruct as reference;
+use fgbd_oracle::reconstruct::Accuracy;
 use fgbd_trace::capture::{read_capture, CaptureError};
 use fgbd_trace::capture2::{ChunkCursor, ChunkedWriter};
 use fgbd_trace::mmapio::Mapping;
-use fgbd_trace::reconstruct::{Accuracy, Heuristic, Reconstruction};
+use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::OpenTable;
 use fgbd_trace::Projection;
@@ -19,13 +20,6 @@ const CLIENT: NodeId = NodeId(0);
 const WEB: NodeId = NodeId(1);
 const APP: NodeId = NodeId(2);
 const DB: NodeId = NodeId(3);
-
-const ALL_HEURISTICS: [Heuristic; 4] = [
-    Heuristic::LongestQuiescent,
-    Heuristic::MostRecent,
-    Heuristic::Fifo,
-    Heuristic::ProfileGuided,
-];
 
 fn nodes() -> Vec<NodeMeta> {
     vec![
@@ -107,22 +101,15 @@ proptest! {
         }
     }
 
-    /// Serial transactions reconstruct perfectly under every heuristic.
+    /// Serial transactions reconstruct perfectly.
     #[test]
     fn serial_reconstruction_is_exact(shapes in prop::collection::vec((0u8..6, 0u16..4), 1..25)) {
         let log = serial_log(&shapes);
-        for h in [
-            Heuristic::LongestQuiescent,
-            Heuristic::MostRecent,
-            Heuristic::Fifo,
-            Heuristic::ProfileGuided,
-        ] {
-            let rec = Reconstruction::run(&log, h);
-            prop_assert_eq!(rec.txns.len(), shapes.len());
-            let acc = Accuracy::evaluate(&rec);
-            prop_assert_eq!(acc.edge_accuracy, 1.0);
-            prop_assert_eq!(acc.txn_accuracy, 1.0);
-        }
+        let rec = Reconstruction::run(&log, Heuristic::ProfileGuided);
+        prop_assert_eq!(rec.txns.len(), shapes.len());
+        let acc = Accuracy::evaluate(&rec);
+        prop_assert_eq!(acc.edge_accuracy, 1.0);
+        prop_assert_eq!(acc.txn_accuracy, 1.0);
     }
 
     /// Reconstruction decisions are identical on the blinded capture —
@@ -142,7 +129,7 @@ proptest! {
     #[test]
     fn parent_chains_terminate_at_roots(shapes in prop::collection::vec((0u8..6, 0u16..4), 1..20)) {
         let log = serial_log(&shapes);
-        let rec = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+        let rec = Reconstruction::run(&log, Heuristic::ProfileGuided);
         for (i, s) in rec.spans.iter().enumerate() {
             // Walk the chain to a root.
             let mut cur = i;
@@ -298,19 +285,17 @@ proptest! {
     /// multi-tier logs — varying concurrency, shared connections, truncated
     /// captures with orphan calls and orphan responses —
     /// [`Reconstruction::run`] produces span-for-span, txn-for-txn identical
-    /// output to [`fgbd_oracle::reconstruct::run`] under all four heuristics.
+    /// output to [`fgbd_oracle::reconstruct::run`] under the same rule.
     #[test]
     fn reconstruct_fast_matches_reference(
         shapes in prop::collection::vec((0u8..5, 0u16..4, 0u64..400, 2u64..10), 1..25),
         drops in (0usize..6, 0usize..6),
     ) {
         let log = interleaved_log(&shapes, drops.0, drops.1);
-        for h in ALL_HEURISTICS {
-            let fast = Reconstruction::run(&log, h);
-            let spec = reference::run(&log, h);
-            prop_assert_eq!(&fast.spans, &spec.spans);
-            prop_assert_eq!(&fast.txns, &spec.txns);
-        }
+        let fast = Reconstruction::run(&log, Heuristic::ProfileGuided);
+        let spec = reference::run(&log, reference::Heuristic::ProfileGuided);
+        prop_assert_eq!(&fast.spans, &spec.spans);
+        prop_assert_eq!(&fast.txns, &spec.txns);
     }
 
     /// Same oracle on adversarial "record soup": arbitrary src/dst pairs
@@ -334,18 +319,18 @@ proptest! {
         no_client in prop::bool::ANY,
     ) {
         let log = soup_log(&soup, backwards, no_client);
-        for h in ALL_HEURISTICS {
-            let fast = Reconstruction::run(&log, h);
-            let spec = reference::run(&log, h);
-            prop_assert_eq!(&fast.spans, &spec.spans);
-            prop_assert_eq!(&fast.txns, &spec.txns);
-        }
+        let fast = Reconstruction::run(&log, Heuristic::ProfileGuided);
+        let spec = reference::run(&log, reference::Heuristic::ProfileGuided);
+        prop_assert_eq!(&fast.spans, &spec.spans);
+        prop_assert_eq!(&fast.txns, &spec.txns);
     }
 
     /// The service-time fold against its oracle, on the same soup: the
     /// table [`ServiceFold`] streams out equals
     /// [`ServiceTimeTable::approximate`] over the materialized
-    /// reconstruction, key for key and bit for bit, at the minimum, the
+    /// reconstruction, and a windowed fold equals
+    /// [`fgbd_oracle::reconstruct::approximate_window`] over the same
+    /// window, key for key and bit for bit, at the minimum, the
     /// calibration quantile, the median and the maximum. Parents here hold
     /// several calls at once, lose their response before a child's, or
     /// never see a child close — each a different way for a sample to be
@@ -361,23 +346,33 @@ proptest! {
         backwards in prop::bool::ANY,
         no_client in prop::bool::ANY,
         cut in 0usize..8,
+        window in (0u64..200, 0u64..200),
     ) {
         let mut log = soup_log(&soup, backwards, no_client);
         log.records.truncate(log.records.len().saturating_sub(cut).max(1));
-        for h in ALL_HEURISTICS {
-            let rec = Reconstruction::run(&log, h);
-            prop_assume!(rec.spans.iter().all(|s| s.departure.is_none_or(|d| d >= s.arrival)));
-            for q in [0.0, 0.15, 0.5, 1.0] {
-                let mut fold = ServiceFold::new(&log.nodes, h);
-                log.records.iter().for_each(|r| fold.push(r));
-                let (fold, spec) = (fold.finish(q), ServiceTimeTable::approximate(&rec, q));
-                prop_assert_eq!(fold.len(), spec.len());
-                for s in 0..6 {
-                    for c in 0..3 {
-                        let at = |t: &ServiceTimeTable| t.get_secs(NodeId(s), ClassId(c)).map(f64::to_bits);
-                        prop_assert_eq!(at(&fold), at(&spec), "{:?} q={} ({}, {})", h, q, s, c);
-                    }
+        let rec = Reconstruction::run(&log, Heuristic::ProfileGuided);
+        prop_assume!(rec.spans.iter().all(|s| s.departure.is_none_or(|d| d >= s.arrival)));
+        let from = SimTime::from_micros(100 + window.0);
+        let to = SimTime::from_micros(100 + window.0 + window.1);
+        let folded = |mut fold: ServiceFold, q| {
+            log.records.iter().for_each(|r| fold.push(r));
+            fold.finish(q)
+        };
+        for q in [0.0, 0.15, 0.5, 1.0] {
+            let fold = folded(ServiceFold::new(&log.nodes), q);
+            let spec = ServiceTimeTable::approximate(&rec, q);
+            prop_assert_eq!(fold.len(), spec.len());
+            for s in 0..6 {
+                for c in 0..3 {
+                    let at = |t: &ServiceTimeTable| t.get_secs(NodeId(s), ClassId(c)).map(f64::to_bits);
+                    prop_assert_eq!(at(&fold), at(&spec), "q={} ({}, {})", q, s, c);
                 }
+            }
+            let fold = folded(ServiceFold::new(&log.nodes).with_window(from, to), q);
+            let spec = reference::approximate_window(&rec, q, from, to);
+            prop_assert_eq!(fold.len(), spec.len());
+            for (&(s, c), &secs) in &spec {
+                prop_assert_eq!(fold.get_secs(s, c).map(f64::to_bits), Some(secs.to_bits()), "q={} window", q);
             }
         }
     }

@@ -1,11 +1,10 @@
 //! The cases that keep the attribution core exact (see `reconstruct.rs`'
 //! module docs), each built so that dropping its handling changes the
-//! result: three for the sorted per-class candidate lists, where the
+//! result: two for the sorted per-class candidate lists, where the
 //! attributed parent would move — held, like everything else, to
-//! [`fgbd_oracle::reconstruct::run`] under all four heuristics — and four
-//! for the service-time fold, where a sample would be lost, early or summed
-//! in the wrong order — held to [`ServiceTimeTable::approximate`] bit for
-//! bit.
+//! [`fgbd_oracle::reconstruct::run`] — and four for the service-time fold,
+//! where a sample would be lost, early or summed in the wrong order — held
+//! to [`ServiceTimeTable::approximate`] bit for bit.
 
 use fgbd_des::SimTime;
 use fgbd_oracle::reconstruct as reference;
@@ -46,23 +45,14 @@ fn log_of(events: &[(u64, NodeId, NodeId, MsgKind, u32)]) -> TraceLog {
     log
 }
 
-/// Parent of the last span under each heuristic (LongestQuiescent,
-/// MostRecent, Fifo, ProfileGuided), after checking the whole
-/// reconstruction against the reference.
-fn last_parents(log: &TraceLog) -> [Option<usize>; 4] {
-    [
-        Heuristic::LongestQuiescent,
-        Heuristic::MostRecent,
-        Heuristic::Fifo,
-        Heuristic::ProfileGuided,
-    ]
-    .map(|h| {
-        let fast = Reconstruction::run(log, h);
-        let spec = reference::run(log, h);
-        assert_eq!(fast.spans, spec.spans, "{h:?}");
-        assert_eq!(fast.txns, spec.txns, "{h:?}");
-        fast.spans.last().expect("a span").parent
-    })
+/// Parent of the last span, after checking the whole reconstruction
+/// against the reference.
+fn last_parent(log: &TraceLog) -> Option<usize> {
+    let fast = Reconstruction::run(log, Heuristic::ProfileGuided);
+    let spec = reference::run(log, reference::Heuristic::ProfileGuided);
+    assert_eq!(fast.spans, spec.spans);
+    assert_eq!(fast.txns, spec.txns);
+    fast.spans.last().expect("a span").parent
 }
 
 use MsgKind::{Request, Response};
@@ -85,9 +75,9 @@ fn relinked_parent_with_two_outstanding_calls_moves_to_the_tail() {
         (5, APP, WEB, Response, 101),  // B returns, X already linked [W@3, Y@3, X@5]
         (6, WEB, APP, Request, 103),   // span 6: Y and W tie at 3; Y's index is lower
     ]);
-    let r = Reconstruction::run(&log, Heuristic::LongestQuiescent);
+    let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
     assert_eq!(r.spans[2].parent, Some(0), "call B goes to the blocked X");
-    assert_eq!(last_parents(&log), [Some(3), Some(0), Some(0), Some(3)]);
+    assert_eq!(last_parent(&log), Some(3));
 }
 
 /// Once a timestamp goes backwards the lists are no longer sorted, and a
@@ -100,47 +90,23 @@ fn backwards_timestamp_latches_the_early_exit_off() {
         (3, CLIENT, WEB, Request, 12), // span 2: Y, stamped before both
         (6, WEB, APP, Request, 100),   // span 3
     ]);
-    assert_eq!(last_parents(&log), [Some(2), Some(1), Some(2), Some(2)]);
-}
-
-/// MostRecent's winner is at the tail and Fifo's key (arrival) is not the
-/// lists' order: both walk the class list in full.
-#[test]
-fn most_recent_and_fifo_walk_the_whole_class_list() {
-    let log = log_of(&[
-        (0, CLIENT, WEB, Request, 10), // span 0: X
-        (1, WEB, APP, Request, 100),   // span 1: X's call
-        (2, CLIENT, WEB, Request, 11), // span 2: Y            list: [Y@2]
-        (3, CLIENT, WEB, Request, 12), // span 3: Z                  [Y@2, Z@3]
-        (5, APP, WEB, Response, 100),  // X linked behind them       [Y@2, Z@3, X@5]
-        (6, WEB, APP, Request, 101),   // span 4
-    ]);
-    assert_eq!(last_parents(&log), [Some(2), Some(0), Some(0), Some(2)]);
+    assert_eq!(last_parent(&log), Some(2));
 }
 
 /// The fold's median table over `log`, `(WEB, APP)` entries in seconds,
-/// after checking it against the oracle under every heuristic.
+/// after checking it against the oracle.
 fn fold_medians(log: &TraceLog) -> [Option<f64>; 2] {
-    let tables = [
-        Heuristic::LongestQuiescent,
-        Heuristic::MostRecent,
-        Heuristic::Fifo,
-        Heuristic::ProfileGuided,
-    ]
-    .map(|h| {
-        let mut fold = ServiceFold::new(&log.nodes, h);
-        log.records.iter().for_each(|r| fold.push(r));
-        let fold = fold.finish(0.5);
-        let spec = ServiceTimeTable::approximate(&Reconstruction::run(log, h), 0.5);
-        assert_eq!(fold.len(), spec.len(), "{h:?}");
-        [WEB, APP].map(|n| {
-            let bits = |t: &ServiceTimeTable| t.get_secs(n, ClassId(1)).map(f64::to_bits);
-            assert_eq!(bits(&fold), bits(&spec), "{h:?} {n:?}");
-            fold.get_secs(n, ClassId(1))
-        })
-    });
-    assert!(tables.iter().all(|t| *t == tables[0]), "one parent to pick");
-    tables[0]
+    let mut fold = ServiceFold::new(&log.nodes);
+    log.records.iter().for_each(|r| fold.push(r));
+    let fold = fold.finish(0.5);
+    let rec = Reconstruction::run(log, Heuristic::ProfileGuided);
+    let spec = ServiceTimeTable::approximate(&rec, 0.5);
+    assert_eq!(fold.len(), spec.len());
+    [WEB, APP].map(|n| {
+        let bits = |t: &ServiceTimeTable| t.get_secs(n, ClassId(1)).map(f64::to_bits);
+        assert_eq!(bits(&fold), bits(&spec), "{n:?}");
+        fold.get_secs(n, ClassId(1))
+    })
 }
 
 /// Child residences are summed in creation order, as the oracle sums them,
