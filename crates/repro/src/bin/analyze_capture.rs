@@ -31,9 +31,9 @@
 //! byte-identical whether the capture was read from a file or tailed.
 //!
 //! An unreadable or damaged capture is reported on stderr as
-//! `analyze_capture: <path>: <error>` with exit status 1 (usage errors
-//! exit 2), an unwritable monitor output as `analyze_capture: out/monitor:
-//! <error>`. A run manifest is written to `out/manifests/analyze_capture.*`,
+//! `analyze_capture: <path>: <error>` with exit status 1 (usage errors,
+//! a zero or non-numeric interval included, exit 2), an unwritable monitor
+//! output as `analyze_capture: out/monitor: <error>`. A run manifest is written to `out/manifests/analyze_capture.*`,
 //! including which route ran (`capture_format`, `source`,
 //! `calib_prefix_records`, `decode_threads`) and how calibration overlapped
 //! it (`calib_wait_ms`, `calib_held_spans`).
@@ -74,11 +74,14 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let Ok(interval_ms) = args.get(1).map_or(Ok(50), |s| s.parse::<u64>()) else {
-        eprintln!("analyze_capture: interval must be milliseconds");
-        std::process::exit(2);
+    let interval_ms = match args.get(1).map_or(Ok(50), |s| s.parse::<u64>()) {
+        Ok(ms) if ms > 0 => ms,
+        _ => {
+            eprintln!("analyze_capture: interval must be a positive number of milliseconds");
+            std::process::exit(2);
+        }
     };
-    let interval = SimDuration::from_millis(interval_ms.max(1));
+    let interval = SimDuration::from_millis(interval_ms);
 
     let mut scope = fgbd_repro::harness::begin("analyze_capture");
     scope.field("capture", Json::Str(path.clone()));

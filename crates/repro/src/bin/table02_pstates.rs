@@ -1,4 +1,5 @@
-//! Regenerates the paper's table02 (see `fgbd_repro::experiments::table02`).
+//! `run_all table02` under the name the benchmark (`benchmark/`) executes: that
+//! is the only reason this one-line bin exists (see `experiments::table02`).
 //!
 //! Standard flags: `--quiet` mutes the `[fgbd:…]` log output. Every run
 //! writes a `fgbd.run-manifest/v1` document under `out/manifests/table02.*`.

@@ -14,7 +14,6 @@ use fgbd_metrics::Histogram;
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::SPEEDSTEP_ON;
-use crate::sweep::run_sweep;
 
 /// The sweep of Fig 2(a)/(b).
 pub const WORKLOADS: [u32; 16] = [
@@ -24,7 +23,9 @@ pub const WORKLOADS: [u32; 16] = [
 
 /// Runs the sweep and the WL 8,000 distribution.
 pub fn run() -> ExperimentSummary {
-    let results = run_sweep(&SPEEDSTEP_ON, &WORKLOADS);
+    // One uncaptured run per workload (the figure reads client-side
+    // samples only), in input order whatever the worker count.
+    let results = crate::par::par_map(&WORKLOADS, |&users| SPEEDSTEP_ON.run_uncaptured(users));
     let two_s = SimDuration::from_secs(2);
 
     let mut rows = Vec::new();

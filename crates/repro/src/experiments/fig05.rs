@@ -7,9 +7,9 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 
+use crate::experiments::{scatter_panel, zoom_panel};
 use crate::pipeline::Calibration;
-use crate::plot;
-use crate::report::{write_csv, ExperimentSummary};
+use crate::report::ExperimentSummary;
 use crate::scenario::SPEEDSTEP_ON;
 
 /// Runs WL 7,000 and performs the fine-grained MySQL analysis.
@@ -19,46 +19,24 @@ pub fn run() -> ExperimentSummary {
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 
-    // 12-second zoom (the paper's Fig 5a/5b window), offset into the run.
-    let zoom = analysis.sub_window(
-        SimDuration::from_secs(60),
-        SimDuration::from_secs(12),
-        interval,
-    );
-    let zoom_report = analysis.report("mysql-1", zoom, &cfg);
-    let loads: Vec<f64> = zoom_report.load.values().to_vec();
-    let ms = analysis.cal.mean_service(zoom_report.server);
-    let tputs: Vec<f64> = (0..zoom_report.tput.len())
-        .map(|i| zoom_report.tput.equivalent_rate(i, ms))
-        .collect();
-    fgbd_obsv::log!(
-        "fig05",
-        "{}",
-        plot::timeline("Fig 5(a) MySQL load per 50 ms (12 s zoom)", &loads, 10)
-    );
-    fgbd_obsv::log!(
-        "fig05",
-        "{}",
-        plot::timeline(
-            "Fig 5(b) MySQL throughput [eq-req/s] per 50 ms (12 s zoom)",
-            &tputs,
-            10
-        )
-    );
-    let mut rows = Vec::new();
-    for i in 0..loads.len() {
-        rows.push(vec![
-            format!("{:.3}", zoom.mid_secs(i)),
-            format!("{:.3}", loads[i]),
-            format!("{:.1}", tputs[i]),
-        ]);
-    }
-    write_csv("fig05_zoom", &["t_s", "load", "tput_eq_rps"], &rows);
-
-    // Full-window analysis for a stable N* estimate and the scatter.
+    // One report over the full window: a stable N* estimate and the
+    // scatter, with the 12-second zoom (the paper's Fig 5a/5b window,
+    // offset into the run) a slice of it.
     let full = analysis.window(interval);
     let report = analysis.report("mysql-1", full, &cfg);
+    let loads = zoom_panel(
+        "fig05",
+        (&analysis, &report),
+        SimDuration::from_secs(12),
+        [
+            "Fig 5(a) MySQL load per 50 ms (12 s zoom)",
+            "Fig 5(b) MySQL throughput [eq-req/s] per 50 ms (12 s zoom)",
+        ],
+        10,
+        Some("fig05_zoom"),
+    );
     let pts = analysis.scatter_points_eq(&report);
+
     // Exemplar marks: (1) best throughput below N*, (2) highest load,
     // (3) an idle interval.
     let mut marks = Vec::new();
@@ -80,22 +58,14 @@ pub fn run() -> ExperimentSummary {
             marks.push((x, y, '3'));
         }
     }
-    fgbd_obsv::log!(
+    scatter_panel(
         "fig05",
-        "{}",
-        plot::scatter(
-            "Fig 5(c) MySQL load vs throughput [eq-req/s], 50 ms intervals (3 min)",
-            &pts,
-            &marks,
-            64,
-            18,
-        )
+        "Fig 5(c) MySQL load vs throughput [eq-req/s], 50 ms intervals (3 min)",
+        &pts,
+        &marks,
+        18,
+        "fig05_scatter",
     );
-    let scatter_rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|&(l, t)| vec![format!("{l:.3}"), format!("{t:.1}")])
-        .collect();
-    write_csv("fig05_scatter", &["load", "tput_eq_rps"], &scatter_rows);
 
     let mut s = ExperimentSummary::new("fig05");
     match &report.nstar {

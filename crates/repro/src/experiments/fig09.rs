@@ -8,9 +8,9 @@
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 
+use crate::experiments::{scatter_panel, zoom_panel};
 use crate::pipeline::Calibration;
-use crate::plot;
-use crate::report::{write_csv, ExperimentSummary};
+use crate::report::ExperimentSummary;
 use crate::scenario::GC_JDK15;
 
 /// Runs WL 7,000 and 14,000 under JDK 1.5 and analyzes Tomcat.
@@ -33,23 +33,13 @@ pub fn run() -> ExperimentSummary {
     let mut frozen = Vec::new();
     for (&(wl, fig), (analysis, report)) in cases.iter().zip(&computed) {
         let pts = analysis.scatter_points_eq(report);
-        fgbd_obsv::log!(
+        scatter_panel(
             "fig09",
-            "{}",
-            plot::scatter(
-                &format!("Fig {fig} Tomcat load vs throughput at WL {wl} (JDK 1.5)"),
-                &pts,
-                &[],
-                64,
-                16,
-            )
-        );
-        write_csv(
+            &format!("Fig {fig} Tomcat load vs throughput at WL {wl} (JDK 1.5)"),
+            &pts,
+            &[],
+            16,
             &format!("fig09_scatter_wl{wl}"),
-            &["load", "tput_eq_rps"],
-            &pts.iter()
-                .map(|&(l, t)| vec![format!("{l:.3}"), format!("{t:.1}")])
-                .collect::<Vec<_>>(),
         );
         congested.push(report.congested_intervals());
         frozen.push(report.frozen_intervals());
@@ -79,43 +69,16 @@ pub fn run() -> ExperimentSummary {
 
         // Fig 9(c): 10-second zoom at WL 14,000.
         if wl == 14_000 {
-            let zoom = analysis.sub_window(
-                SimDuration::from_secs(60),
+            zoom_panel(
+                "fig09",
+                (analysis, report),
                 SimDuration::from_secs(10),
-                interval,
-            );
-            let zr = analysis.report("tomcat-1", zoom, &cfg);
-            let ms = analysis.cal.mean_service(zr.server);
-            let loads = zr.load.values().to_vec();
-            let tputs: Vec<f64> = (0..zr.tput.len())
-                .map(|i| zr.tput.equivalent_rate(i, ms))
-                .collect();
-            fgbd_obsv::log!(
-                "fig09",
-                "{}",
-                plot::timeline("Fig 9(c) Tomcat load per 50 ms (10 s zoom)", &loads, 9)
-            );
-            fgbd_obsv::log!(
-                "fig09",
-                "{}",
-                plot::timeline(
+                [
+                    "Fig 9(c) Tomcat load per 50 ms (10 s zoom)",
                     "Fig 9(c) Tomcat throughput [eq-req/s] per 50 ms (10 s zoom)",
-                    &tputs,
-                    9
-                )
-            );
-            write_csv(
-                "fig09c_zoom",
-                &["t_s", "load", "tput_eq_rps"],
-                &(0..loads.len())
-                    .map(|i| {
-                        vec![
-                            format!("{:.3}", zoom.mid_secs(i)),
-                            format!("{:.3}", loads[i]),
-                            format!("{:.1}", tputs[i]),
-                        ]
-                    })
-                    .collect::<Vec<_>>(),
+                ],
+                9,
+                Some("fig09c_zoom"),
             );
         }
     }

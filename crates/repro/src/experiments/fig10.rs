@@ -9,7 +9,7 @@ use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_ntier::gc::gc_running_ratio;
 
-use crate::pipeline::Calibration;
+use crate::pipeline::{Analysis, Calibration};
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
 use crate::scenario::GC_JDK15;
@@ -61,14 +61,13 @@ pub fn run() -> ExperimentSummary {
     };
     let (r_load_rt, lag_rt) = best_lag(&rt_shift);
 
-    // 12-second zoom for the visual panels.
+    // 12-second zoom for the visual panels, sliced out of the full report.
     let zoom = analysis.sub_window(
         SimDuration::from_secs(60),
         SimDuration::from_secs(12),
         interval,
     );
-    let zr = analysis.report("tomcat-1", zoom, &cfg);
-    let zloads = zr.load.values().to_vec();
+    let zloads = loads[Analysis::zoom_intervals(&report, zoom)].to_vec();
     let zgc = gc_running_ratio(
         &analysis.run.gc_events,
         tomcat_idx,

@@ -12,9 +12,9 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::XEON_PSTATES;
 
 use crate::experiments::table02::mysql_capacities;
+use crate::experiments::{scatter_panel, zoom_panel};
 use crate::pipeline::{Analysis, Calibration};
-use crate::plot;
-use crate::report::{write_csv, ExperimentSummary};
+use crate::report::ExperimentSummary;
 use crate::scenario::{Scenario, SPEEDSTEP_ON};
 
 /// Analysis bundle shared with fig13 (the SpeedStep-off twin).
@@ -31,7 +31,7 @@ pub struct PlateauOutcome {
     pub fast_clock_windows: usize,
 }
 
-/// The compute half of [`analyze_mysql`]: simulates `users` under
+/// The compute half of one SpeedStep workload: simulates `users` under
 /// `scenario` and runs the full-window `mysql-1` analysis. Safe to run for
 /// several workloads in parallel (see [`crate::par::par_map`]); the plots
 /// and CSVs happen later in [`summarize_mysql`], sequentially, so output
@@ -47,7 +47,7 @@ pub fn compute_mysql(
     (analysis, report)
 }
 
-/// The render half of [`analyze_mysql`]: plots, CSVs, and the plateau
+/// The render half of one SpeedStep workload: plots, CSVs, and the plateau
 /// summary for one already-computed workload.
 pub fn summarize_mysql(
     analysis: &Analysis,
@@ -57,59 +57,24 @@ pub fn summarize_mysql(
     fig_label: &str,
     zoom: bool,
 ) -> PlateauOutcome {
-    let cfg = DetectorConfig::default();
-    let interval = SimDuration::from_millis(50);
     let pts = analysis.scatter_points_eq(report);
-    fgbd_obsv::log!(
-        "fig12",
-        "{}",
-        plot::scatter(
-            &format!(
-                "Fig {fig_label} MySQL load vs throughput at WL {users} ({})",
-                scenario.name
-            ),
-            &pts,
-            &[],
-            64,
-            16,
-        )
+    let title = format!(
+        "Fig {fig_label} MySQL load vs throughput at WL {users} ({})",
+        scenario.name
     );
-    write_csv(
-        &format!("fig_{}_wl{users}_scatter", scenario.name),
-        &["load", "tput_eq_rps"],
-        &pts.iter()
-            .map(|&(l, t)| vec![format!("{l:.3}"), format!("{t:.1}")])
-            .collect::<Vec<_>>(),
-    );
+    let csv = format!("fig_{}_wl{users}_scatter", scenario.name);
+    scatter_panel("fig12", &title, &pts, &[], 16, &csv);
     if zoom {
-        let zw = analysis.sub_window(
-            SimDuration::from_secs(60),
+        zoom_panel(
+            "fig12",
+            (analysis, report),
             SimDuration::from_secs(10),
-            interval,
-        );
-        let zr = analysis.report("mysql-1", zw, &cfg);
-        let ms = analysis.cal.mean_service(zr.server);
-        let loads = zr.load.values().to_vec();
-        let tputs: Vec<f64> = (0..zr.tput.len())
-            .map(|i| zr.tput.equivalent_rate(i, ms))
-            .collect();
-        fgbd_obsv::log!(
-            "fig12",
-            "{}",
-            plot::timeline(
+            [
                 &format!("Fig {fig_label} zoom: MySQL load per 50 ms (10 s)"),
-                &loads,
-                9
-            )
-        );
-        fgbd_obsv::log!(
-            "fig12",
-            "{}",
-            plot::timeline(
                 &format!("Fig {fig_label} zoom: MySQL throughput [eq-req/s] per 50 ms (10 s)"),
-                &tputs,
-                9
-            )
+            ],
+            9,
+            None,
         );
     }
     // Plateaus among congested intervals, in equivalent req/s.
@@ -144,19 +109,6 @@ pub fn summarize_mysql(
         total: report.states.len(),
         fast_clock_windows,
     }
-}
-
-/// Runs one workload of the SpeedStep analysis on `mysql-1` —
-/// [`compute_mysql`] followed by [`summarize_mysql`].
-pub fn analyze_mysql(
-    scenario: &Scenario,
-    cal: &Calibration,
-    users: u32,
-    fig_label: &str,
-    zoom: bool,
-) -> PlateauOutcome {
-    let (analysis, report) = compute_mysql(scenario, cal, users);
-    summarize_mysql(&analysis, &report, scenario, users, fig_label, zoom)
 }
 
 /// Runs WL 8,000 and 10,000 with SpeedStep enabled.

@@ -26,7 +26,12 @@ pub mod fig13;
 pub mod table01;
 pub mod table02;
 
-use crate::report::ExperimentSummary;
+use fgbd_core::detect::ServerReport;
+use fgbd_des::SimDuration;
+
+use crate::pipeline::Analysis;
+use crate::plot;
+use crate::report::{write_csv, ExperimentSummary};
 
 /// An experiment entry point, as registered in [`all`].
 pub type ExperimentFn = fn() -> ExperimentSummary;
@@ -57,14 +62,71 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
     ]
 }
 
-/// Runs every experiment in paper order, printing each summary as it
-/// lands and writing one run manifest per experiment (see
-/// [`crate::harness`]); returns all summaries.
-pub fn run_all() -> Vec<ExperimentSummary> {
-    let mut out = Vec::new();
-    for (name, f) in all() {
-        fgbd_obsv::log!("run_all", ">> running {name}");
-        out.push(crate::harness::run_experiment(name, f));
+/// The experiments named by `ids`, in paper order whatever order `ids`
+/// gives; every experiment when `ids` is empty. `Err` carries the first id
+/// that names no experiment.
+pub fn select(ids: &[String]) -> Result<Vec<(&'static str, ExperimentFn)>, &str> {
+    let experiments = all();
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| !experiments.iter().any(|(name, _)| name == id))
+    {
+        return Err(unknown);
     }
-    out
+    Ok(experiments
+        .into_iter()
+        .filter(|(name, _)| ids.is_empty() || ids.iter().any(|id| id == name))
+        .collect())
+}
+
+/// A load-vs-throughput scatter of the paper (Fig 5(c), 9(a)/(b), 12, 13)
+/// over `pts` ([`Analysis::scatter_points_eq`]), plotted under `target`
+/// with exemplar `marks` and written as a `load, tput_eq_rps` series.
+pub(crate) fn scatter_panel(
+    target: &str,
+    title: &str,
+    pts: &[(f64, f64)],
+    marks: &[(f64, f64, char)],
+    height: usize,
+    csv: &str,
+) {
+    fgbd_obsv::log!(target, "{}", plot::scatter(title, pts, marks, 64, height));
+    let row = |&(load, tput): &(f64, f64)| vec![format!("{load:.3}"), format!("{tput:.1}")];
+    let rows: Vec<_> = pts.iter().map(row).collect();
+    write_csv(csv, &["load", "tput_eq_rps"], &rows);
+}
+
+/// One zoom panel of the paper (Fig 5(a)/(b), 9(c), 12(c)): the `len`
+/// from one minute after warm-up, sliced out of the full-window `report`
+/// ([`Analysis::zoom_intervals`]) and plotted under `target` as a load and
+/// an equivalent-throughput timeline, titled `titles`; with a `csv` name
+/// it is also written as a `t_s, load, tput_eq_rps` series. Returns the
+/// zoom's loads.
+pub(crate) fn zoom_panel(
+    target: &str,
+    (analysis, report): (&Analysis, &ServerReport),
+    len: SimDuration,
+    titles: [&str; 2],
+    height: usize,
+    csv: Option<&str>,
+) -> Vec<f64> {
+    let zoom = analysis.sub_window(SimDuration::from_secs(60), len, report.window.interval);
+    let pts = &analysis.scatter_points_eq(report)[Analysis::zoom_intervals(report, zoom)];
+    let (loads, tputs): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
+    for (title, values) in titles.into_iter().zip([&loads, &tputs]) {
+        fgbd_obsv::log!(target, "{}", plot::timeline(title, values, height));
+    }
+    if let Some(name) = csv {
+        let row = |(i, &(load, tput)): (usize, &(f64, f64))| {
+            let t = zoom.mid_secs(i);
+            vec![
+                format!("{t:.3}"),
+                format!("{load:.3}"),
+                format!("{tput:.1}"),
+            ]
+        };
+        let rows: Vec<_> = pts.iter().enumerate().map(row).collect();
+        write_csv(name, &["t_s", "load", "tput_eq_rps"], &rows);
+    }
+    loads
 }

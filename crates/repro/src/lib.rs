@@ -10,11 +10,11 @@
 //! * [`scenario`] — the named configurations (SpeedStep on/off, JDK 1.5/1.6).
 //! * [`pipeline`] — capture → spans → service-time calibration → per-server
 //!   fine-grained reports.
-//! * [`sweep`] — parallel workload sweeps.
-//! * [`par`] — the lock-free fork/join helper behind the sweeps and the
-//!   per-server report fan-out.
-//! * [`experiments`] — one module per paper artifact; `experiments::run_all`
-//!   regenerates everything.
+//! * [`par`] — the lock-free fork/join helper behind the workload sweeps
+//!   and the per-server report fan-out.
+//! * [`experiments`] — one module per paper artifact, registered by id in
+//!   `experiments::all`; the `run_all` binary runs what
+//!   `experiments::select` picks.
 //! * [`harness`] — run-manifest scopes and the standard telemetry flags
 //!   (`--quiet`, `FGBD_OBSV`) shared by every binary; each
 //!   run writes a `fgbd.run-manifest/v1` document under `out/manifests/`.
@@ -24,15 +24,11 @@
 //!   tailed capture through prefix calibration into the online detector,
 //!   peak memory independent of capture size.
 //!
-//! Run a single figure:
+//! `run_all` is the one way to regenerate an artifact: name its ids, or
+//! none for everything.
 //!
 //! ```bash
-//! cargo run -p fgbd-repro --release --bin fig12_speedstep_on
-//! ```
-//!
-//! or everything:
-//!
-//! ```bash
+//! cargo run -p fgbd-repro --release --bin run_all -- fig12
 //! cargo run -p fgbd-repro --release --bin run_all
 //! ```
 
@@ -44,7 +40,6 @@ pub mod pipeline;
 pub mod plot;
 pub mod report;
 pub mod scenario;
-pub mod sweep;
 pub mod zerocopy;
 
 pub use pipeline::{Analysis, Calibration};

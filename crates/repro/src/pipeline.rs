@@ -7,6 +7,7 @@
 //! pairer and the service-time fold ([`Calibration::simulate`]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fgbd_core::detect::{analyze_server, DetectorConfig, ServerReport};
 use fgbd_core::series::Window;
@@ -61,8 +62,11 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Builds the calibration from a run that kept its log (normally
-    /// [`Scenario::calibration_run`]).
+    /// Builds the calibration from a run that kept its log (the examples,
+    /// the tests and the benchmark's replay of the figure route). The
+    /// figures themselves never hold a calibration log: they calibrate
+    /// through [`Calibration::for_scenario`], which folds the run on the
+    /// tap ([`Calibration::simulate`]) into the same tables.
     pub fn from_run(run: &RunResult) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let log = &run.log;
@@ -122,8 +126,9 @@ impl Calibration {
     /// calibrates on, a chunk at a time on its worker thread — same records
     /// in, same tables out, however the capture reached it. `mean_service`
     /// stays empty: it only scales the figures' "equivalent requests per
-    /// second" axis, the figures calibrate through [`Calibration::from_run`],
-    /// and filling it would cost a span extraction over the prefix that no
+    /// second" axis, the figures calibrate through
+    /// [`Calibration::for_scenario`] (which fills it on the tap), and
+    /// filling it here would cost a span extraction over the prefix that no
     /// capture consumer reads.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
@@ -230,7 +235,8 @@ impl Analysis {
     }
 
     /// A sub-window starting `offset` after warm-up and lasting `len` — the
-    /// paper's 10–12 s zoom plots.
+    /// paper's 10–12 s zoom plots, read off the full-window report through
+    /// [`Analysis::zoom_intervals`].
     pub fn sub_window(
         &self,
         offset: SimDuration,
@@ -239,6 +245,30 @@ impl Analysis {
     ) -> Window {
         let start = self.run.warmup_end + offset;
         Window::new(start, start + len, interval)
+    }
+
+    /// The intervals of the full-window `report` that make up `zoom`, a
+    /// [`Analysis::sub_window`] on its grid: a zoom panel is an index slice
+    /// of the one report per server and grid. The slice is bit-identical
+    /// to a report over `zoom` itself, since a grid-aligned sub-window gets
+    /// the same integer sums per interval as the full grid (the clamp
+    /// argument of `fgbd_core::series`'s interval engine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zoom` is not grid-aligned inside `report`'s window.
+    pub fn zoom_intervals(report: &ServerReport, zoom: Window) -> Range<usize> {
+        let (full, ilen_us) = (report.window, zoom.interval.as_micros());
+        let offset_us = zoom.start.as_micros().wrapping_sub(full.start.as_micros());
+        let first = (offset_us / ilen_us) as usize;
+        assert!(
+            zoom.interval == full.interval
+                && zoom.start >= full.start
+                && offset_us % ilen_us == 0
+                && first + zoom.len() <= full.len(),
+            "zoom window {zoom:?} is not on the grid of {full:?}"
+        );
+        first..first + zoom.len()
     }
 
     /// The trace node of the server named `name`.
@@ -293,15 +323,9 @@ impl Analysis {
             .collect()
     }
 
-    /// `(load, throughput)` pairs of a report as plain points for plotting.
-    pub fn scatter_points(report: &ServerReport) -> Vec<(f64, f64)> {
-        (0..report.load.len())
-            .map(|i| (report.load.get(i), report.tput.unit_rate(i)))
-            .collect()
-    }
-
-    /// Like [`Analysis::scatter_points`] but in equivalent requests per
-    /// second (the paper's MySQL y-axis).
+    /// `(load, throughput)` pairs of a report as plain points for plotting,
+    /// throughput in equivalent requests per second (the paper's MySQL
+    /// y-axis).
     pub fn scatter_points_eq(&self, report: &ServerReport) -> Vec<(f64, f64)> {
         let ms = self.cal.mean_service(report.server);
         (0..report.load.len())
@@ -314,6 +338,7 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::scenario::SPEEDSTEP_OFF;
+    use fgbd_core::series::ThroughputSeries;
 
     #[test]
     fn calibration_covers_all_servers() {
@@ -354,8 +379,7 @@ mod tests {
         let rep = analysis.report("mysql-1", w, &DetectorConfig::default());
         assert_eq!(rep.states.len(), 320);
         assert!(!analysis.rt_events().is_empty());
-        let pts = Analysis::scatter_points(&rep);
-        assert_eq!(pts.len(), 320);
+        assert_eq!(analysis.scatter_points_eq(&rep).len(), 320);
         // The parallel fan-out returns the same verdicts in server order.
         let all = analysis.report_all(w, &DetectorConfig::default());
         let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
@@ -374,5 +398,42 @@ mod tests {
             .expect("mysql-1 analyzed");
         assert_eq!(mysql.congested_intervals(), rep.congested_intervals());
         assert_eq!(mysql.states, rep.states);
+    }
+
+    /// A zoom panel sliced out of the full-window report carries the very
+    /// bits of a report over the zoom itself: every load, unit and rate by
+    /// `f64::to_bits`, every completion count exactly.
+    #[test]
+    fn zoom_slice_is_bitwise_the_sub_window_report() {
+        let mut cfg = SPEEDSTEP_OFF.config(1_500);
+        cfg.warmup = SimDuration::from_secs(2);
+        cfg.duration = SimDuration::from_secs(12);
+        let analysis = Analysis::simulate(cfg, Calibration::for_scenario(&SPEEDSTEP_OFF));
+        let (dcfg, ms50) = (DetectorConfig::default(), SimDuration::from_millis(50));
+        let full = analysis.report("mysql-1", analysis.window(ms50), &dcfg);
+        let secs = SimDuration::from_secs;
+        let zoom_at = |interval| analysis.sub_window(secs(3), secs(5), interval);
+        let sub = analysis.report("mysql-1", zoom_at(ms50), &dcfg);
+        let range = Analysis::zoom_intervals(&full, zoom_at(ms50));
+        assert_eq!(range, 60..160);
+        let ms = analysis.cal.mean_service(full.server);
+        let mut completions = 0;
+        for (i, k) in range.enumerate() {
+            let (f, z) = (&full.tput, &sub.tput);
+            assert_eq!(full.load.get(k).to_bits(), sub.load.get(i).to_bits());
+            assert_eq!(f.units(k).to_bits(), z.units(i).to_bits());
+            assert_eq!(f.unit_rate(k).to_bits(), z.unit_rate(i).to_bits());
+            let eq = |t: &ThroughputSeries, j| t.equivalent_rate(j, ms).to_bits();
+            assert_eq!(eq(f, k), eq(z, i));
+            assert_eq!(f.count(k), z.count(i));
+            completions += z.count(i);
+        }
+        assert!(completions > 0, "the zoom must see traffic");
+        // A window off the grid is refused rather than silently shifted.
+        let zoom = zoom_at(ms50);
+        let shifted = Window::new(zoom.start + SimDuration::from_millis(10), zoom.end, ms50);
+        for bad in [shifted, zoom_at(SimDuration::from_millis(100))] {
+            assert!(std::panic::catch_unwind(|| Analysis::zoom_intervals(&full, bad)).is_err());
+        }
     }
 }

@@ -432,6 +432,18 @@ fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
             assert!(!stderr.contains("panicked at"), "{what}");
         }
     }
+    // A zero interval is a usage error, like a non-numeric one: not a run
+    // at some other granularity than the one asked for.
+    std::fs::write(dir.join("good.cap"), &good).expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_analyze_capture"))
+        .current_dir(&dir)
+        .args(["good.cap", "0", "--quiet"])
+        .output()
+        .expect("spawn analyze_capture");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("interval must be a positive"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
