@@ -13,7 +13,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs the Fig 8 workload and lets the selector pick the interval.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = SPEEDSTEP_ON.analyze(14_000, cal);
+    let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal);
     let node = analysis.node("mysql-1");
     let selection = auto_interval(
         analysis.spans.server(node),

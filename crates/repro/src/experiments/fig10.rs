@@ -18,7 +18,7 @@ use crate::scenario::GC_JDK15;
 /// response time on the 50 ms grid.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&GC_JDK15);
-    let analysis = GC_JDK15.analyze(14_000, cal);
+    let analysis = GC_JDK15.analyze(14_000, &["tomcat-1"], cal);
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 

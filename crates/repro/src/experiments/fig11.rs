@@ -24,7 +24,7 @@ pub fn run() -> ExperimentSummary {
     let cases = [(GC_JDK16, "jdk16"), (GC_JDK15, "jdk15")];
     let computed = crate::par::par_map(&cases, |(scenario, _)| {
         let cal = Calibration::for_scenario(scenario);
-        let analysis = scenario.analyze(14_000, cal);
+        let analysis = scenario.analyze(14_000, &["tomcat-1"], cal);
         let report = analysis.report("tomcat-1", analysis.window(interval), &cfg);
         (analysis, report)
     });

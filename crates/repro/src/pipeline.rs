@@ -4,7 +4,9 @@
 //! Both kinds of run are consumed on the tap and neither holds a log: a
 //! loaded run's records go from the simulator straight into the
 //! [`SpanPairer`] ([`Analysis::simulate`]), a calibration run's into the
-//! pairer and the service-time fold ([`Calibration::simulate`]).
+//! pairer and the service-time fold ([`Calibration::simulate`]). The loaded
+//! run pairs only the servers its caller names, since a figure reports one
+//! server and the pairer keeps each server's state apart.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -200,20 +202,51 @@ impl CalibrationFold {
 pub struct Analysis {
     /// The raw run outputs.
     pub run: RunResult,
-    /// Per-server spans extracted from the capture.
+    /// Per-server spans extracted from the capture: only the servers named
+    /// to [`Analysis::simulate`] on the figure route, every server on the
+    /// log route ([`Analysis::new`]).
     pub spans: SpanSet,
     /// Service-time calibration (from a separate low-load run).
     pub cal: Calibration,
 }
 
 impl Analysis {
-    /// Simulates `cfg` and pairs its capture records into spans as the tap
-    /// delivers them, so `run.log.records` is empty by construction: the
-    /// loaded run's log is never materialized.
-    pub fn simulate(cfg: SystemConfig, cal: Calibration) -> Analysis {
-        let mut pairer = SpanPairer::default();
-        let run = NTierSystem::run_with_record_tap(cfg, |rec| pairer.push(&rec));
-        Analysis::with_spans(run, pairer.finish(), cal)
+    /// Simulates `cfg` and pairs the capture records of the `servers` the
+    /// caller will report into spans as the tap delivers them. The loaded
+    /// run's log is never materialized (`run.log.records` is empty), and
+    /// other servers' records are passed over: the pairer keeps every
+    /// server's state apart, so one server's records alone give exactly its
+    /// spans.
+    ///
+    /// # Panics
+    ///
+    /// Panics before simulating if a name is not a server of `cfg`.
+    pub fn simulate(cfg: SystemConfig, servers: &[&str], cal: Calibration) -> Analysis {
+        let nodes = fgbd_ntier::system::node_metas(&cfg);
+        let run_servers = || nodes.iter().filter(|n| n.kind == NodeKind::Server);
+        let node_of = |name: &str| match run_servers().find(|n| n.name == name) {
+            Some(meta) => meta.id,
+            None => {
+                let names: Vec<&str> = run_servers().map(|n| n.name.as_str()).collect();
+                panic!("no server named {name}; the run has {names:?}")
+            }
+        };
+        let keep: Vec<NodeId> = servers.iter().map(|&name| node_of(name)).collect();
+        let (mut pairer, mut skipped) = (SpanPairer::default(), 0u64);
+        let run = NTierSystem::run_with_record_tap(cfg, |rec| {
+            if keep.contains(&rec.span_node()) {
+                pairer.push(&rec);
+            } else {
+                skipped += 1;
+            }
+        });
+        let spans = pairer.finish();
+        fgbd_obsv::counter!("extract.spans", spans.len() as u64);
+        if fgbd_obsv::enabled() {
+            // Retained: the share of the capture a figure never pairs.
+            fgbd_obsv::metrics::counter_retained("extract.skipped").add(skipped);
+        }
+        Analysis::with_spans(run, spans, cal)
     }
 
     /// Wraps a run that kept its log (tests, examples), pairing the log.
@@ -284,33 +317,29 @@ impl Analysis {
 
     /// Runs the full §III analysis for the server named `name` over
     /// `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` has no spans — it was not named to
+    /// [`Analysis::simulate`] — rather than report it idle.
     pub fn report(&self, name: &str, window: Window, cfg: &DetectorConfig) -> ServerReport {
         let node = self.node(name);
+        let spans = self.spans.server(node);
+        if spans.is_empty() {
+            let paired: Vec<&str> = (self.run.servers.iter())
+                .filter(|info| !self.spans.server(info.node).is_empty())
+                .map(|info| info.name.as_str())
+                .collect();
+            panic!("server {name} was not paired; the analysis has spans for {paired:?}");
+        }
         analyze_server(
-            self.spans.server(node),
+            spans,
             node,
             window,
             &self.cal.services,
             self.cal.work_unit(node),
             cfg,
         )
-    }
-
-    /// Runs the §III analysis for **every** server of the run over
-    /// `window`, one worker per core (see [`crate::par::par_map`]).
-    /// Returns `(name, report)` pairs in the run's server order; servers
-    /// without any spans are skipped.
-    pub fn report_all(&self, window: Window, cfg: &DetectorConfig) -> Vec<(String, ServerReport)> {
-        fgbd_obsv::span!("report_all");
-        let servers: Vec<_> = self
-            .run
-            .servers
-            .iter()
-            .filter(|info| !self.spans.server(info.node).is_empty())
-            .collect();
-        crate::par::par_map(&servers, |info| {
-            (info.name.clone(), self.report(&info.name, window, cfg))
-        })
     }
 
     /// End-to-end response-time events `(finish time, seconds)` for
@@ -380,24 +409,6 @@ mod tests {
         assert_eq!(rep.states.len(), 320);
         assert!(!analysis.rt_events().is_empty());
         assert_eq!(analysis.scatter_points_eq(&rep).len(), 320);
-        // The parallel fan-out returns the same verdicts in server order.
-        let all = analysis.report_all(w, &DetectorConfig::default());
-        let names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
-        let expected: Vec<&str> = analysis
-            .run
-            .servers
-            .iter()
-            .filter(|i| !analysis.spans.server(i.node).is_empty())
-            .map(|i| i.name.as_str())
-            .collect();
-        assert_eq!(names, expected);
-        let mysql = all
-            .iter()
-            .find(|(n, _)| n == "mysql-1")
-            .map(|(_, r)| r)
-            .expect("mysql-1 analyzed");
-        assert_eq!(mysql.congested_intervals(), rep.congested_intervals());
-        assert_eq!(mysql.states, rep.states);
     }
 
     /// A zoom panel sliced out of the full-window report carries the very
@@ -408,7 +419,8 @@ mod tests {
         let mut cfg = SPEEDSTEP_OFF.config(1_500);
         cfg.warmup = SimDuration::from_secs(2);
         cfg.duration = SimDuration::from_secs(12);
-        let analysis = Analysis::simulate(cfg, Calibration::for_scenario(&SPEEDSTEP_OFF));
+        let cal = Calibration::for_scenario(&SPEEDSTEP_OFF);
+        let analysis = Analysis::simulate(cfg, &["mysql-1"], cal);
         let (dcfg, ms50) = (DetectorConfig::default(), SimDuration::from_millis(50));
         let full = analysis.report("mysql-1", analysis.window(ms50), &dcfg);
         let secs = SimDuration::from_secs;

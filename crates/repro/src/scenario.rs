@@ -1,10 +1,11 @@
 //! Named experimental scenarios matching the paper's two case studies.
 //!
 //! A scenario is run three ways, by what the caller needs of the capture:
-//! [`Scenario::analyze`] pairs spans on the record tap and keeps no log
-//! (the figures), and so does [`Calibration::for_scenario`] on the short
-//! low-load calibration workload; [`Scenario::calibration_run`] runs that
-//! workload keeping its log, for callers that want the capture itself, and
+//! [`Scenario::analyze`] pairs spans on the record tap, only those of the
+//! servers a figure reports, and keeps no log (the figures), and so does
+//! [`Calibration::for_scenario`] on the short low-load calibration
+//! workload; [`Scenario::calibration_run`] runs that workload keeping its
+//! log, for callers that want the capture itself, and
 //! [`Scenario::run_uncaptured`] records nothing.
 
 use fgbd_des::SimDuration;
@@ -65,12 +66,13 @@ impl Scenario {
         SystemConfig::paper_1l2s1l2s(users, self.jdk, self.speedstep, MASTER_SEED)
     }
 
-    /// Runs the scenario at workload `users` and pairs its capture on the
-    /// tap ([`Analysis::simulate`]) — what the figures call; no log is kept.
-    pub fn analyze(&self, users: u32, cal: Calibration) -> Analysis {
+    /// Runs the scenario at workload `users` and pairs the capture of the
+    /// named `servers` on the tap ([`Analysis::simulate`]) — what the
+    /// figures call; no log is kept.
+    pub fn analyze(&self, users: u32, servers: &[&str], cal: Calibration) -> Analysis {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);
-        Analysis::simulate(self.config(users), cal)
+        Analysis::simulate(self.config(users), servers, cal)
     }
 
     /// Runs the scenario at workload `users` keeping the whole capture log.

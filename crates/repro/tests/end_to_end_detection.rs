@@ -2,7 +2,7 @@
 //! calibrate → detect → diagnose, exercising both of the paper's case
 //! studies at reduced scale.
 
-use fgbd_core::detect::{rank_bottlenecks, DetectorConfig};
+use fgbd_core::detect::{rank_bottlenecks, DetectorConfig, ServerReport};
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
@@ -281,17 +281,27 @@ fn operational_laws_hold_on_simulated_captures() {
     );
 }
 
+/// The message of a caught panic.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
 /// The figures pair spans on the simulator's record tap and never hold a
 /// log; that must be the same analysis as pairing the whole log afterwards,
-/// and the tap must not perturb the run.
+/// and the tap must not perturb the run. A figure pairs only the server it
+/// reports, and that server alone must give its very report.
 #[test]
 fn tap_paired_analysis_equals_log_paired() {
     let mut cfg = GC_JDK15.config(3_000);
     cfg.warmup = SimDuration::from_secs(3);
     cfg.duration = SimDuration::from_secs(12);
     let cal = calibration(Jdk::Jdk15, false);
-    let tapped = Analysis::simulate(cfg.clone(), Calibration::clone(&cal));
-    let logged = Analysis::new(NTierSystem::run(cfg), cal);
+    let tapped = Analysis::simulate(cfg.clone(), &SERVERS, Calibration::clone(&cal));
+    let logged = Analysis::new(NTierSystem::run(cfg.clone()), Calibration::clone(&cal));
 
     assert!(tapped.run.log.records.is_empty(), "no log on the tap route");
     assert!(!logged.run.log.records.is_empty());
@@ -323,4 +333,42 @@ fn tap_paired_analysis_equals_log_paired() {
         assert_eq!(t.states, l.states, "{name}");
         assert_eq!(t.nstar, l.nstar, "{name}");
     }
+
+    for name in SERVERS {
+        let alone = Analysis::simulate(cfg.clone(), &[name], Calibration::clone(&cal));
+        let node = logged.node(name);
+        assert_eq!(alone.spans.servers(), [node], "{name}");
+        assert!(alone.spans.unmatched.keys().all(|&n| n == node), "{name}");
+        let unmatched = |a: &Analysis| a.spans.unmatched.get(&node).copied();
+        assert_eq!(unmatched(&alone), unmatched(&logged), "{name}");
+        let (a, l) = (
+            alone.report(name, window, &dcfg),
+            logged.report(name, window, &dcfg),
+        );
+        assert_eq!(a.states, l.states, "{name}");
+        assert_eq!(a.nstar, l.nstar, "{name}");
+        let bits = |r: &ServerReport, i| {
+            let (load, t) = (r.load.get(i), &r.tput);
+            let rates = [load, t.units(i), t.unit_rate(i)].map(f64::to_bits);
+            (rates, t.count(i))
+        };
+        for i in 0..l.load.len() {
+            assert_eq!(bits(&a, i), bits(&l, i), "{name} interval {i}");
+        }
+        // A server that was not paired fails by name instead of reporting
+        // idle.
+        if name == "mysql-1" {
+            let msg = panic_message(|| {
+                alone.report("tomcat-1", window, &dcfg);
+            });
+            assert!(msg.contains("tomcat-1") && msg.contains("mysql-1"), "{msg}");
+        }
+    }
+
+    // An unknown name fails before the run and lists the run's servers.
+    let msg = panic_message(|| {
+        Analysis::simulate(cfg, &["mysql-9"], cal);
+    });
+    assert!(msg.contains("mysql-9"), "{msg}");
+    assert!(SERVERS.iter().all(|name| msg.contains(name)), "{msg}");
 }

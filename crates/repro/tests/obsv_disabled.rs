@@ -18,7 +18,9 @@ fn analysis_digest() -> String {
     let cal = Calibration::from_run(&run);
     let analysis = Analysis::new(run, cal);
     let window = analysis.window(SimDuration::from_millis(50));
-    let reports = analysis.report_all(window, &DetectorConfig::default());
+    let reports: Vec<_> = (analysis.run.servers.iter())
+        .map(|info| analysis.report(&info.name, window, &DetectorConfig::default()))
+        .collect();
     format!("{reports:?}")
 }
 
