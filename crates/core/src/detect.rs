@@ -114,6 +114,26 @@ pub(crate) fn congestion_ratio(states: &[IntervalState]) -> f64 {
 }
 
 impl ServerReport {
+    /// The report on `set`'s grid: its series, N\* fit over every interval,
+    /// each interval classified against it. The one tail of
+    /// [`analyze_server`] (series from spans) and of
+    /// [`crate::online::OnlineDetector::finish`] (series retained on the
+    /// stream), so equal series give equal reports.
+    pub fn from_series(server: NodeId, set: &SeriesSet, cfg: &DetectorConfig) -> ServerReport {
+        let (load, tput) = (set.load(), set.tput());
+        let rates = tput.unit_rates();
+        let nstar = fit_mainseq(load.values(), &rates, cfg);
+        let states = classify_values(load.values(), &rates, nstar.as_ref(), cfg);
+        ServerReport {
+            server,
+            window: set.window(),
+            load,
+            tput,
+            nstar,
+            states,
+        }
+    }
+
     /// Number of congested intervals (including frozen ones).
     pub fn congested_intervals(&self) -> usize {
         tally(&self.states).0
@@ -195,29 +215,7 @@ pub fn analyze_server(
     fgbd_obsv::span!("detect");
     // One fused pass over the spans builds both series (see `SeriesSet`).
     let set = SeriesSet::from_spans(spans, window, services, work_unit);
-    let (load, tput) = (set.load(), set.tput());
-    let (nstar, states) = fit_and_classify(load.values(), &tput.unit_rates(), cfg);
-    ServerReport {
-        server,
-        window,
-        load,
-        tput,
-        nstar,
-        states,
-    }
-}
-
-/// The full-run tail [`analyze_server`] and
-/// [`crate::online::OnlineDetector::finish`] both end in: fit N\* over every
-/// interval's `(load, rate)` sample, then classify each against it.
-pub(crate) fn fit_and_classify(
-    loads: &[f64],
-    rates: &[f64],
-    cfg: &DetectorConfig,
-) -> (Option<NStar>, Vec<IntervalState>) {
-    let nstar = fit_mainseq(loads, rates, cfg);
-    let states = classify_values(loads, rates, nstar.as_ref(), cfg);
-    (nstar, states)
+    ServerReport::from_series(server, &set, cfg)
 }
 
 /// Fits the main sequence curve (§III-B) over raw per-interval samples and

@@ -21,11 +21,9 @@
 //! noise-to-retention balance when none qualifies.
 
 use fgbd_des::SimDuration;
-use fgbd_trace::servicetime::ServiceTimeTable;
-use fgbd_trace::Span;
 use serde::{Deserialize, Serialize};
 
-use crate::series::{SeriesSet, Window};
+use crate::series::SeriesSet;
 use crate::stats;
 
 /// Parameters of the interval selector.
@@ -72,27 +70,25 @@ pub struct IntervalScore {
 pub struct IntervalSelection {
     /// The chosen interval length.
     pub chosen: SimDuration,
-    /// Scores for every candidate, in candidate order.
+    /// Scores for every candidate with at least 20 whole intervals, in
+    /// candidate order.
     pub scores: Vec<IntervalScore>,
 }
 
-/// Picks a monitoring interval for `spans` over `window_bounds`.
+/// Picks a monitoring interval for the server whose series on the finest
+/// candidate's grid is `base`. Every candidate is scored on `base`
+/// coarsened to it — bit-identical to a series built on that grid directly
+/// (see [`SeriesSet::coarsen`]).
 ///
 /// Returns `None` when no candidate produces at least 20 whole intervals
 /// with completions (too little data to score).
 ///
 /// # Panics
 ///
-/// Panics if `cfg.candidates` is empty or unsorted, or if `cfg.max_noise`
-/// or `cfg.busy_fraction` is not positive.
-pub fn auto_interval(
-    spans: &[Span],
-    start: fgbd_des::SimTime,
-    end: fgbd_des::SimTime,
-    services: &ServiceTimeTable,
-    work_unit: SimDuration,
-    cfg: &IntervalSelectConfig,
-) -> Option<IntervalSelection> {
+/// Panics if `cfg.candidates` is empty or unsorted, if `base` is not on
+/// the first candidate's grid or a candidate is not a multiple of it, or
+/// if `cfg.max_noise` or `cfg.busy_fraction` is not positive.
+pub fn auto_interval(base: &SeriesSet, cfg: &IntervalSelectConfig) -> Option<IntervalSelection> {
     assert!(!cfg.candidates.is_empty(), "need candidates");
     assert!(
         cfg.candidates.windows(2).all(|w| w[0] < w[1]),
@@ -102,40 +98,21 @@ pub fn auto_interval(
         cfg.max_noise > 0.0 && cfg.busy_fraction > 0.0,
         "thresholds must be positive"
     );
-    if end <= start {
-        return None;
-    }
-
-    // Build the series once at the finest candidate; every coarser
-    // candidate whose length is a multiple derives its series by exact
-    // integer aggregation (bit-identical to a direct build, see
-    // `SeriesSet::coarsen`), so the span list is walked once instead of
-    // once per candidate. Non-multiple candidates fall back to a direct
-    // build.
-    let base_interval = cfg.candidates[0];
-    let base = SeriesSet::from_spans(
-        spans,
-        Window::new(start, end, base_interval),
-        services,
-        work_unit,
+    let base_us = base.window().interval.as_micros();
+    assert!(
+        cfg.candidates[0].as_micros() == base_us
+            && (cfg.candidates.iter()).all(|c| c.as_micros() % base_us == 0),
+        "every candidate must be a multiple of the base grid, the first equal to it"
     );
-
     let mut scores = Vec::with_capacity(cfg.candidates.len());
     let mut finest_peak: Option<f64> = None;
     for &interval in &cfg.candidates {
-        let window = Window::new(start, end, interval);
+        let set = base.coarsen((interval.as_micros() / base_us) as usize);
+        let window = set.window();
         if window.len() < 20 {
             continue;
         }
-        let (load, tput) = if interval == base_interval {
-            (base.load(), base.tput())
-        } else if interval.as_micros() % base_interval.as_micros() == 0 {
-            let set = base.coarsen((interval.as_micros() / base_interval.as_micros()) as usize);
-            (set.load(), set.tput())
-        } else {
-            let set = SeriesSet::from_spans(spans, window, services, work_unit);
-            (set.load(), set.tput())
-        };
+        let (load, tput) = (set.load(), set.tput());
         let peak = load.values().iter().copied().fold(0.0, f64::max);
         if finest_peak.is_none() {
             finest_peak = Some(peak);
@@ -192,8 +169,10 @@ pub fn auto_interval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::Window;
     use fgbd_des::{Dice, SimTime};
-    use fgbd_trace::{ClassId, ConnId, NodeId};
+    use fgbd_trace::servicetime::ServiceTimeTable;
+    use fgbd_trace::{ClassId, ConnId, NodeId, Span};
 
     /// FCFS replay with mixed service times (1x and 3x) and periodic
     /// bursts — normalization noise shrinks with interval length while the
@@ -225,25 +204,19 @@ mod tests {
         spans
     }
 
-    fn services() -> ServiceTimeTable {
-        let mut s = ServiceTimeTable::new();
-        s.insert(NodeId(1), ClassId(0), SimDuration::from_micros(6_000));
-        s.insert(NodeId(1), ClassId(1), SimDuration::from_micros(18_000));
-        s
+    /// `spans` on the finest default candidate's grid over `[0, end)`.
+    fn base(spans: &[Span], end: SimTime) -> SeriesSet {
+        let mut services = ServiceTimeTable::new();
+        services.insert(NodeId(1), ClassId(0), SimDuration::from_micros(6_000));
+        services.insert(NodeId(1), ClassId(1), SimDuration::from_micros(18_000));
+        let window = Window::new(SimTime::ZERO, end, SimDuration::from_millis(10));
+        SeriesSet::from_spans(spans, window, &services, SimDuration::from_micros(6_000))
     }
 
     #[test]
     fn selector_prefers_mid_range_intervals() {
-        let spans = bursty_mixed_spans();
-        let sel = auto_interval(
-            &spans,
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-            &services(),
-            SimDuration::from_micros(6_000),
-            &IntervalSelectConfig::default(),
-        )
-        .expect("selection expected");
+        let base = base(&bursty_mixed_spans(), SimTime::from_secs(60));
+        let sel = auto_interval(&base, &IntervalSelectConfig::default()).expect("a selection");
         // Neither the noisiest extreme (10 ms) nor the blind one (1 s).
         assert!(
             sel.chosen >= SimDuration::from_millis(20)
@@ -275,44 +248,21 @@ mod tests {
             conn: ConnId(0),
             truth: None,
         }];
-        assert!(auto_interval(
-            &spans,
-            SimTime::ZERO,
-            SimTime::from_millis(100),
-            &services(),
-            SimDuration::from_millis(5),
-            &IntervalSelectConfig::default(),
-        )
-        .is_none());
+        let base = base(&spans, SimTime::from_millis(100));
+        assert!(auto_interval(&base, &IntervalSelectConfig::default()).is_none());
     }
 
     #[test]
     fn noise_threshold_steers_the_choice() {
-        let spans = bursty_mixed_spans();
-        let strict = auto_interval(
-            &spans,
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-            &services(),
-            SimDuration::from_micros(6_000),
-            &IntervalSelectConfig {
-                max_noise: 0.02,
+        let base = base(&bursty_mixed_spans(), SimTime::from_secs(60));
+        let select = |max_noise| {
+            let cfg = IntervalSelectConfig {
+                max_noise,
                 ..IntervalSelectConfig::default()
-            },
-        )
-        .expect("selection");
-        let lax = auto_interval(
-            &spans,
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-            &services(),
-            SimDuration::from_micros(6_000),
-            &IntervalSelectConfig {
-                max_noise: 0.5,
-                ..IntervalSelectConfig::default()
-            },
-        )
-        .expect("selection");
+            };
+            auto_interval(&base, &cfg).expect("a selection")
+        };
+        let (strict, lax) = (select(0.02), select(0.5));
         assert!(
             lax.chosen <= strict.chosen,
             "lax {} strict {}",
@@ -328,13 +278,16 @@ mod tests {
             candidates: vec![SimDuration::from_millis(50), SimDuration::from_millis(20)],
             ..IntervalSelectConfig::default()
         };
-        auto_interval(
-            &[],
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            &ServiceTimeTable::new(),
-            SimDuration::from_millis(10),
-            &cfg,
-        );
+        auto_interval(&base(&[], SimTime::from_secs(1)), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of the base grid")]
+    fn a_candidate_off_the_base_grid_panics() {
+        let cfg = IntervalSelectConfig {
+            candidates: [10, 15, 20].map(SimDuration::from_millis).to_vec(),
+            ..IntervalSelectConfig::default()
+        };
+        auto_interval(&base(&[], SimTime::from_secs(1)), &cfg);
     }
 }

@@ -22,6 +22,11 @@
 //!    the interval state machine with hysteresis, emitting
 //!    [`MonitorEvent`] onset/clear verdicts online.
 //!
+//! It has three consumers, one detector per record stream: the capture
+//! analyzer (`analyze_capture`, `--follow`), the live monitor, and the
+//! paper's figures, which feed it the simulator's record tap and report on
+//! the series a retained detector hands back ([`OnlineReport::series`]).
+//!
 //! # Deferred calibration
 //!
 //! Step 2 needs service times; pairing does not. A detector built
@@ -46,10 +51,13 @@
 //! the kept intervals hold identical integers). What is left to argue is
 //! pairing and finalization: pairing is `SpanSet::extract`'s own table, and
 //! an interval is popped only once no open or future request can reach it. So
-//! with `retain` on, the final report's loads, rates, N\* and states are
-//! **bit-for-bit** what `analyze_server` computes from the materialized
-//! capture — property-tested in `tests/online.rs`, and on a real run in
-//! `fgbd-repro`'s `tests/live_monitor.rs` and `tests/capture_formats.rs`.
+//! with `retain` on, the final series are the batch series, and the report
+//! on them — loads, rates, N\* and states, through the same
+//! `ServerReport::from_series` — is **bit-for-bit** what `analyze_server`
+//! computes from the materialized capture — property-tested in
+//! `tests/online.rs`, and on real runs in `fgbd-repro`'s
+//! `tests/live_monitor.rs`, `tests/capture_formats.rs` and
+//! `tests/end_to_end_detection.rs`.
 //!
 //! Live verdicts are intentionally *provisional*: they use the
 //! sliding-window N\* available at finalization time, trading the batch
@@ -73,9 +81,9 @@ use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::span::{server_slot, OpenTable};
 use fgbd_trace::{ClassId, MsgKind, MsgRecord, NodeId};
 
-use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalState};
+use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalState, ServerReport};
 use crate::nstar::NStar;
-use crate::series::{materialize, IntervalRing, ServiceCache, Window};
+use crate::series::{materialize, IntervalRing, SeriesSet, ServiceCache, Window};
 
 /// Parameters of the online detector.
 #[derive(Debug, Clone, Copy)]
@@ -217,11 +225,17 @@ pub struct OnlineReport {
     pub loads: Vec<f64>,
     /// Batch-exact per-interval rates (`retain` only; empty otherwise).
     pub rates: Vec<f64>,
+    /// The series those come from (`retain` only), for
+    /// [`ServerReport::from_series`].
+    pub series: Option<SeriesSet>,
     /// Spans matched (request paired with response).
     pub matched: u64,
     /// Unmatched messages: front-truncated responses plus requests still
     /// open at stream end — the batch `SpanSet::unmatched` rule.
     pub unmatched: usize,
+    /// Requests that arrived while their connection had one open (see
+    /// `OpenTable::overlaps`): 0 on a pristine trace.
+    pub conn_overlap: u64,
     /// Intervals the *live* state machine saw as congested or frozen.
     pub live_congested: usize,
     /// Intervals the *live* state machine saw as frozen.
@@ -283,8 +297,8 @@ struct ServerState {
     live_frozen: usize,
     matched: u64,
     unmatched: usize,
-    loads: Vec<f64>,
-    rates: Vec<f64>,
+    /// Finalized intervals' `IntervalRing::pop` triples (`retain` only).
+    retained: Vec<(u64, u32, u64)>,
 }
 
 impl ServerState {
@@ -308,8 +322,7 @@ impl ServerState {
             live_frozen: 0,
             matched: 0,
             unmatched: 0,
-            loads: Vec::new(),
-            rates: Vec::new(),
+            retained: Vec::new(),
         }
     }
 
@@ -318,7 +331,7 @@ impl ServerState {
         self.ring.state_bytes()
             + self.open.state_bytes()
             + self.samples.len() * size_of::<(f64, f64)>()
-            + (self.loads.len() + self.rates.len()) * size_of::<f64>()
+            + self.retained.len() * size_of::<(u64, u32, u64)>()
     }
 }
 
@@ -546,14 +559,13 @@ impl OnlineDetector {
     ) {
         while state.ring.base() < target {
             let index = state.ring.base();
-            let (overlap_us, _count, service_us) = state.ring.pop();
+            let (overlap_us, count, service_us) = state.ring.pop();
             let (load, _units, rate) =
                 materialize(overlap_us, service_us, cfg.interval, state.wu_us);
             state.last_load = load;
             state.last_rate = rate;
             if cfg.retain {
-                state.loads.push(load);
-                state.rates.push(rate);
+                state.retained.push((overlap_us, count, service_us));
             }
             state.samples.push_back((load, rate));
             while state.samples.len() > cfg.live_window {
@@ -676,10 +688,11 @@ impl OnlineDetector {
     /// `Window::new(start, end, interval)`: finalizes every whole interval,
     /// drops accumulators past the grid (the unclamped-accumulation
     /// counterpart of the batch grid-end clamp), counts still-open
-    /// requests as unmatched, and — with `retain` — refits N\* over the
-    /// full run and re-classifies, reproducing `analyze_server`
-    /// bit-for-bit. Reports are ordered by server id; verdicts emitted by
-    /// the tail finalization ride along in [`OnlineFinish::events`].
+    /// requests as unmatched, and — with `retain` — reports on the grid's
+    /// series through `analyze_server`'s own tail,
+    /// [`ServerReport::from_series`], reproducing it bit-for-bit. Reports
+    /// are ordered by server id; verdicts emitted by the tail finalization
+    /// ride along in [`OnlineFinish::events`].
     ///
     /// # Panics
     ///
@@ -687,10 +700,6 @@ impl OnlineDetector {
     /// was never calibrated.
     pub fn finish(mut self, end: SimTime) -> OnlineFinish {
         assert!(self.held.is_none(), "finish before calibrate");
-        if fgbd_obsv::enabled() {
-            // Retained: 0 on a time-ordered stream is the finding.
-            fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
-        }
         let window = Window::new(self.cfg.start, end, self.cfg.interval);
         let len = window.len();
         let mut out = Vec::new();
@@ -699,27 +708,37 @@ impl OnlineDetector {
             // batch extractor counts them unmatched.
             state.unmatched += state.open.len();
             Self::finalize_to(&mut state, len, self.cur_us, &self.cfg, &mut self.events);
-            let (nstar, states) = if self.cfg.retain {
-                // Intervals finalized past the grid end (the stream ran
-                // beyond `end`) are not part of the grid.
-                state.loads.truncate(len);
-                state.rates.truncate(len);
-                detect::fit_and_classify(&state.loads, &state.rates, &self.cfg.detector)
-            } else {
-                (None, Vec::new())
-            };
+            // Intervals finalized past the grid end (the stream ran beyond
+            // `end`) are not part of the grid.
+            let (wu, retained) = (state.wu_us, std::mem::take(&mut state.retained));
+            let series = (self.cfg.retain)
+                .then(|| SeriesSet::from_pops(window, SimDuration::from_micros(wu), retained));
+            let report = (series.as_ref())
+                .map(|set| ServerReport::from_series(state.server, set, &self.cfg.detector));
+            let (nstar, states, loads, rates) = report.map_or_else(Default::default, |r| {
+                let (loads, rates) = (r.load.values().to_vec(), r.tput.unit_rates());
+                (r.nstar, r.states, loads, rates)
+            });
             out.push(OnlineReport {
                 server: state.server,
                 window,
                 nstar,
                 states,
-                loads: state.loads,
-                rates: state.rates,
+                loads,
+                rates,
+                series,
                 matched: state.matched,
                 unmatched: state.unmatched,
+                conn_overlap: state.open.overlaps(),
                 live_congested: state.live_congested,
                 live_frozen: state.live_frozen,
             });
+        }
+        if fgbd_obsv::enabled() {
+            // Retained: 0 on a time-ordered, lossless stream is the finding.
+            fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
+            let overlaps = out.iter().map(|r| r.conn_overlap).sum();
+            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(overlaps);
         }
         OnlineFinish {
             reports: out,

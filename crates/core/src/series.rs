@@ -513,6 +513,17 @@ impl SeriesSet {
                 })
             });
         }
+        SeriesSet::from_pops(window, work_unit, (0..window.len()).map(|_| ring.pop()))
+    }
+
+    /// The set over `window` from its intervals' `IntervalRing::pop`
+    /// triples, in grid order: the batch sweep's and the online detector's
+    /// retained intervals alike.
+    pub(crate) fn from_pops(
+        window: Window,
+        work_unit: SimDuration,
+        pops: impl IntoIterator<Item = (u64, u32, u64)>,
+    ) -> SeriesSet {
         let n = window.len();
         let mut set = SeriesSet {
             window,
@@ -521,8 +532,7 @@ impl SeriesSet {
             service_us: Vec::with_capacity(n),
             work_unit,
         };
-        for _ in 0..n {
-            let (overlap_us, count, service_us) = ring.pop();
+        for (overlap_us, count, service_us) in pops.into_iter().take(n) {
             set.overlap_us.push(overlap_us);
             set.counts.push(count);
             set.service_us.push(service_us);

@@ -210,7 +210,8 @@ proptest! {
 
     /// Aggregating the finest grid by an integer factor is bit-identical
     /// to building the coarse grid from the spans directly — the invariant
-    /// `auto_interval` relies on to walk the span list only once.
+    /// `auto_interval` relies on to score every candidate on the finest
+    /// grid's series.
     #[test]
     fn coarsening_equals_direct_build(
         spans in awkward_spans_strategy(),

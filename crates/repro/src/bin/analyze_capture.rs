@@ -36,7 +36,10 @@
 //! output as `analyze_capture: out/monitor: <error>`. A run manifest is written to `out/manifests/analyze_capture.*`,
 //! including which route ran (`capture_format`, `source`,
 //! `calib_prefix_records`, `decode_threads`) and how calibration overlapped
-//! it (`calib_wait_ms`, `calib_held_spans`).
+//! it (`calib_wait_ms`, `calib_held_spans`). A capture in which a request
+//! arrives on a connection whose previous request is still open — what a
+//! lost response leaves — gets one warning line on stderr; the report is
+//! unchanged.
 
 use std::fs::File;
 use std::io::{self, BufReader};
@@ -96,6 +99,10 @@ fn main() {
     };
     let za = analysis.unwrap_or_else(|e| fail_path("analyze_capture", path, e));
     za.stamp_route(&mut scope);
+    let overlaps: u64 = za.reports.iter().map(|(_, rep)| rep.conn_overlap).sum();
+    if overlaps > 0 {
+        eprintln!("analyze_capture: warning: {path}: {overlaps} requests overlap on a connection");
+    }
 
     fgbd_obsv::log!(
         "analyze_capture",

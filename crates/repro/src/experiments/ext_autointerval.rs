@@ -14,16 +14,10 @@ use crate::scenario::SPEEDSTEP_ON;
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
     let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal);
-    let node = analysis.node("mysql-1");
-    let selection = auto_interval(
-        analysis.spans.server(node),
-        analysis.run.warmup_end,
-        analysis.run.horizon,
-        &analysis.cal.services,
-        analysis.cal.work_unit(node),
-        &IntervalSelectConfig::default(),
-    )
-    .expect("enough data to select");
+    // The selector scores every candidate on the finest one's series.
+    let cfg = IntervalSelectConfig::default();
+    let base = analysis.series("mysql-1", analysis.window(cfg.candidates[0]));
+    let selection = auto_interval(&base, &cfg).expect("enough data to select");
 
     let rows: Vec<Vec<String>> = selection
         .scores

@@ -1,18 +1,22 @@
-//! The end-to-end analysis pipeline: capture → spans → service-time
-//! calibration → per-server fine-grained reports.
+//! The end-to-end analysis pipeline: capture → service-time calibration →
+//! per-server fine-grained reports.
 //!
-//! Both kinds of run are consumed on the tap and neither holds a log: a
-//! loaded run's records go from the simulator straight into the
-//! [`SpanPairer`] ([`Analysis::simulate`]), a calibration run's into the
-//! pairer and the service-time fold ([`Calibration::simulate`]). The loaded
-//! run pairs only the servers its caller names, since a figure reports one
-//! server and the pairer keeps each server's state apart.
+//! Both kinds of run are consumed on the tap and neither holds a log. A
+//! calibration run's records go into a [`SpanPairer`] and the service-time
+//! fold ([`Calibration::simulate`]). A loaded run's records are one more
+//! consumer of the one online detector ([`Analysis::simulate`]): the
+//! records of the servers a figure reports feed one retained
+//! [`OnlineDetector`] on the fine [`REPORT_GRID`], so the run leaves each
+//! server's series, coarsened to whatever grid a figure reports, and never
+//! a span. The log route ([`Analysis::new`]) pairs a kept log into spans
+//! and reports any window from them.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use fgbd_core::detect::{analyze_server, DetectorConfig, ServerReport};
-use fgbd_core::series::Window;
+use fgbd_core::online::{OnlineConfig, OnlineDetector};
+use fgbd_core::series::{SeriesSet, Window};
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::SystemConfig;
 use fgbd_ntier::result::RunResult;
@@ -197,31 +201,45 @@ impl CalibrationFold {
     }
 }
 
+/// The report route's detector grid: the finest interval any figure or the
+/// interval selector reports on. Every reported interval is a multiple of
+/// it, and its series coarsens to each of them exactly
+/// ([`SeriesSet::coarsen`]), so one detector serves every grid of a run.
+pub const REPORT_GRID: SimDuration = SimDuration::from_millis(10);
+
 /// A captured run plus everything needed to analyze it.
 #[derive(Debug)]
 pub struct Analysis {
     /// The raw run outputs.
     pub run: RunResult,
-    /// Per-server spans extracted from the capture: only the servers named
-    /// to [`Analysis::simulate`] on the figure route, every server on the
-    /// log route ([`Analysis::new`]).
+    /// Per-server spans extracted from the capture: every server on the log
+    /// route ([`Analysis::new`]), none on the report route
+    /// ([`Analysis::simulate`]).
     pub spans: SpanSet,
     /// Service-time calibration (from a separate low-load run).
     pub cal: Calibration,
+    /// The report route's series of each named server on [`REPORT_GRID`];
+    /// `None` on the log route.
+    series: Option<Vec<(NodeId, SeriesSet)>>,
 }
 
 impl Analysis {
-    /// Simulates `cfg` and pairs the capture records of the `servers` the
-    /// caller will report into spans as the tap delivers them. The loaded
-    /// run's log is never materialized (`run.log.records` is empty), and
-    /// other servers' records are passed over: the pairer keeps every
-    /// server's state apart, so one server's records alone give exactly its
-    /// spans.
+    /// Simulates `cfg` and feeds the capture records of the `servers` the
+    /// caller will report, as the tap delivers them, to one retained
+    /// [`OnlineDetector`] on [`REPORT_GRID`], calibrated by `cal` at
+    /// construction; other servers' records are passed over. Neither the
+    /// run's log nor a span is held (`run.log.records` and `spans` are
+    /// empty): what the run leaves is each named server's series, which
+    /// [`Analysis::report`] reports on — bit for bit what `analyze_server`
+    /// builds from the spans, since the detector pairs on the same table
+    /// and sums the same integers per interval.
     ///
     /// # Panics
     ///
-    /// Panics before simulating if a name is not a server of `cfg`.
+    /// Panics before simulating if `servers` is empty or a name is not a
+    /// server of `cfg`.
     pub fn simulate(cfg: SystemConfig, servers: &[&str], cal: Calibration) -> Analysis {
+        assert!(!servers.is_empty(), "name the servers to report");
         let nodes = fgbd_ntier::system::node_metas(&cfg);
         let run_servers = || nodes.iter().filter(|n| n.kind == NodeKind::Server);
         let node_of = |name: &str| match run_servers().find(|n| n.name == name) {
@@ -232,21 +250,33 @@ impl Analysis {
             }
         };
         let keep: Vec<NodeId> = servers.iter().map(|&name| node_of(name)).collect();
-        let (mut pairer, mut skipped) = (SpanPairer::default(), 0u64);
+        let start = SimTime::ZERO + cfg.warmup;
+        let ocfg = OnlineConfig::new(start, REPORT_GRID, WORK_UNIT_RESOLUTION);
+        let mut detector = OnlineDetector::uncalibrated(ocfg);
+        let work_units = keep.iter().map(|&node| (node, cal.work_unit(node)));
+        detector.calibrate(cal.services.clone(), work_units);
+        let mut skipped = 0u64;
         let run = NTierSystem::run_with_record_tap(cfg, |rec| {
             if keep.contains(&rec.span_node()) {
-                pairer.push(&rec);
+                detector.push(&rec);
             } else {
                 skipped += 1;
             }
         });
-        let spans = pairer.finish();
-        fgbd_obsv::counter!("extract.spans", spans.len() as u64);
+        let reports = detector.finish(run.horizon).reports;
+        let matched: u64 = reports.iter().map(|r| r.matched).sum();
+        fgbd_obsv::counter!("extract.spans", matched);
         if fgbd_obsv::enabled() {
-            // Retained: the share of the capture a figure never pairs.
+            // Retained: the share of the capture a figure never detects on.
             fgbd_obsv::metrics::counter_retained("extract.skipped").add(skipped);
         }
-        Analysis::with_spans(run, spans, cal)
+        let series = (reports.into_iter())
+            .map(|r| (r.server, r.series.expect("the detector is retained")))
+            .collect();
+        Analysis {
+            series: Some(series),
+            ..Analysis::with_spans(run, SpanSet::default(), cal)
+        }
     }
 
     /// Wraps a run that kept its log (tests, examples), pairing the log.
@@ -258,7 +288,12 @@ impl Analysis {
     /// Wraps a run whose spans the caller already extracted, so the run's
     /// log may legitimately be empty.
     pub fn with_spans(run: RunResult, spans: SpanSet, cal: Calibration) -> Analysis {
-        Analysis { run, spans, cal }
+        Analysis {
+            run,
+            spans,
+            cal,
+            series: None,
+        }
     }
 
     /// The measured analysis window (warm-up excluded) at `interval`
@@ -316,30 +351,49 @@ impl Analysis {
     }
 
     /// Runs the full §III analysis for the server named `name` over
-    /// `window`.
+    /// `window`: from its spans on the log route, from its
+    /// [series](Analysis::series) on the report route.
     ///
     /// # Panics
     ///
-    /// Panics if `name` has no spans — it was not named to
-    /// [`Analysis::simulate`] — rather than report it idle.
+    /// Panics if `name` has no spans on the log route rather than report it
+    /// idle, and as [`Analysis::series`] on the report route.
     pub fn report(&self, name: &str, window: Window, cfg: &DetectorConfig) -> ServerReport {
         let node = self.node(name);
+        if self.series.is_some() {
+            return ServerReport::from_series(node, &self.series(name, window), cfg);
+        }
         let spans = self.spans.server(node);
-        if spans.is_empty() {
-            let paired: Vec<&str> = (self.run.servers.iter())
-                .filter(|info| !self.spans.server(info.node).is_empty())
+        assert!(!spans.is_empty(), "server {name} has no spans");
+        let (services, work_unit) = (&self.cal.services, self.cal.work_unit(node));
+        analyze_server(spans, node, window, services, work_unit, cfg)
+    }
+
+    /// The report route's series of the server named `name` over `window`:
+    /// its [`REPORT_GRID`] series coarsened to `window.interval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the log route; if `name` was not named to
+    /// [`Analysis::simulate`], listing the servers that were; or if
+    /// `window` is not a full [`Analysis::window`] on a multiple of
+    /// [`REPORT_GRID`].
+    pub fn series(&self, name: &str, window: Window) -> SeriesSet {
+        let sets = (self.series.as_ref()).expect("the log route keeps spans, not series");
+        let node = self.node(name);
+        let Some((_, fine)) = sets.iter().find(|(n, _)| *n == node) else {
+            let named: Vec<&str> = (self.run.servers.iter())
+                .filter(|info| sets.iter().any(|(n, _)| *n == info.node))
                 .map(|info| info.name.as_str())
                 .collect();
-            panic!("server {name} was not paired; the analysis has spans for {paired:?}");
-        }
-        analyze_server(
-            spans,
-            node,
-            window,
-            &self.cal.services,
-            self.cal.work_unit(node),
-            cfg,
-        )
+            panic!("server {name} was not named to simulate; the analysis has {named:?}")
+        };
+        let (interval_us, grid_us) = (window.interval.as_micros(), REPORT_GRID.as_micros());
+        assert!(
+            interval_us % grid_us == 0 && window == self.window(window.interval),
+            "{window:?} is not a full window on a multiple of {REPORT_GRID}"
+        );
+        fine.coarsen((interval_us / grid_us) as usize)
     }
 
     /// End-to-end response-time events `(finish time, seconds)` for
@@ -413,14 +467,15 @@ mod tests {
 
     /// A zoom panel sliced out of the full-window report carries the very
     /// bits of a report over the zoom itself: every load, unit and rate by
-    /// `f64::to_bits`, every completion count exactly.
+    /// `f64::to_bits`, every completion count exactly. The log route
+    /// reports any window, so the zoom's own report is computed apart.
     #[test]
     fn zoom_slice_is_bitwise_the_sub_window_report() {
         let mut cfg = SPEEDSTEP_OFF.config(1_500);
         cfg.warmup = SimDuration::from_secs(2);
         cfg.duration = SimDuration::from_secs(12);
         let cal = Calibration::for_scenario(&SPEEDSTEP_OFF);
-        let analysis = Analysis::simulate(cfg, &["mysql-1"], cal);
+        let analysis = Analysis::new(NTierSystem::run(cfg), cal);
         let (dcfg, ms50) = (DetectorConfig::default(), SimDuration::from_millis(50));
         let full = analysis.report("mysql-1", analysis.window(ms50), &dcfg);
         let secs = SimDuration::from_secs;

@@ -1,12 +1,13 @@
 //! Named experimental scenarios matching the paper's two case studies.
 //!
 //! A scenario is run three ways, by what the caller needs of the capture:
-//! [`Scenario::analyze`] pairs spans on the record tap, only those of the
-//! servers a figure reports, and keeps no log (the figures), and so does
-//! [`Calibration::for_scenario`] on the short low-load calibration
-//! workload; [`Scenario::calibration_run`] runs that workload keeping its
-//! log, for callers that want the capture itself, and
-//! [`Scenario::run_uncaptured`] records nothing.
+//! [`Scenario::analyze`] feeds the record tap to the online detector for
+//! the servers a figure reports and keeps neither a log nor a span (the
+//! figures), and [`Calibration::for_scenario`] pairs and folds the short
+//! low-load calibration workload on the tap;
+//! [`Scenario::calibration_run`] runs that workload keeping its log, for
+//! callers that want the capture itself, and [`Scenario::run_uncaptured`]
+//! records nothing.
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
@@ -66,9 +67,9 @@ impl Scenario {
         SystemConfig::paper_1l2s1l2s(users, self.jdk, self.speedstep, MASTER_SEED)
     }
 
-    /// Runs the scenario at workload `users` and pairs the capture of the
-    /// named `servers` on the tap ([`Analysis::simulate`]) — what the
-    /// figures call; no log is kept.
+    /// Runs the scenario at workload `users` and detects on the tap for the
+    /// named `servers` ([`Analysis::simulate`]) — what the figures call;
+    /// neither a log nor a span is kept.
     pub fn analyze(&self, users: u32, servers: &[&str], cal: Calibration) -> Analysis {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);

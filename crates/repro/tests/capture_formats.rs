@@ -15,7 +15,9 @@
 //! `compare_captures` — the same route, two files — to both, and the sixth
 //! holds the writers (`record_capture`, `million_users`, `live_monitor`,
 //! `analyze_capture --verdicts` and `--follow`) to the same contract on a
-//! bad count or an output they cannot create.
+//! bad count or an output they cannot create. The seventh drops one
+//! response from a tapped run: the pairing table counts the requests that
+//! then overlap on its connection, and `analyze_capture` warns once.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -24,6 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
+use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_core::series::Window;
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
@@ -31,10 +34,11 @@ use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_oracle::capture::write_capture;
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
-use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS};
+use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS, WORK_UNIT_RESOLUTION};
 use fgbd_repro::scenario::GC_JDK15;
 use fgbd_trace::{
-    read_capture_file, write_capture2, ChunkedWriter, NodeKind, NodeMeta, SpanSet, TraceLog,
+    read_capture_file, write_capture2, ChunkedWriter, MsgKind, NodeKind, NodeMeta, SpanSet,
+    TraceLog,
 };
 
 fn smoke_cfg(seed: u64) -> SystemConfig {
@@ -588,5 +592,63 @@ fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lost response is loud: every later request on its connection arrives
+/// while the lost one is still open, the pairing table counts it
+/// (`trace.conn_overlap`), and `analyze_capture` says so in one stderr
+/// line. A pristine run counts none and prints no warning.
+#[test]
+fn a_lost_response_is_counted_as_connection_overlap() {
+    let cfg = smoke_cfg(20130708);
+    let nodes = fgbd_ntier::system::node_metas(&cfg);
+    let mysql = nodes
+        .iter()
+        .find(|n| n.name == "mysql-1")
+        .expect("mysql")
+        .id;
+    let mut log = TraceLog::new(nodes.clone());
+    NTierSystem::run_with_record_tap(cfg, |rec| log.push(rec));
+    let mut lossy = log.clone();
+    let half = lossy.records.len() / 2;
+    let lost = (half..lossy.records.len())
+        .find(|&i| {
+            let rec = &lossy.records[i];
+            rec.kind == MsgKind::Response && rec.span_node() == mysql
+        })
+        .expect("a mid-run mysql-1 response");
+    lossy.records.remove(lost);
+
+    let overlaps = |log: &TraceLog| {
+        let start = log.records[0].at;
+        let ocfg = OnlineConfig::new(start, SimDuration::from_millis(50), WORK_UNIT_RESOLUTION);
+        let mut det = OnlineDetector::new(ocfg, Default::default());
+        det.push_chunk(&log.records);
+        let fin = det.finish(log.records.last().expect("records").at);
+        (fin.reports.iter())
+            .map(|r| (r.server, r.conn_overlap))
+            .filter(|&(_, n)| n > 0)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(overlaps(&log), [], "a pristine run overlaps nowhere");
+    let found = overlaps(&lossy);
+    assert!(
+        matches!(found[..], [(server, n)] if server == mysql && n > 0),
+        "{found:?}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("fgbd_cli_overlap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (name, log, warned) in [("pristine.cap2", &log, false), ("lossy.cap2", &lossy, true)] {
+        let mut bytes = Vec::new();
+        write_capture2(&mut bytes, log).expect("encode FGBDCAP2");
+        std::fs::write(dir.join(name), bytes).expect("write capture");
+        let (out, _) = run_cli(&dir, name, false, &[]);
+        assert!(out.status.success(), "{name}: {}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let warnings = stderr.lines().filter(|l| l.contains("warning")).count();
+        assert_eq!(warnings, usize::from(warned), "{name}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -284,16 +284,23 @@ fn operational_laws_hold_on_simulated_captures() {
 /// The message of a caught panic.
 fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
     let payload = std::panic::catch_unwind(f).expect_err("must panic");
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default()
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg.to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    }
 }
 
-/// The figures pair spans on the simulator's record tap and never hold a
-/// log; that must be the same analysis as pairing the whole log afterwards,
-/// and the tap must not perturb the run. A figure pairs only the server it
-/// reports, and that server alone must give its very report.
+/// The figures detect on the simulator's record tap and hold neither a log
+/// nor a span; that must be the very analysis of pairing the whole log
+/// afterwards, and the tap must not perturb the run. Every named server
+/// reports, at 20 ms, 50 ms and 1 s, bit for bit what `analyze_server`
+/// builds from the log's spans — named with every other server, and named
+/// alone as a figure names it, so the records of the rest are passed over.
+/// A server that was not named, or a window the route cannot report, fails
+/// by name instead of reporting idle.
 #[test]
 fn tap_paired_analysis_equals_log_paired() {
     let mut cfg = GC_JDK15.config(3_000);
@@ -304,66 +311,69 @@ fn tap_paired_analysis_equals_log_paired() {
     let logged = Analysis::new(NTierSystem::run(cfg.clone()), Calibration::clone(&cal));
 
     assert!(tapped.run.log.records.is_empty(), "no log on the tap route");
+    assert!(tapped.spans.is_empty(), "no spans on the report route");
     assert!(!logged.run.log.records.is_empty());
     assert_eq!(tapped.run.txns, logged.run.txns);
     assert_eq!(tapped.run.gc_events, logged.run.gc_events);
     assert_eq!(tapped.run.pstate_log, logged.run.pstate_log);
-    assert_eq!(tapped.spans.unmatched, logged.spans.unmatched);
     assert!(
         !logged.spans.unmatched.is_empty(),
         "requests are in flight at the horizon"
     );
 
-    let window = logged.window(SimDuration::from_millis(50));
     let dcfg = DetectorConfig::default();
-    for name in SERVERS {
+    let grids = [20, 50, 1_000].map(SimDuration::from_millis);
+    let same_reports = |route: &Analysis, name: &str, how: &str| {
         let node = logged.node(name);
         assert!(!logged.spans.server(node).is_empty(), "{name}");
-        assert_eq!(
-            tapped.spans.server(node),
-            logged.spans.server(node),
-            "{name}"
-        );
-        let (t, l) = (
-            tapped.report(name, window, &dcfg),
-            logged.report(name, window, &dcfg),
-        );
-        assert_eq!(t.load.values(), l.load.values(), "{name}");
-        assert_eq!(t.tput.unit_rates(), l.tput.unit_rates(), "{name}");
-        assert_eq!(t.states, l.states, "{name}");
-        assert_eq!(t.nstar, l.nstar, "{name}");
-    }
-
-    for name in SERVERS {
-        let alone = Analysis::simulate(cfg.clone(), &[name], Calibration::clone(&cal));
-        let node = logged.node(name);
-        assert_eq!(alone.spans.servers(), [node], "{name}");
-        assert!(alone.spans.unmatched.keys().all(|&n| n == node), "{name}");
-        let unmatched = |a: &Analysis| a.spans.unmatched.get(&node).copied();
-        assert_eq!(unmatched(&alone), unmatched(&logged), "{name}");
-        let (a, l) = (
-            alone.report(name, window, &dcfg),
-            logged.report(name, window, &dcfg),
-        );
-        assert_eq!(a.states, l.states, "{name}");
-        assert_eq!(a.nstar, l.nstar, "{name}");
+        let ms = cal.mean_service(node);
         let bits = |r: &ServerReport, i| {
             let (load, t) = (r.load.get(i), &r.tput);
-            let rates = [load, t.units(i), t.unit_rate(i)].map(f64::to_bits);
-            (rates, t.count(i))
+            let values = [load, t.units(i), t.unit_rate(i), t.equivalent_rate(i, ms)];
+            (values.map(f64::to_bits), t.count(i))
         };
-        for i in 0..l.load.len() {
-            assert_eq!(bits(&a, i), bits(&l, i), "{name} interval {i}");
+        for interval in grids {
+            let window = logged.window(interval);
+            let (t, l) = (
+                route.report(name, window, &dcfg),
+                logged.report(name, window, &dcfg),
+            );
+            let at = format!("{name} @ {interval} ({how})");
+            assert_eq!((t.server, t.window), (l.server, l.window), "{at}");
+            assert_eq!(t.states, l.states, "{at}");
+            assert_eq!(t.nstar, l.nstar, "{at}");
+            assert_eq!(t.load.len(), l.load.len(), "{at}");
+            for i in 0..l.load.len() {
+                assert_eq!(bits(&t, i), bits(&l, i), "{at}, interval {i}");
+            }
         }
-        // A server that was not paired fails by name instead of reporting
-        // idle.
-        if name == "mysql-1" {
+    };
+    let ms50 = SimDuration::from_millis(50);
+    for name in SERVERS {
+        same_reports(&tapped, name, "every server named");
+        let alone = Analysis::simulate(cfg.clone(), &[name], Calibration::clone(&cal));
+        assert!(alone.spans.is_empty(), "{name}");
+        same_reports(&alone, name, "named alone");
+        if name != "mysql-1" {
+            continue;
+        }
+        let msg = panic_message(|| {
+            alone.report("tomcat-1", alone.window(ms50), &dcfg);
+        });
+        assert!(msg.contains("tomcat-1") && msg.contains("mysql-1"), "{msg}");
+        let secs = SimDuration::from_secs;
+        let zoom = alone.sub_window(secs(2), secs(4), ms50);
+        for window in [alone.window(SimDuration::from_millis(15)), zoom] {
             let msg = panic_message(|| {
-                alone.report("tomcat-1", window, &dcfg);
+                alone.report(name, window, &dcfg);
             });
-            assert!(msg.contains("tomcat-1") && msg.contains("mysql-1"), "{msg}");
+            assert!(msg.contains("not a full window"), "{msg}");
         }
     }
+    let msg = panic_message(|| {
+        Analysis::simulate(cfg.clone(), &[], Calibration::clone(&cal));
+    });
+    assert!(msg.contains("name the servers"), "{msg}");
 
     // An unknown name fails before the run and lists the run's servers.
     let msg = panic_message(|| {

@@ -156,6 +156,8 @@ pub struct OpenTable<P> {
     head: u32,
     tail: u32,
     len: usize,
+    /// Requests that arrived while their connection had one open.
+    overlaps: u64,
 }
 
 impl<P> Default for OpenTable<P> {
@@ -167,6 +169,7 @@ impl<P> Default for OpenTable<P> {
             head: NIL,
             tail: NIL,
             len: 0,
+            overlaps: 0,
         }
     }
 }
@@ -213,7 +216,10 @@ impl<P: Copy> OpenTable<P> {
         let fifo = self.conns.entry(conn.0).or_insert((NIL, NIL));
         match fifo.0 {
             NIL => fifo.0 = idx,
-            _ => self.slab[fifo.1 as usize].conn_next = idx,
+            _ => {
+                self.slab[fifo.1 as usize].conn_next = idx;
+                self.overlaps += 1;
+            }
         }
         fifo.1 = idx;
         self.len += 1;
@@ -256,6 +262,14 @@ impl<P: Copy> OpenTable<P> {
     /// `true` if no request is open.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Requests that arrived on a connection whose previous request was
+    /// still open: 0 on a pristine trace (one request per connection at a
+    /// time), while a lost response makes every later request on its
+    /// connection count — and pair with the response before its own.
+    pub fn overlaps(&self) -> u64 {
+        self.overlaps
     }
 
     /// Bytes held: the slab (its capacity is the open high-water mark) and
@@ -359,10 +373,11 @@ impl SpanPairer {
     /// specification's `(departure, response order)`.
     pub fn finish(self) -> SpanSet {
         let mut set = SpanSet::default();
-        let mut resorted = 0;
+        let (mut resorted, mut overlaps) = (0, 0);
         for (id, s) in self.servers.into_iter().enumerate() {
             let Some(mut s) = s else { continue };
             let server = NodeId(id as u16);
+            overlaps += s.open.overlaps();
             let unmatched = s.orphans + s.open.len();
             if unmatched > 0 {
                 set.unmatched.insert(server, unmatched);
@@ -393,8 +408,10 @@ impl SpanPairer {
             }
         }
         if fgbd_obsv::enabled() {
-            // Retained: 0 on every time-ordered capture is the finding.
+            // Retained: 0 on every time-ordered, lossless capture is the
+            // finding.
             fgbd_obsv::metrics::counter_retained("extract.resorted").add(resorted as u64);
+            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(overlaps);
         }
         set
     }
