@@ -70,8 +70,7 @@
 //! time is taken as it comes and counted ([`OnlineDetector::finish`] flushes
 //! `trace.reordered`), not repaired. The open list stays sorted (a late
 //! stamp walks back to its place), so the watermark's first term is the
-//! minimum over *all* open requests, where a heap of per-connection FIFO
-//! fronts missed one queued behind a later-stamped request.
+//! minimum over *all* open requests.
 
 use std::collections::VecDeque;
 
@@ -230,11 +229,11 @@ pub struct OnlineReport {
     pub series: Option<SeriesSet>,
     /// Spans matched (request paired with response).
     pub matched: u64,
-    /// Unmatched messages: front-truncated responses plus requests still
-    /// open at stream end — the batch `SpanSet::unmatched` rule.
+    /// Unmatched messages: front-truncated responses plus requests lost or
+    /// still open at stream end — the batch `SpanSet::unmatched` rule.
     pub unmatched: usize,
-    /// Requests that arrived while their connection had one open (see
-    /// `OpenTable::overlaps`): 0 on a pristine trace.
+    /// Requests closed as lost because a later request reused the
+    /// connection (`OpenTable::lost`): 0 on a pristine trace.
     pub conn_overlap: u64,
     /// Intervals the *live* state machine saw as congested or frozen.
     pub live_congested: usize,
@@ -704,9 +703,9 @@ impl OnlineDetector {
         let len = window.len();
         let mut out = Vec::new();
         for mut state in std::mem::take(&mut self.servers).into_iter().flatten() {
-            // Requests still open at stream end never become spans; the
-            // batch extractor counts them unmatched.
-            state.unmatched += state.open.len();
+            // Requests lost or still open at stream end never become
+            // spans; the batch extractor counts them unmatched.
+            state.unmatched += state.open.len() + state.open.lost() as usize;
             Self::finalize_to(&mut state, len, self.cur_us, &self.cfg, &mut self.events);
             // Intervals finalized past the grid end (the stream ran beyond
             // `end`) are not part of the grid.
@@ -729,7 +728,7 @@ impl OnlineDetector {
                 series,
                 matched: state.matched,
                 unmatched: state.unmatched,
-                conn_overlap: state.open.overlaps(),
+                conn_overlap: state.open.lost(),
                 live_congested: state.live_congested,
                 live_frozen: state.live_frozen,
             });
@@ -737,8 +736,8 @@ impl OnlineDetector {
         if fgbd_obsv::enabled() {
             // Retained: 0 on a time-ordered, lossless stream is the finding.
             fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
-            let overlaps = out.iter().map(|r| r.conn_overlap).sum();
-            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(overlaps);
+            let lost = out.iter().map(|r| r.conn_overlap).sum();
+            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(lost);
         }
         OnlineFinish {
             reports: out,
@@ -1039,9 +1038,8 @@ mod tests {
     fn disorder_is_counted_and_the_watermark_is_the_true_open_minimum() {
         let mut online = OnlineDetector::new(online_cfg(), services());
         online.push(&rec(10_000, 0, 1, MsgKind::Request, 1, 0));
-        // Stamped before stream time, and queued on its connection *behind*
-        // the later-stamped request: a minimum over FIFO fronts misses it.
-        online.push(&rec(9_000, 0, 1, MsgKind::Request, 1, 0));
+        // Stamped before stream time: it walks back ahead of 10,000 µs.
+        online.push(&rec(9_000, 0, 1, MsgKind::Request, 4, 0));
         online.push(&rec(9_500, 0, 1, MsgKind::Request, 2, 0));
         online.push(&rec(12_000, 0, 1, MsgKind::Request, 3, 0));
         assert_eq!(online.reordered, 2);
@@ -1052,13 +1050,15 @@ mod tests {
         );
         let snap = online.snapshot();
         assert_eq!(snap.lag, SimDuration::from_micros(3_000));
-        // Pairing is still oldest-on-the-connection, in stream order.
+        // Closing the later-stamped request leaves the minimum in place;
+        // closing the minimum moves the watermark to the next one.
         online.push(&rec(12_500, 1, 0, MsgKind::Response, 1, 0));
         assert_eq!(online.snapshot().lag, SimDuration::from_micros(3_500));
-        online.push(&rec(13_000, 1, 0, MsgKind::Response, 1, 0));
+        online.push(&rec(13_000, 1, 0, MsgKind::Response, 4, 0));
         assert_eq!(online.snapshot().lag, SimDuration::from_micros(3_500));
         let fin = online.finish(SimTime::from_millis(50));
         assert_eq!((fin.reports[0].matched, fin.reports[0].unmatched), (2, 2));
+        assert_eq!(fin.reports[0].conn_overlap, 0);
     }
 
     #[test]

@@ -99,9 +99,9 @@ fn main() {
     };
     let za = analysis.unwrap_or_else(|e| fail_path("analyze_capture", path, e));
     za.stamp_route(&mut scope);
-    let overlaps: u64 = za.reports.iter().map(|(_, rep)| rep.conn_overlap).sum();
-    if overlaps > 0 {
-        eprintln!("analyze_capture: warning: {path}: {overlaps} requests overlap on a connection");
+    let lost: u64 = za.reports.iter().map(|(_, rep)| rep.conn_overlap).sum();
+    if lost > 0 {
+        eprintln!("analyze_capture: warning: {path}: {lost} requests lost their response");
     }
 
     fgbd_obsv::log!(

@@ -16,8 +16,9 @@
 //! holds the writers (`record_capture`, `million_users`, `live_monitor`,
 //! `analyze_capture --verdicts` and `--follow`) to the same contract on a
 //! bad count or an output they cannot create. The seventh drops one
-//! response from a tapped run: the pairing table counts the requests that
-//! then overlap on its connection, and `analyze_capture` warns once.
+//! response from a tapped run, and duplicates one request: the pairing
+//! table closes one request as lost, the report moves only where that
+//! request lived, and `analyze_capture` warns once.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -26,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
-use fgbd_core::online::{OnlineConfig, OnlineDetector};
+use fgbd_core::online::{OnlineConfig, OnlineDetector, OnlineReport};
 use fgbd_core::series::Window;
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
@@ -595,10 +596,13 @@ fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A lost response is loud: every later request on its connection arrives
-/// while the lost one is still open, the pairing table counts it
-/// (`trace.conn_overlap`), and `analyze_capture` says so in one stderr
-/// line. A pristine run counts none and prints no warning.
+/// A lost response is loud and local. The request it answered is closed
+/// as lost when the next request reuses its connection: the pairing table
+/// counts it once (`trace.conn_overlap`), it is unmatched, and the final
+/// report differs from pristine only in the intervals its lifetime touches.
+/// A duplicated request is closed the same way, and every span and verdict
+/// byte is pristine. `analyze_capture` warns once for each; a pristine run
+/// counts none and prints no warning.
 #[test]
 fn a_lost_response_is_counted_as_connection_overlap() {
     let cfg = smoke_cfg(20130708);
@@ -610,45 +614,106 @@ fn a_lost_response_is_counted_as_connection_overlap() {
         .id;
     let mut log = TraceLog::new(nodes.clone());
     NTierSystem::run_with_record_tap(cfg, |rec| log.push(rec));
-    let mut lossy = log.clone();
-    let half = lossy.records.len() / 2;
-    let lost = (half..lossy.records.len())
+    let half = log.records.len() / 2;
+    let lost = (half..log.records.len())
         .find(|&i| {
-            let rec = &lossy.records[i];
+            let rec = &log.records[i];
             rec.kind == MsgKind::Response && rec.span_node() == mysql
         })
         .expect("a mid-run mysql-1 response");
+    let response = log.records[lost];
+    let asked = (0..lost)
+        .rfind(|&i| {
+            let rec = &log.records[i];
+            rec.kind == MsgKind::Request && rec.span_node() == mysql && rec.conn == response.conn
+        })
+        .expect("the request it answers");
+    let (arrival, departure) = (log.records[asked].at, response.at);
+    let mut lossy = log.clone();
     lossy.records.remove(lost);
+    let mut duplicated = log.clone();
+    duplicated.records.insert(asked + 1, log.records[asked]);
 
-    let overlaps = |log: &TraceLog| {
+    // Service times from the pristine run, so only pairing differs.
+    let cal = Calibration::from_capture_prefix(&nodes, &log.records);
+    let detect = |log: &TraceLog| {
         let start = log.records[0].at;
         let ocfg = OnlineConfig::new(start, SimDuration::from_millis(50), WORK_UNIT_RESOLUTION);
-        let mut det = OnlineDetector::new(ocfg, Default::default());
+        let mut det = OnlineDetector::new(ocfg, cal.services.clone());
+        for n in &nodes {
+            det.set_work_unit(n.id, cal.work_unit(n.id));
+        }
         det.push_chunk(&log.records);
-        let fin = det.finish(log.records.last().expect("records").at);
-        (fin.reports.iter())
+        det.finish(log.records.last().expect("records").at).reports
+    };
+    let counted = |reports: &[OnlineReport]| {
+        (reports.iter())
             .map(|r| (r.server, r.conn_overlap))
             .filter(|&(_, n)| n > 0)
             .collect::<Vec<_>>()
     };
-    assert_eq!(overlaps(&log), [], "a pristine run overlaps nowhere");
-    let found = overlaps(&lossy);
-    assert!(
-        matches!(found[..], [(server, n)] if server == mysql && n > 0),
-        "{found:?}"
-    );
+    let pristine = detect(&log);
+    assert_eq!(counted(&pristine), [], "a pristine run loses nothing");
+    for (what, run, dropped) in [("lossy", &lossy, true), ("duplicated", &duplicated, false)] {
+        let reports = detect(run);
+        assert_eq!(counted(&reports), [(mysql, 1)], "{what}");
+        assert_eq!(reports.len(), pristine.len(), "{what}");
+        for (want, got) in pristine.iter().zip(&reports) {
+            let here = got.server == mysql;
+            assert_eq!(got.server, want.server, "{what}");
+            assert_eq!(got.unmatched, want.unmatched + usize::from(here), "{what}");
+            // The fit's curve holds the touched intervals' samples; the
+            // estimate it settles on does not move.
+            let fit = |r: &OnlineReport| r.nstar.as_ref().map(|n| (n.nstar, n.tp_max));
+            assert_eq!(fit(got), fit(want), "{what}");
+            assert_eq!(got.states, want.states, "{what}");
+            for i in 0..want.window.len() {
+                let (from, to) = want.window.bounds(i);
+                if dropped && here && from <= departure && to > arrival {
+                    continue;
+                }
+                let load = (got.loads[i].to_bits(), want.loads[i].to_bits());
+                let rate = (got.rates[i].to_bits(), want.rates[i].to_bits());
+                assert!(load.0 == load.1 && rate.0 == rate.1, "{what}: interval {i}");
+            }
+        }
+    }
+    let spans = SpanSet::extract(&log);
+    let again = SpanSet::extract(&duplicated);
+    for n in &nodes {
+        assert_eq!(again.server(n.id), spans.server(n.id), "{}", n.name);
+    }
 
     let dir = std::env::temp_dir().join(format!("fgbd_cli_overlap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    for (name, log, warned) in [("pristine.cap2", &log, false), ("lossy.cap2", &lossy, true)] {
+    // Calibration's attribution keeps its own per-connection queue, so the
+    // CLI calibrates on a prefix that ends before the damage, as a capture
+    // longer than `FGBD_CALIB_RECORDS` does: what is compared is pairing.
+    let prefix = [("FGBD_CALIB_RECORDS", asked.to_string())];
+    let mut verdicts = Vec::new();
+    for (name, log, warned) in [
+        ("pristine.cap2", &log, false),
+        ("lossy.cap2", &lossy, true),
+        ("duplicated.cap2", &duplicated, true),
+    ] {
         let mut bytes = Vec::new();
         write_capture2(&mut bytes, log).expect("encode FGBDCAP2");
         std::fs::write(dir.join(name), bytes).expect("write capture");
-        let (out, _) = run_cli(&dir, name, false, &[]);
+        let (out, written) = run_cli(&dir, name, false, &prefix);
         assert!(out.status.success(), "{name}: {}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let warnings = stderr.lines().filter(|l| l.contains("warning")).count();
-        assert_eq!(warnings, usize::from(warned), "{name}: {stderr}");
+        let warnings: Vec<_> = stderr.lines().filter(|l| l.contains("warning")).collect();
+        let expect = format!("analyze_capture: warning: {name}: 1 requests lost their response");
+        assert_eq!(warnings, [expect.as_str()][..usize::from(warned)], "{name}");
+        verdicts.push(std::fs::read(written).expect("read verdicts"));
     }
+    assert!(
+        !verdicts[0].is_empty(),
+        "the run must produce verdict lines"
+    );
+    assert!(
+        verdicts[2] == verdicts[0],
+        "a duplicated request changed the verdicts"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -391,7 +391,7 @@ pub struct Projection {
     pub dst: bool,
     /// Decode `kind` (request/response).
     pub kind: bool,
-    /// Decode `conn` (connection id — FIFO pairing key).
+    /// Decode `conn` (connection id — the pairing key).
     pub conn: bool,
     /// Decode `class` (request class — service-time lookup key).
     pub class: bool,

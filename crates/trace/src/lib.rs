@@ -9,9 +9,9 @@
 //!
 //! * [`record`] — the capture schema: [`MsgRecord`] / [`TraceLog`], with
 //!   ground-truth annotations that black-box code cannot use.
-//! * [`span`] — per-server request spans (arrival/departure pairs) extracted
-//!   by FIFO request/response pairing per connection; these are the direct
-//!   inputs of the fine-grained load/throughput analysis in `fgbd-core`.
+//! * [`span`] — per-server request spans (arrival/departure pairs), paired
+//!   with one open request per connection; these are the direct inputs of
+//!   the fine-grained load/throughput analysis in `fgbd-core`.
 //! * [`reconstruct`] — black-box transaction reconstruction: stitching
 //!   per-server spans into whole-transaction trees using only timing and
 //!   nesting constraints (SysViz is a black-box tracer; the paper reports

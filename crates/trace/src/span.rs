@@ -4,14 +4,15 @@
 //! A *span* is one request's residence at one server: from the instant its
 //! request message reaches the server to the instant its response message
 //! leaves. Spans come from pairing requests with responses on the same TCP
-//! connection — requests on one connection are serviced serially, so a
-//! response closes the *oldest* open request on its `(server, conn)`.
+//! connection, which carries one request at a time: a response closes the
+//! open request on its `(server, conn)`, and a request that finds its
+//! connection busy closes the older one as lost, never to be paired.
 //!
-//! That rule lives in one place, [`OpenTable`], and both pairers sit on
-//! it: [`SpanPairer`] here, which keeps each matched pair as a [`Span`],
-//! and `fgbd-core`'s online detector, which folds the pair into its
-//! interval ring and reads the table's earliest open arrival as its
-//! watermark.
+//! Both pairers sit on [`OpenTable`]: [`SpanPairer`] here, which keeps each
+//! matched pair as a [`Span`], and `fgbd-core`'s online detector, which
+//! folds the pair into its interval ring and reads the table's earliest
+//! open arrival as its watermark. Calibration's `reconstruct::Attribution`
+//! still queues per connection.
 
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -57,17 +58,16 @@ impl Span {
 pub struct SpanSet {
     by_server: HashMap<NodeId, Vec<Span>>,
     /// Requests whose response never appeared (still in flight at capture
-    /// end, or lost); per server.
+    /// end, or closed as lost) and orphan responses; per server.
     pub unmatched: HashMap<NodeId, usize>,
 }
 
 impl SpanSet {
-    /// Extracts spans from a capture by FIFO request/response pairing per
-    /// `(server, connection)`.
+    /// Extracts spans from a capture, one open request per connection.
     ///
-    /// Responses with no outstanding request on their connection are counted
-    /// in [`SpanSet::unmatched`] for the *server* side (they indicate capture
-    /// truncation at the front), as are requests left unanswered at the end.
+    /// Responses with no open request on their connection are counted in
+    /// [`SpanSet::unmatched`] for the *server* side (they indicate capture
+    /// truncation at the front), as are requests lost or unanswered.
     ///
     /// This is [`SpanPairer`] fed the whole log: push every record, finish.
     pub fn extract(log: &TraceLog) -> SpanSet {
@@ -121,14 +121,12 @@ impl SpanSet {
 /// "No entry" in [`OpenTable`]'s intrusive links.
 const NIL: u32 = u32::MAX;
 
-/// One open request in the slab, on two lists at once.
+/// One open request in the slab.
 #[derive(Debug, Clone, Copy)]
 struct Entry<P> {
     at: SimTime,
     class: ClassId,
     payload: P,
-    /// The next (younger) request on the same connection.
-    conn_next: u32,
     /// Neighbours in the arrival-ordered open list; on a freed entry `next`
     /// links the free list.
     prev: u32,
@@ -138,26 +136,24 @@ struct Entry<P> {
 /// One server's open requests — the pairing engine under [`SpanPairer`] and
 /// the online detector.
 ///
-/// A slab with a free list, threaded by two intrusive lists: the
-/// per-connection FIFO (a response closes the oldest request on its
-/// connection — the pairing rule) and the server-wide open list in arrival
-/// order. A time-ordered tap delivers requests in arrival order, so
-/// [`open`](Self::open) appends at the tail; a request stamped earlier
-/// walks back to its sorted place, so the head is the minimum over *all*
-/// open requests on any input. On a time-ordered stream every operation is
-/// `O(1)` with one hash probe (the connection).
+/// A slab with a free list, threaded by the server-wide open list in
+/// arrival order, and a map from each busy connection to its one open
+/// request (the pairing rule). A time-ordered tap delivers requests in
+/// arrival order, so [`open`](Self::open) appends at the tail; a request
+/// stamped earlier walks back to its sorted place, so the head is the
+/// minimum over *all* open requests on any input. On a time-ordered stream
+/// every operation is `O(1)` with one hash probe (the connection).
 #[derive(Debug)]
 pub struct OpenTable<P> {
     slab: Vec<Entry<P>>,
     free: u32,
-    /// `(oldest, youngest)` open request per connection; the FIFO is empty
-    /// when `oldest` is [`NIL`] (`youngest` is then stale).
-    conns: FxHashMap<u32, (u32, u32)>,
+    /// The open request of every connection that has one.
+    conns: FxHashMap<u32, u32>,
     head: u32,
     tail: u32,
     len: usize,
-    /// Requests that arrived while their connection had one open.
-    overlaps: u64,
+    /// Requests closed as lost.
+    lost: u64,
 }
 
 impl<P> Default for OpenTable<P> {
@@ -169,13 +165,14 @@ impl<P> Default for OpenTable<P> {
             head: NIL,
             tail: NIL,
             len: 0,
-            overlaps: 0,
+            lost: 0,
         }
     }
 }
 
 impl<P: Copy> OpenTable<P> {
-    /// Records a request that reached the server at `at` on `conn`.
+    /// Records a request that reached the server at `at` on `conn`; an older
+    /// request still open on `conn` is closed as [`lost`](Self::lost).
     #[inline]
     pub fn open(&mut self, conn: ConnId, at: SimTime, class: ClassId, payload: P) {
         // Behind the youngest request not stamped later: the tail, unless
@@ -192,7 +189,6 @@ impl<P: Copy> OpenTable<P> {
             at,
             class,
             payload,
-            conn_next: NIL,
             prev,
             next,
         };
@@ -213,27 +209,25 @@ impl<P: Copy> OpenTable<P> {
             NIL => self.tail = idx,
             n => self.slab[n as usize].prev = idx,
         }
-        let fifo = self.conns.entry(conn.0).or_insert((NIL, NIL));
-        match fifo.0 {
-            NIL => fifo.0 = idx,
-            _ => {
-                self.slab[fifo.1 as usize].conn_next = idx;
-                self.overlaps += 1;
-            }
-        }
-        fifo.1 = idx;
         self.len += 1;
+        if let Some(older) = self.conns.insert(conn.0, idx) {
+            self.unlink(older);
+            self.lost += 1;
+        }
     }
 
-    /// Closes the oldest open request on `conn` — the one a response on
-    /// that connection answers — and returns its `(arrival, class,
-    /// payload)`, or `None` if the connection has none.
+    /// Closes the open request on `conn` — the one a response on that
+    /// connection answers — and returns its `(arrival, class, payload)`, or
+    /// `None` if the connection has none.
     #[inline]
     pub fn close(&mut self, conn: ConnId) -> Option<(SimTime, ClassId, P)> {
-        let fifo = self.conns.get_mut(&conn.0)?;
-        let idx = fifo.0;
-        let entry = *self.slab.get(idx as usize)?;
-        fifo.0 = entry.conn_next;
+        self.conns.remove(&conn.0).map(|idx| self.unlink(idx))
+    }
+
+    /// Takes entry `idx` off the open list and frees its slot.
+    #[inline]
+    fn unlink(&mut self, idx: u32) -> (SimTime, ClassId, P) {
+        let entry = self.slab[idx as usize];
         match entry.prev {
             NIL => self.head = entry.next,
             p => self.slab[p as usize].next = entry.next,
@@ -244,7 +238,7 @@ impl<P: Copy> OpenTable<P> {
         }
         self.slab[idx as usize].next = std::mem::replace(&mut self.free, idx);
         self.len -= 1;
-        Some((entry.at, entry.class, entry.payload))
+        (entry.at, entry.class, entry.payload)
     }
 
     /// Arrival of the earliest open request: the open list's head ([`NIL`]
@@ -264,19 +258,18 @@ impl<P: Copy> OpenTable<P> {
         self.len == 0
     }
 
-    /// Requests that arrived on a connection whose previous request was
-    /// still open: 0 on a pristine trace (one request per connection at a
-    /// time), while a lost response makes every later request on its
-    /// connection count — and pair with the response before its own.
-    pub fn overlaps(&self) -> u64 {
-        self.overlaps
+    /// Requests closed as lost because a later request reused the
+    /// connection: 0 on a pristine trace (one request per connection at a
+    /// time), 1 per dropped response on a connection that carried more.
+    pub fn lost(&self) -> u64 {
+        self.lost
     }
 
     /// Bytes held: the slab (its capacity is the open high-water mark) and
     /// the connection map at its 7/8 load factor, one control byte a bucket.
     pub fn state_bytes(&self) -> usize {
         self.slab.capacity() * size_of::<Entry<P>>()
-            + self.conns.capacity() * 8 / 7 * (size_of::<(u32, (u32, u32))>() + 1)
+            + self.conns.capacity() * 8 / 7 * (size_of::<(u32, u32)>() + 1)
     }
 }
 
@@ -368,23 +361,23 @@ impl SpanPairer {
         }
     }
 
-    /// Ends the capture: requests still open are counted unmatched at their
-    /// server and their slots dropped, and equal arrivals are put in the
-    /// specification's `(departure, response order)`.
+    /// Ends the capture: requests closed as lost or still open are counted
+    /// unmatched at their server and their slots dropped, and equal arrivals
+    /// are put in the specification's `(departure, response order)`.
     pub fn finish(self) -> SpanSet {
         let mut set = SpanSet::default();
-        let (mut resorted, mut overlaps) = (0, 0);
+        let (mut resorted, mut lost) = (0, 0);
         for (id, s) in self.servers.into_iter().enumerate() {
             let Some(mut s) = s else { continue };
             let server = NodeId(id as u16);
-            overlaps += s.open.overlaps();
-            let unmatched = s.orphans + s.open.len();
-            if unmatched > 0 {
-                set.unmatched.insert(server, unmatched);
+            lost += s.open.lost();
+            let pending = s.open.lost() as usize + s.open.len();
+            if s.orphans + pending > 0 {
+                set.unmatched.insert(server, s.orphans + pending);
             }
             s.sequenced.sort_unstable();
             if s.disordered {
-                resorted += s.spans.len() - s.open.len();
+                resorted += s.spans.len() - pending;
                 restore_order(&mut s.spans, 0, &s.sequenced);
             } else {
                 // Arrival order holds: only a run of equal arrivals with a
@@ -400,7 +393,7 @@ impl SpanPairer {
                     rest = later;
                 }
             }
-            if !s.open.is_empty() {
+            if pending > 0 {
                 s.spans.retain(|span| span.departure != PENDING);
             }
             if !s.spans.is_empty() {
@@ -411,7 +404,7 @@ impl SpanPairer {
             // Retained: 0 on every time-ordered, lossless capture is the
             // finding.
             fgbd_obsv::metrics::counter_retained("extract.resorted").add(resorted as u64);
-            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(overlaps);
+            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(lost);
         }
         set
     }
@@ -535,10 +528,15 @@ mod tests {
         pairer.push(&rec(20, 1, 0, MsgKind::Response, 5, 1));
         pairer.push(&rec(30, 0, 1, MsgKind::Request, 5, 2));
         pairer.push(&rec(40, 1, 0, MsgKind::Response, 6, 3));
+        // A request displaced on its connection is lost, never paired.
+        pairer.push(&rec(50, 0, 1, MsgKind::Request, 7, 5));
+        pairer.push(&rec(60, 0, 1, MsgKind::Request, 7, 6));
+        pairer.push(&rec(70, 1, 0, MsgKind::Response, 7, 6));
         let set = pairer.finish();
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.len(), 2);
         assert_eq!(set.server(NodeId(1))[0].truth, Some(TxnId(1)));
-        assert_eq!(set.unmatched.get(&NodeId(1)), Some(&3));
+        assert_eq!(set.server(NodeId(1))[1].truth, Some(TxnId(6)));
+        assert_eq!(set.unmatched.get(&NodeId(1)), Some(&4));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for span extraction and black-box reconstruction.
 
+use std::collections::BTreeMap;
+
 use fgbd_des::SimTime;
 use fgbd_oracle::capture::write_capture;
 use fgbd_oracle::reconstruct as reference;
@@ -442,37 +444,37 @@ proptest! {
         prop_assert_eq!(fast.len(), spec.values().map(Vec::len).sum::<usize>());
     }
 
-    /// [`OpenTable`] against a brute-force model — a list of open requests
-    /// in stream order — under random opens, closes and duplicate
-    /// responses over a few connections, with time going forwards and
-    /// backwards: `close` answers the oldest request on the connection,
+    /// [`OpenTable`] against a brute-force model — a map from each busy
+    /// connection to its one open request — under random opens, closes and
+    /// duplicate responses over a few connections, with time going forwards
+    /// and backwards: an open on a busy connection evicts the older request
+    /// (counted by `lost`), `close` answers the request on the connection,
     /// `min_open` is the minimum over everything open, `len` counts it.
     #[test]
     fn open_table_matches_brute_force_model(
         ops in prop::collection::vec((prop::bool::ANY, 0u32..4, 0u64..5, prop::bool::ANY), 1..200),
     ) {
         let mut table = OpenTable::default();
-        let mut model: Vec<(u32, u64, usize)> = Vec::new();
+        let mut model: BTreeMap<u32, (u64, usize)> = BTreeMap::new();
+        let mut evicted = 0u64;
         let mut t = 50u64;
         for (i, &(is_open, conn, dt, back)) in ops.iter().enumerate() {
             t = if back { t.saturating_sub(dt) } else { t + dt };
             if is_open {
                 table.open(ConnId(conn), SimTime::from_micros(t), ClassId(conn as u16), i);
-                model.push((conn, t, i));
+                evicted += u64::from(model.insert(conn, (t, i)).is_some());
             } else {
-                let expect = model
-                    .iter()
-                    .position(|&(c, _, _)| c == conn)
-                    .map(|at| model.remove(at));
+                let expect = model.remove(&conn).map(|(at, payload)| (conn, at, payload));
                 let got = table
                     .close(ConnId(conn))
                     .map(|(at, class, payload)| (class.0 as u32, at.as_micros(), payload));
                 prop_assert_eq!(got, expect);
             }
-            let min = model.iter().map(|&(_, at, _)| SimTime::from_micros(at)).min();
+            let min = model.values().map(|&(at, _)| SimTime::from_micros(at)).min();
             prop_assert_eq!(table.min_open(), min);
             prop_assert_eq!(table.len(), model.len());
             prop_assert_eq!(table.is_empty(), model.is_empty());
+            prop_assert_eq!(table.lost(), evicted);
         }
     }
 
