@@ -481,7 +481,7 @@ impl OnlineDetector {
             ServerState::new(server, wu_us.unwrap_or(self.wu_default_us), &self.cfg)
         });
         match rec.kind {
-            MsgKind::Request => state.open.open(rec.conn, rec.at, rec.class, ()),
+            MsgKind::Request => _ = state.open.open(rec.conn, rec.at, rec.class, ()),
             MsgKind::Response => match state.open.close(rec.conn) {
                 None => state.unmatched += 1,
                 Some((arrival, class, ())) => {

@@ -59,7 +59,7 @@ fn services() -> ServiceTimeTable {
 /// servers and a handful of reused connections, plus a few
 /// front-truncated responses (records whose request predates the
 /// stream). Overlapping requests on one connection are fine: both
-/// extractors pair FIFO per `(server, connection)` by construction.
+/// extractors pair on `OpenTable`, which closes the older as lost.
 fn record_stream() -> impl Strategy<Value = Vec<MsgRecord>> {
     let pair = (
         0u64..3_000_000,

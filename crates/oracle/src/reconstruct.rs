@@ -50,8 +50,8 @@ pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
     // Spans blocked on an outstanding downstream call (synchronous
     // middleware: such spans cannot issue another call).
     let mut blocked: Vec<bool> = Vec::new();
-    // Open requests per (server, conn), FIFO.
-    let mut open: HashMap<(NodeId, ConnId), Vec<usize>> = HashMap::new();
+    // The open request per (server, conn): a connection carries one.
+    let mut open: HashMap<(NodeId, ConnId), usize> = HashMap::new();
     // Active span indices per server.
     let mut active: HashMap<NodeId, Vec<usize>> = HashMap::new();
     // Learned fan-out profile: (server, class) -> (max calls, samples)
@@ -64,107 +64,105 @@ pub fn run(log: &TraceLog, heuristic: Heuristic) -> Reconstruction {
     let mut txns: Vec<Txn> = Vec::new();
 
     for rec in &log.records {
-        match rec.kind {
-            MsgKind::Request => {
-                let server = rec.dst;
-                let idx = spans.len();
-                let (parent, root) = if is_client(rec.src) {
-                    (None, idx)
-                } else {
-                    let all = active.get(&rec.src).map_or(&[][..], Vec::as_slice);
-                    // Hard constraint: blocked spans cannot call.
-                    let unblocked: Vec<usize> =
-                        all.iter().copied().filter(|&i| !blocked[i]).collect();
-                    // Soft constraint: class signatures are consistent
-                    // along a transaction; relax if it empties the set.
-                    let class_match: Vec<usize> = unblocked
-                        .iter()
-                        .copied()
-                        .filter(|&i| spans[i].class == rec.class)
-                        .collect();
-                    let cands: &[usize] = if !class_match.is_empty() {
-                        &class_match
-                    } else if !unblocked.is_empty() {
-                        &unblocked
-                    } else {
-                        all
-                    };
-                    let chosen = choose_parent(cands, &spans, &last_event, &profile, heuristic);
-                    match chosen {
-                        Some(p) => {
-                            if cands.len() > 1 {
-                                // This parent's call count is now
-                                // heuristic-dependent; don't learn from it.
-                                unambiguous[p] = false;
-                            }
-                            blocked[p] = true;
-                            (Some(p), spans[p].root)
-                        }
-                        // Orphan call (capture truncation): treat as its
-                        // own root so analysis can continue.
-                        None => (None, idx),
-                    }
-                };
-                spans.push(RecSpan {
-                    server,
-                    class: rec.class,
-                    arrival: rec.at,
-                    departure: None,
-                    conn: rec.conn,
-                    parent,
-                    root,
-                    calls_issued: 0,
-                    truth: rec.truth,
-                });
-                last_event.push(rec.at);
-                blocked.push(false);
-                unambiguous.push(true);
-                if let Some(p) = parent {
-                    spans[p].calls_issued += 1;
-                    last_event[p] = rec.at;
-                }
-                open.entry((server, rec.conn)).or_default().push(idx);
-                active.entry(server).or_default().push(idx);
-                // Register the transaction when a root appears.
-                if parent.is_none() && root == idx {
-                    let t = txns.len();
-                    txns.push(Txn {
-                        root: idx,
-                        spans: vec![idx],
-                        complete: false,
-                    });
-                    txn_of_root.insert(idx, t);
-                } else {
-                    let t = txn_of_root[&root];
-                    txns[t].spans.push(idx);
-                }
-            }
-            MsgKind::Response => {
-                let server = rec.src;
-                let Some(idx) = open
-                    .get_mut(&(server, rec.conn))
-                    .filter(|v| !v.is_empty())
-                    .map(|v| v.remove(0))
-                else {
-                    // Response with no matching request: front-truncated
-                    // capture; skip.
-                    continue;
-                };
+        // A response closes the open request on its (server, conn); a
+        // request that finds one there closes it as lost, before its own
+        // parent is chosen. A response with nothing open (front-truncated
+        // capture) is skipped.
+        let (server, conn) = (rec.span_node(), rec.conn);
+        let closed = match rec.kind {
+            MsgKind::Request => open.insert((server, conn), spans.len()),
+            MsgKind::Response => open.remove(&(server, conn)),
+        };
+        if let Some(idx) = closed {
+            // Only an answered span departs; a lost one leaves all the same.
+            if rec.kind == MsgKind::Response {
                 spans[idx].departure = Some(rec.at);
-                if let Some(v) = active.get_mut(&server) {
-                    v.retain(|&i| i != idx);
-                }
-                if let Some(p) = spans[idx].parent {
-                    last_event[p] = rec.at;
-                    blocked[p] = false;
-                }
-                // Feed the fan-out profile from unambiguous spans.
-                if unambiguous[idx] && spans[idx].calls_issued > 0 {
-                    let e = profile.entry((server, spans[idx].class)).or_insert((0, 0));
-                    e.0 = e.0.max(spans[idx].calls_issued);
-                    e.1 += 1;
-                }
             }
+            if let Some(v) = active.get_mut(&server) {
+                v.retain(|&i| i != idx);
+            }
+            if let Some(p) = spans[idx].parent {
+                last_event[p] = rec.at;
+                blocked[p] = false;
+            }
+            // Feed the fan-out profile from unambiguous spans.
+            if unambiguous[idx] && spans[idx].calls_issued > 0 {
+                let e = profile.entry((server, spans[idx].class)).or_insert((0, 0));
+                e.0 = e.0.max(spans[idx].calls_issued);
+                e.1 += 1;
+            }
+        }
+        let MsgKind::Request = rec.kind else {
+            continue;
+        };
+        let idx = spans.len();
+        let (parent, root) = if is_client(rec.src) {
+            (None, idx)
+        } else {
+            let all = active.get(&rec.src).map_or(&[][..], Vec::as_slice);
+            // Hard constraint: blocked spans cannot call.
+            let unblocked: Vec<usize> = all.iter().copied().filter(|&i| !blocked[i]).collect();
+            // Soft constraint: class signatures are consistent along a
+            // transaction; relax if it empties the set.
+            let class_match: Vec<usize> = unblocked
+                .iter()
+                .copied()
+                .filter(|&i| spans[i].class == rec.class)
+                .collect();
+            let cands: &[usize] = if !class_match.is_empty() {
+                &class_match
+            } else if !unblocked.is_empty() {
+                &unblocked
+            } else {
+                all
+            };
+            let chosen = choose_parent(cands, &spans, &last_event, &profile, heuristic);
+            match chosen {
+                Some(p) => {
+                    if cands.len() > 1 {
+                        // This parent's call count is now heuristic-
+                        // dependent; don't learn from it.
+                        unambiguous[p] = false;
+                    }
+                    blocked[p] = true;
+                    (Some(p), spans[p].root)
+                }
+                // Orphan call (capture truncation): treat as its own root
+                // so analysis can continue.
+                None => (None, idx),
+            }
+        };
+        spans.push(RecSpan {
+            server,
+            class: rec.class,
+            arrival: rec.at,
+            departure: None,
+            conn,
+            parent,
+            root,
+            calls_issued: 0,
+            truth: rec.truth,
+        });
+        last_event.push(rec.at);
+        blocked.push(false);
+        unambiguous.push(true);
+        if let Some(p) = parent {
+            spans[p].calls_issued += 1;
+            last_event[p] = rec.at;
+        }
+        active.entry(server).or_default().push(idx);
+        // Register the transaction when a root appears.
+        if parent.is_none() && root == idx {
+            let t = txns.len();
+            txns.push(Txn {
+                root: idx,
+                spans: vec![idx],
+                complete: false,
+            });
+            txn_of_root.insert(idx, t);
+        } else {
+            let t = txn_of_root[&root];
+            txns[t].spans.push(idx);
         }
     }
 

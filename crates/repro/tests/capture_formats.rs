@@ -601,8 +601,9 @@ fn writer_clis_report_bad_numbers_and_unwritable_outputs_without_panicking() {
 /// counts it once (`trace.conn_overlap`), it is unmatched, and the final
 /// report differs from pristine only in the intervals its lifetime touches.
 /// A duplicated request is closed the same way, and every span and verdict
-/// byte is pristine. `analyze_capture` warns once for each; a pristine run
-/// counts none and prints no warning.
+/// byte is pristine. Calibration pairs on the same table, so over either
+/// whole damaged log every service time is pristine's. `analyze_capture`
+/// warns once for each; a pristine run counts none and prints no warning.
 #[test]
 fn a_lost_response_is_counted_as_connection_overlap() {
     let cfg = smoke_cfg(20130708);
@@ -634,8 +635,18 @@ fn a_lost_response_is_counted_as_connection_overlap() {
     let mut duplicated = log.clone();
     duplicated.records.insert(asked + 1, log.records[asked]);
 
-    // Service times from the pristine run, so only pairing differs.
     let cal = Calibration::from_capture_prefix(&nodes, &log.records);
+    let bits = |cal: &Calibration| {
+        let services = &cal.services;
+        (nodes.iter())
+            .flat_map(|n| services.classes(n.id).into_iter().map(move |c| (n.id, c)))
+            .map(|(n, c)| (n, c, services.get_secs(n, c).map(f64::to_bits)))
+            .collect::<Vec<_>>()
+    };
+    for (what, run) in [("lossy", &lossy), ("duplicated", &duplicated)] {
+        let again = Calibration::from_capture_prefix(&nodes, &run.records);
+        assert_eq!(bits(&again), bits(&cal), "{what}: service times");
+    }
     let detect = |log: &TraceLog| {
         let start = log.records[0].at;
         let ocfg = OnlineConfig::new(start, SimDuration::from_millis(50), WORK_UNIT_RESOLUTION);
@@ -686,10 +697,6 @@ fn a_lost_response_is_counted_as_connection_overlap() {
 
     let dir = std::env::temp_dir().join(format!("fgbd_cli_overlap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    // Calibration's attribution keeps its own per-connection queue, so the
-    // CLI calibrates on a prefix that ends before the damage, as a capture
-    // longer than `FGBD_CALIB_RECORDS` does: what is compared is pairing.
-    let prefix = [("FGBD_CALIB_RECORDS", asked.to_string())];
     let mut verdicts = Vec::new();
     for (name, log, warned) in [
         ("pristine.cap2", &log, false),
@@ -699,7 +706,7 @@ fn a_lost_response_is_counted_as_connection_overlap() {
         let mut bytes = Vec::new();
         write_capture2(&mut bytes, log).expect("encode FGBDCAP2");
         std::fs::write(dir.join(name), bytes).expect("write capture");
-        let (out, written) = run_cli(&dir, name, false, &prefix);
+        let (out, written) = run_cli(&dir, name, false, &[]);
         assert!(out.status.success(), "{name}: {}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
         let warnings: Vec<_> = stderr.lines().filter(|l| l.contains("warning")).collect();

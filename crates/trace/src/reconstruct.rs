@@ -21,8 +21,8 @@
 //! * The parent server `P` is *known* from the message's source address; the
 //!   ambiguity is only **which** of the requests active on `P` issued the
 //!   call.
-//! * Requests on one TCP connection are serial, so request/response pairing
-//!   per connection is exact.
+//! * A TCP connection carries one request at a time: a response answers the
+//!   open request on its `(server, conn)`, in the one pairing [`OpenTable`].
 //!
 //! After pruning, the remaining tie is broken by one rule,
 //! [`Heuristic::ProfileGuided`]: the candidate whose last observed event is
@@ -34,6 +34,16 @@
 //! specification in `fgbd_oracle::reconstruct`, which scores all four
 //! against simulator ground truth.
 //!
+//! A request that finds its `(server, conn)` busy closes the older request
+//! as **lost** (its response was dropped), *before* its own parent is
+//! chosen. A lost span leaves exactly as an answered one does — it leaves
+//! the candidate lists, feeds the fan-out profile, and its parent is
+//! unblocked and stamped with the displacing request's time, so every list
+//! stays sorted by `last_event` — except that it has no departure: it is
+//! never sampled and adds no residence to its parent, and if it still has
+//! open children it stays in the slab until they close, then is freed
+//! without a sample. A pristine capture loses none (`reconstruct.lost`).
+//!
 //! # One attribution core, two consumers
 //!
 //! Attribution has to remember a request only while it is *open* — until its
@@ -41,15 +51,16 @@
 //! record loop ([`Attribution`]) keeps its spans in a slab with a free list
 //! and meets nodes, classes and connections as records arrive: its state is
 //! sized by the requests in flight (`calibrate.open_peak`), not by the
-//! capture, and a record costs one hash probe (its connection). Candidate
-//! sets and connection FIFOs are intrusive lists through the slab, parent
-//! selection folds candidates into a running winner ([`TierBest`]), and
-//! ties break on the span's global creation index, which slot reuse leaves
-//! alone. What the core learns goes to a [`Consumer`]:
-//! [`Reconstruction::run`] appends a [`RecSpan`] per request and lists the
-//! transactions; [`ServiceFold`](crate::servicetime::ServiceFold) —
-//! calibration — keeps one number per span, its intra-node delay, handed
-//! over when the span and the last of its children have closed.
+//! capture, and a record costs one hash probe: its connection, in its
+//! server's [`OpenTable`], whose payload is the span's slot. Candidate sets
+//! are intrusive lists through the slab, parent selection folds candidates
+//! into a running winner ([`TierBest`]), and ties break on the span's global
+//! creation index, which slot reuse leaves alone. What the core learns goes
+//! to a [`Consumer`]: [`Reconstruction::run`] appends a [`RecSpan`] per
+//! request and lists the transactions;
+//! [`ServiceFold`](crate::servicetime::ServiceFold) — calibration — keeps one
+//! number per span, its intra-node delay, handed over when the span and the
+//! last of its children have closed.
 //!
 //! The walk does not scan a server's queue. Unblocked active spans live in
 //! one list per `(server, class)` that carries its length, and a span is
@@ -61,8 +72,8 @@
 //! first record whose timestamp goes backwards the walk is in full: that
 //! latches the early exit off, and a full walk is exact whatever the order
 //! because keys are total. The rare fallbacks walk all of the server's
-//! lists (class relaxed), then its active list (everyone blocked). The work
-//! is counted: `reconstruct.candidates`.
+//! lists (class relaxed), then its table's open list (everyone blocked). The
+//! work is counted: `reconstruct.candidates`.
 //!
 //! The original `HashMap`-keyed implementation is the specification,
 //! `fgbd_oracle::reconstruct::run` (a dev-only crate): the property tests
@@ -70,12 +81,12 @@
 //! through it, the fold (`service_fold_matches_approximate`) bit-identical
 //! to it.
 
-use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 
 use crate::record::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
+use crate::span::OpenTable;
 
 /// The parent-attribution rule for downstream calls, applied after the
 /// hard blocked/class pruning. There is one; the type names it at the
@@ -158,8 +169,8 @@ fn residence(arrival: SimTime, departure: SimTime) -> f64 {
     SimDuration::from_micros(departure.as_micros().wrapping_sub(arrival.as_micros())).as_secs_f64()
 }
 
-/// One slab slot: a span from its request until its response and the
-/// responses of all its children have been seen.
+/// One slab slot: a span from its request until it and all its children
+/// have closed.
 struct OpenSpan {
     /// Global creation index: the span's name, and every key's tie-break.
     idx: usize,
@@ -167,23 +178,18 @@ struct OpenSpan {
     last_event: SimTime,
     /// Request-message capture time.
     arrival: SimTime,
-    /// Response-message capture time. A departed span is on no list: it
-    /// stays for its open children to add their residence to.
+    /// Response-message capture time; `None` while open, or if lost.
     departure: Option<SimTime>,
     /// The span's [`Cell`].
     server: NodeId,
     class: ClassId,
     /// Downstream calls attributed so far (the fan-out cap test).
     calls_issued: u32,
-    /// Links of the cell's unblocked list, while `in_unb`.
+    /// Links of the cell's unblocked list, while `in_unb`; on a freed slot
+    /// `unb_next` links the free list.
     unb_prev: u32,
     unb_next: u32,
-    /// Links of the server's active list, until departure.
-    act_prev: u32,
-    act_next: u32,
-    /// The next request on the same connection, or the next free slot.
-    conn_next: u32,
-    /// Slot of the attributed parent, alive until this span departs.
+    /// Slot of the attributed parent, alive until this span closes.
     parent: u32,
     /// Children whose response has not been seen.
     open_children: u32,
@@ -193,6 +199,8 @@ struct OpenSpan {
     /// an older one may still close, so these wait to be summed in order.
     late: Vec<(usize, f64)>,
     in_unb: bool,
+    /// Answered or lost: on no list or table, it waits for open children.
+    closed: bool,
     /// No call had a second candidate parent: the count feeds the profile.
     unambiguous: bool,
 }
@@ -234,11 +242,11 @@ impl Cell {
 /// Per-node state, indexed by `NodeId.0` and grown on demand. Ids absent
 /// from the node table (foreign taps, corrupt captures) are servers —
 /// exactly how the reference treats them.
+#[derive(Default)]
 struct Node {
     client: bool,
-    /// Intrusive list of the spans active on this server.
-    active_head: u32,
-    active_tail: u32,
+    /// The server's open requests; the payload is the span's slot.
+    open: OpenTable<u32>,
     /// The server's cells, indexed by `ClassId.0`.
     cells: Vec<Cell>,
 }
@@ -313,12 +321,9 @@ impl TierBest {
 /// capture's records in order, then [`finish`](Self::finish).
 pub(crate) struct Attribution {
     slab: Vec<OpenSpan>,
-    /// Head of the free-slot list (through `conn_next`).
+    /// Head of the free-slot list (through `unb_next`).
     free: u32,
     nodes: Vec<Node>,
-    /// `(oldest, youngest)` open request per `(server, connection)`; the
-    /// FIFO is empty when `oldest` is `NONE` (`youngest` is then stale).
-    conns: FxHashMap<(NodeId, ConnId), (u32, u32)>,
     /// The early exit needs the winner at the head of a sorted list: true
     /// until a record time goes backwards.
     sorted: bool,
@@ -335,7 +340,6 @@ impl Attribution {
             slab: Vec::new(),
             free: NONE,
             nodes: Vec::new(),
-            conns: FxHashMap::default(),
             sorted: true,
             prev_at: SimTime::ZERO,
             records: 0,
@@ -353,12 +357,7 @@ impl Attribution {
     fn node(nodes: &mut Vec<Node>, id: NodeId) -> &mut Node {
         let i = usize::from(id.0);
         if i >= nodes.len() {
-            nodes.resize_with(i + 1, || Node {
-                client: false,
-                active_head: NONE,
-                active_tail: NONE,
-                cells: Vec::new(),
-            });
+            nodes.resize_with(i + 1, Node::default);
         }
         &mut nodes[i]
     }
@@ -371,7 +370,14 @@ impl Attribution {
         self.prev_at = rec.at;
         match rec.kind {
             MsgKind::Request => self.request(rec, out),
-            MsgKind::Response => self.response(rec, out),
+            // A response with no open request on its connection is a
+            // front-truncated capture: skip.
+            MsgKind::Response => {
+                let node = self.nodes.get_mut(usize::from(rec.src.0));
+                if let Some((_, _, slot)) = node.and_then(|n| n.open.close(rec.conn)) {
+                    self.close(slot, rec.at, true, out);
+                }
+            }
         }
     }
 
@@ -410,19 +416,19 @@ impl Attribution {
         (s.unb_prev, s.unb_next, s.in_unb) = (t, NONE, true);
     }
 
-    /// The open span on server `src` that issued call `rec`, or `NONE`.
-    fn choose_parent(&mut self, rec: &MsgRecord) -> u32 {
+    /// The open span on server `src` that issued call `rec` (slot `new`), or `NONE`.
+    fn choose_parent(&mut self, rec: &MsgRecord, new: u32) -> u32 {
         let node = &self.nodes[usize::from(rec.src.0)];
         let mut tier = TierBest::EMPTY;
-        // Folds the list from `cur` along `next` into `tier`; `early` stops
-        // at the first candidate the winner is settled at.
-        let walk = |tier: &mut TierBest, mut cur: u32, early, next: fn(&OpenSpan) -> u32| {
+        // Folds the unblocked list from `cur` into `tier`; `early` stops at
+        // the first candidate the winner is settled at.
+        let walk = |tier: &mut TierBest, mut cur: u32, early| {
             while let Some(s) = self.slab.get(cur as usize) {
                 if early && tier.settled_at(s.last_event) {
                     break;
                 }
                 tier.add(cur, s, &node.cells);
-                cur = next(s);
+                cur = s.unb_next;
             }
         };
         // Soft constraint (a transaction keeps its class): the source's
@@ -431,17 +437,20 @@ impl Attribution {
         // they are on no unblocked list.
         let class_cell = node.cells.get(usize::from(rec.class.0));
         if let Some(cell) = class_cell {
-            walk(&mut tier, cell.head, self.sorted, |s| s.unb_next);
+            walk(&mut tier, cell.head, self.sorted);
         }
         if tier.count == 0 {
             // Relaxed: every unblocked span on the server.
             for cell in &node.cells {
-                walk(&mut tier, cell.head, false, |s| s.unb_next);
+                walk(&mut tier, cell.head, false);
             }
         }
         if tier.count == 0 {
-            // Everyone is blocked: the full active list.
-            walk(&mut tier, node.active_head, false, |s| s.act_next);
+            // Everyone is blocked: every open span on the server but the
+            // call's own (a server calling itself has opened it already).
+            for i in node.open.payloads().filter(|&i| i != new) {
+                tier.add(i, &self.slab[i as usize], &node.cells);
+            }
         }
         self.visited += u64::from(tier.count);
         let parent = tier.pick();
@@ -456,10 +465,25 @@ impl Attribution {
     fn request(&mut self, rec: &MsgRecord, out: &mut impl Consumer) {
         let idx = self.spans;
         self.spans += 1;
+        // The span's slot, taken before closing a lost span can free one.
+        let slot = match self.free {
+            NONE => {
+                assert!(self.slab.len() < NONE as usize, "open-span slab is full");
+                self.slab.len() as u32
+            }
+            slot => {
+                self.free = self.slab[slot as usize].unb_next;
+                slot
+            }
+        };
+        let server = Attribution::node(&mut self.nodes, rec.dst);
+        if let Some(older) = server.open.open(rec.conn, rec.at, rec.class, slot) {
+            self.close(older, rec.at, false, out);
+        }
         // An orphan call (capture truncation) is its own root.
         let parent = match Attribution::node(&mut self.nodes, rec.src).client {
             true => NONE,
-            false => self.choose_parent(rec),
+            false => self.choose_parent(rec, slot),
         };
         if parent == NONE {
             self.roots += 1;
@@ -473,10 +497,10 @@ impl Attribution {
             out.opened(rec, Some(p.idx));
         }
 
-        let server = Attribution::node(&mut self.nodes, rec.dst);
+        let cells = &mut self.nodes[usize::from(rec.dst.0)].cells;
         let class = usize::from(rec.class.0);
-        if class >= server.cells.len() {
-            server.cells.resize(class + 1, Cell::EMPTY);
+        if class >= cells.len() {
+            cells.resize(class + 1, Cell::EMPTY);
         }
         let span = OpenSpan {
             idx,
@@ -488,90 +512,52 @@ impl Attribution {
             calls_issued: 0,
             unb_prev: NONE,
             unb_next: NONE,
-            act_prev: server.active_tail,
-            act_next: NONE,
-            conn_next: NONE,
             parent,
             open_children: 0,
             child_wait: 0.0,
             late: Vec::new(),
             in_unb: false,
+            closed: false,
             unambiguous: true,
         };
-        let slot = match self.free {
-            NONE => {
-                assert!(self.slab.len() < NONE as usize, "open-span slab is full");
-                self.slab.push(span);
-                (self.slab.len() - 1) as u32
-            }
-            slot => {
-                self.free = std::mem::replace(&mut self.slab[slot as usize], span).conn_next;
-                slot
-            }
-        };
-        // Append to the server's active list, the cell's unblocked list and
-        // the (server, conn) open-request FIFO.
-        match std::mem::replace(&mut server.active_tail, slot) {
-            NONE => server.active_head = slot,
-            t => self.slab[t as usize].act_next = slot,
+        match self.slab.get_mut(slot as usize) {
+            Some(free) => *free = span,
+            None => self.slab.push(span),
         }
         self.push_back(slot);
-        let fifo = self
-            .conns
-            .entry((rec.dst, rec.conn))
-            .or_insert((NONE, NONE));
-        match fifo.0 {
-            NONE => fifo.0 = slot,
-            _ => self.slab[fifo.1 as usize].conn_next = slot,
-        }
-        fifo.1 = slot;
     }
 
-    fn response(&mut self, rec: &MsgRecord, out: &mut impl Consumer) {
-        // Pop the (server, conn) FIFO head; a response with no open request
-        // is a front-truncated capture — skip.
-        let Some(fifo) = self.conns.get_mut(&(rec.src, rec.conn)) else {
-            return;
-        };
-        let slot = fifo.0;
-        let Some(s) = self.slab.get_mut(slot as usize) else {
-            return;
-        };
-        fifo.0 = s.conn_next;
-        s.departure = Some(rec.at);
-        out.closed(s.idx, rec.at);
-        let (idx, parent, wait) = (s.idx, s.parent, residence(s.arrival, rec.at));
-        // Unlink from the server's active and unblocked lists.
-        let (p, n) = (s.act_prev, s.act_next);
-        let server = &mut self.nodes[usize::from(s.server.0)];
+    /// The span in `slot` has left its table at `at`: `answered` by a
+    /// response, or lost.
+    fn close(&mut self, slot: u32, at: SimTime, answered: bool, out: &mut impl Consumer) {
+        let s = &mut self.slab[slot as usize];
+        s.closed = true;
+        let wait = answered.then(|| {
+            s.departure = Some(at);
+            out.closed(s.idx, at);
+            residence(s.arrival, at)
+        });
+        let (idx, parent) = (s.idx, s.parent);
         // Feed the fan-out profile from unambiguous spans.
         if s.unambiguous && s.calls_issued > 0 {
-            let profile = &mut server.cells[usize::from(s.class.0)].profile;
-            profile.0 = profile.0.max(s.calls_issued);
-            profile.1 += 1;
-        }
-        match p {
-            NONE => server.active_head = n,
-            p => self.slab[p as usize].act_next = n,
-        }
-        match n {
-            NONE => server.active_tail = p,
-            n => self.slab[n as usize].act_prev = p,
+            let cell = &mut self.nodes[usize::from(s.server.0)].cells[usize::from(s.class.0)];
+            cell.profile.0 = cell.profile.0.max(s.calls_issued);
+            cell.profile.1 += 1;
         }
         self.unlink(slot);
         if let Some(p) = self.slab.get_mut(parent as usize) {
-            p.last_event = rec.at;
+            p.last_event = at;
             // An only open child with nothing waiting is younger than all
             // those summed; any other may have an older sibling still open.
-            if p.open_children == 1 && p.late.is_empty() {
-                p.child_wait += wait;
-            } else {
-                p.late.push((idx, wait));
+            match wait {
+                Some(wait) if p.open_children == 1 && p.late.is_empty() => p.child_wait += wait,
+                Some(wait) => p.late.push((idx, wait)),
+                None => {}
             }
             p.open_children -= 1;
-            if p.departure.is_some() {
-                // The parent's response was paired first (truncated or
-                // mis-paired capture): it leaves with its last child.
+            if p.closed {
+                // The parent closed first (truncated or lossy capture): it
+                // leaves with its last child.
                 if p.open_children == 0 {
                     self.retire(parent, out);
                 }
@@ -589,12 +575,14 @@ impl Attribution {
         }
     }
 
-    /// Hands the departed, childless span in `slot` over and frees the slot.
+    /// Hands the closed, childless span in `slot` over — a lost one leaves
+    /// no sample — and frees the slot.
     fn retire(&mut self, slot: u32, out: &mut impl Consumer) {
         let s = &mut self.slab[slot as usize];
-        let departure = s.departure.take().expect("only departed spans retire");
-        out.retired(s.server, s.class, s.arrival, s.intra(departure));
-        s.conn_next = std::mem::replace(&mut self.free, slot);
+        if let Some(departure) = s.departure.take() {
+            out.retired(s.server, s.class, s.arrival, s.intra(departure));
+        }
+        s.unb_next = std::mem::replace(&mut self.free, slot);
     }
 
     /// Ends the capture: departed spans still waiting on a child that never
@@ -610,8 +598,11 @@ impl Attribution {
         fgbd_obsv::counter!("reconstruct.txns", self.roots);
         fgbd_obsv::counter!("reconstruct.candidates", self.visited);
         if fgbd_obsv::enabled() {
-            // Retained: the slab's high-water mark bounds the core's state.
+            // Retained: the slab's high-water mark bounds the core's state,
+            // and 0 lost requests on a pristine capture is the finding.
             fgbd_obsv::metrics::counter_retained("calibrate.open_peak").add(self.slab.len() as u64);
+            let lost = self.nodes.iter().map(|n| n.open.lost()).sum();
+            fgbd_obsv::metrics::counter_retained("reconstruct.lost").add(lost);
         }
     }
 }

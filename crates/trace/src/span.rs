@@ -8,11 +8,10 @@
 //! open request on its `(server, conn)`, and a request that finds its
 //! connection busy closes the older one as lost, never to be paired.
 //!
-//! Both pairers sit on [`OpenTable`]: [`SpanPairer`] here, which keeps each
-//! matched pair as a [`Span`], and `fgbd-core`'s online detector, which
+//! All three pairers sit on [`OpenTable`]: [`SpanPairer`] here, which keeps
+//! each matched pair as a [`Span`]; `fgbd-core`'s online detector, which
 //! folds the pair into its interval ring and reads the table's earliest
-//! open arrival as its watermark. Calibration's `reconstruct::Attribution`
-//! still queues per connection.
+//! open arrival as its watermark; and calibration's attribution core.
 
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -133,8 +132,8 @@ struct Entry<P> {
     next: u32,
 }
 
-/// One server's open requests — the pairing engine under [`SpanPairer`] and
-/// the online detector.
+/// One server's open requests — the pairing engine under [`SpanPairer`],
+/// the online detector and calibration's attribution.
 ///
 /// A slab with a free list, threaded by the server-wide open list in
 /// arrival order, and a map from each busy connection to its one open
@@ -171,10 +170,10 @@ impl<P> Default for OpenTable<P> {
 }
 
 impl<P: Copy> OpenTable<P> {
-    /// Records a request that reached the server at `at` on `conn`; an older
-    /// request still open on `conn` is closed as [`lost`](Self::lost).
+    /// Records a request that reached the server at `at` on `conn`, and
+    /// returns the payload of an older one open there, closed as [`lost`](Self::lost).
     #[inline]
-    pub fn open(&mut self, conn: ConnId, at: SimTime, class: ClassId, payload: P) {
+    pub fn open(&mut self, conn: ConnId, at: SimTime, class: ClassId, payload: P) -> Option<P> {
         // Behind the youngest request not stamped later: the tail, unless
         // the stream ran backwards.
         let mut prev = self.tail;
@@ -210,10 +209,9 @@ impl<P: Copy> OpenTable<P> {
             n => self.slab[n as usize].prev = idx,
         }
         self.len += 1;
-        if let Some(older) = self.conns.insert(conn.0, idx) {
-            self.unlink(older);
-            self.lost += 1;
-        }
+        let older = self.conns.insert(conn.0, idx)?;
+        self.lost += 1;
+        Some(self.unlink(older).2)
     }
 
     /// Closes the open request on `conn` — the one a response on that
@@ -246,6 +244,13 @@ impl<P: Copy> OpenTable<P> {
     #[inline]
     pub fn min_open(&self) -> Option<SimTime> {
         self.slab.get(self.head as usize).map(|e| e.at)
+    }
+
+    /// The payloads of the open requests, earliest arrival first (equal
+    /// arrivals in the order they opened).
+    pub fn payloads(&self) -> impl Iterator<Item = P> + '_ {
+        let entry = |i: u32| self.slab.get(i as usize);
+        std::iter::successors(entry(self.head), move |e| entry(e.next)).map(|e| e.payload)
     }
 
     /// Requests currently open.

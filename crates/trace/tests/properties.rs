@@ -448,8 +448,10 @@ proptest! {
     /// connection to its one open request — under random opens, closes and
     /// duplicate responses over a few connections, with time going forwards
     /// and backwards: an open on a busy connection evicts the older request
-    /// (counted by `lost`), `close` answers the request on the connection,
-    /// `min_open` is the minimum over everything open, `len` counts it.
+    /// (counted by `lost`) and returns its payload, `close` answers the
+    /// request on the connection, `payloads` walks everything open in
+    /// arrival order (equal arrivals in open order), `min_open` is its
+    /// minimum, `len` counts it.
     #[test]
     fn open_table_matches_brute_force_model(
         ops in prop::collection::vec((prop::bool::ANY, 0u32..4, 0u64..5, prop::bool::ANY), 1..200),
@@ -461,8 +463,11 @@ proptest! {
         for (i, &(is_open, conn, dt, back)) in ops.iter().enumerate() {
             t = if back { t.saturating_sub(dt) } else { t + dt };
             if is_open {
-                table.open(ConnId(conn), SimTime::from_micros(t), ClassId(conn as u16), i);
-                evicted += u64::from(model.insert(conn, (t, i)).is_some());
+                let displaced =
+                    table.open(ConnId(conn), SimTime::from_micros(t), ClassId(conn as u16), i);
+                let older = model.insert(conn, (t, i));
+                evicted += u64::from(older.is_some());
+                prop_assert_eq!(displaced, older.map(|(_, payload)| payload));
             } else {
                 let expect = model.remove(&conn).map(|(at, payload)| (conn, at, payload));
                 let got = table
@@ -470,7 +475,13 @@ proptest! {
                     .map(|(at, class, payload)| (class.0 as u32, at.as_micros(), payload));
                 prop_assert_eq!(got, expect);
             }
-            let min = model.values().map(|&(at, _)| SimTime::from_micros(at)).min();
+            // Payloads grow with the op index, so sorting orders equal
+            // arrivals as they opened.
+            let mut open: Vec<(u64, usize)> = model.values().copied().collect();
+            open.sort_unstable();
+            let payloads: Vec<usize> = open.iter().map(|&(_, payload)| payload).collect();
+            prop_assert_eq!(table.payloads().collect::<Vec<_>>(), payloads);
+            let min = open.first().map(|&(at, _)| SimTime::from_micros(at));
             prop_assert_eq!(table.min_open(), min);
             prop_assert_eq!(table.len(), model.len());
             prop_assert_eq!(table.is_empty(), model.is_empty());

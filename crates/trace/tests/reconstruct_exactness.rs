@@ -2,11 +2,13 @@
 //! module docs), each built so that dropping its handling changes the
 //! result: two for the sorted per-class candidate lists, where the
 //! attributed parent would move — held, like everything else, to
-//! [`fgbd_oracle::reconstruct::run`] — and four for the service-time fold,
+//! [`fgbd_oracle::reconstruct::run`] — four for the service-time fold,
 //! where a sample would be lost, early or summed in the wrong order — held
-//! to [`ServiceTimeTable::approximate`] bit for bit.
+//! to [`ServiceTimeTable::approximate`] bit for bit — and two for a lost
+//! response, where a later request on the connection would be paired with
+//! it.
 
-use fgbd_des::SimTime;
+use fgbd_des::{SimDuration, SimTime};
 use fgbd_oracle::reconstruct as reference;
 use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
@@ -177,4 +179,61 @@ fn orphan_response_is_skipped_and_orphan_call_is_a_root() {
     let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
     assert_eq!((r.spans.len(), r.txns.len()), (1, 1));
     assert_eq!((r.spans[0].parent, r.spans[0].root), (None, 0));
+}
+
+/// A request on a busy connection closes the older one as lost before its
+/// own parent is chosen: call A's response never came, so X is unblocked
+/// by C, C is X's call, and the response at 9 answers C. A per-connection
+/// queue would pair it with A instead (`[12, 9, None]`, WEB 4 us, APP 8 us).
+#[test]
+fn a_lost_call_is_displaced_before_the_next_call_picks_its_parent() {
+    let log = log_of(&[
+        (0, CLIENT, WEB, Request, 10),   // span 0: X
+        (1, WEB, APP, Request, 100),     // span 1: X's call A, response lost
+        (5, WEB, APP, Request, 100),     // span 2: X's call C displaces A
+        (9, APP, WEB, Response, 100),    // C closes: 4 us
+        (12, WEB, CLIENT, Response, 10), // X: 12 us
+    ]);
+    assert_eq!(last_parent(&log), Some(0));
+    let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
+    let departures: Vec<_> = r.spans.iter().map(|s| s.departure).collect();
+    let at = |us| Some(SimTime::from_micros(us));
+    assert_eq!(departures, [at(12), None, at(9)]);
+    assert_eq!(fold_medians(&log), [Some(12e-6 - 4e-6), Some(4e-6)]);
+}
+
+/// A departed parent whose only open child is lost retires when a later
+/// request displaces that child, not at the end of the capture: X leaves
+/// then, once, with no residence from A, and the response at 9 answers C.
+/// A per-connection queue would pair it with A, X would go unsampled and Y
+/// would wait for C until the end of the capture (WEB 10 us, APP 8 us).
+#[test]
+fn a_departed_parent_of_a_lost_child_retires_at_the_displacement() {
+    let log = log_of(&[
+        (0, CLIENT, WEB, Request, 10),   // span 0: X
+        (1, WEB, APP, Request, 100),     // span 1: X's call A, response lost
+        (4, WEB, CLIENT, Response, 10),  // X departs with A open: 4 us
+        (6, CLIENT, WEB, Request, 11),   // span 2: Y
+        (7, WEB, APP, Request, 100),     // span 3: Y's call C displaces A
+        (9, APP, WEB, Response, 100),    // C closes: 2 us
+        (16, WEB, CLIENT, Response, 11), // Y: 10 us
+    ]);
+    assert_eq!(last_parent(&log), Some(2));
+    // Sampled twice, X would be the median.
+    assert_eq!(fold_medians(&log), [Some(10e-6 - 2e-6), Some(2e-6)]);
+
+    // Repeated a thousand times, the slab holds one transaction's spans:
+    // kept until the end, every X would hold a slot. The peak counter also
+    // sums this binary's other folds, each a few slots.
+    let peak = fgbd_obsv::metrics::counter("calibrate.open_peak");
+    let before = peak.get();
+    let mut fold = ServiceFold::new(&log.nodes);
+    for k in 0..1000 {
+        for mut r in log.records.iter().copied() {
+            r.at += SimDuration::from_micros(20 * k);
+            fold.push(&r);
+        }
+    }
+    fold.finish(0.5);
+    assert!(peak.get() - before < 500, "{} slots", peak.get() - before);
 }
