@@ -335,13 +335,64 @@ impl ServerState {
 }
 
 /// A matched span held until calibration: what weighing it into its
-/// server's ring needs, and nothing else.
+/// server's ring needs, in 16 bytes. The departure is stored as a `u32`
+/// residence after the arrival, or as [`WIDE_RESIDENCE`] when it does not
+/// fit one (see [`HeldSpans`]).
 #[derive(Debug, Clone, Copy)]
 struct HeldSpan {
     arrival_us: u64,
-    departure_us: u64,
+    residence_us: u32,
     server: NodeId,
     class: ClassId,
+}
+
+/// A held span's residence delta whose departure is kept in
+/// [`HeldSpans::wide`] instead: a departure before its arrival (a
+/// reordered capture) or a residence of `u32::MAX` µs (71 minutes) or more.
+const WIDE_RESIDENCE: u32 = u32::MAX;
+
+/// The spans closed before calibration, in close order, plus the exact
+/// departures of the wide ones, in the same order.
+#[derive(Debug, Default)]
+struct HeldSpans {
+    spans: Vec<HeldSpan>,
+    wide: Vec<u64>,
+}
+
+impl HeldSpans {
+    fn push(&mut self, arrival_us: u64, departure_us: u64, server: NodeId, class: ClassId) {
+        let delta = departure_us.checked_sub(arrival_us);
+        let residence_us = match delta.and_then(|d| u32::try_from(d).ok()) {
+            Some(d) if d != WIDE_RESIDENCE => d,
+            _ => {
+                self.wide.push(departure_us);
+                WIDE_RESIDENCE
+            }
+        };
+        self.spans.push(HeldSpan {
+            arrival_us,
+            residence_us,
+            server,
+            class,
+        });
+    }
+
+    /// The held spans as `(span, departure_us)`, in close order.
+    fn drain(self) -> impl Iterator<Item = (HeldSpan, u64)> {
+        let mut wide = self.wide.into_iter();
+        self.spans.into_iter().map(move |span| {
+            let departure_us = match span.residence_us {
+                WIDE_RESIDENCE => wide.next().expect("a wide span kept its departure"),
+                d => span.arrival_us + u64::from(d),
+            };
+            (span, departure_us)
+        })
+    }
+
+    fn state_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.spans.capacity() * size_of::<HeldSpan>() + self.wide.capacity() * size_of::<u64>()
+    }
 }
 
 /// The streaming detector: one instance consumes one time-ordered record
@@ -358,7 +409,7 @@ pub struct OnlineDetector {
     servers: Vec<Option<Box<ServerState>>>,
     /// Spans closed before [`calibrate`](Self::calibrate), in close order;
     /// `None` once calibrated.
-    held: Option<Vec<HeldSpan>>,
+    held: Option<HeldSpans>,
     cur_us: u64,
     records: u64,
     /// Records stamped before stream time (see the module docs).
@@ -399,7 +450,7 @@ impl OnlineDetector {
             services: ServiceTimeTable::new(),
             service_cache: ServiceCache::default(),
             servers: Vec::new(),
-            held: Some(Vec::new()),
+            held: Some(HeldSpans::default()),
             cur_us: 0,
             records: 0,
             reordered: 0,
@@ -424,11 +475,19 @@ impl OnlineDetector {
         for (server, work_unit) in work_units {
             self.set_work_unit(server, work_unit);
         }
-        for span in held {
+        for (span, departure_us) in held.drain() {
             let state = self.servers[span.server.0 as usize]
                 .as_deref_mut()
                 .expect("a held span's server has state");
-            Self::weigh(state, &self.services, &mut self.service_cache, span);
+            let (services, cache) = (&self.services, &mut self.service_cache);
+            Self::weigh(
+                state,
+                services,
+                cache,
+                span.class,
+                span.arrival_us,
+                departure_us,
+            );
         }
         let cur_us = self.cur_us;
         for state in self.servers.iter_mut().flatten() {
@@ -439,7 +498,7 @@ impl OnlineDetector {
 
     /// Spans held for weighing at calibration (0 once calibrated).
     pub fn held_spans(&self) -> usize {
-        self.held.as_ref().map_or(0, Vec::len)
+        self.held.as_ref().map_or(0, |held| held.spans.len())
     }
 
     /// Overrides the work unit for one server (the batch pipeline
@@ -486,15 +545,11 @@ impl OnlineDetector {
                 None => state.unmatched += 1,
                 Some((arrival, class, ())) => {
                     state.matched += 1;
-                    let span = HeldSpan {
-                        arrival_us: arrival.as_micros(),
-                        departure_us: at_us,
-                        server,
-                        class,
-                    };
+                    let arrival_us = arrival.as_micros();
+                    let (services, cache) = (&self.services, &mut self.service_cache);
                     match &mut self.held {
-                        Some(held) => held.push(span),
-                        None => Self::weigh(state, &self.services, &mut self.service_cache, span),
+                        Some(held) => held.push(arrival_us, at_us, server, class),
+                        None => Self::weigh(state, services, cache, class, arrival_us, at_us),
                     }
                 }
             },
@@ -514,15 +569,11 @@ impl OnlineDetector {
         state: &mut ServerState,
         services: &ServiceTimeTable,
         cache: &mut ServiceCache,
-        span: HeldSpan,
+        class: ClassId,
+        arrival_us: u64,
+        departure_us: u64,
     ) {
-        let HeldSpan {
-            arrival_us,
-            departure_us,
-            server,
-            class,
-        } = span;
-        let wu_us = state.wu_us;
+        let (server, wu_us) = (state.server, state.wu_us);
         state.ring.add(arrival_us, departure_us, || {
             let residence_us = departure_us.saturating_sub(arrival_us);
             cache.service_us(services, server, class, residence_us, wu_us)
@@ -678,9 +729,9 @@ impl OnlineDetector {
 
     /// Bytes of detector state.
     pub fn state_bytes(&self) -> usize {
-        let held = self.held.as_ref().map_or(0, Vec::capacity);
+        let held = self.held.as_ref().map_or(0, HeldSpans::state_bytes);
         let servers = self.servers.iter().flatten();
-        held * std::mem::size_of::<HeldSpan>() + servers.map(|s| s.state_bytes()).sum::<usize>()
+        held + servers.map(|s| s.state_bytes()).sum::<usize>()
     }
 
     /// Ends the stream at `end`, resolving the grid to
@@ -1081,6 +1132,73 @@ mod tests {
         assert_eq!(snap.lag, SimDuration::ZERO);
         let finalized = snap.servers[0].finalized;
         assert_eq!(finalized as u64, last_us / 50_000, "all before stream time");
+    }
+
+    #[test]
+    fn wide_held_spans_weigh_as_if_calibrated_before_they_closed() {
+        assert_eq!(std::mem::size_of::<HeldSpan>(), 16);
+        let long = u64::from(u32::MAX);
+        let mut recs = demo_records();
+        // Past the demo's 2.93 s: a response stamped before its request (a
+        // reordered capture; in the same interval, which the calibrated
+        // detector has not finalized), then residences one short of, at
+        // and past the `u32` delta's range.
+        let t0 = 3_000_600;
+        recs.push(rec(t0, 0, 1, MsgKind::Request, 50, 0));
+        recs.push(rec(t0 - 500, 1, 0, MsgKind::Response, 50, 0));
+        for (conn, residence) in [(51, long - 1), (52, long), (53, long + 7)] {
+            recs.push(rec(t0 + conn, 0, 1, MsgKind::Request, conn as u32, 0));
+            recs.push(rec(
+                t0 + conn + residence,
+                1,
+                0,
+                MsgKind::Response,
+                conn as u32,
+                0,
+            ));
+        }
+        let mut tail = recs.split_off(recs.len() - 6);
+        tail.sort_by_key(|r| r.at);
+        recs.extend(tail);
+        // A 1 s grid keeps the 72-minute spans to a few thousand intervals.
+        let cfg = || {
+            OnlineConfig::new(
+                SimTime::ZERO,
+                SimDuration::from_secs(1),
+                SimDuration::from_millis(10),
+            )
+        };
+        let mut early = OnlineDetector::new(cfg(), services());
+        let mut late = OnlineDetector::uncalibrated(cfg());
+        early.push_chunk(&recs);
+        late.push_chunk(&recs);
+        let held = late.held.as_ref().expect("uncalibrated");
+        assert_eq!(
+            held.wide.len(),
+            3,
+            "the reordered span and the two long ones"
+        );
+        assert_eq!(held.spans.len(), recs.len() / 2);
+        late.calibrate(services(), []);
+        let end = recs.last().unwrap().at + SimDuration::from_secs(1);
+        let (early, late) = (early.finish(end).reports, late.finish(end).reports);
+        assert_eq!(early.len(), 1);
+        let (a, b) = (&early[0], &late[0]);
+        assert_eq!((a.matched, a.unmatched), (b.matched, b.unmatched));
+        assert_eq!(a.loads.len(), b.loads.len());
+        for (x, y) in a.loads.iter().zip(&b.loads) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        for (x, y) in a.rates.iter().zip(&b.rates) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(a.states, b.states);
+        let bits = |r: &OnlineReport| {
+            r.nstar
+                .as_ref()
+                .map(|n| (n.nstar.to_bits(), n.tp_max.to_bits()))
+        };
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]

@@ -15,20 +15,20 @@
 //! (~0.2x the flat size). Readers still accept flat `FGBDCAP1` captures
 //! recorded by older builds.
 //!
-//! Records stream from the simulator's tap straight into the chunked
-//! writer, as in `million_users`: at most one encode buffer of records is
+//! Records stream from the simulator's tap into the chunked writer through
+//! the same writer thread as `million_users` (`tapwriter::TapWriter`, here
+//! with no analyzer): a few batches and one encode buffer of records are
 //! resident, never the run's log.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::path::Path;
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
 use fgbd_repro::harness::{fail_path, number_arg};
 use fgbd_repro::report::out_dir;
+use fgbd_repro::tapwriter::TapWriter;
 use fgbd_repro::{Scenario, GC_JDK15, GC_JDK16, SPEEDSTEP_OFF, SPEEDSTEP_ON};
-use fgbd_trace::ChunkedWriter;
 
 fn scenario_by_name(name: &str) -> Option<Scenario> {
     match name {
@@ -68,27 +68,17 @@ fn main() {
         "record_capture",
         "simulating {scenario_name} at WL {users} for {secs}s ..."
     );
-    let mut messages = 0u64;
-    let run = {
+    let (run, messages) = {
         fgbd_obsv::span!("record_capture");
         let mut cfg = scenario.config(users);
         cfg.duration = SimDuration::from_secs(secs);
         // The chunked format needs the node table before the first record.
         let nodes = fgbd_ntier::node_metas(&cfg);
         let fail = |e: &dyn std::fmt::Display| -> ! { fail_path("record_capture", &path, e) };
-        let file = File::create(&path).unwrap_or_else(|e| fail(&e));
-        let mut writer =
-            ChunkedWriter::new(BufWriter::new(file), &nodes).unwrap_or_else(|e| fail(&e));
-        let run = NTierSystem::run_with_record_tap(cfg, |rec| {
-            messages += 1;
-            writer.push(rec).unwrap_or_else(|e| fail(&e));
-        });
-        // A dropped `BufWriter` would swallow a failed flush.
-        writer
-            .finish()
-            .and_then(|mut file| Ok(file.flush()?))
-            .unwrap_or_else(|e| fail(&e));
-        run
+        let mut tap =
+            TapWriter::create(Path::new(&path), &nodes, None).unwrap_or_else(|e| fail(&e));
+        let run = NTierSystem::run_with_record_tap(cfg, |rec| tap.push(rec));
+        (run, tap.finish().unwrap_or_else(|e| fail(&e)).records)
     };
     assert!(
         run.log.records.is_empty(),

@@ -23,6 +23,8 @@
 //! * [`zerocopy`] — the capture route: one forward pass from a mapped or
 //!   tailed capture through prefix calibration into the online detector,
 //!   peak memory independent of capture size.
+//! * [`tapwriter`] — the record tap's capture writer: encode on a writer
+//!   thread, and optionally analyze the written bytes as they land.
 //!
 //! `run_all` is the one way to regenerate an artifact: name its ids, or
 //! none for everything.
@@ -40,6 +42,7 @@ pub mod pipeline;
 pub mod plot;
 pub mod report;
 pub mod scenario;
+pub mod tapwriter;
 pub mod zerocopy;
 
 pub use pipeline::{Analysis, Calibration};

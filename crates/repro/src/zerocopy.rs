@@ -5,8 +5,8 @@
 //!                                 ┌─▶ online detector ──────────────────▶ reports
 //! source ──chunk──▶ decode ──────┤   (pairs from the first chunk; holds    ▲
 //! (mmap cursor,                   │    spans until the service times land) │
-//!  FGBDCAP1 import,               │     └─▶ (--follow) live telemetry      │
-//!  --follow tail)                 └─▶ calibration worker ──service times───┘
+//!  FGBDCAP1 import, writer's      │     └─▶ (--follow) live telemetry      │
+//!  pipe, --follow tail)           └─▶ calibration worker ──service times───┘
 //!                                     (first FGBD_CALIB_RECORDS records;
 //!                                      the buffer comes back for reuse)
 //! ```
@@ -34,12 +34,15 @@
 //!
 //! Every capture consumer drives this one body:
 //! [`analyze_capture2_zero_copy`] for a file (`analyze_capture`,
-//! `million_users`) and `analyze_capture --follow` for a growing file or a
-//! FIFO, which hands this one detector to the live monitor's telemetry
+//! `compare_captures`), [`analyze_stream`] for a stream (`million_users`
+//! reads the bytes its writer thread tees into a pipe, see
+//! [`crate::tapwriter`]) and `analyze_capture --follow` for a growing file
+//! or a FIFO, which hands this one detector to the live monitor's telemetry
 //! after every record ([`CaptureAnalyzer::push_observed`]): live verdicts
 //! are calibrated, named and on the `--verdicts` grid, with heartbeats only
 //! until the chunk that completes the prefix.
 
+use std::io::Read;
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -74,7 +77,7 @@ pub struct ZeroCopyAnalysis {
     /// Capture format read: `1` (flat `FGBDCAP1`) or `2` (chunked `FGBDCAP2`).
     pub capture_format: u8,
     /// How the records arrived: `"mmap"`, `"heap"` (the automatic fallback
-    /// of [`Mapping::open`]) or `"stream"` (`--follow`).
+    /// of [`Mapping::open`]) or `"stream"` ([`analyze_stream`], `--follow`).
     pub source: &'static str,
     /// Records service times were calibrated on (the prefix).
     pub calib_prefix_records: usize,
@@ -365,12 +368,8 @@ pub fn analyze_capture2_zero_copy(
     let mut cursor = match ChunkCursor::new(&map) {
         Ok(cursor) => cursor,
         Err(CaptureError::BadMagic(_)) => {
-            let mut chunks = CaptureChunks::open(&map[..])?;
-            let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
-            for chunk in &mut chunks {
-                analyzer.push_chunk(chunk?);
-            }
-            return Ok(analyzer.finish(chunks.format(), source, 1));
+            let za = analyze_stream(&map[..], interval)?;
+            return Ok(ZeroCopyAnalysis { source, ..za });
         }
         Err(e) => return Err(e),
     };
@@ -387,4 +386,29 @@ pub fn analyze_capture2_zero_copy(
         map.release_until(cursor.consumed_bytes());
     }
     Ok(analyzer.finish(2, source, cursor.threads()))
+}
+
+/// Analyzes a capture of either format as it streams in: the stream walker
+/// ([`CaptureChunks`]) feeds a [`CaptureAnalyzer`] chunk by chunk, so a
+/// reader that is still being written — a pipe from the capture writer
+/// ([`crate::tapwriter`]) — is analyzed as its bytes land. Stamped
+/// `source: "stream"`, one decode thread. `interval` is the analysis
+/// granularity.
+///
+/// # Errors
+///
+/// As [`CaptureChunks`]: [`CaptureError::Io`] for a failed or truncated
+/// read, [`CaptureError::BadMagic`] for a foreign stream, and
+/// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for damaged ones.
+pub fn analyze_stream(
+    reader: impl Read,
+    interval: SimDuration,
+) -> Result<ZeroCopyAnalysis, CaptureError> {
+    fgbd_obsv::span!("stream_analyze");
+    let mut chunks = CaptureChunks::open(reader)?;
+    let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
+    for chunk in &mut chunks {
+        analyzer.push_chunk(chunk?);
+    }
+    Ok(analyzer.finish(chunks.format(), "stream", 1))
 }

@@ -18,7 +18,10 @@
 //! bad count or an output they cannot create. The seventh drops one
 //! response from a tapped run, and duplicates one request: the pairing
 //! table closes one request as lost, the report moves only where that
-//! request lived, and `analyze_capture` warns once.
+//! request lived, and `analyze_capture` warns once. The eighth runs the
+//! record-and-analyze helper (`TapWriter`): its file is the inline tap's,
+//! byte for byte, and its analysis of those bytes as they land is the
+//! analysis of the finished file.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -37,6 +40,8 @@ use fgbd_oracle::capture::write_capture;
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS, WORK_UNIT_RESOLUTION};
 use fgbd_repro::scenario::GC_JDK15;
+use fgbd_repro::tapwriter::TapWriter;
+use fgbd_repro::zerocopy::analyze_capture2_zero_copy;
 use fgbd_trace::{
     read_capture_file, write_capture2, ChunkedWriter, MsgKind, NodeKind, NodeMeta, SpanSet,
     TraceLog,
@@ -723,4 +728,50 @@ fn a_lost_response_is_counted_as_connection_overlap() {
         "a duplicated request changed the verdicts"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tap_writer_writes_the_inline_bytes_and_analyzes_them_as_they_land() {
+    let seed = 20130708;
+    let nodes = fgbd_ntier::node_metas(&smoke_cfg(seed));
+    let (inline, threaded) = (temp_path("tap_inline"), temp_path("tap_threaded"));
+    let file = File::create(&inline).expect("create capture file");
+    let mut writer = ChunkedWriter::new(BufWriter::new(file), &nodes).expect("start capture");
+    NTierSystem::run_with_record_tap(smoke_cfg(seed), |rec| {
+        writer.push(rec).expect("write record");
+    });
+    writer
+        .finish()
+        .expect("seal capture")
+        .flush()
+        .expect("flush");
+
+    let interval = SimDuration::from_millis(50);
+    let mut tap = TapWriter::create(&threaded, &nodes, Some(interval)).expect("start capture");
+    NTierSystem::run_with_record_tap(smoke_cfg(seed), |rec| tap.push(rec));
+    let tapped = tap.finish().expect("record and analyze");
+    let bytes = std::fs::read(&threaded).expect("read capture");
+    assert_eq!(bytes, std::fs::read(&inline).expect("read capture"));
+    std::fs::remove_file(&inline).ok();
+
+    let live = tapped.analysis.expect("an analyzer was asked for");
+    let file = analyze_capture2_zero_copy(&threaded, interval, 1).expect("analyze the file");
+    std::fs::remove_file(&threaded).ok();
+    assert_eq!((live.source, live.decode_threads), ("stream", 1));
+    assert_eq!(live.records, tapped.records);
+    assert_eq!(live.records, file.records);
+    assert_eq!((live.start, live.end), (file.start, file.end));
+    assert_eq!(live.calib_held_spans, file.calib_held_spans);
+    assert!(!live.reports.is_empty(), "the run reports its servers");
+    assert_eq!(live.reports.len(), file.reports.len());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for ((name, a), (file_name, b)) in live.reports.iter().zip(&file.reports) {
+        assert_eq!(name, file_name);
+        assert_eq!(bits(&a.loads), bits(&b.loads), "{name}: loads");
+        assert_eq!(bits(&a.rates), bits(&b.rates), "{name}: rates");
+        assert_eq!(a.states, b.states, "{name}: states");
+        assert_eq!(a.nstar, b.nstar, "{name}: N*");
+        let counts = |r: &OnlineReport| (r.matched, r.unmatched, r.conn_overlap);
+        assert_eq!(counts(a), counts(b), "{name}: counts");
+    }
 }
