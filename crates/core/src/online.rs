@@ -70,7 +70,11 @@
 //! time is taken as it comes and counted ([`OnlineDetector::finish`] flushes
 //! `trace.reordered`), not repaired. The open list stays sorted (a late
 //! stamp walks back to its place), so the watermark's first term is the
-//! minimum over *all* open requests.
+//! minimum over *all* open requests. A finalized interval never changes:
+//! a span that reaches back into one — a response stamped before an
+//! interval its request's arrival already closed, or a late request's
+//! residence — keeps only its part from the first open interval on and is
+//! counted in `trace.late_spans`, flushed beside `trace.reordered`.
 
 use std::collections::VecDeque;
 
@@ -753,7 +757,9 @@ impl OnlineDetector {
         let window = Window::new(self.cfg.start, end, self.cfg.interval);
         let len = window.len();
         let mut out = Vec::new();
+        let mut late = 0;
         for mut state in std::mem::take(&mut self.servers).into_iter().flatten() {
+            late += state.ring.late();
             // Requests lost or still open at stream end never become
             // spans; the batch extractor counts them unmatched.
             state.unmatched += state.open.len() + state.open.lost() as usize;
@@ -787,6 +793,7 @@ impl OnlineDetector {
         if fgbd_obsv::enabled() {
             // Retained: 0 on a time-ordered, lossless stream is the finding.
             fgbd_obsv::metrics::counter_retained("trace.reordered").add(self.reordered);
+            fgbd_obsv::metrics::counter_retained("trace.late_spans").add(late);
             let lost = out.iter().map(|r| r.conn_overlap).sum();
             fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(lost);
         }
@@ -1110,6 +1117,35 @@ mod tests {
         let fin = online.finish(SimTime::from_millis(50));
         assert_eq!((fin.reports[0].matched, fin.reports[0].unmatched), (2, 2));
         assert_eq!(fin.reports[0].conn_overlap, 0);
+    }
+
+    #[test]
+    fn a_response_stamped_before_a_finalized_interval_is_counted_not_a_panic() {
+        let cfg = OnlineConfig::new(
+            SimTime::ZERO,
+            SimDuration::from_secs(1),
+            SimDuration::from_millis(10),
+        );
+        let mut online = OnlineDetector::new(cfg, services());
+        online.push(&rec(500_000, 0, 1, MsgKind::Request, 1, 0));
+        online.push(&rec(700_000, 1, 0, MsgKind::Response, 1, 0));
+        // The request finalizes intervals 0-2; its response is stamped in
+        // interval 2.
+        online.push(&rec(3_000_000, 0, 1, MsgKind::Request, 2, 0));
+        assert_eq!(online.servers[1].as_ref().unwrap().ring.base(), 3);
+        online.push(&rec(2_999_500, 1, 0, MsgKind::Response, 2, 0));
+        // A late request resident across finalized intervals into open ones.
+        online.push(&rec(1_500_000, 0, 1, MsgKind::Request, 3, 0));
+        online.push(&rec(3_250_000, 1, 0, MsgKind::Response, 3, 0));
+        assert_eq!(online.reordered, 2);
+        let state = online.servers[1].as_ref().unwrap();
+        assert_eq!(state.ring.late(), 2);
+        let fin = online.finish(SimTime::from_secs(5));
+        let report = &fin.reports[0];
+        assert_eq!((report.matched, report.unmatched), (3, 0));
+        // Interval 0 kept its span; the finalized intervals 1-2 stayed as
+        // they were; interval 3 got only the late request's open part.
+        assert_eq!(report.loads[..4], [0.2, 0.0, 0.0, 0.25]);
     }
 
     #[test]

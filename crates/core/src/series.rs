@@ -131,6 +131,12 @@ struct Cell {
 /// inside the grid both give the same integers (the boundary interval of a
 /// span leaving the grid gets its full coverage through the difference
 /// array instead of a direct add).
+///
+/// A popped interval is final. A span that reaches back into one (only the
+/// online detector pops before every span is in, and only a record stamped
+/// before stream time can reach back) loses the part before the first
+/// unpopped interval — its overlap there, and its completion if it departs
+/// there — and is counted in `late`.
 #[derive(Debug)]
 pub(crate) struct IntervalRing {
     start_us: u64,
@@ -142,6 +148,8 @@ pub(crate) struct IntervalRing {
     /// Spans fully covering interval `base - 1` (prefix sum of the popped
     /// `full_diff`s).
     covering: i64,
+    /// Spans that reached back into a popped interval (see the type docs).
+    late: u64,
 }
 
 impl IntervalRing {
@@ -162,6 +170,7 @@ impl IntervalRing {
             ilen_us: interval.as_micros(),
             end_us: u64::MAX,
             base: 0,
+            late: 0,
             cells: VecDeque::new(),
             covering: 0,
         }
@@ -187,6 +196,11 @@ impl IntervalRing {
         self.cells.len()
     }
 
+    /// Spans that reached back into a popped interval.
+    pub(crate) fn late(&self) -> u64 {
+        self.late
+    }
+
     /// Bytes of cell storage currently held.
     pub(crate) fn state_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<Cell>()
@@ -207,7 +221,7 @@ impl IntervalRing {
     /// if it departs inside the grid — one completion carrying
     /// `service_us()` in its departure interval (the normalized-throughput
     /// numerator). This is the one place a span becomes integer
-    /// microseconds.
+    /// microseconds. Popped intervals are not touched (see the type docs).
     #[inline]
     pub(crate) fn add(
         &mut self,
@@ -216,7 +230,14 @@ impl IntervalRing {
         service_us: impl FnOnce() -> u64,
     ) {
         let (start_us, ilen_us) = (self.start_us, self.ilen_us);
-        let a = arrival_us.max(start_us);
+        // Start of the first unpopped interval: `start_us` until a pop.
+        let open_us = start_us + self.base as u64 * ilen_us;
+        if departure_us.min(open_us) > arrival_us.max(start_us)
+            || (start_us..open_us).contains(&departure_us)
+        {
+            self.late += 1;
+        }
+        let a = arrival_us.max(open_us);
         let d = departure_us.min(self.end_us);
         if d > a {
             let rel_a = a - start_us;
@@ -234,7 +255,7 @@ impl IntervalRing {
                 self.cell(first + 1).full_diff += 1;
             }
         }
-        if departure_us >= start_us && departure_us < self.end_us {
+        if departure_us >= open_us && departure_us < self.end_us {
             let cell = self.cell(((departure_us - start_us) / ilen_us) as usize);
             cell.count += 1;
             cell.service_us += service_us();

@@ -41,6 +41,6 @@ pub mod time;
 
 pub use ps::{JobId, PsIntegrator};
 pub use queue::EventQueue;
-pub use rng::Dice;
+pub use rng::{Dice, LogNormal};
 pub use sim::{Actor, Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

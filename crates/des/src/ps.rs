@@ -32,6 +32,14 @@
 //! probe in the simulator's hot loop is a field read, not a heap peek plus
 //! a hash probe.
 //!
+//! A miss recomputes the tournament over the *occupied* lanes only: a
+//! 64-bit occupancy mask (bit `i` set iff lane `i` holds a job) is kept
+//! on every append, pop and removal, and the scan walks its set bits. The
+//! n-tier simulator gives every request class a lane, and classes with a
+//! zero mix weight (the read/write classes under the browse-only mix)
+//! never hold one, so half of its 24 lanes are always skipped. An
+//! integrator with more than 64 lanes scans them all.
+//!
 //! The previous `BinaryHeap` + lazy-deletion index implementation is the
 //! executable specification, `fgbd_oracle::ps::PsIntegrator` (a dev-only
 //! crate). Property tests (`crates/des/tests/properties.rs`) hold the lane
@@ -79,6 +87,16 @@ impl Key {
     }
 }
 
+/// Lanes covered by the occupancy mask; past this many, a tournament miss
+/// scans every lane.
+const MASK_LANES: usize = u64::BITS as usize;
+
+/// Lane `i`'s bit in the occupancy mask (none past [`MASK_LANES`]).
+#[inline]
+fn lane_bit(i: usize) -> u64 {
+    1u64.checked_shl(i as u32).unwrap_or(0)
+}
+
 /// Where the cached tournament winner lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Place {
@@ -123,6 +141,9 @@ pub struct PsIntegrator {
     /// increasing (each insert gets a fresh sequence number, so keys are
     /// unique), which makes every lane head a tournament candidate.
     lanes: Vec<VecDeque<(Key, JobId)>>,
+    /// Bit `i` set iff lane `i` is non-empty, for the first
+    /// [`MASK_LANES`] lanes.
+    occupied: u64,
     /// Inserts that would have broken their lane's monotonicity. Ordered
     /// min-first; always exact (no lazy deletion — [`Self::remove`] is a
     /// cold path that deletes eagerly).
@@ -184,6 +205,7 @@ impl PsIntegrator {
             lanes: std::iter::repeat_with(VecDeque::new)
                 .take(lanes.max(1))
                 .collect(),
+            occupied: 0,
             spill: BinaryHeap::new(),
             live: 0,
             seq: 0,
@@ -213,19 +235,31 @@ impl PsIntegrator {
     }
 
     /// The current global minimum `(key, job, place)`, recomputing the
-    /// cached tournament if an op invalidated it. O(lanes) on a miss, O(1)
-    /// on a hit — and the hot loop (one `next_completion` probe per
-    /// simulator event) hits far more often than it misses.
+    /// cached tournament if an op invalidated it. O(occupied lanes) on a
+    /// miss, O(1) on a hit — and the hot loop (one `next_completion` probe
+    /// per simulator event) hits far more often than it misses.
     fn peek_top(&mut self) -> Option<(Key, JobId, Place)> {
         if self.top_valid {
             return self.top;
         }
         let mut best: Option<(Key, JobId, Place)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
+        let mut consider = |i: usize, lane: &VecDeque<(Key, JobId)>| {
             if let Some(&(key, job)) = lane.front() {
                 if best.is_none_or(|(bk, _, _)| key < bk) {
                     best = Some((key, job, Place::Lane(i as u32)));
                 }
+            }
+        };
+        if self.lanes.len() <= MASK_LANES {
+            let mut mask = self.occupied;
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                consider(i, &self.lanes[i]);
+            }
+        } else {
+            for (i, lane) in self.lanes.iter().enumerate() {
+                consider(i, lane);
             }
         }
         if let Some(&Reverse((key, job))) = self.spill.peek() {
@@ -242,8 +276,12 @@ impl PsIntegrator {
     fn pop_top(&mut self, key: Key, place: Place) {
         match place {
             Place::Lane(i) => {
-                let popped = self.lanes[i as usize].pop_front();
+                let lane = &mut self.lanes[i as usize];
+                let popped = lane.pop_front();
                 debug_assert_eq!(popped.map(|(k, _)| k), Some(key));
+                if lane.is_empty() {
+                    self.occupied &= !lane_bit(i as usize);
+                }
                 self.lane_ops += 1;
             }
             Place::Spill => {
@@ -336,6 +374,7 @@ impl PsIntegrator {
         let q = &mut self.lanes[lane];
         let place = if q.back().is_none_or(|&(tail, _)| tail < key) {
             q.push_back((key, job));
+            self.occupied |= lane_bit(lane);
             self.lane_ops += 1;
             Place::Lane(lane as u32)
         } else {
@@ -370,10 +409,13 @@ impl PsIntegrator {
     pub fn remove(&mut self, now: SimTime, job: JobId) -> Option<f64> {
         self.advance(now);
         let mut key = None;
-        'search: for lane in &mut self.lanes {
+        'search: for (l, lane) in self.lanes.iter_mut().enumerate() {
             for i in 0..lane.len() {
                 if lane[i].1 == job {
                     key = lane.remove(i).map(|(k, _)| k);
+                    if lane.is_empty() {
+                        self.occupied &= !lane_bit(l);
+                    }
                     break 'search;
                 }
             }

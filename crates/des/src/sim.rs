@@ -63,6 +63,16 @@ impl<E> Scheduler<E> {
         self.queue.schedule(at, event);
     }
 
+    /// Schedules `event` to fire `delay` after the current time on the
+    /// queue's fixed-delay lane ([`EventQueue::schedule_lane`]). Meant for
+    /// a delay that is the same on every call (a network hop), whose
+    /// events are then born in time order and skip the wheel; delivery
+    /// order is exactly that of [`Self::after`] whatever the delay.
+    pub fn after_fixed(&mut self, delay: SimDuration, event: E) {
+        let at = self.now + delay;
+        self.queue.schedule_lane(at, event);
+    }
+
     /// Schedules `event` to fire at the current instant, after all events
     /// already queued for this instant.
     pub fn immediately(&mut self, event: E) {

@@ -1,6 +1,6 @@
 //! Property-based tests for the DES kernel invariants.
 
-use fgbd_des::{Dice, EventQueue, JobId, PsIntegrator, SimDuration, SimTime};
+use fgbd_des::{Dice, EventQueue, JobId, LogNormal, PsIntegrator, SimDuration, SimTime};
 use fgbd_oracle::queue::HeapQueue;
 use proptest::prelude::*;
 
@@ -46,6 +46,9 @@ struct QueuePair {
     /// Every ticket ever issued, live or not: a restamp op may target a
     /// popped entry, which both queues must report as gone.
     tickets: Vec<(SimTime, u64)>,
+    /// The time of the last pop: fixed-delay lane schedules go out from
+    /// here, as the simulator's go out from `now`.
+    now: u64,
 }
 
 impl QueuePair {
@@ -56,6 +59,34 @@ impl QueuePair {
         let sh = self.heap.schedule(t, payload);
         prop_assert_eq!(sw, sh);
         self.tickets.push((t, sw));
+        Ok(())
+    }
+
+    /// Schedules on the wheel's fixed-delay lane and plainly on the heap:
+    /// the lane is a fast path, never an ordering input.
+    fn schedule_lane(&mut self, t: u64) -> Result<(), String> {
+        let t = SimTime::from_micros(t);
+        let payload = self.tickets.len();
+        let sw = self.wheel.schedule_lane(t, payload);
+        let sh = self.heap.schedule(t, payload);
+        prop_assert_eq!(sw, sh);
+        self.tickets.push((t, sw));
+        Ok(())
+    }
+
+    /// A run of fixed-delay schedules from the last pop, as the simulator's
+    /// network hops are, interleaved with pops that move the clock: the
+    /// times are monotone while the delay holds. A second delay in the
+    /// same run lands before the lane's tail whenever it is shorter.
+    fn hops(&mut self, raw: u64) -> Result<(), String> {
+        let delays = [raw % 200, (raw >> 8) % 200];
+        for i in 0..2 + (raw >> 16) as usize % 24 {
+            let delay = delays[usize::from((raw >> (20 + i % 40)) & 1 == 1)];
+            self.schedule_lane(self.now + delay)?;
+            if (raw >> (i % 60)) & 3 == 0 {
+                self.pop()?;
+            }
+        }
         Ok(())
     }
 
@@ -76,6 +107,9 @@ impl QueuePair {
         prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
         let (w, h) = (self.wheel.pop(), self.heap.pop());
         prop_assert_eq!(w, h);
+        if let Some((t, _)) = w {
+            self.now = t.as_micros();
+        }
         Ok(w.is_some())
     }
 
@@ -124,16 +158,24 @@ proptest! {
     /// same-instant ties, schedules below an advanced clock (the `run_until`
     /// horizon-crossing shape: peek far ahead, decline, schedule earlier),
     /// overflow promotions, the boot shape (a drained queue refilled from
-    /// one far event downwards) and deep same-instant buckets restamped in
-    /// the middle.
+    /// one far event downwards), deep same-instant buckets restamped in
+    /// the middle, and fixed-delay lane schedules — monotone runs from the
+    /// last pop, and lone ones at any time (before the lane's tail they
+    /// take the wheel) — merged with all of the above, restamps of lane
+    /// entries included.
     #[test]
     fn wheel_matches_reference_heap(
-        ops in prop::collection::vec((0u64..10, 0u64..(1u64 << 44)), 2..400),
+        ops in prop::collection::vec((0u64..12, 0u64..(1u64 << 44)), 2..400),
     ) {
         let mut q = QueuePair::default();
         for &(kind, raw) in &ops {
             match decode_op(kind, raw) {
                 Some(t) => q.schedule(t)?,
+                None if kind == 11 => q.hops(raw)?,
+                None if kind == 10 => {
+                    let t = decode_op(raw % 5, raw >> 3).expect("regimes 0-4 are times");
+                    q.schedule_lane(t)?;
+                }
                 None if kind == 9 => q.burst(raw)?,
                 None if kind == 8 => q.boot(raw)?,
                 None if kind == 7 => {
@@ -349,14 +391,20 @@ proptest! {
     /// (including on an empty integrator), GC freeze/unfreeze spans
     /// (including spans an armed completion falls inside), and event-loop
     /// drains. Lanes on the fast side are assigned pseudo-randomly: a lane
-    /// is a performance hint and must never become an ordering input.
+    /// is a performance hint and must never become an ordering input. The
+    /// lane count ranges past the 64 lanes the occupancy mask covers (the
+    /// full-scan fallback), and inserts also name lanes past the count the
+    /// integrator was built with, growing it mid-run — across 64 too.
+    /// Few jobs over many lanes means removals and completions empty lanes
+    /// all the time, so a lane left marked occupied would be caught.
     #[test]
     fn ps_lane_integrator_matches_reference(
         ops in prop::collection::vec((0u64..8, 0u64..(1u64 << 32)), 1..150),
         speed in 50.0f64..2_000.0,
         cores in 1u32..6,
+        lanes in 1u64..100,
     ) {
-        let mut fast = PsIntegrator::with_lanes(speed, cores, 4);
+        let mut fast = PsIntegrator::with_lanes(speed, cores, lanes as usize);
         let mut slow = RefPs::new(speed, cores);
         let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
@@ -370,7 +418,7 @@ proptest! {
                     let job = JobId(next_id);
                     next_id += 1;
                     let demand = ps_demand(raw);
-                    fast.insert_lane(now, job, demand, (raw % 4) as usize);
+                    fast.insert_lane(now, job, demand, ((raw >> 12) % (lanes + 8)) as usize);
                     slow.insert(now, job, demand);
                     live.push(job);
                 }
@@ -641,4 +689,56 @@ fn ps_near_zero_demand_completes_on_the_next_microsecond_tick() {
     assert_eq!(fast.pop_due(due), vec![JobId(1)]);
     assert_eq!(slow.pop_due(due), vec![JobId(1)]);
     assert!(fast.is_empty() && slow.is_empty());
+}
+
+/// The log-normal draw as `Dice::lognormal_mean_cv` was specified before
+/// its parameters could be worked out once: both logs and the root per
+/// draw.
+fn lognormal_spec(dice: &mut Dice, mean: f64, cv: f64) -> f64 {
+    if cv == 0.0 {
+        return mean;
+    }
+    let sigma2 = (1.0 + cv * cv).ln();
+    let mu = mean.ln() - sigma2 / 2.0;
+    dice.normal(mu, sigma2.sqrt()).exp()
+}
+
+proptest! {
+    /// A draw from a [`LogNormal`] worked out once is bit-identical to the
+    /// per-draw formula, and so is `lognormal_mean_cv`, across seeds,
+    /// means over ten decades and CVs (zero included, which draws nothing),
+    /// with draws from several distributions interleaved on one stream as
+    /// the simulator's classes interleave on a server's dice.
+    #[test]
+    fn cached_lognormal_draws_match_the_formula_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        dists in prop::collection::vec((-6.0f64..4.0, 0u64..4, 0.0f64..3.0), 1..6),
+        picks in prop::collection::vec(0u64..1_000, 1..200),
+    ) {
+        let dists: Vec<(f64, f64)> = dists
+            .iter()
+            .map(|&(log_mean, cv_kind, cv)| {
+                let cv = match cv_kind {
+                    0 => 0.0,
+                    1 => cv * 1e-9,
+                    _ => cv,
+                };
+                (10f64.powf(log_mean), cv)
+            })
+            .collect();
+        let cached: Vec<LogNormal> =
+            dists.iter().map(|&(m, cv)| LogNormal::from_mean_cv(m, cv)).collect();
+        let mut spec = Dice::seed(seed);
+        let mut fast = Dice::seed(seed);
+        let mut plain = Dice::seed(seed);
+        for &pick in &picks {
+            let i = pick as usize % dists.len();
+            let (mean, cv) = dists[i];
+            let want = lognormal_spec(&mut spec, mean, cv);
+            prop_assert_eq!(fast.lognormal(&cached[i]).to_bits(), want.to_bits());
+            prop_assert_eq!(plain.lognormal_mean_cv(mean, cv).to_bits(), want.to_bits());
+        }
+        // The streams consumed the same randomness.
+        prop_assert_eq!(fast.uniform().to_bits(), spec.uniform().to_bits());
+    }
 }

@@ -20,7 +20,9 @@
 
 use std::collections::VecDeque;
 
-use fgbd_des::{Actor, Dice, JobId, PsIntegrator, Scheduler, SimDuration, SimTime, Simulation};
+use fgbd_des::{
+    Actor, Dice, JobId, LogNormal, PsIntegrator, Scheduler, SimDuration, SimTime, Simulation,
+};
 use fgbd_trace::{
     ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
@@ -41,7 +43,7 @@ pub enum Parent {
     /// A visit on an upstream server, blocked on this call.
     Visit {
         /// Upstream server index.
-        server: usize,
+        server: u32,
         /// Upstream visit id.
         visit: u64,
     },
@@ -68,95 +70,60 @@ enum Segment {
     Call,
 }
 
-/// Segment capacity held inline in a [`SegVec`]. The longest plan is an app
-/// visit with `q` calls interleaved with `q + 1` CPU slices (`2q + 1`
-/// segments); the paper's RUBBoS mix tops out at `q = 8` and calibration
-/// keeps `q` near that, so 24 covers every realistic plan with headroom.
-const SEGS_INLINE: usize = 24;
-
-/// Inline small-vector of [`Segment`]s: visit plans live inside the `Visit`
-/// struct up to [`SEGS_INLINE`] entries and only spill to the heap for
-/// pathological configurations, so building a plan per request allocates
-/// nothing at steady state.
-///
-/// Storage is packed rather than `[Segment; SEGS_INLINE]`: a segment's
-/// payload is one `u64` word (`f64` megacycle bits for CPU, microseconds
-/// for waits) plus a 2-bit kind code, so the inline plan is 200 bytes
-/// instead of 384. `Visit` values move by value through the slab on every
-/// arrival and completion, which makes plan size directly proportional to
-/// hot-loop memory traffic. The packing is exact — `f64::to_bits` /
-/// `from_bits` round-trips — so demands are bit-identical to the unpacked
-/// representation.
-#[derive(Debug)]
-struct SegVec {
+/// A visit's plan: `len` segments, CPU slices of `cpu` megacycles at the
+/// even positions and, at the odd ones between them, a synchronous call to
+/// the next tier — or, when `wait_us` is non-zero, a non-CPU wait of that
+/// many microseconds. Every role's plan has this shape (see
+/// `NTierSystem::sample_plan`): a web or middleware visit is a call between
+/// two halves of its demand, an app visit `q` calls between `q + 1` equal
+/// slices, a database visit one slice or a wait between two halves. So
+/// three words describe any plan, with no segment list: `Visit` values
+/// move through the slab on every arrival and completion, which makes
+/// their size hot-loop memory traffic.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    cpu: f64,
+    wait_us: u64,
     len: u32,
-    /// 2-bit kind code per inline segment (0 = Call, 1 = Cpu, 2 = Wait).
-    kinds: u64,
-    /// Payload word per inline segment; meaning depends on the kind code.
-    vals: [u64; SEGS_INLINE],
-    spill: Vec<Segment>,
 }
 
-const _: () = assert!(2 * SEGS_INLINE <= 64, "kind codes must fit one word");
-
-impl SegVec {
-    fn new() -> SegVec {
-        SegVec {
-            len: 0,
-            kinds: 0,
-            vals: [0; SEGS_INLINE],
-            spill: Vec::new(),
+impl Plan {
+    /// A plan of `len` segments whose CPU slices are `cpu` megacycles and
+    /// whose odd segments are calls.
+    fn calls(cpu: f64, len: u32) -> Plan {
+        Plan {
+            cpu,
+            wait_us: 0,
+            len,
         }
     }
 
-    fn push(&mut self, seg: Segment) {
-        let i = self.len as usize;
-        if i < SEGS_INLINE {
-            let (code, val) = match seg {
-                Segment::Call => (0u64, 0),
-                Segment::Cpu(mc) => (1, mc.to_bits()),
-                Segment::Wait(d) => (2, d.as_micros()),
-            };
-            self.kinds |= code << (2 * i);
-            self.vals[i] = val;
+    fn get(&self, i: u32) -> Segment {
+        assert!(i < self.len, "segment index {i} out of bounds");
+        if i.is_multiple_of(2) {
+            Segment::Cpu(self.cpu)
+        } else if self.wait_us == 0 {
+            Segment::Call
         } else {
-            self.spill.push(seg);
-        }
-        self.len += 1;
-    }
-
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    fn get(&self, i: usize) -> Segment {
-        assert!(i < self.len(), "segment index {i} out of bounds");
-        if i < SEGS_INLINE {
-            match (self.kinds >> (2 * i)) & 0b11 {
-                0 => Segment::Call,
-                1 => Segment::Cpu(f64::from_bits(self.vals[i])),
-                2 => Segment::Wait(SimDuration::from_micros(self.vals[i])),
-                code => unreachable!("unknown segment code {code}"),
-            }
-        } else {
-            self.spill[i - SEGS_INLINE]
+            Segment::Wait(SimDuration::from_micros(self.wait_us))
         }
     }
 
     #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = Segment> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        (0..self.len).map(|i| self.get(i))
     }
 }
 
 #[derive(Debug)]
 struct Visit {
     txn: u64,
-    class: u16,
     parent: Parent,
+    plan: Plan,
     conn: u32,
-    segs: SegVec,
-    seg: usize,
+    /// Index of the current segment in `plan`.
+    seg: u32,
+    class: u16,
 }
 
 /// Tier roles used to pick demands from a [`RequestClass`].
@@ -168,6 +135,14 @@ enum Role {
     Db,
 }
 
+/// Roles per class in the demand cache (one entry per [`Role`]).
+const ROLES: usize = 4;
+
+impl Role {
+    /// Every role, in discriminant order (the demand cache's layout).
+    const ALL: [Role; ROLES] = [Role::Web, Role::App, Role::Middleware, Role::Db];
+}
+
 fn role_of(tier: usize, tiers: usize) -> Role {
     if tier + 1 == tiers {
         Role::Db
@@ -177,6 +152,33 @@ fn role_of(tier: usize, tiers: usize) -> Role {
         Role::App
     } else {
         Role::Middleware
+    }
+}
+
+/// The demand distributions of one (class, role) pair: a visit's CPU
+/// demand in megacycles and, for the database role, its non-CPU wait in
+/// seconds (`None` when the class has none).
+#[derive(Debug, Clone, Copy)]
+struct Demand {
+    cpu: LogNormal,
+    wait: Option<LogNormal>,
+}
+
+impl Demand {
+    /// The distributions with every mean scaled by `drift` (1.0 without
+    /// demand drift, which is bit-identical to no scaling).
+    fn new(class: &RequestClass, role: Role, drift: f64) -> Demand {
+        let dist = |mean: f64| LogNormal::from_mean_cv((mean * drift).max(1e-6), class.demand_cv);
+        let mc = match role {
+            Role::Web => class.web_demand_mc,
+            Role::App => class.app_demand_mc,
+            Role::Middleware => class.mw_demand_mc,
+            Role::Db => class.db_demand_mc,
+        };
+        Demand {
+            cpu: dist(mc),
+            wait: (role == Role::Db && class.db_wait_s > 0.0).then(|| dist(class.db_wait_s)),
+        }
     }
 }
 
@@ -205,6 +207,7 @@ impl ConnPool {
 struct Server {
     name: String,
     tier: usize,
+    role: Role,
     node: NodeId,
     cores: u32,
     base_mhz: f64,
@@ -285,14 +288,14 @@ pub enum Ev {
     /// A request message reached a server.
     Arrive {
         /// Destination server index.
-        server: usize,
+        server: u32,
         /// Message payload.
         req: NewRequest,
     },
     /// A response message reached the upstream visit waiting on it.
     RespArrive {
         /// Upstream server index.
-        server: usize,
+        server: u32,
         /// Upstream visit id.
         visit: u64,
         /// Connection-pool index of the link the call used.
@@ -305,28 +308,32 @@ pub enum Ev {
     /// Processor-sharing completion check (stale unless `gen` matches).
     CpuDone {
         /// Server index.
-        server: usize,
+        server: u32,
         /// Generation stamp.
         gen: u64,
     },
     /// A non-CPU wait segment finished.
     WaitDone {
         /// Server index.
-        server: usize,
+        server: u32,
         /// Visit id.
         visit: u64,
     },
     /// End of a stop-the-world GC pause.
-    GcPauseEnd(usize),
+    GcPauseEnd(u32),
     /// End of a concurrent GC background cycle.
-    GcCycleEnd(usize),
+    GcCycleEnd(u32),
     /// DVFS governor control-period tick.
-    GovTick(usize),
+    GovTick(u32),
     /// CPU-busy sampler tick.
     CpuSample,
     /// Burst-modulator state flip.
     BurstToggle,
 }
+
+// Server indices are `u32` in events so an event is five words: every
+// pending event is moved through the queue's buckets at least once.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 40, "Ev grew past five words");
 
 /// The complete simulated system.
 pub struct NTierSystem<'t> {
@@ -359,6 +366,10 @@ pub struct NTierSystem<'t> {
     /// Reusable completion-batch buffer for the `CpuDone` handler, so the
     /// steady-state event loop never allocates per event.
     cpu_done: Vec<JobId>,
+    /// Demand distributions by `class * ROLES + role`, worked out once when
+    /// demands do not drift (empty otherwise: drifting demands move with
+    /// simulated time, so each draw works its distribution out afresh).
+    demands: Vec<Demand>,
 }
 
 const CLIENT_NODE: NodeId = NodeId(0);
@@ -409,6 +420,7 @@ impl<'t> NTierSystem<'t> {
                 servers.push(Server {
                     name: spec.name.clone(),
                     tier: spec.tier,
+                    role: role_of(spec.tier, cfg.topology.len()),
                     node,
                     cores: spec.cores,
                     base_mhz: spec.base_mhz,
@@ -472,6 +484,15 @@ impl<'t> NTierSystem<'t> {
         }
 
         let class_weights = cfg.mix.weights();
+        let demands = if cfg.demand_drift_per_hour == 0.0 {
+            cfg.mix
+                .classes()
+                .iter()
+                .flat_map(|class| Role::ALL.map(|role| Demand::new(class, role, 1.0)))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let n_servers = servers.len();
         NTierSystem {
             servers,
@@ -492,6 +513,7 @@ impl<'t> NTierSystem<'t> {
             burst_dice,
             class_weights,
             cpu_done: Vec::new(),
+            demands,
             cfg,
         }
     }
@@ -530,8 +552,12 @@ impl<'t> NTierSystem<'t> {
         if fgbd_obsv::enabled() {
             let stale: u64 = self.servers.iter().map(|s| s.cpu_stale).sum();
             let reuse: u64 = self.servers.iter().map(|s| s.cpu_reuse).sum();
+            let visits: u64 = self.servers.iter().map(|s| s.completed).sum();
             fgbd_obsv::metrics::counter_retained("des.cpu_done_stale").add(stale);
             fgbd_obsv::metrics::counter_retained("des.cpu_done_reuse").add(reuse);
+            // Completed request visits: `des.events` over this is the
+            // simulator's event budget per visit.
+            fgbd_obsv::metrics::counter_retained("des.visits").add(visits);
         }
         RunResult {
             servers: self
@@ -587,81 +613,51 @@ impl<'t> NTierSystem<'t> {
         self.workload_dice.weighted(&self.class_weights) as u16
     }
 
-    fn sample_segments(&mut self, now: SimTime, server: usize, class_id: u16) -> SegVec {
-        let tiers = self.tiers.len();
-        let tier = self.servers[server].tier;
-        // Service-time drift (paper §III-B): demands grow linearly with
-        // simulated time, e.g. from shifting data selectivity.
-        let drift = 1.0 + self.cfg.demand_drift_per_hour * (now.as_secs_f64() / 3_600.0);
+    fn sample_plan(&mut self, now: SimTime, server: usize, class_id: u16) -> Plan {
+        let role = self.servers[server].role;
         let class: &RequestClass = self.cfg.mix.class(class_id);
-        let (web_mc, app_mc, mw_mc, db_mc, queries, db_wait_s, cv) = (
-            class.web_demand_mc,
-            class.app_demand_mc,
-            class.mw_demand_mc,
-            class.db_demand_mc,
-            class.queries,
-            class.db_wait_s,
-            class.demand_cv,
-        );
+        let queries = class.queries;
+        let demand = if self.demands.is_empty() {
+            // Service-time drift (paper §III-B): demands grow linearly with
+            // simulated time, e.g. from shifting data selectivity.
+            let drift = 1.0 + self.cfg.demand_drift_per_hour * (now.as_secs_f64() / 3_600.0);
+            Demand::new(class, role, drift)
+        } else {
+            self.demands[usize::from(class_id) * ROLES + role as usize]
+        };
         let dice = &mut self.servers[server].dice;
-        let mut sample = |mean: f64| dice.lognormal_mean_cv((mean * drift).max(1e-6), cv);
-        let mut segs = SegVec::new();
-        match role_of(tier, tiers) {
-            Role::Web => {
-                let d = sample(web_mc);
-                segs.push(Segment::Cpu(d / 2.0));
-                segs.push(Segment::Call);
-                segs.push(Segment::Cpu(d / 2.0));
-            }
-            Role::App => {
-                let d = sample(app_mc);
-                let q = queries;
-                if q == 0 {
-                    segs.push(Segment::Cpu(d));
+        let d = dice.lognormal(&demand.cpu);
+        match role {
+            Role::Web | Role::Middleware => Plan::calls(d / 2.0, 3),
+            Role::App if queries == 0 => Plan::calls(d, 1),
+            Role::App => Plan::calls(d / f64::from(queries + 1), 2 * queries + 1),
+            Role::Db => {
+                let wait = demand.wait.map_or(SimDuration::ZERO, |w| {
+                    SimDuration::from_secs_f64(dice.lognormal(&w))
+                });
+                if wait.is_zero() {
+                    Plan::calls(d, 1)
                 } else {
-                    let slice = d / f64::from(q + 1);
-                    segs.push(Segment::Cpu(slice));
-                    for _ in 0..q {
-                        segs.push(Segment::Call);
-                        segs.push(Segment::Cpu(slice));
+                    Plan {
+                        cpu: d / 2.0,
+                        wait_us: wait.as_micros(),
+                        len: 3,
                     }
                 }
             }
-            Role::Middleware => {
-                let d = sample(mw_mc);
-                segs.push(Segment::Cpu(d / 2.0));
-                segs.push(Segment::Call);
-                segs.push(Segment::Cpu(d / 2.0));
-            }
-            Role::Db => {
-                let d = sample(db_mc);
-                let wait = if db_wait_s > 0.0 {
-                    SimDuration::from_secs_f64(sample(db_wait_s))
-                } else {
-                    SimDuration::ZERO
-                };
-                if wait.is_zero() {
-                    segs.push(Segment::Cpu(d));
-                } else {
-                    segs.push(Segment::Cpu(d / 2.0));
-                    segs.push(Segment::Wait(wait));
-                    segs.push(Segment::Cpu(d / 2.0));
-                }
-            }
         }
-        segs
     }
 
     fn parent_node(&self, parent: Parent) -> NodeId {
         match parent {
             Parent::User(_) => CLIENT_NODE,
-            Parent::Visit { server, .. } => self.servers[server].node,
+            Parent::Visit { server, .. } => self.servers[server as usize].node,
         }
     }
 
-    fn request_bytes(&self, dst_tier: usize) -> u32 {
+    fn request_bytes(&self, dst: Role) -> u32 {
         let s = &self.cfg.sizes;
-        match role_of(dst_tier, self.tiers.len()) {
+        match dst {
             Role::Web => s.web_req,
             Role::App => s.app_req,
             Role::Middleware => s.mw_req,
@@ -669,9 +665,9 @@ impl<'t> NTierSystem<'t> {
         }
     }
 
-    fn response_bytes(&self, src_tier: usize) -> u32 {
+    fn response_bytes(&self, src: Role) -> u32 {
         let s = &self.cfg.sizes;
-        match role_of(src_tier, self.tiers.len()) {
+        match src {
             Role::Web => s.web_resp,
             Role::App => s.app_resp,
             Role::Middleware => s.mw_resp,
@@ -778,7 +774,7 @@ impl<'t> NTierSystem<'t> {
                 s.cpu_seq = sched.at(
                     t,
                     Ev::CpuDone {
-                        server,
+                        server: server as u32,
                         gen: s.cpu_gen,
                     },
                 );
@@ -809,7 +805,7 @@ impl<'t> NTierSystem<'t> {
                 .visits
                 .get(visit)
                 .expect("enter on unknown visit");
-            (v.segs.get(v.seg), v.txn, v.class)
+            (v.plan.get(v.seg), v.txn, v.class)
         };
         match seg {
             Segment::Cpu(mc) => {
@@ -818,6 +814,7 @@ impl<'t> NTierSystem<'t> {
                     .insert_lane(now, JobId(visit), mc, usize::from(class));
             }
             Segment::Wait(d) => {
+                let server = server as u32;
                 sched.after(d, Ev::WaitDone { server, visit });
             }
             Segment::Call => {
@@ -830,13 +827,16 @@ impl<'t> NTierSystem<'t> {
                 let req = NewRequest {
                     txn,
                     class,
-                    parent: Parent::Visit { server, visit },
+                    parent: Parent::Visit {
+                        server: server as u32,
+                        visit,
+                    },
                     conn,
                 };
-                sched.after(
+                sched.after_fixed(
                     self.cfg.net_latency,
                     Ev::Arrive {
-                        server: target,
+                        server: target as u32,
                         req,
                     },
                 );
@@ -858,7 +858,7 @@ impl<'t> NTierSystem<'t> {
                 .get_mut(visit)
                 .expect("advance on unknown visit");
             v.seg += 1;
-            v.seg < v.segs.len()
+            v.seg < v.plan.len
         };
         if more {
             self.enter_segment(now, server, visit, sched);
@@ -882,7 +882,7 @@ impl<'t> NTierSystem<'t> {
         self.servers[server].completed += 1;
         let src = self.servers[server].node;
         let dst = self.parent_node(v.parent);
-        let bytes = self.response_bytes(self.servers[server].tier);
+        let bytes = self.response_bytes(self.servers[server].role);
         self.record_msg(
             now,
             src,
@@ -895,14 +895,14 @@ impl<'t> NTierSystem<'t> {
         );
         match v.parent {
             Parent::User(u) => {
-                sched.after(self.cfg.net_latency, Ev::ClientResp(u));
+                sched.after_fixed(self.cfg.net_latency, Ev::ClientResp(u));
             }
             Parent::Visit {
                 server: ps,
                 visit: pv,
             } => {
-                let li = self.link(ps, server);
-                sched.after(
+                let li = self.link(ps as usize, server);
+                sched.after_fixed(
                     self.cfg.net_latency,
                     Ev::RespArrive {
                         server: ps,
@@ -943,7 +943,7 @@ impl<'t> NTierSystem<'t> {
         }
         let src = self.parent_node(req.parent);
         let dst = self.servers[server].node;
-        let bytes = self.request_bytes(self.servers[server].tier);
+        let bytes = self.request_bytes(self.servers[server].role);
         self.record_msg(
             now,
             src,
@@ -955,14 +955,14 @@ impl<'t> NTierSystem<'t> {
             req.txn,
         );
 
-        let segs = self.sample_segments(now, server, req.class);
+        let plan = self.sample_plan(now, server, req.class);
         let visit = self.servers[server].visits.insert(Visit {
             txn: req.txn,
-            class: req.class,
             parent: req.parent,
+            plan,
             conn: req.conn,
-            segs,
             seg: 0,
+            class: req.class,
         });
 
         // JVM allocation; may trigger a collection.
@@ -979,7 +979,7 @@ impl<'t> NTierSystem<'t> {
                     .begin(now, live, &mut s.dice);
             s.ps.set_frozen(now, true);
             s.gc_active = Some((now, 1.0));
-            sched.after(pause, Ev::GcPauseEnd(server));
+            sched.after(pause, Ev::GcPauseEnd(server as u32));
         }
 
         if self.servers[server].has_thread_capacity() {
@@ -1008,10 +1008,10 @@ impl<'t> NTierSystem<'t> {
             parent: Parent::User(user),
             conn: user,
         };
-        sched.after(
+        sched.after_fixed(
             self.cfg.net_latency,
             Ev::Arrive {
-                server: target,
+                server: target as u32,
                 req,
             },
         );
@@ -1035,7 +1035,7 @@ impl Actor for NTierSystem<'_> {
                 }
                 for s in 0..self.servers.len() {
                     if let Some(d) = &self.servers[s].dvfs {
-                        sched.after(d.config.control_period, Ev::GovTick(s));
+                        sched.after(d.config.control_period, Ev::GovTick(s as u32));
                     }
                 }
                 sched.after(self.cfg.cpu_sample_period, Ev::CpuSample);
@@ -1061,6 +1061,7 @@ impl Actor for NTierSystem<'_> {
                 self.send_to_web(u, sched);
             }
             Ev::Arrive { server, req } => {
+                let server = server as usize;
                 self.arrive(now, server, req, sched);
                 self.reschedule_cpu(now, server, sched);
             }
@@ -1070,11 +1071,12 @@ impl Actor for NTierSystem<'_> {
                 link,
                 conn,
             } => {
+                let server = server as usize;
                 debug_assert!(matches!(
                     self.servers[server]
                         .visits
                         .get(visit)
-                        .map(|v| v.segs.get(v.seg)),
+                        .map(|v| v.plan.get(v.seg)),
                     Some(Segment::Call)
                 ));
                 self.conn_pools[link as usize].release(conn);
@@ -1093,6 +1095,7 @@ impl Actor for NTierSystem<'_> {
                 sched.after(d, Ev::Think(u));
             }
             Ev::CpuDone { server, gen } => {
+                let server = server as usize;
                 if gen != self.servers[server].cpu_gen {
                     return;
                 }
@@ -1109,10 +1112,12 @@ impl Actor for NTierSystem<'_> {
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::WaitDone { server, visit } => {
+                let server = server as usize;
                 self.advance_visit(now, server, visit, sched);
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::GcPauseEnd(server) => {
+                let server = server as usize;
                 let (start, collected) = {
                     let s = &mut self.servers[server];
                     let gc = s.gc.as_mut().expect("GC pause end without GC");
@@ -1148,13 +1153,14 @@ impl Actor for NTierSystem<'_> {
                             .config
                             .concurrent_tax;
                         self.servers[server].gc_active = Some((now, tax));
-                        sched.after(d, Ev::GcCycleEnd(server));
+                        sched.after(d, Ev::GcCycleEnd(server as u32));
                     }
                 }
                 self.apply_speed(now, server);
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::GcCycleEnd(server) => {
+                let server = server as usize;
                 let (start, stw_end, collected) = {
                     let s = &mut self.servers[server];
                     let gc = s.gc.as_mut().expect("GC cycle end without GC");
@@ -1177,6 +1183,7 @@ impl Actor for NTierSystem<'_> {
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::GovTick(server) => {
+                let server = server as usize;
                 let busy = self.servers[server].busy_core_seconds(now);
                 let cores = self.servers[server].cores;
                 let Some(dvfs) = &mut self.servers[server].dvfs else {
@@ -1192,7 +1199,7 @@ impl Actor for NTierSystem<'_> {
                     pstate: idx,
                     mhz: crate::dvfs::XEON_PSTATES[idx].mhz,
                 });
-                sched.after(period, Ev::GovTick(server));
+                sched.after(period, Ev::GovTick(server as u32));
                 if idx != before {
                     self.apply_speed(now, server);
                     self.reschedule_cpu(now, server, sched);
@@ -1268,34 +1275,46 @@ mod tests {
         let cfg = SystemConfig::paper_1l2s1l2s(10, Jdk::Jdk16, false, 1);
         let mut sys = NTierSystem::new(cfg);
         // Web (server 0): pre-CPU, one call, post-CPU.
-        let web = sys.sample_segments(SimTime::ZERO, 0, 0);
-        assert_eq!(web.len(), 3);
+        let web = sys.sample_plan(SimTime::ZERO, 0, 0);
+        assert_eq!(web.len, 3);
         assert!(matches!(web.get(0), Segment::Cpu(_)));
         assert!(matches!(web.get(1), Segment::Call));
-        // App (server 1): q calls interleaved with q+1 CPU slices — and the
-        // whole plan fits the SegVec inline capacity (no heap spill).
+        // App (server 1): q calls interleaved with q+1 CPU slices.
         let q = sys.cfg.mix.class(0).queries as usize;
-        let app = sys.sample_segments(SimTime::ZERO, 1, 0);
-        assert_eq!(app.len(), 2 * q + 1);
+        let app = sys.sample_plan(SimTime::ZERO, 1, 0);
+        assert_eq!(app.len as usize, 2 * q + 1);
         assert_eq!(app.iter().filter(|s| matches!(s, Segment::Call)).count(), q);
-        assert!(app.len() <= SEGS_INLINE && app.spill.is_empty());
         // Db (server 4): CPU around a non-CPU wait, no calls.
-        let db = sys.sample_segments(SimTime::ZERO, 4, 0);
+        let db = sys.sample_plan(SimTime::ZERO, 4, 0);
         assert!(db.iter().all(|s| !matches!(s, Segment::Call)));
         assert!(db.iter().any(|s| matches!(s, Segment::Wait(_))));
     }
 
     #[test]
-    fn segvec_spills_past_inline_capacity() {
-        let mut v = SegVec::new();
-        for i in 0..(SEGS_INLINE + 5) {
-            v.push(Segment::Cpu(i as f64));
+    fn plans_of_any_length_alternate_cpu_with_calls_or_waits() {
+        // Far past the 24 segments the inline plan list used to hold: a
+        // plan is three words whatever its length.
+        let calls = Plan::calls(1.5, 2 * 40 + 1);
+        assert_eq!(calls.iter().count(), 81);
+        for (i, seg) in calls.iter().enumerate() {
+            match seg {
+                Segment::Cpu(mc) => assert!(i % 2 == 0 && mc == 1.5),
+                Segment::Call => assert!(i % 2 == 1),
+                Segment::Wait(_) => panic!("a call plan waited at {i}"),
+            }
         }
-        assert_eq!(v.len(), SEGS_INLINE + 5);
-        for i in 0..v.len() {
-            assert!(matches!(v.get(i), Segment::Cpu(d) if d == i as f64));
-        }
-        assert_eq!(v.spill.len(), 5);
+        let wait = Plan {
+            cpu: 0.25,
+            wait_us: 700,
+            len: 3,
+        };
+        assert!(matches!(wait.get(0), Segment::Cpu(mc) if mc == 0.25));
+        assert!(matches!(wait.get(1), Segment::Wait(d) if d == SimDuration::from_micros(700)));
+        assert!(matches!(wait.get(2), Segment::Cpu(mc) if mc == 0.25));
+        assert!(
+            std::mem::size_of::<Visit>() <= 64,
+            "Visit grew past a cache line"
+        );
     }
 
     #[test]
