@@ -3,9 +3,10 @@
 //! The batch pipeline materializes every span, then runs
 //! [`crate::detect::analyze_server`] over the full capture. This module is
 //! the same §III analysis restructured as a **one-pass stream consumer**
-//! with memory bounded by the in-flight horizon instead of the run length:
-//! feed it time-ordered [`MsgRecord`]s (from the live DES tap or a tailed
-//! capture file) and it
+//! that holds no span past its close: its memory is the in-flight requests
+//! plus 24 B per finalized interval per server (the integer cells the final
+//! report is computed from). Feed it time-ordered [`MsgRecord`]s (from the
+//! live DES tap or a tailed capture file) and it
 //!
 //! 1. pairs requests with responses on the one pairing engine,
 //!    `fgbd_trace::span::OpenTable` — the table `SpanSet::extract` pairs
@@ -18,14 +19,15 @@
 //!    time)`, the first a read of the table's arrival-ordered open list,
 //!    so a finalized interval provably can never be touched by a future
 //!    record;
-//! 4. re-estimates N\* on a sliding window of finalized samples and runs
-//!    the interval state machine with hysteresis, emitting
+//! 4. keeps each finalized interval's cells, re-estimates N\* every
+//!    [`REFIT_EVERY`] intervals on the last [`LIVE_WINDOW`] of them, and
+//!    runs the interval state machine with [`HYSTERESIS`], emitting
 //!    [`MonitorEvent`] onset/clear verdicts online.
 //!
 //! It has three consumers, one detector per record stream: the capture
 //! analyzer (`analyze_capture`, `--follow`), the live monitor, and the
 //! paper's figures, which feed it the simulator's record tap and report on
-//! the series a retained detector hands back ([`OnlineReport::series`]).
+//! the series the detector hands back ([`OnlineReport::series`]).
 //!
 //! # Deferred calibration
 //!
@@ -51,18 +53,18 @@
 //! the kept intervals hold identical integers). What is left to argue is
 //! pairing and finalization: pairing is `SpanSet::extract`'s own table, and
 //! an interval is popped only once no open or future request can reach it. So
-//! with `retain` on, the final series are the batch series, and the report
-//! on them — loads, rates, N\* and states, through the same
-//! `ServerReport::from_series` — is **bit-for-bit** what `analyze_server`
-//! computes from the materialized capture — property-tested in
-//! `tests/online.rs`, and on real runs in `fgbd-repro`'s
-//! `tests/live_monitor.rs`, `tests/capture_formats.rs` and
+//! the final series are the batch series, and the report on them — loads,
+//! rates, N\* and states, through the same `ServerReport::from_series` — is
+//! **bit-for-bit** what `analyze_server` computes from the materialized
+//! capture — property-tested in `tests/online.rs`, and on real runs in
+//! `fgbd-repro`'s `tests/live_monitor.rs`, `tests/capture_formats.rs` and
 //! `tests/end_to_end_detection.rs`.
 //!
 //! Live verdicts are intentionally *provisional*: they use the
 //! sliding-window N\* available at finalization time, trading the batch
-//! detector's full-run fit for bounded memory and bounded detection
-//! latency. The final report re-classifies with the full-run fit.
+//! detector's full-run fit for a refit cost that does not grow with the run
+//! and bounded detection latency. The final report re-classifies with the
+//! full-run fit.
 //!
 //! # Disorder
 //!
@@ -76,8 +78,6 @@
 //! residence — keeps only its part from the first open interval on and is
 //! counted in `trace.late_spans`, flushed beside `trace.reordered`.
 
-use std::collections::VecDeque;
-
 use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
@@ -88,7 +88,24 @@ use crate::detect::{self, classify_one, fit_mainseq, DetectorConfig, IntervalSta
 use crate::nstar::NStar;
 use crate::series::{materialize, IntervalRing, SeriesSet, ServiceCache, Window};
 
-/// Parameters of the online detector.
+/// Finalized intervals the live N\* is fit on, the most recent ones (one
+/// minute of 50 ms intervals): a window keeps each refit's cost flat in run
+/// length, and refitting on the whole finalized prefix instead moved
+/// live-onset precision against the final report only from 0.45 to 0.47 on
+/// a 60 s gc_jdk15 capture while costing fig05 4% wall and 8% peak memory.
+pub const LIVE_WINDOW: usize = 1200;
+
+/// Refit the live N\* every this many finalized intervals per server: a
+/// count, not a time, so verdicts do not depend on how the stream is
+/// chunked, and a fit every 64 keeps its cost a small share of the stream.
+pub const REFIT_EVERY: usize = 64;
+
+/// Consecutive intervals required to flip a server's congested state, in
+/// both directions: keeps single-interval flickers out of the verdicts.
+pub const HYSTERESIS: usize = 2;
+
+/// The grid of the online detector; its N\* fit and interval states use
+/// [`DetectorConfig::default`], as the batch detector's callers do.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineConfig {
     /// Start of the analysis grid (records before it still feed pairing).
@@ -99,38 +116,15 @@ pub struct OnlineConfig {
     /// server with [`OnlineDetector::set_work_unit`] to mirror the batch
     /// pipeline's per-server calibration.
     pub work_unit: SimDuration,
-    /// Batch detector parameters (idle/POI thresholds, N\* fit).
-    pub detector: DetectorConfig,
-    /// Finalized samples kept in the sliding window the live N\* is fit on.
-    pub live_window: usize,
-    /// Consecutive intervals required to flip the congested state (both
-    /// directions) — the hysteresis that keeps single-interval flickers
-    /// out of the verdict stream.
-    pub hysteresis: usize,
-    /// Refit the live N\* every this many finalized intervals (per
-    /// server). Deterministic in the finalization count, so verdicts are
-    /// invariant to how the stream is chunked.
-    pub refit_every: usize,
-    /// Keep every finalized `(load, rate)` sample so
-    /// [`OnlineDetector::finish`] can reproduce the batch report exactly.
-    /// Off, memory is flat in run length and the final report carries
-    /// live counts only.
-    pub retain: bool,
 }
 
 impl OnlineConfig {
-    /// Defaults for a grid: 1200-sample live window (one minute of 50 ms
-    /// intervals), hysteresis 2, refit every 64 intervals, retained.
+    /// The grid starting at `start` with `interval`-long intervals.
     pub fn new(start: SimTime, interval: SimDuration, work_unit: SimDuration) -> OnlineConfig {
         OnlineConfig {
             start,
             interval,
             work_unit,
-            detector: DetectorConfig::default(),
-            live_window: 1200,
-            hysteresis: 2,
-            refit_every: 64,
-            retain: true,
         }
     }
 }
@@ -138,9 +132,9 @@ impl OnlineConfig {
 /// Did the server just enter or leave congestion?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictKind {
-    /// `hysteresis` consecutive congested/frozen intervals finalized.
+    /// [`HYSTERESIS`] consecutive congested/frozen intervals finalized.
     Onset,
-    /// `hysteresis` consecutive uncongested intervals finalized.
+    /// [`HYSTERESIS`] consecutive uncongested intervals finalized.
     Clear,
 }
 
@@ -206,8 +200,8 @@ pub struct MonitorSnapshot {
     /// are held uncalibrated, minus the grid start: how far verdicts trail
     /// the stream.
     pub lag: SimDuration,
-    /// Bytes of detector state (rings, open-request tables, windows,
-    /// retained samples).
+    /// Bytes of detector state (rings, open-request tables, held spans,
+    /// finalized intervals).
     pub state_bytes: usize,
     /// Per-server live state, ordered by server id.
     pub servers: Vec<ServerSnapshot>,
@@ -220,17 +214,16 @@ pub struct OnlineReport {
     pub server: NodeId,
     /// The analysis grid the stream resolved to.
     pub window: Window,
-    /// Full-run N\* (`retain` only; `None` otherwise or if unobservable).
+    /// Full-run N\* (`None` if unobservable).
     pub nstar: Option<NStar>,
-    /// Batch-exact per-interval states (`retain` only; empty otherwise).
+    /// Batch-exact per-interval states.
     pub states: Vec<IntervalState>,
-    /// Batch-exact per-interval loads (`retain` only; empty otherwise).
+    /// Batch-exact per-interval loads.
     pub loads: Vec<f64>,
-    /// Batch-exact per-interval rates (`retain` only; empty otherwise).
+    /// Batch-exact per-interval rates.
     pub rates: Vec<f64>,
-    /// The series those come from (`retain` only), for
-    /// [`ServerReport::from_series`].
-    pub series: Option<SeriesSet>,
+    /// The series those come from, for [`ServerReport::from_series`].
+    pub series: SeriesSet,
     /// Spans matched (request paired with response).
     pub matched: u64,
     /// Unmatched messages: front-truncated responses plus requests lost or
@@ -247,7 +240,7 @@ pub struct OnlineReport {
 
 impl OnlineReport {
     /// Number of congested intervals (including frozen ones) in the final
-    /// states. Zero when `retain` was off (`states` is empty).
+    /// states.
     pub fn congested_intervals(&self) -> usize {
         detect::tally(&self.states).0
     }
@@ -284,11 +277,10 @@ struct ServerState {
     /// Accumulators of the not-yet-finalized intervals; `ring.base()` is
     /// the number finalized.
     ring: IntervalRing,
-    /// Sliding window of finalized `(load, rate)` samples the live N\* is
-    /// fit on.
-    samples: VecDeque<(f64, f64)>,
+    /// Finalized intervals' `IntervalRing::pop` triples: the final report's
+    /// series, and (the last [`LIVE_WINDOW`]) the live N\* fit's samples.
+    retained: Vec<(u64, u32, u64)>,
     live_nstar: Option<NStar>,
-    since_refit: usize,
     streak: usize,
     streak_start: usize,
     clear_streak: usize,
@@ -300,8 +292,6 @@ struct ServerState {
     live_frozen: usize,
     matched: u64,
     unmatched: usize,
-    /// Finalized intervals' `IntervalRing::pop` triples (`retain` only).
-    retained: Vec<(u64, u32, u64)>,
 }
 
 impl ServerState {
@@ -311,9 +301,8 @@ impl ServerState {
             wu_us,
             open: OpenTable::default(),
             ring: IntervalRing::open_ended(cfg.start, cfg.interval),
-            samples: VecDeque::new(),
+            retained: Vec::new(),
             live_nstar: None,
-            since_refit: 0,
             streak: 0,
             streak_start: 0,
             clear_streak: 0,
@@ -325,7 +314,6 @@ impl ServerState {
             live_frozen: 0,
             matched: 0,
             unmatched: 0,
-            retained: Vec::new(),
         }
     }
 
@@ -333,7 +321,6 @@ impl ServerState {
         use std::mem::size_of;
         self.ring.state_bytes()
             + self.open.state_bytes()
-            + self.samples.len() * size_of::<(f64, f64)>()
             + self.retained.len() * size_of::<(u64, u32, u64)>()
     }
 }
@@ -427,8 +414,7 @@ impl OnlineDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `interval` or `work_unit` is zero, or any of
-    /// `live_window`, `hysteresis`, `refit_every` is zero.
+    /// Panics if `interval` or `work_unit` is zero.
     pub fn new(cfg: OnlineConfig, services: ServiceTimeTable) -> OnlineDetector {
         let mut det = OnlineDetector::uncalibrated(cfg);
         det.calibrate(services, []);
@@ -444,9 +430,6 @@ impl OnlineDetector {
     pub fn uncalibrated(cfg: OnlineConfig) -> OnlineDetector {
         assert!(!cfg.interval.is_zero(), "interval must be positive");
         assert!(!cfg.work_unit.is_zero(), "work unit must be positive");
-        assert!(cfg.live_window > 0, "live window must be positive");
-        assert!(cfg.hysteresis > 0, "hysteresis must be positive");
-        assert!(cfg.refit_every > 0, "refit period must be positive");
         OnlineDetector {
             wu_default_us: cfg.work_unit.as_micros(),
             wu_overrides: FxHashMap::default(),
@@ -601,9 +584,10 @@ impl OnlineDetector {
         }
     }
 
-    /// Finalizes intervals `state.ring.base() .. target`: materializes
-    /// each sample, feeds the sliding-window fit and the hysteresis state
-    /// machine, emits verdicts.
+    /// Finalizes intervals `state.ring.base() .. target`: retains and
+    /// materializes each one, refits the live N\* on the last
+    /// [`LIVE_WINDOW`] every [`REFIT_EVERY`], runs the hysteresis state
+    /// machine and emits verdicts.
     fn finalize_to(
         state: &mut ServerState,
         target: usize,
@@ -611,27 +595,25 @@ impl OnlineDetector {
         cfg: &OnlineConfig,
         events: &mut Vec<MonitorEvent>,
     ) {
+        let detector = DetectorConfig::default();
+        let (interval, wu_us) = (cfg.interval, state.wu_us);
         while state.ring.base() < target {
             let index = state.ring.base();
             let (overlap_us, count, service_us) = state.ring.pop();
-            let (load, _units, rate) =
-                materialize(overlap_us, service_us, cfg.interval, state.wu_us);
+            let (load, _units, rate) = materialize(overlap_us, service_us, interval, wu_us);
             state.last_load = load;
             state.last_rate = rate;
-            if cfg.retain {
-                state.retained.push((overlap_us, count, service_us));
+            state.retained.push((overlap_us, count, service_us));
+            let finalized = state.retained.len();
+            if finalized.is_multiple_of(REFIT_EVERY) {
+                let window = &state.retained[finalized.saturating_sub(LIVE_WINDOW)..];
+                let (ld, tp): (Vec<f64>, Vec<f64>) = (window.iter())
+                    .map(|&(o, _, s)| materialize(o, s, interval, wu_us))
+                    .map(|(load, _units, rate)| (load, rate))
+                    .unzip();
+                state.live_nstar = fit_mainseq(&ld, &tp, &detector);
             }
-            state.samples.push_back((load, rate));
-            while state.samples.len() > cfg.live_window {
-                state.samples.pop_front();
-            }
-            state.since_refit += 1;
-            if state.since_refit >= cfg.refit_every {
-                state.since_refit = 0;
-                let (ld, tp): (Vec<f64>, Vec<f64>) = state.samples.iter().copied().unzip();
-                state.live_nstar = fit_mainseq(&ld, &tp, &cfg.detector);
-            }
-            let verdict = classify_one(load, rate, state.live_nstar.as_ref(), &cfg.detector);
+            let verdict = classify_one(load, rate, state.live_nstar.as_ref(), &detector);
             let congested = matches!(verdict, IntervalState::Congested | IntervalState::Frozen);
             if congested {
                 state.live_congested += 1;
@@ -643,7 +625,7 @@ impl OnlineDetector {
                 }
                 state.streak += 1;
                 state.clear_streak = 0;
-                if !state.congested_now && state.streak >= cfg.hysteresis {
+                if !state.congested_now && state.streak >= HYSTERESIS {
                     state.congested_now = true;
                     events.push(Self::event(state, VerdictKind::Onset, cur_us, load, rate));
                 }
@@ -653,7 +635,7 @@ impl OnlineDetector {
                 }
                 state.clear_streak += 1;
                 state.streak = 0;
-                if state.congested_now && state.clear_streak >= cfg.hysteresis {
+                if state.congested_now && state.clear_streak >= HYSTERESIS {
                     state.congested_now = false;
                     events.push(Self::event(state, VerdictKind::Clear, cur_us, load, rate));
                 }
@@ -742,8 +724,8 @@ impl OnlineDetector {
     /// `Window::new(start, end, interval)`: finalizes every whole interval,
     /// drops accumulators past the grid (the unclamped-accumulation
     /// counterpart of the batch grid-end clamp), counts still-open
-    /// requests as unmatched, and — with `retain` — reports on the grid's
-    /// series through `analyze_server`'s own tail,
+    /// requests as unmatched, and reports on the grid's series through
+    /// `analyze_server`'s own tail,
     /// [`ServerReport::from_series`], reproducing it bit-for-bit. Reports
     /// are ordered by server id; verdicts emitted by the tail finalization
     /// ride along in [`OnlineFinish::events`].
@@ -767,21 +749,16 @@ impl OnlineDetector {
             // Intervals finalized past the grid end (the stream ran beyond
             // `end`) are not part of the grid.
             let (wu, retained) = (state.wu_us, std::mem::take(&mut state.retained));
-            let series = (self.cfg.retain)
-                .then(|| SeriesSet::from_pops(window, SimDuration::from_micros(wu), retained));
-            let report = (series.as_ref())
-                .map(|set| ServerReport::from_series(state.server, set, &self.cfg.detector));
-            let (nstar, states, loads, rates) = report.map_or_else(Default::default, |r| {
-                let (loads, rates) = (r.load.values().to_vec(), r.tput.unit_rates());
-                (r.nstar, r.states, loads, rates)
-            });
+            let series = SeriesSet::from_pops(window, SimDuration::from_micros(wu), retained);
+            let report =
+                ServerReport::from_series(state.server, &series, &DetectorConfig::default());
             out.push(OnlineReport {
                 server: state.server,
                 window,
-                nstar,
-                states,
-                loads,
-                rates,
+                nstar: report.nstar,
+                states: report.states,
+                loads: report.load.values().to_vec(),
+                rates: report.tput.unit_rates(),
                 series,
                 matched: state.matched,
                 unmatched: state.unmatched,
@@ -887,6 +864,20 @@ mod tests {
         recs
     }
 
+    /// `n` demos back to back, 3 s apart.
+    fn demo_cycles(n: u64) -> Vec<MsgRecord> {
+        let demo = demo_records();
+        let mut recs = Vec::new();
+        for c in 0..n {
+            let shift = SimDuration::from_secs(3 * c);
+            recs.extend(demo.iter().map(|r| MsgRecord {
+                at: r.at + shift,
+                ..*r
+            }));
+        }
+        recs
+    }
+
     fn services() -> ServiceTimeTable {
         let mut t = ServiceTimeTable::new();
         t.insert(NodeId(1), ClassId(0), SimDuration::from_millis(10));
@@ -897,6 +888,16 @@ mod tests {
         OnlineConfig::new(
             SimTime::ZERO,
             SimDuration::from_millis(50),
+            SimDuration::from_millis(10),
+        )
+    }
+
+    /// A 10 ms grid: [`demo_cycles`] then spans more than [`LIVE_WINDOW`]
+    /// intervals.
+    fn fine_cfg() -> OnlineConfig {
+        OnlineConfig::new(
+            SimTime::ZERO,
+            SimDuration::from_millis(10),
             SimDuration::from_millis(10),
         )
     }
@@ -956,10 +957,10 @@ mod tests {
 
     #[test]
     fn chunking_does_not_change_results_or_events() {
-        let recs = demo_records();
-        let end = SimTime::from_millis(2_930);
+        let recs = demo_cycles(6);
+        let end = SimTime::from_millis(17_900);
         let run = |chunk: usize| {
-            let mut online = OnlineDetector::new(online_cfg(), services());
+            let mut online = OnlineDetector::new(fine_cfg(), services());
             let mut events = Vec::new();
             for c in recs.chunks(chunk) {
                 online.push_chunk(c);
@@ -972,6 +973,7 @@ mod tests {
         let (rep1, ev1) = run(1);
         let (rep7, ev7) = run(7);
         let (rep_all, ev_all) = run(recs.len());
+        assert!(!ev1.is_empty(), "the bursts raise verdicts");
         assert_eq!(rep1[0].states, rep7[0].states);
         assert_eq!(rep1[0].states, rep_all[0].states);
         for (a, b) in [(&ev1, &ev7), (&ev1, &ev_all)] {
@@ -986,16 +988,19 @@ mod tests {
 
     #[test]
     fn verdict_stream_alternates_and_measures_latency() {
-        let recs = demo_records();
-        let mut cfg = online_cfg();
-        cfg.live_window = 40;
-        cfg.refit_every = 8;
-        let mut online = OnlineDetector::new(cfg, services());
+        // Six demos on a 10 ms grid: 1,789 finalized intervals, so the live
+        // N\* is refit 27 times and the later fits see an evicting window.
+        let recs = demo_cycles(6);
+        let mut online = OnlineDetector::new(fine_cfg(), services());
         let mut events = Vec::new();
         for r in &recs {
             online.push(r);
             events.extend(online.drain_events());
         }
+        assert!(online.snapshot().servers[0].finalized > LIVE_WINDOW);
+        // The fits before the first burst see no knee, so it raises
+        // nothing; each later burst is an onset and a clear.
+        assert_eq!(events.len(), 10);
         for (i, e) in events.iter().enumerate() {
             let expect = if i % 2 == 0 {
                 VerdictKind::Onset
@@ -1005,10 +1010,7 @@ mod tests {
             assert_eq!(e.kind, expect, "event {i} out of order");
             assert!(e.detect_latency >= SimDuration::ZERO);
         }
-        if let Some(onset) = events.first() {
-            assert_eq!(onset.kind, VerdictKind::Onset);
-            assert!(onset.interval_end > SimTime::from_millis(2_000));
-        }
+        assert!(events[0].interval_end > SimTime::from_secs(5));
     }
 
     #[test]
@@ -1235,21 +1237,5 @@ mod tests {
                 .map(|n| (n.nstar.to_bits(), n.tp_max.to_bits()))
         };
         assert_eq!(bits(a), bits(b));
-    }
-
-    #[test]
-    fn bounded_mode_skips_retained_series() {
-        let recs = demo_records();
-        let mut cfg = online_cfg();
-        cfg.retain = false;
-        let mut online = OnlineDetector::new(cfg, services());
-        for r in &recs {
-            online.push(r);
-        }
-        let reports = online.finish(SimTime::from_millis(2_930)).reports;
-        assert!(reports[0].loads.is_empty());
-        assert!(reports[0].states.is_empty());
-        assert!(reports[0].nstar.is_none());
-        assert!(reports[0].matched > 0);
     }
 }

@@ -1,13 +1,19 @@
 //! Property tests of the online/batch equivalence contract
 //! (`fgbd_core::online` module docs): for any time-ordered record stream,
-//! any chunking, any interval length and any live-window width, the
-//! retained final report is **bit-for-bit** what `analyze_server` computes
-//! from the materialized capture, the live verdict stream does not depend
-//! on how the stream was chunked, and a detector calibrated after any
-//! number of records reports what one calibrated at construction does.
+//! any chunking and any interval length, the final report is
+//! **bit-for-bit** what `analyze_server` computes from the materialized
+//! capture, the live verdict stream does not depend on how the stream was
+//! chunked, and a detector calibrated after any number of records reports
+//! what one calibrated at construction does.
+//!
+//! Every grid runs to [`END_US`], so each case refits the live N\* at least
+//! twice, and the finest grid finalizes more than [`LIVE_WINDOW`] intervals,
+//! so its later fits run on an evicting window.
 
 use fgbd_core::detect::{analyze_server, DetectorConfig};
-use fgbd_core::online::{OnlineConfig, OnlineDetector, OnlineFinish};
+use fgbd_core::online::{
+    OnlineConfig, OnlineDetector, OnlineFinish, OnlineReport, LIVE_WINDOW, REFIT_EVERY,
+};
 use fgbd_core::series::Window;
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::servicetime::ServiceTimeTable;
@@ -20,6 +26,14 @@ const WEB: NodeId = NodeId(1);
 const DB: NodeId = NodeId(2);
 const WU_WEB_US: u64 = 10_000;
 const WU_DB_US: u64 = 700;
+
+/// Past the last record any stream can hold (arrivals below 3 s, residences
+/// below 0.4 s).
+const END_US: u64 = 3_400_000;
+
+/// The grids the properties run on: 2 ms finalizes 1,700 intervals, past
+/// [`LIVE_WINDOW`]; 25 ms still finalizes 136, two [`REFIT_EVERY`] periods.
+const INTERVALS_US: [u64; 3] = [2_000, 10_000, 25_000];
 
 fn nodes() -> Vec<NodeMeta> {
     vec![
@@ -116,25 +130,16 @@ fn record_stream() -> impl Strategy<Value = Vec<MsgRecord>> {
         })
 }
 
-fn online_config(interval_us: u64, live_window: usize) -> OnlineConfig {
-    let mut cfg = OnlineConfig::new(
+fn online_config(interval_us: u64) -> OnlineConfig {
+    OnlineConfig::new(
         SimTime::ZERO,
         SimDuration::from_micros(interval_us),
         SimDuration::from_micros(WU_WEB_US),
-    );
-    cfg.live_window = live_window;
-    cfg.refit_every = 16;
-    cfg
+    )
 }
 
-fn run_online(
-    recs: &[MsgRecord],
-    end: SimTime,
-    interval_us: u64,
-    live_window: usize,
-    chunk: usize,
-) -> OnlineFinish {
-    let mut online = OnlineDetector::new(online_config(interval_us, live_window), services());
+fn run_online(recs: &[MsgRecord], end: SimTime, interval_us: u64, chunk: usize) -> OnlineFinish {
+    let mut online = OnlineDetector::new(online_config(interval_us), services());
     online.set_work_unit(DB, SimDuration::from_micros(WU_DB_US));
     for c in recs.chunks(chunk.max(1)) {
         online.push_chunk(c);
@@ -151,7 +156,7 @@ fn run_deferred(
     chunk: usize,
     k: usize,
 ) -> OnlineFinish {
-    let mut online = OnlineDetector::uncalibrated(online_config(interval_us, 8));
+    let mut online = OnlineDetector::uncalibrated(online_config(interval_us));
     let (before, after) = recs.split_at(k);
     for c in before.chunks(chunk) {
         online.push_chunk(c);
@@ -169,31 +174,28 @@ fn run_deferred(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole equivalence property: retained online reports equal
-    /// the batch analysis bit-for-bit — loads, rates, states, N\*, and the
-    /// unmatched accounting — for every server, across interval lengths,
-    /// live-window widths and chunk sizes (which must all be irrelevant
-    /// to the final report).
+    /// The tentpole equivalence property: online reports equal the batch
+    /// analysis bit-for-bit — loads, rates, states, N\*, and the unmatched
+    /// accounting — for every server, across interval lengths and chunk
+    /// sizes (which must be irrelevant to the final report).
     #[test]
     fn online_final_report_is_bitwise_batch(
         recs in record_stream(),
         iv_pick in 0usize..3,
-        lw_pick in 0usize..3,
         chunk_pick in 0usize..3,
     ) {
-        let interval_us = [10_000u64, 50_000, 130_000][iv_pick];
-        let live_window = [8usize, 64, 1024][lw_pick];
+        let interval_us = INTERVALS_US[iv_pick];
         let chunk = [1usize, 17, 4096][chunk_pick];
-        let end = SimTime::from_micros(
-            recs.last().map_or(0, |r| r.at.as_micros()) + interval_us,
-        );
+        let end = SimTime::from_micros(END_US);
         let mut log = TraceLog::new(nodes());
         for r in &recs {
             log.push(*r);
         }
         let spans = SpanSet::extract(&log);
         let window = Window::new(SimTime::ZERO, end, SimDuration::from_micros(interval_us));
-        let fin = run_online(&recs, end, interval_us, live_window, chunk);
+        prop_assert!(window.len() >= 2 * REFIT_EVERY);
+        prop_assert!(iv_pick > 0 || window.len() > LIVE_WINDOW);
+        let fin = run_online(&recs, end, interval_us, chunk);
         let dcfg = DetectorConfig::default();
         for rep in &fin.reports {
             let wu = if rep.server == DB { WU_DB_US } else { WU_WEB_US };
@@ -244,15 +246,12 @@ proptest! {
     #[test]
     fn verdict_stream_is_chunk_invariant(
         recs in record_stream(),
-        lw_pick in 0usize..2,
+        iv_pick in 0usize..3,
     ) {
-        let live_window = [8usize, 64][lw_pick];
-        let interval_us = 50_000;
-        let end = SimTime::from_micros(
-            recs.last().map_or(0, |r| r.at.as_micros()) + interval_us,
-        );
-        let one = run_online(&recs, end, interval_us, live_window, 1);
-        let bulk = run_online(&recs, end, interval_us, live_window, 4096);
+        let interval_us = INTERVALS_US[iv_pick];
+        let end = SimTime::from_micros(END_US);
+        let one = run_online(&recs, end, interval_us, 1);
+        let bulk = run_online(&recs, end, interval_us, 4096);
         prop_assert_eq!(one.events.len(), bulk.events.len());
         for (a, b) in one.events.iter().zip(&bulk.events) {
             prop_assert_eq!(a.kind, b.kind);
@@ -276,7 +275,7 @@ proptest! {
         k_at in 0usize..1 << 20,
         chunk in 2usize..40,
     ) {
-        let interval_us = [10_000u64, 50_000, 130_000][iv_pick];
+        let interval_us = INTERVALS_US[iv_pick];
         let n = recs.len();
         let k = match k_pick {
             0 => 0,
@@ -286,10 +285,8 @@ proptest! {
             },
             _ => n,
         };
-        let end = SimTime::from_micros(
-            recs.last().map_or(0, |r| r.at.as_micros()) + interval_us,
-        );
-        let eager = run_online(&recs, end, interval_us, 8, chunk);
+        let end = SimTime::from_micros(END_US);
+        let eager = run_online(&recs, end, interval_us, chunk);
         let late = run_deferred(&recs, end, interval_us, chunk, k);
         prop_assert_eq!(eager.reports.len(), late.reports.len());
         for (a, b) in eager.reports.iter().zip(&late.reports) {
@@ -298,7 +295,7 @@ proptest! {
             prop_assert_eq!(bits(&a.loads), bits(&b.loads), "loads, k = {}", k);
             prop_assert_eq!(bits(&a.rates), bits(&b.rates), "rates, k = {}", k);
             prop_assert_eq!(&a.states, &b.states);
-            let nstar = |r: &fgbd_core::online::OnlineReport| {
+            let nstar = |r: &OnlineReport| {
                 r.nstar.as_ref().map(|e| (e.nstar.to_bits(), e.tp_max.to_bits()))
             };
             prop_assert_eq!(nstar(a), nstar(b));

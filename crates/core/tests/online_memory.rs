@@ -1,9 +1,13 @@
-//! Bounded-memory audit of the streaming detector: with retention off,
-//! the allocation high-water mark of a long run must stay flat — the
-//! detector may not accumulate per-interval history proportional to run
-//! length. A counting global allocator approximates `VmHWM` portably
-//! (see [`fgbd_oracle::alloc`]); this file holds exactly one test because
-//! the gauge counts for the whole process.
+//! Memory audit of the streaming detector: its state is the requests in
+//! flight plus one `IntervalRing::pop` triple (24 B) per finalized interval
+//! per server, the cells the final report is computed from — nothing may
+//! accumulate per span. A 10× longer stream may raise the allocation
+//! high-water mark of streaming by those cells and no more (within a fixed
+//! slack). A counting global allocator approximates `VmHWM` portably (see
+//! [`fgbd_oracle::alloc`]); this file holds exactly one test because the
+//! gauge counts for the whole process.
+
+use std::mem::size_of;
 
 use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_des::{SimDuration, SimTime};
@@ -78,20 +82,20 @@ impl Ops {
 }
 
 fn detector() -> OnlineDetector {
-    let mut cfg = OnlineConfig::new(
+    let cfg = OnlineConfig::new(
         SimTime::ZERO,
         SimDuration::from_micros(10_000),
         SimDuration::from_micros(700),
     );
-    cfg.retain = false;
-    cfg.live_window = 64;
     OnlineDetector::new(cfg, ServiceTimeTable::new())
 }
 
 /// Drives `ops` request/response pairs through a fresh detector and
-/// returns the allocation high-water mark (in bytes, relative to the
-/// point just before the detector was built) of the whole run.
-fn peak_of_run(ops: u64) -> u64 {
+/// returns the allocation high-water mark of the stream (in bytes,
+/// relative to the point just before the detector was built) and the
+/// intervals it finalized. The final report, per-interval by design, is
+/// built after the measured section.
+fn peak_of_run(ops: u64) -> (u64, usize) {
     GLOBAL.reset_peak();
     let base = GLOBAL.live_bytes();
     let mut det = detector();
@@ -104,28 +108,30 @@ fn peak_of_run(ops: u64) -> u64 {
         }
     }
     det.drain_events();
+    let peak = GLOBAL.peak_bytes().saturating_sub(base);
+    let finalized = det.snapshot().servers[0].finalized;
     let end = det.now() + SimDuration::from_micros(10_000);
     let fin = det.finish(end);
     assert_eq!(fin.reports.len(), 1, "one server analyzed");
-    assert!(fin.reports[0].matched > 0, "spans were paired");
-    // Without retention the per-interval history must not be kept.
-    assert!(fin.reports[0].loads.is_empty());
-    GLOBAL.peak_bytes().saturating_sub(base)
+    assert_eq!(fin.reports[0].matched, ops, "every span was paired");
+    (peak, finalized)
 }
 
 #[test]
-fn peak_memory_is_flat_in_run_length() {
+fn peak_memory_grows_only_by_the_finalized_cells() {
     // Warm-up run: lets lazily-initialized process state (malloc arenas,
     // hash seeds) allocate outside the measured sections.
     peak_of_run(2_000);
-    let short = peak_of_run(5_000);
-    let long = peak_of_run(50_000);
-    // 10× the stream length must not show up in the high-water mark.
-    // Generous headroom (2× + 256 KiB) keeps the test robust to
-    // container/allocator jitter while still failing hard if history
-    // accumulates per interval or per span.
+    let (short, short_intervals) = peak_of_run(10_000);
+    let (long, long_intervals) = peak_of_run(100_000);
+    let cells = (long_intervals - short_intervals) * size_of::<(u64, u32, u64)>();
+    // 10× the stream may add its finalized cells to the high-water mark;
+    // the headroom past them (2× + 256 KiB, which also covers the cells'
+    // `Vec` growing by doubling) keeps the test robust to allocator jitter
+    // while still failing hard if state accumulates per span.
     assert!(
-        long < short * 2 + (256 << 10),
-        "peak grew with run length: short run {short} B, 10x run {long} B"
+        long < short * 2 + (256 << 10) + cells as u64,
+        "peak grew past the finalized cells: short run {short} B over \
+         {short_intervals} intervals, 10x run {long} B over {long_intervals}"
     );
 }

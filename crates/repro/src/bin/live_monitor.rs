@@ -1,7 +1,7 @@
 //! A scenario with the live bottleneck monitor attached: every capture
 //! record is handed straight from the simulator to the streaming monitor
-//! ([`fgbd_repro::monitor`]); nothing is materialized, so memory is flat in
-//! run length.
+//! ([`fgbd_repro::monitor`]). No span is held past its close: memory is the
+//! requests in flight plus 24 B per finalized interval per server.
 //!
 //! ```bash
 //! cargo run -p fgbd-repro --release --bin live_monitor -- \

@@ -40,30 +40,21 @@ use fgbd_trace::{MsgRecord, NodeId, NodeMeta};
 
 use crate::pipeline::{Calibration, WORK_UNIT_RESOLUTION};
 
-/// Monitor parameters.
+/// Monitor parameters; the detector's live window, refit period and
+/// hysteresis are `fgbd_core::online`'s constants.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// Analysis interval (the paper's fine granularity).
     pub interval: SimDuration,
-    /// Sliding-window length (finalized samples) for the live N\* fit.
-    pub live_window: usize,
     /// Heartbeat period in **stream** (simulated) time.
     pub heartbeat: SimDuration,
-    /// Consecutive intervals required to flip the congestion verdict.
-    pub hysteresis: usize,
-    /// Keep full series for a batch-exact final report (`false` bounds
-    /// memory regardless of run length).
-    pub retain: bool,
 }
 
 impl Default for MonitorConfig {
     fn default() -> MonitorConfig {
         MonitorConfig {
             interval: SimDuration::from_millis(50),
-            live_window: 1200,
             heartbeat: SimDuration::from_millis(1000),
-            hysteresis: 2,
-            retain: true,
         }
     }
 }
@@ -132,9 +123,9 @@ impl MonitorTelemetry {
     }
 
     /// Ends the stream: the verdicts a late calibration released, a final
-    /// heartbeat, then `det`'s tail verdicts and its per-server reports
-    /// (batch-exact when `retain` was on) — none when `end` is `None`: the
-    /// stream spans no time, so there is no grid to close.
+    /// heartbeat, then `det`'s tail verdicts and its batch-exact per-server
+    /// reports — none when `end` is `None`: the stream spans no time, so
+    /// there is no grid to close.
     pub fn finish(
         mut self,
         mut det: OnlineDetector,
@@ -243,10 +234,7 @@ impl MonitorRuntime {
         cal: &Calibration,
         nodes: &[NodeMeta],
     ) -> io::Result<MonitorRuntime> {
-        let mut ocfg = OnlineConfig::new(start, cfg.interval, WORK_UNIT_RESOLUTION);
-        ocfg.live_window = cfg.live_window;
-        ocfg.hysteresis = cfg.hysteresis;
-        ocfg.retain = cfg.retain;
+        let ocfg = OnlineConfig::new(start, cfg.interval, WORK_UNIT_RESOLUTION);
         let mut detector = OnlineDetector::new(ocfg, cal.services.clone());
         for (&node, &wu) in &cal.work_units {
             detector.set_work_unit(node, wu);

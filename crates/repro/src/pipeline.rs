@@ -5,8 +5,8 @@
 //! calibration run's records go into a [`SpanPairer`] and the service-time
 //! fold ([`Calibration::simulate`]). A loaded run's records are one more
 //! consumer of the one online detector ([`Analysis::simulate`]): the
-//! records of the servers a figure reports feed one retained
-//! [`OnlineDetector`] on the fine [`REPORT_GRID`], so the run leaves each
+//! records of the servers a figure reports feed one [`OnlineDetector`] on
+//! the fine [`REPORT_GRID`], so the run leaves each
 //! server's series, coarsened to whatever grid a figure reports, and never
 //! a span. The log route ([`Analysis::new`]) pairs a kept log into spans
 //! and reports any window from them.
@@ -225,7 +225,7 @@ pub struct Analysis {
 
 impl Analysis {
     /// Simulates `cfg` and feeds the capture records of the `servers` the
-    /// caller will report, as the tap delivers them, to one retained
+    /// caller will report, as the tap delivers them, to one
     /// [`OnlineDetector`] on [`REPORT_GRID`], calibrated by `cal` at
     /// construction; other servers' records are passed over. Neither the
     /// run's log nor a span is held (`run.log.records` and `spans` are
@@ -270,9 +270,7 @@ impl Analysis {
             // Retained: the share of the capture a figure never detects on.
             fgbd_obsv::metrics::counter_retained("extract.skipped").add(skipped);
         }
-        let series = (reports.into_iter())
-            .map(|r| (r.server, r.series.expect("the detector is retained")))
-            .collect();
+        let series = reports.into_iter().map(|r| (r.server, r.series)).collect();
         Analysis {
             series: Some(series),
             ..Analysis::with_spans(run, SpanSet::default(), cal)

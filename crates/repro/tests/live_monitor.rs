@@ -62,7 +62,6 @@ fn quiet_mode_still_writes_monitor_telemetry() {
     let mcfg = MonitorConfig {
         interval: SimDuration::from_micros(2_000),
         heartbeat: SimDuration::from_micros(5_000),
-        ..Default::default()
     };
     let cal = synthetic_calibration();
     let mut mon = MonitorRuntime::new("test_quiet_regression", &mcfg, SimTime::ZERO, &cal, &[])
