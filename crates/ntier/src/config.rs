@@ -6,7 +6,7 @@
 //! case-study knobs are the Tomcat JDK version (GC model) and whether MySQL
 //! has SpeedStep enabled (DVFS model).
 
-use fgbd_des::SimDuration;
+use fgbd_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::class::{MixTargets, WorkloadMix};
@@ -295,6 +295,13 @@ impl SystemConfig {
             s.tier = 2;
         }
         cfg
+    }
+
+    /// The measured window: from the end of the warm-up to the run horizon.
+    /// The transactions that finish in it are the run's measured ones.
+    pub fn measured(&self) -> std::ops::Range<SimTime> {
+        let start = SimTime::ZERO + self.warmup;
+        start..start + self.duration
     }
 
     /// Attaches an on-host sampling monitor consuming `overhead_frac` of

@@ -21,7 +21,8 @@
 //!   clients with bursty think-rate modulation, and a passive network tap
 //!   that records every interaction message into a
 //!   [`fgbd_trace::TraceLog`].
-//! * [`result`] — everything a run produces.
+//! * [`result`] — everything a run keeps: per-second series, counters and
+//!   a fixed-size summary of its transactions.
 //!
 //! # Examples
 //!

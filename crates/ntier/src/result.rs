@@ -1,4 +1,7 @@
 //! Run outputs: everything the analysis and experiment harness consume.
+//! A run keeps nothing per transaction: each [`TxnSample`] goes to the
+//! caller's consumer, if any, and [`RunResult::txns`] is a fixed-size
+//! [`TxnSummary`] of the measured window.
 
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_trace::{NodeId, TraceLog};
@@ -27,6 +30,42 @@ impl TxnSample {
     /// End-to-end response time.
     pub fn response_time(&self) -> SimDuration {
         self.finished - self.started
+    }
+}
+
+/// The paper's slow-request threshold: Fig 2(b) counts the requests slower
+/// than 2 s, the long tail that transient bottlenecks cause well before the
+/// system saturates.
+pub const SLOW_RESPONSE: SimDuration = SimDuration::from_secs(2);
+
+/// The client side of a run's measured window (`warmup_end <= finished <
+/// horizon`), folded as each transaction completes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct TxnSummary {
+    /// Measured transactions.
+    pub count: u64,
+    /// Their response times in seconds, summed in completion order.
+    pub rt_sum_s: f64,
+    /// Measured transactions slower than [`SLOW_RESPONSE`].
+    pub slow: u64,
+}
+
+impl TxnSummary {
+    /// Folds one measured transaction.
+    pub(crate) fn add(&mut self, t: &TxnSample) {
+        let rt = t.response_time();
+        self.count += 1;
+        self.rt_sum_s += rt.as_secs_f64();
+        self.slow += u64::from(rt > SLOW_RESPONSE);
+    }
+
+    /// `total` per measured transaction; 0 when none was measured.
+    fn per_txn(&self, total: f64) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            total / self.count as f64
+        }
     }
 }
 
@@ -63,8 +102,8 @@ pub struct RunResult {
     pub servers: Vec<ServerInfo>,
     /// The passive network capture.
     pub log: TraceLog,
-    /// Client-side transaction samples.
-    pub txns: Vec<TxnSample>,
+    /// The measured window's client-side summary.
+    pub txns: TxnSummary,
     /// JVM GC log across servers.
     pub gc_events: Vec<GcEvent>,
     /// DVFS governor decisions across servers.
@@ -94,53 +133,23 @@ impl RunResult {
         self.server_index(name).map(|i| self.servers[i].node)
     }
 
-    /// Transactions that finished inside the measured window.
-    pub fn measured_txns(&self) -> impl Iterator<Item = &TxnSample> {
-        self.txns
-            .iter()
-            .filter(|t| t.finished >= self.warmup_end && t.finished < self.horizon)
-    }
-
     /// Overall measured throughput in transactions per second.
     pub fn throughput(&self) -> f64 {
         let secs = (self.horizon - self.warmup_end).as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
         }
-        self.measured_txns().count() as f64 / secs
+        self.txns.count as f64 / secs
     }
 
     /// Mean end-to-end response time over the measured window, seconds.
     pub fn mean_response_time(&self) -> f64 {
-        let mut n = 0u64;
-        let mut sum = 0.0;
-        for t in self.measured_txns() {
-            n += 1;
-            sum += t.response_time().as_secs_f64();
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+        self.txns.per_txn(self.txns.rt_sum_s)
     }
 
-    /// Fraction of measured transactions with response time above
-    /// `threshold` (Fig 2b uses 2 s).
-    pub fn frac_slower_than(&self, threshold: SimDuration) -> f64 {
-        let mut n = 0u64;
-        let mut slow = 0u64;
-        for t in self.measured_txns() {
-            n += 1;
-            if t.response_time() > threshold {
-                slow += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            slow as f64 / n as f64
-        }
+    /// Fraction of measured transactions slower than [`SLOW_RESPONSE`].
+    pub fn frac_slow(&self) -> f64 {
+        self.txns.per_txn(self.txns.slow as f64)
     }
 
     /// Mean CPU utilization of server `idx` over the measured window, in

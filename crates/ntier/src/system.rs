@@ -17,6 +17,11 @@
 //!   timestamps into a [`TraceLog`]; requests are stamped on arrival at the
 //!   destination, responses on departure from the source, so span residence
 //!   equals true server residence.
+//!
+//! A run hands each capture record and each completed transaction to its
+//! consumers as it happens ([`NTierSystem::run_with_taps`]); without a
+//! record consumer the records go into [`RunResult::log`], and the run
+//! folds the measured transactions into [`RunResult::txns`].
 
 use std::collections::VecDeque;
 
@@ -32,7 +37,7 @@ use crate::class::RequestClass;
 use crate::config::SystemConfig;
 use crate::dvfs::{DvfsState, PStateSample};
 use crate::gc::{GcEvent, GcState};
-use crate::result::{CpuSample, RunResult, ServerInfo, TxnSample};
+use crate::result::{CpuSample, RunResult, ServerInfo, TxnSample, TxnSummary};
 use crate::users::{UserTable, NO_CLASS};
 
 /// Who is waiting for a visit's response.
@@ -350,12 +355,14 @@ pub struct NTierSystem<'t> {
     next_txn: u64,
     log: TraceLog,
     /// When set, capture records go to this callback instead of
-    /// accumulating in `log` (see [`NTierSystem::run_with_record_tap`]) —
-    /// the hook the chunked capture writer uses to spill records to disk
+    /// accumulating in `log` (see [`NTierSystem::run_with_taps`]) — the
+    /// hook the chunked capture writer uses to spill records to disk
     /// without materializing a log; the returned [`RunResult::log`] then
     /// stays empty.
-    record_tap: Option<Box<dyn FnMut(MsgRecord) + 't>>,
-    txns: Vec<TxnSample>,
+    record_tap: Option<&'t mut dyn FnMut(MsgRecord)>,
+    /// When set, every completed transaction goes to this callback.
+    txn_tap: Option<&'t mut dyn FnMut(TxnSample)>,
+    txns: TxnSummary,
     gc_events: Vec<GcEvent>,
     pstate_log: Vec<PStateSample>,
     cpu_busy: Vec<Vec<CpuSample>>,
@@ -504,7 +511,8 @@ impl<'t> NTierSystem<'t> {
             next_txn: 0,
             log: TraceLog::new(nodes),
             record_tap: None,
-            txns: Vec::new(),
+            txn_tap: None,
+            txns: TxnSummary::default(),
             gc_events: Vec::new(),
             pstate_log: Vec::new(),
             cpu_busy: vec![Vec::new(); n_servers],
@@ -520,22 +528,30 @@ impl<'t> NTierSystem<'t> {
 
     /// Runs the configured scenario to completion and returns its outputs.
     pub fn run(cfg: SystemConfig) -> RunResult {
-        let horizon = SimTime::ZERO + cfg.warmup + cfg.duration;
-        let mut sim = Simulation::new(NTierSystem::new(cfg));
-        sim.prime(SimTime::ZERO, Ev::Boot);
-        sim.run_until(horizon);
-        sim.into_actor().into_result(horizon)
+        NTierSystem::run_with_taps(cfg, None, None)
     }
 
     /// Like [`NTierSystem::run`], but every capture record is handed to
     /// `tap` instead of being materialized in [`RunResult::log`] (which
-    /// comes back empty). The callback runs inline on the simulation
-    /// thread, in strict capture order — the hook for e.g. the chunked
-    /// capture writer spilling a million-user run to disk in flat memory.
-    pub fn run_with_record_tap(cfg: SystemConfig, tap: impl FnMut(MsgRecord) + 't) -> RunResult {
-        let horizon = SimTime::ZERO + cfg.warmup + cfg.duration;
+    /// comes back empty) — the hook for e.g. the chunked capture writer
+    /// spilling a million-user run to disk in flat memory.
+    pub fn run_with_record_tap(cfg: SystemConfig, mut tap: impl FnMut(MsgRecord)) -> RunResult {
+        NTierSystem::run_with_taps(cfg, Some(&mut tap), None)
+    }
+
+    /// Runs `cfg` with both consumers: each capture record goes to
+    /// `records` instead of [`RunResult::log`] (kept there when `None`),
+    /// and each completed transaction, warm-up included, to `txns`. Both
+    /// run inline on the simulation thread, in strict completion order.
+    pub fn run_with_taps(
+        cfg: SystemConfig,
+        records: Option<&mut dyn FnMut(MsgRecord)>,
+        txns: Option<&mut dyn FnMut(TxnSample)>,
+    ) -> RunResult {
+        let horizon = cfg.measured().end;
         let mut system = NTierSystem::new(cfg);
-        system.record_tap = Some(Box::new(tap));
+        system.record_tap = records.map(|tap| tap as &mut dyn FnMut(MsgRecord));
+        system.txn_tap = txns.map(|tap| tap as &mut dyn FnMut(TxnSample));
         let mut sim = Simulation::new(system);
         sim.prime(SimTime::ZERO, Ev::Boot);
         sim.run_until(horizon);
@@ -1084,13 +1100,19 @@ impl Actor for NTierSystem<'_> {
                 self.reschedule_cpu(now, server, sched);
             }
             Ev::ClientResp(u) => {
-                self.txns.push(TxnSample {
+                let txn = TxnSample {
                     user: u,
                     class: self.users.class(u),
                     started: self.users.started(u),
                     finished: now,
                     retries: self.users.retries(u),
-                });
+                };
+                if self.cfg.measured().contains(&now) {
+                    self.txns.add(&txn);
+                }
+                if let Some(tap) = &mut self.txn_tap {
+                    tap(txn);
+                }
                 let d = self.think_delay();
                 sched.after(d, Ev::Think(u));
             }

@@ -1,6 +1,8 @@
 //! Golden digests of three short simulator runs: every capture record,
-//! client transaction, GC event, P-state decision and CPU-busy sample is
-//! folded into one FNV-1a hash per run and compared with a pinned value.
+//! client transaction (as the transaction consumer receives them), GC
+//! event, P-state decision and CPU-busy sample is folded into one FNV-1a
+//! hash per run and compared with a pinned value. The run's own summary
+//! must equal a fold over those same transactions.
 //!
 //! The simulator is deterministic by contract (same seed, same bytes), and
 //! every paper figure is computed from its output, so a change that lets
@@ -21,7 +23,7 @@
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
-use fgbd_ntier::result::RunResult;
+use fgbd_ntier::result::{RunResult, TxnSample};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_trace::MsgKind;
 
@@ -58,7 +60,30 @@ struct Golden {
     digest: u64,
 }
 
-fn golden(res: &RunResult) -> Golden {
+/// Runs `cfg`, collecting every completed transaction through the
+/// consumer, and checks that the run's summary is the fold of the measured
+/// ones in completion order: the same count, the same response-time sum
+/// bit for bit, and the same count slower than 2 s.
+fn run(cfg: SystemConfig) -> (RunResult, Vec<TxnSample>) {
+    let mut txns = Vec::new();
+    let res = NTierSystem::run_with_taps(cfg, None, Some(&mut |t| txns.push(t)));
+    let (mut count, mut rt_sum_s, mut slow) = (0u64, 0.0f64, 0u64);
+    let measured = txns
+        .iter()
+        .filter(|t| res.warmup_end <= t.finished && t.finished < res.horizon);
+    for t in measured {
+        let rt = t.response_time();
+        count += 1;
+        rt_sum_s += rt.as_secs_f64();
+        slow += u64::from(rt > SimDuration::from_secs(2));
+    }
+    let summary = (res.txns.count, res.txns.rt_sum_s.to_bits(), res.txns.slow);
+    assert_eq!(summary, (count, rt_sum_s.to_bits(), slow));
+    assert!(count > 0 && slow < count);
+    (res, txns)
+}
+
+fn golden((res, txns): &(RunResult, Vec<TxnSample>)) -> Golden {
     let mut h = Fnv::new();
     for r in &res.log.records {
         h.word(r.at.as_micros());
@@ -73,7 +98,7 @@ fn golden(res: &RunResult) -> Golden {
         h.word(u64::from(r.bytes));
         h.word(r.truth.map_or(u64::MAX, |t| t.0));
     }
-    for t in &res.txns {
+    for t in txns {
         h.word(u64::from(t.user));
         h.word(u64::from(t.class));
         h.word(t.started.as_micros());
@@ -103,7 +128,7 @@ fn golden(res: &RunResult) -> Golden {
     }
     Golden {
         records: res.log.records.len(),
-        txns: res.txns.len(),
+        txns: txns.len(),
         gc_events: res.gc_events.len(),
         pstates: res.pstate_log.len(),
         cpu_samples: res.cpu_busy.iter().map(Vec::len).sum(),
@@ -123,14 +148,15 @@ fn speedstep_at_wl_7000_matches_its_golden_digest() {
         SystemConfig::paper_1l2s1l2s(7_000, Jdk::Jdk16, true, 20130708),
         14,
     );
-    let res = NTierSystem::run(cfg);
+    let out = run(cfg);
+    let res = &out.0;
     // The governor leaves the lowest P-state once the ramp congests MySQL.
     assert!(res
         .pstate_log
         .iter()
         .any(|p| p.pstate != res.pstate_log[0].pstate));
     assert_eq!(
-        golden(&res),
+        golden(&out),
         Golden {
             records: 378_562,
             txns: 15_674,
@@ -148,10 +174,10 @@ fn gc_jdk15_matches_its_golden_digest() {
         SystemConfig::paper_1l2s1l2s(4_000, Jdk::Jdk15, false, 20130708),
         10,
     );
-    let res = NTierSystem::run(cfg);
-    assert!(!res.gc_events.is_empty());
+    let out = run(cfg);
+    assert!(!out.0.gc_events.is_empty());
     assert_eq!(
-        golden(&res),
+        golden(&out),
         Golden {
             records: 154_952,
             txns: 6_390,
@@ -170,9 +196,9 @@ fn drifting_demands_match_their_golden_digest() {
         6,
     );
     cfg.demand_drift_per_hour = 0.5;
-    let res = NTierSystem::run(cfg);
+    let out = run(cfg);
     assert_eq!(
-        golden(&res),
+        golden(&out),
         Golden {
             records: 76_237,
             txns: 3_170,

@@ -4,6 +4,7 @@
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
+use fgbd_ntier::TxnSample;
 use fgbd_trace::{MsgKind, SpanSet};
 use proptest::prelude::*;
 
@@ -13,11 +14,13 @@ fn run_small(
     speedstep: bool,
     tomcats: usize,
     seed: u64,
-) -> fgbd_ntier::RunResult {
+) -> (fgbd_ntier::RunResult, Vec<TxnSample>) {
     let mut cfg = SystemConfig::paper_scaled_tomcats(users, jdk, speedstep, seed, tomcats);
     cfg.warmup = SimDuration::from_secs(1);
     cfg.duration = SimDuration::from_secs(4);
-    NTierSystem::run(cfg)
+    let mut txns = Vec::new();
+    let res = NTierSystem::run_with_taps(cfg, None, Some(&mut |t| txns.push(t)));
+    (res, txns)
 }
 
 proptest! {
@@ -35,7 +38,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let jdk = if jdk_flag { Jdk::Jdk15 } else { Jdk::Jdk16 };
-        let res = run_small(users, jdk, speedstep, tomcats, seed);
+        let (res, txns) = run_small(users, jdk, speedstep, tomcats, seed);
         prop_assert!(res.throughput() > 0.0, "no throughput at all");
 
         let mut req = 0u64;
@@ -73,7 +76,7 @@ proptest! {
         }
 
         // Client samples are causal and within the horizon.
-        for t in &res.txns {
+        for t in &txns {
             prop_assert!(t.finished >= t.started);
             prop_assert!(t.finished <= res.horizon);
         }
@@ -86,9 +89,10 @@ proptest! {
         speedstep in prop::bool::ANY,
         seed in 0u64..500,
     ) {
-        let a = run_small(users, Jdk::Jdk15, speedstep, 2, seed);
-        let b = run_small(users, Jdk::Jdk15, speedstep, 2, seed);
+        let (a, a_txns) = run_small(users, Jdk::Jdk15, speedstep, 2, seed);
+        let (b, b_txns) = run_small(users, Jdk::Jdk15, speedstep, 2, seed);
         prop_assert_eq!(a.log.records.len(), b.log.records.len());
+        prop_assert_eq!(a_txns, b_txns);
         prop_assert_eq!(a.txns, b.txns);
         prop_assert_eq!(a.completed_visits, b.completed_visits);
     }

@@ -4,6 +4,7 @@
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
+use fgbd_ntier::{RunResult, TxnSample};
 use fgbd_oracle::reconstruct::Accuracy;
 use fgbd_trace::reconstruct::{Heuristic, Reconstruction};
 use fgbd_trace::{MsgKind, SpanSet};
@@ -13,6 +14,13 @@ fn quick_cfg(users: u32, jdk: Jdk, speedstep: bool, seed: u64) -> SystemConfig {
     cfg.warmup = SimDuration::from_secs(5);
     cfg.duration = SimDuration::from_secs(20);
     cfg
+}
+
+/// Runs `cfg`, collecting every completed transaction through the consumer.
+fn run_txns(cfg: SystemConfig) -> (RunResult, Vec<TxnSample>) {
+    let mut txns = Vec::new();
+    let res = NTierSystem::run_with_taps(cfg, None, Some(&mut |t| txns.push(t)));
+    (res, txns)
 }
 
 #[test]
@@ -51,7 +59,7 @@ fn span_extraction_matches_completed_visits() {
 
 #[test]
 fn request_response_counts_are_conserved() {
-    let res = NTierSystem::run(quick_cfg(300, Jdk::Jdk16, false, 13));
+    let (res, txns) = run_txns(quick_cfg(300, Jdk::Jdk16, false, 13));
     let mut req = 0u64;
     let mut resp = 0u64;
     for r in &res.log.records {
@@ -67,15 +75,16 @@ fn request_response_counts_are_conserved() {
         req - resp
     );
     // Every transaction involves >= 4 request messages (one per tier).
-    assert!(req as usize >= 4 * res.txns.len());
+    assert!(req as usize >= 4 * txns.len());
 }
 
 #[test]
 fn identical_seeds_give_identical_runs() {
-    let a = NTierSystem::run(quick_cfg(200, Jdk::Jdk15, true, 99));
-    let b = NTierSystem::run(quick_cfg(200, Jdk::Jdk15, true, 99));
+    let (a, a_txns) = run_txns(quick_cfg(200, Jdk::Jdk15, true, 99));
+    let (b, b_txns) = run_txns(quick_cfg(200, Jdk::Jdk15, true, 99));
     assert_eq!(a.log.records.len(), b.log.records.len());
-    assert_eq!(a.txns.len(), b.txns.len());
+    assert_eq!(a_txns, b_txns);
+    assert_eq!(a.txns, b.txns);
     assert_eq!(a.completed_visits, b.completed_visits);
     assert_eq!(a.gc_events.len(), b.gc_events.len());
     assert_eq!(a.pstate_log.len(), b.pstate_log.len());
@@ -86,12 +95,12 @@ fn identical_seeds_give_identical_runs() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = NTierSystem::run(quick_cfg(200, Jdk::Jdk16, false, 1));
-    let b = NTierSystem::run(quick_cfg(200, Jdk::Jdk16, false, 2));
-    assert_ne!(a.txns.len(), 0);
+    let (a, a_txns) = run_txns(quick_cfg(200, Jdk::Jdk16, false, 1));
+    let (b, b_txns) = run_txns(quick_cfg(200, Jdk::Jdk16, false, 2));
+    assert_ne!(a_txns.len(), 0);
     assert!(
         a.log.records.len() != b.log.records.len()
-            || a.txns.iter().zip(&b.txns).any(|(x, y)| x != y),
+            || a_txns.iter().zip(&b_txns).any(|(x, y)| x != y),
         "different seeds produced identical runs"
     );
 }
@@ -188,15 +197,15 @@ fn sticky_sessions_preserve_the_mix_but_add_correlation() {
         cfg.duration = SimDuration::from_secs(40);
         cfg.session_stickiness = stickiness;
         cfg.capture = false;
-        NTierSystem::run(cfg)
+        run_txns(cfg).1
     };
     let iid = run_with(0.0);
     let sticky = run_with(0.7);
 
     // The aggregate class distribution is (statistically) unchanged.
-    let hist = |res: &fgbd_ntier::RunResult| {
+    let hist = |txns: &[TxnSample]| {
         let mut h = vec![0usize; 24];
-        for t in &res.txns {
+        for t in txns {
             h[usize::from(t.class)] += 1;
         }
         let total: usize = h.iter().sum();
@@ -214,10 +223,10 @@ fn sticky_sessions_preserve_the_mix_but_add_correlation() {
     assert!(max_diff < 0.03, "mix shifted by {max_diff}");
 
     // But per-user repeats are far more common when sticky.
-    let repeat_rate = |res: &fgbd_ntier::RunResult| {
+    let repeat_rate = |txns: &[TxnSample]| {
         let mut by_user: std::collections::HashMap<u32, Vec<(fgbd_des::SimTime, u16)>> =
             std::collections::HashMap::new();
-        for t in &res.txns {
+        for t in txns {
             by_user
                 .entry(t.user)
                 .or_default()

@@ -35,7 +35,7 @@ fn main() {
         let run = NTierSystem::run(cfg);
         let mysql_cpu = run.mean_cpu_util(run.server_index("mysql-1").expect("mysql")) * 100.0;
         let tomcat_cpu = run.mean_cpu_util(run.server_index("tomcat-1").expect("tomcat")) * 100.0;
-        let sla = run.frac_slower_than(SimDuration::from_secs(2)) * 100.0;
+        let sla = run.frac_slow() * 100.0;
         let tput = run.throughput();
 
         let analysis = Analysis::new(run, Calibration::clone(&cal));

@@ -239,8 +239,9 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
         MonitorTelemetry::create("analyze_capture_follow", heartbeat, chunks.nodes())
             .unwrap_or_else(|e| fail(e));
     let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
-    for chunk in &mut chunks {
-        analyzer.push_observed(chunk?, |det| {
+    let mut buf = Vec::new();
+    while chunks.next_into(&mut buf)? {
+        buf = analyzer.push_observed(buf, |det| {
             telemetry.observe(det).unwrap_or_else(|e| fail(e));
         });
     }

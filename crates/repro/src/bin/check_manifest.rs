@@ -12,7 +12,9 @@
 //! simulator's completion-token accounting (`des.cpu_done_stale` and
 //! `des.cpu_done_reuse` must be *reported* even when zero, which is what
 //! the retained-counter mechanism guarantees) and the monitor's
-//! `monitor.verdicts` / `monitor.heartbeats`.
+//! `monitor.verdicts` / `monitor.heartbeats`. Repeatable `--max
+//! FIELD=VALUE` flags assert that the top-level numeric field `FIELD` is
+//! present and at most `VALUE` — CI bounds fig05's `vm_hwm_kib` with it.
 //!
 //! Exits 0 and prints a one-line summary when the manifest is valid;
 //! exits non-zero with the violation otherwise. This is the one
@@ -25,6 +27,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut required: Vec<String> = Vec::new();
+    let mut maxima: Vec<(String, f64)> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         if arg == "--require-counter" {
@@ -35,6 +38,16 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+        } else if arg == "--max" {
+            let bound = it.next().and_then(|b| {
+                let (field, value) = b.split_once('=')?;
+                Some((field.to_string(), value.parse::<f64>().ok()?))
+            });
+            let Some(bound) = bound else {
+                eprintln!("check_manifest: --max needs FIELD=VALUE with a numeric VALUE");
+                std::process::exit(2);
+            };
+            maxima.push(bound);
         } else if path.is_none() {
             path = Some(arg);
         } else {
@@ -43,7 +56,9 @@ fn main() {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: check_manifest <manifest.json> [--require-counter NAME]...");
+        eprintln!(
+            "usage: check_manifest <manifest.json> [--require-counter NAME]... [--max FIELD=VALUE]..."
+        );
         std::process::exit(2);
     };
     let path = &path;
@@ -69,6 +84,14 @@ fn main() {
         let present = doc.get("counters").is_some_and(|c| c.get(name).is_some());
         if !present {
             eprintln!("check_manifest: {path}: required counter {name} missing from manifest");
+            std::process::exit(1);
+        }
+    }
+    for (field, max) in &maxima {
+        let value = doc.get(field).and_then(Json::as_f64);
+        if !value.is_some_and(|v| v <= *max) {
+            let shown = value.map_or("missing".to_string(), |v| v.to_string());
+            eprintln!("check_manifest: {path}: {field} is {shown}; the bound is {max}");
             std::process::exit(1);
         }
     }

@@ -13,7 +13,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs the Fig 8 workload and lets the selector pick the interval.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal);
+    let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal, None);
     // The selector scores every candidate on the finest one's series.
     let cfg = IntervalSelectConfig::default();
     let base = analysis.series("mysql-1", analysis.window(cfg.candidates[0]));

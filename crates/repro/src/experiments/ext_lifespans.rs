@@ -15,7 +15,7 @@ use crate::scenario::{Scenario, GC_JDK15, SPEEDSTEP_ON};
 
 fn episode_durations(scenario: &Scenario, users: u32, server: &str) -> Vec<f64> {
     let cal = Calibration::for_scenario(scenario);
-    let analysis = scenario.analyze(users, &[server], cal);
+    let analysis = scenario.analyze(users, &[server], cal, None);
     let window = analysis.window(SimDuration::from_millis(50));
     let report = analysis.report(server, window, &DetectorConfig::default());
     report

@@ -18,7 +18,6 @@ use crate::scenario::MASTER_SEED;
 pub fn run() -> ExperimentSummary {
     let mut rows = Vec::new();
     let mut results = Vec::new();
-    let two_s = SimDuration::from_secs(2);
     for (label, period) in [
         ("passive tracing", None),
         ("1s sampler", Some(SimDuration::from_secs(1))),
@@ -35,7 +34,7 @@ pub fn run() -> ExperimentSummary {
             format!("{:.3}", overhead),
             format!("{:.1}", run.throughput()),
             format!("{:.4}", run.mean_response_time()),
-            format!("{:.5}", run.frac_slower_than(two_s)),
+            format!("{:.5}", run.frac_slow()),
         ]);
         results.push((label, overhead, run));
     }
@@ -52,7 +51,7 @@ pub fn run() -> ExperimentSummary {
     );
 
     let base_rt = results[0].2.mean_response_time();
-    let base_slow = results[0].2.frac_slower_than(two_s);
+    let base_slow = results[0].2.frac_slow();
     let mut s = ExperimentSummary::new("ext_overhead");
     for (label, overhead, run) in &results[1..] {
         s.row(
@@ -62,7 +61,7 @@ pub fn run() -> ExperimentSummary {
                 "rt {:.0} ms (x{:.2}), >2s {:.2}% (vs {:.2}%)",
                 run.mean_response_time() * 1e3,
                 run.mean_response_time() / base_rt.max(1e-9),
-                run.frac_slower_than(two_s) * 100.0,
+                run.frac_slow() * 100.0,
                 base_slow * 100.0
             ),
         );

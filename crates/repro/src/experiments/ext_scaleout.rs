@@ -20,7 +20,7 @@ fn measure(tomcats: usize) -> (f64, f64, usize, usize, f64) {
     cal_cfg.duration = SimDuration::from_secs(40);
     let cal = Calibration::simulate(cal_cfg);
 
-    let analysis = Analysis::simulate(cfg, &["tomcat-1"], cal);
+    let analysis = Analysis::simulate(cfg, &["tomcat-1"], cal, None);
     let run = &analysis.run;
     let tput = run.throughput();
     let rt = run.mean_response_time();

@@ -18,7 +18,7 @@ fn analyze(jdk: Jdk) -> (usize, usize, f64) {
     cal_cfg.warmup = SimDuration::from_secs(5);
     cal_cfg.duration = SimDuration::from_secs(40);
     let cal = Calibration::simulate(cal_cfg);
-    let analysis = Analysis::simulate(cfg, &["tomcat-1"], cal);
+    let analysis = Analysis::simulate(cfg, &["tomcat-1"], cal, None);
     let rt = analysis.run.mean_response_time();
     let report = analysis.report(
         "tomcat-1",

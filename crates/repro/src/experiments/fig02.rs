@@ -8,8 +8,8 @@
 //! saturation; the WL 8,000 distribution is long-tailed and bi-modal (a
 //! second hump past 3 s from TCP retransmissions).
 
-use fgbd_des::SimDuration;
 use fgbd_metrics::Histogram;
+use fgbd_ntier::result::TxnSample;
 
 use crate::plot;
 use crate::report::{write_csv, ExperimentSummary};
@@ -24,9 +24,20 @@ pub const WORKLOADS: [u32; 16] = [
 /// Runs the sweep and the WL 8,000 distribution.
 pub fn run() -> ExperimentSummary {
     // One uncaptured run per workload (the figure reads client-side
-    // samples only), in input order whatever the worker count.
-    let results = crate::par::par_map(&WORKLOADS, |&users| SPEEDSTEP_ON.run_uncaptured(users));
-    let two_s = SimDuration::from_secs(2);
+    // summaries only), in input order whatever the worker count. Only
+    // the WL 8,000 run collects its measured response times, for (c).
+    let runs = crate::par::par_map(&WORKLOADS, |&users| {
+        let measured = SPEEDSTEP_ON.config(users).measured();
+        let mut rts = Vec::new();
+        let mut keep = |t: TxnSample| {
+            if measured.contains(&t.finished) {
+                rts.push(t.response_time().as_secs_f64());
+            }
+        };
+        let tap = (users == 8_000).then_some(&mut keep as &mut dyn FnMut(TxnSample));
+        (SPEEDSTEP_ON.run_uncaptured(users, tap), rts)
+    });
+    let (results, mut kept): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
 
     let mut rows = Vec::new();
     for (wl, res) in WORKLOADS.iter().zip(&results) {
@@ -34,7 +45,7 @@ pub fn run() -> ExperimentSummary {
             wl.to_string(),
             format!("{:.1}", res.throughput()),
             format!("{:.4}", res.mean_response_time()),
-            format!("{:.5}", res.frac_slower_than(two_s)),
+            format!("{:.5}", res.frac_slow()),
         ]);
     }
     write_csv(
@@ -45,7 +56,7 @@ pub fn run() -> ExperimentSummary {
 
     let tputs: Vec<f64> = results.iter().map(|r| r.throughput()).collect();
     let rts: Vec<f64> = results.iter().map(|r| r.mean_response_time()).collect();
-    let slow: Vec<f64> = results.iter().map(|r| r.frac_slower_than(two_s)).collect();
+    let slow: Vec<f64> = results.iter().map(|r| r.frac_slow()).collect();
     fgbd_obsv::log!(
         "fig02",
         "{}",
@@ -64,11 +75,9 @@ pub fn run() -> ExperimentSummary {
 
     // Fig 2(c): RT distribution at WL 8,000.
     let wl8k = &results[7];
+    let mut rtvals = std::mem::take(&mut kept[7]);
     let mut hist = Histogram::fig2c_edges();
-    hist.record_all(
-        wl8k.measured_txns()
-            .map(|t| t.response_time().as_secs_f64()),
-    );
+    hist.record_all(rtvals.iter().copied());
     let hist_rows: Vec<Vec<String>> = hist
         .buckets()
         .iter()
@@ -140,10 +149,6 @@ pub fn run() -> ExperimentSummary {
             100.0 * hump_mass as f64 / total
         ),
     );
-    let mut rtvals: Vec<f64> = wl8k
-        .measured_txns()
-        .map(|t| t.response_time().as_secs_f64())
-        .collect();
     rtvals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let p01 = rtvals[rtvals.len() / 100];
     let p999 = rtvals[rtvals.len() - 1 - rtvals.len() / 1000];

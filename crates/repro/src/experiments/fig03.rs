@@ -13,7 +13,7 @@ use crate::scenario::SPEEDSTEP_ON;
 
 /// Runs WL 8,000 and samples per-second CPU utilization.
 pub fn run() -> ExperimentSummary {
-    let res = SPEEDSTEP_ON.run_uncaptured(8_000);
+    let res = SPEEDSTEP_ON.run_uncaptured(8_000, None);
     let one_s = SimDuration::from_secs(1);
     let mut s = ExperimentSummary::new("fig03");
     let mut csv_rows: Vec<Vec<String>> = Vec::new();

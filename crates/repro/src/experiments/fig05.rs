@@ -15,7 +15,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs WL 7,000 and performs the fine-grained MySQL analysis.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = SPEEDSTEP_ON.analyze(7_000, &["mysql-1"], cal);
+    let analysis = SPEEDSTEP_ON.analyze(7_000, &["mysql-1"], cal, None);
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 

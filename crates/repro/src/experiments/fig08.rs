@@ -16,7 +16,7 @@ use crate::scenario::SPEEDSTEP_ON;
 /// Runs WL 14,000 with SpeedStep enabled and compares three granularities.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&SPEEDSTEP_ON);
-    let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal);
+    let analysis = SPEEDSTEP_ON.analyze(14_000, &["mysql-1"], cal, None);
     let cfg = DetectorConfig::default();
 
     let mut s = ExperimentSummary::new("fig08");

@@ -24,7 +24,7 @@ pub fn run() -> ExperimentSummary {
     // rendered afterwards in input order so the output stays deterministic.
     let cases = [(7_000u32, "9(a)"), (14_000, "9(b)")];
     let computed = crate::par::par_map(&cases, |&(wl, _)| {
-        let analysis = GC_JDK15.analyze(wl, &["tomcat-1"], Calibration::clone(&cal));
+        let analysis = GC_JDK15.analyze(wl, &["tomcat-1"], Calibration::clone(&cal), None);
         let report = analysis.report("tomcat-1", analysis.window(interval), &cfg);
         (analysis, report)
     });

@@ -8,6 +8,7 @@ use fgbd_core::correlate::{finite_pearson, lagged_pearson, mean_per_interval};
 use fgbd_core::detect::DetectorConfig;
 use fgbd_des::SimDuration;
 use fgbd_ntier::gc::gc_running_ratio;
+use fgbd_ntier::result::TxnSample;
 
 use crate::pipeline::{Analysis, Calibration};
 use crate::plot;
@@ -18,7 +19,9 @@ use crate::scenario::GC_JDK15;
 /// response time on the 50 ms grid.
 pub fn run() -> ExperimentSummary {
     let cal = Calibration::for_scenario(&GC_JDK15);
-    let analysis = GC_JDK15.analyze(14_000, &["tomcat-1"], cal);
+    let mut rt_events = Vec::new();
+    let mut collect = |t: TxnSample| rt_events.push((t.finished, t.response_time().as_secs_f64()));
+    let analysis = GC_JDK15.analyze(14_000, &["tomcat-1"], cal, Some(&mut collect));
     let cfg = DetectorConfig::default();
     let interval = SimDuration::from_millis(50);
 
@@ -38,7 +41,7 @@ pub fn run() -> ExperimentSummary {
         full.end,
         interval,
     );
-    let rt = mean_per_interval(&analysis.rt_events(), &full);
+    let rt = mean_per_interval(&rt_events, &full);
     // Load peaks build during and just after a freeze, so search small
     // positive lags (GC leading load) for the alignment; likewise load
     // leads the response-time peaks of the transactions it delays.
@@ -75,7 +78,7 @@ pub fn run() -> ExperimentSummary {
         zoom.end,
         interval,
     );
-    let zrt = mean_per_interval(&analysis.rt_events(), &zoom);
+    let zrt = mean_per_interval(&rt_events, &zoom);
     fgbd_obsv::log!(
         "fig10",
         "{}",

@@ -7,6 +7,7 @@ use fgbd_core::correlate::mean_per_interval;
 use fgbd_core::detect::DetectorConfig;
 use fgbd_core::stats;
 use fgbd_des::SimDuration;
+use fgbd_ntier::result::TxnSample;
 
 use crate::pipeline::Calibration;
 use crate::plot;
@@ -24,15 +25,18 @@ pub fn run() -> ExperimentSummary {
     let cases = [(GC_JDK16, "jdk16"), (GC_JDK15, "jdk15")];
     let computed = crate::par::par_map(&cases, |(scenario, _)| {
         let cal = Calibration::for_scenario(scenario);
-        let analysis = scenario.analyze(14_000, &["tomcat-1"], cal);
+        let mut rt_events = Vec::new();
+        let mut collect =
+            |t: TxnSample| rt_events.push((t.finished, t.response_time().as_secs_f64()));
+        let analysis = scenario.analyze(14_000, &["tomcat-1"], cal, Some(&mut collect));
         let report = analysis.report("tomcat-1", analysis.window(interval), &cfg);
-        (analysis, report)
+        (analysis, report, rt_events)
     });
 
     let mut rt_spikes = Vec::new();
     let mut rt_std = Vec::new();
     let mut pois = Vec::new();
-    for ((_, label), (analysis, report)) in cases.iter().zip(&computed) {
+    for ((_, label), (analysis, report, rt_events)) in cases.iter().zip(&computed) {
         let full = analysis.window(interval);
         pois.push(report.frozen_intervals());
 
@@ -51,16 +55,13 @@ pub fn run() -> ExperimentSummary {
             );
         }
 
-        let rt = mean_per_interval(&analysis.rt_events(), &full);
+        let rt = mean_per_interval(rt_events, &full);
         let finite: Vec<f64> = rt.iter().copied().filter(|v| v.is_finite()).collect();
         rt_std.push(stats::std_dev(&finite));
         rt_spikes.push(finite.iter().filter(|&&v| v > 3.0).count());
         // Paper plots the full 3-minute RT timeline; downsample for the
         // terminal by taking 1 s means.
-        let coarse = mean_per_interval(
-            &analysis.rt_events(),
-            &analysis.window(SimDuration::from_secs(1)),
-        );
+        let coarse = mean_per_interval(rt_events, &analysis.window(SimDuration::from_secs(1)));
         fgbd_obsv::log!(
             "fig11",
             "{}",

@@ -41,7 +41,7 @@ pub fn compute_mysql(
     cal: &Calibration,
     users: u32,
 ) -> (Analysis, fgbd_core::detect::ServerReport) {
-    let analysis = scenario.analyze(users, &["mysql-1"], Calibration::clone(cal));
+    let analysis = scenario.analyze(users, &["mysql-1"], Calibration::clone(cal), None);
     let full = analysis.window(SimDuration::from_millis(50));
     let report = analysis.report("mysql-1", full, &DetectorConfig::default());
     (analysis, report)

@@ -16,7 +16,7 @@ pub const PAPER: [(&str, f64, f64, f64, f64); 4] = [
 
 /// Runs WL 8,000 and tabulates per-tier resource utilization.
 pub fn run() -> ExperimentSummary {
-    let res = SPEEDSTEP_ON.run_uncaptured(8_000);
+    let res = SPEEDSTEP_ON.run_uncaptured(8_000, None);
     let secs = (res.horizon - res.warmup_end).as_secs_f64();
     let mut s = ExperimentSummary::new("table01");
     let mut rows = Vec::new();

@@ -19,7 +19,7 @@ use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_core::series::{SeriesSet, Window};
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::SystemConfig;
-use fgbd_ntier::result::RunResult;
+use fgbd_ntier::result::{RunResult, TxnSample};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 use fgbd_trace::span::SpanPairer;
@@ -232,13 +232,19 @@ impl Analysis {
     /// empty): what the run leaves is each named server's series, which
     /// [`Analysis::report`] reports on — bit for bit what `analyze_server`
     /// builds from the spans, since the detector pairs on the same table
-    /// and sums the same integers per interval.
+    /// and sums the same integers per interval. Each completed transaction
+    /// goes to `txns`, if given, and is not kept.
     ///
     /// # Panics
     ///
     /// Panics before simulating if `servers` is empty or a name is not a
     /// server of `cfg`.
-    pub fn simulate(cfg: SystemConfig, servers: &[&str], cal: Calibration) -> Analysis {
+    pub fn simulate(
+        cfg: SystemConfig,
+        servers: &[&str],
+        cal: Calibration,
+        txns: Option<&mut dyn FnMut(TxnSample)>,
+    ) -> Analysis {
         assert!(!servers.is_empty(), "name the servers to report");
         let nodes = fgbd_ntier::system::node_metas(&cfg);
         let run_servers = || nodes.iter().filter(|n| n.kind == NodeKind::Server);
@@ -256,13 +262,14 @@ impl Analysis {
         let work_units = keep.iter().map(|&node| (node, cal.work_unit(node)));
         detector.calibrate(cal.services.clone(), work_units);
         let mut skipped = 0u64;
-        let run = NTierSystem::run_with_record_tap(cfg, |rec| {
+        let mut tap = |rec: MsgRecord| {
             if keep.contains(&rec.span_node()) {
                 detector.push(&rec);
             } else {
                 skipped += 1;
             }
-        });
+        };
+        let run = NTierSystem::run_with_taps(cfg, Some(&mut tap), txns);
         let reports = detector.finish(run.horizon).reports;
         let matched: u64 = reports.iter().map(|r| r.matched).sum();
         fgbd_obsv::counter!("extract.spans", matched);
@@ -394,16 +401,6 @@ impl Analysis {
         fine.coarsen((interval_us / grid_us) as usize)
     }
 
-    /// End-to-end response-time events `(finish time, seconds)` for
-    /// correlation and timeline plots.
-    pub fn rt_events(&self) -> Vec<(SimTime, f64)> {
-        self.run
-            .txns
-            .iter()
-            .map(|t| (t.finished, t.response_time().as_secs_f64()))
-            .collect()
-    }
-
     /// `(load, throughput)` pairs of a report as plain points for plotting,
     /// throughput in equivalent requests per second (the paper's MySQL
     /// y-axis).
@@ -446,10 +443,16 @@ mod tests {
         let mut cfg = SPEEDSTEP_OFF.config(300);
         cfg.warmup = SimDuration::from_secs(4);
         cfg.duration = SimDuration::from_secs(16);
-        let run = fgbd_ntier::system::NTierSystem::run(cfg);
+        let mut finished = Vec::new();
+        let run = NTierSystem::run_with_taps(cfg, None, Some(&mut |t| finished.push(t.finished)));
         let analysis = Analysis::new(run, cal);
         let w = analysis.window(SimDuration::from_millis(50));
         assert_eq!(w.len(), 320);
+        // The window is the run's measured period: it holds exactly the
+        // transactions the run's summary counts.
+        let measured = finished.iter().filter(|&&at| w.start <= at && at < w.end);
+        assert_eq!(measured.count() as u64, analysis.run.txns.count);
+        assert!(analysis.run.txns.count > 0);
         let sub = analysis.sub_window(
             SimDuration::from_secs(2),
             SimDuration::from_secs(10),
@@ -459,7 +462,6 @@ mod tests {
         // A report runs end to end.
         let rep = analysis.report("mysql-1", w, &DetectorConfig::default());
         assert_eq!(rep.states.len(), 320);
-        assert!(!analysis.rt_events().is_empty());
         assert_eq!(analysis.scatter_points_eq(&rep).len(), 320);
     }
 

@@ -3,7 +3,8 @@
 //! A scenario is run three ways, by what the caller needs of the capture:
 //! [`Scenario::analyze`] feeds the record tap to the online detector for
 //! the servers a figure reports and keeps neither a log nor a span (the
-//! figures), and [`Calibration::for_scenario`] pairs and folds the short
+//! figures; a figure that reads response times also passes a transaction
+//! consumer), and [`Calibration::for_scenario`] pairs and folds the short
 //! low-load calibration workload on the tap;
 //! [`Scenario::calibration_run`] runs that workload keeping its log, for
 //! callers that want the capture itself, and [`Scenario::run_uncaptured`]
@@ -11,7 +12,7 @@
 
 use fgbd_des::SimDuration;
 use fgbd_ntier::config::{Jdk, SystemConfig};
-use fgbd_ntier::result::RunResult;
+use fgbd_ntier::result::{RunResult, TxnSample};
 use fgbd_ntier::system::NTierSystem;
 
 use crate::pipeline::{Analysis, Calibration};
@@ -69,11 +70,18 @@ impl Scenario {
 
     /// Runs the scenario at workload `users` and detects on the tap for the
     /// named `servers` ([`Analysis::simulate`]) — what the figures call;
-    /// neither a log nor a span is kept.
-    pub fn analyze(&self, users: u32, servers: &[&str], cal: Calibration) -> Analysis {
+    /// neither a log nor a span is kept, and each completed transaction
+    /// goes to `txns`, if given.
+    pub fn analyze(
+        &self,
+        users: u32,
+        servers: &[&str],
+        cal: Calibration,
+        txns: Option<&mut dyn FnMut(TxnSample)>,
+    ) -> Analysis {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);
-        Analysis::simulate(self.config(users), servers, cal)
+        Analysis::simulate(self.config(users), servers, cal, txns)
     }
 
     /// Runs the scenario at workload `users` keeping the whole capture log.
@@ -84,13 +92,14 @@ impl Scenario {
     }
 
     /// Runs without message capture — cheaper, for experiments that only
-    /// need client-side samples and CPU counters (Fig 2, Fig 3, Table I).
-    pub fn run_uncaptured(&self, users: u32) -> RunResult {
+    /// need the client-side summary and CPU counters (Fig 2, Fig 3,
+    /// Table I); each completed transaction goes to `txns`, if given.
+    pub fn run_uncaptured(&self, users: u32, txns: Option<&mut dyn FnMut(TxnSample)>) -> RunResult {
         fgbd_obsv::span!("simulate");
         fgbd_obsv::counter!("scenario.runs", self.name, 1);
         let mut cfg = self.config(users);
         cfg.capture = false;
-        NTierSystem::run(cfg)
+        NTierSystem::run_with_taps(cfg, None, txns)
     }
 
     /// The short run service times are approximated on (the paper measures

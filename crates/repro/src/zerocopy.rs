@@ -407,8 +407,10 @@ pub fn analyze_stream(
     fgbd_obsv::span!("stream_analyze");
     let mut chunks = CaptureChunks::open(reader)?;
     let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
-    for chunk in &mut chunks {
-        analyzer.push_chunk(chunk?);
+    // Each chunk decodes into the buffer the analyzer handed back.
+    let mut buf = Vec::new();
+    while chunks.next_into(&mut buf)? {
+        buf = analyzer.push_chunk(buf);
     }
     Ok(analyzer.finish(chunks.format(), "stream", 1))
 }

@@ -62,7 +62,9 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn tapped_chunked_capture_equals_batch_log() {
     let seed = 0xC2_2013_0708;
-    let batch = NTierSystem::run(smoke_cfg(seed));
+    let mut batch_txns = Vec::new();
+    let batch =
+        NTierSystem::run_with_taps(smoke_cfg(seed), None, Some(&mut |t| batch_txns.push(t)));
     assert!(
         !batch.log.records.is_empty(),
         "the batch run must capture records"
@@ -75,9 +77,12 @@ fn tapped_chunked_capture_equals_batch_log() {
     let file = File::create(&path).expect("create capture file");
     let mut writer = ChunkedWriter::with_chunk_records(BufWriter::new(file), &nodes, 512)
         .expect("start capture");
-    let tapped = NTierSystem::run_with_record_tap(smoke_cfg(seed), |rec| {
-        writer.push(rec).expect("write record");
-    });
+    let mut tapped_txns = Vec::new();
+    let tapped = NTierSystem::run_with_taps(
+        smoke_cfg(seed),
+        Some(&mut |rec| writer.push(rec).expect("write record")),
+        Some(&mut |t| tapped_txns.push(t)),
+    );
     writer.finish().expect("seal capture");
 
     assert!(
@@ -85,6 +90,8 @@ fn tapped_chunked_capture_equals_batch_log() {
         "the tapped run must not materialize a log"
     );
     // Everything except the capture transport is unchanged.
+    assert!(!batch_txns.is_empty());
+    assert_eq!(batch_txns, tapped_txns);
     assert_eq!(batch.txns, tapped.txns);
     assert_eq!(batch.cpu_busy, tapped.cpu_busy);
 

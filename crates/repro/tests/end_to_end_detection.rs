@@ -295,7 +295,8 @@ fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 
 /// The figures detect on the simulator's record tap and hold neither a log
 /// nor a span; that must be the very analysis of pairing the whole log
-/// afterwards, and the tap must not perturb the run. Every named server
+/// afterwards, and the tap must not perturb the run: the same transactions
+/// reach the consumer, in the same order, on both routes. Every named server
 /// reports, at 20 ms, 50 ms and 1 s, bit for bit what `analyze_server`
 /// builds from the log's spans — named with every other server, and named
 /// alone as a figure names it, so the records of the rest are passed over.
@@ -307,12 +308,22 @@ fn tap_paired_analysis_equals_log_paired() {
     cfg.warmup = SimDuration::from_secs(3);
     cfg.duration = SimDuration::from_secs(12);
     let cal = calibration(Jdk::Jdk15, false);
-    let tapped = Analysis::simulate(cfg.clone(), &SERVERS, Calibration::clone(&cal));
-    let logged = Analysis::new(NTierSystem::run(cfg.clone()), Calibration::clone(&cal));
+    let (mut tapped_txns, mut logged_txns) = (Vec::new(), Vec::new());
+    let tapped = Analysis::simulate(
+        cfg.clone(),
+        &SERVERS,
+        Calibration::clone(&cal),
+        Some(&mut |t| tapped_txns.push(t)),
+    );
+    let logged_run =
+        NTierSystem::run_with_taps(cfg.clone(), None, Some(&mut |t| logged_txns.push(t)));
+    let logged = Analysis::new(logged_run, Calibration::clone(&cal));
 
     assert!(tapped.run.log.records.is_empty(), "no log on the tap route");
     assert!(tapped.spans.is_empty(), "no spans on the report route");
     assert!(!logged.run.log.records.is_empty());
+    assert!(!logged_txns.is_empty());
+    assert_eq!(tapped_txns, logged_txns);
     assert_eq!(tapped.run.txns, logged.run.txns);
     assert_eq!(tapped.run.gc_events, logged.run.gc_events);
     assert_eq!(tapped.run.pstate_log, logged.run.pstate_log);
@@ -351,7 +362,7 @@ fn tap_paired_analysis_equals_log_paired() {
     let ms50 = SimDuration::from_millis(50);
     for name in SERVERS {
         same_reports(&tapped, name, "every server named");
-        let alone = Analysis::simulate(cfg.clone(), &[name], Calibration::clone(&cal));
+        let alone = Analysis::simulate(cfg.clone(), &[name], Calibration::clone(&cal), None);
         assert!(alone.spans.is_empty(), "{name}");
         same_reports(&alone, name, "named alone");
         if name != "mysql-1" {
@@ -371,13 +382,13 @@ fn tap_paired_analysis_equals_log_paired() {
         }
     }
     let msg = panic_message(|| {
-        Analysis::simulate(cfg.clone(), &[], Calibration::clone(&cal));
+        Analysis::simulate(cfg.clone(), &[], Calibration::clone(&cal), None);
     });
     assert!(msg.contains("name the servers"), "{msg}");
 
     // An unknown name fails before the run and lists the run's servers.
     let msg = panic_message(|| {
-        Analysis::simulate(cfg, &["mysql-9"], cal);
+        Analysis::simulate(cfg, &["mysql-9"], cal, None);
     });
     assert!(msg.contains("mysql-9"), "{msg}");
     assert!(SERVERS.iter().all(|name| msg.contains(name)), "{msg}");

@@ -39,7 +39,8 @@ fn report_route_peaks_below_one_server_pairing() {
     };
 
     let (report, _) = peak_of(&|| {
-        let analysis = Analysis::simulate(cfg.clone(), &["mysql-1"], Calibration::clone(&cal));
+        let analysis =
+            Analysis::simulate(cfg.clone(), &["mysql-1"], Calibration::clone(&cal), None);
         assert!(analysis.spans.is_empty(), "the report route holds no spans");
         0
     });

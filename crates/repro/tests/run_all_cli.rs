@@ -1,6 +1,7 @@
 //! `run_all <id>...` is the one way to regenerate a paper artifact: it runs
 //! exactly the named experiments and writes what their dedicated bins
 //! write, and an unknown id is a usage error that writes nothing.
+//! `check_manifest` validates what it writes and can bound its fields.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -132,5 +133,42 @@ fn run_all_with_an_unknown_id_lists_the_ids_and_writes_nothing() {
     }
     assert!(!dir.join("out").exists() && !dir.join("target").exists());
     assert!(files(&dir).is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `check_manifest --max FIELD=VALUE` bounds a top-level numeric field of
+/// a run's manifest: it passes at or under the bound, and fails on a field
+/// above it or missing; a malformed bound is a usage error.
+#[test]
+fn check_manifest_bounds_a_numeric_field() {
+    let dir = scratch("max");
+    let out = run(env!("CARGO_BIN_EXE_run_all"), &dir, &["fig06", "--quiet"]);
+    assert_eq!(out.status.code(), Some(0));
+    let check = |args: &[&str]| {
+        let mut all = vec!["out/manifests/fig06.json"];
+        all.extend_from_slice(args);
+        let out = run(env!("CARGO_BIN_EXE_check_manifest"), &dir, &all);
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    assert_eq!(check(&["--max", "wall_ms=1e12"]).0, Some(0));
+    let (code, stderr) = check(&["--max", "wall_ms=1e12", "--max", "started_unix_ms=1"]);
+    assert_eq!(code, Some(1));
+    assert!(
+        stderr.contains("started_unix_ms is") && stderr.contains("bound is 1"),
+        "{stderr}"
+    );
+    let (code, stderr) = check(&["--max", "no_such_field=1"]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("no_such_field is missing"), "{stderr}");
+    for bad in [
+        &["--max", "wall_ms"][..],
+        &["--max", "wall_ms=lots"],
+        &["--max"],
+    ] {
+        assert_eq!(check(bad).0, Some(2), "{bad:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

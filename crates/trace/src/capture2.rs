@@ -1191,18 +1191,40 @@ impl<R: Read> CaptureChunks<R> {
         self.format
     }
 
+    /// Decodes the next chunk into `out` (clearing it first, keeping its
+    /// allocation), as [`ChunkCursor::next_chunk`] does. Returns `Ok(false)`
+    /// when the walk is complete.
+    ///
+    /// # Errors
+    ///
+    /// As the iterator: an error ends the walk, and later calls return
+    /// `Ok(false)`.
+    pub fn next_into(&mut self, out: &mut Vec<MsgRecord>) -> Result<bool, CaptureError> {
+        out.clear();
+        let step = match self.state {
+            ChunksState::Done => return Ok(false),
+            ChunksState::Flat { remaining, prev } => self.next_flat(remaining, prev, out),
+            ChunksState::Chunked { next, prev_max } => self.next_chunked(next, prev_max, out),
+        };
+        if !matches!(step, Ok(true)) {
+            self.state = ChunksState::Done;
+        }
+        step
+    }
+
     /// The next `FGBDCAP1` chunk of at most [`DEFAULT_CHUNK_RECORDS`]
-    /// records; `None` once `remaining` is zero.
+    /// records into `out`; `false` once `remaining` is zero.
     fn next_flat(
         &mut self,
         remaining: u64,
         mut prev: SimTime,
-    ) -> Result<Option<Vec<MsgRecord>>, CaptureError> {
+        out: &mut Vec<MsgRecord>,
+    ) -> Result<bool, CaptureError> {
         if remaining == 0 {
-            return Ok(None);
+            return Ok(false);
         }
         let take = remaining.min(DEFAULT_CHUNK_RECORDS as u64);
-        let mut out = Vec::with_capacity(take as usize);
+        out.reserve(take as usize);
         for _ in 0..take {
             let rec = crate::capture::read_record_v1(&mut self.r, prev)?;
             prev = rec.at;
@@ -1212,20 +1234,22 @@ impl<R: Read> CaptureChunks<R> {
             remaining: remaining - take,
             prev,
         };
-        Ok(Some(out))
+        Ok(true)
     }
 
-    /// The next `FGBDCAP2` chunk through the shared [`decode_chunk`] step;
-    /// `None` once the footer is read and agrees with the chunks seen.
+    /// The next `FGBDCAP2` chunk into `out` through the shared
+    /// [`decode_chunk`] step; `false` once the footer is read and agrees
+    /// with the chunks seen.
     fn next_chunked(
         &mut self,
         index: u32,
         prev_max: u64,
-    ) -> Result<Option<Vec<MsgRecord>>, CaptureError> {
+        out: &mut Vec<MsgRecord>,
+    ) -> Result<bool, CaptureError> {
         let mut head = [0u8; CHUNK_HEADER_LEN];
         self.r.read_exact(&mut head[..1])?;
         match head[0] {
-            TAG_INDEX => return read_stream_footer(&mut self.r, index).map(|()| None),
+            TAG_INDEX => return read_stream_footer(&mut self.r, index).map(|()| false),
             TAG_CHUNK => self.r.read_exact(&mut head[1..])?,
             _ => return Err(CaptureError::Malformed("unknown block tag")),
         }
@@ -1251,29 +1275,24 @@ impl<R: Read> CaptureChunks<R> {
             })?;
             Ok(&buf[..])
         };
-        let mut records = Vec::new();
-        decode_chunk(&head, index, payload, Projection::ALL, &mut records)?;
+        decode_chunk(&head, index, payload, Projection::ALL, out)?;
         self.state = ChunksState::Chunked {
             next: index + 1,
-            prev_max: records.last().map_or(prev_max, |r| r.at.as_micros()),
+            prev_max: out.last().map_or(prev_max, |r| r.at.as_micros()),
         };
-        Ok(Some(records))
+        Ok(true)
     }
 }
 
+/// Each chunk in a fresh `Vec`; [`CaptureChunks::next_into`] reuses one.
 impl<R: Read> Iterator for CaptureChunks<R> {
     type Item = Result<Vec<MsgRecord>, CaptureError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let step = match self.state {
-            ChunksState::Done => return None,
-            ChunksState::Flat { remaining, prev } => self.next_flat(remaining, prev),
-            ChunksState::Chunked { next, prev_max } => self.next_chunked(next, prev_max),
-        };
-        if !matches!(step, Ok(Some(_))) {
-            self.state = ChunksState::Done;
-        }
-        step.transpose()
+        let mut out = Vec::new();
+        self.next_into(&mut out)
+            .map(|more| more.then_some(out))
+            .transpose()
     }
 }
 
