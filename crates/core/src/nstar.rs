@@ -147,72 +147,6 @@ pub fn estimate(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Option<NStar
     None
 }
 
-/// Bootstrap uncertainty quantification for the congestion point: how much
-/// does N\* move under resampling of the interval population?
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NStarBootstrap {
-    /// The point estimate on the full sample.
-    pub point: f64,
-    /// Mean of the bootstrap estimates.
-    pub mean: f64,
-    /// 2.5th percentile of the bootstrap estimates.
-    pub lo95: f64,
-    /// 97.5th percentile of the bootstrap estimates.
-    pub hi95: f64,
-    /// Fraction of resamples on which an N\* was estimable at all.
-    pub success_rate: f64,
-}
-
-/// Bootstraps [`estimate`] over `resamples` resamples (with replacement) of
-/// the `(load, throughput)` intervals.
-///
-/// Returns `None` when the full-sample estimate fails or fewer than half
-/// the resamples produce an estimate (the knee is not robustly present).
-///
-/// # Panics
-///
-/// Panics if `resamples == 0` or under [`estimate`]'s conditions.
-pub fn estimate_bootstrap(
-    loads: &[f64],
-    tputs: &[f64],
-    cfg: &NStarConfig,
-    resamples: usize,
-    seed: u64,
-) -> Option<NStarBootstrap> {
-    assert!(resamples > 0, "need at least one resample");
-    let point = estimate(loads, tputs, cfg)?.nstar;
-    let n = loads.len();
-    let mut dice = fgbd_des::Dice::seed(seed);
-    let mut estimates = Vec::with_capacity(resamples);
-    let mut rl = Vec::with_capacity(n);
-    let mut rt = Vec::with_capacity(n);
-    for _ in 0..resamples {
-        rl.clear();
-        rt.clear();
-        for _ in 0..n {
-            let i = dice.index(n);
-            rl.push(loads[i]);
-            rt.push(tputs[i]);
-        }
-        if let Some(est) = estimate(&rl, &rt, cfg) {
-            estimates.push(est.nstar);
-        }
-    }
-    let success_rate = estimates.len() as f64 / resamples as f64;
-    if success_rate < 0.5 {
-        return None;
-    }
-    estimates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let q = |p: f64| estimates[((estimates.len() - 1) as f64 * p).round() as usize];
-    Some(NStarBootstrap {
-        point,
-        mean: mean(&estimates),
-        lo95: q(0.025),
-        hi95: q(0.975),
-        success_rate,
-    })
-}
-
 /// Bins `(load, throughput)` samples into `cfg.bins` even load intervals
 /// and returns the per-bin mean curve, ascending by load.
 pub fn curve_bins(loads: &[f64], tputs: &[f64], cfg: &NStarConfig) -> Vec<(f64, f64)> {
@@ -357,34 +291,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_series_panics() {
         estimate(&[1.0], &[], &NStarConfig::default());
-    }
-
-    #[test]
-    fn bootstrap_brackets_the_knee() {
-        let (loads, tputs) = synthetic_samples(10.0, 4_000.0, 50.0, 3_000);
-        let boot =
-            estimate_bootstrap(&loads, &tputs, &NStarConfig::default(), 60, 7).expect("bootstrap");
-        assert!(boot.success_rate > 0.9, "success {}", boot.success_rate);
-        assert!(
-            boot.lo95 <= boot.point && boot.point <= boot.hi95 + 1.0,
-            "point {} outside [{}, {}]",
-            boot.point,
-            boot.lo95,
-            boot.hi95
-        );
-        // The interval straddles the true knee region.
-        assert!(
-            boot.lo95 > 5.0 && boot.hi95 < 20.0,
-            "CI [{}, {}] too loose",
-            boot.lo95,
-            boot.hi95
-        );
-    }
-
-    #[test]
-    fn bootstrap_fails_gracefully_on_unsaturated_data() {
-        let loads: Vec<f64> = (0..500).map(|i| i as f64 / 50.0 + 0.1).collect();
-        let tputs: Vec<f64> = loads.iter().map(|l| 100.0 * l).collect();
-        assert!(estimate_bootstrap(&loads, &tputs, &NStarConfig::default(), 20, 7).is_none());
     }
 }

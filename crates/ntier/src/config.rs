@@ -172,13 +172,6 @@ pub struct SystemConfig {
     /// "service time of each class of requests may drift over time (e.g.,
     /// due to changes in the data selectivity)", §III-B). Zero by default.
     pub demand_drift_per_hour: f64,
-    /// Session stickiness: probability that a user's next interaction
-    /// repeats their previous class instead of a fresh draw from the mix
-    /// (RUBBoS users follow page-to-page transitions). Because the
-    /// alternative draw is the stationary mix itself, any value in `[0, 1)`
-    /// leaves the aggregate class distribution unchanged — it only adds
-    /// per-user temporal correlation. Zero (independent draws) by default.
-    pub session_stickiness: f64,
     /// Capture interaction messages (disable to save memory in pure
     /// capacity benchmarks).
     pub capture: bool,
@@ -252,7 +245,6 @@ impl SystemConfig {
             sizes: MsgSizes::paper_default(),
             cpu_sample_period: SimDuration::from_millis(50),
             demand_drift_per_hour: 0.0,
-            session_stickiness: 0.0,
             capture: true,
         }
     }
@@ -341,10 +333,6 @@ impl SystemConfig {
         }
         assert!(self.users > 0, "need at least one user");
         assert!(!self.duration.is_zero(), "duration must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.session_stickiness),
-            "stickiness must be in [0, 1)"
-        );
     }
 }
 

@@ -38,7 +38,7 @@ use crate::config::SystemConfig;
 use crate::dvfs::{DvfsState, PStateSample};
 use crate::gc::{GcEvent, GcState};
 use crate::result::{CpuSample, RunResult, ServerInfo, TxnSample, TxnSummary};
-use crate::users::{UserTable, NO_CLASS};
+use crate::users::UserTable;
 
 /// Who is waiting for a visit's response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -614,21 +614,6 @@ impl<'t> NTierSystem<'t> {
         SimDuration::from_secs_f64(self.workload_dice.exp(env))
     }
 
-    fn sample_class(&mut self, user: u32) -> u16 {
-        // Sticky sessions: repeating the previous class with probability p
-        // (and redrawing from the mix otherwise) keeps the stationary class
-        // distribution identical to the mix weights.
-        let p = self.cfg.session_stickiness;
-        if p > 0.0 && self.workload_dice.chance(p) {
-            let prev = self.users.class(user);
-            // NO_CLASS marks a user with no previous interaction.
-            if prev != NO_CLASS && self.class_weights[usize::from(prev)] > 0.0 {
-                return prev;
-            }
-        }
-        self.workload_dice.weighted(&self.class_weights) as u16
-    }
-
     fn sample_plan(&mut self, now: SimTime, server: usize, class_id: u16) -> Plan {
         let role = self.servers[server].role;
         let class: &RequestClass = self.cfg.mix.class(class_id);
@@ -1009,7 +994,7 @@ impl<'t> NTierSystem<'t> {
     fn start_transaction(&mut self, now: SimTime, user: u32, sched: &mut Scheduler<Ev>) {
         let txn = self.next_txn;
         self.next_txn += 1;
-        let class = self.sample_class(user);
+        let class = self.workload_dice.weighted(&self.class_weights) as u16;
         self.users.start(user, txn, class, now);
         self.send_to_web(user, sched);
     }

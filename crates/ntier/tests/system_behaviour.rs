@@ -188,67 +188,3 @@ fn saturation_limits_throughput() {
     );
     assert!(res.retransmissions > 0, "no admission pushback at WL 14000");
 }
-
-#[test]
-fn sticky_sessions_preserve_the_mix_but_add_correlation() {
-    let run_with = |stickiness: f64| {
-        let mut cfg = SystemConfig::paper_1l2s1l2s(400, Jdk::Jdk16, false, 71);
-        cfg.warmup = SimDuration::from_secs(2);
-        cfg.duration = SimDuration::from_secs(40);
-        cfg.session_stickiness = stickiness;
-        cfg.capture = false;
-        run_txns(cfg).1
-    };
-    let iid = run_with(0.0);
-    let sticky = run_with(0.7);
-
-    // The aggregate class distribution is (statistically) unchanged.
-    let hist = |txns: &[TxnSample]| {
-        let mut h = vec![0usize; 24];
-        for t in txns {
-            h[usize::from(t.class)] += 1;
-        }
-        let total: usize = h.iter().sum();
-        h.into_iter()
-            .map(|c| c as f64 / total as f64)
-            .collect::<Vec<f64>>()
-    };
-    let hi = hist(&iid);
-    let hs = hist(&sticky);
-    let max_diff = hi
-        .iter()
-        .zip(&hs)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(max_diff < 0.03, "mix shifted by {max_diff}");
-
-    // But per-user repeats are far more common when sticky.
-    let repeat_rate = |txns: &[TxnSample]| {
-        let mut by_user: std::collections::HashMap<u32, Vec<(fgbd_des::SimTime, u16)>> =
-            std::collections::HashMap::new();
-        for t in txns {
-            by_user
-                .entry(t.user)
-                .or_default()
-                .push((t.started, t.class));
-        }
-        let mut repeats = 0usize;
-        let mut pairs = 0usize;
-        for seq in by_user.values_mut() {
-            seq.sort();
-            for w in seq.windows(2) {
-                pairs += 1;
-                if w[0].1 == w[1].1 {
-                    repeats += 1;
-                }
-            }
-        }
-        repeats as f64 / pairs.max(1) as f64
-    };
-    let r_iid = repeat_rate(&iid);
-    let r_sticky = repeat_rate(&sticky);
-    assert!(
-        r_sticky > r_iid + 0.4,
-        "stickiness had no effect: {r_iid} vs {r_sticky}"
-    );
-}

@@ -22,18 +22,18 @@
 //! * [`oplaw`] — Little's-law and Utilization-law audits of a capture.
 //! * [`alloc::AllocGauge`] — a counting `#[global_allocator]` for the
 //!   allocation-free and bounded-memory tests.
-//! * [`capture::write_capture`] — the flat `FGBDCAP1` writer, the fixture
-//!   behind the tests of `FGBDCAP1` import (the product writes `FGBDCAP2`).
+//! * [`truth::gc_pauses`] — a run's stop-the-world windows, the ground
+//!   truth the detector's verdicts are scored against.
 //!
 //! The two Criterion benches (`cargo bench -p fgbd-oracle`) time the two
 //! comparisons no `benchmark/` probe makes: `EventQueue` vs `HeapQueue`
 //! and the lane `PsIntegrator` vs [`ps::PsIntegrator`].
 
 pub mod alloc;
-pub mod capture;
 pub mod oplaw;
 pub mod ps;
 pub mod queue;
 pub mod reconstruct;
 pub mod series;
 pub mod span;
+pub mod truth;

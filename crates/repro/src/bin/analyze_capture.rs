@@ -15,8 +15,8 @@
 //! 1 Mi) into the service-time calibration, and the held spans are weighed
 //! when it lands. The detector holds at most as many spans as that budget
 //! has records, so peak memory stays flat no matter how large the capture
-//! is. A file is memory-mapped (either format is accepted: chunked
-//! `FGBDCAP2`, or flat `FGBDCAP1` as an import).
+//! is. A file is memory-mapped; anything but an `FGBDCAP2` capture is
+//! refused as foreign input.
 //!
 //! `--follow` tails a capture that is **still being written** (a growing
 //! file, or a FIFO fed by a live writer — the path is opened once and never
@@ -34,7 +34,7 @@
 //! `analyze_capture: <path>: <error>` with exit status 1 (usage errors,
 //! a zero or non-numeric interval included, exit 2), an unwritable monitor
 //! output as `analyze_capture: out/monitor: <error>`. A run manifest is written to `out/manifests/analyze_capture.*`,
-//! including which route ran (`capture_format`, `source`,
+//! including which route ran (`source`,
 //! `calib_prefix_records`, `decode_threads`) and how calibration overlapped
 //! it (`calib_wait_ms`, `calib_held_spans`). A capture in which a request
 //! arrives on a connection whose previous request is still open — what a
@@ -245,7 +245,7 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
             telemetry.observe(det).unwrap_or_else(|e| fail(e));
         });
     }
-    let za = analyzer.finish_observed(chunks.format(), "stream", 1, |det, end| {
+    let za = analyzer.finish_observed("stream", 1, |det, end| {
         telemetry.finish(det, end).unwrap_or_else(|e| fail(e))
     });
     Ok(za)

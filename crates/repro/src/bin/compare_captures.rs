@@ -83,9 +83,8 @@ impl<R: Read> RecordCursor<R> {
 }
 
 /// Record-level streaming diff: both captures are walked chunk-at-a-time,
-/// so memory stays flat no matter how large the captures are. Works across
-/// formats — a flat `FGBDCAP1` file diffs cleanly against its chunked
-/// `FGBDCAP2` re-encoding.
+/// so memory stays flat no matter how large the captures are. Records are
+/// compared, not bytes, so captures cut into different chunks diff cleanly.
 fn raw_diff(before_path: &str, after_path: &str) -> (u64, u64, Option<u64>) {
     let open = |path| BufReader::new(File::open(path).unwrap_or_else(|e| fail(path, e)));
     let mut before = RecordCursor::open(open(before_path), before_path);

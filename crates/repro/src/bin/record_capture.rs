@@ -11,9 +11,8 @@
 //! `target/experiments/capture.fgbdcap`. A run manifest is written to
 //! `out/manifests/record_capture.*`.
 //!
-//! The file is written in the chunked columnar `FGBDCAP2` format
-//! (~0.2x the flat size). Readers still accept flat `FGBDCAP1` captures
-//! recorded by older builds.
+//! The file is written in the chunked columnar `FGBDCAP2` format, the one
+//! format the readers accept.
 //!
 //! Records stream from the simulator's tap into the chunked writer through
 //! the same writer thread as `million_users` (`tapwriter::TapWriter`, here

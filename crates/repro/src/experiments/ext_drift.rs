@@ -30,22 +30,30 @@ pub fn run() -> ExperimentSummary {
     let warmup_end = SimTime::ZERO + cfg.warmup;
     let horizon = warmup_end + cfg.duration;
 
-    // Both tables fold the capture on the tap, each keeping the spans that
-    // arrive in its window, while the pairer builds the spans they weigh.
+    // Both tables fold the whole capture on the tap, each keeping the spans
+    // that arrive in its window, while the pairer builds the spans they
+    // weigh — mysql-1's only, the one server read: pairing is per server
+    // and connection, so its spans are those of a pairer fed everything.
     // Stale table: calibrated on the first 30 s.
     let early_end = warmup_end + SimDuration::from_secs(30);
     // Fresh table: calibrated on the last 30 s.
     let late_start = horizon - SimDuration::from_secs(30);
     let nodes = node_metas(&cfg);
+    let node = nodes
+        .iter()
+        .find(|n| n.name == "mysql-1")
+        .expect("mysql exists")
+        .id;
     let mut stale = ServiceFold::new(&nodes).with_window(warmup_end, early_end);
     let mut fresh = ServiceFold::new(&nodes).with_window(late_start, horizon);
     let mut pairer = SpanPairer::default();
-    let run = NTierSystem::run_with_record_tap(cfg, |rec| {
-        pairer.push(&rec);
+    NTierSystem::run_with_record_tap(cfg, |rec| {
+        if rec.span_node() == node {
+            pairer.push(&rec);
+        }
         stale.push(&rec);
         fresh.push(&rec);
     });
-    let node = run.node_of("mysql-1").expect("mysql exists");
     let (stale, fresh) = (
         stale.finish(SERVICE_QUANTILE),
         fresh.finish(SERVICE_QUANTILE),

@@ -5,8 +5,8 @@
 //!                                 ┌─▶ online detector ──────────────────▶ reports
 //! source ──chunk──▶ decode ──────┤   (pairs from the first chunk; holds    ▲
 //! (mmap cursor,                   │    spans until the service times land) │
-//!  FGBDCAP1 import, writer's      │     └─▶ (--follow) live telemetry      │
-//!  pipe, --follow tail)           └─▶ calibration worker ──service times───┘
+//!  writer's pipe,                 │     └─▶ (--follow) live telemetry      │
+//!  --follow tail)                 └─▶ calibration worker ──service times───┘
 //!                                     (first FGBD_CALIB_RECORDS records;
 //!                                      the buffer comes back for reuse)
 //! ```
@@ -74,8 +74,6 @@ pub struct ZeroCopyAnalysis {
     /// least one matched span only. The reports' loads/rates/states/N\* are
     /// bit-identical to `analyze_server` on the materialized capture.
     pub reports: Vec<(String, OnlineReport)>,
-    /// Capture format read: `1` (flat `FGBDCAP1`) or `2` (chunked `FGBDCAP2`).
-    pub capture_format: u8,
     /// How the records arrived: `"mmap"`, `"heap"` (the automatic fallback
     /// of [`Mapping::open`]) or `"stream"` ([`analyze_stream`], `--follow`).
     pub source: &'static str,
@@ -96,7 +94,6 @@ impl ZeroCopyAnalysis {
     /// is visible.
     pub fn stamp_route(&self, scope: &mut RunScope) {
         let num = |v: usize| Json::Num(v as f64);
-        scope.field("capture_format", num(self.capture_format.into()));
         scope.field("source", Json::Str(self.source.into()));
         scope.field("calib_prefix_records", num(self.calib_prefix_records));
         scope.field("decode_threads", num(self.decode_threads));
@@ -284,13 +281,8 @@ impl CaptureAnalyzer {
     /// closes the grid at the last record, and returns the reports in
     /// node-table order, stamped with the route the caller fed it by. An
     /// empty capture yields `records == 0` and no reports.
-    pub fn finish(
-        self,
-        capture_format: u8,
-        source: &'static str,
-        decode_threads: usize,
-    ) -> ZeroCopyAnalysis {
-        self.finish_observed(capture_format, source, decode_threads, |det, end| {
+    pub fn finish(self, source: &'static str, decode_threads: usize) -> ZeroCopyAnalysis {
+        self.finish_observed(source, decode_threads, |det, end| {
             end.map_or(Vec::new(), |end| det.finish(end).reports)
         })
     }
@@ -301,7 +293,6 @@ impl CaptureAnalyzer {
     /// timestamp: there is no grid at all.
     pub fn finish_observed(
         mut self,
-        capture_format: u8,
         source: &'static str,
         decode_threads: usize,
         close: impl FnOnce(OnlineDetector, Option<SimTime>) -> Vec<OnlineReport>,
@@ -329,7 +320,6 @@ impl CaptureAnalyzer {
             start,
             end,
             reports,
-            capture_format,
             source,
             // The first `calib_cap` records, or all of a shorter capture.
             calib_prefix_records: self.calib_cap.min(self.records as usize),
@@ -342,19 +332,19 @@ impl CaptureAnalyzer {
 
 /// Analyzes a capture file: the file is mapped ([`Mapping::open`], heap
 /// fallback automatic) and scanned once, front to back, through a
-/// [`CaptureAnalyzer`]. An `FGBDCAP2` capture is walked by the lazy
+/// [`CaptureAnalyzer`]. The capture is walked by the lazy
 /// [`ChunkCursor`] — all columns, one chunk at a time, while the
 /// calibration worker still wants records; only the detector's columns,
 /// `threads` chunks decoded ahead (clamped on <2-core hosts), afterwards — with
-/// consumed pages released behind the scan. A flat `FGBDCAP1` capture (the
-/// cursor's `BadMagic`) is imported through [`CaptureChunks`] over the same
-/// mapping. `interval` is the analysis granularity.
+/// consumed pages released behind the scan. `interval` is the analysis
+/// granularity.
 ///
 /// # Errors
 ///
 /// [`CaptureError::Io`] for filesystem failures, [`CaptureError::BadMagic`]
-/// for a file of neither format, and [`CaptureError::Malformed`] /
-/// [`CaptureError::Chunk`] for damaged captures, attributed per chunk.
+/// for a file that is not an `FGBDCAP2` capture, and
+/// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for damaged
+/// captures, attributed per chunk.
 pub fn analyze_capture2_zero_copy(
     path: &Path,
     interval: SimDuration,
@@ -365,14 +355,7 @@ pub fn analyze_capture2_zero_copy(
     map.advise_sequential();
     let source = if map.is_mapped() { "mmap" } else { "heap" };
 
-    let mut cursor = match ChunkCursor::new(&map) {
-        Ok(cursor) => cursor,
-        Err(CaptureError::BadMagic(_)) => {
-            let za = analyze_stream(&map[..], interval)?;
-            return Ok(ZeroCopyAnalysis { source, ..za });
-        }
-        Err(e) => return Err(e),
-    };
+    let mut cursor = ChunkCursor::new(&map)?;
     let mut analyzer = CaptureAnalyzer::new(cursor.nodes().to_vec(), interval);
     let mut buf = Vec::new();
     while cursor.next_chunk(&mut buf)? {
@@ -385,10 +368,10 @@ pub fn analyze_capture2_zero_copy(
         }
         map.release_until(cursor.consumed_bytes());
     }
-    Ok(analyzer.finish(2, source, cursor.threads()))
+    Ok(analyzer.finish(source, cursor.threads()))
 }
 
-/// Analyzes a capture of either format as it streams in: the stream walker
+/// Analyzes a capture as it streams in: the stream walker
 /// ([`CaptureChunks`]) feeds a [`CaptureAnalyzer`] chunk by chunk, so a
 /// reader that is still being written — a pipe from the capture writer
 /// ([`crate::tapwriter`]) — is analyzed as its bytes land. Stamped
@@ -412,5 +395,5 @@ pub fn analyze_stream(
     while chunks.next_into(&mut buf)? {
         buf = analyzer.push_chunk(buf);
     }
-    Ok(analyzer.finish(chunks.format(), "stream", 1))
+    Ok(analyzer.finish("stream", 1))
 }

@@ -5,13 +5,14 @@
 //! the same seed and config — same nodes, same records, and an empty
 //! in-memory log on the tapped side (nothing was double-buffered).
 //!
-//! The second case drives the shipped `analyze_capture` binary over both
-//! formats of one run, from a file, `--follow` and through a FIFO, and
+//! The second case drives the shipped `analyze_capture` binary over one
+//! run's capture, from a file, `--follow` and through a FIFO, and
 //! holds every verdict file to bytes computed here by the batch detector —
 //! an independent implementation of the same analysis. The third holds
 //! `--follow`'s live verdict stream to an eagerly calibrated monitor's and
-//! to itself across runs. The fourth feeds it damaged captures: an error
-//! message and exit status 1, never a panic. The fifth holds
+//! to itself across runs. The fourth feeds it damaged captures and a flat
+//! `FGBDCAP1` file, a format no reader accepts: an error message and exit
+//! status 1, never a panic. The fifth holds
 //! `compare_captures` — the same route, two files — to both, and the sixth
 //! holds the writers (`record_capture`, `million_users`, `live_monitor`,
 //! `analyze_capture --verdicts` and `--follow`) to the same contract on a
@@ -36,7 +37,6 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::config::{BurstConfig, Jdk, SystemConfig};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_obsv::json::Json;
-use fgbd_oracle::capture::write_capture;
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::{Calibration, DEFAULT_CALIB_RECORDS, WORK_UNIT_RESOLUTION};
 use fgbd_repro::scenario::GC_JDK15;
@@ -132,14 +132,14 @@ fn run_cli(dir: &Path, capture: &str, follow: bool, env: &[(&str, String)]) -> (
 }
 
 /// The verdict bytes of a successful run, after checking that its manifest
-/// names the route that ran: `format`, `source` and the `calib` records
-/// service times were calibrated on.
+/// names the route that ran: the `source` and the `calib` records service
+/// times were calibrated on.
 fn cli_verdicts(
     dir: &Path,
     capture: &str,
     follow: bool,
     env: &[(&str, String)],
-    (format, source, calib): (u8, &str, usize),
+    (source, calib): (&str, usize),
 ) -> Vec<u8> {
     let (out, verdicts) = run_cli(dir, capture, follow, env);
     assert!(
@@ -156,22 +156,17 @@ fn cli_verdicts(
             .unwrap_or_else(|| panic!("manifest lacks {key}"))
     };
     let what = format!("{capture} follow={follow}");
-    assert_eq!(
-        field("capture_format").as_f64(),
-        Some(f64::from(format)),
-        "{what}"
-    );
     assert_eq!(field("source").as_str(), Some(source), "{what}");
     assert_eq!(
         field("calib_prefix_records").as_f64(),
         Some(calib as f64),
         "{what}"
     );
-    // Only the mapped FGBDCAP2 cursor decodes ahead; its width is the
-    // host's business, but it is never reported as less than one.
+    // Only the mapped cursor decodes ahead; its width is the host's
+    // business, but it is never reported as less than one.
     let threads = field("decode_threads").as_f64().expect("a number");
     assert!(
-        threads == 1.0 || (threads > 1.0 && format == 2 && !follow),
+        threads == 1.0 || (threads > 1.0 && !follow),
         "{what}: decode_threads {threads}"
     );
     std::fs::read(verdicts).expect("read verdicts file")
@@ -230,18 +225,15 @@ fn analyze_capture_cli_agrees_across_formats_and_follow() {
 
     let dir = std::env::temp_dir().join(format!("fgbd_cli_formats_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let mut flat = Vec::new();
-    write_capture(&mut flat, &log).expect("encode FGBDCAP1");
     let mut chunked = Vec::new();
     write_capture2(&mut chunked, &log).expect("encode FGBDCAP2");
-    // The compression target: the chunked file stays <= 0.7x the flat size.
+    // The compression target: the chunked file stays <= 0.7x the 31 B per
+    // record that a flat, fixed-width record layout takes.
     assert!(
-        chunked.len() * 10 <= flat.len() * 7,
-        "flat {} B, chunked {} B",
-        flat.len(),
+        chunked.len() * 10 <= n * 31 * 7,
+        "{n} records, chunked {} B",
         chunked.len()
     );
-    std::fs::write(dir.join("run.cap1"), flat).expect("write FGBDCAP1 file");
     std::fs::write(dir.join("run.cap2"), &chunked).expect("write FGBDCAP2 file");
     // Small chunks for the short-prefix input: the prefix ends mid-chunk and
     // most chunks reach the analyzer after calibration.
@@ -261,15 +253,10 @@ fn analyze_capture_cli_agrees_across_formats_and_follow() {
     for (calib, env, cap2) in [(n, &[][..], "run.cap2"), (third, &short[..], "fine.cap2")] {
         let reference = batch_verdicts(&log, calib);
         assert!(!reference.is_empty(), "the run must produce verdict lines");
-        for (capture, follow, format, source) in [
-            ("run.cap1", false, 1, mapped),
-            ("run.cap1", true, 1, "stream"),
-            (cap2, false, 2, mapped),
-            (cap2, true, 2, "stream"),
-        ] {
+        for (follow, source) in [(false, mapped), (true, "stream")] {
             assert!(
-                cli_verdicts(&dir, capture, follow, env, (format, source, calib)) == reference,
-                "{capture} follow={follow} calib={calib}: verdicts differ from the batch detector's"
+                cli_verdicts(&dir, cap2, follow, env, (source, calib)) == reference,
+                "{cap2} follow={follow} calib={calib}: verdicts differ from the batch detector's"
             );
         }
     }
@@ -292,7 +279,7 @@ fn analyze_capture_cli_agrees_across_formats_and_follow() {
                 w.flush().expect("flush fifo");
             }
         });
-        let tailed = cli_verdicts(&dir, "run.fifo", true, &[], (2, "stream", n));
+        let tailed = cli_verdicts(&dir, "run.fifo", true, &[], ("stream", n));
         writer.join().expect("fifo writer");
         let plain = std::fs::read(dir.join("run.cap2.plain.jsonl")).expect("plain run's verdicts");
         assert!(tailed == plain, "FIFO verdicts differ from the plain run's");
@@ -421,6 +408,11 @@ fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
     let dir = std::env::temp_dir().join(format!("fgbd_cli_damaged_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     std::fs::write(dir.join("foreign.cap"), b"PCAPNG\0\0 not an fgbd capture").expect("write");
+    // A flat `FGBDCAP1` capture with no nodes and no records: well formed
+    // in that retired format, foreign to every reader now.
+    let mut v1 = b"FGBDCAP1".to_vec();
+    v1.extend_from_slice(&[0; 4 + 8]);
+    std::fs::write(dir.join("v1.cap"), v1).expect("write");
     std::fs::write(dir.join("truncated.cap"), &good[..chunk1 + 100]).expect("write");
     std::fs::write(dir.join("flipped.cap"), flipped).expect("write");
 
@@ -432,6 +424,7 @@ fn analyze_capture_cli_reports_damaged_captures_without_panicking() {
     ];
     for (capture, needle) in [
         ("foreign.cap", "not a capture file"),
+        ("v1.cap", "not a capture file"),
         ("truncated.cap", "malformed capture"),
         ("flipped.cap", "malformed capture chunk 1:"),
         ("missing.cap", "missing.cap"),

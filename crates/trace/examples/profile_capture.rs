@@ -1,7 +1,7 @@
 //! Quick wall-clock comparison of the two chunk walkers on a 200k-record
 //! fixture — the in-memory `ChunkCursor` at one thread and at
-//! `FGBD_CAPTURE_THREADS`, the stream walker `CaptureChunks` over the flat
-//! and the chunked bytes — plus the chunked encode; handy when tuning
+//! `FGBD_CAPTURE_THREADS`, and the stream walker `CaptureChunks` — plus
+//! the encode; handy when tuning
 //! `capture2` without a full benchmark run:
 //!
 //! ```bash
@@ -80,8 +80,6 @@ fn drain_stream(bytes: &[u8]) -> usize {
 
 fn main() {
     let log = fixture();
-    let mut flat = Vec::new();
-    fgbd_oracle::capture::write_capture(&mut flat, &log).unwrap();
     let mut chunked = Vec::new();
     fgbd_trace::write_capture2(&mut chunked, &log).unwrap();
     let chunk_records: usize = std::env::var("PROFILE_CHUNK")
@@ -101,16 +99,12 @@ fn main() {
         println!("(re-encoded at {chunk_records} records/chunk)");
     }
     println!(
-        "flat {} B, chunked {} B ({:.2}x)",
-        flat.len(),
+        "chunked {} B ({:.2} B/record)",
         chunked.len(),
-        chunked.len() as f64 / flat.len() as f64
+        chunked.len() as f64 / log.records.len() as f64
     );
     let threads = threads_from_env();
     for _ in 0..3 {
-        time("flat stream read", 20, || {
-            drain_stream(&flat);
-        });
         time("chunked stream read", 20, || {
             drain_stream(&chunked);
         });

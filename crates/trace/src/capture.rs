@@ -2,44 +2,21 @@
 //! can be written during a run and analyzed offline (or exchanged between
 //! tools) without dragging a JSON serializer through millions of records.
 //!
-//! The product writes one format, the chunked columnar `FGBDCAP2` (see
-//! [`crate::capture2`]). This module holds what both formats share — the
-//! node-table encoding and [`CaptureError`] — the flat `FGBDCAP1` record
-//! decoding that old captures still need, and the two whole-log readers:
-//! [`read_capture`] collects a stream through [`CaptureChunks`] (either
-//! format), [`read_capture_file`] collects a file through [`ChunkCursor`]
-//! (falling back to the stream walker for `FGBDCAP1`).
-//!
-//! `FGBDCAP1` layout (all integers little-endian):
-//!
-//! ```text
-//! magic   [u8;8]  = b"FGBDCAP1"
-//! n_nodes u32
-//!   per node: id u16, kind u8 (0=client, 1=server), tier u8 (0xFF = none),
-//!             name_len u16, name bytes (UTF-8)
-//! n_records u64
-//!   per record: at u64, src u16, dst u16, kind u8 (0=req, 1=resp),
-//!               conn u32, class u16, bytes u32,
-//!               truth u64 (u64::MAX = none)
-//! ```
-//!
-//! Readers reject unknown magics and truncated inputs with
-//! [`CaptureError`].
+//! There is one format, the chunked columnar `FGBDCAP2` (see
+//! [`crate::capture2`]). This module holds its node-table encoding,
+//! [`CaptureError`], and the two whole-log readers: [`read_capture`]
+//! collects a stream through [`CaptureChunks`], [`read_capture_file`]
+//! collects a file through [`ChunkCursor`]. Readers reject unknown magics
+//! and truncated inputs with [`CaptureError`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use fgbd_des::SimTime;
-
 use crate::capture2::{threads_from_env, CaptureChunks, ChunkCursor};
-use crate::record::{
-    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
-};
+use crate::record::{NodeId, NodeKind, NodeMeta, TraceLog};
 
-pub(crate) const MAGIC: &[u8; 8] = b"FGBDCAP1";
 const NO_TIER: u8 = 0xFF;
-const NO_TRUTH: u64 = u64::MAX;
 
 /// Failures while reading or writing a capture file.
 #[derive(Debug)]
@@ -95,8 +72,7 @@ impl From<io::Error> for CaptureError {
     }
 }
 
-/// Writes the node table — shared verbatim by both capture formats, so a
-/// format upgrade never changes how topology metadata is encoded.
+/// Writes the node table of a capture's header.
 pub(crate) fn write_node_table<W: Write>(
     w: &mut W,
     nodes: &[NodeMeta],
@@ -149,8 +125,8 @@ pub(crate) fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<NodeMeta>, Captu
     Ok(nodes)
 }
 
-/// Reads a capture stream of either format into a [`TraceLog`]: one loop
-/// over the stream walker, [`CaptureChunks`].
+/// Reads a capture stream into a [`TraceLog`]: one loop over the stream
+/// walker, [`CaptureChunks`].
 ///
 /// # Errors
 ///
@@ -169,9 +145,8 @@ pub fn read_capture<R: Read>(r: R) -> Result<TraceLog, CaptureError> {
 /// Reads a capture file into a [`TraceLog`]: one loop over the in-memory
 /// walker, [`ChunkCursor`], decoding `FGBD_CAPTURE_THREADS` chunks ahead
 /// ([`threads_from_env`]). The file is memory-mapped where the platform
-/// allows and heap-read otherwise (`crate::mmapio`); an `FGBDCAP1` file
-/// (the cursor's `BadMagic`) goes through [`read_capture`] instead. The
-/// decoded log is the same at every thread count.
+/// allows and heap-read otherwise (`crate::mmapio`). The decoded log is the
+/// same at every thread count.
 ///
 /// # Errors
 ///
@@ -179,11 +154,7 @@ pub fn read_capture<R: Read>(r: R) -> Result<TraceLog, CaptureError> {
 /// [`read_capture`] can return.
 pub fn read_capture_file(path: &Path) -> Result<TraceLog, CaptureError> {
     let bytes = crate::mmapio::Mapping::open(path)?;
-    let mut cursor = match ChunkCursor::new(&bytes) {
-        Ok(cursor) => cursor.with_threads(threads_from_env()),
-        Err(CaptureError::BadMagic(_)) => return read_capture(&*bytes),
-        Err(e) => return Err(e),
-    };
+    let mut cursor = ChunkCursor::new(&bytes)?.with_threads(threads_from_env());
     let mut log = TraceLog::new(cursor.nodes().to_vec());
     // The index counts are unchecked, but no record is smaller than a byte.
     let total = usize::try_from(cursor.total_records()).unwrap_or(usize::MAX);
@@ -193,39 +164,6 @@ pub fn read_capture_file(path: &Path) -> Result<TraceLog, CaptureError> {
         log.records.extend_from_slice(&chunk);
     }
     Ok(log)
-}
-
-/// Decodes one flat-format record, enforcing time order against `prev` —
-/// the `FGBDCAP1` half of [`CaptureChunks`].
-pub(crate) fn read_record_v1<R: Read>(r: &mut R, prev: SimTime) -> Result<MsgRecord, CaptureError> {
-    let at = SimTime::from_micros(read_u64(r)?);
-    if at < prev {
-        return Err(CaptureError::Malformed("records out of order"));
-    }
-    let src = NodeId(read_u16(r)?);
-    let dst = NodeId(read_u16(r)?);
-    let kind = match read_u8(r)? {
-        0 => MsgKind::Request,
-        1 => MsgKind::Response,
-        _ => return Err(CaptureError::Malformed("unknown message kind")),
-    };
-    let conn = ConnId(read_u32(r)?);
-    let class = ClassId(read_u16(r)?);
-    let bytes = read_u32(r)?;
-    let truth = match read_u64(r)? {
-        NO_TRUTH => None,
-        t => Some(TxnId(t)),
-    };
-    Ok(MsgRecord {
-        at,
-        src,
-        dst,
-        kind,
-        conn,
-        class,
-        bytes,
-        truth,
-    })
 }
 
 pub(crate) fn read_u8<R: Read>(r: &mut R) -> Result<u8, CaptureError> {

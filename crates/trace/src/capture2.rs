@@ -1,15 +1,15 @@
-//! `FGBDCAP2`: the chunked columnar capture format.
+//! `FGBDCAP2`: the chunked columnar capture format, the only one.
 //!
-//! `FGBDCAP1` (see [`crate::capture`]) is a flat stream of 31-byte records —
-//! simple, but every read is sequential and every byte is paid even for
-//! columns that barely change (`src`/`dst`/`kind` cycle through a handful of
-//! values; timestamps are near-monotone micros). `FGBDCAP2` regroups the
-//! stream into fixed-size chunks of column-major data so captures are
-//! smaller on disk **and** readable in parallel or by time range:
+//! Most columns barely change (`src`/`dst`/`kind` cycle through a handful
+//! of values; timestamps are near-monotone micros), so the records are
+//! grouped into fixed-size chunks of column-major data: captures are small
+//! on disk **and** readable in parallel or by time range:
 //!
 //! ```text
 //! magic   [u8;8] = b"FGBDCAP2"
-//! node table     (identical encoding to FGBDCAP1, see capture::write_node_table)
+//! node table     n_nodes u32, then per node: id u16, kind u8 (0=client,
+//!                1=server), tier u8 (0xFF = none), name_len u16, name bytes
+//!                (UTF-8); see capture::write_node_table
 //! chunk*         tag u8 = 0x01
 //!                record_count u32, min_at u64, max_at u64,
 //!                byte_len u32 (payload), checksum u64 (folded xor-multiply, see checksum64)
@@ -41,10 +41,9 @@
 //! [`ChunkCursor`] over a capture in memory (mmap or heap), which finds the
 //! chunks through the footer index (the last 16 bytes point at it) and can
 //! decode ahead across threads, and [`CaptureChunks`] over a stream (a
-//! FIFO, a `--follow` tail, an `FGBDCAP1` import), which reads chunk after
-//! chunk and checks their order. Chunks validate independently, so
-//! corruption is reported per chunk ([`CaptureError::Chunk`]) instead of
-//! as a file-sized shrug.
+//! FIFO, a `--follow` tail), which reads chunk after chunk and checks their
+//! order. Chunks validate independently, so corruption is reported per
+//! chunk ([`CaptureError::Chunk`]) instead of as a file-sized shrug.
 //!
 //! Writers stream through [`ChunkedWriter`]: memory is bounded by one
 //! chunk (default 64 Ki records) regardless of capture size, which is what
@@ -57,7 +56,7 @@ use std::io::{Read, Write};
 use fgbd_des::SimTime;
 
 use crate::capture::{
-    read_node_table, read_u32, read_u64, read_u8, write_node_table, CaptureError, MAGIC,
+    read_node_table, read_u32, read_u64, read_u8, write_node_table, CaptureError,
 };
 use crate::record::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeMeta, TraceLog, TxnId};
 
@@ -953,10 +952,8 @@ impl<'a> ChunkCursor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CaptureError::BadMagic`] for foreign inputs (including
-    /// `FGBDCAP1` — the cursor is `FGBDCAP2`-only; stream flat captures
-    /// through [`CaptureChunks`] instead) and [`CaptureError::Malformed`]
-    /// for a damaged header or footer.
+    /// Returns [`CaptureError::BadMagic`] for foreign inputs and
+    /// [`CaptureError::Malformed`] for a damaged header or footer.
     pub fn new(bytes: &'a [u8]) -> Result<Self, CaptureError> {
         let (nodes, chunks) = parse_index(bytes)?;
         Ok(ChunkCursor {
@@ -1094,7 +1091,7 @@ impl std::fmt::Debug for ChunkCursor<'_> {
     }
 }
 
-// --- stream walker (either format) --------------------------------------------
+// --- stream walker -----------------------------------------------------------
 
 /// Consumes and validates the footer body (the tag byte has already been
 /// read) against the number of chunks actually decoded.
@@ -1118,32 +1115,22 @@ fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), Captur
     Ok(())
 }
 
-/// Streams a capture of either format as chunks of records — the stream
-/// walker, under `read_capture`, `analyze_capture --follow` and FIFO input,
-/// `compare_captures --raw`, and every `FGBDCAP1` import — in flat memory.
-/// `FGBDCAP2` yields its native chunks, each checked to start no earlier
-/// than the one before ended; `FGBDCAP1` is re-cut into
-/// [`DEFAULT_CHUNK_RECORDS`]-sized chunks on the fly.
+/// Streams a capture as chunks of records — the stream walker, under
+/// `read_capture`, `analyze_capture --follow` and FIFO input, and
+/// `compare_captures --raw` — in flat memory. Each chunk is checked to
+/// start no earlier than the one before ended.
 pub struct CaptureChunks<R: Read> {
     r: R,
     nodes: Vec<NodeMeta>,
-    format: u8,
-    state: ChunksState,
-    /// `FGBDCAP2` payload buffer, reused from chunk to chunk.
+    /// Next chunk index and the previous chunk's max timestamp; `None`
+    /// once the footer is consumed or an error yielded.
+    state: Option<(u32, u64)>,
+    /// Payload buffer, reused from chunk to chunk.
     payload: Vec<u8>,
 }
 
-enum ChunksState {
-    /// FGBDCAP1: records remaining, previous timestamp (order check).
-    Flat { remaining: u64, prev: SimTime },
-    /// FGBDCAP2: next chunk index, previous chunk's max timestamp.
-    Chunked { next: u32, prev_max: u64 },
-    /// Footer consumed or error yielded; iteration is over.
-    Done,
-}
-
 impl<R: Read> CaptureChunks<R> {
-    /// Opens a capture stream of either format, consuming its header.
+    /// Opens a capture stream, consuming its header.
     ///
     /// # Errors
     ///
@@ -1152,30 +1139,14 @@ impl<R: Read> CaptureChunks<R> {
     pub fn open(mut r: R) -> Result<Self, CaptureError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        let format = if &magic == MAGIC2 {
-            2
-        } else if &magic == MAGIC {
-            1
-        } else {
+        if &magic != MAGIC2 {
             return Err(CaptureError::BadMagic(magic));
-        };
+        }
         let nodes = read_node_table(&mut r)?;
-        let state = if format == 2 {
-            ChunksState::Chunked {
-                next: 0,
-                prev_max: 0,
-            }
-        } else {
-            ChunksState::Flat {
-                remaining: read_u64(&mut r)?,
-                prev: SimTime::ZERO,
-            }
-        };
         Ok(CaptureChunks {
             r,
             nodes,
-            format,
-            state,
+            state: Some((0, 0)),
             payload: Vec::new(),
         })
     }
@@ -1183,12 +1154,6 @@ impl<R: Read> CaptureChunks<R> {
     /// The capture's node table (decoded eagerly by [`open`](Self::open)).
     pub fn nodes(&self) -> &[NodeMeta] {
         &self.nodes
-    }
-
-    /// The format [`open`](Self::open) sniffed: `1` for flat `FGBDCAP1`,
-    /// `2` for chunked `FGBDCAP2`.
-    pub fn format(&self) -> u8 {
-        self.format
     }
 
     /// Decodes the next chunk into `out` (clearing it first, keeping its
@@ -1201,45 +1166,19 @@ impl<R: Read> CaptureChunks<R> {
     /// `Ok(false)`.
     pub fn next_into(&mut self, out: &mut Vec<MsgRecord>) -> Result<bool, CaptureError> {
         out.clear();
-        let step = match self.state {
-            ChunksState::Done => return Ok(false),
-            ChunksState::Flat { remaining, prev } => self.next_flat(remaining, prev, out),
-            ChunksState::Chunked { next, prev_max } => self.next_chunked(next, prev_max, out),
+        let Some((next, prev_max)) = self.state.take() else {
+            return Ok(false);
         };
-        if !matches!(step, Ok(true)) {
-            self.state = ChunksState::Done;
+        let step = self.next_chunked(next, prev_max, out);
+        if let Ok(true) = step {
+            let prev_max = out.last().map_or(prev_max, |r| r.at.as_micros());
+            self.state = Some((next + 1, prev_max));
         }
         step
     }
 
-    /// The next `FGBDCAP1` chunk of at most [`DEFAULT_CHUNK_RECORDS`]
-    /// records into `out`; `false` once `remaining` is zero.
-    fn next_flat(
-        &mut self,
-        remaining: u64,
-        mut prev: SimTime,
-        out: &mut Vec<MsgRecord>,
-    ) -> Result<bool, CaptureError> {
-        if remaining == 0 {
-            return Ok(false);
-        }
-        let take = remaining.min(DEFAULT_CHUNK_RECORDS as u64);
-        out.reserve(take as usize);
-        for _ in 0..take {
-            let rec = crate::capture::read_record_v1(&mut self.r, prev)?;
-            prev = rec.at;
-            out.push(rec);
-        }
-        self.state = ChunksState::Flat {
-            remaining: remaining - take,
-            prev,
-        };
-        Ok(true)
-    }
-
-    /// The next `FGBDCAP2` chunk into `out` through the shared
-    /// [`decode_chunk`] step; `false` once the footer is read and agrees
-    /// with the chunks seen.
+    /// The next chunk into `out` through the shared [`decode_chunk`] step;
+    /// `false` once the footer is read and agrees with the chunks seen.
     fn next_chunked(
         &mut self,
         index: u32,
@@ -1276,10 +1215,6 @@ impl<R: Read> CaptureChunks<R> {
             Ok(&buf[..])
         };
         decode_chunk(&head, index, payload, Projection::ALL, out)?;
-        self.state = ChunksState::Chunked {
-            next: index + 1,
-            prev_max: out.last().map_or(prev_max, |r| r.at.as_micros()),
-        };
         Ok(true)
     }
 }

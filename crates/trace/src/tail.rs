@@ -8,8 +8,8 @@
 //!
 //! This is what lets the streaming decoders tail a growing capture: wrap
 //! the file in a `TailReader` and hand it to
-//! [`crate::CaptureChunks::open`] — each FGBDCAP2 chunk (or batch of
-//! FGBDCAP1 records) is decoded and yielded as soon as its bytes land, and
+//! [`crate::CaptureChunks::open`] — each chunk is decoded and yielded as
+//! soon as its bytes land, and
 //! the iterator ends normally when the writer's footer appears.
 //! For a FIFO or socket the kernel already blocks reads until data
 //! arrives, so the poll path simply never triggers; the wrapper stays

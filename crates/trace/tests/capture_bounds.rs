@@ -10,7 +10,6 @@ use std::path::PathBuf;
 
 use fgbd_des::SimTime;
 use fgbd_oracle::alloc::AllocGauge;
-use fgbd_oracle::capture::write_capture;
 use fgbd_trace::capture::{read_capture, read_capture_file, CaptureError};
 use fgbd_trace::capture2::{write_capture2, CaptureChunks, ChunkCursor};
 use fgbd_trace::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog};
@@ -109,12 +108,6 @@ fn claimed_counts_and_lengths_size_no_allocation() {
             "count: {e}"
         );
     }
-
-    // An `FGBDCAP1` header claiming 2^40 records over one record's bytes.
-    let mut v1 = Vec::new();
-    write_capture(&mut v1, &log).expect("write FGBDCAP1");
-    patch(&mut v1, chunk, &(1u64 << 40).to_le_bytes());
-    all_readers_reject("flat", &v1);
 
     // A stream chunk claiming a u32::MAX-byte payload over a 10-byte tail.
     let mut long = v2[..chunk + 33 + 10].to_vec();
