@@ -31,13 +31,21 @@
 //!
 //! # Deferred calibration
 //!
-//! Step 2 needs service times; pairing does not. A detector built
-//! [`OnlineDetector::uncalibrated`] pairs from the first record and holds
-//! each closed span as a compact `(server, arrival, departure, class)`
-//! entry with finalization deferred; [`OnlineDetector::calibrate`] then
-//! weighs the held spans into the rings and finalizes every server up to
-//! its watermark. Ring sums are integers, so weighing later gives the same
-//! cells, and intervals still pop in index order, so the live refit
+//! Step 2 needs service times for one of its three sums; pairing does not.
+//! A detector built [`OnlineDetector::uncalibrated`] pairs from the first
+//! record and folds each closed span's overlap and completion count into
+//! its ring at once, with finalization deferred, and holds only what
+//! calibration changes: the completion's departure interval and the span's
+//! residence, two `u32`s (8 bytes) kept under the span's server and class.
+//! [`OnlineDetector::calibrate`] then weighs each class's held completions
+//! (one service-table probe per server and class) into the rings' service
+//! sums and finalizes every server up to its watermark. Ring sums are
+//! integers and nothing is popped before calibration, so weighing later,
+//! and by class rather than in close order, gives the same cells. A class
+//! the table lacks weighs `min(residence, work unit)`, so a residence
+//! saturated at `u32::MAX` µs (71 minutes) is exact while the work unit
+//! fits a `u32` (asserted at calibration); a departure before its arrival
+//! weighs as residence 0. Intervals still pop in index order, so the live refit
 //! sequence — and with it `live_congested` / `live_frozen` and the verdicts'
 //! kind, interval, load and rate — is what a detector calibrated at
 //! construction produces ([`OnlineDetector::new`] is exactly that: calibrated
@@ -280,6 +288,9 @@ struct ServerState {
     /// Finalized intervals' `IntervalRing::pop` triples: the final report's
     /// series, and (the last [`LIVE_WINDOW`]) the live N\* fit's samples.
     retained: Vec<(u64, u32, u64)>,
+    /// Completions closed before calibration, by `ClassId.0`: the interval
+    /// each was counted in and its residence in µs (module docs).
+    held: Vec<Vec<(u32, u32)>>,
     live_nstar: Option<NStar>,
     streak: usize,
     streak_start: usize,
@@ -302,6 +313,7 @@ impl ServerState {
             open: OpenTable::default(),
             ring: IntervalRing::open_ended(cfg.start, cfg.interval),
             retained: Vec::new(),
+            held: Vec::new(),
             live_nstar: None,
             streak: 0,
             streak_start: 0,
@@ -323,66 +335,29 @@ impl ServerState {
             + self.open.state_bytes()
             + self.retained.len() * size_of::<(u64, u32, u64)>()
     }
-}
 
-/// A matched span held until calibration: what weighing it into its
-/// server's ring needs, in 16 bytes. The departure is stored as a `u32`
-/// residence after the arrival, or as [`WIDE_RESIDENCE`] when it does not
-/// fit one (see [`HeldSpans`]).
-#[derive(Debug, Clone, Copy)]
-struct HeldSpan {
-    arrival_us: u64,
-    residence_us: u32,
-    server: NodeId,
-    class: ClassId,
-}
+    /// Bytes of the held completions (while uncalibrated).
+    fn held_bytes(&self) -> usize {
+        let pairs: usize = self.held.iter().map(Vec::len).sum();
+        pairs * std::mem::size_of::<(u32, u32)>()
+    }
 
-/// A held span's residence delta whose departure is kept in
-/// [`HeldSpans::wide`] instead: a departure before its arrival (a
-/// reordered capture) or a residence of `u32::MAX` µs (71 minutes) or more.
-const WIDE_RESIDENCE: u32 = u32::MAX;
-
-/// The spans closed before calibration, in close order, plus the exact
-/// departures of the wide ones, in the same order.
-#[derive(Debug, Default)]
-struct HeldSpans {
-    spans: Vec<HeldSpan>,
-    wide: Vec<u64>,
-}
-
-impl HeldSpans {
-    fn push(&mut self, arrival_us: u64, departure_us: u64, server: NodeId, class: ClassId) {
-        let delta = departure_us.checked_sub(arrival_us);
-        let residence_us = match delta.and_then(|d| u32::try_from(d).ok()) {
-            Some(d) if d != WIDE_RESIDENCE => d,
-            _ => {
-                self.wide.push(departure_us);
-                WIDE_RESIDENCE
-            }
+    /// Folds a span closed before calibration into the ring without its
+    /// service time, and holds its departure interval and residence under
+    /// its class for [`OnlineDetector::calibrate`] to weigh.
+    fn hold(&mut self, class: ClassId, arrival_us: u64, departure_us: u64) {
+        let Some(index) = self.ring.add_span(arrival_us, departure_us) else {
+            return;
         };
-        self.spans.push(HeldSpan {
-            arrival_us,
-            residence_us,
-            server,
-            class,
-        });
-    }
-
-    /// The held spans as `(span, departure_us)`, in close order.
-    fn drain(self) -> impl Iterator<Item = (HeldSpan, u64)> {
-        let mut wide = self.wide.into_iter();
-        self.spans.into_iter().map(move |span| {
-            let departure_us = match span.residence_us {
-                WIDE_RESIDENCE => wide.next().expect("a wide span kept its departure"),
-                d => span.arrival_us + u64::from(d),
-            };
-            (span, departure_us)
-        })
-    }
-
-    fn state_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.spans.capacity() * size_of::<HeldSpan>() + self.wide.capacity() * size_of::<u64>()
+        let index = u32::try_from(index).expect("a held span departs past interval u32::MAX");
+        // Saturated: weighing reads it only as `min(residence, work unit)`.
+        let residence_us = departure_us.saturating_sub(arrival_us);
+        let residence_us = u32::try_from(residence_us).unwrap_or(u32::MAX);
+        let class = class.0 as usize;
+        if class >= self.held.len() {
+            self.held.resize_with(class + 1, Vec::new);
+        }
+        self.held[class].push((index, residence_us));
     }
 }
 
@@ -398,9 +373,9 @@ pub struct OnlineDetector {
     wu_overrides: FxHashMap<u16, u64>,
     /// Per-server state, indexed by `NodeId.0`.
     servers: Vec<Option<Box<ServerState>>>,
-    /// Spans closed before [`calibrate`](Self::calibrate), in close order;
-    /// `None` once calibrated.
-    held: Option<HeldSpans>,
+    /// Spans closed before [`calibrate`](Self::calibrate); `None` once
+    /// calibrated.
+    held: Option<usize>,
     cur_us: u64,
     records: u64,
     /// Records stamped before stream time (see the module docs).
@@ -437,7 +412,7 @@ impl OnlineDetector {
             services: ServiceTimeTable::new(),
             service_cache: ServiceCache::default(),
             servers: Vec::new(),
-            held: Some(HeldSpans::default()),
+            held: Some(0),
             cur_us: 0,
             records: 0,
             reordered: 0,
@@ -446,38 +421,40 @@ impl OnlineDetector {
     }
 
     /// Supplies the service times and per-server work units, weighs every
-    /// held span into its server's ring and finalizes each server up to its
-    /// watermark; from here on spans are weighed as they close.
+    /// held completion into its server's ring and finalizes each server up
+    /// to its watermark; from here on spans are weighed as they close.
     ///
     /// # Panics
     ///
-    /// Panics if the detector is already calibrated or a work unit is zero.
+    /// Panics if the detector is already calibrated, a work unit is zero,
+    /// or a server with held completions has a work unit of `2^32` µs or
+    /// more (its held residences are saturated `u32`s, see the module docs).
     pub fn calibrate(
         &mut self,
         services: ServiceTimeTable,
         work_units: impl IntoIterator<Item = (NodeId, SimDuration)>,
     ) {
-        let held = self.held.take().expect("detector calibrated twice");
+        self.held.take().expect("detector calibrated twice");
         self.services = services;
         for (server, work_unit) in work_units {
             self.set_work_unit(server, work_unit);
         }
-        for (span, departure_us) in held.drain() {
-            let state = self.servers[span.server.0 as usize]
-                .as_deref_mut()
-                .expect("a held span's server has state");
-            let (services, cache) = (&self.services, &mut self.service_cache);
-            Self::weigh(
-                state,
-                services,
-                cache,
-                span.class,
-                span.arrival_us,
-                departure_us,
-            );
-        }
-        let cur_us = self.cur_us;
+        let (services, cache, cur_us) = (&self.services, &mut self.service_cache, self.cur_us);
         for state in self.servers.iter_mut().flatten() {
+            let (server, wu_us) = (state.server, state.wu_us);
+            let held = std::mem::take(&mut state.held);
+            assert!(
+                held.is_empty() || wu_us <= u64::from(u32::MAX),
+                "work unit of {server:?} too long to weigh held spans"
+            );
+            for (class, completions) in held.into_iter().enumerate() {
+                let class = ClassId(class as u16);
+                for (index, residence_us) in completions {
+                    let service_us =
+                        cache.service_us(services, server, class, residence_us.into(), wu_us);
+                    state.ring.add_service(index as usize, service_us);
+                }
+            }
             let target = Self::watermark_index(state, cur_us);
             Self::finalize_to(state, target, cur_us, &self.cfg, &mut self.events);
         }
@@ -485,7 +462,7 @@ impl OnlineDetector {
 
     /// Spans held for weighing at calibration (0 once calibrated).
     pub fn held_spans(&self) -> usize {
-        self.held.as_ref().map_or(0, |held| held.spans.len())
+        self.held.unwrap_or(0)
     }
 
     /// Overrides the work unit for one server (the batch pipeline
@@ -535,7 +512,10 @@ impl OnlineDetector {
                     let arrival_us = arrival.as_micros();
                     let (services, cache) = (&self.services, &mut self.service_cache);
                     match &mut self.held {
-                        Some(held) => held.push(arrival_us, at_us, server, class),
+                        Some(held) => {
+                            *held += 1;
+                            state.hold(class, arrival_us, at_us);
+                        }
                         None => Self::weigh(state, services, cache, class, arrival_us, at_us),
                     }
                 }
@@ -715,9 +695,8 @@ impl OnlineDetector {
 
     /// Bytes of detector state.
     pub fn state_bytes(&self) -> usize {
-        let held = self.held.as_ref().map_or(0, HeldSpans::state_bytes);
         let servers = self.servers.iter().flatten();
-        held + servers.map(|s| s.state_bytes()).sum::<usize>()
+        servers.map(|s| s.state_bytes() + s.held_bytes()).sum()
     }
 
     /// Ends the stream at `end`, resolving the grid to
@@ -1174,28 +1153,36 @@ mod tests {
 
     #[test]
     fn wide_held_spans_weigh_as_if_calibrated_before_they_closed() {
-        assert_eq!(std::mem::size_of::<HeldSpan>(), 16);
         let long = u64::from(u32::MAX);
         let mut recs = demo_records();
         // Past the demo's 2.93 s: a response stamped before its request (a
         // reordered capture; in the same interval, which the calibrated
         // detector has not finalized), then residences one short of, at
-        // and past the `u32` delta's range.
+        // and past the `u32` range, and two spans of class 9, which the
+        // service table lacks: they weigh their residence capped at the
+        // 10 ms work unit, the second one from a saturated residence.
         let t0 = 3_000_600;
         recs.push(rec(t0, 0, 1, MsgKind::Request, 50, 0));
         recs.push(rec(t0 - 500, 1, 0, MsgKind::Response, 50, 0));
-        for (conn, residence) in [(51, long - 1), (52, long), (53, long + 7)] {
-            recs.push(rec(t0 + conn, 0, 1, MsgKind::Request, conn as u32, 0));
+        let spans = [
+            (51, long - 1, 0),
+            (52, long, 0),
+            (53, long + 7, 0),
+            (54, 3_000, 9),
+            (55, long + 7, 9),
+        ];
+        for (conn, residence, class) in spans {
+            recs.push(rec(t0 + conn, 0, 1, MsgKind::Request, conn as u32, class));
             recs.push(rec(
                 t0 + conn + residence,
                 1,
                 0,
                 MsgKind::Response,
                 conn as u32,
-                0,
+                class,
             ));
         }
-        let mut tail = recs.split_off(recs.len() - 6);
+        let mut tail = recs.split_off(recs.len() - 10);
         tail.sort_by_key(|r| r.at);
         recs.extend(tail);
         // A 1 s grid keeps the 72-minute spans to a few thousand intervals.
@@ -1210,13 +1197,15 @@ mod tests {
         let mut late = OnlineDetector::uncalibrated(cfg());
         early.push_chunk(&recs);
         late.push_chunk(&recs);
-        let held = late.held.as_ref().expect("uncalibrated");
-        assert_eq!(
-            held.wide.len(),
-            3,
-            "the reordered span and the two long ones"
+        assert_eq!(late.held_spans(), recs.len() / 2);
+        // What holding adds to the state: at most 8 B per held span.
+        let unheld: usize = late.servers.iter().flatten().map(|s| s.state_bytes()).sum();
+        let held_bytes = late.state_bytes() - unheld;
+        assert!(
+            held_bytes <= 8 * late.held_spans() + 64,
+            "{held_bytes} B for {} held spans",
+            late.held_spans()
         );
-        assert_eq!(held.spans.len(), recs.len() / 2);
         late.calibrate(services(), []);
         let end = recs.last().unwrap().at + SimDuration::from_secs(1);
         let (early, late) = (early.finish(end).reports, late.finish(end).reports);
@@ -1237,5 +1226,12 @@ mod tests {
                 .map(|n| (n.nstar.to_bits(), n.tp_max.to_bits()))
         };
         assert_eq!(bits(a), bits(b));
+        // The class-9 fallback: interval 3 holds the reordered span's
+        // 10 ms and conn 54's 3 ms residence; the last completion interval
+        // the three long class-0 spans' 30 ms and conn 55's capped 10 ms.
+        let tput = b.series.tput();
+        assert_eq!((tput.count(3), tput.units(3)), (2, 1.3));
+        let last = ((t0 + 55 + long + 7) / 1_000_000) as usize;
+        assert_eq!((tput.count(last), tput.units(last)), (4, 4.0));
     }
 }

@@ -22,11 +22,12 @@
 //!
 //! All accumulation is in integer microseconds; a value only becomes `f64`
 //! through one final division per interval. That makes results independent
-//! of span order, bit-for-bit reproducible, and — because integer sums are
-//! associative — lets a coarse grid be derived *exactly* from a fine one
-//! (see [`SeriesSet::coarsen`]). The straightforward `O(S × I)` versions
-//! are the executable specification, `fgbd_oracle::series` (a dev-only
-//! crate); property tests assert bit-for-bit agreement.
+//! of span order and of when a completion's service time is added (any time
+//! before its interval is popped), bit-for-bit reproducible, and — because
+//! integer sums are associative — lets a coarse grid be derived *exactly*
+//! from a fine one (see [`SeriesSet::coarsen`]). The straightforward
+//! `O(S × I)` versions are the executable specification,
+//! `fgbd_oracle::series` (a dev-only crate); property tests assert bit-for-bit agreement.
 
 use std::collections::VecDeque;
 
@@ -122,7 +123,9 @@ struct Cell {
 /// carrying the running prefix sum (`covering`). The batch constructors
 /// add every span and then pop the whole grid; the online detector pops
 /// each interval as its watermark passes and keeps only the in-flight
-/// horizon.
+/// horizon. A caller that cannot weigh a completion yet (the uncalibrated
+/// online detector) folds the span with [`IntervalRing::add_span`] and its
+/// service time later with [`IntervalRing::add_service`].
 ///
 /// `end_us` is the grid end when it is known — spans are clamped to it and
 /// every cell is allocated up front — and `u64::MAX` while it is not: then
@@ -229,6 +232,17 @@ impl IntervalRing {
         departure_us: u64,
         service_us: impl FnOnce() -> u64,
     ) {
+        if let Some(index) = self.add_span(arrival_us, departure_us) {
+            self.add_service(index, service_us());
+        }
+    }
+
+    /// The calibration-free part of [`Self::add`]: the span's overlap and
+    /// its completion count, without its service time. Returns the
+    /// departure interval the completion was counted in, if it was — the
+    /// interval [`Self::add_service`] must be given, before it is popped.
+    #[inline]
+    pub(crate) fn add_span(&mut self, arrival_us: u64, departure_us: u64) -> Option<usize> {
         let (start_us, ilen_us) = (self.start_us, self.ilen_us);
         // Start of the first unpopped interval: `start_us` until a pop.
         let open_us = start_us + self.base as u64 * ilen_us;
@@ -256,10 +270,19 @@ impl IntervalRing {
             }
         }
         if departure_us >= open_us && departure_us < self.end_us {
-            let cell = self.cell(((departure_us - start_us) / ilen_us) as usize);
-            cell.count += 1;
-            cell.service_us += service_us();
+            let index = ((departure_us - start_us) / ilen_us) as usize;
+            self.cell(index).count += 1;
+            Some(index)
+        } else {
+            None
         }
+    }
+
+    /// Adds `service_us` to the service sum of interval `index`, an
+    /// unpopped interval [`Self::add_span`] counted a completion in.
+    #[inline]
+    pub(crate) fn add_service(&mut self, index: usize, service_us: u64) {
+        self.cell(index).service_us += service_us;
     }
 
     /// Resolves and removes the front interval:

@@ -13,19 +13,21 @@
 //!
 //! [`CaptureAnalyzer`] is that pass. The detector normalizes by calibrated
 //! service times, but pairing does not need them: every chunk goes to an
-//! [`OnlineDetector::uncalibrated`] detector first, which pairs it and holds
-//! the spans it closes, and then — the same buffer, moved over a bounded
-//! channel — to a worker thread that folds exactly the first
-//! [`calib_records_from_env`] records (default 1 Mi) into the calibration
-//! ([`Calibration::from_capture_prefix`]'s fold). At the chunk that
-//! completes the prefix (or at end of input, if it never does) the main
-//! thread joins the worker — a few chunks behind, the channel's bound — and
-//! the detector is [calibrated](OnlineDetector::calibrate): the held spans
-//! are weighed and finalized, and from then on spans are weighed as they
-//! close. So calibration overlaps decode and pairing instead of preceding
-//! them, nothing is decoded twice, no record is copied, and no `TraceLog`,
-//! `SpanSet` or reconstruction of the capture ever exists. The detector
-//! holds only the spans the prefix's chunks closed — memory is bounded by
+//! [`OnlineDetector::uncalibrated`] detector first, which pairs it, folds
+//! the spans it closes into its rings and holds 8 bytes of each (its
+//! departure interval and residence) for weighing, and then — the same
+//! buffer, moved over a bounded channel — to a worker thread that folds
+//! exactly the first [`calib_records_from_env`] records (default 1 Mi)
+//! into the calibration ([`Calibration::from_capture_prefix`]'s fold). At
+//! the chunk that completes the prefix (or at end of input, if it never
+//! does) the main thread joins the worker — a few chunks behind, the
+//! channel's bound — and the detector is
+//! [calibrated](OnlineDetector::calibrate): the held spans are weighed,
+//! class by class, and finalized, and from then on spans are weighed as
+//! they close. So calibration overlaps decode and pairing instead of
+//! preceding them, nothing is decoded twice, no record is copied, and no
+//! `TraceLog`, `SpanSet` or reconstruction of the capture ever exists. The
+//! detector holds only the spans the prefix's chunks closed — memory is bounded by
 //! the budget, not by the capture — and where calibration lands depends on
 //! the capture and the budget alone, never on thread timing. The reports
 //! are bit-identical to batch `analyze_server` over the materialized
