@@ -13,7 +13,7 @@
 //!   `fgbd_des::PsIntegrator`.
 //! * [`series`] — per-span interval walks, for `fgbd_core::series`.
 //! * [`span::extract`] — whole-log request/response pairing, for
-//!   `fgbd_trace::SpanPairer`.
+//!   `fgbd_trace::SpanSet::extract`.
 //! * [`reconstruct::run`] — `HashMap`-keyed transaction reconstruction, for
 //!   `fgbd_trace::reconstruct`, with the baseline tie-breaks the product's
 //!   one rule was chosen over, [`reconstruct::approximate_window`] for the
@@ -22,8 +22,9 @@
 //! * [`oplaw`] — Little's-law and Utilization-law audits of a capture.
 //! * [`alloc::AllocGauge`] — a counting `#[global_allocator]` for the
 //!   allocation-free and bounded-memory tests.
-//! * [`truth::gc_pauses`] — a run's stop-the-world windows, the ground
-//!   truth the detector's verdicts are scored against.
+//! * [`truth::gc_pauses`] and [`truth::slow_clock`] — a run's
+//!   stop-the-world windows and busy below-P0 windows, the ground truth
+//!   the detector's final and live verdicts are scored against.
 //!
 //! The two Criterion benches (`cargo bench -p fgbd-oracle`) time the two
 //! comparisons no `benchmark/` probe makes: `EventQueue` vs `HeapQueue`

@@ -1,6 +1,8 @@
 //! The original whole-log span extractor: the executable specification
-//! `fgbd_trace::SpanPairer` (and so `SpanSet::extract`) is property-tested
-//! bit-identical to.
+//! `fgbd_trace::SpanSet::extract` is property-tested bit-identical to. Both
+//! sort each server's spans stably by `(arrival, departure)` from response
+//! order; the shipped one pairs on `span::OpenTable`, the table the online
+//! detector and calibration's attribution core pair on.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -6,13 +6,17 @@
 //! throughput normalization with a *stale* table (calibrated once at the
 //! start) against a *windowed* table recalibrated from the most recent
 //! low-error window — quantifying why recomputation matters.
+//!
+//! Everything is consumed on the record tap: two windowed service-time
+//! folds build the tables, and mysql-1's records feed two uncalibrated
+//! online detectors, one per table, which weigh the spans they hold once
+//! the run has ended and its tables exist.
 
-use fgbd_core::series::ThroughputSeries;
+use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::system::{node_metas, NTierSystem};
-use fgbd_trace::servicetime::ServiceFold;
-use fgbd_trace::span::SpanPairer;
+use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
 
 use crate::pipeline::{SERVICE_QUANTILE, WORK_UNIT_RESOLUTION};
 use crate::report::{write_csv, ExperimentSummary};
@@ -31,9 +35,8 @@ pub fn run() -> ExperimentSummary {
     let horizon = warmup_end + cfg.duration;
 
     // Both tables fold the whole capture on the tap, each keeping the spans
-    // that arrive in its window, while the pairer builds the spans they
-    // weigh — mysql-1's only, the one server read: pairing is per server
-    // and connection, so its spans are those of a pairer fed everything.
+    // that arrive in its window; mysql-1's records also feed one detector
+    // per table on the last 30 s grid.
     // Stale table: calibrated on the first 30 s.
     let early_end = warmup_end + SimDuration::from_secs(30);
     // Fresh table: calibrated on the last 30 s.
@@ -46,10 +49,17 @@ pub fn run() -> ExperimentSummary {
         .id;
     let mut stale = ServiceFold::new(&nodes).with_window(warmup_end, early_end);
     let mut fresh = ServiceFold::new(&nodes).with_window(late_start, horizon);
-    let mut pairer = SpanPairer::default();
+    let ocfg = OnlineConfig::new(
+        late_start,
+        SimDuration::from_millis(50),
+        WORK_UNIT_RESOLUTION,
+    );
+    let mut stale_detector = OnlineDetector::uncalibrated(ocfg);
+    let mut fresh_detector = OnlineDetector::uncalibrated(ocfg);
     NTierSystem::run_with_record_tap(cfg, |rec| {
         if rec.span_node() == node {
-            pairer.push(&rec);
+            stale_detector.push(&rec);
+            fresh_detector.push(&rec);
         }
         stale.push(&rec);
         fresh.push(&rec);
@@ -58,18 +68,20 @@ pub fn run() -> ExperimentSummary {
         stale.finish(SERVICE_QUANTILE),
         fresh.finish(SERVICE_QUANTILE),
     );
-    let spans = pairer.finish();
 
     // Over the final 30 s, the "true" work ratio between tables shows the
     // drift; normalized throughput with the stale table under-counts work.
-    let window = fgbd_core::series::Window::new(late_start, horizon, SimDuration::from_millis(50));
     let wu = stale
         .work_unit(node, WORK_UNIT_RESOLUTION)
         .unwrap_or(WORK_UNIT_RESOLUTION);
-    let t_stale = ThroughputSeries::from_spans(spans.server(node), window, &stale, wu);
-    let t_fresh = ThroughputSeries::from_spans(spans.server(node), window, &fresh, wu);
-    let units_stale: f64 = (0..t_stale.len()).map(|i| t_stale.units(i)).sum();
-    let units_fresh: f64 = (0..t_fresh.len()).map(|i| t_fresh.units(i)).sum();
+    let units = |mut detector: OnlineDetector, table: &ServiceTimeTable| {
+        detector.calibrate(table.clone(), [(node, wu)]);
+        let report = detector.finish(horizon).reports.swap_remove(0);
+        let tput = report.series.tput();
+        (0..tput.len()).map(|i| tput.units(i)).sum::<f64>()
+    };
+    let units_stale = units(stale_detector, &stale);
+    let units_fresh = units(fresh_detector, &fresh);
     let under_count = 1.0 - units_stale / units_fresh.max(1e-9);
 
     // Per-class drift visibility: mean ratio fresh/stale across classes.

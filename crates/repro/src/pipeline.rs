@@ -2,8 +2,9 @@
 //! per-server fine-grained reports.
 //!
 //! Both kinds of run are consumed on the tap and neither holds a log. A
-//! calibration run's records go into a [`SpanPairer`] and the service-time
-//! fold ([`Calibration::simulate`]). A loaded run's records are one more
+//! calibration run's records go into the service-time fold, which also
+//! counts the class mix the figures' mean service times weigh by
+//! ([`Calibration::simulate`]). A loaded run's records are one more
 //! consumer of the one online detector ([`Analysis::simulate`]): the
 //! records of the servers a figure reports feed one [`OnlineDetector`] on
 //! the fine [`REPORT_GRID`], so the run leaves each
@@ -22,7 +23,6 @@ use fgbd_ntier::config::SystemConfig;
 use fgbd_ntier::result::{RunResult, TxnSample};
 use fgbd_ntier::system::NTierSystem;
 use fgbd_trace::servicetime::{ServiceFold, ServiceTimeTable};
-use fgbd_trace::span::SpanPairer;
 use fgbd_trace::{MsgRecord, NodeId, NodeKind, NodeMeta, SpanSet};
 
 use crate::scenario::Scenario;
@@ -74,11 +74,7 @@ impl Calibration {
     /// through [`Calibration::for_scenario`], which folds the run on the
     /// tap ([`Calibration::simulate`]) into the same tables.
     pub fn from_run(run: &RunResult) -> Calibration {
-        fgbd_obsv::span!("calibrate");
-        let log = &run.log;
-        let mut fold = CalibrationFold::new(&log.nodes);
-        fold.push_chunk(&log.records);
-        Calibration::with_mean_service(fold.finish(), &SpanSet::extract(log), &log.nodes)
+        Calibration::from_capture_prefix(&run.log.nodes, &run.log.records)
     }
 
     /// Calibrates a scenario on its low-load calibration workload.
@@ -90,52 +86,23 @@ impl Calibration {
     /// Simulates the low-load run `cfg` and calibrates on its capture as the
     /// tap delivers it, so the run's log is never held.
     pub fn simulate(cfg: SystemConfig) -> Calibration {
-        let nodes = fgbd_ntier::system::node_metas(&cfg);
-        let mut pairer = SpanPairer::default();
-        let mut fold = CalibrationFold::new(&nodes);
+        let mut fold = CalibrationFold::new(&fgbd_ntier::system::node_metas(&cfg));
         {
             fgbd_obsv::span!("simulate");
-            NTierSystem::run_with_record_tap(cfg, |rec| {
-                pairer.push(&rec);
-                fold.push_chunk(std::slice::from_ref(&rec));
-            });
+            NTierSystem::run_with_record_tap(cfg, |rec| fold.push_chunk(&[rec]));
         }
         fgbd_obsv::span!("calibrate");
-        Calibration::with_mean_service(fold.finish(), &pairer.finish(), &nodes)
-    }
-
-    /// The shared tail of the run constructors: per server, the mean of its
-    /// spans' class service times.
-    fn with_mean_service(mut cal: Calibration, spans: &SpanSet, nodes: &[NodeMeta]) -> Calibration {
-        for meta in nodes.iter().filter(|n| n.kind == NodeKind::Server) {
-            let node = meta.id;
-            let mut total = 0.0f64;
-            let mut n = 0u64;
-            for s in spans.server(node) {
-                if let Some(svc) = cal.services.get_secs(node, s.class) {
-                    total += svc;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                cal.mean_service
-                    .insert(node, SimDuration::from_secs_f64(total / n as f64));
-            }
-        }
-        cal
+        fold.finish()
     }
 
     /// Self-calibration from a capture prefix: the service-time fold over
     /// `records` (the caller truncates to
-    /// [`calib_records_from_env`]), with a work unit for every server node
-    /// of `nodes`. This is what the capture analyzer ([`crate::zerocopy`])
-    /// calibrates on, a chunk at a time on its worker thread — same records
-    /// in, same tables out, however the capture reached it. `mean_service`
-    /// stays empty: it only scales the figures' "equivalent requests per
-    /// second" axis, the figures calibrate through
-    /// [`Calibration::for_scenario`] (which fills it on the tap), and
-    /// filling it here would cost a span extraction over the prefix that no
-    /// capture consumer reads.
+    /// [`calib_records_from_env`]), with a work unit and a mean service
+    /// time for every server node of `nodes`. This is what the capture
+    /// analyzer ([`crate::zerocopy`]) calibrates on, a chunk at a time on
+    /// its worker thread — same records in, same tables out, however the
+    /// capture reached it. No capture consumer reads `mean_service`: it
+    /// only scales the figures' "equivalent requests per second" axis.
     pub fn from_capture_prefix(nodes: &[NodeMeta], records: &[MsgRecord]) -> Calibration {
         fgbd_obsv::span!("calibrate");
         let mut fold = CalibrationFold::new(nodes);
@@ -164,7 +131,8 @@ impl Calibration {
 /// Every calibration as a fold: records go in a chunk at a time, in capture
 /// order, and [`finish`](Self::finish) yields the service times (the
 /// [`SERVICE_QUANTILE`] of each `(server, class)`'s intra-node delays) with
-/// a work unit for each server of the node table — no mean service times.
+/// a work unit and a mean service time, weighed by the class mix the fold
+/// retired, for each server of the node table.
 pub(crate) struct CalibrationFold {
     nodes: Vec<NodeMeta>,
     fold: ServiceFold,
@@ -187,16 +155,17 @@ impl CalibrationFold {
 
     pub(crate) fn finish(self) -> Calibration {
         let services = self.fold.finish(SERVICE_QUANTILE);
-        let work_units = self
-            .nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Server)
+        let servers = || self.nodes.iter().filter(|n| n.kind == NodeKind::Server);
+        let work_units = servers()
             .filter_map(|n| Some((n.id, services.work_unit(n.id, WORK_UNIT_RESOLUTION)?)))
+            .collect();
+        let mean_service = servers()
+            .filter_map(|n| Some((n.id, services.mean_service(n.id)?)))
             .collect();
         Calibration {
             services,
             work_units,
-            mean_service: HashMap::new(),
+            mean_service,
         }
     }
 }

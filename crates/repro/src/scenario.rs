@@ -4,8 +4,9 @@
 //! [`Scenario::analyze`] feeds the record tap to the online detector for
 //! the servers a figure reports and keeps neither a log nor a span (the
 //! figures; a figure that reads response times also passes a transaction
-//! consumer), and [`Calibration::for_scenario`] pairs and folds the short
-//! low-load calibration workload on the tap;
+//! consumer), and [`Calibration::for_scenario`] folds the short low-load
+//! calibration workload on the tap, service times and class mix in one
+//! pass;
 //! [`Scenario::calibration_run`] runs that workload keeping its log, for
 //! callers that want the capture itself, and [`Scenario::run_uncaptured`]
 //! records nothing.

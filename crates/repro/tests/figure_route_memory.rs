@@ -9,7 +9,8 @@ use fgbd_des::SimDuration;
 use fgbd_ntier::system::{node_metas, NTierSystem};
 use fgbd_oracle::alloc::AllocGauge;
 use fgbd_repro::{Analysis, Calibration, SPEEDSTEP_ON};
-use fgbd_trace::span::SpanPairer;
+use fgbd_trace::span::OpenTable;
+use fgbd_trace::{MsgKind, Span};
 
 #[global_allocator]
 static GLOBAL: AllocGauge = AllocGauge::new();
@@ -17,10 +18,9 @@ static GLOBAL: AllocGauge = AllocGauge::new();
 #[test]
 fn report_route_peaks_below_one_server_pairing() {
     // Fig 5's load over half its run, long enough for mysql-1's spans to
-    // outweigh the simulator's own growth (over 30 s the ratio is only
-    // 0.74). Measured on a 2-core x86-64 host: 255,263 spans, and the report
-    // route peaks at 18.9 MB against 28.9 MB for pairing mysql-1 alone
-    // (0.66).
+    // outweigh the simulator's own growth. Measured on a 2-core x86-64
+    // host: 255,263 spans, and the report route peaks at 3.7 MB against
+    // 14.0 MB for holding mysql-1's spans alone (0.27).
     let mut cfg = SPEEDSTEP_ON.config(7_000);
     cfg.warmup = SimDuration::from_secs(5);
     cfg.duration = SimDuration::from_secs(90);
@@ -44,14 +44,31 @@ fn report_route_peaks_below_one_server_pairing() {
         assert!(analysis.spans.is_empty(), "the report route holds no spans");
         0
     });
+    // The baseline holds one `Span` per mysql-1 span as it closes.
     let (pairing, spans) = peak_of(&|| {
-        let mut pairer = SpanPairer::default();
+        let mut open = OpenTable::default();
+        let mut spans = Vec::new();
         NTierSystem::run_with_record_tap(cfg.clone(), |rec| {
-            if rec.span_node() == node {
-                pairer.push(&rec);
+            if rec.span_node() != node {
+                return;
+            }
+            match rec.kind {
+                MsgKind::Request => _ = open.open(rec.conn, rec.at, rec.class, rec.truth),
+                MsgKind::Response => {
+                    if let Some((arrival, class, truth)) = open.close(rec.conn) {
+                        spans.push(Span {
+                            server: node,
+                            class,
+                            arrival,
+                            departure: rec.at,
+                            conn: rec.conn,
+                            truth,
+                        });
+                    }
+                }
             }
         });
-        pairer.finish().len()
+        spans.len()
     });
 
     eprintln!("report route: {report} B; pairing mysql-1: {pairing} B for {spans} spans");

@@ -1,6 +1,7 @@
 //! Quick wall-clock comparison of the two chunk walkers on a 200k-record
-//! fixture — the in-memory `ChunkCursor` at one thread and at
-//! `FGBD_CAPTURE_THREADS`, and the stream walker `CaptureChunks` — plus
+//! fixture — the in-memory `ChunkCursor` at one thread and at the host's
+//! decode width (`threads_from_env`), and the stream walker
+//! `CaptureChunks` — plus
 //! the encode; handy when tuning
 //! `capture2` without a full benchmark run:
 //!

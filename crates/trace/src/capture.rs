@@ -143,7 +143,7 @@ pub fn read_capture<R: Read>(r: R) -> Result<TraceLog, CaptureError> {
 }
 
 /// Reads a capture file into a [`TraceLog`]: one loop over the in-memory
-/// walker, [`ChunkCursor`], decoding `FGBD_CAPTURE_THREADS` chunks ahead
+/// walker, [`ChunkCursor`], decoding up to four chunks ahead, one per core
 /// ([`threads_from_env`]). The file is memory-mapped where the platform
 /// allows and heap-read otherwise (`crate::mmapio`). The decoded log is the
 /// same at every thread count.

@@ -82,22 +82,16 @@ const NO_TRUTH: u64 = u64::MAX;
 /// splits across 4 threads.
 pub const DEFAULT_CHUNK_RECORDS: usize = 64 * 1024;
 
-// --- env-driven knobs -----------------------------------------------------
+// --- decode width ---------------------------------------------------------
 
-/// Decode threads selected by `FGBD_CAPTURE_THREADS`, defaulting to
-/// `min(4, available_parallelism)`. The decoded log is identical at every
-/// value; this only trades wall-clock for cores.
+/// Decode threads for this host: `min(4, available_parallelism)`. The
+/// decoded log is identical at every width; this only trades wall-clock
+/// for cores. (The name predates the width becoming a fact of the host.)
 pub fn threads_from_env() -> usize {
-    std::env::var("FGBD_CAPTURE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-                .min(4)
-        })
+    std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(1)
+        .min(4)
 }
 
 // --- primitive encodings ---------------------------------------------------

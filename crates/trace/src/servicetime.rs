@@ -24,11 +24,16 @@ use fgbd_des::{SimDuration, SimTime};
 use crate::reconstruct::{Attribution, Consumer, Reconstruction};
 use crate::record::{ClassId, MsgRecord, NodeId, NodeMeta};
 
-/// Per-`(server, class)` service-time estimates in seconds.
+/// Per-`(server, class)` service-time estimates in seconds, each with the
+/// number of spans of that class the estimate was measured over (the class
+/// mix [`mean_service`](Self::mean_service) weighs by).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceTimeTable {
-    map: HashMap<(NodeId, ClassId), f64>,
+    map: HashMap<(NodeId, ClassId), (f64, u64)>,
 }
+
+/// Per key: the spans retired, and their positive intra-node delays.
+type Delays = (u64, Vec<f64>);
 
 impl ServiceTimeTable {
     /// An empty table (populate with [`ServiceTimeTable::insert`]).
@@ -57,51 +62,65 @@ impl ServiceTimeTable {
                 child_wait[p] += (dep - s.arrival).as_secs_f64();
             }
         }
-        let mut samples: HashMap<(NodeId, ClassId), Vec<f64>> = HashMap::new();
+        let mut samples: HashMap<(NodeId, ClassId), Delays> = HashMap::new();
         for (i, s) in rec.spans.iter().enumerate() {
             let Some(dep) = s.departure else { continue };
             let intra = (dep - s.arrival).as_secs_f64() - child_wait[i];
+            let (spans, delays) = samples.entry((s.server, s.class)).or_default();
+            *spans += 1;
             if intra > 0.0 {
-                samples.entry((s.server, s.class)).or_default().push(intra);
+                delays.push(intra);
             }
         }
         ServiceTimeTable::quantiles(samples, quantile)
     }
 
-    /// The `quantile` order statistic of each key's (non-empty) delays: a
-    /// selection, not a sort.
+    /// The `quantile` order statistic of each key's delays, with its span
+    /// count: a selection, not a sort. A key with no positive delay has no
+    /// service time.
     fn quantiles(
-        delays: impl IntoIterator<Item = ((NodeId, ClassId), Vec<f64>)>,
+        delays: impl IntoIterator<Item = ((NodeId, ClassId), Delays)>,
         quantile: f64,
     ) -> Self {
         assert!((0.0..=1.0).contains(&quantile), "quantile out of range");
-        let select = |(key, mut xs): (_, Vec<f64>)| {
-            let idx = ((xs.len() - 1) as f64 * quantile).round() as usize;
+        let select = |(key, (spans, mut xs)): (_, Delays)| {
+            let idx = ((xs.len().checked_sub(1)?) as f64 * quantile).round() as usize;
             let by = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN delays");
-            (key, *xs.select_nth_unstable_by(idx, by).1)
+            Some((key, (*xs.select_nth_unstable_by(idx, by).1, spans)))
         };
-        let map = delays.into_iter().map(select).collect();
+        let map = delays.into_iter().filter_map(select).collect();
         ServiceTimeTable { map }
     }
 
     /// Sets the service time for `(server, class)` directly (synthetic
-    /// workloads, tests).
+    /// workloads, tests), counting no span.
     pub fn insert(&mut self, server: NodeId, class: ClassId, service: SimDuration) {
-        self.map.insert((server, class), service.as_secs_f64());
+        self.map.insert((server, class), (service.as_secs_f64(), 0));
     }
 
     /// The estimated service time, if that class was observed on that
     /// server.
     pub fn get(&self, server: NodeId, class: ClassId) -> Option<SimDuration> {
-        self.map
-            .get(&(server, class))
-            .map(|&s| SimDuration::from_secs_f64(s))
+        self.get_secs(server, class).map(SimDuration::from_secs_f64)
     }
 
     /// Service time in fractional seconds (convenient for normalization
     /// arithmetic).
     pub fn get_secs(&self, server: NodeId, class: ClassId) -> Option<f64> {
-        self.map.get(&(server, class)).copied()
+        self.map.get(&(server, class)).map(|&(secs, _)| secs)
+    }
+
+    /// The mean service time of the spans `server` was measured over: each
+    /// class's service time weighted by its span count, `Σ n_c·s_c / Σ n_c`
+    /// over the classes that have a service time. `None` if no such span
+    /// was counted (a table built by [`insert`](Self::insert)).
+    pub fn mean_service(&self, server: NodeId) -> Option<SimDuration> {
+        let mut classes: Vec<_> = self.map.iter().filter(|(k, _)| k.0 == server).collect();
+        // Class order, not hash order, so every process sums alike.
+        classes.sort_unstable_by_key(|&(k, _)| k.1);
+        let spans: u64 = classes.iter().map(|(_, e)| e.1).sum();
+        let total: f64 = classes.iter().map(|(_, e)| e.1 as f64 * e.0).sum();
+        (spans > 0).then(|| SimDuration::from_secs_f64(total / spans as f64))
     }
 
     /// Classes observed on `server`, ascending.
@@ -131,7 +150,7 @@ impl ServiceTimeTable {
         assert!(!resolution.is_zero(), "resolution must be positive");
         let res = resolution.as_micros();
         let mut g: Option<u64> = None;
-        for (&(s, _), &secs) in &self.map {
+        for (&(s, _), &(secs, _)) in &self.map {
             if s != server {
                 continue;
             }
@@ -155,18 +174,22 @@ impl ServiceTimeTable {
     }
 }
 
-/// The fold's consumer: positive intra-node delays per `(server, class)` of
-/// the spans arriving in `[from, to)`.
-struct Delays {
+/// The fold's consumer: per `(server, class)`, the spans arriving in
+/// `[from, to)` and their positive intra-node delays, one entry for both.
+struct Window {
     from: SimTime,
     to: SimTime,
-    by_key: FxHashMap<(NodeId, ClassId), Vec<f64>>,
+    by_key: FxHashMap<(NodeId, ClassId), Delays>,
 }
 
-impl Consumer for Delays {
+impl Consumer for Window {
     fn retired(&mut self, server: NodeId, class: ClassId, arrival: SimTime, intra: f64) {
-        if intra > 0.0 && (self.from..self.to).contains(&arrival) {
-            self.by_key.entry((server, class)).or_default().push(intra);
+        if (self.from..self.to).contains(&arrival) {
+            let (spans, delays) = self.by_key.entry((server, class)).or_default();
+            *spans += 1;
+            if intra > 0.0 {
+                delays.push(intra);
+            }
         }
     }
 }
@@ -180,7 +203,7 @@ impl Consumer for Delays {
 /// the spans arriving in the window.
 pub struct ServiceFold {
     core: Attribution,
-    delays: Delays,
+    window: Window,
 }
 
 impl ServiceFold {
@@ -188,7 +211,7 @@ impl ServiceFold {
     pub fn new(nodes: &[NodeMeta]) -> ServiceFold {
         ServiceFold {
             core: Attribution::new(nodes),
-            delays: Delays {
+            window: Window {
                 from: SimTime::ZERO,
                 to: SimTime::MAX,
                 by_key: FxHashMap::default(),
@@ -201,24 +224,25 @@ impl ServiceFold {
     /// drift. Every record still goes through [`push`](Self::push), since a
     /// span's parent and children may lie outside the window.
     pub fn with_window(mut self, from: SimTime, to: SimTime) -> ServiceFold {
-        (self.delays.from, self.delays.to) = (from, to);
+        (self.window.from, self.window.to) = (from, to);
         self
     }
 
     /// Consumes the next record of the capture.
     #[inline]
     pub fn push(&mut self, rec: &MsgRecord) {
-        self.core.push(rec, &mut self.delays);
+        self.core.push(rec, &mut self.window);
     }
 
-    /// Ends the capture: the `quantile` of each `(server, class)`'s delays.
+    /// Ends the capture: the `quantile` of each `(server, class)`'s delays,
+    /// counted by the spans it retired.
     ///
     /// # Panics
     ///
     /// Panics if `quantile` is outside `[0, 1]`.
     pub fn finish(mut self, quantile: f64) -> ServiceTimeTable {
-        self.core.finish(&mut self.delays);
-        ServiceTimeTable::quantiles(self.delays.by_key, quantile)
+        self.core.finish(&mut self.window);
+        ServiceTimeTable::quantiles(self.window.by_key, quantile)
     }
 }
 
@@ -417,6 +441,38 @@ mod tests {
             late.get(APP, ClassId(3)),
             Some(SimDuration::from_micros(80))
         );
+    }
+
+    #[test]
+    fn mean_service_weighs_classes_by_spans_retired() {
+        // At APP, three class-2 spans of 40us and one class-3 span of 80us:
+        // (3 * 40 + 80) / 4 = 50us.
+        let mut log = TraceLog::new(nodes());
+        for (i, (class, dur)) in [(2, 40), (2, 40), (3, 80), (2, 40)].into_iter().enumerate() {
+            let (base, conn) = (i as u64 * 1_000, 500 + i as u32);
+            log.push(rec(base, WEB, APP, MsgKind::Request, conn, class, i as u64));
+            log.push(rec(
+                base + dur,
+                APP,
+                WEB,
+                MsgKind::Response,
+                conn,
+                class,
+                i as u64,
+            ));
+        }
+        let mut fold = ServiceFold::new(&log.nodes);
+        log.records.iter().for_each(|r| fold.push(r));
+        let folded = fold.finish(0.5);
+        let r = Reconstruction::run(&log, Heuristic::ProfileGuided);
+        let spec = ServiceTimeTable::approximate(&r, 0.5);
+        assert_eq!(folded, spec);
+        assert_eq!(folded.mean_service(APP), Some(SimDuration::from_micros(50)));
+        assert_eq!(folded.mean_service(WEB), None);
+        // A table built by hand counts no span.
+        let mut t = ServiceTimeTable::new();
+        t.insert(APP, ClassId(2), SimDuration::from_micros(40));
+        assert_eq!(t.mean_service(APP), None);
     }
 
     #[test]

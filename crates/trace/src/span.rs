@@ -8,10 +8,14 @@
 //! open request on its `(server, conn)`, and a request that finds its
 //! connection busy closes the older one as lost, never to be paired.
 //!
-//! All three pairers sit on [`OpenTable`]: [`SpanPairer`] here, which keeps
-//! each matched pair as a [`Span`]; `fgbd-core`'s online detector, which
-//! folds the pair into its interval ring and reads the table's earliest
-//! open arrival as its watermark; and calibration's attribution core.
+//! Two streaming pairers sit on [`OpenTable`], each consuming the records
+//! it pairs once and keeping no span: `fgbd-core`'s online detector, which
+//! folds each pair into its interval ring and reads the table's earliest
+//! open arrival as its watermark, and calibration's attribution core
+//! (`ServiceFold`). [`SpanSet::extract`] is the batch extractor over a kept
+//! log: it pairs on the same table, keeps each span in response order, and
+//! sorts each server's list once, stably, by `(arrival, departure)` — the
+//! specification's own rule (`fgbd_oracle::span::extract`).
 
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -20,7 +24,7 @@ use fgbd_des::hash::FxHashMap;
 use fgbd_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::record::{ClassId, ConnId, MsgKind, MsgRecord, NodeId, TraceLog, TxnId};
+use crate::record::{ClassId, ConnId, MsgKind, NodeId, TraceLog, TxnId};
 
 /// One request's residence interval at one server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,17 +71,50 @@ impl SpanSet {
     /// Responses with no open request on their connection are counted in
     /// [`SpanSet::unmatched`] for the *server* side (they indicate capture
     /// truncation at the front), as are requests lost or unanswered.
-    ///
-    /// This is [`SpanPairer`] fed the whole log: push every record, finish.
+    /// Each server's spans are sorted by `(arrival, departure)`, equal keys
+    /// in response order.
     pub fn extract(log: &TraceLog) -> SpanSet {
         fgbd_obsv::span!("extract_spans");
-        let mut pairer = SpanPairer::default();
+        let mut servers: Vec<Option<Box<Pairing>>> = Vec::new();
         for rec in &log.records {
-            pairer.push(rec);
+            let server = rec.span_node();
+            let s = server_slot(&mut servers, server, Pairing::default);
+            match rec.kind {
+                MsgKind::Request => _ = s.open.open(rec.conn, rec.at, rec.class, rec.truth),
+                MsgKind::Response => match s.open.close(rec.conn) {
+                    Some((arrival, class, truth)) => s.spans.push(Span {
+                        server,
+                        class,
+                        arrival,
+                        departure: rec.at,
+                        conn: rec.conn,
+                        truth,
+                    }),
+                    None => s.orphans += 1,
+                },
+            }
         }
-        let set = pairer.finish();
+        let mut set = SpanSet::default();
+        let mut lost = 0;
+        for (id, s) in servers.into_iter().enumerate() {
+            let Some(mut s) = s else { continue };
+            let server = NodeId(id as u16);
+            lost += s.open.lost();
+            let unmatched = s.orphans + s.open.lost() as usize + s.open.len();
+            if unmatched > 0 {
+                set.unmatched.insert(server, unmatched);
+            }
+            s.spans.sort_by_key(|span| (span.arrival, span.departure));
+            if !s.spans.is_empty() {
+                set.by_server.insert(server, s.spans);
+            }
+        }
         fgbd_obsv::counter!("trace.extract_reuse_hits", set.len() as u64);
         fgbd_obsv::counter!("extract.spans", set.len() as u64);
+        if fgbd_obsv::enabled() {
+            // Retained: 0 on every lossless capture is the finding.
+            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(lost);
+        }
         set
     }
 
@@ -132,8 +169,8 @@ struct Entry<P> {
     next: u32,
 }
 
-/// One server's open requests — the pairing engine under [`SpanPairer`],
-/// the online detector and calibration's attribution.
+/// One server's open requests — the pairing engine under the online
+/// detector, calibration's attribution and [`SpanSet::extract`].
 ///
 /// A slab with a free list, threaded by the server-wide open list in
 /// arrival order, and a map from each busy connection to its one open
@@ -294,145 +331,15 @@ pub fn server_slot<T>(
     slots[i].get_or_insert_with(|| Box::new(new()))
 }
 
-/// Departure of a span whose response has not arrived yet.
-const PENDING: SimTime = SimTime::MAX;
-
-/// One server's half of [`SpanPairer`].
-#[derive(Debug, Default)]
-struct ServerSpans {
-    /// Open requests; the payload is the request's slot in `spans`.
-    open: OpenTable<u32>,
-    /// The server's final span list, in request order: a request reserves
-    /// its slot with a [`PENDING`] departure, its response fills it in.
+/// One server's half of [`SpanSet::extract`].
+#[derive(Default)]
+struct Pairing {
+    /// Open requests; the payload is the request's ground truth.
+    open: OpenTable<Option<TxnId>>,
+    /// Matched spans, in response order.
     spans: Vec<Span>,
     /// Responses that found no open request on their connection.
     orphans: usize,
-    /// A request arrived stamped before its predecessor: `spans` is not in
-    /// arrival order, so every later close is sequenced and `finish` sorts.
-    disordered: bool,
-    /// `(slot, close sequence ≥ 1)` of every close whose place among
-    /// equal-arrival spans request order does not settle.
-    sequenced: Vec<(u32, u32)>,
-}
-
-/// The span-pairing engine in its streaming form: records go in one at a
-/// time, in capture order, from wherever they are born — a [`TraceLog`]
-/// ([`SpanSet::extract`]) or the simulator's record tap, which never holds
-/// a log — and [`finish`](Self::finish) hands back the [`SpanSet`].
-///
-/// Spans are *born sorted*: requests reach a server in arrival order, so
-/// the slot a request reserves in its server's list is its final place and
-/// the response only fills in the departure. The specification
-/// (`fgbd_oracle::span::extract`, a dev-only crate) orders equal arrivals
-/// by `(departure, response order)`, which request order does not give, so
-/// a close with an equal-arrival neighbour is sequenced and `finish`
-/// re-orders just those runs; a server whose requests ever run backwards in
-/// time sorts its list.
-#[derive(Debug, Default)]
-pub struct SpanPairer {
-    servers: Vec<Option<Box<ServerSpans>>>,
-}
-
-impl SpanPairer {
-    /// Consumes the next record of the capture.
-    pub fn push(&mut self, rec: &MsgRecord) {
-        let server = rec.span_node();
-        let s = server_slot(&mut self.servers, server, ServerSpans::default);
-        match rec.kind {
-            MsgKind::Request => {
-                let slot = u32::try_from(s.spans.len()).expect("under 2^32 spans per server");
-                s.disordered |= s.spans.last().is_some_and(|p| rec.at < p.arrival);
-                s.open.open(rec.conn, rec.at, rec.class, slot);
-                s.spans.push(Span {
-                    server,
-                    class: rec.class,
-                    arrival: rec.at,
-                    departure: PENDING,
-                    conn: rec.conn,
-                    truth: rec.truth,
-                });
-            }
-            MsgKind::Response => match s.open.close(rec.conn) {
-                Some((arrival, _, slot)) => {
-                    let i = slot as usize;
-                    s.spans[i].departure = rec.at;
-                    let tied = |i: usize| s.spans.get(i).is_some_and(|n| n.arrival == arrival);
-                    if s.disordered || tied(i.wrapping_sub(1)) || tied(i + 1) {
-                        s.sequenced.push((slot, s.sequenced.len() as u32 + 1));
-                    }
-                }
-                None => s.orphans += 1,
-            },
-        }
-    }
-
-    /// Ends the capture: requests closed as lost or still open are counted
-    /// unmatched at their server and their slots dropped, and equal arrivals
-    /// are put in the specification's `(departure, response order)`.
-    pub fn finish(self) -> SpanSet {
-        let mut set = SpanSet::default();
-        let (mut resorted, mut lost) = (0, 0);
-        for (id, s) in self.servers.into_iter().enumerate() {
-            let Some(mut s) = s else { continue };
-            let server = NodeId(id as u16);
-            lost += s.open.lost();
-            let pending = s.open.lost() as usize + s.open.len();
-            if s.orphans + pending > 0 {
-                set.unmatched.insert(server, s.orphans + pending);
-            }
-            s.sequenced.sort_unstable();
-            if s.disordered {
-                resorted += s.spans.len() - pending;
-                restore_order(&mut s.spans, 0, &s.sequenced);
-            } else {
-                // Arrival order holds: only a run of equal arrivals with a
-                // sequenced close can be out of place.
-                let mut rest = s.sequenced.as_slice();
-                while let Some(&(first, _)) = rest.first() {
-                    let first = first as usize;
-                    let tied = |p: &&Span| p.arrival == s.spans[first].arrival;
-                    let lo = first - s.spans[..first].iter().rev().take_while(tied).count();
-                    let hi = first + s.spans[first..].iter().take_while(tied).count();
-                    let (run, later) = rest.split_at(rest.partition_point(|r| (r.0 as usize) < hi));
-                    restore_order(&mut s.spans[lo..hi], lo, run);
-                    rest = later;
-                }
-            }
-            if pending > 0 {
-                s.spans.retain(|span| span.departure != PENDING);
-            }
-            if !s.spans.is_empty() {
-                set.by_server.insert(server, s.spans);
-            }
-        }
-        if fgbd_obsv::enabled() {
-            // Retained: 0 on every time-ordered, lossless capture is the
-            // finding.
-            fgbd_obsv::metrics::counter_retained("extract.resorted").add(resorted as u64);
-            fgbd_obsv::metrics::counter_retained("trace.conn_overlap").add(lost);
-        }
-        set
-    }
-}
-
-/// Sorts `run` — the spans in slots `first_slot..` — by `(arrival,
-/// departure, close sequence)`; `sequenced` holds the run's `(slot,
-/// sequence)` pairs in slot order. A close that was not sequenced sorts
-/// first among equals (sequence 0): it had no equal-arrival neighbour when
-/// it closed, so it closed before any other span of its arrival opened.
-/// [`PENDING`] slots sort last in their arrival; the caller drops them.
-fn restore_order(run: &mut [Span], first_slot: usize, sequenced: &[(u32, u32)]) {
-    let mut sequenced = sequenced.iter().peekable();
-    let keyed = (first_slot..).zip(run.iter()).map(|(slot, &span)| {
-        let seq = sequenced.next_if(|s| s.0 as usize == slot);
-        (span, seq.map_or(0, |s| s.1))
-    });
-    let mut keyed: Vec<(Span, u32)> = keyed.collect();
-    // Keys are unique among answered spans, so an unstable sort is exact.
-    keyed.sort_unstable_by_key(|&(s, seq)| (s.arrival, s.departure, seq));
-    for (dst, (span, _)) in run.iter_mut().zip(keyed) {
-        *dst = span;
-    }
 }
 
 #[cfg(test)]
@@ -523,21 +430,24 @@ mod tests {
     }
 
     #[test]
-    fn pairer_counts_both_unmatched_rules_record_by_record() {
-        let mut pairer = SpanPairer::default();
+    fn extract_counts_both_unmatched_rules() {
+        let mut log = TraceLog::new(vec![
+            node(0, "client", NodeKind::Client),
+            node(1, "web", NodeKind::Server),
+        ]);
         // A response with no open request on its connection.
-        pairer.push(&rec(5, 1, 0, MsgKind::Response, 9, 4));
+        log.push(rec(5, 1, 0, MsgKind::Response, 9, 4));
         // A matched pair, then a request that is never answered; the late
         // response on another connection does not close it.
-        pairer.push(&rec(10, 0, 1, MsgKind::Request, 5, 1));
-        pairer.push(&rec(20, 1, 0, MsgKind::Response, 5, 1));
-        pairer.push(&rec(30, 0, 1, MsgKind::Request, 5, 2));
-        pairer.push(&rec(40, 1, 0, MsgKind::Response, 6, 3));
+        log.push(rec(10, 0, 1, MsgKind::Request, 5, 1));
+        log.push(rec(20, 1, 0, MsgKind::Response, 5, 1));
+        log.push(rec(30, 0, 1, MsgKind::Request, 5, 2));
+        log.push(rec(40, 1, 0, MsgKind::Response, 6, 3));
         // A request displaced on its connection is lost, never paired.
-        pairer.push(&rec(50, 0, 1, MsgKind::Request, 7, 5));
-        pairer.push(&rec(60, 0, 1, MsgKind::Request, 7, 6));
-        pairer.push(&rec(70, 1, 0, MsgKind::Response, 7, 6));
-        let set = pairer.finish();
+        log.push(rec(50, 0, 1, MsgKind::Request, 7, 5));
+        log.push(rec(60, 0, 1, MsgKind::Request, 7, 6));
+        log.push(rec(70, 1, 0, MsgKind::Response, 7, 6));
+        let set = SpanSet::extract(&log);
         assert_eq!(set.len(), 2);
         assert_eq!(set.server(NodeId(1))[0].truth, Some(TxnId(1)));
         assert_eq!(set.server(NodeId(1))[1].truth, Some(TxnId(6)));

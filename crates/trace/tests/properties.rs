@@ -380,12 +380,12 @@ proptest! {
 }
 
 proptest! {
-    /// The streaming pairer ([`SpanSet::extract`]) produces output
+    /// The batch extractor ([`SpanSet::extract`]) produces output
     /// identical to the `HashMap`-keyed reference on adversarial record
     /// soup: arbitrary interleavings, unknown node ids, colliding
     /// connections, truncation at both ends, same-microsecond arrivals
-    /// (`dt == 0`: the sequenced equal-arrival runs) and, one step in
-    /// eight, time running backwards (the per-server disorder fallback).
+    /// (`dt == 0`: equal keys, which must keep response order) and, one
+    /// step in eight, time running backwards.
     #[test]
     fn extract_fast_matches_reference(
         soup in prop::collection::vec(
@@ -648,10 +648,10 @@ proptest! {
 }
 
 /// Same-microsecond arrivals at one server: the specification orders them
-/// by `(departure, response order)`, the pairer files them in request order
-/// and must restore it — including the close that had no equal-arrival
-/// neighbour yet (it answered before the next request came) and a run with
-/// a never-answered request in the middle.
+/// by `(departure, response order)`, and the extractor's stable sort of
+/// spans pushed in response order must give the same — including a span
+/// answered before the next request came and a run with a never-answered
+/// request in the middle.
 #[test]
 fn equal_arrivals_keep_the_reference_order() {
     use MsgKind::{Request as Q, Response as R};
