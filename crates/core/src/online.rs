@@ -35,13 +35,16 @@
 //! A detector built [`OnlineDetector::uncalibrated`] pairs from the first
 //! record and folds each closed span's overlap and completion count into
 //! its ring at once, with finalization deferred, and holds only what
-//! calibration changes: the completion's departure interval and the span's
-//! residence, two `u32`s (8 bytes) kept under the span's server and class.
-//! [`OnlineDetector::calibrate`] then weighs each class's held completions
-//! (one service-table probe per server and class) into the rings' service
-//! sums and finalizes every server up to its watermark. Ring sums are
-//! integers and nothing is popped before calibration, so weighing later,
-//! and by class rather than in close order, gives the same cells. A class
+//! calibration changes, under the span's server and class: its residence,
+//! a `u32`, and its departure interval as part of a run — consecutive
+//! completions of a class in one interval share one `(interval, count)`
+//! pair, and on an ordered stream the runs ascend — so a held span costs
+//! about 4 bytes. [`OnlineDetector::calibrate`] then weighs each class's
+//! held completions (one service-table probe per server and class) into
+//! the rings' service sums, one addition per run, and finalizes every
+//! server up to its watermark. Ring sums are integers and nothing is
+//! popped before calibration, so weighing later, by class rather than in
+//! close order and a run at a time, gives the same cells. A class
 //! the table lacks weighs `min(residence, work unit)`, so a residence
 //! saturated at `u32::MAX` µs (71 minutes) is exact while the work unit
 //! fits a `u32` (asserted at calibration); a departure before its arrival
@@ -288,9 +291,8 @@ struct ServerState {
     /// Finalized intervals' `IntervalRing::pop` triples: the final report's
     /// series, and (the last [`LIVE_WINDOW`]) the live N\* fit's samples.
     retained: Vec<(u64, u32, u64)>,
-    /// Completions closed before calibration, by `ClassId.0`: the interval
-    /// each was counted in and its residence in µs (module docs).
-    held: Vec<Vec<(u32, u32)>>,
+    /// Completions closed before calibration, by `ClassId.0` (module docs).
+    held: Vec<Held>,
     live_nstar: Option<NStar>,
     streak: usize,
     streak_start: usize,
@@ -338,8 +340,10 @@ impl ServerState {
 
     /// Bytes of the held completions (while uncalibrated).
     fn held_bytes(&self) -> usize {
-        let pairs: usize = self.held.iter().map(Vec::len).sum();
-        pairs * std::mem::size_of::<(u32, u32)>()
+        use std::mem::size_of;
+        let held = self.held.iter();
+        held.map(|h| h.runs.len() * size_of::<(u32, u32)>() + h.residences.len() * size_of::<u32>())
+            .sum()
     }
 
     /// Folds a span closed before calibration into the ring without its
@@ -355,10 +359,24 @@ impl ServerState {
         let residence_us = u32::try_from(residence_us).unwrap_or(u32::MAX);
         let class = class.0 as usize;
         if class >= self.held.len() {
-            self.held.resize_with(class + 1, Vec::new);
+            self.held.resize_with(class + 1, Held::default);
         }
-        self.held[class].push((index, residence_us));
+        let held = &mut self.held[class];
+        match held.runs.last_mut() {
+            Some((last, count)) if *last == index => *count += 1,
+            _ => held.runs.push((index, 1)),
+        }
+        held.residences.push(residence_us);
     }
+}
+
+/// One server's completions of one class closed before calibration: runs
+/// of `(departure interval, completions)` in close order, and each
+/// completion's residence in µs, saturated, in the same order.
+#[derive(Debug, Default)]
+struct Held {
+    runs: Vec<(u32, u32)>,
+    residences: Vec<u32>,
 }
 
 /// The streaming detector: one instance consumes one time-ordered record
@@ -447,11 +465,18 @@ impl OnlineDetector {
                 held.is_empty() || wu_us <= u64::from(u32::MAX),
                 "work unit of {server:?} too long to weigh held spans"
             );
-            for (class, completions) in held.into_iter().enumerate() {
-                let class = ClassId(class as u16);
-                for (index, residence_us) in completions {
-                    let service_us =
-                        cache.service_us(services, server, class, residence_us.into(), wu_us);
+            for (class, Held { runs, residences }) in held.into_iter().enumerate() {
+                // A calibrated class weighs every completion alike, so a run
+                // is one product; only an uncalibrated one reads residences.
+                let calibrated = cache.calibrated_us(services, server, ClassId(class as u16));
+                let mut residences = residences.into_iter();
+                for (index, count) in runs {
+                    let service_us = match calibrated {
+                        Some(us) => us * u64::from(count),
+                        None => (residences.by_ref().take(count as usize))
+                            .map(|r| u64::from(r).min(wu_us))
+                            .sum(),
+                    };
                     state.ring.add_service(index as usize, service_us);
                 }
             }
@@ -1198,12 +1223,15 @@ mod tests {
         early.push_chunk(&recs);
         late.push_chunk(&recs);
         assert_eq!(late.held_spans(), recs.len() / 2);
-        // What holding adds to the state: at most 8 B per held span.
-        let unheld: usize = late.servers.iter().flatten().map(|s| s.state_bytes()).sum();
+        // What holding adds to the state: 4 B per held span plus 8 B per
+        // run, and the runs merge the spans that depart together.
+        let servers = || late.servers.iter().flatten();
+        let unheld: usize = servers().map(|s| s.state_bytes()).sum();
         let held_bytes = late.state_bytes() - unheld;
+        let runs: usize = servers().flat_map(|s| &s.held).map(|h| h.runs.len()).sum();
         assert!(
-            held_bytes <= 8 * late.held_spans() + 64,
-            "{held_bytes} B for {} held spans",
+            held_bytes <= 4 * late.held_spans() + 8 * runs && 8 * runs <= late.held_spans(),
+            "{held_bytes} B for {} held spans in {runs} runs",
             late.held_spans()
         );
         late.calibrate(services(), []);

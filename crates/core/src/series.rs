@@ -325,16 +325,24 @@ impl ServiceCache {
         residence_us: u64,
         wu_us: u64,
     ) -> u64 {
+        (self.calibrated_us(services, server, class)).unwrap_or(residence_us.min(wu_us))
+    }
+
+    /// The class's calibrated service time in µs; `None` when the table
+    /// lacks it, and each completion weighs its capped residence.
+    #[inline]
+    pub(crate) fn calibrated_us(
+        &mut self,
+        services: &ServiceTimeTable,
+        server: NodeId,
+        class: ClassId,
+    ) -> Option<u64> {
         let row = self.0.get(server.0 as usize);
         let us = match row.and_then(|r| r.get(class.0 as usize)) {
             Some(&us) if us != UNSEEN => us,
             _ => self.resolve(services, server, class),
         };
-        if us == UNCALIBRATED {
-            residence_us.min(wu_us)
-        } else {
-            us
-        }
+        (us != UNCALIBRATED).then_some(us)
     }
 
     #[cold]

@@ -451,7 +451,7 @@ impl PsIntegrator {
         }
         let min_thr = self.peek_top()?.0.threshold();
         let remaining = (min_thr - self.attained).max(0.0);
-        let dt_us = (remaining / rate * 1e6).ceil() as u64;
+        let dt_us = ceil_u64(remaining / rate * 1e6);
         now.checked_add(SimDuration::from_micros(dt_us))
     }
 
@@ -522,9 +522,72 @@ impl PsIntegrator {
     }
 }
 
+/// `x.ceil() as u64`, without the libm call baseline x86-64 makes for
+/// `ceil`: the truncating cast, plus one when it dropped a fraction. Below
+/// 2^53 the truncation converts back exactly, and above it every `f64` is
+/// an integer; NaN and negatives give 0 and values past `u64::MAX`
+/// saturate, as the cast does.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn integer_ceil_is_the_float_ceil(
+            bits in 0u64..u64::MAX,
+            k in 0u64..u64::MAX,
+            ulps in 0u64..4,
+        ) {
+            // Any bit pattern: every sign, magnitude, infinity and NaN.
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(ceil_u64(x), x.ceil() as u64);
+            // Integers of every magnitude and the values a few ulps either
+            // side, where truncation and ceil part.
+            let n = ((k >> (k % 64)) as f64).to_bits();
+            for y in [n, n + ulps, n.saturating_sub(ulps)].map(f64::from_bits) {
+                prop_assert_eq!(ceil_u64(y), y.ceil() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn integer_ceil_matches_at_the_edges() {
+        let two53 = (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0,
+            u64::MAX as f64,
+            f64::from_bits((u64::MAX as f64).to_bits() - 1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -0.5,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)

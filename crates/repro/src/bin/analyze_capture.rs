@@ -208,12 +208,13 @@ fn render_report(
     }
 }
 
-/// Tails a capture that may still be growing: whole chunks are decoded as
-/// their bytes land (see [`TailReader`] and [`CaptureChunks`]) and handed
-/// to the analyzer, whose one detector also drives the live monitor's
-/// telemetry. Live verdicts start once the calibration prefix has streamed
-/// (heartbeats before that); the final report is the authoritative one. A
-/// monitor output that cannot be written is reported as `out/monitor`.
+/// Tails a capture that may still be growing: each chunk is verified once
+/// its bytes land (see [`TailReader`] and [`CaptureChunks`]) and its rows
+/// are decoded and handed to the analyzer a batch at a time; the
+/// analyzer's one detector also drives the live monitor's telemetry. Live
+/// verdicts start once the calibration prefix has streamed (heartbeats
+/// before that); the final report is the authoritative one. A monitor
+/// output that cannot be written is reported as `out/monitor`.
 fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis, CaptureError> {
     let tcfg = TailConfig::from_env();
     if !wait_for_file(path, tcfg) {
@@ -241,7 +242,8 @@ fn follow_capture(path: &Path, interval: SimDuration) -> Result<ZeroCopyAnalysis
     let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
     let mut buf = Vec::new();
     while chunks.next_into(&mut buf)? {
-        buf = analyzer.push_observed(buf, |det| {
+        let chunk_end = chunks.chunk_done();
+        buf = analyzer.push_observed(buf, chunk_end, |det| {
             telemetry.observe(det).unwrap_or_else(|e| fail(e));
         });
     }

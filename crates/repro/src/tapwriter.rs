@@ -27,26 +27,31 @@
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, PipeWriter, Write};
 use std::path::Path;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 
 use fgbd_des::SimDuration;
 use fgbd_trace::{CaptureError, ChunkedWriter, MsgRecord, NodeMeta};
 
-use crate::zerocopy::{analyze_stream, ZeroCopyAnalysis};
+use crate::zerocopy::{analyze_stream, BufferPool, ZeroCopyAnalysis};
 
-/// Records per batch the tap hands the writer thread. A batch is 512 KiB
-/// of records and a quarter of a chunk, so the simulation thread sends
-/// about a hundred times a second at the `million_users` rate — the channel
-/// costs nothing next to the simulation — while the batches in flight stay
-/// small beside the chunk buffer the writer holds anyway. On a 2-core host,
-/// batches four times as large were no faster and held about 3 MiB more.
-const TAP_BATCH_RECORDS: usize = 16 * 1024;
+/// Records per batch the tap hands the writer thread. A batch is 160 KiB
+/// of records, a sixteenth of a chunk, so while the writer keeps up the
+/// tap holds a few of them beside the 2.5 MiB chunk buffer the writer
+/// holds anyway, where 16 Ki-record batches held 640 KiB each. The
+/// simulation thread sends about 400 times a second at the
+/// `million_users` rate, a channel send each — nothing next to the
+/// simulation.
+const TAP_BATCH_RECORDS: usize = 4 * 1024;
 
-/// Full batches queued for the writer before the tap waits. The writer
-/// encodes about ten times faster than the simulation records, so the
-/// queue only absorbs the pause while it encodes a chunk.
-const BATCHES_IN_FLIGHT: usize = 2;
+/// The tap's [`BufferPool`]: up to a chunk of records in flight. The
+/// writer encodes about ten times faster than the simulation records, but
+/// it pauses for each chunk's encode and for the analyzer draining the
+/// pipe; batches made only while it lags absorb those pauses. With four
+/// 4 Ki-record batches the simulation waited on it: `million_users` ran
+/// 12–17% longer on two cores than with the 16 Ki-record batches before,
+/// against 5% (inside the run-to-run spread) with sixteen.
+const TAP_BATCHES: usize = 16;
 
 /// What a finished [`TapWriter`] reports.
 #[derive(Debug)]
@@ -65,9 +70,9 @@ pub struct TapWriter {
     /// The batch being filled.
     batch: Vec<MsgRecord>,
     /// Full batches to the writer; `None` once the writer is gone.
-    full: Option<SyncSender<Vec<MsgRecord>>>,
-    /// Written batches, back for reuse.
-    spent: Receiver<Vec<MsgRecord>>,
+    full: Option<Sender<Vec<MsgRecord>>>,
+    /// The batches, back from the writer for reuse.
+    pool: BufferPool,
     records: u64,
     writer: JoinHandle<Result<(), CaptureError>>,
     analyzer: Option<JoinHandle<Result<ZeroCopyAnalysis, CaptureError>>>,
@@ -99,8 +104,8 @@ impl TapWriter {
             None => (None, None),
         };
         let mut capture = ChunkedWriter::new(BufWriter::new(Tee { file, pipe }), nodes)?;
-        let (full, todo) = mpsc::sync_channel::<Vec<MsgRecord>>(BATCHES_IN_FLIGHT);
-        let (done, spent) = mpsc::channel();
+        let (full, todo) = mpsc::channel::<Vec<MsgRecord>>();
+        let (pool, done) = BufferPool::new(TAP_BATCHES);
         let writer = spawn("fgbd-capture", move || {
             for mut batch in todo {
                 let _span = fgbd_obsv::span::enter("encode");
@@ -118,7 +123,7 @@ impl TapWriter {
         Ok(TapWriter {
             batch: Vec::with_capacity(TAP_BATCH_RECORDS),
             full: Some(full),
-            spent,
+            pool,
             records: 0,
             writer,
             analyzer,
@@ -142,16 +147,12 @@ impl TapWriter {
             self.batch.clear();
             return;
         };
-        let spare = self
-            .spent
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(TAP_BATCH_RECORDS));
-        if full
-            .send(std::mem::replace(&mut self.batch, spare))
-            .is_err()
-        {
+        let batch = std::mem::take(&mut self.batch);
+        if full.send(batch).is_err() {
             self.full = None;
+            return;
         }
+        self.batch = self.pool.take();
     }
 
     /// Hands over the last records, waits for the writer to seal the file

@@ -73,7 +73,7 @@ const CHUNK_HEADER_LEN: usize = 1 + 4 + 8 + 8 + 4 + 8;
 /// index_offset + INDEX_MAGIC.
 const TRAILER_LEN: usize = 8 + 8;
 /// Most payload a stream read reserves before the bytes arrive (a default
-/// chunk's payload is ~0.8 MB); past it the buffer grows as they do.
+/// chunk's payload is about 360 KB); past it the buffer grows as they do.
 const PAYLOAD_RESERVE: usize = 1 << 20;
 const NO_TRUTH: u64 = u64::MAX;
 
@@ -180,6 +180,33 @@ impl<'a> PayloadReader<'a> {
         })
     }
 
+    /// Steps past `n` varints without decoding them: past the `n`th byte
+    /// with its top bit clear. Counting those a 64-byte block at a time
+    /// costs a fraction of decoding them, which is what lets
+    /// [`ChunkRows::new`] find every column before any row is decoded; a
+    /// varint's value, and its length limit, are checked where it is.
+    fn skip_varints(&mut self, n: usize) -> Result<(), CaptureError> {
+        let rest = &self.buf[self.pos..];
+        let (mut left, mut at) = (n, 0);
+        for block in rest.chunks_exact(64) {
+            let ends = block.iter().filter(|&&b| b < 0x80).count();
+            if ends >= left {
+                break;
+            }
+            (left, at) = (left - ends, at + 64);
+        }
+        while left > 0 {
+            let byte = *rest.get(at).ok_or(CaptureError::Chunk {
+                index: self.chunk,
+                what: "column overrun",
+            })?;
+            at += 1;
+            left -= usize::from(byte < 0x80);
+        }
+        self.pos += at;
+        Ok(())
+    }
+
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CaptureError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         let end = end.ok_or(CaptureError::Chunk {
@@ -215,9 +242,10 @@ fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone) {
     // packing below needs no second round of hash lookups.
     let mut dict: Vec<u64> = Vec::new();
     let mut map = fgbd_des::hash::FxHashMap::default();
-    let mut idxs: Vec<u32> = Vec::with_capacity(values.size_hint().0);
+    // An index is below `DICT_MAX_ENTRIES`, so 2 bytes hold it.
+    let mut idxs: Vec<u16> = Vec::with_capacity(values.size_hint().0);
     for v in values.clone() {
-        let next = dict.len() as u32;
+        let next = dict.len() as u16;
         let idx = *map.entry(v).or_insert(next);
         if idx == next {
             if dict.len() == DICT_MAX_ENTRIES {
@@ -257,115 +285,6 @@ fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone) {
     if nbits > 0 {
         out.push(acc as u8);
     }
-}
-
-/// Decodes one column straight into the record slice. Dictionary values are
-/// validated against `max` once each (naming `out_of_range` on failure);
-/// the per-record path is then a branch-light bit extract + table lookup,
-/// with `set` storing the already-validated value.
-fn read_column(
-    r: &mut PayloadReader<'_>,
-    records: &mut [MsgRecord],
-    max: u64,
-    out_of_range: &'static str,
-    mut set: impl FnMut(&mut MsgRecord, u64),
-) -> Result<(), CaptureError> {
-    let n = records.len();
-    let chunk = r.chunk;
-    let bad = |what: &'static str| CaptureError::Chunk { index: chunk, what };
-    match r.bytes(1)?[0] {
-        COL_PLAIN => {
-            for rec in records.iter_mut() {
-                let v = r.varint()?;
-                if v > max {
-                    return Err(bad(out_of_range));
-                }
-                set(rec, v);
-            }
-        }
-        COL_DICT => {
-            let dict_len = r.varint()? as usize;
-            if dict_len > DICT_MAX_ENTRIES || (dict_len == 0 && n > 0) {
-                return Err(bad("bad dictionary"));
-            }
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                let v = r.varint()?;
-                if v > max {
-                    return Err(bad(out_of_range));
-                }
-                dict.push(v);
-            }
-            if n == 0 {
-                return Ok(());
-            }
-            let width = dict_width(dict_len);
-            if width == 0 {
-                let v = dict[0];
-                for rec in records.iter_mut() {
-                    set(rec, v);
-                }
-                return Ok(());
-            }
-            let packed = r.bytes((n as u64 * u64::from(width)).div_ceil(8) as usize)?;
-            let mask = (1u64 << width) - 1;
-            let mut acc = 0u64;
-            let mut nbits = 0u32;
-            let mut pos = 0usize;
-            for rec in records.iter_mut() {
-                // `pos` cannot overrun: the loop pulls exactly the bytes
-                // whose bits it consumes, and `packed` holds all n·width.
-                while nbits < width {
-                    acc |= u64::from(packed[pos]) << nbits;
-                    pos += 1;
-                    nbits += 8;
-                }
-                let idx = (acc & mask) as usize;
-                acc >>= width;
-                nbits -= width;
-                let v = *dict.get(idx).ok_or(bad("bad dictionary index"))?;
-                set(rec, v);
-            }
-        }
-        _ => return Err(bad("unknown column encoding")),
-    }
-    Ok(())
-}
-
-/// Skips one encoded column without materializing it. Dictionary columns
-/// skip their packed index block in O(dictionary) — the payoff of column
-/// projection — while plain columns still walk their varints (no length
-/// prefix to jump by). The bytes consumed are exactly what
-/// [`read_column`] would consume, so the end-of-chunk trailing check
-/// holds under any projection.
-fn skip_column(r: &mut PayloadReader<'_>, n: usize) -> Result<(), CaptureError> {
-    let chunk = r.chunk;
-    let bad = |what: &'static str| CaptureError::Chunk { index: chunk, what };
-    match r.bytes(1)?[0] {
-        COL_PLAIN => {
-            for _ in 0..n {
-                r.varint()?;
-            }
-        }
-        COL_DICT => {
-            let dict_len = r.varint()? as usize;
-            if dict_len > DICT_MAX_ENTRIES || (dict_len == 0 && n > 0) {
-                return Err(bad("bad dictionary"));
-            }
-            for _ in 0..dict_len {
-                r.varint()?;
-            }
-            if n == 0 || dict_len == 0 {
-                return Ok(());
-            }
-            let width = dict_width(dict_len);
-            if width > 0 {
-                r.bytes((n as u64 * u64::from(width)).div_ceil(8) as usize)?;
-            }
-        }
-        _ => return Err(bad("unknown column encoding")),
-    }
-    Ok(())
 }
 
 /// Which columns a chunk decode materializes. Timestamps are always
@@ -419,10 +338,10 @@ impl Projection {
 
 // --- chunk encode / decode ---------------------------------------------------
 
-fn encode_chunk_payload(records: &[MsgRecord], min_at: u64) -> Vec<u8> {
-    // ~12 B/record is typical for simulator traffic; reserve generously to
-    // avoid re-allocation in the writer hot path.
-    let mut out = Vec::with_capacity(records.len() * 16);
+/// Encodes one chunk's payload into a buffer of `reserve` bytes (the
+/// writer's estimate, see [`ChunkedWriter`]'s `last_payload`).
+fn encode_chunk_payload(records: &[MsgRecord], min_at: u64, reserve: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(reserve);
     let mut prev = min_at;
     for r in records {
         let at = r.at.as_micros();
@@ -461,7 +380,7 @@ fn encode_chunk_payload(records: &[MsgRecord], min_at: u64) -> Vec<u8> {
     out
 }
 
-/// The fields of a chunk header that passed [`decode_chunk`]'s checks.
+/// The fields of a chunk header that passed [`verify_chunk`]'s checks.
 #[derive(Debug, Clone, Copy)]
 struct ChunkHeader {
     record_count: u32,
@@ -474,21 +393,18 @@ struct ChunkHeader {
 /// header `head` (the walker has matched its tag), hands the header to
 /// `payload` — which applies the walker's own check (chunk order on a
 /// stream, agreement with the footer index in memory) and returns at most
-/// `byte_len` payload bytes — verifies the checksum and decodes under
-/// `proj`, appending to `out` (which may hold part of the chunk after an
-/// error).
+/// `byte_len` payload bytes — and verifies the checksum, returning the
+/// header and the payload for [`ChunkRows`] to decode.
 ///
 /// The header sits outside the checksum, so nothing it claims sizes an
 /// allocation: every record costs at least one timestamp byte, a header
 /// promising more records than payload bytes is rejected, and the records
 /// are reserved only once their payload is in hand.
-fn decode_chunk<'p>(
+fn verify_chunk<'p>(
     head: &[u8; CHUNK_HEADER_LEN],
     index: u32,
     payload: impl FnOnce(&ChunkHeader) -> Result<&'p [u8], CaptureError>,
-    proj: Projection,
-    out: &mut Vec<MsgRecord>,
-) -> Result<(), CaptureError> {
+) -> Result<(ChunkHeader, &'p [u8]), CaptureError> {
     let bad = |what: &'static str| CaptureError::Chunk { index, what };
     let u32_at = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().unwrap());
     let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().unwrap());
@@ -511,160 +427,372 @@ fn decode_chunk<'p>(
     if checksum64(bytes) != u64_at(25) {
         return Err(bad("checksum mismatch"));
     }
-    decode_payload(bytes, index, &h, proj, out)
+    Ok((h, bytes))
 }
 
-/// Decodes a checksummed chunk payload under `proj`: skipped columns are
-/// walked but never materialized, leaving their record fields at the
-/// defaults. `index` is only for error attribution.
-fn decode_payload(
-    payload: &[u8],
-    index: u32,
-    h: &ChunkHeader,
-    proj: Projection,
-    out: &mut Vec<MsgRecord>,
-) -> Result<(), CaptureError> {
-    let n = h.record_count as usize;
-    let (min_at, max_at) = (h.min_at, h.max_at);
-    let mut r = PayloadReader {
-        buf: payload,
-        pos: 0,
-        chunk: index,
-    };
-    let bad = |what: &'static str| CaptureError::Chunk { index, what };
+/// Where one of a payload's dictionary-or-plain columns lies, as
+/// [`ChunkRows::new`] found it.
+#[derive(Debug, Default)]
+enum Column {
+    /// Not projected: stepped over at setup, never read again.
+    #[default]
+    Skipped,
+    /// Per-record varints from offset `pos` on, each checked against
+    /// `max` (naming `out_of_range`) as its row decodes.
+    Plain {
+        pos: usize,
+        max: u64,
+        out_of_range: &'static str,
+    },
+    /// The dictionary (range-checked) and the offset of the bit-packed
+    /// indices, `width` bits each.
+    Dict {
+        dict: Vec<u64>,
+        width: u32,
+        packed: usize,
+    },
+}
 
-    // The timestamp column materializes the records (every later column
-    // fills fields in place — no intermediate column vectors).
-    let start = out.len();
-    out.reserve(n);
-    let mut prev = min_at;
-    for _ in 0..n {
-        prev = prev
-            .checked_add(r.varint()?)
-            .ok_or(bad("timestamp overflow"))?;
-        out.push(MsgRecord {
-            at: SimTime::from_micros(prev),
-            src: NodeId(0),
-            dst: NodeId(0),
-            kind: MsgKind::Request,
-            conn: ConnId(0),
-            class: ClassId(0),
-            bytes: 0,
-            truth: None,
-        });
+impl Column {
+    /// Finds the column at `r`, leaving `r` past it. When the column is
+    /// `wanted`, its dictionary values are validated against `max` once
+    /// each (naming `out_of_range`), and a plain column's values as they
+    /// decode; a skipped column forgoes those semantic checks. Dictionary
+    /// columns skip their packed index block in O(dictionary), the payoff
+    /// of projection; plain ones count their varints (no length prefix to
+    /// jump by).
+    fn locate(
+        r: &mut PayloadReader<'_>,
+        n: usize,
+        wanted: bool,
+        max: u64,
+        out_of_range: &'static str,
+    ) -> Result<Column, CaptureError> {
+        let chunk = r.chunk;
+        let bad = |what: &'static str| CaptureError::Chunk { index: chunk, what };
+        match r.bytes(1)?[0] {
+            COL_PLAIN => {
+                let pos = r.pos;
+                r.skip_varints(n)?;
+                Ok(if wanted {
+                    Column::Plain {
+                        pos,
+                        max,
+                        out_of_range,
+                    }
+                } else {
+                    Column::Skipped
+                })
+            }
+            COL_DICT => {
+                let dict_len = r.varint()? as usize;
+                if dict_len > DICT_MAX_ENTRIES || (dict_len == 0 && n > 0) {
+                    return Err(bad("bad dictionary"));
+                }
+                let mut dict = Vec::with_capacity(if wanted { dict_len } else { 0 });
+                for _ in 0..dict_len {
+                    let v = r.varint()?;
+                    if wanted {
+                        if v > max {
+                            return Err(bad(out_of_range));
+                        }
+                        dict.push(v);
+                    }
+                }
+                let width = if dict_len == 0 {
+                    0
+                } else {
+                    dict_width(dict_len)
+                };
+                let packed = r.pos;
+                r.bytes((n as u64 * u64::from(width)).div_ceil(8) as usize)?;
+                Ok(if wanted {
+                    Column::Dict {
+                        dict,
+                        width,
+                        packed,
+                    }
+                } else {
+                    Column::Skipped
+                })
+            }
+            _ => Err(bad("unknown column encoding")),
+        }
     }
-    let records = &mut out[start..];
-    if n > 0 && (records[0].at.as_micros() != min_at || prev != max_at) {
-        return Err(bad("timestamp bounds mismatch"));
+
+    /// Stores the values of rows `first..first + records.len()` through
+    /// `set`: a branch-light bit extract and table lookup per record for a
+    /// dictionary column (starting mid-byte when `first` does), one varint
+    /// for a plain one.
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        chunk: u32,
+        first: usize,
+        records: &mut [MsgRecord],
+        mut set: impl FnMut(&mut MsgRecord, u64),
+    ) -> Result<(), CaptureError> {
+        match self {
+            Column::Skipped => {}
+            Column::Plain {
+                pos,
+                max,
+                out_of_range,
+            } => {
+                let mut r = PayloadReader {
+                    buf: payload,
+                    pos: *pos,
+                    chunk,
+                };
+                for rec in records.iter_mut() {
+                    let v = r.varint()?;
+                    if v > *max {
+                        return Err(CaptureError::Chunk {
+                            index: chunk,
+                            what: out_of_range,
+                        });
+                    }
+                    set(rec, v);
+                }
+                *pos = r.pos;
+            }
+            Column::Dict {
+                dict,
+                width,
+                packed,
+            } => {
+                let width = *width;
+                let bit = first as u64 * u64::from(width);
+                // `pos` cannot overrun: the loop pulls exactly the bytes whose
+                // bits it consumes, and setup found all n·width of them.
+                let mut pos = *packed + (bit / 8) as usize;
+                let (mut acc, mut nbits) = match (bit % 8) as u32 {
+                    0 => (0, 0),
+                    skip => {
+                        pos += 1;
+                        (u64::from(payload[pos - 1]) >> skip, 8 - skip)
+                    }
+                };
+                let mask = (1u64 << width) - 1;
+                for rec in records.iter_mut() {
+                    while nbits < width {
+                        acc |= u64::from(payload[pos]) << nbits;
+                        pos += 1;
+                        nbits += 8;
+                    }
+                    let idx = (acc & mask) as usize;
+                    acc >>= width;
+                    nbits -= width;
+                    let v = *dict.get(idx).ok_or(CaptureError::Chunk {
+                        index: chunk,
+                        what: "bad dictionary index",
+                    })?;
+                    set(rec, v);
+                }
+            }
+        }
+        Ok(())
     }
-    if proj.src {
-        read_column(
-            &mut r,
-            records,
-            u64::from(u16::MAX),
-            "src out of range",
-            |rec, v| {
-                rec.src = NodeId(v as u16);
-            },
-        )?;
-    } else {
-        skip_column(&mut r, n)?;
+}
+
+/// The truth column's read position: its presence bitmap, the next delta
+/// and the last value.
+#[derive(Debug)]
+struct TruthCursor {
+    bitmap: usize,
+    pos: usize,
+    prev: u64,
+}
+
+/// A verified chunk payload, decoded a row range at a time under a
+/// [`Projection`]. Setup steps over the payload once: it validates every
+/// column's structure and projected dictionaries, and notes where each
+/// column's rows start; each [`decode`](Self::decode) then materializes
+/// the next rows, column by column, straight into the records. So a chunk
+/// can be handed out in row batches without ever being decoded whole, and
+/// a whole-chunk decode is one batch. A value fault surfaces with the
+/// batch whose rows carry it: a timestamp that overflows or misses the
+/// header's bounds (checked at the first and last rows), a plain value out
+/// of range, a dictionary index past its dictionary, a bad truth delta,
+/// and trailing bytes (found with the last row). None can pass the
+/// checksum of a chunk [`ChunkedWriter`] wrote.
+#[derive(Debug)]
+struct ChunkRows {
+    index: u32,
+    n: usize,
+    /// Rows decoded so far.
+    next: usize,
+    /// The timestamp column's next varint and the last timestamp.
+    at: (usize, u64),
+    /// The header's first and last timestamps.
+    bounds: (u64, u64),
+    /// src, dst, kind, conn, class, bytes.
+    cols: [Column; 6],
+    /// `None` when truth is not projected (setup walked it to the end).
+    truth: Option<TruthCursor>,
+}
+
+impl ChunkRows {
+    fn new(
+        payload: &[u8],
+        index: u32,
+        h: &ChunkHeader,
+        proj: Projection,
+    ) -> Result<ChunkRows, CaptureError> {
+        let n = h.record_count as usize;
+        let mut r = PayloadReader {
+            buf: payload,
+            pos: 0,
+            chunk: index,
+        };
+        let bad = |what: &'static str| CaptureError::Chunk { index, what };
+        r.skip_varints(n)?;
+        let specs = [
+            (proj.src, u64::from(u16::MAX), "src out of range"),
+            (proj.dst, u64::from(u16::MAX), "dst out of range"),
+            (proj.kind, 1, "unknown message kind"),
+            (proj.conn, u64::from(u32::MAX), "conn out of range"),
+            (proj.class, u64::from(u16::MAX), "class out of range"),
+            (proj.bytes, u64::from(u32::MAX), "bytes out of range"),
+        ];
+        let mut cols: [Column; 6] = Default::default();
+        for (col, (wanted, max, what)) in cols.iter_mut().zip(specs) {
+            *col = Column::locate(&mut r, n, wanted, max, what)?;
+        }
+        let bitmap = r.pos;
+        let bits = r.bytes(n.div_ceil(8))?;
+        let truth = if proj.truth {
+            Some(TruthCursor {
+                bitmap,
+                pos: r.pos,
+                prev: 0,
+            })
+        } else {
+            // Bits at positions >= n are padding the full decode never
+            // reads; mask them out of the last byte before counting how
+            // many truth varints follow.
+            let mut present: usize = 0;
+            for (byte_i, &b) in bits.iter().enumerate() {
+                let mut b = b;
+                if byte_i == n / 8 {
+                    b &= ((1u16 << (n % 8)) - 1) as u8;
+                }
+                present += b.count_ones() as usize;
+            }
+            r.skip_varints(present)?;
+            if r.pos != payload.len() {
+                return Err(bad("trailing bytes in chunk"));
+            }
+            None
+        };
+        Ok(ChunkRows {
+            index,
+            n,
+            next: 0,
+            at: (0, h.min_at),
+            bounds: (h.min_at, h.max_at),
+            cols,
+            truth,
+        })
     }
-    if proj.dst {
-        read_column(
-            &mut r,
-            records,
-            u64::from(u16::MAX),
-            "dst out of range",
-            |rec, v| {
-                rec.dst = NodeId(v as u16);
-            },
-        )?;
-    } else {
-        skip_column(&mut r, n)?;
+
+    /// Whether every row has been decoded.
+    fn done(&self) -> bool {
+        self.next == self.n
     }
-    if proj.kind {
-        read_column(&mut r, records, 1, "unknown message kind", |rec, v| {
+
+    /// Appends the next (at most `rows`) records of `payload` — the one
+    /// setup walked — to `out`; unprojected fields keep the
+    /// [`MsgRecord`] defaults. After an error `out` may hold part of them.
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        rows: usize,
+        out: &mut Vec<MsgRecord>,
+    ) -> Result<(), CaptureError> {
+        let (index, first) = (self.index, self.next);
+        let end = first.saturating_add(rows).min(self.n);
+        let bad = |what: &'static str| CaptureError::Chunk { index, what };
+        // The timestamp column materializes the records (every later column
+        // fills fields in place — no intermediate column vectors).
+        let start = out.len();
+        out.reserve(end - first);
+        let mut r = PayloadReader {
+            buf: payload,
+            pos: self.at.0,
+            chunk: index,
+        };
+        let mut prev = self.at.1;
+        for _ in first..end {
+            prev = prev
+                .checked_add(r.varint()?)
+                .ok_or(bad("timestamp overflow"))?;
+            out.push(MsgRecord {
+                at: SimTime::from_micros(prev),
+                src: NodeId(0),
+                dst: NodeId(0),
+                kind: MsgKind::Request,
+                conn: ConnId(0),
+                class: ClassId(0),
+                bytes: 0,
+                truth: None,
+            });
+        }
+        self.at = (r.pos, prev);
+        let records = &mut out[start..];
+        let (min_at, max_at) = self.bounds;
+        let first_off = first == 0 && records.first().is_some_and(|r| r.at.as_micros() != min_at);
+        if first_off || (end == self.n && prev != max_at) {
+            return Err(bad("timestamp bounds mismatch"));
+        }
+        let [src, dst, kind, conn, class, bytes] = &mut self.cols;
+        // Values are range-checked (dictionaries at setup, plain values as
+        // they decode), so the casts are exact.
+        src.decode(payload, index, first, records, |rec, v| {
+            rec.src = NodeId(v as u16);
+        })?;
+        dst.decode(payload, index, first, records, |rec, v| {
+            rec.dst = NodeId(v as u16);
+        })?;
+        kind.decode(payload, index, first, records, |rec, v| {
             rec.kind = if v == 0 {
                 MsgKind::Request
             } else {
                 MsgKind::Response
             };
         })?;
-    } else {
-        skip_column(&mut r, n)?;
-    }
-    if proj.conn {
-        read_column(
-            &mut r,
-            records,
-            u64::from(u32::MAX),
-            "conn out of range",
-            |rec, v| {
-                rec.conn = ConnId(v as u32);
-            },
-        )?;
-    } else {
-        skip_column(&mut r, n)?;
-    }
-    if proj.class {
-        read_column(
-            &mut r,
-            records,
-            u64::from(u16::MAX),
-            "class out of range",
-            |rec, v| {
-                rec.class = ClassId(v as u16);
-            },
-        )?;
-    } else {
-        skip_column(&mut r, n)?;
-    }
-    if proj.bytes {
-        read_column(
-            &mut r,
-            records,
-            u64::from(u32::MAX),
-            "bytes out of range",
-            |rec, v| {
-                rec.bytes = v as u32;
-            },
-        )?;
-    } else {
-        skip_column(&mut r, n)?;
-    }
-    let bitmap = r.bytes(n.div_ceil(8))?;
-    if proj.truth {
-        let mut prev_truth: u64 = 0;
-        for (i, rec) in records.iter_mut().enumerate() {
-            if bitmap[i / 8] >> (i % 8) & 1 == 1 {
-                prev_truth = prev_truth.wrapping_add(unzigzag(r.varint()?) as u64);
-                if prev_truth == NO_TRUTH {
-                    return Err(bad("reserved truth value"));
+        conn.decode(payload, index, first, records, |rec, v| {
+            rec.conn = ConnId(v as u32);
+        })?;
+        class.decode(payload, index, first, records, |rec, v| {
+            rec.class = ClassId(v as u16);
+        })?;
+        bytes.decode(payload, index, first, records, |rec, v| {
+            rec.bytes = v as u32;
+        })?;
+        if let Some(t) = &mut self.truth {
+            let mut r = PayloadReader {
+                buf: payload,
+                pos: t.pos,
+                chunk: index,
+            };
+            for (i, rec) in (first..end).zip(records.iter_mut()) {
+                if payload[t.bitmap + i / 8] >> (i % 8) & 1 == 1 {
+                    t.prev = t.prev.wrapping_add(unzigzag(r.varint()?) as u64);
+                    if t.prev == NO_TRUTH {
+                        return Err(bad("reserved truth value"));
+                    }
+                    rec.truth = Some(TxnId(t.prev));
                 }
-                rec.truth = Some(TxnId(prev_truth));
+            }
+            t.pos = r.pos;
+            if end == self.n && t.pos != payload.len() {
+                return Err(bad("trailing bytes in chunk"));
             }
         }
-    } else {
-        // Bits at positions >= n are padding the full decode never reads;
-        // mask them out of the last byte before counting how many truth
-        // varints follow.
-        let mut present: usize = 0;
-        for (byte_i, &b) in bitmap.iter().enumerate() {
-            let mut b = b;
-            if byte_i == n / 8 {
-                b &= ((1u16 << (n % 8)) - 1) as u8;
-            }
-            present += b.count_ones() as usize;
-        }
-        for _ in 0..present {
-            r.varint()?;
-        }
+        self.next = end;
+        Ok(())
     }
-    if r.pos != payload.len() {
-        return Err(bad("trailing bytes in chunk"));
-    }
-    Ok(())
 }
 
 // --- writer -----------------------------------------------------------------
@@ -692,6 +820,11 @@ pub struct ChunkedWriter<W: Write> {
     chunk_records: usize,
     index: Vec<ChunkInfo>,
     last_at: SimTime,
+    /// The last chunk's payload bytes and records: the next payload
+    /// reserves its bytes per record plus an eighth, so the writer
+    /// neither regrows nor over-holds the buffer. Simulator traffic
+    /// encodes to 5.5–6.0 B/record; the first chunk assumes 7.
+    last_payload: (usize, usize),
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -730,6 +863,7 @@ impl<W: Write> ChunkedWriter<W> {
             chunk_records,
             index: Vec::new(),
             last_at: SimTime::ZERO,
+            last_payload: (7, 1),
         })
     }
 
@@ -756,7 +890,11 @@ impl<W: Write> ChunkedWriter<W> {
     fn flush_chunk(&mut self) -> Result<(), CaptureError> {
         let min_at = self.buf[0].at.as_micros();
         let max_at = self.buf[self.buf.len() - 1].at.as_micros();
-        let payload = encode_chunk_payload(&self.buf, min_at);
+        let (bytes, records) = self.last_payload;
+        // About the payload's size, which fits the header's `u32`.
+        let reserve = (bytes as u64 * self.buf.len() as u64 / records as u64) as usize;
+        let payload = encode_chunk_payload(&self.buf, min_at, reserve + reserve / 8);
+        self.last_payload = (payload.len(), self.buf.len());
         self.index.push(ChunkInfo {
             offset: self.offset,
             record_count: self.buf.len() as u32,
@@ -871,7 +1009,7 @@ fn parse_index(bytes: &[u8]) -> Result<(Vec<NodeMeta>, Vec<ChunkInfo>), CaptureE
 
 /// The in-memory walker's chunk read: a chunk must start where its index
 /// entry says and its header must agree with that entry; the rest is the
-/// shared [`decode_chunk`] step.
+/// shared [`verify_chunk`] step, decoded whole.
 fn decode_indexed(
     bytes: &[u8],
     index: u32,
@@ -891,7 +1029,8 @@ fn decode_indexed(
         }
         Ok(rest.get(..h.byte_len).unwrap_or(rest))
     };
-    decode_chunk(head, index, payload, proj, out)
+    let (h, bytes) = verify_chunk(head, index, payload)?;
+    ChunkRows::new(bytes, index, &h, proj)?.decode(bytes, usize::MAX, out)
 }
 
 /// Effective decode parallelism on a host with `host_cores` usable cores.
@@ -1109,18 +1248,30 @@ fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), Captur
     Ok(())
 }
 
-/// Streams a capture as chunks of records — the stream walker, under
+/// Rows [`CaptureChunks`] decodes per step: a quarter of a default chunk,
+/// so a stream consumer holds 16 Ki decoded records (640 KiB) at a time,
+/// not 64 Ki, while the per-step cost (a channel send, a buffer swap) stays
+/// a small share of decoding the rows.
+pub const ROW_BATCH: usize = 16 * 1024;
+
+/// Streams a capture as row batches — the stream walker, under
 /// `read_capture`, `analyze_capture --follow` and FIFO input, and
 /// `compare_captures --raw` — in flat memory. Each chunk is checked to
-/// start no earlier than the one before ended.
+/// start no earlier than the one before ended, and its payload is verified
+/// whole before any of its rows is handed out; the rows are then decoded
+/// from the payload [`ROW_BATCH`] at a time, so no step holds a whole
+/// decoded chunk.
 pub struct CaptureChunks<R: Read> {
     r: R,
     nodes: Vec<NodeMeta>,
     /// Next chunk index and the previous chunk's max timestamp; `None`
     /// once the footer is consumed or an error yielded.
     state: Option<(u32, u64)>,
-    /// Payload buffer, reused from chunk to chunk.
+    /// Payload of the chunk being handed out, its buffer reused from chunk
+    /// to chunk.
     payload: Vec<u8>,
+    /// Where that chunk's rows stand; `None` before the first chunk.
+    rows: Option<ChunkRows>,
 }
 
 impl<R: Read> CaptureChunks<R> {
@@ -1142,6 +1293,7 @@ impl<R: Read> CaptureChunks<R> {
             nodes,
             state: Some((0, 0)),
             payload: Vec::new(),
+            rows: None,
         })
     }
 
@@ -1150,9 +1302,9 @@ impl<R: Read> CaptureChunks<R> {
         &self.nodes
     }
 
-    /// Decodes the next chunk into `out` (clearing it first, keeping its
-    /// allocation), as [`ChunkCursor::next_chunk`] does. Returns `Ok(false)`
-    /// when the walk is complete.
+    /// Decodes the next row batch into `out` (clearing it first, keeping
+    /// its allocation): at most [`ROW_BATCH`] rows, all of one chunk.
+    /// Returns `Ok(false)` when the walk is complete.
     ///
     /// # Errors
     ///
@@ -1160,29 +1312,46 @@ impl<R: Read> CaptureChunks<R> {
     /// `Ok(false)`.
     pub fn next_into(&mut self, out: &mut Vec<MsgRecord>) -> Result<bool, CaptureError> {
         out.clear();
-        let Some((next, prev_max)) = self.state.take() else {
-            return Ok(false);
-        };
-        let step = self.next_chunked(next, prev_max, out);
-        if let Ok(true) = step {
-            let prev_max = out.last().map_or(prev_max, |r| r.at.as_micros());
-            self.state = Some((next + 1, prev_max));
+        let step = self.next_rows(out);
+        if step.is_err() {
+            (self.state, self.rows) = (None, None);
         }
         step
     }
 
-    /// The next chunk into `out` through the shared [`decode_chunk`] step;
-    /// `false` once the footer is read and agrees with the chunks seen.
-    fn next_chunked(
-        &mut self,
-        index: u32,
-        prev_max: u64,
-        out: &mut Vec<MsgRecord>,
-    ) -> Result<bool, CaptureError> {
+    /// Whether the rows [`next_into`](Self::next_into) returned last ended
+    /// their chunk.
+    pub fn chunk_done(&self) -> bool {
+        self.rows.as_ref().is_none_or(ChunkRows::done)
+    }
+
+    fn next_rows(&mut self, out: &mut Vec<MsgRecord>) -> Result<bool, CaptureError> {
+        if self.chunk_done() {
+            let Some((index, prev_max)) = self.state else {
+                return Ok(false);
+            };
+            match self.next_chunk(index, prev_max)? {
+                Some(max_at) => self.state = Some((index + 1, max_at)),
+                None => {
+                    self.state = None;
+                    return Ok(false);
+                }
+            }
+        }
+        let rows = self.rows.as_mut().expect("a chunk is in hand");
+        rows.decode(&self.payload, ROW_BATCH, out)?;
+        Ok(true)
+    }
+
+    /// Reads and verifies the next chunk through the shared
+    /// [`verify_chunk`] step and sets up its rows, returning its max
+    /// timestamp; `None` once the footer is read and agrees with the
+    /// chunks seen.
+    fn next_chunk(&mut self, index: u32, prev_max: u64) -> Result<Option<u64>, CaptureError> {
         let mut head = [0u8; CHUNK_HEADER_LEN];
         self.r.read_exact(&mut head[..1])?;
         match head[0] {
-            TAG_INDEX => return read_stream_footer(&mut self.r, index).map(|()| false),
+            TAG_INDEX => return read_stream_footer(&mut self.r, index).map(|()| None),
             TAG_CHUNK => self.r.read_exact(&mut head[1..])?,
             _ => return Err(CaptureError::Malformed("unknown block tag")),
         }
@@ -1208,12 +1377,13 @@ impl<R: Read> CaptureChunks<R> {
             })?;
             Ok(&buf[..])
         };
-        decode_chunk(&head, index, payload, Projection::ALL, out)?;
-        Ok(true)
+        let (h, bytes) = verify_chunk(&head, index, payload)?;
+        self.rows = Some(ChunkRows::new(bytes, index, &h, Projection::ALL)?);
+        Ok(Some(h.max_at))
     }
 }
 
-/// Each chunk in a fresh `Vec`; [`CaptureChunks::next_into`] reuses one.
+/// Each row batch in a fresh `Vec`; [`CaptureChunks::next_into`] reuses one.
 impl<R: Read> Iterator for CaptureChunks<R> {
     type Item = Result<Vec<MsgRecord>, CaptureError>;
 
@@ -1346,6 +1516,87 @@ mod tests {
             out.extend_from_slice(&buf);
         }
         out
+    }
+
+    /// Every chunk of `bytes` decoded `rows` at a time under `proj`.
+    fn decode_in_rows(bytes: &[u8], rows: usize, proj: Projection) -> Vec<MsgRecord> {
+        let (_, chunks) = parse_index(bytes).unwrap();
+        let mut out = Vec::new();
+        for (i, info) in chunks.into_iter().enumerate() {
+            let start = info.offset as usize;
+            let head: &[u8; CHUNK_HEADER_LEN] =
+                bytes[start..][..CHUNK_HEADER_LEN].try_into().unwrap();
+            let rest = &bytes[start + CHUNK_HEADER_LEN..];
+            let (h, payload) = verify_chunk(head, i as u32, |h| Ok(&rest[..h.byte_len])).unwrap();
+            let mut chunk = ChunkRows::new(payload, i as u32, &h, proj).unwrap();
+            while !chunk.done() {
+                chunk.decode(payload, rows, &mut out).unwrap();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn timestamps_off_the_header_bounds_fail_the_batch_that_reaches_them() {
+        let log = sample_log(1_000);
+        let payload = encode_chunk_payload(&log.records, log.records[0].at.as_micros(), 0);
+        // A header one µs off the last timestamp: the first batch decodes,
+        // the last fails.
+        let h = ChunkHeader {
+            record_count: 1_000,
+            min_at: log.records[0].at.as_micros(),
+            max_at: log.records[999].at.as_micros() + 1,
+            byte_len: payload.len(),
+        };
+        let mut rows = ChunkRows::new(&payload, 7, &h, Projection::ALL).unwrap();
+        let mut out = Vec::new();
+        rows.decode(&payload, 600, &mut out).unwrap();
+        assert_eq!(out, log.records[..600]);
+        match rows.decode(&payload, 600, &mut out) {
+            Err(CaptureError::Chunk { index: 7, what }) => {
+                assert_eq!(what, "timestamp bounds mismatch");
+            }
+            other => panic!("expected a bounds error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_batches_decode_what_the_whole_chunk_decodes() {
+        let mut log = sample_log(9_000);
+        let dense = encode(&log, 2_000);
+        // Distinct connections past the dictionary ceiling: a plain column.
+        for (i, rec) in log.records.iter_mut().enumerate() {
+            rec.conn = ConnId(i as u32);
+        }
+        let plain = encode(&log, 9_000);
+        for bytes in [dense, plain] {
+            for proj in [Projection::ALL, Projection::DETECT] {
+                let whole = drain_cursor(ChunkCursor::new(&bytes).unwrap().with_projection(proj));
+                // Odd batch sizes start the packed columns mid-byte.
+                for rows in [1, 7, 333, 1_999, 2_000, usize::MAX] {
+                    assert_eq!(decode_in_rows(&bytes, rows, proj), whole, "{rows} rows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stream_walker_hands_out_row_batches_and_marks_chunk_ends() {
+        let log = sample_log(2 * ROW_BATCH as u64 + 5_000);
+        let bytes = encode(&log, ROW_BATCH + 3_000);
+        let mut chunks = CaptureChunks::open(bytes.as_slice()).unwrap();
+        let (mut got, mut steps) = (Vec::new(), Vec::new());
+        let mut buf = Vec::new();
+        while chunks.next_into(&mut buf).unwrap() {
+            got.extend_from_slice(&buf);
+            steps.push((buf.len(), chunks.chunk_done()));
+        }
+        assert_eq!(got, log.records);
+        let full = ROW_BATCH;
+        assert_eq!(
+            steps,
+            [(full, false), (3_000, true), (full, false), (2_000, true)]
+        );
     }
 
     #[test]

@@ -109,7 +109,6 @@ impl SpanSet {
                 set.by_server.insert(server, s.spans);
             }
         }
-        fgbd_obsv::counter!("trace.extract_reuse_hits", set.len() as u64);
         fgbd_obsv::counter!("extract.spans", set.len() as u64);
         if fgbd_obsv::enabled() {
             // Retained: 0 on every lossless capture is the finding.
