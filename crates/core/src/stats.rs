@@ -20,7 +20,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted copy.
+/// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank: the element a stable sort
+/// would put at rank `round((n − 1)·q)`, found by selection on a copy.
 ///
 /// # Panics
 ///
@@ -30,10 +31,18 @@ pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
+    let idx = ((xs.len() - 1) as f64 * q).round() as usize;
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let idx = ((v.len() - 1) as f64 * q).round() as usize;
-    Some(v[idx])
+    let (_, &mut at, _) = v.select_nth_unstable_by(idx, |a, b| {
+        a.partial_cmp(b).expect("NaN in percentile input")
+    });
+    if at == 0.0 {
+        // -0.0 and 0.0 tie but differ in bits: a stable sort keeps them
+        // in input order, so the rank names the zero that order puts there.
+        let below = xs.iter().filter(|&&x| x < 0.0).count();
+        return xs.iter().copied().filter(|&x| x == 0.0).nth(idx - below);
+    }
+    Some(at)
 }
 
 /// Pearson product-moment correlation of two equal-length series.

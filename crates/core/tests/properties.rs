@@ -67,6 +67,38 @@ fn services() -> ServiceTimeTable {
     t
 }
 
+/// Nearest-rank percentile by its definition: the element at rank
+/// `round((n − 1)·q)` of a stably sorted copy.
+fn sorted_percentile(xs: &[f64], q: f64) -> Option<f64> {
+    let mut v = xs.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    v.get(((v.len().max(1) - 1) as f64 * q).round() as usize)
+        .copied()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Selection finds the bits the sorted copy holds at the rank, ties
+    /// (signed zeros among them) included.
+    #[test]
+    fn percentile_selects_what_the_sorted_copy_holds(
+        picks in prop::collection::vec(0usize..9, 0..300),
+        q in 0.0f64..1.0,
+        edge in 0u8..3,
+    ) {
+        const VALUES: [f64; 9] = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0e-300, 7.0, 1.0e300];
+        let xs: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+        let q = match edge {
+            0 => 0.0,
+            1 => 1.0,
+            _ => q,
+        };
+        let got = fgbd_core::stats::percentile(&xs, q).map(f64::to_bits);
+        prop_assert_eq!(got, sorted_percentile(&xs, q).map(f64::to_bits));
+    }
+}
+
 proptest! {
     /// The load integral over the window equals total clipped residence.
     #[test]

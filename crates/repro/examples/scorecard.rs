@@ -33,6 +33,9 @@
 //!   tomcat-2 as a control.
 //! - `speedstep_one`: SpeedStep on mysql-1 only, scored as `dvfs_final`
 //!   (calibrated as SpeedStep on).
+//! - `dvfs_control_subknee`: `dvfs_control_off` at WL 8,000, below the
+//!   knee, so the intervals it still flags are not load congestion at
+//!   10,000 either.
 //!
 //! `--short` runs one seed, 20130708, which `tests/detector_truth.rs` runs
 //! in tier-1 and holds to its floors. Otherwise each row runs `N` seeds
@@ -122,7 +125,7 @@ const fn row(
 }
 
 /// The rows, in `SCORECARD.json` order.
-pub const ROWS: [Row; 8] = {
+pub const ROWS: [Row; 9] = {
     use Change::{Jdk16On, SpeedStepOnlyOn};
     use Scored::{Flagged, Frozen};
     use Truth::{Pauses, SlowClock};
@@ -177,6 +180,12 @@ pub const ROWS: [Row; 8] = {
             name: "speedstep_one",
             scenario: SPEEDSTEP_OFF,
             change: SpeedStepOnlyOn("mysql-1"),
+            ..dvfs
+        },
+        Row {
+            name: "dvfs_control_subknee",
+            scenario: SPEEDSTEP_OFF,
+            users: 8_000,
             ..dvfs
         },
     ]

@@ -1,17 +1,17 @@
 //! Million-user smoke run: simulates a `users: 10^6` closed-loop
 //! population, spills its capture to a chunked `FGBDCAP2` file, and
-//! **analyzes that capture through the capture route while it is written**
-//! — proving the three memory claims of the scale work at once: the SoA
-//! user table costs a flat 20 bytes per user, the record tap plus chunked
-//! writer keep the capture out of memory while writing (the tap hands
-//! `TAP_BATCH_RECORDS`-record batches to a writer thread, which holds at
-//! most one encode buffer of `DEFAULT_CHUNK_RECORDS` records), and the
-//! stream walker keeps it out of memory while *reading*: the writer tees
-//! the file's bytes into an in-process pipe, and an analyzer thread decodes
-//! them with `CaptureChunks` one chunk at a time (manifest `source:
-//! "stream"`, `decode_threads` 1), so the reports are those of the finished
-//! file and only the last chunk and the N* fits are left when the
-//! simulation stops.
+//! **analyzes the records it writes while it writes them** — proving the
+//! three memory claims of the scale work at once: the SoA user table costs
+//! a flat 20 bytes per user, the record tap plus chunked writer keep the
+//! capture out of memory while writing (the tap hands
+//! `TAP_BATCH_RECORDS`-record batches to a writer thread, which stages at
+//! most one chunk of `DEFAULT_CHUNK_RECORDS` records column by column), and
+//! the capture route keeps it out of memory while *reading*: the writer
+//! thread hands each batch it has encoded to the analyzer (manifest
+//! `source: "tap"`, `decode_threads` 1), so the reports are those of
+//! `analyze_capture` on the finished file, each record is held once, and
+//! only the last chunk and the N* fits are left when the simulation stops.
+//! Three threads: the simulation, the writer, the calibration worker.
 //!
 //! ```bash
 //! cargo run -p fgbd-repro --release --bin million_users -- \
@@ -63,8 +63,7 @@ fn main() {
 
     // The chunked format needs the node table before the first record. The
     // tap only batches records: a writer thread encodes them to the file
-    // and tees the bytes to an analyzer thread, which reads them with the
-    // stream walker as they land.
+    // and then analyzes the same batches.
     let nodes = fgbd_ntier::node_metas(&cfg);
     let fail = |e: &dyn std::fmt::Display| -> ! { fail_path("million_users", &path, e) };
     let interval = SimDuration::from_millis(50);
@@ -100,8 +99,8 @@ fn main() {
         scope.field("vm_hwm_sim_kib", Json::Num(kib as f64));
     }
 
-    // What is left once the simulation stops: the writer's last chunk and
-    // footer, the analyzer's decode of them, and the N* fits.
+    // What is left once the simulation stops: the writer's last batches,
+    // chunk and footer, their analysis, and the N* fits.
     let wall = Instant::now();
     let tapped = {
         fgbd_obsv::span!("million_analyze");
@@ -117,7 +116,7 @@ fn main() {
     );
     fgbd_obsv::log!(
         "million_users",
-        "  stream analyze: {} records, {} servers reported {:.2}s after the simulation",
+        "  tap analyze: {} records, {} servers reported {:.2}s after the simulation",
         za.records,
         za.reports.len(),
         wall.as_secs_f64()

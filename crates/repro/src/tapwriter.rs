@@ -1,53 +1,59 @@
 //! The record tap's capture writer: the simulation thread only batches
-//! records, a writer thread encodes them into a chunked `FGBDCAP2` file,
-//! and — when asked — an analyzer thread reads the bytes it writes as they
-//! land.
+//! records, and a writer thread encodes each batch into a chunked
+//! `FGBDCAP2` file and — when asked — hands the same batch to the
+//! analyzer.
 //!
 //! ```text
-//! simulation ──batches──▶ writer ──────────bytes──▶ file
-//! (the tap)   (bounded)   (ChunkedWriter)   └─tee─▶ pipe ──▶ analyzer ──▶ reports
-//!                                                          (analyze_stream,
-//!                                                           its calibration worker)
+//! simulation ──batches──▶ writer ─────────────────────▶ file
+//! (the tap)   (bounded)   (ChunkedWriter, then
+//!     ▲                    CaptureAnalyzer) ──────────▶ reports
+//!     └──────spare batches──┘    └─▶ calibration worker
 //! ```
 //!
 //! The writer thread owns the one [`ChunkedWriter`], so chunk boundaries
-//! and file bytes are those of an inline tap. The analyzer decodes the very
-//! bytes that go to disk through an in-process pipe with the stream walker
-//! ([`analyze_stream`]), so its reports are those of
+//! and file bytes are those of an inline tap. It also owns the
+//! [`CaptureAnalyzer`], which reads the tap's own batches once they are
+//! encoded — the records are never copied, decoded or held twice — and is
+//! told a batch ends a chunk when the writer just sealed one, so its
+//! reports and calibration point are those of
 //! [`analyze_capture2_zero_copy`](crate::zerocopy::analyze_capture2_zero_copy)
-//! on the finished file, and when the simulation stops only the last chunk
-//! and the N\* fits remain. On one core the stages take turns; nothing
+//! on the finished file (manifest `source: "tap"`). The analyzer's spare
+//! buffers go back to the tap, so at most `TAP_BATCHES + POOL_BUFFERS`
+//! batches ever exist, and when the simulation stops only the last chunk
+//! and the N\* fits remain. On one core the threads take turns; nothing
 //! depends on how they interleave.
 //!
-//! A consumer that dies (a failed write, a failed decode) never blocks the
-//! simulation: the tap drops records once its channel is gone, a dead
-//! analyzer only loses its pipe while the file is still written, and
-//! [`TapWriter::finish`] returns the first cause.
+//! A writer that dies (a failed write) never blocks the simulation: the
+//! tap drops records once its channel is gone, and [`TapWriter::finish`]
+//! returns the cause.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, PipeWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use fgbd_des::SimDuration;
+use fgbd_trace::capture2::DEFAULT_CHUNK_RECORDS;
 use fgbd_trace::{CaptureError, ChunkedWriter, MsgRecord, NodeMeta};
 
-use crate::zerocopy::{analyze_stream, BufferPool, ZeroCopyAnalysis};
+use crate::zerocopy::{BufferPool, CaptureAnalyzer, ZeroCopyAnalysis};
 
 /// Records per batch the tap hands the writer thread. A batch is 160 KiB
 /// of records, a sixteenth of a chunk, so while the writer keeps up the
-/// tap holds a few of them beside the 2.5 MiB chunk buffer the writer
-/// holds anyway, where 16 Ki-record batches held 640 KiB each. The
-/// simulation thread sends about 400 times a second at the
-/// `million_users` rate, a channel send each — nothing next to the
-/// simulation.
+/// tap holds a few of them. The simulation thread sends about 400 times a
+/// second at the `million_users` rate, a channel send each — nothing next
+/// to the simulation.
 const TAP_BATCH_RECORDS: usize = 4 * 1024;
+
+// A chunk is sealed at the end of a batch, so the analyzer learns exactly
+// where chunks end.
+const _: () = assert!(DEFAULT_CHUNK_RECORDS.is_multiple_of(TAP_BATCH_RECORDS));
 
 /// The tap's [`BufferPool`]: up to a chunk of records in flight. The
 /// writer encodes about ten times faster than the simulation records, but
-/// it pauses for each chunk's encode and for the analyzer draining the
-/// pipe; batches made only while it lags absorb those pauses. With four
+/// it pauses for each chunk's seal and for the analyzer's calibration
+/// worker; batches made only while it lags absorb those pauses. With four
 /// 4 Ki-record batches the simulation waited on it: `million_users` ran
 /// 12–17% longer on two cores than with the 16 Ki-record batches before,
 /// against 5% (inside the run-to-run spread) with sixteen.
@@ -58,7 +64,7 @@ const TAP_BATCHES: usize = 16;
 pub struct Tapped {
     /// Records written to the capture.
     pub records: u64,
-    /// The analysis of the written bytes, if one was asked for.
+    /// The analysis of the written records, if one was asked for.
     pub analysis: Option<ZeroCopyAnalysis>,
 }
 
@@ -74,59 +80,42 @@ pub struct TapWriter {
     /// The batches, back from the writer for reuse.
     pool: BufferPool,
     records: u64,
-    writer: JoinHandle<Result<(), CaptureError>>,
-    analyzer: Option<JoinHandle<Result<ZeroCopyAnalysis, CaptureError>>>,
+    writer: JoinHandle<Result<Option<ZeroCopyAnalysis>, CaptureError>>,
 }
 
 impl TapWriter {
     /// Creates the capture at `path` with node table `nodes` and starts
-    /// the writer thread; with `analyze`, also an analyzer thread that
-    /// detects at that granularity on the bytes as they are written.
+    /// the writer thread; with `analyze`, the writer also detects at that
+    /// granularity on the records it encodes.
     ///
     /// # Errors
     ///
     /// [`CaptureError::Io`] if the file cannot be created or its header
-    /// written, or a thread cannot be started.
+    /// written, or the thread cannot be started.
     pub fn create(
         path: &Path,
         nodes: &[NodeMeta],
         analyze: Option<SimDuration>,
     ) -> Result<TapWriter, CaptureError> {
-        let file = File::create(path)?;
-        let (pipe, analyzer) = match analyze {
-            Some(interval) => {
-                let (reader, pipe) = io::pipe()?;
-                let analyzer = spawn("fgbd-analyze", move || {
-                    analyze_stream(BufReader::new(reader), interval)
-                })?;
-                (Some(pipe), Some(analyzer))
-            }
-            None => (None, None),
-        };
-        let mut capture = ChunkedWriter::new(BufWriter::new(Tee { file, pipe }), nodes)?;
+        let capture = ChunkedWriter::new(BufWriter::new(File::create(path)?), nodes)?;
+        let analyzer = analyze.map(|interval| CaptureAnalyzer::new(nodes.to_vec(), interval));
         let (full, todo) = mpsc::channel::<Vec<MsgRecord>>();
         let (pool, done) = BufferPool::new(TAP_BATCHES);
-        let writer = spawn("fgbd-capture", move || {
-            for mut batch in todo {
-                let _span = fgbd_obsv::span::enter("encode");
-                for rec in batch.drain(..) {
-                    capture.push(rec)?;
-                }
-                // The tap may already be finished and gone.
-                let _ = done.send(batch);
-            }
-            // A dropped `BufWriter` would swallow a failed flush; dropping
-            // the tee closes the pipe behind the footer.
-            capture.finish()?.flush()?;
-            Ok(())
-        })?;
+        let base = fgbd_obsv::span::current_path();
+        let writer = std::thread::Builder::new()
+            .name("fgbd-capture".into())
+            .spawn(move || {
+                fgbd_obsv::span::adopt_path(&base);
+                let out = write_batches(todo, done, capture, analyzer);
+                fgbd_obsv::span::flush_thread();
+                out
+            })?;
         Ok(TapWriter {
             batch: Vec::with_capacity(TAP_BATCH_RECORDS),
             full: Some(full),
             pool,
             records: 0,
             writer,
-            analyzer,
         })
     }
 
@@ -155,75 +144,64 @@ impl TapWriter {
         self.batch = self.pool.take();
     }
 
-    /// Hands over the last records, waits for the writer to seal the file
-    /// and, if one runs, for the analyzer's reports.
+    /// Hands over the last records and waits for the writer to seal the
+    /// file and, if one was asked for, finish the analysis.
     ///
     /// # Errors
     ///
-    /// The writer's error if it failed (a failed write fails the analysis
-    /// too: its pipe ends early), else the analyzer's. A panic on either
-    /// thread is re-raised.
+    /// The writer's error if it failed. A panic on its thread is re-raised.
     pub fn finish(mut self) -> Result<Tapped, CaptureError> {
         if !self.batch.is_empty() {
             self.hand_off();
         }
-        // Closing the channel ends the writer, and the writer's end closes
-        // the pipe: both joins return.
+        // Closing the channel ends the writer.
         self.full = None;
-        let written = join(self.writer);
-        let analysis = self.analyzer.map(join).transpose();
-        written?;
+        let analysis = self
+            .writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        // Retained, so a run the simulation never waited in reports 0.
+        if fgbd_obsv::enabled() {
+            let counter = fgbd_obsv::metrics::counter_retained;
+            counter("tap.pool_waits").add(self.pool.waits);
+            counter("tap.pool_wait_us").add(self.pool.waited.as_micros() as u64);
+        }
         Ok(Tapped {
             records: self.records,
-            analysis: analysis?,
+            analysis,
         })
     }
 }
 
-/// Spawns a named stage thread whose spans root where it was started.
-fn spawn<T: Send + 'static>(
-    name: &str,
-    stage: impl FnOnce() -> Result<T, CaptureError> + Send + 'static,
-) -> io::Result<JoinHandle<Result<T, CaptureError>>> {
-    let base = fgbd_obsv::span::current_path();
-    std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || {
-            fgbd_obsv::span::adopt_path(&base);
-            let out = stage();
-            fgbd_obsv::span::flush_thread();
-            out
-        })
-}
-
-fn join<T>(handle: JoinHandle<Result<T, CaptureError>>) -> Result<T, CaptureError> {
-    handle
-        .join()
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-}
-
-/// The file, and a copy of every byte into the analyzer's pipe while that
-/// is open. A failed pipe write (the analyzer is gone) drops the pipe and
-/// keeps the file going.
-struct Tee {
-    file: File,
-    pipe: Option<PipeWriter>,
-}
-
-impl Write for Tee {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.file.write(buf)?;
-        if let Some(pipe) = &mut self.pipe {
-            if pipe.write_all(&buf[..n]).is_err() {
-                self.pipe = None;
+/// The writer thread: encodes each batch, hands it to the analyzer if
+/// there is one, returns a spare to the tap, and seals the file once the
+/// tap is done.
+fn write_batches(
+    todo: Receiver<Vec<MsgRecord>>,
+    done: Sender<Vec<MsgRecord>>,
+    mut capture: ChunkedWriter<BufWriter<File>>,
+    mut analyzer: Option<CaptureAnalyzer>,
+) -> Result<Option<ZeroCopyAnalysis>, CaptureError> {
+    for batch in todo {
+        {
+            let _span = fgbd_obsv::span::enter("encode");
+            for &rec in &batch {
+                capture.push(rec)?;
             }
         }
-        Ok(n)
+        let spare = match &mut analyzer {
+            Some(analyzer) => {
+                let _span = fgbd_obsv::span::enter("analyze");
+                analyzer.push_rows(batch, capture.at_chunk_end())
+            }
+            None => batch,
+        };
+        // The tap may already be finished and gone.
+        let _ = done.send(spare);
     }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()
-    }
+    // A dropped `BufWriter` would swallow a failed flush.
+    capture.finish()?.flush()?;
+    Ok(analyzer.map(|analyzer| analyzer.finish("tap", 1)))
 }
 
 #[cfg(test)]

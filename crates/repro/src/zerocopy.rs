@@ -5,21 +5,22 @@
 //!                                 ┌─▶ online detector ──────────────────▶ reports
 //! source ──chunk──▶ decode ──rows┤   (pairs from the first chunk; holds    ▲
 //! (mmap cursor,                   │    spans until the service times land) │
-//!  writer's pipe,                 │     └─▶ (--follow) live telemetry      │
-//!  --follow tail)                 └─▶ calibration worker ──service times───┘
-//!                                     (first FGBD_CALIB_RECORDS records;
-//!                                      the buffer comes back for reuse)
+//!  --follow tail)                 │     └─▶ (--follow) live telemetry      │
+//! record tap ─────batches────────▶┴─▶ calibration worker ──service times───┘
+//! (the capture writer's,              (first FGBD_CALIB_RECORDS records;
+//!  nothing decoded)                    the buffer comes back for reuse)
 //! ```
 //!
 //! [`CaptureAnalyzer`] is that pass. The detector normalizes by calibrated
-//! service times, but pairing does not need them: every batch of decoded
-//! rows (a whole chunk from the mmap cursor,
-//! [`ROW_BATCH`](fgbd_trace::capture2::ROW_BATCH) rows from the
-//! stream walker) goes to an [`OnlineDetector::uncalibrated`] detector
-//! first, which pairs it, folds the spans it closes into its rings and
-//! holds about 4 bytes of each (its residence; its departure interval as
-//! part of a run) for weighing, and then — the same buffer, moved over a
-//! channel — to a worker thread that folds exactly the first
+//! service times, but pairing does not need them: every batch of rows (a
+//! whole decoded chunk from the mmap cursor,
+//! [`ROW_BATCH`](fgbd_trace::capture2::ROW_BATCH) decoded rows from the
+//! stream walker, a tap batch the capture writer just encoded) goes to an
+//! [`OnlineDetector::uncalibrated`] detector first, which pairs it, folds
+//! the spans it closes into its rings and holds about 4 bytes of each (its
+//! residence; its departure interval as part of a run) for weighing, and
+//! then — the same buffer, moved over a channel — to a worker thread that
+//! folds exactly the first
 //! [`calib_records_from_env`] records (default 1 Mi) into the calibration
 //! ([`Calibration::from_capture_prefix`]'s fold). The buffers come from a
 //! [`BufferPool`] of at most [`POOL_BUFFERS`], so the decoder runs at most
@@ -41,15 +42,14 @@
 //!
 //! Every capture consumer drives this one body:
 //! [`analyze_capture2_zero_copy`] for a file (`analyze_capture`,
-//! `compare_captures`), [`analyze_stream`] for a stream (`million_users`
-//! reads the bytes its writer thread tees into a pipe, see
+//! `compare_captures`), the capture writer's thread for the record tap
+//! (`million_users`: it hands over each batch it has encoded, see
 //! [`crate::tapwriter`]) and `analyze_capture --follow` for a growing file
 //! or a FIFO, which hands this one detector to the live monitor's telemetry
 //! after every record ([`CaptureAnalyzer::push_observed`]): live verdicts
 //! are calibrated, named and on the `--verdicts` grid, with heartbeats only
 //! until the chunk that completes the prefix.
 
-use std::io::Read;
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -60,7 +60,7 @@ use fgbd_des::{SimDuration, SimTime};
 use fgbd_obsv::json::Json;
 use fgbd_trace::capture2::ChunkCursor;
 use fgbd_trace::mmapio::Mapping;
-use fgbd_trace::{CaptureChunks, CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
+use fgbd_trace::{CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
 
 use crate::harness::RunScope;
 use crate::pipeline::{calib_records_from_env, Calibration, CalibrationFold, WORK_UNIT_RESOLUTION};
@@ -82,7 +82,8 @@ pub struct ZeroCopyAnalysis {
     /// bit-identical to `analyze_server` on the materialized capture.
     pub reports: Vec<(String, OnlineReport)>,
     /// How the records arrived: `"mmap"`, `"heap"` (the automatic fallback
-    /// of [`Mapping::open`]) or `"stream"` ([`analyze_stream`], `--follow`).
+    /// of [`Mapping::open`]), `"stream"` (`--follow`) or `"tap"` (the
+    /// capture writer's batches, [`crate::tapwriter`]).
     pub source: &'static str,
     /// Records service times were calibrated on (the prefix).
     pub calib_prefix_records: usize,
@@ -128,6 +129,9 @@ pub(crate) struct BufferPool {
     /// Buffers not made yet.
     unmade: usize,
     back: Receiver<Vec<MsgRecord>>,
+    /// Takes that waited for a buffer, and how long they waited.
+    pub(crate) waits: u64,
+    pub(crate) waited: Duration,
 }
 
 impl BufferPool {
@@ -138,6 +142,8 @@ impl BufferPool {
         let pool = BufferPool {
             unmade: buffers - 1,
             back,
+            waits: 0,
+            waited: Duration::ZERO,
         };
         (pool, give)
     }
@@ -153,7 +159,13 @@ impl BufferPool {
                 self.unmade -= 1;
                 return Vec::new();
             }
-            Err(_) => self.back.recv().unwrap_or_default(),
+            Err(_) => {
+                let t = Instant::now();
+                let buf = self.back.recv().unwrap_or_default();
+                self.waits += 1;
+                self.waited += t.elapsed();
+                buf
+            }
         };
         buf.clear();
         buf
@@ -314,10 +326,7 @@ impl CaptureAnalyzer {
             let chunks = worker.chunks.as_ref().expect("open until joined");
             // A worker that died drops its receiver; `join` re-raises why.
             let _ = chunks.send((rows, take));
-            let t = Instant::now();
-            let spare = worker.pool.take();
-            self.calib_wait += t.elapsed();
-            spare
+            worker.pool.take()
         };
         // Calibration lands at the end of the capture chunk that completes
         // the prefix, however the walker batches its rows: that fixes the
@@ -335,8 +344,9 @@ impl CaptureAnalyzer {
             return;
         };
         let t = Instant::now();
+        let waited = worker.pool.waited;
         let cal = worker.join();
-        self.calib_wait += t.elapsed();
+        self.calib_wait += waited + t.elapsed();
         self.calib_held_spans = det.held_spans();
         det.calibrate(cal.services, cal.work_units);
     }
@@ -433,33 +443,6 @@ pub fn analyze_capture2_zero_copy(
         map.release_until(cursor.consumed_bytes());
     }
     Ok(analyzer.finish(source, cursor.threads()))
-}
-
-/// Analyzes a capture as it streams in: the stream walker
-/// ([`CaptureChunks`]) feeds a [`CaptureAnalyzer`] a row batch at a time,
-/// so a reader that is still being written — a pipe from the capture
-/// writer ([`crate::tapwriter`]) — is analyzed as its bytes land. Stamped
-/// `source: "stream"`, one decode thread. `interval` is the analysis
-/// granularity.
-///
-/// # Errors
-///
-/// As [`CaptureChunks`]: [`CaptureError::Io`] for a failed or truncated
-/// read, [`CaptureError::BadMagic`] for a foreign stream, and
-/// [`CaptureError::Malformed`] / [`CaptureError::Chunk`] for damaged ones.
-pub fn analyze_stream(
-    reader: impl Read,
-    interval: SimDuration,
-) -> Result<ZeroCopyAnalysis, CaptureError> {
-    fgbd_obsv::span!("stream_analyze");
-    let mut chunks = CaptureChunks::open(reader)?;
-    let mut analyzer = CaptureAnalyzer::new(chunks.nodes().to_vec(), interval);
-    // Each row batch decodes into the buffer the analyzer handed back.
-    let mut buf = Vec::new();
-    while chunks.next_into(&mut buf)? {
-        buf = analyzer.push_rows(buf, chunks.chunk_done());
-    }
-    Ok(analyzer.finish("stream", 1))
 }
 
 #[cfg(test)]

@@ -757,7 +757,7 @@ fn tap_writer_writes_the_inline_bytes_and_analyzes_them_as_they_land() {
     let live = tapped.analysis.expect("an analyzer was asked for");
     let file = analyze_capture2_zero_copy(&threaded, interval, 1).expect("analyze the file");
     std::fs::remove_file(&threaded).ok();
-    assert_eq!((live.source, live.decode_threads), ("stream", 1));
+    assert_eq!((live.source, live.decode_threads), ("tap", 1));
     assert_eq!(live.records, tapped.records);
     assert_eq!(live.records, file.records);
     assert_eq!((live.start, live.end), (file.start, file.end));

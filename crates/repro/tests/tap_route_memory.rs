@@ -1,13 +1,13 @@
 //! The tap route's memory, as a measurement: records go from the tap
-//! through a [`TapWriter`] — batched, encoded on a writer thread and teed
-//! into a pipe — to the stream analyzer, whose worker folds the calibration
-//! prefix while the detector holds the prefix's spans. Every buffer on the
-//! way is kept at its working size: at most a chunk of records in
-//! 4 Ki-record tap batches, one 64 Ki-record chunk in the writer, a
-//! payload reserved from the size the last one encoded to, at most four
-//! 16 Ki-record row batches between the stream walker and the worker, and
-//! about 4 bytes per held span. So the route's peak allocation stays under a fixed bound
-//! that the chunk-sized buffers and 8-byte held spans it replaced exceed.
+//! through a [`TapWriter`] — batched, encoded on a writer thread, and the
+//! same batches handed to the analyzer there — whose worker folds the
+//! calibration prefix while the detector holds the prefix's spans. Every
+//! buffer on the way is kept at its working size: at most a chunk of
+//! records in 4 Ki-record tap batches (plus the analyzer's pool of four),
+//! one chunk staged column by column in the writer, each payload built at
+//! its exact size, and about 4 bytes per held span. So the route's peak
+//! allocation stays under a fixed bound that the chunk copy, the decoded
+//! row batches and 8-byte held spans it replaced exceed.
 //! One test per binary on purpose: the counting allocator (see
 //! [`fgbd_oracle::alloc`]) and the budget's environment variable are
 //! process-global.
@@ -30,14 +30,14 @@ static GLOBAL: AllocGauge = AllocGauge::new();
 /// calibrated.
 const BUDGET: usize = 1 << 17;
 
-/// The route's allowed peak, in bytes. Measured on x86-64: 9,304,165 to
-/// 9,973,093 B over 9 runs, release and debug (the replay outruns the
-/// writer, so the tap's pool fills to its 16 batches), and 14,151,835 B
-/// with 16 Ki-record tap batches, whole decoded chunks handed to the
-/// worker as thread timing allowed, and 8 bytes per held span. The margin
-/// over the highest measured peak is 0.63 MB, about one more 640 KiB row
-/// batch.
-const PEAK_BOUND: u64 = 10_600_000;
+/// The route's allowed peak, in bytes. Measured on x86-64: 5,561,247 to
+/// 5,890,167 B over 13 runs, release and debug, on one core and on two;
+/// 9,304,165 to 9,973,093 B when the writer copied each 64 Ki-record
+/// chunk and teed its bytes to a stream walker decoding 16 Ki-row batches,
+/// and 14,151,835 B before that with 16 Ki-record tap batches, whole
+/// decoded chunks and 8-byte held spans. The margin is 7% over the highest
+/// measured peak.
+const PEAK_BOUND: u64 = 6_300_000;
 
 #[test]
 fn tap_route_peak_allocation_stays_at_its_working_size() {

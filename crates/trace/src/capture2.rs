@@ -45,10 +45,10 @@
 //! order. Chunks validate independently, so corruption is reported per
 //! chunk ([`CaptureError::Chunk`]) instead of as a file-sized shrug.
 //!
-//! Writers stream through [`ChunkedWriter`]: memory is bounded by one
-//! chunk (default 64 Ki records) regardless of capture size, which is what
-//! lets million-user runs write captures without materializing a
-//! [`TraceLog`].
+//! Writers stream through [`ChunkedWriter`], which stages one chunk
+//! (default 64 Ki records) column by column as its records arrive, so
+//! memory is bounded regardless of capture size, which is what lets
+//! million-user runs write captures without materializing a [`TraceLog`].
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -232,61 +232,6 @@ fn dict_width(len: usize) -> u32 {
     64 - ((len - 1) as u64).leading_zeros()
 }
 
-/// Encodes one low-cardinality column: a first-occurrence-ordered
-/// dictionary of distinct values, then every record's dictionary index
-/// bit-packed at the minimum width (LSB-first). A constant column costs
-/// zero bits per record; a column that blows past [`DICT_MAX_ENTRIES`]
-/// distinct values is written as plain per-record varints instead.
-fn put_column(out: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone) {
-    // One pass builds the dictionary AND the per-record index buffer, so
-    // packing below needs no second round of hash lookups.
-    let mut dict: Vec<u64> = Vec::new();
-    let mut map = fgbd_des::hash::FxHashMap::default();
-    // An index is below `DICT_MAX_ENTRIES`, so 2 bytes hold it.
-    let mut idxs: Vec<u16> = Vec::with_capacity(values.size_hint().0);
-    for v in values.clone() {
-        let next = dict.len() as u16;
-        let idx = *map.entry(v).or_insert(next);
-        if idx == next {
-            if dict.len() == DICT_MAX_ENTRIES {
-                out.push(COL_PLAIN);
-                for v in values {
-                    put_varint(out, v);
-                }
-                return;
-            }
-            dict.push(v);
-        }
-        idxs.push(idx);
-    }
-    out.push(COL_DICT);
-    put_varint(out, dict.len() as u64);
-    for &v in &dict {
-        put_varint(out, v);
-    }
-    let width = match dict.len() {
-        0 => return, // empty column (never produced for a non-empty chunk)
-        len => dict_width(len),
-    };
-    if width == 0 {
-        return;
-    }
-    let mut acc = 0u64;
-    let mut nbits = 0u32;
-    for &idx in &idxs {
-        acc |= u64::from(idx) << nbits;
-        nbits += width;
-        while nbits >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            nbits -= 8;
-        }
-    }
-    if nbits > 0 {
-        out.push(acc as u8);
-    }
-}
-
 /// Which columns a chunk decode materializes. Timestamps are always
 /// decoded (they create the records); every other column can be skipped,
 /// leaving its field at the [`MsgRecord`] default. Skipping is *legal*
@@ -336,49 +281,7 @@ impl Projection {
     };
 }
 
-// --- chunk encode / decode ---------------------------------------------------
-
-/// Encodes one chunk's payload into a buffer of `reserve` bytes (the
-/// writer's estimate, see [`ChunkedWriter`]'s `last_payload`).
-fn encode_chunk_payload(records: &[MsgRecord], min_at: u64, reserve: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(reserve);
-    let mut prev = min_at;
-    for r in records {
-        let at = r.at.as_micros();
-        put_varint(&mut out, at - prev);
-        prev = at;
-    }
-    put_column(&mut out, records.iter().map(|r| u64::from(r.src.0)));
-    put_column(&mut out, records.iter().map(|r| u64::from(r.dst.0)));
-    put_column(
-        &mut out,
-        records.iter().map(|r| match r.kind {
-            MsgKind::Request => 0u64,
-            MsgKind::Response => 1u64,
-        }),
-    );
-    put_column(&mut out, records.iter().map(|r| u64::from(r.conn.0)));
-    put_column(&mut out, records.iter().map(|r| u64::from(r.class.0)));
-    put_column(&mut out, records.iter().map(|r| u64::from(r.bytes)));
-    // Truth column: bitmap of which records carry ground truth, then
-    // zigzag deltas between consecutive present values (txn ids from one
-    // simulator stream are near-sequential, so deltas are tiny).
-    let mut bitmap = vec![0u8; records.len().div_ceil(8)];
-    for (i, r) in records.iter().enumerate() {
-        if r.truth.is_some() {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out.extend_from_slice(&bitmap);
-    let mut prev_truth: u64 = 0;
-    for r in records {
-        if let Some(t) = r.truth {
-            put_varint(&mut out, zigzag(t.0.wrapping_sub(prev_truth) as i64));
-            prev_truth = t.0;
-        }
-    }
-    out
-}
+// --- chunk decode ----------------------------------------------------------
 
 /// The fields of a chunk header that passed [`verify_chunk`]'s checks.
 #[derive(Debug, Clone, Copy)]
@@ -806,9 +709,80 @@ struct ChunkInfo {
     max_at: u64,
 }
 
-/// Streaming `FGBDCAP2` writer: buffers at most one chunk of records, so a
-/// capture of any length writes in flat memory. Create with the node table,
-/// [`push`](ChunkedWriter::push) records in time order, then
+/// One dictionary-or-plain column of the open chunk, staged as its records
+/// arrive: a first-occurrence dictionary and each record's index into it
+/// until a record brings distinct value `DICT_MAX_ENTRIES + 1`; from then
+/// on the column is plain varints, its earlier records re-staged that way.
+#[derive(Debug, Default)]
+struct StagedColumn {
+    dict: Vec<u64>,
+    map: fgbd_des::hash::FxHashMap<u64, u16>,
+    /// Per-record indices (an index is below `DICT_MAX_ENTRIES`, so 2
+    /// bytes hold it).
+    idxs: Vec<u16>,
+    /// The column's encoding: its plain varints, behind their tag, from
+    /// the overflow on; the dictionary's once the seal writes it; else
+    /// empty.
+    encoded: Vec<u8>,
+}
+
+impl StagedColumn {
+    fn push(&mut self, v: u64) {
+        if !self.encoded.is_empty() {
+            put_varint(&mut self.encoded, v);
+            return;
+        }
+        let next = self.dict.len() as u16;
+        let idx = *self.map.entry(v).or_insert(next);
+        if idx == next {
+            if self.dict.len() == DICT_MAX_ENTRIES {
+                self.encoded.push(COL_PLAIN);
+                for &i in &self.idxs {
+                    put_varint(&mut self.encoded, self.dict[usize::from(i)]);
+                }
+                put_varint(&mut self.encoded, v);
+                return;
+            }
+            self.dict.push(v);
+        }
+        self.idxs.push(idx);
+    }
+
+    /// Completes the encoding (see the format doc): a dictionary column's
+    /// indices are bit-packed at its minimum width, LSB-first — zero bits
+    /// when it is constant.
+    fn seal(&mut self) {
+        if self.encoded.is_empty() {
+            let out = &mut self.encoded;
+            out.push(COL_DICT);
+            put_varint(out, self.dict.len() as u64);
+            for &v in &self.dict {
+                put_varint(out, v);
+            }
+            let width = dict_width(self.dict.len());
+            let (mut acc, mut nbits) = (0u64, 0u32);
+            for &idx in &self.idxs {
+                acc |= u64::from(idx) << nbits;
+                nbits += width;
+                while nbits >= 8 {
+                    out.push(acc as u8);
+                    acc >>= 8;
+                    nbits -= 8;
+                }
+            }
+            if nbits > 0 {
+                out.push(acc as u8);
+            }
+        }
+        self.dict.clear();
+        self.map.clear();
+        self.idxs.clear();
+    }
+}
+
+/// Streaming `FGBDCAP2` writer: stages at most one chunk, column by column,
+/// so a capture of any length writes in flat memory. Create with the node
+/// table, [`push`](ChunkedWriter::push) records in time order, then
 /// [`finish`](ChunkedWriter::finish) to emit the footer index — a capture
 /// without its footer reads as truncated.
 pub struct ChunkedWriter<W: Write> {
@@ -816,15 +790,24 @@ pub struct ChunkedWriter<W: Write> {
     /// Bytes written so far == offset of the next byte; the footer index
     /// stores these, so the writer never needs `Seek`.
     offset: u64,
-    buf: Vec<MsgRecord>,
     chunk_records: usize,
     index: Vec<ChunkInfo>,
     last_at: SimTime,
-    /// The last chunk's payload bytes and records: the next payload
-    /// reserves its bytes per record plus an eighth, so the writer
-    /// neither regrows nor over-holds the buffer. Simulator traffic
-    /// encodes to 5.5–6.0 B/record; the first chunk assumes 7.
-    last_payload: (usize, usize),
+    // The open chunk, staged column by column as its records arrive, so
+    // the writer never holds the records themselves and knows the
+    // payload's size before it builds it.
+    records: usize,
+    min_at: u64,
+    /// Timestamp deltas, varints (the first is 0).
+    at: Vec<u8>,
+    /// src, dst, kind, conn, class, bytes.
+    cols: [StagedColumn; 6],
+    /// Truth presence bits (LSB-first), then zigzag varint deltas between
+    /// consecutive present values (txn ids from one simulator stream are
+    /// near-sequential, so deltas are tiny).
+    bitmap: Vec<u8>,
+    truth: Vec<u8>,
+    prev_truth: u64,
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -859,15 +842,20 @@ impl<W: Write> ChunkedWriter<W> {
         Ok(ChunkedWriter {
             w,
             offset: header.len() as u64,
-            buf: Vec::with_capacity(chunk_records),
             chunk_records,
             index: Vec::new(),
             last_at: SimTime::ZERO,
-            last_payload: (7, 1),
+            records: 0,
+            min_at: 0,
+            at: Vec::new(),
+            cols: Default::default(),
+            bitmap: Vec::new(),
+            truth: Vec::new(),
+            prev_truth: 0,
         })
     }
 
-    /// Appends one record, flushing a chunk when the buffer fills.
+    /// Appends one record, sealing a chunk when it fills.
     ///
     /// # Errors
     ///
@@ -879,37 +867,74 @@ impl<W: Write> ChunkedWriter<W> {
         if rec.at < self.last_at {
             return Err(CaptureError::Malformed("records out of order"));
         }
+        let at = rec.at.as_micros();
+        if self.records == 0 {
+            (self.min_at, self.last_at) = (at, rec.at);
+        }
+        put_varint(&mut self.at, at - self.last_at.as_micros());
         self.last_at = rec.at;
-        self.buf.push(rec);
-        if self.buf.len() == self.chunk_records {
+        let values = [
+            u64::from(rec.src.0),
+            u64::from(rec.dst.0),
+            u64::from(rec.kind == MsgKind::Response),
+            u64::from(rec.conn.0),
+            u64::from(rec.class.0),
+            u64::from(rec.bytes),
+        ];
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(v);
+        }
+        let (byte, bit) = (self.records / 8, self.records % 8);
+        self.bitmap.resize(byte + 1, 0);
+        if let Some(t) = rec.truth {
+            self.bitmap[byte] |= 1 << bit;
+            put_varint(
+                &mut self.truth,
+                zigzag(t.0.wrapping_sub(self.prev_truth) as i64),
+            );
+            self.prev_truth = t.0;
+        }
+        self.records += 1;
+        if self.records == self.chunk_records {
             self.flush_chunk()?;
         }
         Ok(())
     }
 
+    /// Whether the records pushed so far end a chunk: none is staged.
+    pub fn at_chunk_end(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Seals the open chunk: builds its payload at its exact size from the
+    /// staged columns, which it empties, and writes it behind its header.
     fn flush_chunk(&mut self) -> Result<(), CaptureError> {
-        let min_at = self.buf[0].at.as_micros();
-        let max_at = self.buf[self.buf.len() - 1].at.as_micros();
-        let (bytes, records) = self.last_payload;
-        // About the payload's size, which fits the header's `u32`.
-        let reserve = (bytes as u64 * self.buf.len() as u64 / records as u64) as usize;
-        let payload = encode_chunk_payload(&self.buf, min_at, reserve + reserve / 8);
-        self.last_payload = (payload.len(), self.buf.len());
-        self.index.push(ChunkInfo {
+        self.cols.iter_mut().for_each(StagedColumn::seal);
+        let cols: usize = self.cols.iter().map(|c| c.encoded.len()).sum();
+        let mut payload =
+            Vec::with_capacity(self.at.len() + cols + self.bitmap.len() + self.truth.len());
+        payload.append(&mut self.at);
+        for col in &mut self.cols {
+            payload.append(&mut col.encoded);
+        }
+        payload.append(&mut self.bitmap);
+        payload.append(&mut self.truth);
+        let info = ChunkInfo {
             offset: self.offset,
-            record_count: self.buf.len() as u32,
-            min_at,
-            max_at,
-        });
+            record_count: self.records as u32,
+            min_at: self.min_at,
+            max_at: self.last_at.as_micros(),
+        };
+        (self.records, self.prev_truth) = (0, 0);
+        self.index.push(info);
         self.w.write_all(&[TAG_CHUNK])?;
-        self.w.write_all(&(self.buf.len() as u32).to_le_bytes())?;
-        self.w.write_all(&min_at.to_le_bytes())?;
-        self.w.write_all(&max_at.to_le_bytes())?;
+        self.w.write_all(&info.record_count.to_le_bytes())?;
+        self.w.write_all(&info.min_at.to_le_bytes())?;
+        self.w.write_all(&info.max_at.to_le_bytes())?;
         self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.w.write_all(&checksum64(&payload).to_le_bytes())?;
         self.w.write_all(&payload)?;
         self.offset += (CHUNK_HEADER_LEN + payload.len()) as u64;
-        self.buf.clear();
         Ok(())
     }
 
@@ -920,7 +945,7 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Returns [`CaptureError::Io`] on underlying write failures.
     pub fn finish(mut self) -> Result<W, CaptureError> {
-        if !self.buf.is_empty() {
+        if !self.at_chunk_end() {
             self.flush_chunk()?;
         }
         let index_offset = self.offset;
@@ -1539,7 +1564,11 @@ mod tests {
     #[test]
     fn timestamps_off_the_header_bounds_fail_the_batch_that_reaches_them() {
         let log = sample_log(1_000);
-        let payload = encode_chunk_payload(&log.records, log.records[0].at.as_micros(), 0);
+        let bytes = encode(&log, 1_000);
+        let (_, chunks) = parse_index(&bytes).unwrap();
+        let start = chunks[0].offset as usize + CHUNK_HEADER_LEN;
+        // One chunk, then the footer: tag, count, one 28-byte entry.
+        let payload = &bytes[start..bytes.len() - TRAILER_LEN - (1 + 4 + 28)];
         // A header one µs off the last timestamp: the first batch decodes,
         // the last fails.
         let h = ChunkHeader {
@@ -1548,11 +1577,11 @@ mod tests {
             max_at: log.records[999].at.as_micros() + 1,
             byte_len: payload.len(),
         };
-        let mut rows = ChunkRows::new(&payload, 7, &h, Projection::ALL).unwrap();
+        let mut rows = ChunkRows::new(payload, 7, &h, Projection::ALL).unwrap();
         let mut out = Vec::new();
-        rows.decode(&payload, 600, &mut out).unwrap();
+        rows.decode(payload, 600, &mut out).unwrap();
         assert_eq!(out, log.records[..600]);
-        match rows.decode(&payload, 600, &mut out) {
+        match rows.decode(payload, 600, &mut out) {
             Err(CaptureError::Chunk { index: 7, what }) => {
                 assert_eq!(what, "timestamp bounds mismatch");
             }
